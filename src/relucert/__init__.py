@@ -32,6 +32,7 @@ from .certify import (
     certify_single_norm,
     certify_universal,
     point_certificate,
+    certificates,
     exact_robustness_oracle,
     robust_error_upper_bound,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net_core
-from .certify import EpsTriple
+from .certify import EpsTriple, row_norms
 
 __all__ = [
     "PgdConfig",
@@ -24,9 +24,11 @@ __all__ = [
     "attack_dataset",
     "robust_error_lower_bound",
     "overlap_stats",
+    "overlap_table",
 ]
 
 _FEAS_TOL = 1e-9
+_ORDERS = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,6 @@ class PgdConfig:
             raise ValueError("iterations and restarts must be >= 1")
         if not (0.0 < self.sparsity_frac <= 1.0):
             raise ValueError("sparsity_frac must be in (0, 1]")
-
-
-def _lp_rows(D, p):
-    if math.isinf(p):
-        return np.abs(D).max(axis=1)
-    if p == 1.0:
-        return np.abs(D).sum(axis=1)
-    return np.sqrt((D * D).sum(axis=1))
 
 
 def _proj_l1_rows(D, eps):
@@ -166,7 +160,7 @@ def _joint_project(Z, X_ref, eps, p):
     for _ in range(10):
         Z = X_ref + _project_ball_rows(Z - X_ref, eps, p)
         Z = np.clip(Z, 0.0, 1.0)
-        if (_lp_rows(Z - X_ref, p) <= eps + _FEAS_TOL).all():
+        if (row_norms(Z - X_ref, p) <= eps + _FEAS_TOL).all():
             break
     return Z
 
@@ -192,7 +186,7 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig):
         logits, preacts = net_core.forward_batch(net, Z)
         pred = logits.argmax(axis=1)
         delta = Z - X_ref
-        norms = _lp_rows(delta, p)
+        norms = row_norms(delta, p)
         hit = (pred != y0) & (norms <= eps + _FEAS_TOL) & (norms < best_norm)
         if hit.any():
             best_norm[hit] = norms[hit]
@@ -230,8 +224,11 @@ def pgd_attack(net, x, label: int, cfg: PgdConfig, extra_starts=None):
         return None
     i = int(np.argmin(norms))
     z = x + deltas[i]
-    assert _lp_rows((z - x)[None, :], cfg.p)[0] <= cfg.eps + _FEAS_TOL
-    assert net_core.classify(net, z) != int(label)
+    if not row_norms((z - x)[None, :], cfg.p)[0] <= cfg.eps + _FEAS_TOL:
+        raise RuntimeError(f"PGD returned a perturbation outside the l{cfg.p:g} ball "
+                           f"of radius {cfg.eps}")
+    if net_core.classify(net, z) == int(label):
+        raise RuntimeError("PGD returned a point that is not misclassified")
     return z
 
 
@@ -297,32 +294,37 @@ def robust_error_lower_bound(net, dataset, eps, iterations: int = 100,
 def overlap_stats(net, dataset, eps1: float, eps2: float, eps_inf: float,
                   iterations: int = 100, restarts: int = 10, seed: int = 0,
                   sparsity_frac: float = 0.01) -> dict:
-    """For each ordered norm pair (p, q): how many successful p-attack
-    perturbations also fit in the q-ball of radius eps_q.
-
-    Entries are dicts with count/total/pct; pct is None when no p-attack
-    succeeded (0 of 0).
-    """
+    """overlap_table of the l1, l2 and linf attacks, seeded seed + 10*i."""
     radii = {"l1": eps1, "l2": eps2, "linf": eps_inf}
-    orders = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
     found = {}
-    for i, (name, p) in enumerate(orders.items()):
+    for i, (name, p) in enumerate(_ORDERS.items()):
         cfg = PgdConfig(p=p, eps=radii[name], iterations=iterations,
                         restarts=restarts, seed=seed + 10 * i,
                         sparsity_frac=sparsity_frac)
         success, _, deltas = attack_dataset(net, dataset, cfg)
         found[name] = deltas[success]
+    return overlap_table(found, radii)
+
+
+def overlap_table(found: dict, radii: dict) -> dict:
+    """For each ordered norm pair (p, q): how many of the successful
+    p-attack perturbations found[p] (rows of an (m, d) array) also fit in
+    the q-ball of radius radii[q].
+
+    Entries are dicts with count/total/pct; pct is None when no p-attack
+    succeeded (0 of 0).
+    """
     table = {}
-    for pn in orders:
+    for pn in _ORDERS:
         deltas = found[pn]
         total = len(deltas)
-        for qn in orders:
+        for qn, q in _ORDERS.items():
             if qn == pn:
                 continue
             if total == 0:
                 table[(pn, qn)] = {"count": 0, "total": 0, "pct": None}
                 continue
-            inside = _lp_rows(deltas, orders[qn]) <= radii[qn] + _FEAS_TOL
+            inside = row_norms(deltas, q) <= radii[qn] + _FEAS_TOL
             count = int(inside.sum())
             table[(pn, qn)] = {"count": count, "total": total,
                                "pct": 100.0 * count / total}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import weakref
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ __all__ = [
     "certify_single_norm",
     "certify_universal",
     "point_certificate",
+    "certificates",
     "exact_robustness_oracle",
     "robust_error_upper_bound",
 ]
@@ -97,26 +97,33 @@ class PointCertificate:
         return geometry.hull_min_norm(self.rho1, self.rho_inf, p)
 
 
-def _dual_norms(mat: np.ndarray, q: float) -> np.ndarray:
-    """Row-wise lq-norms used as denominators of point-to-hyperplane distances."""
-    if mat.shape[0] == 0:
-        return np.zeros(0)
-    if math.isinf(q):
-        return np.abs(mat).max(axis=1)
-    if q == 1.0:
-        return np.abs(mat).sum(axis=1)
-    return (np.abs(mat) ** q).sum(axis=1) ** (1.0 / q)
+def row_norms(mat: np.ndarray, p: float) -> np.ndarray:
+    """lp-norms along the last axis; p = inf is the max-norm."""
+    a = np.abs(mat)
+    if math.isinf(p):
+        return a.max(axis=-1)
+    if p == 1.0:
+        return a.sum(axis=-1)
+    return (a ** p).sum(axis=-1) ** (1.0 / p)
 
 
-def _safe_div(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num/den with den == 0 mapped to sign(num)*inf (constant hyperplane)."""
-    out = np.full(num.shape, math.inf)
-    np.divide(num, den, out=out, where=den > 0)
-    zero = den == 0
-    if zero.any():
-        out[zero & (num < 0)] = -math.inf
-        out[zero & (num >= 0)] = math.inf
+def plane_distances(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """values / norms: signed distances to hyperplanes with the given values
+    at the point and dual norms of their normals.  A zero normal (a constant
+    hyperplane, which cannot be crossed) gives sign(value) * inf, and +inf
+    for a zero value."""
+    out = np.full(np.shape(values), math.inf)
+    np.divide(values, norms, out=out, where=norms > 0)
+    out[(norms == 0) & (values < 0)] = -math.inf
     return out
+
+
+def _check_labels(net, labels) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = (labels < 1) | (labels > net.num_classes)
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0]} out of range 1..{net.num_classes}")
+    return labels
 
 
 def distance_profile(net, x, label: int, p) -> DistanceProfile:
@@ -127,34 +134,18 @@ def distance_profile(net, x, label: int, p) -> DistanceProfile:
     Zero rows give +inf distances (a constant unit cannot be crossed).
     """
     p = float(p.p) if isinstance(p, geometry.NormOrder) else float(p)
-    if not p >= 1.0:
-        raise ValueError(f"norm order must satisfy p >= 1, got {p}")
-    label = int(label)
-    if not 1 <= label <= net.num_classes:
-        raise ValueError(f"label {label} out of range 1..{net.num_classes}")
     q = geometry.dual_exponent(p)
-    desc = net_core.region_description(net, x)
-    x = np.asarray(x, dtype=np.float64)
-
-    num_b = np.abs(desc.normals @ x + desc.offsets)
-    den_b = _dual_norms(desc.normals, q)
-    boundary = _safe_div(num_b, den_b)
-
-    v_out, a_out = desc.output_map
-    c = label - 1
-    others = np.array([s for s in range(net.num_classes) if s != c], dtype=np.int64)
-    diff = v_out[c] - v_out[others]
-    num_d = diff @ x + (a_out[c] - a_out[others])
-    den_d = _dual_norms(diff, q)
-    decision = _safe_div(num_d, den_d)
-
+    label = int(_check_labels(net, [label])[0])
+    rmap = net_core.region_map(net, net_core._check_input(net, x)[None, :])
+    others, normals, values = rmap.decision_planes([label])
     return DistanceProfile(
         p=p,
         label=label,
-        boundary_dists=boundary,
-        decision_dists=decision,
-        unit_index=desc.unit_index,
-        classes=others + 1,
+        boundary_dists=plane_distances(np.abs(rmap.values),
+                                       row_norms(rmap.rows, q))[0],
+        decision_dists=plane_distances(values, row_norms(normals, q))[0],
+        unit_index=net.unit_index,
+        classes=others[0] + 1,
     )
 
 
@@ -181,37 +172,84 @@ def certify_universal(net, x, label: int, p) -> float:
     region hyperplane can enter.  At p = 1 and p = inf the bound continuously
     equals rho1 and rho_inf.
     """
-    prof1 = distance_profile(net, x, label, 1.0)
-    prof_inf = distance_profile(net, x, label, math.inf)
-    if prof1.min_decision < 0.0:
-        return 0.0
-    rho1 = min(prof1.min_boundary, abs(prof1.min_decision))
-    rho_inf = min(prof_inf.min_boundary, abs(prof_inf.min_decision))
-    if rho_inf <= 0.0:
-        return 0.0
-    if math.isinf(rho1):
-        return math.inf
-    return geometry.hull_min_norm(rho1, rho_inf, p)
+    return point_certificate(net, x, label).universal_bound(p)
+
+
+@dataclass(frozen=True)
+class Certificates:
+    """Per-point certificates of a batch, one array entry per point.
+
+    Fields as in PointCertificate; ``single_l2`` is the single-norm l2
+    bound (``certify_single_norm`` at p = 2), zero when the nearest decision
+    hyperplane is crossed.
+    """
+
+    label: np.ndarray
+    predicted: np.ndarray
+    correct: np.ndarray
+    rho1: np.ndarray
+    rho_inf: np.ndarray
+    lb_l1: np.ndarray
+    lb_l2: np.ndarray
+    lb_linf: np.ndarray
+    single_l2: np.ndarray
+
+    def point(self, i: int) -> PointCertificate:
+        return PointCertificate(
+            int(self.label[i]), int(self.predicted[i]), bool(self.correct[i]),
+            float(self.rho1[i]), float(self.rho_inf[i]), float(self.lb_l1[i]),
+            float(self.lb_l2[i]), float(self.lb_linf[i]))
+
+
+def _min_dists(abs_u, rows, values, normals, p):
+    """Nearest boundary and nearest (signed) decision lp-distance per point."""
+    q = geometry.dual_exponent(p)
+    boundary = plane_distances(abs_u, row_norms(rows, q)).min(axis=1, initial=math.inf)
+    decision = plane_distances(values, row_norms(normals, q)).min(axis=1, initial=math.inf)
+    return boundary, decision
+
+
+def certificates(net, X, labels) -> Certificates:
+    """Certificates of every row of X (B, d) with true labels in 1..K.
+
+    A point is correct when the net predicts its label and no decision
+    hyperplane of its region is crossed.  rho1 / rho_inf are the nearest
+    boundary or decision hyperplane in l1 / linf, lb_l1 = rho1,
+    lb_linf = rho_inf and lb_l2 the universal bound at p = 2; all are zero
+    for incorrect points.
+    """
+    labels = _check_labels(net, labels)
+    n = len(labels)
+    if len(X) != n:
+        raise ValueError(f"{len(X)} points but {n} labels")
+    out = {k: np.zeros(n) for k in ("rho1", "rho_inf", "lb_l2", "single_l2")}
+    predicted = np.zeros(n, dtype=np.int64)
+    correct = np.zeros(n, dtype=bool)
+    for sl, rmap in net_core.region_maps(net, X):
+        y = labels[sl]
+        abs_u = np.abs(rmap.values)
+        _, normals, values = rmap.decision_planes(y)
+        b1, d1 = _min_dists(abs_u, rmap.rows, values, normals, 1.0)
+        b2, d2 = _min_dists(abs_u, rmap.rows, values, normals, 2.0)
+        binf, dinf = _min_dists(abs_u, rmap.rows, values, normals, math.inf)
+        predicted[sl] = np.argmax(rmap.logits, axis=1) + 1
+        ok = (predicted[sl] == y) & ~(d1 < 0.0)
+        correct[sl] = ok
+        out["rho1"][sl] = np.where(ok, np.minimum(b1, np.abs(d1)), 0.0)
+        out["rho_inf"][sl] = np.where(ok, np.minimum(binf, np.abs(dinf)), 0.0)
+        out["single_l2"][sl] = np.where(d2 < 0.0, 0.0, np.minimum(b2, d2))
+    rho1, rho_inf = out["rho1"], out["rho_inf"]
+    lb_l2 = np.where(np.isinf(rho1), math.inf, 0.0)
+    hull = (rho_inf > 0.0) & np.isfinite(rho1)
+    lb_l2[hull] = geometry._hull_min_norm_vec(rho1[hull], rho_inf[hull], 2.0)  # q = 2
+    return Certificates(labels, predicted, correct, rho1, rho_inf, rho1, lb_l2,
+                        rho_inf, out["single_l2"])
 
 
 def point_certificate(net, x, label: int) -> PointCertificate:
     """Bundle of per-norm lower bounds at x (l1/linf single-norm, l2 universal)."""
-    label = int(label)
-    predicted = net_core.classify(net, x)
-    prof1 = distance_profile(net, x, label, 1.0)
-    prof_inf = distance_profile(net, x, label, math.inf)
-    correct = predicted == label
-    if prof1.min_decision < 0.0 or not correct:
-        return PointCertificate(label, predicted, False, 0.0, 0.0, 0.0, 0.0, 0.0)
-    rho1 = float(min(prof1.min_boundary, abs(prof1.min_decision)))
-    rho_inf = float(min(prof_inf.min_boundary, abs(prof_inf.min_decision)))
-    lb1 = float(max(min(prof1.min_boundary, prof1.min_decision), rho1))
-    lbinf = float(max(min(prof_inf.min_boundary, prof_inf.min_decision), rho_inf))
-    if rho_inf <= 0.0 or math.isinf(rho1):
-        lb2 = math.inf if math.isinf(rho1) else 0.0
-    else:
-        lb2 = geometry.hull_min_norm(rho1, rho_inf, 2.0)
-    return PointCertificate(label, predicted, True, rho1, rho_inf, lb1, lb2, lbinf)
+    x = net_core._check_input(net, x)
+    return certificates(net, x[None, :], [int(label)]).point(0)
 
 
 # -- exact robustness oracle -------------------------------------------------
@@ -226,14 +264,6 @@ def _atlas_for(net, budget: int) -> RegionAtlas:
         atlas = RegionAtlas(net, max_regions=budget)
         _ATLAS_CACHE[net] = atlas
     return atlas
-
-
-def _lp_norm_rows(mat: np.ndarray, p: float) -> np.ndarray:
-    if math.isinf(p):
-        return np.abs(mat).max(axis=1)
-    if p == 1.0:
-        return np.abs(mat).sum(axis=1)
-    return (np.abs(mat) ** p).sum(axis=1) ** (1.0 / p)
 
 
 def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -269,7 +299,7 @@ def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         best = np.full(len(starts), math.inf)
         for t in cands:
             t = np.clip(np.nan_to_num(t, nan=0.0), 0.0, 1.0)
-            best = np.minimum(best, _lp_norm_rows(c - t[:, None] * e, p))
+            best = np.minimum(best, row_norms(c - t[:, None] * e, p))
         return float(best.min())
     # general p: ternary search on the convex per-segment objective
     lo = np.zeros(len(starts))
@@ -277,13 +307,13 @@ def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     for _ in range(96):
         t1 = lo + (hi - lo) / 3.0
         t2 = hi - (hi - lo) / 3.0
-        f1 = _lp_norm_rows(c - t1[:, None] * e, p)
-        f2 = _lp_norm_rows(c - t2[:, None] * e, p)
+        f1 = row_norms(c - t1[:, None] * e, p)
+        f2 = row_norms(c - t2[:, None] * e, p)
         take_lo = f1 <= f2
         hi = np.where(take_lo, t2, hi)
         lo = np.where(take_lo, lo, t1)
     tm = 0.5 * (lo + hi)
-    return float(_lp_norm_rows(c - tm[:, None] * e, p).min())
+    return float(row_norms(c - tm[:, None] * e, p).min())
 
 
 def _directional_upper_bound(net, x, label: int, p: float, num_directions: int,
@@ -316,7 +346,7 @@ def _directional_upper_bound(net, x, label: int, p: float, num_directions: int,
         bad = pred != label
         hi = np.where(bad, mid, hi)
         lo = np.where(bad, lo, mid)
-    return float((hi * _lp_norm_rows(dirs, p)).min())
+    return float((hi * row_norms(dirs, p)).min())
 
 
 def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000,
@@ -350,38 +380,21 @@ def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000,
 # -- dataset-level upper bound ------------------------------------------------
 
 
-def _map_points(fn, n, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, range(n)))
-    return [fn(i) for i in range(n)]
-
-
-def dataset_certificates(net, dataset, threads: int = 1):
-    """point_certificate for every dataset row, in order."""
-    X, y = np.asarray(dataset.features), np.asarray(dataset.labels)
-    if len(X) == 0:
-        raise ValueError("dataset is empty")
-    return _map_points(lambda i: point_certificate(net, X[i], int(y[i])),
-                       len(X), threads)
-
-
-def robust_mask(certs, eps) -> np.ndarray:
+def robust_mask(certs: Certificates, eps) -> np.ndarray:
     """True where a point is certified robust for the whole ball union."""
     eps = EpsTriple(*eps) if not isinstance(eps, EpsTriple) else eps
-    return np.array([
-        pc.correct and pc.lb_l1 >= eps.eps1 and pc.lb_l2 >= eps.eps2
-        and pc.lb_linf >= eps.eps_inf
-        for pc in certs
-    ])
+    return (certs.correct & (certs.lb_l1 >= eps.eps1) & (certs.lb_l2 >= eps.eps2)
+            & (certs.lb_linf >= eps.eps_inf))
 
 
-def robust_error_upper_bound(net, dataset, eps, threads: int = 1) -> float:
+def robust_error_upper_bound(net, dataset, eps) -> float:
     """Upper bound on the robust test error wrt the union of the three balls.
 
     A point counts as potentially non-robust when it is misclassified or one
     of its certificates falls short: the l1/linf single-norm bounds against
     eps1/eps_inf, or the universal l2 bound against eps2.
     """
-    certs = dataset_certificates(net, dataset, threads)
+    if len(dataset.features) == 0:
+        raise ValueError("dataset is empty")
+    certs = certificates(net, dataset.features, dataset.labels)
     return 1.0 - float(np.mean(robust_mask(certs, eps)))

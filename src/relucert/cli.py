@@ -57,27 +57,20 @@ class Report:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
-def _threads_from_env() -> int:
-    try:
-        return max(1, int(os.environ.get("RELUCERT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _per_point_certs(net, X, y, threads=1):
-    """(certificates, single-norm l2 bounds) for every point."""
-    def one(i):
-        pc = certify.point_certificate(net, X[i], int(y[i]))
-        s2 = certify.certify_single_norm(net, X[i], int(y[i]), 2.0)
-        return pc, s2
-
-    out = certify._map_points(one, len(X), threads)
-    return [p for p, _ in out], np.array([s for _, s in out])
+def _per_norm_upper_bounds(certs, eps) -> dict:
+    """Robust-error upper bound per norm; the l2 bound takes the larger of
+    the universal and the single-norm l2 certificate."""
+    lb_l2 = np.maximum(certs.lb_l2, certs.single_l2)
+    return {
+        "l1": float(np.mean(~(certs.correct & (certs.lb_l1 >= eps.eps1)))),
+        "l2": float(np.mean(~(certs.correct & (lb_l2 >= eps.eps2)))),
+        "linf": float(np.mean(~(certs.correct & (certs.lb_linf >= eps.eps_inf)))),
+    }
 
 
 def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
                    deterministic: bool = False, iterations: int = 100,
-                   restarts: int = 10, threads: int = 1) -> Report:
+                   restarts: int = 10) -> Report:
     """Test error on the full dataset plus robust-error bounds per norm and
     for the union, evaluating the bounds on the first min(limit, n) points."""
     t0 = time.perf_counter()
@@ -88,18 +81,8 @@ def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
 
     sub = data.head(limit)
     X, y = sub.features, sub.labels
-    certs, single2 = _per_point_certs(net, X, y, threads)
-    correct = np.array([pc.correct for pc in certs])
-    lb1 = np.array([pc.lb_l1 for pc in certs])
-    lb2u = np.array([pc.lb_l2 for pc in certs])
-    lbinf = np.array([pc.lb_linf for pc in certs])
-    lb2 = np.maximum(lb2u, single2)
-
-    ub = {
-        "l1": float(np.mean(~(correct & (lb1 >= eps.eps1)))),
-        "l2": float(np.mean(~(correct & (lb2 >= eps.eps2)))),
-        "linf": float(np.mean(~(correct & (lbinf >= eps.eps_inf)))),
-    }
+    certs = certify.certificates(net, X, y)
+    ub = _per_norm_upper_bounds(certs, eps)
     ub_union = 1.0 - float(np.mean(certify.robust_mask(certs, eps)))
 
     misclassified = net_core.classify_batch(net, X) != y
@@ -179,28 +162,17 @@ def _cmd_certify(args) -> int:
         data = data.head(args.limit)
     X, y = data.features, data.labels
     eps = certify.EpsTriple(args.eps1, args.eps2, args.epsinf)
-    threads = _threads_from_env()
-    certs, single2 = _per_point_certs(net, X, y, threads)
-    correct = np.array([pc.correct for pc in certs])
-    lb1 = np.array([pc.lb_l1 for pc in certs])
-    lb2u = np.array([pc.lb_l2 for pc in certs])
-    lbinf = np.array([pc.lb_linf for pc in certs])
-    lb2 = np.maximum(lb2u, single2)
-    summary = {
-        "test_error": float(np.mean(~correct)),
-        "ub_l1": float(np.mean(~(correct & (lb1 >= eps.eps1)))),
-        "ub_l2": float(np.mean(~(correct & (lb2 >= eps.eps2)))),
-        "ub_linf": float(np.mean(~(correct & (lbinf >= eps.eps_inf)))),
-        "ub_union": float(np.mean(~(correct & (lb1 >= eps.eps1)
-                                    & (lb2u >= eps.eps2) & (lbinf >= eps.eps_inf)))),
-    }
+    certs = certify.certificates(net, X, y)
+    summary = {"test_error": float(np.mean(~certs.correct))}
+    summary.update({f"ub_{n}": v for n, v in _per_norm_upper_bounds(certs, eps).items()})
+    summary["ub_union"] = float(np.mean(~certify.robust_mask(certs, eps)))
     if args.per_point_csv:
+        cols = [certs.label, certs.predicted, certs.correct.astype(int), certs.rho1,
+                certs.rho_inf, certs.lb_l1, certs.lb_l2, certs.lb_linf]
         with open(args.per_point_csv, "w", encoding="utf-8") as fh:
             fh.write("index,label,predicted,correct,rho1,rho_inf,lb_l1,lb_l2,lb_linf\n")
-            for i, pc in enumerate(certs):
-                fh.write(f"{i},{pc.label},{pc.predicted},{int(pc.correct)},"
-                         f"{pc.rho1!r},{pc.rho_inf!r},{pc.lb_l1!r},{pc.lb_l2!r},"
-                         f"{pc.lb_linf!r}\n")
+            for i, row in enumerate(zip(*(c.tolist() for c in cols))):
+                fh.write(",".join([str(i)] + [repr(v) for v in row]) + "\n")
     print(json.dumps(summary, sort_keys=True))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -228,20 +200,17 @@ def _cmd_attack(args) -> int:
         cfg = attacks.PgdConfig(p=p, eps=eps, iterations=args.iters,
                                 restarts=args.restarts, seed=args.seed + 10 * i,
                                 sparsity_frac=args.sparsity)
-        success, norms_found, _ = attacks.attack_dataset(net, data, cfg)
-        results[name] = (success, norms_found)
+        results[name] = attacks.attack_dataset(net, data, cfg)
+        success = results[name][0]
         union_bad |= success
         summary[name] = {"eps": eps, "success_rate": float(np.mean(success))}
     summary["test_error"] = float(np.mean(misclassified))
     if args.norm == "all":
         summary["lb_union"] = float(np.mean(union_bad))
-        summary["overlap"] = {
-            f"{pn}_in_{qn}": v["pct"]
-            for (pn, qn), v in attacks.overlap_stats(
-                net, data, args.eps1, args.eps2, args.epsinf,
-                iterations=args.iters, restarts=args.restarts,
-                seed=args.seed, sparsity_frac=args.sparsity).items()
-        }
+        found = {name: deltas[success] for name, (success, _, deltas) in results.items()}
+        radii = {name: eps for name, (_, eps) in norms.items()}
+        summary["overlap"] = {f"{pn}_in_{qn}": v["pct"]
+                              for (pn, qn), v in attacks.overlap_table(found, radii).items()}
     if args.per_point_csv:
         with open(args.per_point_csv, "w", encoding="utf-8") as fh:
             header = ["index"] + [f"success_{n},norm_{n}" for n in wanted]
@@ -249,7 +218,7 @@ def _cmd_attack(args) -> int:
             for i in range(data.count):
                 cells = [str(i)]
                 for n in wanted:
-                    s, nv = results[n]
+                    s, nv, _ = results[n]
                     cells.append(f"{int(s[i])},{float(nv[i])!r}")
                 fh.write(",".join(cells) + "\n")
     print(json.dumps(summary, sort_keys=True))
@@ -273,11 +242,10 @@ def _cmd_geometry(args) -> int:
 
 def _cmd_report(args) -> int:
     eps2 = args.eps2 if args.eps2 is not None else derive_eps2(args.eps1, args.epsinf)
-    threads = 1 if args.deterministic else _threads_from_env()
     report = run_evaluation(
         args.model, args.data, (args.eps1, eps2, args.epsinf),
         seed=args.seed, limit=args.limit, deterministic=args.deterministic,
-        iterations=args.iters, restarts=args.restarts, threads=threads)
+        iterations=args.iters, restarts=args.restarts)
     text = report.to_json()
     print(text)
     if args.out:

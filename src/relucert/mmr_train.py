@@ -125,46 +125,7 @@ def lambda_ramp_factor(epoch: int, ramp_epochs: int) -> float:
     return 0.1 + 0.9 * min(epoch, ramp_epochs) / ramp_epochs
 
 
-# -- per-point region geometry -------------------------------------------------
-
-
-def _point_geometry(net, x):
-    """Masks, per-layer affine maps and the stacked hidden hyperplane rows."""
-    x = np.asarray(x, dtype=np.float64)
-    preacts = []
-    h = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        g = w @ h + b
-        preacts.append(g)
-        h = np.maximum(g, 0.0)
-    masks = [g > 0 for g in preacts]
-    v_list, a_list = net_core.affine_maps(net, masks)
-    if net.num_hidden_layers > 0:
-        rows = np.vstack(v_list[:-1])
-        offs = np.concatenate(a_list[:-1])
-    else:
-        rows = np.zeros((0, net.input_dim))
-        offs = np.zeros(0)
-    return masks, v_list, a_list, rows, offs
-
-
-def _dual_den(mat, q):
-    if mat.shape[0] == 0:
-        return np.zeros(0)
-    if math.isinf(q):
-        return np.abs(mat).max(axis=1)
-    if q == 1.0:
-        return np.abs(mat).sum(axis=1)
-    return (np.abs(mat) ** q).sum(axis=1) ** (1.0 / q)
-
-
-def _signed_div(num, den):
-    out = np.full(np.shape(num), math.inf)
-    np.divide(num, den, out=out, where=den > 0)
-    zero = den == 0
-    if np.any(zero):
-        out[zero & (num < 0)] = -math.inf
-    return out
+# -- batched regularizer ---------------------------------------------------------
 
 
 def _hinge(t):
@@ -174,15 +135,8 @@ def _hinge(t):
 def mmr_lp(net, x, label: int, cfg: MmrLpConfig) -> float:
     """Average hinge on the k_b nearest region hyperplanes and the k_d
     smallest signed decision distances, all wrt the lp-metric of cfg."""
-    q = dual_exponent(cfg.p)
-    _, v_list, a_list, rows, offs = _point_geometry(net, x)
-    x = np.asarray(x, dtype=np.float64)
-    db = _signed_div(np.abs(rows @ x + offs), _dual_den(rows, q))
-    c = int(label) - 1
-    v_out, a_out = v_list[-1], a_list[-1]
-    others = [s for s in range(net.num_classes) if s != c]
-    diff = v_out[c] - v_out[others]
-    dd = _signed_div(diff @ x + (a_out[c] - a_out[others]), _dual_den(diff, q))
+    prof = certify.distance_profile(net, x, label, cfg.p)
+    db, dd = prof.boundary_dists, prof.decision_dists
     if cfg.k_b > db.size or cfg.k_d > dd.size:
         raise ValueError("k_b/k_d exceed the number of available hyperplanes")
     sel_b = np.sort(db, kind="stable")[: cfg.k_b]
@@ -190,121 +144,123 @@ def mmr_lp(net, x, label: int, cfg: MmrLpConfig) -> float:
     return float(_hinge(sel_b / cfg.gamma_b).mean() + _hinge(sel_d / cfg.gamma_d).mean())
 
 
-def _mmr_point(net, x, label, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf,
-               grads=None, weight=1.0):
-    """Universal regularizer value at x; optionally accumulates its gradient.
+def _distance_grad(coef, sign, values, normals, norms, q, xs):
+    """Gradient of sum coef * values / ||normals||_q wrt normals and offsets.
 
-    grads, when given, is a (dW, db) pair of per-layer arrays that receives
-    weight * d(reg)/d(params).  Gradients flow through both the numerator
-    and the dual-norm denominator of every selected distance, and through
-    the affine-map recursion into all earlier layers.
+    Each value is sign * (normal . x + offset) at its point x, so it moves
+    with the normal by sign * x and with the offset by sign.  coef is zero
+    wherever no hinge is active; entries with zero coef contribute nothing.
     """
-    x = np.asarray(x, dtype=np.float64)
-    masks, v_list, a_list, rows, offs = _point_geometry(net, x)
-    u = rows @ x + offs
-    abs_u = np.abs(u)
-    den_b = {1.0: _dual_den(rows, math.inf), math.inf: _dual_den(rows, 1.0)}
-    db = {p: _signed_div(abs_u, den_b[p]) for p in (1.0, math.inf)}
-
-    c = int(label) - 1
-    k = net.num_classes
-    others = [s for s in range(k) if s != c]
-    v_out, a_out = v_list[-1], a_list[-1]
-    diff = v_out[c] - v_out[others]
-    w_num = diff @ x + (a_out[c] - a_out[others])
-    den_d = {1.0: _dual_den(diff, math.inf), math.inf: _dual_den(diff, 1.0)}
-    dd = {p: _signed_div(w_num, den_d[p]) for p in (1.0, math.inf)}
-
-    n_rows = rows.shape[0]
-    kb = min(int(kb_now), n_rows) if n_rows else 0
-
-    want_grad = grads is not None
-    if want_grad:
-        g_rows = np.zeros_like(rows)
-        g_offs = np.zeros_like(offs)
-        gv_out = np.zeros_like(v_out)
-        ga_out = np.zeros_like(a_out)
-
-    value = 0.0
-    for p, lam, gamma in ((1.0, lam1, cfg.gamma1), (math.inf, lam_inf, cfg.gamma_inf)):
-        if lam == 0.0:
-            continue
-        q_inf = p == 1.0  # dual norm is linf for p = 1, l1 for p = inf
-        if kb:
-            dists, dens = db[p], den_b[p]
-            sel = np.argsort(dists, kind="stable")[:kb]
-            hv = _hinge(dists[sel] / gamma)
-            value += lam * float(hv.sum()) / kb
-            if want_grad:
-                coef = -(weight * lam) / (kb * gamma)
-                for idx in sel[(dists[sel] < gamma) & np.isfinite(dists[sel])]:
-                    den = dens[idx]
-                    row = rows[idx]
-                    su = np.sign(u[idx]) / den
-                    g_rows[idx] += coef * su * x
-                    g_offs[idx] += coef * su
-                    if q_inf:
-                        j = int(np.argmax(np.abs(row)))
-                        g_rows[idx, j] += coef * (-abs_u[idx] * np.sign(row[j]) / den**2)
-                    else:
-                        g_rows[idx] += coef * (-abs_u[idx] * np.sign(row) / den**2)
-        dists, dens = dd[p], den_d[p]
-        hv = _hinge(dists / gamma)
-        value += lam * float(hv.sum()) / (k - 1)
-        if want_grad:
-            coef = -(weight * lam) / ((k - 1) * gamma)
-            for i in np.nonzero((dists < gamma) & np.isfinite(dists))[0]:
-                s = others[i]
-                den = dens[i]
-                gw = coef / den
-                gv_out[c] += gw * x
-                gv_out[s] -= gw * x
-                ga_out[c] += gw
-                ga_out[s] -= gw
-                if q_inf:
-                    j = int(np.argmax(np.abs(diff[i])))
-                    dj = coef * (-w_num[i] * np.sign(diff[i, j]) / den**2)
-                    gv_out[c, j] += dj
-                    gv_out[s, j] -= dj
-                else:
-                    dvec = coef * (-w_num[i] * np.sign(diff[i]) / den**2)
-                    gv_out[c] += dvec
-                    gv_out[s] -= dvec
-
-    if want_grad:
-        _backprop_maps(net, masks, v_list, a_list, g_rows, g_offs, gv_out, ga_out, grads)
-    return value
+    live = coef != 0.0
+    safe = np.where(live, norms, 1.0)
+    g_off = np.where(live, coef * sign / safe, 0.0)
+    scale = np.where(live, coef * -values / safe**2, 0.0)
+    g_normal = g_off[:, :, None] * xs[:, None, :]
+    if math.isinf(q):
+        # d||r||_inf / dr = sign(r_j) e_j at the first largest |r_j|
+        j = np.argmax(np.abs(normals), axis=2)[:, :, None]
+        r_j = np.take_along_axis(normals, j, axis=2)
+        np.put_along_axis(g_normal, j, np.take_along_axis(g_normal, j, axis=2)
+                          + scale[:, :, None] * np.sign(r_j), axis=2)
+    else:
+        g_normal += scale[:, :, None] * np.sign(normals)
+    return g_normal, g_off
 
 
-def _backprop_maps(net, masks, v_list, a_list, g_rows, g_offs, gv_out, ga_out, grads):
-    """Push affine-map adjoints back through V^(l) = W^(l) (mask * V^(l-1))."""
+def _backprop_maps(net, rmap, g_rows, g_offs, gv_out, ga_out, grads):
+    """Push affine-map adjoints back through V^(l) = W^(l) (mask * V^(l-1)),
+    summed over the batch, into grads = (dW, db)."""
     dW, db = grads
-    sizes = net.hidden_sizes
     gv, ga = [], []
     pos = 0
-    for n in sizes:
-        gv.append(g_rows[pos:pos + n])
-        ga.append(g_offs[pos:pos + n])
+    for n in net.hidden_sizes:
+        gv.append(g_rows[:, pos:pos + n])
+        ga.append(g_offs[:, pos:pos + n])
         pos += n
     gv.append(gv_out)
     ga.append(ga_out)
     for l in range(len(net.weights) - 1, 0, -1):
-        m = masks[l - 1].astype(np.float64)
-        mv = v_list[l - 1] * m[:, None]
-        ma = a_list[l - 1] * m
-        dW[l] += gv[l] @ mv.T + np.outer(ga[l], ma)
-        db[l] += ga[l]
-        back_v = (net.weights[l].T @ gv[l]) * m[:, None]
-        back_a = (net.weights[l].T @ ga[l]) * m
-        gv[l - 1] += back_v
-        ga[l - 1] += back_a
-    dW[0] += gv[0]
-    db[0] += ga[0]
+        m = rmap.masks[l - 1]
+        mv = rmap.v_maps[l - 1] * m[:, :, None]
+        ma = rmap.a_maps[l - 1] * m
+        dW[l] += np.tensordot(gv[l], mv, axes=([0, 2], [0, 2])) + ga[l].T @ ma
+        db[l] += ga[l].sum(axis=0)
+        gv[l - 1] = gv[l - 1] + np.matmul(net.weights[l].T, gv[l]) * m[:, :, None]
+        ga[l - 1] = ga[l - 1] + (ga[l] @ net.weights[l]) * m
+    dW[0] += gv[0].sum(axis=0)
+    db[0] += ga[0].sum(axis=0)
+
+
+def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=None):
+    """Universal regularizer value at every row of X, shape (B,).
+
+    grads, when given, is a (dW, db) pair of per-layer arrays that receives
+    the gradient of the mean value over the rows.  Gradients flow through
+    both the numerator and the dual-norm denominator of every selected
+    distance, and through the affine-map recursion into all earlier layers.
+    """
+    k = net.num_classes
+    weight = 1.0 / len(X)
+    out = np.empty(len(X))
+    for sl, rmap in net_core.region_maps(net, X):
+        xs = rmap.points
+        u = rmap.values
+        abs_u = np.abs(u)
+        others, diff, w_num = rmap.decision_planes(y[sl])
+        rows = rmap.rows
+        kb = min(int(kb_now), rows.shape[1])
+        value = np.zeros(len(xs))
+        if grads is not None:
+            g_rows, g_offs = np.zeros_like(rows), np.zeros_like(u)
+            g_diff, g_dnum = np.zeros_like(diff), np.zeros_like(w_num)
+        for p, lam, gamma in ((1.0, lam1, cfg.gamma1), (math.inf, lam_inf, cfg.gamma_inf)):
+            if lam == 0.0:
+                continue
+            q = dual_exponent(p)  # linf for p = 1, l1 for p = inf
+            if kb:
+                dens = certify.row_norms(rows, q)
+                dists = certify.plane_distances(abs_u, dens)
+                # stable: ties go to the lowest unit index
+                sel = np.argsort(dists, axis=1, kind="stable")[:, :kb]
+                near = np.take_along_axis(dists, sel, axis=1)
+                value += lam * _hinge(near / gamma).sum(axis=1) / kb
+                if grads is not None:
+                    coef = np.zeros_like(dists)
+                    active = (near < gamma) & np.isfinite(near)
+                    np.put_along_axis(coef, sel, np.where(
+                        active, -(weight * lam) / (kb * gamma), 0.0), axis=1)
+                    gr, go = _distance_grad(coef, np.sign(u), abs_u, rows, dens, q, xs)
+                    g_rows += gr
+                    g_offs += go
+            dens = certify.row_norms(diff, q)
+            dists = certify.plane_distances(w_num, dens)
+            value += lam * _hinge(dists / gamma).sum(axis=1) / (k - 1)
+            if grads is not None:
+                active = (dists < gamma) & np.isfinite(dists)
+                coef = np.where(active, -(weight * lam) / ((k - 1) * gamma), 0.0)
+                gr, go = _distance_grad(coef, 1.0, w_num, diff, dens, q, xs)
+                g_diff += gr
+                g_dnum += go
+        out[sl] = value
+        if grads is not None:
+            # diff = V_out[c] - V_out[s] and its offset likewise
+            idx = np.arange(len(xs))
+            c = y[sl] - 1
+            gv_out = np.zeros_like(rmap.v_maps[-1])
+            ga_out = np.zeros_like(rmap.a_maps[-1])
+            gv_out[idx[:, None], others] -= g_diff
+            ga_out[idx[:, None], others] -= g_dnum
+            gv_out[idx, c] += g_diff.sum(axis=1)
+            ga_out[idx, c] += g_dnum.sum(axis=1)
+            _backprop_maps(net, rmap, g_rows, g_offs, gv_out, ga_out, grads)
+    return out
 
 
 def mmr_universal(net, x, label: int, cfg: MmrUniversalConfig, kb_now: int) -> float:
     """Universal l1+linf margin regularizer value at one training point."""
-    return _mmr_point(net, x, label, cfg, kb_now, cfg.lambda1, cfg.lambda_inf)
+    x = net_core._check_input(net, x)
+    y = certify._check_labels(net, [label])
+    return float(_universal(net, x[None, :], y, cfg, kb_now, cfg.lambda1, cfg.lambda_inf)[0])
 
 
 # -- loss and gradients ---------------------------------------------------------
@@ -322,15 +278,8 @@ def _as_batch(batch):
 def _ce_value_and_grad(net, X, y):
     """Batched softmax cross-entropy value and parameter gradients."""
     B = len(X)
-    hs = [X]
-    preacts = []
-    h = X
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        g = h @ w.T + b
-        preacts.append(g)
-        h = np.maximum(g, 0.0)
-        hs.append(h)
-    logits = h @ net.weights[-1].T + net.biases[-1]
+    logits, preacts = net_core.forward_batch(net, X)
+    hs = [X] + [np.maximum(g, 0.0) for g in preacts]
     m = logits.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
     idx = np.arange(B)
@@ -364,11 +313,8 @@ def loss(net, batch, cfg: MmrUniversalConfig, kb_now=None, lam_scale: float = 1.
     ce, _, _ = _ce_value_and_grad(net, X, y)
     total = ce
     if lam1 > 0 or lam_inf > 0:
-        reg = 0.0
-        for i in range(len(X)):
-            reg += _mmr_point(net, X[i], int(y[i]), cfg, kb_now, lam1, lam_inf)
-        total += reg / len(X)
-    return total
+        total += _universal(net, X, y, cfg, kb_now, lam1, lam_inf).sum() / len(X)
+    return float(total)
 
 
 def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale):
@@ -376,13 +322,9 @@ def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale):
     ce, dW, db = _ce_value_and_grad(net, X, y)
     total = ce
     if lam1 > 0 or lam_inf > 0:
-        inv_b = 1.0 / len(X)
-        reg = 0.0
-        for i in range(len(X)):
-            reg += _mmr_point(net, X[i], int(y[i]), cfg, kb_now, lam1, lam_inf,
-                              grads=(dW, db), weight=inv_b)
-        total += reg * inv_b
-    return total, dW, db
+        reg = _universal(net, X, y, cfg, kb_now, lam1, lam_inf, grads=(dW, db))
+        total += reg.sum() / len(X)
+    return float(total), dW, db
 
 
 def loss_gradient(net, batch, cfg: MmrUniversalConfig, kb_now=None,
@@ -471,12 +413,9 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
             net = net.with_parameters(weights, biases)
             epoch_losses.append(value)
         m = min(cert_sample, len(X_ev))
-        rho1 = np.empty(m)
-        rho_inf = np.empty(m)
-        for i in range(m):
-            pc = certify.point_certificate(net, X_ev[i], int(y_ev[i]))
-            rho1[i] = pc.rho1 if math.isfinite(pc.rho1) else 0.0
-            rho_inf[i] = pc.rho_inf if math.isfinite(pc.rho_inf) else 0.0
+        certs = certify.certificates(net, X_ev[:m], y_ev[:m])
+        rho1 = np.where(np.isfinite(certs.rho1), certs.rho1, 0.0)
+        rho_inf = np.where(np.isfinite(certs.rho_inf), certs.rho_inf, 0.0)
         history.append({
             "epoch": epoch,
             "loss": float(np.mean(epoch_losses)),

@@ -3,7 +3,9 @@
 A network built from dense layers with ReLU activations is affine on each
 activation region of the input space.  Given an anchor point, one forward
 pass yields the affine restriction (V, a per layer) and the half-space
-description of the region containing the point.
+description of the region containing the point.  ``region_maps`` does the
+same for a whole batch of points at once, in chunks of bounded memory; it is
+the one region-geometry path behind certification and the regularizer.
 """
 
 from __future__ import annotations
@@ -17,16 +19,24 @@ __all__ = [
     "ReluNet",
     "ActivationPattern",
     "RegionDescription",
+    "RegionMap",
     "forward",
     "forward_batch",
     "classify",
     "activation_pattern",
     "region_description",
-    "affine_maps",
+    "region_map",
+    "region_maps",
     "random_net",
     "load_model",
     "save_model",
 ]
+
+
+# Cap on the bytes of one chunk's stacked hidden rows (B * N * d * 8, N the
+# hidden unit count): batched region geometry splits a batch into chunks of
+# at most this size, so its memory does not grow with the batch.
+CHUNK_BYTES = 256 * 1024
 
 
 def _frozen_array(a, dtype=np.float64):
@@ -90,6 +100,12 @@ class ReluNet:
         return int(sum(self.hidden_sizes))
 
     @property
+    def unit_index(self) -> np.ndarray:
+        """(layer, unit) of each hidden unit, in stacking order, shape (N, 2)."""
+        return np.array([(l, j) for l, n in enumerate(self.hidden_sizes) for j in range(n)],
+                        dtype=np.int64).reshape(-1, 2)
+
+    @property
     def layer_sizes(self) -> tuple:
         return (self.input_dim,) + tuple(w.shape[0] for w in self.weights)
 
@@ -141,6 +157,47 @@ class RegionDescription:
         return self.normals.shape[0]
 
 
+@dataclass(frozen=True)
+class RegionMap:
+    """Affine maps of the activation regions of a batch of B points.
+
+    ``masks[l]`` (B, n_l) marks the active hidden units at each point;
+    ``v_maps[l]`` (B, n_l, d) and ``a_maps[l]`` (B, n_l) give the affine
+    form of layer l on each point's region, the last entry being the output
+    map.  ``rows`` (B, N, d) and ``offsets`` (B, N) stack the hyperplanes of
+    all N hidden units (the hidden entries of ``v_maps``/``a_maps`` are
+    views into them) and ``values`` (B, N) = rows . x + offsets are the
+    preactivations at ``points``; ``logits`` (B, K) are the outputs there.
+    """
+
+    points: np.ndarray
+    masks: tuple
+    v_maps: tuple
+    a_maps: tuple
+    rows: np.ndarray
+    offsets: np.ndarray
+    values: np.ndarray
+    logits: np.ndarray
+
+    def decision_planes(self, labels):
+        """Decision hyperplanes of each point against every other class.
+
+        Returns (others, normals, values): ``others`` (B, K-1) are the
+        0-based competing classes in increasing order, ``normals`` (B, K-1, d)
+        the rows V_label - V_s of the output map and ``values`` (B, K-1) the
+        logit margins f_label - f_s at the points.
+        """
+        v_out = self.v_maps[-1]
+        B, K = self.logits.shape
+        c = (np.asarray(labels, dtype=np.int64) - 1)[:, None]
+        base = np.arange(K - 1)[None, :]
+        others = base + (base >= c)
+        idx = np.arange(B)[:, None]
+        normals = v_out[idx, c] - v_out[idx, others]
+        values = self.logits[idx, c] - self.logits[idx, others]
+        return others, normals, values
+
+
 def _check_input(net: ReluNet, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.input_dim,):
@@ -154,15 +211,8 @@ def forward(net: ReluNet, x):
     Returns (logits, preactivations), where preactivations is the list of
     hidden pre-ReLU vectors g^(l).
     """
-    x = _check_input(net, x)
-    preacts = []
-    h = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        g = w @ h + b
-        preacts.append(g)
-        h = np.maximum(g, 0.0)
-    logits = net.weights[-1] @ h + net.biases[-1]
-    return logits, preacts
+    logits, preacts = forward_batch(net, _check_input(net, x)[None, :])
+    return logits[0], [g[0] for g in preacts]
 
 
 def forward_batch(net: ReluNet, xs):
@@ -201,55 +251,83 @@ def activation_pattern(net: ReluNet, x) -> ActivationPattern:
     return ActivationPattern(deltas, sigmas)
 
 
-def affine_maps(net: ReluNet, sigmas):
-    """V^(l), a^(l) for every layer given the hidden activity masks.
+def _per_point(v, xs):
+    """v[i] @ xs[i] for every point i: (B, n, d) and (B, d) -> (B, n)."""
+    return np.matmul(v, xs[:, :, None])[:, :, 0]
 
-    The masks fix which ReLU units pass their input through, which makes
-    every layer affine: layer l computes V^(l) z + a^(l) for any z whose
-    activation pattern matches the masks.
+
+def region_map(net: ReluNet, xs) -> RegionMap:
+    """Region geometry of every row of xs (B, d) in one pass over the layers.
+
+    Each hidden layer's mask is read off its preactivation V^(l) x + a^(l)
+    at the point before the next layer is built.  Every product is taken
+    point by point (a stack of matrix products), so a point's result does
+    not depend on the rest of the batch.  Builds the whole batch at once;
+    ``region_maps`` splits a batch into chunks of bounded memory.
     """
-    v_list, a_list = [], []
-    v = a = None
+    xs = np.asarray(xs, dtype=np.float64)
+    B, d, N = len(xs), net.input_dim, net.num_hidden_units
+    rows, offsets, values = np.empty((B, N, d)), np.empty((B, N)), np.empty((B, N))
+    masks, v_list, a_list = [], [], []
+    pos = 0
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        if l == 0:
-            v = w.copy()
-            a = b.copy()
+        n = w.shape[0]
+        hidden = l < net.num_hidden_layers
+        if hidden:
+            v, a = rows[:, pos:pos + n], offsets[:, pos:pos + n]
         else:
-            m = np.asarray(sigmas[l - 1], dtype=np.float64)
-            v = w @ (v * m[:, None])
-            a = w @ (a * m) + b
+            v, a = np.empty((B, n, d)), np.empty((B, n))
+        if l == 0:
+            v[...] = w
+            a[...] = b
+        else:
+            m = masks[-1]
+            np.matmul(w, v_list[-1] * m[:, :, None], out=v)
+            np.add(_per_point(w[None], a_list[-1] * m), b, out=a)
+        if hidden:
+            g = values[:, pos:pos + n]
+            np.add(_per_point(v, xs), a, out=g)
+            masks.append(g > 0)
+            pos += n
         v_list.append(v)
         a_list.append(a)
-    return v_list, a_list
+    logits = _per_point(v_list[-1], xs) + a_list[-1]
+    return RegionMap(xs, tuple(masks), tuple(v_list), tuple(a_list), rows, offsets,
+                     values, logits)
+
+
+def region_maps(net: ReluNet, xs):
+    """Yield (slice, RegionMap) over consecutive chunks of the rows of xs.
+
+    Each chunk holds at most CHUNK_BYTES of stacked hidden rows (at least one
+    point).  A point's geometry does not depend on the rest of its chunk, so
+    it is the same wherever the chunks are cut.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[1] != net.input_dim:
+        raise ValueError(f"batch has shape {xs.shape}, expected (B, {net.input_dim})")
+    step = max(1, CHUNK_BYTES // (8 * net.input_dim * max(net.num_hidden_units, 1)))
+    for lo in range(0, len(xs), step):
+        sl = slice(lo, lo + step)
+        yield sl, region_map(net, xs[sl])
 
 
 def region_description(net: ReluNet, x) -> RegionDescription:
     """Affine maps and half-space constraints of the region containing x."""
-    x = _check_input(net, x)
-    pattern = activation_pattern(net, x)
-    v_list, a_list = affine_maps(net, pattern.sigmas)
-    d = net.input_dim
-    if net.num_hidden_layers > 0:
-        normals = np.vstack([v for v in v_list[:-1]])
-        offsets = np.concatenate([a for a in a_list[:-1]])
-        orientations = np.concatenate([dl for dl in pattern.deltas]).astype(np.int8)
-        unit_index = np.array(
-            [(l, j) for l, v in enumerate(v_list[:-1]) for j in range(v.shape[0])],
-            dtype=np.int64,
-        )
-    else:
-        normals = np.zeros((0, d))
-        offsets = np.zeros(0)
-        orientations = np.zeros(0, dtype=np.int8)
-        unit_index = np.zeros((0, 2), dtype=np.int64)
+    rmap = region_map(net, _check_input(net, x)[None, :])
+    signs = np.sign(rmap.values[0]).astype(np.int8)
+    bounds = np.cumsum((0,) + net.hidden_sizes)
+    pattern = ActivationPattern(
+        tuple(signs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])),
+        tuple(m[0].astype(np.uint8) for m in rmap.masks))
     return RegionDescription(
         pattern=pattern,
-        v_maps=tuple(v_list),
-        a_maps=tuple(a_list),
-        normals=normals,
-        offsets=offsets,
-        orientations=orientations,
-        unit_index=unit_index,
+        v_maps=tuple(v[0] for v in rmap.v_maps),
+        a_maps=tuple(a[0] for a in rmap.a_maps),
+        normals=rmap.rows[0],
+        offsets=rmap.offsets[0],
+        orientations=signs,
+        unit_index=net.unit_index,
     )
 
 

@@ -59,33 +59,28 @@ class _Region:
 
 
 class RegionAtlas:
-    """All activation regions of a 2-D net intersected with [lo, hi]^2."""
+    """All activation regions of a 2-D net intersected with [lo, hi]^2.
+
+    The atlas keeps no reference to the net, so a cache keyed weakly by the
+    net drops the atlas together with the net.
+    """
 
     def __init__(self, net, lo: float = -8.0, hi: float = 9.0,
                  max_regions: int = 20000, num_probes: int = 512, seed: int = 7):
         if net.input_dim != 2:
             raise ValueError("RegionAtlas supports 2-D inputs only")
-        self.net = net
+        self.num_classes = net.num_classes
         self.lo = float(lo)
         self.hi = float(hi)
         self.max_regions = int(max_regions)
         self.regions: list[_Region] = []
         self.complete = True
         self._edge_cache: dict[int, tuple] = {}
-        self._build(num_probes, seed)
+        self._build(net, num_probes, seed)
 
     # -- construction ------------------------------------------------------
 
-    def _masks_at(self, z: np.ndarray):
-        _, preacts = net_core.forward(self.net, z)
-        return tuple((g > 0).astype(np.uint8) for g in preacts)
-
-    @staticmethod
-    def _key(masks) -> tuple:
-        return tuple(bytes(m) for m in masks)
-
-    def _build(self, num_probes: int, seed: int):
-        net = self.net
+    def _build(self, net, num_probes: int, seed: int):
         lo, hi = self.lo, self.hi
         box = np.array([[lo, lo], [hi, lo], [hi, hi], [lo, hi]])
         rng = np.random.default_rng(seed)
@@ -98,28 +93,26 @@ class RegionAtlas:
 
         queue = deque()
         seen = set()
-        for z in probes:
-            masks = self._masks_at(z)
-            key = self._key(masks)
+
+        def visit(z):
+            # queue the region containing z unless it was seen before
+            key = net_core.activation_pattern(net, z).key()
             if key not in seen:
                 seen.add(key)
-                queue.append(masks)
+                queue.append((key, z))
 
+        for z in probes:
+            visit(z)
         while queue:
             if len(self.regions) >= self.max_regions:
                 self.complete = False
                 break
-            masks = queue.popleft()
-            v_list, a_list = net_core.affine_maps(net, masks)
+            key, z = queue.popleft()
+            rmap = net_core.region_map(net, z[None, :])
+            rows, offs = rmap.rows[0], rmap.offsets[0]
+            oris = np.where(rmap.values[0] > 0, 1.0, -1.0)
             poly = box
             feasible = True
-            rows, offs, oris = [], [], []
-            for l in range(net.num_hidden_layers):
-                ml = masks[l]
-                for j in range(len(ml)):
-                    rows.append(v_list[l][j])
-                    offs.append(a_list[l][j])
-                    oris.append(1.0 if ml[j] else -1.0)
             for n, off, ori in zip(rows, offs, oris):
                 nn = float(np.abs(n).sum())
                 if nn == 0.0:
@@ -135,7 +128,7 @@ class RegionAtlas:
                     break
             if not feasible or _polygon_area(poly) <= (1e-12 * scale) ** 2:
                 continue
-            self.regions.append(_Region(self._key(masks), poly, v_list[-1], a_list[-1]))
+            self.regions.append(_Region(key, poly, rmap.v_maps[-1][0], rmap.a_maps[-1][0]))
 
             # walk across each facet present on the polygon boundary
             for n, off, ori in zip(rows, offs, oris):
@@ -149,12 +142,7 @@ class RegionAtlas:
                 pts = poly[on]
                 mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
                 # step to the other side of the hyperplane
-                cross = mid - ori * (step / nn) * n
-                nmasks = self._masks_at(cross)
-                nkey = self._key(nmasks)
-                if nkey not in seen:
-                    seen.add(nkey)
-                    queue.append(nmasks)
+                visit(mid - ori * (step / nn) * n)
 
     # -- queries -----------------------------------------------------------
 
@@ -166,13 +154,13 @@ class RegionAtlas:
         other class, so distances to them upper-bound the true robustness.
         """
         c = int(label) - 1
-        if not 0 <= c < self.net.num_classes:
-            raise ValueError(f"label {label} out of range 1..{self.net.num_classes}")
+        if not 0 <= c < self.num_classes:
+            raise ValueError(f"label {label} out of range 1..{self.num_classes}")
         if c in self._edge_cache:
             return self._edge_cache[c]
         starts, ends = [], []
         for reg in self.regions:
-            for s in range(self.net.num_classes):
+            for s in range(self.num_classes):
                 if s == c:
                     continue
                 n = reg.v_out[c] - reg.v_out[s]

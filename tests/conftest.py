@@ -7,6 +7,8 @@ from relucert import certify, datasets, mmr_train, net_core
 from relucert.cli import derive_eps2
 from relucert.net_core import random_net
 
+import per_point_reference
+
 BLOB_EPS = certify.EpsTriple(0.5, derive_eps2(0.5, 0.05), 0.05)
 
 TINY_ARCHS = [
@@ -64,12 +66,12 @@ def point_is_generic(net, x, label, cfg, kb, margin=1e-3):
     for g in preacts:
         if len(g) and np.abs(g).min() < margin:
             return False
-    masks, v_list, a_list, rows, offs = mmr_train._point_geometry(net, x)
+    masks, v_list, a_list, rows, offs = per_point_reference.point_geometry(net, x)
     u = rows @ x + offs
     if len(u) and np.abs(u).min() < margin:
         return False
     for q, gamma in ((math.inf, cfg.gamma1), (1.0, cfg.gamma_inf)):
-        den = mmr_train._dual_den(rows, q)
+        den = per_point_reference.dual_den(rows, q)
         if len(den) and den.min() < 1e-6:
             return False
         dists = np.sort(np.abs(u) / den)
@@ -95,7 +97,7 @@ def point_is_generic(net, x, label, cfg, kb, margin=1e-3):
         if len(a) > 1 and a[-1] - a[-2] < 1e-4:
             return False
         for q, gamma in ((math.inf, cfg.gamma1), (1.0, cfg.gamma_inf)):
-            den = mmr_train._dual_den(diff[None, :], q)[0]
+            den = per_point_reference.dual_den(diff[None, :], q)[0]
             if den < 1e-6:
                 return False
             if abs(w / den - gamma) < margin:

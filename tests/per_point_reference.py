@@ -1,0 +1,236 @@
+"""Slow per-point reference for the batched region geometry.
+
+One point at a time, with its own forward pass and affine-map recursion:
+the region geometry, the distance profiles and certificates, and the
+universal regularizer with its gradient accumulated hinge by hinge.  The
+batched paths in ``relucert.net_core``, ``relucert.certify`` and
+``relucert.mmr_train`` are tested against it.
+"""
+
+import math
+
+import numpy as np
+
+from relucert import geometry, mmr_train
+
+
+def point_geometry(net, x):
+    """Masks, per-layer affine maps and the stacked hidden hyperplane rows."""
+    x = np.asarray(x, dtype=np.float64)
+    masks = []
+    h = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        g = w @ h + b
+        masks.append(g > 0)
+        h = np.maximum(g, 0.0)
+    v_list, a_list = [], []
+    v = a = None
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if l == 0:
+            v, a = w.copy(), b.copy()
+        else:
+            m = masks[l - 1].astype(np.float64)
+            v = w @ (v * m[:, None])
+            a = w @ (a * m) + b
+        v_list.append(v)
+        a_list.append(a)
+    if net.num_hidden_layers > 0:
+        rows = np.vstack(v_list[:-1])
+        offs = np.concatenate(a_list[:-1])
+    else:
+        rows = np.zeros((0, net.input_dim))
+        offs = np.zeros(0)
+    return masks, v_list, a_list, rows, offs
+
+
+def dual_den(mat, q):
+    if mat.shape[0] == 0:
+        return np.zeros(0)
+    if math.isinf(q):
+        return np.abs(mat).max(axis=1)
+    if q == 1.0:
+        return np.abs(mat).sum(axis=1)
+    return (np.abs(mat) ** q).sum(axis=1) ** (1.0 / q)
+
+
+def signed_div(num, den):
+    out = np.full(np.shape(num), math.inf)
+    np.divide(num, den, out=out, where=den > 0)
+    zero = den == 0
+    if np.any(zero):
+        out[zero & (num < 0)] = -math.inf
+    return out
+
+
+def distances(net, x, label, p):
+    """(boundary, signed decision) lp-distances of x in its own region."""
+    q = geometry.dual_exponent(p)
+    x = np.asarray(x, dtype=np.float64)
+    _, v_list, a_list, rows, offs = point_geometry(net, x)
+    boundary = signed_div(np.abs(rows @ x + offs), dual_den(rows, q))
+    c = int(label) - 1
+    others = [s for s in range(net.num_classes) if s != c]
+    diff = v_list[-1][c] - v_list[-1][others]
+    num = diff @ x + (a_list[-1][c] - a_list[-1][others])
+    return boundary, signed_div(num, dual_den(diff, q))
+
+
+def _min(a):
+    return float(a.min()) if a.size else math.inf
+
+
+def single_norm(net, x, label, p):
+    b, d = distances(net, x, label, p)
+    if _min(d) < 0.0:
+        return 0.0
+    return min(_min(b), _min(d))
+
+
+def certificate(net, x, label):
+    """dict of predicted, correct, rho1, rho_inf, lb_l1, lb_l2, lb_linf."""
+    x = np.asarray(x, dtype=np.float64)
+    h = x
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.maximum(w @ h + b, 0.0)
+    predicted = int(np.argmax(net.weights[-1] @ h + net.biases[-1])) + 1
+    b1, d1 = distances(net, x, label, 1.0)
+    binf, dinf = distances(net, x, label, math.inf)
+    if _min(d1) < 0.0 or predicted != label:
+        return {"predicted": predicted, "correct": False, "rho1": 0.0, "rho_inf": 0.0,
+                "lb_l1": 0.0, "lb_l2": 0.0, "lb_linf": 0.0}
+    rho1 = min(_min(b1), abs(_min(d1)))
+    rho_inf = min(_min(binf), abs(_min(dinf)))
+    lb1 = max(min(_min(b1), _min(d1)), rho1)
+    lbinf = max(min(_min(binf), _min(dinf)), rho_inf)
+    if rho_inf <= 0.0 or math.isinf(rho1):
+        lb2 = math.inf if math.isinf(rho1) else 0.0
+    else:
+        lb2 = geometry.hull_min_norm(rho1, rho_inf, 2.0)
+    return {"predicted": predicted, "correct": True, "rho1": rho1, "rho_inf": rho_inf,
+            "lb_l1": lb1, "lb_l2": lb2, "lb_linf": lbinf}
+
+
+def _hinge(t):
+    return np.maximum(0.0, 1.0 - t)
+
+
+def mmr_point(net, x, label, cfg, kb_now, lam1, lam_inf, grads=None, weight=1.0):
+    """Universal regularizer value at x; optionally accumulates weight times
+    its gradient into grads = (dW, db), one hinge at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    masks, v_list, a_list, rows, offs = point_geometry(net, x)
+    u = rows @ x + offs
+    abs_u = np.abs(u)
+    den_b = {1.0: dual_den(rows, math.inf), math.inf: dual_den(rows, 1.0)}
+    db = {p: signed_div(abs_u, den_b[p]) for p in (1.0, math.inf)}
+
+    c = int(label) - 1
+    k = net.num_classes
+    others = [s for s in range(k) if s != c]
+    v_out, a_out = v_list[-1], a_list[-1]
+    diff = v_out[c] - v_out[others]
+    w_num = diff @ x + (a_out[c] - a_out[others])
+    den_d = {1.0: dual_den(diff, math.inf), math.inf: dual_den(diff, 1.0)}
+    dd = {p: signed_div(w_num, den_d[p]) for p in (1.0, math.inf)}
+
+    n_rows = rows.shape[0]
+    kb = min(int(kb_now), n_rows) if n_rows else 0
+
+    want_grad = grads is not None
+    if want_grad:
+        g_rows = np.zeros_like(rows)
+        g_offs = np.zeros_like(offs)
+        gv_out = np.zeros_like(v_out)
+        ga_out = np.zeros_like(a_out)
+
+    value = 0.0
+    for p, lam, gamma in ((1.0, lam1, cfg.gamma1), (math.inf, lam_inf, cfg.gamma_inf)):
+        if lam == 0.0:
+            continue
+        q_inf = p == 1.0  # dual norm is linf for p = 1, l1 for p = inf
+        if kb:
+            dists, dens = db[p], den_b[p]
+            sel = np.argsort(dists, kind="stable")[:kb]
+            hv = _hinge(dists[sel] / gamma)
+            value += lam * float(hv.sum()) / kb
+            if want_grad:
+                coef = -(weight * lam) / (kb * gamma)
+                for idx in sel[(dists[sel] < gamma) & np.isfinite(dists[sel])]:
+                    den = dens[idx]
+                    row = rows[idx]
+                    su = np.sign(u[idx]) / den
+                    g_rows[idx] += coef * su * x
+                    g_offs[idx] += coef * su
+                    if q_inf:
+                        j = int(np.argmax(np.abs(row)))
+                        g_rows[idx, j] += coef * (-abs_u[idx] * np.sign(row[j]) / den**2)
+                    else:
+                        g_rows[idx] += coef * (-abs_u[idx] * np.sign(row) / den**2)
+        dists, dens = dd[p], den_d[p]
+        hv = _hinge(dists / gamma)
+        value += lam * float(hv.sum()) / (k - 1)
+        if want_grad:
+            coef = -(weight * lam) / ((k - 1) * gamma)
+            for i in np.nonzero((dists < gamma) & np.isfinite(dists))[0]:
+                s = others[i]
+                den = dens[i]
+                gw = coef / den
+                gv_out[c] += gw * x
+                gv_out[s] -= gw * x
+                ga_out[c] += gw
+                ga_out[s] -= gw
+                if q_inf:
+                    j = int(np.argmax(np.abs(diff[i])))
+                    dj = coef * (-w_num[i] * np.sign(diff[i, j]) / den**2)
+                    gv_out[c, j] += dj
+                    gv_out[s, j] -= dj
+                else:
+                    dvec = coef * (-w_num[i] * np.sign(diff[i]) / den**2)
+                    gv_out[c] += dvec
+                    gv_out[s] -= dvec
+
+    if want_grad:
+        _backprop_maps(net, masks, v_list, a_list, g_rows, g_offs, gv_out, ga_out, grads)
+    return value
+
+
+def _backprop_maps(net, masks, v_list, a_list, g_rows, g_offs, gv_out, ga_out, grads):
+    """Push affine-map adjoints back through V^(l) = W^(l) (mask * V^(l-1))."""
+    dW, db = grads
+    gv, ga = [], []
+    pos = 0
+    for n in net.hidden_sizes:
+        gv.append(g_rows[pos:pos + n])
+        ga.append(g_offs[pos:pos + n])
+        pos += n
+    gv.append(gv_out)
+    ga.append(ga_out)
+    for l in range(len(net.weights) - 1, 0, -1):
+        m = masks[l - 1].astype(np.float64)
+        mv = v_list[l - 1] * m[:, None]
+        ma = a_list[l - 1] * m
+        dW[l] += gv[l] @ mv.T + np.outer(ga[l], ma)
+        db[l] += ga[l]
+        gv[l - 1] += (net.weights[l].T @ gv[l]) * m[:, None]
+        ga[l - 1] += (net.weights[l].T @ ga[l]) * m
+    dW[0] += gv[0]
+    db[0] += ga[0]
+
+
+def regularizer(net, X, y, cfg, kb_now, lam1, lam_inf):
+    """Per-point regularizer values and the gradient of their mean."""
+    dW = [np.zeros_like(w) for w in net.weights]
+    db = [np.zeros_like(b) for b in net.biases]
+    values = np.array([mmr_point(net, X[i], int(y[i]), cfg, kb_now, lam1, lam_inf,
+                                 grads=(dW, db), weight=1.0 / len(X))
+                       for i in range(len(X))])
+    return values, dW, db
+
+
+def loss_gradient(net, X, y, cfg, kb_now):
+    """Cross-entropy plus regularizer gradient, regularizer point by point."""
+    _, dW, db = mmr_train._ce_value_and_grad(net, np.asarray(X), np.asarray(y))
+    for i in range(len(X)):
+        mmr_point(net, X[i], int(y[i]), cfg, kb_now, cfg.lambda1, cfg.lambda_inf,
+                  grads=(dW, db), weight=1.0 / len(X))
+    return dW, db

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from relucert import certify, net_core
+from relucert import attacks, certify, net_core
 from relucert.attacks import (
     PgdConfig, overlap_stats, pgd_attack, project_lp_ball,
     robust_error_lower_bound,
@@ -115,6 +115,22 @@ def test_pgd_linear_finds_flip_above_margin():
         # never below the certified radius
         below = PgdConfig(p=p, eps=margin * 0.95, iterations=100, restarts=10, seed=3)
         assert pgd_attack(net, x, lab, below) is None
+
+
+def test_pgd_rejects_infeasible_core_result(monkeypatch):
+    # a core that reports success with a perturbation outside the ball must
+    # raise, also under python -O
+    net = margin_linear_net()
+    x = np.array([0.53, 0.50])
+
+    def bad_core(net, starts, X_ref, y, cfg):
+        deltas = np.zeros_like(starts)
+        deltas[:, 0] = -0.5
+        return np.ones(len(starts), bool), np.full(len(starts), 0.01), deltas
+
+    monkeypatch.setattr(attacks, "_pgd_core", bad_core)
+    with pytest.raises(RuntimeError, match="outside"):
+        pgd_attack(net, x, 1, PgdConfig(p=math.inf, eps=0.1, iterations=2, restarts=1))
 
 
 def test_pgd_zero_budget_returns_none():

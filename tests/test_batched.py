@@ -1,0 +1,208 @@
+"""The batched region map, certificates and regularizer against the slow
+per-point reference in per_point_reference.py."""
+
+import math
+
+import numpy as np
+import pytest
+
+from relucert import certify, mmr_train, net_core
+from relucert.mmr_train import MmrUniversalConfig
+from relucert.net_core import ReluNet, random_net
+
+import per_point_reference as ref
+from conftest import TINY_ARCHS, tiny_net
+
+RTOL = 1e-12
+CFG = MmrUniversalConfig(lambda1=0.9, lambda_inf=2.5, gamma1=0.8, gamma_inf=0.15)
+
+
+def zero_row_net():
+    # hidden unit 0 has a zero incoming row (constant, never crossed), and
+    # second-layer unit 1 a zero row as well: infinite boundary distances
+    rng = np.random.default_rng(5)
+    w1 = rng.standard_normal((5, 2))
+    w1[0] = 0.0
+    w2 = rng.standard_normal((4, 5))
+    w2[1] = 0.0
+    w3 = rng.standard_normal((3, 4))
+    return ReluNet((w1, w2, w3), (rng.uniform(-0.5, 0.5, 5), rng.uniform(-0.5, 0.5, 4),
+                                  np.zeros(3)))
+
+
+def logit_tie_net():
+    # classes 1 and 2 have identical output rows: their logits always tie,
+    # the tie goes to class 1 and the decision normal between them is zero
+    rng = np.random.default_rng(6)
+    w1 = rng.standard_normal((6, 2))
+    w2 = rng.standard_normal((3, 6))
+    w2[1] = w2[0]
+    return ReluNet((w1, w2), (rng.uniform(-0.5, 0.5, 6), np.array([0.1, 0.1, -0.2])))
+
+
+NETS = (
+    [(f"tiny{s}-{'-'.join(map(str, TINY_ARCHS[s]))}", tiny_net(s))
+     for s in range(len(TINY_ARCHS))]
+    + [("multi-3-7-5-4", random_net([3, 7, 5, 4], seed=1, bias_scale=0.4)),
+       ("multi-2-9-6-5", random_net([2, 9, 6, 5], seed=2, bias_scale=0.4)),
+       ("d16-16-24-12-3", random_net([16, 24, 12, 3], seed=3, bias_scale=0.4)),
+       ("d16-16-20-2", random_net([16, 20, 2], seed=4, bias_scale=0.4)),
+       ("zero-rows", zero_row_net()),
+       ("logit-ties", logit_tie_net())]
+)
+
+
+def points(net, n, seed):
+    """Points in the box with a mix of predicted (mostly correct) and
+    random (partly misclassified) labels."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, size=(n, net.input_dim))
+    y = net_core.classify_batch(net, X)
+    flip = rng.random(n) < 0.3
+    y[flip] = rng.integers(1, net.num_classes + 1, size=int(flip.sum()))
+    return X, y
+
+
+def assert_close(batched, reference, scale=None):
+    """Equal infinities; finite entries within RTOL of the reference entry,
+    or of `scale` when given (for sums whose terms can cancel)."""
+    batched = np.asarray(batched, dtype=float)
+    reference = np.asarray(reference, dtype=float)
+    assert np.array_equal(np.isinf(batched), np.isinf(reference))
+    assert np.array_equal(np.sign(batched[np.isinf(reference)]),
+                          np.sign(reference[np.isinf(reference)]))
+    fin = np.isfinite(reference)
+    tol = RTOL * (np.abs(reference[fin]) if scale is None else scale)
+    assert (np.abs(batched[fin] - reference[fin]) <= tol).all(), (
+        np.abs(batched[fin] - reference[fin]).max())
+
+
+def reference_certificates(net, X, y):
+    rows = [ref.certificate(net, X[i], int(y[i])) for i in range(len(X))]
+    out = {k: np.array([r[k] for r in rows]) for k in rows[0]}
+    out["single_l2"] = np.array([ref.single_norm(net, X[i], int(y[i]), 2.0)
+                                 for i in range(len(X))])
+    return out
+
+
+def assert_certificates_match(certs, expected):
+    assert np.array_equal(certs.predicted, expected["predicted"])
+    assert np.array_equal(certs.correct, expected["correct"])
+    for key in ("rho1", "rho_inf", "lb_l1", "lb_l2", "lb_linf", "single_l2"):
+        assert_close(getattr(certs, key), expected[key])
+
+
+def assert_regularizer_matches(net, X, y, kb):
+    dW = [np.zeros_like(w) for w in net.weights]
+    db = [np.zeros_like(b) for b in net.biases]
+    values = mmr_train._universal(net, X, y, CFG, kb, CFG.lambda1, CFG.lambda_inf,
+                                  grads=(dW, db))
+    ref_values, ref_dW, ref_db = ref.regularizer(net, X, y, CFG, kb, CFG.lambda1,
+                                                 CFG.lambda_inf)
+    assert_close(values, ref_values)
+    assert_grads_close(dW + db, ref_dW + ref_db)
+
+
+def assert_grads_close(grads, reference):
+    """Every entry within RTOL of the largest reference entry: a gradient
+    entry can be the sum of terms that cancel to rounding noise."""
+    scale = max(np.abs(r).max() for r in reference)
+    for g, r in zip(grads, reference):
+        assert_close(g, r, scale=scale)
+
+
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_certificates_match_reference(name, net):
+    X, y = points(net, 60, seed=len(name))
+    assert_certificates_match(certify.certificates(net, X, y),
+                              reference_certificates(net, X, y))
+    # the per-point functions are B=1 views of the same path
+    for i in range(5):
+        pc = certify.point_certificate(net, X[i], int(y[i]))
+        r = ref.certificate(net, X[i], int(y[i]))
+        assert (pc.predicted, pc.correct) == (r["predicted"], r["correct"])
+        assert_close([pc.rho1, pc.rho_inf, pc.lb_l1, pc.lb_l2, pc.lb_linf],
+                     [r[k] for k in ("rho1", "rho_inf", "lb_l1", "lb_l2", "lb_linf")])
+        for p in (1.0, 1.5, 2.0, math.inf):
+            b, d = ref.distances(net, X[i], int(y[i]), p)
+            prof = certify.distance_profile(net, X[i], int(y[i]), p)
+            assert_close(prof.boundary_dists, b)
+            assert_close(prof.decision_dists, d)
+        assert_close([certify.certify_single_norm(net, X[i], int(y[i]), 2.0)],
+                     [ref.single_norm(net, X[i], int(y[i]), 2.0)])
+
+
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_regularizer_matches_reference(name, net):
+    X, y = points(net, 24, seed=len(name) + 100)
+    for kb in (1, 3, net.num_hidden_units, net.num_hidden_units + 4):
+        assert_regularizer_matches(net, X, y, kb)
+    for i in range(3):
+        assert_close([mmr_train.mmr_universal(net, X[i], int(y[i]), CFG, 3)],
+                     [ref.mmr_point(net, X[i], int(y[i]), CFG, 3, CFG.lambda1,
+                                    CFG.lambda_inf)])
+    dW, db = mmr_train.loss_gradient(net, (X, y), CFG, kb_now=2)
+    ref_dW, ref_db = ref.loss_gradient(net, X, y, CFG, kb_now=2)
+    assert_grads_close(dW + db, ref_dW + ref_db)
+
+
+def test_special_nets_exercise_edge_cases():
+    # guards the fixtures above: infinite distances, a tie lost to the lower
+    # class index, and points certified correct next to a zero decision normal
+    net = dict(NETS)["zero-rows"]
+    X, y = points(net, 60, seed=len("zero-rows"))
+    prof = certify.distance_profile(net, X[0], int(y[0]), 2.0)
+    assert np.isinf(prof.boundary_dists[0]) and np.isinf(prof.boundary_dists[6])
+    net = dict(NETS)["logit-ties"]
+    X, y = points(net, 60, seed=len("logit-ties"))
+    certs = certify.certificates(net, X, np.full(60, 2))
+    assert not certs.correct.any() and (certs.predicted != 2).all()
+    certs = certify.certificates(net, X, np.full(60, 1))
+    assert certs.correct.any()
+
+
+@pytest.mark.parametrize("batch", [3, 4, 5])
+def test_batches_around_the_chunk_size(monkeypatch, batch):
+    net = random_net([2, 8, 6, 3], seed=7, bias_scale=0.4)
+    # four points per chunk
+    monkeypatch.setattr(net_core, "CHUNK_BYTES", 4 * 8 * 2 * 14)
+    X, y = points(net, batch, seed=batch)
+    chunks = [rmap.rows.shape[0] for _, rmap in net_core.region_maps(net, X)]
+    assert chunks == {3: [3], 4: [4], 5: [4, 1]}[batch]
+    assert_certificates_match(certify.certificates(net, X, y),
+                              reference_certificates(net, X, y))
+    assert_regularizer_matches(net, X, y, kb=5)
+
+
+@pytest.mark.parametrize("name", ["tiny4-2-8-8-3", "multi-2-9-6-5", "d16-16-24-12-3"])
+def test_per_point_results_independent_of_chunking(monkeypatch, name):
+    net = dict(NETS)[name]
+    X, y = points(net, 37, seed=3)
+
+    def run():
+        dW = [np.zeros_like(w) for w in net.weights]
+        db = [np.zeros_like(b) for b in net.biases]
+        values = mmr_train._universal(net, X, y, CFG, 4, CFG.lambda1, CFG.lambda_inf,
+                                      grads=(dW, db))
+        return certify.certificates(net, X, y), values, dW + db
+
+    certs, values, grads = run()
+    per_point = 8 * net.input_dim * net.num_hidden_units
+    for chunk_bytes in (1, 5 * per_point, 16 * per_point):
+        monkeypatch.setattr(net_core, "CHUNK_BYTES", chunk_bytes)
+        c, v, g = run()
+        for key in ("predicted", "correct", "rho1", "rho_inf", "lb_l2", "single_l2"):
+            assert np.array_equal(getattr(c, key), getattr(certs, key))
+        assert np.array_equal(v, values)
+        # the gradient sums over points: chunked partial sums reassociate it
+        assert_grads_close(g, grads)
+
+
+def test_chunk_size_follows_the_memory_cap():
+    # 256 points of a 2-64-2 net and 4 of a 16-256-256-2 net fill one chunk
+    for sizes, per_chunk in (([2, 64, 2], 256), ([16, 256, 256, 2], 4)):
+        net = random_net(sizes, seed=0)
+        X = np.zeros((per_chunk + 1, sizes[0]))
+        chunks = [rmap.rows.shape[0] for _, rmap in net_core.region_maps(net, X)]
+        assert chunks == [per_chunk, 1]
+        assert per_chunk * net.num_hidden_units * sizes[0] * 8 <= net_core.CHUNK_BYTES

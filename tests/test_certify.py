@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -285,12 +286,13 @@ def test_robust_error_upper_bound_edges():
         robust_error_upper_bound(net, _Points(np.zeros((0, 2)), []), eps)
 
 
-def test_upper_bound_threads_deterministic():
-    rng = np.random.default_rng(1)
-    net = tiny_net(2)
-    X = rng.uniform(0, 1, size=(40, 2))
-    y = net_core.classify_batch(net, X)
-    ds = _Points(X, y)
-    eps = EpsTriple(0.05, 0.03, 0.01)
-    assert robust_error_upper_bound(net, ds, eps, threads=1) == \
-        robust_error_upper_bound(net, ds, eps, threads=4)
+def test_atlas_cache_drops_dead_nets():
+    net = ReluNet(
+        (np.eye(2), np.array([[1.0, 1.0], [0.0, 0.0]])),
+        (np.array([-1.0, -1.0]), np.array([0.0, 0.5])),
+    )
+    exact_robustness_oracle(net, np.array([2.0, 2.0]), 1, 2.0)
+    assert net in certify._ATLAS_CACHE
+    del net
+    gc.collect()
+    assert len(certify._ATLAS_CACHE) == 0
