@@ -37,11 +37,9 @@ from .certify import (
     robust_error_upper_bound,
 )
 from .mmr_train import (
-    MmrLpConfig,
     MmrUniversalConfig,
     TrainConfig,
     TrainingDiverged,
-    mmr_lp,
     mmr_universal,
     loss,
     loss_gradient,

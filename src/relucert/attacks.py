@@ -15,13 +15,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net_core
-from .certify import EpsTriple, row_norms
+from .certify import row_norms
 
 __all__ = [
     "PgdConfig",
     "project_lp_ball",
     "pgd_attack",
     "attack_dataset",
+    "attack_norms",
+    "lower_bounds",
     "robust_error_lower_bound",
     "overlap_stats",
     "overlap_table",
@@ -260,19 +262,38 @@ def attack_dataset(net, dataset, cfg: PgdConfig):
     return success.any(axis=1), norms[idx, pick], deltas[idx, pick]
 
 
-def per_norm_successes(net, dataset, eps, iterations: int = 100,
-                       restarts: int = 10, seed: int = 0,
-                       sparsity_frac: float = 0.01) -> dict:
-    """Per-norm PGD success masks under the shared seeding convention."""
-    eps = EpsTriple(*eps) if not isinstance(eps, EpsTriple) else eps
+def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
+                 restarts: int = 10, seed: int = 0, sparsity_frac: float = 0.01) -> dict:
+    """attack_dataset for each requested norm ("l1", "l2", "linf") at its
+    radius in eps = (eps1, eps2, eps_inf); returns {name: (success,
+    best_norm, best_delta)}.
+
+    Seeds are keyed by norm, seed + 1 for l1, + 2 for l2 and + 3 for linf,
+    so a norm's result does not depend on which other norms are attacked.
+    """
+    radii = dict(zip(_ORDERS, eps))
+    for name in norms:
+        if name not in radii:
+            raise ValueError(f"unknown norm {name!r}; expected l1, l2 or linf")
+        if radii[name] is None:
+            raise ValueError(f"no radius given for norm {name}")
     out = {}
-    for name, p, e, sub in (("l1", 1.0, eps.eps1, 1), ("l2", 2.0, eps.eps2, 2),
-                            ("linf", math.inf, eps.eps_inf, 3)):
-        cfg = PgdConfig(p=p, eps=e, iterations=iterations, restarts=restarts,
-                        seed=seed + sub, sparsity_frac=sparsity_frac)
-        success, _, _ = attack_dataset(net, dataset, cfg)
-        out[name] = success
+    for offset, (name, p) in enumerate(_ORDERS.items(), start=1):
+        if name in norms:
+            cfg = PgdConfig(p=p, eps=radii[name], iterations=iterations, restarts=restarts,
+                            seed=seed + offset, sparsity_frac=sparsity_frac)
+            out[name] = attack_dataset(net, dataset, cfg)
     return out
+
+
+def lower_bounds(net, dataset, found: dict) -> dict:
+    """Robust-error lower bounds from attack_norms results: for each attacked
+    norm and for their "union", the fraction of points misclassified or
+    broken by the attack(s)."""
+    bad = net_core.classify_batch(net, dataset.features) != dataset.labels
+    broken = {name: bad | success for name, (success, _, _) in found.items()}
+    broken["union"] = np.logical_or.reduce([bad, *broken.values()])
+    return {name: float(np.mean(v)) for name, v in broken.items()}
 
 
 def robust_error_lower_bound(net, dataset, eps, iterations: int = 100,
@@ -280,43 +301,32 @@ def robust_error_lower_bound(net, dataset, eps, iterations: int = 100,
                              sparsity_frac: float = 0.01) -> float:
     """Fraction of points misclassified or attacked by one of the three PGD
     attacks within its ball; lower-bounds the union robust test error."""
-    X = np.asarray(dataset.features)
-    y = np.asarray(dataset.labels, dtype=np.int64)
-    if len(X) == 0:
-        raise ValueError("dataset is empty")
-    bad = net_core.classify_batch(net, X) != y
-    for success in per_norm_successes(net, dataset, eps, iterations, restarts,
-                                      seed, sparsity_frac).values():
-        bad |= success
-    return float(np.mean(bad))
+    found = attack_norms(net, dataset, eps, iterations=iterations, restarts=restarts,
+                         seed=seed, sparsity_frac=sparsity_frac)
+    return lower_bounds(net, dataset, found)["union"]
 
 
 def overlap_stats(net, dataset, eps1: float, eps2: float, eps_inf: float,
                   iterations: int = 100, restarts: int = 10, seed: int = 0,
                   sparsity_frac: float = 0.01) -> dict:
-    """overlap_table of the l1, l2 and linf attacks, seeded seed + 10*i."""
-    radii = {"l1": eps1, "l2": eps2, "linf": eps_inf}
-    found = {}
-    for i, (name, p) in enumerate(_ORDERS.items()):
-        cfg = PgdConfig(p=p, eps=radii[name], iterations=iterations,
-                        restarts=restarts, seed=seed + 10 * i,
-                        sparsity_frac=sparsity_frac)
-        success, _, deltas = attack_dataset(net, dataset, cfg)
-        found[name] = deltas[success]
-    return overlap_table(found, radii)
+    """overlap_table of the l1, l2 and linf attacks of attack_norms."""
+    found = attack_norms(net, dataset, (eps1, eps2, eps_inf), iterations=iterations,
+                         restarts=restarts, seed=seed, sparsity_frac=sparsity_frac)
+    return overlap_table(found, dict(zip(_ORDERS, (eps1, eps2, eps_inf))))
 
 
 def overlap_table(found: dict, radii: dict) -> dict:
     """For each ordered norm pair (p, q): how many of the successful
-    p-attack perturbations found[p] (rows of an (m, d) array) also fit in
-    the q-ball of radius radii[q].
+    p-attack perturbations also fit in the q-ball of radius radii[q].
+    found[p] is the (success, best_norm, best_delta) triple of attack_norms.
 
     Entries are dicts with count/total/pct; pct is None when no p-attack
     succeeded (0 of 0).
     """
     table = {}
     for pn in _ORDERS:
-        deltas = found[pn]
+        success, _, deltas = found[pn]
+        deltas = deltas[success]
         total = len(deltas)
         for qn, q in _ORDERS.items():
             if qn == pn:

@@ -30,6 +30,7 @@ __all__ = [
     "point_certificate",
     "certificates",
     "exact_robustness_oracle",
+    "bounds",
     "robust_error_upper_bound",
 ]
 
@@ -133,7 +134,7 @@ def distance_profile(net, x, label: int, p) -> DistanceProfile:
     decision distances are (f_label - f_s) / ||V_label - V_s||_q, signed.
     Zero rows give +inf distances (a constant unit cannot be crossed).
     """
-    p = float(p.p) if isinstance(p, geometry.NormOrder) else float(p)
+    p = geometry._p_value(p)
     q = geometry.dual_exponent(p)
     label = int(_check_labels(net, [label])[0])
     rmap = net_core.region_map(net, net_core._check_input(net, x)[None, :])
@@ -360,7 +361,7 @@ def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000,
     the value is still a valid upper bound.  Intended for nets with a few
     dozen hidden units.
     """
-    p = float(p.p) if isinstance(p, geometry.NormOrder) else float(p)
+    p = geometry._p_value(p)
     x = np.asarray(x, dtype=np.float64)
     if net_core.classify(net, x) != int(label):
         return OracleResult(0.0, True, 0)
@@ -380,21 +381,27 @@ def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000,
 # -- dataset-level upper bound ------------------------------------------------
 
 
-def robust_mask(certs: Certificates, eps) -> np.ndarray:
-    """True where a point is certified robust for the whole ball union."""
-    eps = EpsTriple(*eps) if not isinstance(eps, EpsTriple) else eps
-    return (certs.correct & (certs.lb_l1 >= eps.eps1) & (certs.lb_l2 >= eps.eps2)
-            & (certs.lb_linf >= eps.eps_inf))
+def bounds(certs: Certificates, eps) -> dict:
+    """Robust-error upper bounds of a batch: for "l1", "l2", "linf" and their
+    "union", the fraction of points not certified at eps1 / eps2 / eps_inf
+    (all three for the union).
+
+    A point is certified when it is correct and its certificate reaches the
+    radius: lb_l1, lb_linf, and for l2 the larger of the universal bound
+    lb_l2 and the single-norm bound single_l2 (both are lower bounds, so
+    their maximum is one too).
+    """
+    if len(certs.correct) == 0:
+        raise ValueError("no points to bound: the dataset is empty")
+    eps = EpsTriple(*eps)
+    ok = {"l1": certs.correct & (certs.lb_l1 >= eps.eps1),
+          "l2": certs.correct & (np.maximum(certs.lb_l2, certs.single_l2) >= eps.eps2),
+          "linf": certs.correct & (certs.lb_linf >= eps.eps_inf)}
+    ok["union"] = ok["l1"] & ok["l2"] & ok["linf"]
+    return {name: float(np.mean(~v)) for name, v in ok.items()}
 
 
 def robust_error_upper_bound(net, dataset, eps) -> float:
-    """Upper bound on the robust test error wrt the union of the three balls.
-
-    A point counts as potentially non-robust when it is misclassified or one
-    of its certificates falls short: the l1/linf single-norm bounds against
-    eps1/eps_inf, or the universal l2 bound against eps2.
-    """
-    if len(dataset.features) == 0:
-        raise ValueError("dataset is empty")
-    certs = certificates(net, dataset.features, dataset.labels)
-    return 1.0 - float(np.mean(robust_mask(certs, eps)))
+    """Upper bound on the robust test error wrt the union of the three balls:
+    ``bounds(...)["union"]`` of the dataset's certificates."""
+    return bounds(certificates(net, dataset.features, dataset.labels), eps)["union"]

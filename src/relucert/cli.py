@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -57,17 +56,6 @@ class Report:
         return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
-def _per_norm_upper_bounds(certs, eps) -> dict:
-    """Robust-error upper bound per norm; the l2 bound takes the larger of
-    the universal and the single-norm l2 certificate."""
-    lb_l2 = np.maximum(certs.lb_l2, certs.single_l2)
-    return {
-        "l1": float(np.mean(~(certs.correct & (certs.lb_l1 >= eps.eps1)))),
-        "l2": float(np.mean(~(certs.correct & (lb_l2 >= eps.eps2)))),
-        "linf": float(np.mean(~(certs.correct & (certs.lb_linf >= eps.eps_inf)))),
-    }
-
-
 def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
                    deterministic: bool = False, iterations: int = 100,
                    restarts: int = 10) -> Report:
@@ -80,29 +68,19 @@ def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
     test_error = float(np.mean(net_core.classify_batch(net, data.features) != data.labels))
 
     sub = data.head(limit)
-    X, y = sub.features, sub.labels
-    certs = certify.certificates(net, X, y)
-    ub = _per_norm_upper_bounds(certs, eps)
-    ub_union = 1.0 - float(np.mean(certify.robust_mask(certs, eps)))
-
-    misclassified = net_core.classify_batch(net, X) != y
-    successes = attacks.per_norm_successes(net, sub, eps, iterations=iterations,
-                                           restarts=restarts, seed=seed)
-    lb = {name: float(np.mean(misclassified | s)) for name, s in successes.items()}
-    union_bad = misclassified.copy()
-    for s in successes.values():
-        union_bad |= s
-    lb_union = float(np.mean(union_bad))
+    ub = certify.bounds(certify.certificates(net, sub.features, sub.labels), eps)
+    lb = attacks.lower_bounds(net, sub, attacks.attack_norms(
+        net, sub, eps, iterations=iterations, restarts=restarts, seed=seed))
 
     report = Report(
         model_id=os.path.basename(str(model_path)),
         eps={"eps1": eps.eps1, "eps2": eps.eps2, "eps_inf": eps.eps_inf},
         test_error=test_error,
         per_norm={n: {"lb": lb[n], "ub": ub[n]} for n in ("l1", "l2", "linf")},
-        union={"lb": lb_union, "ub": ub_union},
+        union={"lb": lb["union"], "ub": ub["union"]},
         seeds={"seed": seed},
         config={"limit": int(limit), "iterations": iterations, "restarts": restarts,
-                "points_evaluated": int(len(X)), "deterministic": bool(deterministic)},
+                "points_evaluated": int(sub.count), "deterministic": bool(deterministic)},
         runtime_seconds=None if deterministic else time.perf_counter() - t0,
     )
     report.validate()
@@ -164,8 +142,7 @@ def _cmd_certify(args) -> int:
     eps = certify.EpsTriple(args.eps1, args.eps2, args.epsinf)
     certs = certify.certificates(net, X, y)
     summary = {"test_error": float(np.mean(~certs.correct))}
-    summary.update({f"ub_{n}": v for n, v in _per_norm_upper_bounds(certs, eps).items()})
-    summary["ub_union"] = float(np.mean(~certify.robust_mask(certs, eps)))
+    summary.update({f"ub_{n}": v for n, v in certify.bounds(certs, eps).items()})
     if args.per_point_csv:
         cols = [certs.label, certs.predicted, certs.correct.astype(int), certs.rho1,
                 certs.rho_inf, certs.lb_l1, certs.lb_l2, certs.lb_linf]
@@ -185,40 +162,26 @@ def _cmd_attack(args) -> int:
     data = datasets.load_dataset(args.data)
     if args.limit:
         data = data.head(args.limit)
-    norms = {"l1": (1.0, args.eps1), "l2": (2.0, args.eps2),
-             "linf": (math.inf, args.epsinf)}
-    wanted = list(norms) if args.norm == "all" else [args.norm]
-    results = {}
-    summary = {}
-    misclassified = net_core.classify_batch(net, data.features) != data.labels
-    union_bad = misclassified.copy()
-    for i, name in enumerate(wanted):
-        p, eps = norms[name]
-        if eps is None:
-            raise ValueError(f"--{'epsinf' if name == 'linf' else 'eps' + name[1:]} "
-                             f"is required for norm {name}")
-        cfg = attacks.PgdConfig(p=p, eps=eps, iterations=args.iters,
-                                restarts=args.restarts, seed=args.seed + 10 * i,
-                                sparsity_frac=args.sparsity)
-        results[name] = attacks.attack_dataset(net, data, cfg)
-        success = results[name][0]
-        union_bad |= success
-        summary[name] = {"eps": eps, "success_rate": float(np.mean(success))}
-    summary["test_error"] = float(np.mean(misclassified))
+    radii = {"l1": args.eps1, "l2": args.eps2, "linf": args.epsinf}
+    norms = list(radii) if args.norm == "all" else [args.norm]
+    results = attacks.attack_norms(net, data, tuple(radii.values()), norms,
+                                   iterations=args.iters, restarts=args.restarts,
+                                   seed=args.seed, sparsity_frac=args.sparsity)
+    summary = {name: {"eps": radii[name], "success_rate": float(np.mean(success))}
+               for name, (success, _, _) in results.items()}
+    summary["test_error"] = float(np.mean(
+        net_core.classify_batch(net, data.features) != data.labels))
     if args.norm == "all":
-        summary["lb_union"] = float(np.mean(union_bad))
-        found = {name: deltas[success] for name, (success, _, deltas) in results.items()}
-        radii = {name: eps for name, (_, eps) in norms.items()}
+        summary["lb_union"] = attacks.lower_bounds(net, data, results)["union"]
         summary["overlap"] = {f"{pn}_in_{qn}": v["pct"]
-                              for (pn, qn), v in attacks.overlap_table(found, radii).items()}
+                              for (pn, qn), v in attacks.overlap_table(results, radii).items()}
     if args.per_point_csv:
         with open(args.per_point_csv, "w", encoding="utf-8") as fh:
-            header = ["index"] + [f"success_{n},norm_{n}" for n in wanted]
+            header = ["index"] + [f"success_{n},norm_{n}" for n in results]
             fh.write(",".join(header) + "\n")
             for i in range(data.count):
                 cells = [str(i)]
-                for n in wanted:
-                    s, nv, _ = results[n]
+                for s, nv, _ in results.values():
                     cells.append(f"{int(s[i])},{float(nv[i])!r}")
                 fh.write(",".join(cells) + "\n")
     print(json.dumps(summary, sort_keys=True))

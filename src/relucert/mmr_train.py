@@ -1,4 +1,5 @@
-"""Margin regularizers, full training loss, manual gradients and the trainer.
+"""The universal margin regularizer, the full training loss, its manual
+gradients and the trainer.
 
 The universal regularizer pushes the k_B nearest region hyperplanes and all
 decision hyperplanes beyond gamma1 in l1-distance and gamma_inf in
@@ -22,11 +23,9 @@ from . import certify, net_core
 from .geometry import dual_exponent
 
 __all__ = [
-    "MmrLpConfig",
     "MmrUniversalConfig",
     "TrainConfig",
     "TrainingDiverged",
-    "mmr_lp",
     "mmr_universal",
     "loss",
     "loss_gradient",
@@ -38,25 +37,6 @@ __all__ = [
 
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss becomes non-finite."""
-
-
-@dataclass(frozen=True)
-class MmrLpConfig:
-    """Single-norm margin regularizer settings (k-smallest hinge averages)."""
-
-    p: float
-    k_b: int
-    k_d: int
-    gamma_b: float
-    gamma_d: float
-
-    def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise ValueError("p must be >= 1")
-        if self.k_b < 1 or self.k_d < 1:
-            raise ValueError("k_b and k_d must be positive")
-        if not (self.gamma_b > 0 and self.gamma_d > 0):
-            raise ValueError("margins must be positive")
 
 
 @dataclass(frozen=True)
@@ -130,18 +110,6 @@ def lambda_ramp_factor(epoch: int, ramp_epochs: int) -> float:
 
 def _hinge(t):
     return np.maximum(0.0, 1.0 - t)
-
-
-def mmr_lp(net, x, label: int, cfg: MmrLpConfig) -> float:
-    """Average hinge on the k_b nearest region hyperplanes and the k_d
-    smallest signed decision distances, all wrt the lp-metric of cfg."""
-    prof = certify.distance_profile(net, x, label, cfg.p)
-    db, dd = prof.boundary_dists, prof.decision_dists
-    if cfg.k_b > db.size or cfg.k_d > dd.size:
-        raise ValueError("k_b/k_d exceed the number of available hyperplanes")
-    sel_b = np.sort(db, kind="stable")[: cfg.k_b]
-    sel_d = np.sort(dd, kind="stable")[: cfg.k_d]
-    return float(_hinge(sel_b / cfg.gamma_b).mean() + _hinge(sel_d / cfg.gamma_d).mean())
 
 
 def _distance_grad(coef, sign, values, normals, norms, q, xs):
@@ -266,10 +234,10 @@ def mmr_universal(net, x, label: int, cfg: MmrUniversalConfig, kb_now: int) -> f
 # -- loss and gradients ---------------------------------------------------------
 
 
-def _as_batch(batch):
+def _as_batch(net, batch):
     X, y = batch
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = certify._check_labels(net, y)
     if X.ndim != 2 or len(X) != len(y) or len(X) == 0:
         raise ValueError("batch must be a non-empty (features, labels) pair")
     return X, y
@@ -308,7 +276,7 @@ def _effective(cfg: MmrUniversalConfig, net, kb_now, lam_scale):
 
 def loss(net, batch, cfg: MmrUniversalConfig, kb_now=None, lam_scale: float = 1.0) -> float:
     """Mean over the batch of cross-entropy plus the universal regularizer."""
-    X, y = _as_batch(batch)
+    X, y = _as_batch(net, batch)
     kb_now, lam1, lam_inf = _effective(cfg, net, kb_now, lam_scale)
     ce, _, _ = _ce_value_and_grad(net, X, y)
     total = ce
@@ -330,7 +298,7 @@ def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale):
 def loss_gradient(net, batch, cfg: MmrUniversalConfig, kb_now=None,
                   lam_scale: float = 1.0):
     """Exact gradient of loss() wrt every weight matrix and bias vector."""
-    X, y = _as_batch(batch)
+    X, y = _as_batch(net, batch)
     _, dW, db = _loss_and_grad(net, X, y, cfg, kb_now, lam_scale)
     return dW, db
 
@@ -379,12 +347,12 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     if train_cfg.epochs < mmr_cfg.lambda_ramp_epochs:
         raise ValueError("epochs must be at least lambda_ramp_epochs")
     X = np.asarray(dataset.features, dtype=np.float64)
-    y = np.asarray(dataset.labels, dtype=np.int64)
+    y = certify._check_labels(net0, dataset.labels)
     if eval_dataset is None:
         X_ev, y_ev = X, y
     else:
         X_ev = np.asarray(eval_dataset.features, dtype=np.float64)
-        y_ev = np.asarray(eval_dataset.labels, dtype=np.int64)
+        y_ev = certify._check_labels(net0, eval_dataset.labels)
     n = len(X)
     rng = np.random.default_rng(train_cfg.seed)
     weights = [w.copy() for w in net0.weights]

@@ -286,6 +286,35 @@ def test_robust_error_upper_bound_edges():
         robust_error_upper_bound(net, _Points(np.zeros((0, 2)), []), eps)
 
 
+def test_bounds_take_the_larger_l2_certificate():
+    # hand-built: point 0 reaches eps2 only through its single-norm l2 bound
+    one = np.ones(2)
+    certs = certify.Certificates(
+        label=np.array([1, 1]), predicted=np.array([1, 1]), correct=np.array([True, True]),
+        rho1=one, rho_inf=0.1 * one, lb_l1=one, lb_l2=0.2 * one, lb_linf=0.1 * one,
+        single_l2=np.array([0.5, 0.1]))
+    assert certify.bounds(certs, EpsTriple(0.5, 0.3, 0.05)) == {
+        "l1": 0.0, "l2": 0.5, "linf": 0.0, "union": 0.5}
+    # a linear net in d = 3, where the single-norm l2 bound beats the hull bound
+    net = ReluNet((np.array([[1.0, 1.0, 3.0], [0.0, 0.0, 0.0]]),), (np.array([-2.2, 0.0]),))
+    x = np.full(3, 0.5)
+    c = certify.certificates(net, x[None, :], [1])
+    eps2 = 0.5 * (c.lb_l2[0] + c.single_l2[0])
+    assert c.single_l2[0] >= eps2 > c.lb_l2[0]
+    eps = EpsTriple(0.5 * c.lb_l1[0], eps2, 0.5 * c.lb_linf[0])
+    assert certify.bounds(c, eps) == {"l1": 0.0, "l2": 0.0, "linf": 0.0, "union": 0.0}
+    assert robust_error_upper_bound(net, _Points([x], [1]), eps) == 0.0
+
+
+def test_norm_order_below_one_rejected():
+    net = tiny_net(0)
+    x = np.array([0.4, 0.6])
+    label = net_core.classify(net, x)
+    for fn in (exact_robustness_oracle, distance_profile):
+        with pytest.raises(ValueError, match="p >= 1"):
+            fn(net, x, label, 0.5)
+
+
 def test_atlas_cache_drops_dead_nets():
     net = ReluNet(
         (np.eye(2), np.array([[1.0, 1.0], [0.0, 0.0]])),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from relucert import net_core
+from relucert import certify, net_core
 from relucert.cli import Report, derive_eps2, main, run_evaluation
 from relucert.datasets import Dataset, gen_blobs, gen_corners, gen_moons, load_dataset, save_dataset
 
@@ -217,3 +217,82 @@ def test_cli_exit_codes(tmp_path, capsys):
     net_core.save_model(net_core.random_net([2, 4, 2], seed=0), model)
     assert main(["attack", "--model", str(model), "--data", str(data),
                  "--norm", "l1", "--iters", "5", "--restarts", "1"]) == 1
+
+
+# -- one evaluation path ----------------------------------------------------------
+
+
+EVAL_EPS = (0.2, 0.1, 0.06)
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """A tiny 2-8-2 net saved as a model, and 120 points it classifies
+    correctly except for 10 flipped labels."""
+    from conftest import tiny_net
+
+    tmp = tmp_path_factory.mktemp("evaluation")
+    net = tiny_net(0)
+    X = np.random.default_rng(5).uniform(0, 1, size=(120, 2))
+    y = net_core.classify_batch(net, X)
+    y[:10] = 3 - y[:10]
+    model, data = tmp / "m.json", tmp / "d.bin"
+    net_core.save_model(net, model)
+    save_dataset(Dataset(X, y, num_classes=2), data)
+    return net, load_dataset(data), str(model), str(data), tmp
+
+
+def _run(capsys, argv):
+    assert main([str(a) for a in argv]) == 0
+    return capsys.readouterr().out
+
+
+def _eps_args(eps=EVAL_EPS):
+    return ["--eps1", eps[0], "--eps2", eps[1], "--epsinf", eps[2]]
+
+
+ATTACK_ARGS = ["--iters", 3, "--restarts", 3, "--seed", 4, "--limit", 90]
+
+
+def test_attack_single_norm_matches_all(eval_inputs, capsys):
+    _, _, model, data, tmp = eval_inputs
+    base = ["attack", "--model", model, "--data", data, *_eps_args(), *ATTACK_ARGS]
+    _run(capsys, base + ["--norm", "all", "--per-point-csv", tmp / "all.csv"])
+    all_rows = (tmp / "all.csv").read_text().splitlines()
+    names = all_rows[0].split(",")
+    for norm in ("l1", "l2", "linf"):
+        _run(capsys, base + ["--norm", norm, "--per-point-csv", tmp / f"{norm}.csv"])
+        one_rows = (tmp / f"{norm}.csv").read_text().splitlines()
+        assert one_rows[0] == f"index,success_{norm},norm_{norm}"
+        cols = [names.index(f"success_{norm}"), names.index(f"norm_{norm}")]
+        for a, b in zip(all_rows[1:], one_rows[1:]):
+            assert [a.split(",")[c] for c in cols] == b.split(",")[1:]
+
+
+def test_attack_rates_match_report_lower_bounds(eval_inputs, capsys):
+    _, _, model, data, _ = eval_inputs
+    att = json.loads(_run(capsys, ["attack", "--model", model, "--data", data, "--norm",
+                                   "all", *_eps_args(), *ATTACK_ARGS]))
+    rep = json.loads(_run(capsys, ["report", "--model", model, "--data", data,
+                                   *_eps_args(), *ATTACK_ARGS, "--deterministic"]))
+    for norm in ("l1", "l2", "linf"):
+        assert att[norm]["success_rate"] == rep["per_norm"][norm]["lb"]
+    assert att["lb_union"] == rep["union"]["lb"]
+    assert 0.0 < att["lb_union"] < 1.0
+
+
+def test_certify_summary_is_the_one_upper_bound(eval_inputs, capsys):
+    net, ds, model, data, _ = eval_inputs
+    summary = json.loads(_run(capsys, ["certify", "--model", model, "--data", data,
+                                       *_eps_args(), "--limit", 90]))
+    sub = ds.head(90)
+    ub = certify.bounds(certify.certificates(net, sub.features, sub.labels), EVAL_EPS)
+    assert summary == {"test_error": summary["test_error"],
+                       **{f"ub_{name}": v for name, v in ub.items()}}
+    rep = run_evaluation(model, data, EVAL_EPS, seed=4, limit=90, iterations=5,
+                         restarts=1, deterministic=True)
+    for norm in ("l1", "l2", "linf"):
+        assert rep.per_norm[norm]["ub"] == ub[norm]
+    assert rep.union["ub"] == ub["union"]
+    assert certify.robust_error_upper_bound(net, sub, EVAL_EPS) == ub["union"]
+    assert 0.0 < ub["union"] < 1.0

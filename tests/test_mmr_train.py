@@ -1,64 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from relucert import net_core
 from relucert.mmr_train import (
-    MmrLpConfig, MmrUniversalConfig, TrainConfig, TrainingDiverged,
-    kb_schedule, lambda_ramp_factor, loss, loss_gradient, mmr_lp,
+    MmrUniversalConfig, TrainConfig, TrainingDiverged,
+    kb_schedule, lambda_ramp_factor, loss, loss_gradient,
     mmr_universal, train,
 )
 from relucert.net_core import ReluNet, random_net
-
-
-# -- reference implementations ---------------------------------------------------
-
-
-def insertion_sorted(values):
-    out = []
-    for v in values:
-        i = 0
-        while i < len(out) and out[i] <= v:
-            i += 1
-        out.insert(i, v)
-    return out
-
-
-def mmr_lp_reference(net, x, label, cfg):
-    """Slow re-derivation: loop-based distances, insertion sort, plain hinges."""
-    desc = net_core.region_description(net, x)
-    q = 1.0 if math.isinf(cfg.p) else (math.inf if cfg.p == 1.0 else cfg.p / (cfg.p - 1.0))
-
-    def dual(v):
-        av = [abs(t) for t in v]
-        if math.isinf(q):
-            return max(av)
-        if q == 1.0:
-            return sum(av)
-        return sum(t**q for t in av) ** (1.0 / q)
-
-    db = []
-    for i in range(desc.num_halfspaces):
-        den = dual(desc.normals[i])
-        num = abs(float(desc.normals[i] @ x) + desc.offsets[i])
-        db.append(num / den if den > 0 else math.inf)
-    v_out, a_out = desc.output_map
-    c = label - 1
-    dd = []
-    for s in range(net.num_classes):
-        if s == c:
-            continue
-        row = v_out[c] - v_out[s]
-        den = dual(row)
-        num = float(row @ x) + (a_out[c] - a_out[s])
-        dd.append(num / den if den > 0 else math.inf)
-    total = 0.0
-    for v in insertion_sorted(db)[: cfg.k_b]:
-        total += max(0.0, 1.0 - v / cfg.gamma_b) / cfg.k_b
-    for v in insertion_sorted(dd)[: cfg.k_d]:
-        total += max(0.0, 1.0 - v / cfg.gamma_d) / cfg.k_d
-    return total
 
 
 # -- regularizer values -----------------------------------------------------------
@@ -96,17 +48,6 @@ def test_mmr_universal_penalizes_misclassification():
     assert val > cfg.lambda1 + cfg.lambda_inf
 
 
-def test_mmr_lp_examples():
-    net = margin_unit_net()
-    x = np.full(10, 0.05)
-    # all distances at or above the margins -> zero
-    cfg = MmrLpConfig(p=1.0, k_b=1, k_d=1, gamma_b=0.4, gamma_d=1.0)
-    assert mmr_lp(net, x, 1, cfg) == 0.0
-    # single boundary distance at half the margin -> 0.5
-    cfg = MmrLpConfig(p=1.0, k_b=1, k_d=1, gamma_b=1.0, gamma_d=1.0)
-    assert mmr_lp(net, x, 1, cfg) == pytest.approx(0.5, abs=1e-12)
-
-
 def test_mmr_universal_sorts_norms_independently():
     # unit A is nearest in l1-distance, unit B in linf-distance: with kB = 1
     # each norm must pick its own winner
@@ -120,29 +61,30 @@ def test_mmr_universal_sorts_norms_independently():
     assert val == pytest.approx(0.5 + 0.25, abs=1e-12)
 
 
-def test_mmr_lp_k_bounds_validated():
-    net = margin_unit_net()
-    x = np.full(10, 0.05)
-    with pytest.raises(ValueError):
-        mmr_lp(net, x, 1, MmrLpConfig(p=2.0, k_b=5, k_d=1, gamma_b=1.0, gamma_d=1.0))
-    with pytest.raises(ValueError):
-        MmrLpConfig(p=0.5, k_b=1, k_d=1, gamma_b=1.0, gamma_d=1.0)
+def test_configs_validated():
     with pytest.raises(ValueError):
         MmrUniversalConfig(lambda1=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
 
 
-def test_mmr_lp_matches_slow_reference():
-    rng = np.random.default_rng(6)
-    for seed in range(5):
-        net = random_net([2, 7, 4, 3], seed=seed, bias_scale=0.4)
-        x = rng.uniform(0, 1, size=2)
-        label = int(rng.integers(1, 4))
-        for p in (1.0, 2.0, math.inf):
-            cfg = MmrLpConfig(p=p, k_b=4, k_d=2, gamma_b=0.6, gamma_d=0.9)
-            assert mmr_lp(net, x, label, cfg) == pytest.approx(
-                mmr_lp_reference(net, x, label, cfg), abs=1e-10)
+@pytest.mark.parametrize("bad", [0, 4])
+def test_labels_outside_range_rejected(bad):
+    # label 0 would otherwise index the last class, label K+1 run off the end
+    net = random_net([2, 5, 3], seed=0)
+    X = np.array([[0.2, 0.3], [0.7, 0.6]])
+    y = np.array([1, bad])
+    cfg = MmrUniversalConfig()
+    with pytest.raises(ValueError, match="out of range"):
+        loss(net, (X, y), cfg)
+    with pytest.raises(ValueError, match="out of range"):
+        loss_gradient(net, (X, y), cfg)
+    good = SimpleNamespace(features=X, labels=np.array([1, 2]))
+    bad_ds = SimpleNamespace(features=X, labels=y)
+    with pytest.raises(ValueError, match="out of range"):
+        train(net, bad_ds, cfg, TrainConfig(epochs=10, batch_size=2))
+    with pytest.raises(ValueError, match="out of range"):
+        train(net, good, cfg, TrainConfig(epochs=10, batch_size=2), eval_dataset=bad_ds)
 
 
 def test_mmr_monotone_in_gamma():
