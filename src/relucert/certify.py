@@ -362,14 +362,19 @@ def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000,
     dozen hidden units.
     """
     p = geometry._p_value(p)
-    x = np.asarray(x, dtype=np.float64)
-    if net_core.classify(net, x) != int(label):
+    if int(budget) < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    label = int(_check_labels(net, label))
+    x = net_core._check_input(net, x)
+    if not np.isfinite(x).all():
+        raise ValueError("input has non-finite entries")
+    if net_core.classify(net, x) != label:
         return OracleResult(0.0, True, 0)
     best_dir = _directional_upper_bound(net, x, label, p, num_directions, seed)
     if net.input_dim != 2:
         return OracleResult(best_dir, False, 0)
     atlas = _atlas_for(net, budget)
-    starts, ends = atlas.decision_edges(int(label))
+    starts, ends = atlas.decision_edges(label)
     best_reg = _min_lp_to_segments(x, starts, ends, p)
     value = min(best_dir, best_reg)
     # distance from x to the box boundary (same in every lp: one coordinate)

@@ -41,6 +41,12 @@ def tiny_net(seed):
     raise AssertionError(f"no usable tiny net for seed {seed}")
 
 
+def hand_net():
+    """f1 = relu(x1 - 1) + relu(x2 - 1), f2 = 0.5: four activation regions."""
+    return net_core.ReluNet((np.eye(2), np.array([[1.0, 1.0], [0.0, 0.0]])),
+                            (np.array([-1.0, -1.0]), np.array([0.0, 0.5])))
+
+
 def finite_difference_check(net, X, y, cfg, kb, step=1e-5):
     """Worst elementwise relative error of the analytic loss gradient."""
     dW, db = mmr_train.loss_gradient(net, (X, y), cfg, kb_now=kb)

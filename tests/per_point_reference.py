@@ -4,14 +4,17 @@ One point at a time, with its own forward pass and affine-map recursion:
 the region geometry, the distance profiles and certificates, and the
 universal regularizer with its gradient accumulated hinge by hinge.  The
 batched paths in ``relucert.net_core``, ``relucert.certify`` and
-``relucert.mmr_train`` are tested against it.
+``relucert.mmr_train`` are tested against it.  The 2-D region atlas is
+rebuilt here one unit and one facet at a time, clipping every region by
+every unit, as the reference for ``relucert.regions``.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
-from relucert import geometry, mmr_train
+from relucert import geometry, mmr_train, net_core
 
 
 def point_geometry(net, x):
@@ -234,3 +237,113 @@ def loss_gradient(net, X, y, cfg, kb_now):
         mmr_point(net, X[i], int(y[i]), cfg, kb_now, cfg.lambda1, cfg.lambda_inf,
                   grads=(dW, db), weight=1.0 / len(X))
     return dW, db
+
+
+# -- 2-D region atlas ----------------------------------------------------------
+
+
+def clip_polygon(poly, normal, cutoff, tol=1e-12):
+    """Convex polygon intersected with {z : normal.z <= cutoff}, vertex by vertex."""
+    if len(poly) == 0:
+        return poly
+    d = poly @ np.asarray(normal, dtype=np.float64) - float(cutoff)
+    out = []
+    m = len(poly)
+    for i in range(m):
+        j = (i + 1) % m
+        di, dj = d[i], d[j]
+        if di <= tol:
+            out.append(poly[i])
+        if (di < -tol and dj > tol) or (di > tol and dj < -tol):
+            t = di / (di - dj)
+            out.append(poly[i] + t * (poly[j] - poly[i]))
+    return np.asarray(out, dtype=np.float64).reshape(-1, 2)
+
+
+def polygon_area(poly):
+    if len(poly) < 3:
+        return 0.0
+    x, y = poly[:, 0], poly[:, 1]
+    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+
+
+def region_polygon(box, rows, offs, oris):
+    """box clipped by every unit's half-plane in unit order, or None if empty."""
+    poly = box
+    for n, off, ori in zip(rows, offs, oris):
+        nn = float(np.abs(n).sum())
+        if nn == 0.0:
+            # constant unit: the mask is only consistent if the sign agrees
+            if (ori > 0 and off < 0) or (ori < 0 and off > 0):
+                return None
+            continue
+        # active: n.z + off >= 0  ->  (-n).z <= off
+        poly = clip_polygon(poly, -ori * n, ori * off)
+        if len(poly) < 3:
+            return None
+    return poly
+
+
+def atlas(net, lo=-8.0, hi=9.0, max_regions=20000, num_probes=512, seed=7):
+    """(regions, complete): regions as (key, poly, v_out, a_out) in BFS order."""
+    box = np.array([[lo, lo], [hi, lo], [hi, hi], [lo, hi]])
+    rng = np.random.default_rng(seed)
+    probes = rng.uniform(lo, hi, size=(num_probes, 2))
+    probes = np.vstack([probes, [[0.5 * (lo + hi), 0.5 * (lo + hi)]]])
+    scale = hi - lo
+    step = 1e-7 * scale
+    on_tol = 1e-9 * scale
+    regions, queue, seen = [], deque(), set()
+
+    def visit(z):
+        key = net_core.activation_pattern(net, z).key()
+        if key not in seen:
+            seen.add(key)
+            queue.append((key, z))
+
+    for z in probes:
+        visit(z)
+    while queue:
+        if len(regions) >= max_regions:
+            return regions, False
+        key, z = queue.popleft()
+        rmap = net_core.region_map(net, z[None, :])
+        rows, offs = rmap.rows[0], rmap.offsets[0]
+        oris = np.where(rmap.values[0] > 0, 1.0, -1.0)
+        poly = region_polygon(box, rows, offs, oris)
+        if poly is None or polygon_area(poly) <= (1e-12 * scale) ** 2:
+            continue
+        regions.append((key, poly, rmap.v_maps[-1][0], rmap.a_maps[-1][0]))
+        for n, off, ori in zip(rows, offs, oris):
+            nn = np.linalg.norm(n)
+            if nn == 0.0:
+                continue
+            on = np.abs(poly @ n + off) <= on_tol * max(1.0, nn)
+            if on.sum() < 2:
+                continue
+            pts = poly[on]
+            mid = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+            visit(mid - ori * (step / nn) * n)
+    return regions, True
+
+
+def decision_edges(regions, num_classes, label):
+    """(starts, ends) of the edges of every {f_s >= f_label} piece, region by region."""
+    c = int(label) - 1
+    starts, ends = [], []
+    for _, poly, v_out, a_out in regions:
+        for s in range(num_classes):
+            if s == c:
+                continue
+            piece = clip_polygon(poly, v_out[c] - v_out[s], -(a_out[c] - a_out[s]))
+            m = len(piece)
+            if m == 2:
+                starts.append(piece[0])
+                ends.append(piece[1])
+            elif m > 2:
+                for i in range(m):
+                    starts.append(piece[i])
+                    ends.append(piece[(i + 1) % m])
+    if starts:
+        return np.asarray(starts), np.asarray(ends)
+    return np.zeros((0, 2)), np.zeros((0, 2))

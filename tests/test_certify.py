@@ -12,7 +12,7 @@ from relucert.certify import (
 )
 from relucert.net_core import ReluNet, random_net
 
-from conftest import tiny_net
+from conftest import hand_net, tiny_net
 
 
 class _Points:
@@ -218,10 +218,7 @@ def test_oracle_two_unit_hand_enumeration():
     # Four activation regions; the class-change set {f2 >= f1} is closest at
     # the segment x1 + x2 = 2.5 (both units active), giving r_1 = 1.5,
     # r_2 = 1.5/sqrt(2), r_inf = 0.75.
-    net = ReluNet(
-        (np.eye(2), np.array([[1.0, 1.0], [0.0, 0.0]])),
-        (np.array([-1.0, -1.0]), np.array([0.0, 0.5])),
-    )
+    net = hand_net()
     x = np.array([2.0, 2.0])
     expected = {1.0: 1.5, 2.0: 1.0606601717798212, math.inf: 0.75}
     for p, ref in expected.items():
@@ -235,10 +232,7 @@ def test_oracle_two_unit_hand_enumeration():
 
 
 def test_oracle_budget_exhaustion_flags_inexact():
-    net = ReluNet(
-        (np.eye(2), np.array([[1.0, 1.0], [0.0, 0.0]])),
-        (np.array([-1.0, -1.0]), np.array([0.0, 0.5])),
-    )
+    net = hand_net()
     x = np.array([2.0, 2.0])
     certify._ATLAS_CACHE.pop(net, None)
     truncated = exact_robustness_oracle(net, x, 1, 2.0, budget=1)
@@ -248,6 +242,20 @@ def test_oracle_budget_exhaustion_flags_inexact():
     full = exact_robustness_oracle(net, x, 1, 2.0)
     # best-so-far stays a valid upper bound on the exact value
     assert truncated.value >= full.value - 1e-12
+
+
+@pytest.mark.parametrize("label", [0, 3, 5])
+def test_oracle_rejects_label_out_of_range(label):
+    net = hand_net()
+    with pytest.raises(ValueError, match="out of range"):
+        exact_robustness_oracle(net, [2.0, 2.0], label, 2.0)
+
+
+@pytest.mark.parametrize("x", [[math.nan, 2.0], [2.0, math.inf], [2.0, 2.0, 2.0]])
+def test_oracle_rejects_bad_input(x):
+    net = hand_net()
+    with pytest.raises(ValueError):
+        exact_robustness_oracle(net, x, 1, 2.0)
 
 
 def test_oracle_zero_for_misclassified():
@@ -316,10 +324,7 @@ def test_norm_order_below_one_rejected():
 
 
 def test_atlas_cache_drops_dead_nets():
-    net = ReluNet(
-        (np.eye(2), np.array([[1.0, 1.0], [0.0, 0.0]])),
-        (np.array([-1.0, -1.0]), np.array([0.0, 0.5])),
-    )
+    net = hand_net()
     exact_robustness_oracle(net, np.array([2.0, 2.0]), 1, 2.0)
     assert net in certify._ATLAS_CACHE
     del net
