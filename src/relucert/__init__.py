@@ -15,7 +15,6 @@ from .net_core import (
 )
 from .geometry import (
     BallPair,
-    NormOrder,
     naive_union_bound,
     union_min_norm,
     union_witness,

@@ -3,8 +3,9 @@
 Used to lower-bound the robust test error and to measure how often the
 adversarial perturbations found for one norm fit inside the other norms'
 balls.  All attacks respect the [0, 1] box: iterates are projected onto the
-norm ball and the box alternately, and final feasibility is re-checked
-exactly before a perturbation is reported.
+norm ball and the box alternately, and attack_dataset, which every attack
+goes through, re-checks final feasibility exactly before a perturbation is
+reported.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net_core
-from .certify import row_norms
+from .certify import _check_labels, row_norms
+from .datasets import Dataset
 
 __all__ = [
     "PgdConfig",
@@ -201,46 +203,27 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig):
     return np.isfinite(best_norm), best_norm, best_delta
 
 
-def pgd_attack(net, x, label: int, cfg: PgdConfig, extra_starts=None):
+def pgd_attack(net, x, label: int, cfg: PgdConfig):
     """Attack a single point; returns the best adversarial found or None.
 
-    Restart 0 starts at x itself, the remaining restarts at random points of
-    the ball intersected with the box; extra_starts, when given, are used as
-    additional warm starts (projected onto the feasible set first).
+    A one-point view of attack_dataset: restart 0 starts at x itself, the
+    remaining restarts at random points of the ball intersected with the box.
     """
     x = np.asarray(x, dtype=np.float64)
-    if ((x < 0) | (x > 1)).any():
-        raise ValueError("attack anchor must lie in [0, 1]^d")
-    rng = np.random.default_rng(cfg.seed)
-    d = x.shape[0]
-    starts = [x[None, :]]
-    if cfg.restarts > 1:
-        starts.append(x[None, :] + _sample_ball_rows(rng, cfg.restarts - 1, d, cfg.eps, cfg.p))
-    if extra_starts is not None and len(extra_starts):
-        starts.append(np.asarray(extra_starts, dtype=np.float64).reshape(-1, d))
-    starts = np.vstack(starts)
-    X_ref = np.broadcast_to(x, starts.shape).copy()
-    y = np.full(len(starts), int(label), dtype=np.int64)
-    success, norms, deltas = _pgd_core(net, starts, X_ref, y, cfg)
-    if not success.any():
-        return None
-    i = int(np.argmin(norms))
-    z = x + deltas[i]
-    if not row_norms((z - x)[None, :], cfg.p)[0] <= cfg.eps + _FEAS_TOL:
-        raise RuntimeError(f"PGD returned a perturbation outside the l{cfg.p:g} ball "
-                           f"of radius {cfg.eps}")
-    if net_core.classify(net, z) == int(label):
-        raise RuntimeError("PGD returned a point that is not misclassified")
-    return z
+    success, _, deltas = attack_dataset(net, Dataset(x[None, :], [label]), cfg)
+    return x + deltas[0] if success[0] else None
 
 
 def attack_dataset(net, dataset, cfg: PgdConfig):
     """PGD over every point, vectorized over (point, restart) pairs.
 
-    Returns (success (n,), best_norm (n,), best_delta (n, d)).
+    Returns (success (n,), best_norm (n,), best_delta (n, d)).  Labels must
+    lie in 1..K of the net.  Before a perturbation is reported it is
+    re-checked exactly: it must lie in the ball and x + delta must be
+    misclassified, else RuntimeError.
     """
     X = np.asarray(dataset.features, dtype=np.float64)
-    y = np.asarray(dataset.labels, dtype=np.int64)
+    y = _check_labels(net, dataset.labels)
     if len(X) == 0:
         raise ValueError("dataset is empty")
     n, d = X.shape
@@ -254,12 +237,17 @@ def attack_dataset(net, dataset, cfg: PgdConfig):
         starts[mask] += noise[mask]
     y_rep = np.repeat(y, R)
     success, norms, deltas = _pgd_core(net, starts, X_ref, y_rep, cfg)
-    success = success.reshape(n, R)
+    success = success.reshape(n, R).any(axis=1)
     norms = norms.reshape(n, R)
-    deltas = deltas.reshape(n, R, d)
     pick = norms.argmin(axis=1)
     idx = np.arange(n)
-    return success.any(axis=1), norms[idx, pick], deltas[idx, pick]
+    norms, deltas = norms[idx, pick], deltas.reshape(n, R, d)[idx, pick]
+    if not (row_norms(deltas[success], cfg.p) <= cfg.eps + _FEAS_TOL).all():
+        raise RuntimeError(f"PGD returned a perturbation outside the l{cfg.p:g} ball "
+                           f"of radius {cfg.eps}")
+    if (net_core.classify_batch(net, X[success] + deltas[success]) == y[success]).any():
+        raise RuntimeError("PGD returned a point that is not misclassified")
+    return success, norms, deltas
 
 
 def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,

@@ -242,7 +242,7 @@ def certificates(net, X, labels) -> Certificates:
     rho1, rho_inf = out["rho1"], out["rho_inf"]
     lb_l2 = np.where(np.isinf(rho1), math.inf, 0.0)
     hull = (rho_inf > 0.0) & np.isfinite(rho1)
-    lb_l2[hull] = geometry._hull_min_norm_vec(rho1[hull], rho_inf[hull], 2.0)  # q = 2
+    lb_l2[hull] = geometry.hull_min_norm(rho1[hull], rho_inf[hull], 2.0)
     return Certificates(labels, predicted, correct, rho1, rho_inf, rho1, lb_l2,
                         rho_inf, out["single_l2"])
 

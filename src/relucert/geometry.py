@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "BallPair",
-    "NormOrder",
     "dual_exponent",
     "naive_union_bound",
     "union_min_norm",
@@ -49,24 +48,7 @@ class BallPair:
         return self.eps_inf < self.eps1 < self.dim * self.eps_inf
 
 
-@dataclass(frozen=True)
-class NormOrder:
-    """Exponent p >= 1 of an lp-norm; p = math.inf is the max-norm."""
-
-    p: float
-
-    def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise ValueError(f"norm order must satisfy p >= 1, got {self.p}")
-
-    @property
-    def q(self) -> float:
-        return dual_exponent(self.p)
-
-
 def _p_value(p) -> float:
-    if isinstance(p, NormOrder):
-        return p.p
     p = float(p)
     if not p >= 1.0:
         raise ValueError(f"norm order must satisfy p >= 1, got {p}")
@@ -123,13 +105,7 @@ def union_witness(bp: BallPair, p) -> np.ndarray:
     return v
 
 
-def _hull_denominator(delta, q):
-    """(delta - alpha + alpha^q) with alpha the fractional part of delta."""
-    alpha = delta - np.floor(delta)
-    return delta - alpha + alpha**q
-
-
-def hull_min_norm(eps1: float, eps_inf: float, p) -> float:
+def hull_min_norm(eps1, eps_inf, p):
     """Smallest lp-norm over the complement of conv(B1 u Binf).
 
     With delta = eps1/eps_inf and alpha its fractional part, the value is
@@ -137,21 +113,21 @@ def hull_min_norm(eps1: float, eps_inf: float, p) -> float:
     on the dimension; the formula is exact for eps1 in [eps_inf, d*eps_inf]
     and extends continuously to eps1 <= eps_inf (where it returns eps_inf).
     The limit cases are p = 1 -> eps1 and p = inf -> eps_inf.
+
+    eps1 and eps_inf may be arrays (broadcast elementwise).  Two scalars
+    give a float, computed by the same array operations (numpy's scalar
+    power can round differently from its array loop).
     """
-    if not (eps1 > 0 and eps_inf > 0):
+    scalar = np.ndim(eps1) == 0 and np.ndim(eps_inf) == 0
+    eps1 = np.atleast_1d(np.asarray(eps1, dtype=np.float64))
+    eps_inf = np.atleast_1d(np.asarray(eps_inf, dtype=np.float64))
+    if not (np.all(eps1 > 0) and np.all(eps_inf > 0)):
         raise ValueError("ball radii must be positive")
-    p = _p_value(p)
-    if p == 1.0:
-        return eps1
-    q = dual_exponent(p)
+    q = dual_exponent(p)  # p = 1: q = inf makes the denominator exactly 1
     delta = eps1 / eps_inf
-    return float(eps1 / _hull_denominator(delta, q) ** (1.0 / q))
-
-
-def _hull_min_norm_vec(eps1, eps_inf, q):
-    eps1 = np.asarray(eps1, dtype=np.float64)
-    delta = eps1 / eps_inf
-    return eps1 / _hull_denominator(delta, q) ** (1.0 / q)
+    alpha = delta - np.floor(delta)
+    out = eps1 / (delta - alpha + alpha**q) ** (1.0 / q)
+    return float(out[0]) if scalar else out
 
 
 def hull_feasibility_gap(x, bp: BallPair) -> float:
@@ -245,6 +221,24 @@ def hull_boundary_oracle(bp: BallPair, p, num_dirs: int = 50000, seed: int = 0,
     return best
 
 
+def _sweep_range(d: int, p, name: str):
+    """Validated p and the ends of the nontrivial delta range (1, d)."""
+    if d < 2:
+        raise ValueError("d must be at least 2")
+    p = _p_value(p)
+    if math.isinf(p):
+        raise ValueError(f"{name} requires finite p")
+    return p, 1.0 + 1e-9, float(d) * (1.0 - 1e-12)
+
+
+def _curve_columns(d: int, p: float, deltas: np.ndarray):
+    """(delta, naive, union, hull, hull/union) at eps_inf = 1."""
+    naive = np.maximum(1.0, deltas * d ** ((1.0 - p) / p))
+    union = (1.0 + (deltas - 1.0) ** p / (d - 1) ** (p - 1.0)) ** (1.0 / p)
+    hull = hull_min_norm(deltas, 1.0, p)
+    return deltas, naive, union, hull, hull / union
+
+
 def ratio_analysis(d: int, p=2.0, num_coarse: int = 2048, num_focus: int = 4096):
     """Sweep delta = eps1/eps_inf over (1, d) and compare hull vs union values.
 
@@ -254,13 +248,7 @@ def ratio_analysis(d: int, p=2.0, num_coarse: int = 2048, num_focus: int = 4096)
     sawtooth of the hull formula shifts the true maximizer slightly above
     sqrt(d).
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    p = _p_value(p)
-    if math.isinf(p):
-        raise ValueError("ratio_analysis requires finite p")
-    q = dual_exponent(p)
-    lo, hi = 1.0 + 1e-9, float(d) * (1.0 - 1e-12)
+    p, lo, hi = _sweep_range(d, p, "ratio_analysis")
     root = math.sqrt(d)
     focus_lo = max(lo, 0.6 * root)
     focus_hi = min(hi, 1.7 * root)
@@ -268,9 +256,7 @@ def ratio_analysis(d: int, p=2.0, num_coarse: int = 2048, num_focus: int = 4096)
         np.linspace(lo, hi, num_coarse),
         np.linspace(focus_lo, focus_hi, num_focus),
     ]))
-    hull = _hull_min_norm_vec(deltas, 1.0, q)
-    union = (1.0 + (deltas - 1.0) ** p / (d - 1) ** (p - 1.0)) ** (1.0 / p)
-    ratio = hull / union
+    *_, ratio = _curve_columns(d, p, deltas)
     i = int(np.argmax(ratio))
     curve = np.column_stack([deltas, ratio])
     return float(deltas[i]), float(ratio[i]), curve
@@ -278,14 +264,5 @@ def ratio_analysis(d: int, p=2.0, num_coarse: int = 2048, num_focus: int = 4096)
 
 def curve_table(d: int, p=2.0, num: int = 2048) -> np.ndarray:
     """(num, 5) array of (delta, naive, union, hull, hull/union) at eps_inf = 1."""
-    if d < 2:
-        raise ValueError("d must be at least 2")
-    p = _p_value(p)
-    if math.isinf(p):
-        raise ValueError("curve_table requires finite p")
-    q = dual_exponent(p)
-    deltas = np.linspace(1.0 + 1e-9, float(d) * (1.0 - 1e-12), num)
-    naive = np.maximum(1.0, deltas * d ** ((1.0 - p) / p))
-    union = (1.0 + (deltas - 1.0) ** p / (d - 1) ** (p - 1.0)) ** (1.0 / p)
-    hull = _hull_min_norm_vec(deltas, 1.0, q)
-    return np.column_stack([deltas, naive, union, hull, hull / union])
+    p, lo, hi = _sweep_range(d, p, "curve_table")
+    return np.column_stack(_curve_columns(d, p, np.linspace(lo, hi, num)))

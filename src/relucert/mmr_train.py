@@ -268,29 +268,22 @@ def _ce_value_and_grad(net, X, y):
     return ce, dW, db
 
 
-def _effective(cfg: MmrUniversalConfig, net, kb_now, lam_scale):
-    if kb_now is None:
-        kb_now = max(1, int(np.rint(cfg.kb_start_frac * max(net.num_hidden_units, 1))))
-    return kb_now, cfg.lambda1 * lam_scale, cfg.lambda_inf * lam_scale
-
-
 def loss(net, batch, cfg: MmrUniversalConfig, kb_now=None, lam_scale: float = 1.0) -> float:
     """Mean over the batch of cross-entropy plus the universal regularizer."""
     X, y = _as_batch(net, batch)
-    kb_now, lam1, lam_inf = _effective(cfg, net, kb_now, lam_scale)
-    ce, _, _ = _ce_value_and_grad(net, X, y)
-    total = ce
-    if lam1 > 0 or lam_inf > 0:
-        total += _universal(net, X, y, cfg, kb_now, lam1, lam_inf).sum() / len(X)
-    return float(total)
+    return _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grad=False)[0]
 
 
-def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale):
-    kb_now, lam1, lam_inf = _effective(cfg, net, kb_now, lam_scale)
+def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grad=True):
+    """(loss, dW, db); grad=False leaves the regularizer out of dW and db."""
+    if kb_now is None:
+        kb_now = max(1, int(np.rint(cfg.kb_start_frac * max(net.num_hidden_units, 1))))
+    lam1, lam_inf = cfg.lambda1 * lam_scale, cfg.lambda_inf * lam_scale
     ce, dW, db = _ce_value_and_grad(net, X, y)
     total = ce
     if lam1 > 0 or lam_inf > 0:
-        reg = _universal(net, X, y, cfg, kb_now, lam1, lam_inf, grads=(dW, db))
+        reg = _universal(net, X, y, cfg, kb_now, lam1, lam_inf,
+                         grads=(dW, db) if grad else None)
         total += reg.sum() / len(X)
     return float(total), dW, db
 
@@ -307,26 +300,23 @@ def loss_gradient(net, batch, cfg: MmrUniversalConfig, kb_now=None,
 
 
 class _Adam:
-    def __init__(self, shapes_w, shapes_b, beta1, beta2, eps):
-        self.m_w = [np.zeros(s) for s in shapes_w]
-        self.v_w = [np.zeros(s) for s in shapes_w]
-        self.m_b = [np.zeros(s) for s in shapes_b]
-        self.v_b = [np.zeros(s) for s in shapes_b]
+    def __init__(self, params, beta1, beta2, eps):
+        self.params = params
+        self.m = [np.zeros_like(a) for a in params]
+        self.v = [np.zeros_like(a) for a in params]
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
-    def step(self, weights, biases, dW, db, lr):
+    def step(self, grads, lr):
+        """One in-place update of every parameter array."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1**self.t
         corr2 = 1.0 - b2**self.t
-        for i in range(len(weights)):
-            self.m_w[i] = b1 * self.m_w[i] + (1 - b1) * dW[i]
-            self.v_w[i] = b2 * self.v_w[i] + (1 - b2) * dW[i] ** 2
-            weights[i] -= lr * (self.m_w[i] / corr1) / (np.sqrt(self.v_w[i] / corr2) + self.eps)
-            self.m_b[i] = b1 * self.m_b[i] + (1 - b1) * db[i]
-            self.v_b[i] = b2 * self.v_b[i] + (1 - b2) * db[i] ** 2
-            biases[i] -= lr * (self.m_b[i] / corr1) / (np.sqrt(self.v_b[i] / corr2) + self.eps)
+        for i, (a, g) in enumerate(zip(self.params, grads)):
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g ** 2
+            a -= lr * (self.m[i] / corr1) / (np.sqrt(self.v[i] / corr2) + self.eps)
 
 
 def _test_error(net, X, y):
@@ -357,8 +347,7 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     rng = np.random.default_rng(train_cfg.seed)
     weights = [w.copy() for w in net0.weights]
     biases = [b.copy() for b in net0.biases]
-    adam = _Adam([w.shape for w in weights], [b.shape for b in biases],
-                 train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
+    adam = _Adam(weights + biases, train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
     num_hidden = net0.num_hidden_units
     history = []
     net = net0.with_parameters(weights, biases)
@@ -377,7 +366,7 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
             if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss {value} at epoch {epoch}, batch offset {start}")
-            adam.step(weights, biases, dW, db, lr)
+            adam.step(dW + db, lr)
             net = net.with_parameters(weights, biases)
             epoch_losses.append(value)
         m = min(cert_sample, len(X_ev))

@@ -6,10 +6,11 @@ from scipy.optimize import minimize
 
 from relucert import attacks, certify, net_core
 from relucert.attacks import (
-    PgdConfig, overlap_stats, pgd_attack, project_lp_ball,
-    robust_error_lower_bound,
+    PgdConfig, attack_dataset, overlap_stats, overlap_table, pgd_attack,
+    project_lp_ball, robust_error_lower_bound,
 )
 from relucert.certify import EpsTriple
+from relucert.datasets import Dataset
 from relucert.net_core import ReluNet
 
 from conftest import tiny_net
@@ -117,7 +118,11 @@ def test_pgd_linear_finds_flip_above_margin():
         assert pgd_attack(net, x, lab, below) is None
 
 
-def test_pgd_rejects_infeasible_core_result(monkeypatch):
+@pytest.mark.parametrize("run", [
+    lambda net, x, cfg: pgd_attack(net, x, 1, cfg),
+    lambda net, x, cfg: attack_dataset(net, Dataset(x[None, :], [1]), cfg),
+], ids=["pgd_attack", "attack_dataset"])
+def test_pgd_rejects_infeasible_core_result(monkeypatch, run):
     # a core that reports success with a perturbation outside the ball must
     # raise, also under python -O
     net = margin_linear_net()
@@ -130,7 +135,71 @@ def test_pgd_rejects_infeasible_core_result(monkeypatch):
 
     monkeypatch.setattr(attacks, "_pgd_core", bad_core)
     with pytest.raises(RuntimeError, match="outside"):
-        pgd_attack(net, x, 1, PgdConfig(p=math.inf, eps=0.1, iterations=2, restarts=1))
+        run(net, x, PgdConfig(p=math.inf, eps=0.1, iterations=2, restarts=1))
+
+
+def test_pgd_rejects_correctly_classified_core_result(monkeypatch):
+    # a feasible perturbation that does not change the class must raise too
+    net = margin_linear_net()
+    x = np.array([0.53, 0.50])
+
+    def bad_core(net, starts, X_ref, y, cfg):
+        return (np.ones(len(starts), bool), np.zeros(len(starts)),
+                np.zeros_like(starts))
+
+    monkeypatch.setattr(attacks, "_pgd_core", bad_core)
+    lab = net_core.classify(net, x)
+    with pytest.raises(RuntimeError, match="not misclassified"):
+        attack_dataset(net, Dataset(x[None, :], [lab], num_classes=2),
+                       PgdConfig(p=2.0, eps=0.1, iterations=2, restarts=1))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_pgd_attack_is_one_point_of_attack_dataset(p):
+    rng = np.random.default_rng(12)
+    found = 0
+    for seed in range(12):
+        net = tiny_net(seed)
+        x = rng.uniform(0.1, 0.9, size=2)
+        lab = net_core.classify(net, x)
+        cfg = PgdConfig(p=p, eps=rng.uniform(0.05, 0.4), iterations=30, restarts=4,
+                        seed=seed)
+        adv = pgd_attack(net, x, lab, cfg)
+        success, _, deltas = attack_dataset(net, Dataset(x[None, :], [lab]), cfg)
+        if success[0]:
+            assert adv.tobytes() == (x + deltas[0]).tobytes()
+            found += 1
+        else:
+            assert adv is None
+    assert 0 < found < 12
+
+
+def test_attack_dataset_restart_zero_starts_at_the_point(monkeypatch):
+    seen = {}
+
+    def core(net, starts, X_ref, y, cfg):
+        seen["starts"], seen["X_ref"] = starts.copy(), X_ref.copy()
+        return (np.zeros(len(starts), bool), np.full(len(starts), math.inf),
+                np.zeros_like(starts))
+
+    monkeypatch.setattr(attacks, "_pgd_core", core)
+    X = np.array([[0.2, 0.3], [0.6, 0.5]])
+    success, _, _ = attack_dataset(margin_linear_net(), _Points(X, [1, 2]),
+                                   PgdConfig(p=2.0, eps=0.1, restarts=3))
+    assert not success.any()
+    starts = seen["starts"].reshape(2, 3, 2)
+    assert (starts[:, 0] == X).all()
+    assert (starts[:, 1:] != X[:, None]).any(axis=2).all()
+    assert (seen["X_ref"].reshape(2, 3, 2) == X[:, None]).all()
+
+
+@pytest.mark.parametrize("label", [0, 3])
+def test_attack_dataset_rejects_label_out_of_range(label):
+    # label 0 would otherwise attack the last class, label K+1 run off the end
+    net = margin_linear_net()
+    with pytest.raises(ValueError, match="out of range"):
+        attack_dataset(net, _Points([[0.5, 0.5]], [label]),
+                       PgdConfig(p=2.0, eps=0.1, iterations=2, restarts=2))
 
 
 def test_pgd_zero_budget_returns_none():
@@ -183,25 +252,6 @@ def test_pgd_anchor_box_precondition():
     with pytest.raises(ValueError):
         pgd_attack(net, np.array([1.4, 0.5]), 1,
                    PgdConfig(p=2.0, eps=0.1, iterations=5, restarts=1, seed=0))
-
-
-def test_pgd_success_monotone_in_eps_with_warm_start():
-    net = tiny_net(4)
-    rng = np.random.default_rng(5)
-    checked = 0
-    for _ in range(40):
-        x = rng.uniform(0.1, 0.9, size=2)
-        lab = net_core.classify(net, x)
-        eps = rng.uniform(0.05, 0.3)
-        cfg = PgdConfig(p=2.0, eps=eps, iterations=40, restarts=4, seed=7)
-        adv = pgd_attack(net, x, lab, cfg)
-        if adv is None:
-            continue
-        bigger = PgdConfig(p=2.0, eps=eps * 1.7, iterations=40, restarts=4, seed=7)
-        adv2 = pgd_attack(net, x, lab, bigger, extra_starts=[adv])
-        assert adv2 is not None
-        checked += 1
-    assert checked >= 5
 
 
 def test_lower_bound_all_misclassified():
@@ -261,12 +311,23 @@ def test_overlap_stats_no_successes():
 
 
 def test_overlap_single_coordinate_delta_norms():
-    # an l1 perturbation concentrated on one coordinate has linf norm eps1,
-    # so with eps1 > eps_inf it cannot fit the linf ball
+    # an l1 perturbation concentrated on one coordinate has l2 and linf norm
+    # eps1: it fits the l2 ball iff eps1 <= eps2, never the linf ball when
+    # eps1 > eps_inf; failed attacks are not counted
     eps1, eps_inf = 0.3, 0.05
-    delta = np.array([eps1, 0.0])
-    assert np.abs(delta).sum() <= eps1
-    assert np.abs(delta).max() > eps_inf
+    none = (np.zeros(0, bool), np.zeros(0), np.zeros((0, 2)))
+    found = {
+        "l1": (np.array([True, True, False]), np.array([eps1, 0.02, 0.01]),
+               np.array([[eps1, 0.0], [0.0, -0.02], [0.01, 0.0]])),
+        "l2": none,
+        "linf": none,
+    }
+    for eps2, in_l2 in ((eps1, 2), (eps1 - 0.01, 1)):
+        table = overlap_table(found, {"l1": eps1, "l2": eps2, "linf": eps_inf})
+        assert table[("l1", "l2")] == {"count": in_l2, "total": 2, "pct": 50.0 * in_l2}
+        assert table[("l1", "linf")] == {"count": 1, "total": 2, "pct": 50.0}
+        for key in [("l2", "l1"), ("l2", "linf"), ("linf", "l1"), ("linf", "l2")]:
+            assert table[key] == {"count": 0, "total": 0, "pct": None}
 
 
 def test_overlap_stats_structure(trained_pairs):

@@ -219,6 +219,22 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--norm", "l1", "--iters", "5", "--restarts", "1"]) == 1
 
 
+@pytest.mark.parametrize("norm", ["l2", "all"])
+def test_cli_attack_rejects_label_out_of_range(tmp_path, capsys, norm):
+    # a 3-class dataset on a 2-class model: the same message as certify
+    data = tmp_path / "d.csv"
+    data.write_text("0.1,0.2,1\n0.9,0.8,3\n")
+    model = tmp_path / "m.json"
+    net_core.save_model(net_core.random_net([2, 4, 2], seed=0), model)
+    eps = ["--eps1", "0.2", "--eps2", "0.1", "--epsinf", "0.05"]
+    capsys.readouterr()
+    assert main(["certify", "--model", str(model), "--data", str(data), *eps]) == 1
+    assert capsys.readouterr().err == "error: label 3 out of range 1..2\n"
+    assert main(["attack", "--model", str(model), "--data", str(data), "--norm", norm,
+                 *eps, "--iters", "5", "--restarts", "2"]) == 1
+    assert capsys.readouterr().err == "error: label 3 out of range 1..2\n"
+
+
 # -- one evaluation path ----------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from relucert import geometry
 from relucert.geometry import (
-    BallPair, NormOrder, dual_exponent, hull_boundary_oracle, hull_gauge,
+    BallPair, dual_exponent, hull_boundary_oracle, hull_gauge,
     hull_membership, hull_min_norm, naive_union_bound, ratio_analysis,
     union_min_norm, union_witness,
 )
@@ -26,12 +26,11 @@ def lp_norm(v, p):
                                  (4.0, 4.0 / 3.0), (1.5, 3.0)])
 def test_dual_exponents(p, q):
     assert dual_exponent(p) == pytest.approx(q)
-    assert NormOrder(p).q == pytest.approx(q)
 
 
 def test_norm_order_validation():
     with pytest.raises(ValueError):
-        NormOrder(0.5)
+        dual_exponent(0.5)
     with pytest.raises(ValueError):
         BallPair(1.0, -1.0, 4)
     with pytest.raises(ValueError):
@@ -140,6 +139,28 @@ def test_hull_reference_radii(eps1, eps_inf, expected):
 
 def test_hull_integer_ratio():
     assert hull_min_norm(4.0, 1.0, 2.0) == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_hull_array_matches_scalar_calls(p):
+    rng = np.random.default_rng(21)
+    eps_inf = rng.uniform(0.01, 1.0, 500)
+    eps1 = eps_inf * rng.uniform(0.5, 40.0, 500)
+    out = hull_min_norm(eps1, eps_inf, p)
+    scalars = [hull_min_norm(float(a), float(b), p) for a, b in zip(eps1, eps_inf)]
+    assert all(type(v) is float for v in scalars)
+    assert out.shape == (500,)
+    assert out.tobytes() == np.array(scalars).tobytes()
+    if p == 1.0:
+        assert out.tobytes() == eps1.tobytes()
+
+
+@pytest.mark.parametrize("eps1,eps_inf", [
+    ([1.0, 0.0], 0.1), ([1.0, 2.0], [0.1, -0.1]), ([1.0, math.nan], 0.1),
+])
+def test_hull_array_rejects_nonpositive_radius(eps1, eps_inf):
+    with pytest.raises(ValueError, match="positive"):
+        hull_min_norm(np.array(eps1), np.array(eps_inf), 2.0)
 
 
 def test_domain_errors():
