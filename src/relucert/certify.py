@@ -255,15 +255,17 @@ def point_certificate(net, x, label: int) -> PointCertificate:
 
 # -- exact robustness oracle -------------------------------------------------
 
-_ATLAS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+# Per net, weakly keyed: its region atlas and the ray bisection of the last
+# (point, label) asked about, which the point's other norms reuse.
+_ORACLE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _atlas_for(net, budget: int) -> RegionAtlas:
     # a complete atlas serves any budget; a truncated one only smaller budgets
-    atlas = _ATLAS_CACHE.get(net)
+    cache = _ORACLE_CACHE.setdefault(net, {})
+    atlas = cache.get("atlas")
     if atlas is None or (not atlas.complete and atlas.max_regions < budget):
-        atlas = RegionAtlas(net, max_regions=budget)
-        _ATLAS_CACHE[net] = atlas
+        atlas = cache["atlas"] = RegionAtlas(net, max_regions=budget)
     return atlas
 
 
@@ -317,9 +319,18 @@ def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return float(row_norms(c - tm[:, None] * e, p).min())
 
 
-def _directional_upper_bound(net, x, label: int, p: float, num_directions: int,
-                             seed: int, cap: float = 12.0) -> float:
-    """Upper bound on robustness from bisection along rays until the class flips."""
+def _ray_hits(net, x, label: int, num_directions: int, seed: int, cap: float = 12.0):
+    """Bisection along axis and random rays from x until the class flips.
+
+    Returns (hi, dirs): x + hi[i] * dirs[i] is not classified as label, for
+    every ray that flips within cap; None if none does.  The last result
+    per net is cached, so the norms of one point bisect once.
+    """
+    cache = _ORACLE_CACHE.setdefault(net, {})
+    key = (x.tobytes(), label, num_directions, seed)
+    last = cache.get("rays")
+    if last is not None and last[0] == key:
+        return last[1]
     d = net.input_dim
     rng = np.random.default_rng(seed)
     dirs = [np.eye(d), -np.eye(d)]
@@ -334,20 +345,22 @@ def _directional_upper_bound(net, x, label: int, p: float, num_directions: int,
     pred = net_core.classify_batch(net, pts.reshape(-1, d)).reshape(len(scales), -1)
     flipped = pred != label
     any_flip = flipped.any(axis=0)
-    if not any_flip.any():
-        return math.inf
-    dirs = dirs[any_flip]
-    flipped = flipped[:, any_flip]
-    first = flipped.argmax(axis=0)
-    hi = scales[first]
-    lo = np.where(first > 0, scales[np.maximum(first - 1, 0)], 0.0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        pred = net_core.classify_batch(net, x[None, :] + mid[:, None] * dirs)
-        bad = pred != label
-        hi = np.where(bad, mid, hi)
-        lo = np.where(bad, lo, mid)
-    return float((hi * row_norms(dirs, p)).min())
+    hits = None
+    if any_flip.any():
+        dirs = dirs[any_flip]
+        flipped = flipped[:, any_flip]
+        first = flipped.argmax(axis=0)
+        hi = scales[first]
+        lo = np.where(first > 0, scales[np.maximum(first - 1, 0)], 0.0)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            pred = net_core.classify_batch(net, x[None, :] + mid[:, None] * dirs)
+            bad = pred != label
+            hi = np.where(bad, mid, hi)
+            lo = np.where(bad, lo, mid)
+        hits = (hi, dirs)
+    cache["rays"] = (key, hits)
+    return hits
 
 
 def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000,
@@ -357,9 +370,10 @@ def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000,
     Combines (a) bisection along random and axis directions and, for 2-D
     inputs, (b) the exact minimum distance to the class-change set assembled
     from every linear region's decision polygon.  With a complete region map
-    the result equals the true robustness; otherwise ``exact`` is False and
-    the value is still a valid upper bound.  Intended for nets with a few
-    dozen hidden units.
+    the result equals the true robustness.  ``exact`` is False when the box
+    holds more than budget regions (the map is then empty) or the value
+    reaches 0.9 of x's distance to the box's edge; the value is then still a
+    valid upper bound.  Intended for nets with a few dozen hidden units.
     """
     p = geometry._p_value(p)
     if int(budget) < 1:
@@ -370,7 +384,9 @@ def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000,
         raise ValueError("input has non-finite entries")
     if net_core.classify(net, x) != label:
         return OracleResult(0.0, True, 0)
-    best_dir = _directional_upper_bound(net, x, label, p, num_directions, seed)
+    # upper bound on robustness from the nearest flip along the rays
+    hits = _ray_hits(net, x, label, num_directions, seed)
+    best_dir = math.inf if hits is None else float((hits[0] * row_norms(hits[1], p)).min())
     if net.input_dim != 2:
         return OracleResult(best_dir, False, 0)
     atlas = _atlas_for(net, budget)

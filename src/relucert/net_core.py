@@ -256,6 +256,19 @@ def _per_point(v, xs):
     return np.matmul(v, xs[:, :, None])[:, :, 0]
 
 
+def _layer_step(w, b, v, a, mask, out=(None, None)):
+    """Affine form of the layer after one whose form on each region is
+    v (B, m, d), a (B, m) and whose active units are mask (B, m):
+    W (mask * v) and W (mask * a) + b, shapes (B, n, d) and (B, n).
+
+    The one recursion behind region_map and the 2-D region atlas; out
+    optionally gives the two arrays to write into.
+    """
+    v_next = np.matmul(w, v * mask[:, :, None], out=out[0])
+    a_next = np.add(_per_point(w[None], a * mask), b, out=out[1])
+    return v_next, a_next
+
+
 def region_map(net: ReluNet, xs) -> RegionMap:
     """Region geometry of every row of xs (B, d) in one pass over the layers.
 
@@ -281,9 +294,7 @@ def region_map(net: ReluNet, xs) -> RegionMap:
             v[...] = w
             a[...] = b
         else:
-            m = masks[-1]
-            np.matmul(w, v_list[-1] * m[:, :, None], out=v)
-            np.add(_per_point(w[None], a_list[-1] * m), b, out=a)
+            _layer_step(w, b, v_list[-1], a_list[-1], masks[-1], out=(v, a))
         if hidden:
             g = values[:, pos:pos + n]
             np.add(_per_point(v, xs), a, out=g)

@@ -2,17 +2,18 @@
 
 Every activation region is a convex polygon on which the net is affine, so
 the set of inputs reaching a different class decomposes into clipped
-polygons whose edges can be enumerated.  Regions are discovered by walking
-across facets: flipping the unit whose hyperplane carries the facet and
-re-reading the activation pattern just across it.  Random probe points are
-added as extra BFS seeds so that facets lost to degeneracies cannot hide a
-region.
+polygons whose edges can be enumerated.  The map is built layer by layer, as
+in the arrangement view of Serra, Tjandraatmadja & Ramalingam (2018) and
+Hanin & Rolnick (2019): starting from the box, each hidden unit's line, in
+unit order, splits every piece it crosses in two, and after each layer one
+batched affine step gives every piece the lines of the next layer.  The
+pieces tile the box by construction; clipping drops a piece only when it
+leaves it no area.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,11 @@ __all__ = ["RegionAtlas", "clip_polygon"]
 # of clipping by every half-plane.
 _ROUNDING = 1e-15
 
+# clip_polygon's tolerance: a vertex within it of the line counts as on it
+_TOL = 1e-12
 
-def clip_polygon(poly: np.ndarray, normal, cutoff, tol: float = 1e-12) -> np.ndarray:
+
+def clip_polygon(poly: np.ndarray, normal, cutoff, tol: float = _TOL) -> np.ndarray:
     """Intersect a convex polygon with the half-plane {z : normal.z <= cutoff}.
 
     poly is an (m, 2) array of vertices in order (either orientation); the
@@ -56,63 +60,37 @@ def clip_polygon(poly: np.ndarray, normal, cutoff, tol: float = 1e-12) -> np.nda
     return np.asarray(out, dtype=np.float64).reshape(-1, 2)
 
 
-def _polygon_area(poly: np.ndarray) -> float:
-    if len(poly) < 3:
-        return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _split(polys, normals, offs):
+    """Split each polygon by its line {z : normals[i].z + offs[i] = 0}.
 
-
-def _region_polygon(box, rows, offs, oris, reach):
-    """The region {oris * (rows.z + offs) >= 0} inside box, or None if empty.
-
-    The same polygon as clipping box by every unit's half-plane in unit
-    order.  A clip that no vertex violates returns the polygon unchanged, so
-    one product per step finds the next unit that some vertex may violate
-    and only that clip is made.  reach bounds |z| over the box.
+    Returns (pieces, parent, above): the polygons after the split, the index
+    of the polygon each came from and whether it lies on the positive side.
+    A polygon is crossed when it has vertices beyond the line by more than
+    clip_polygon's tolerance on both sides; it is clipped once to each side,
+    and a side that clipping leaves with no area (fewer than 3 vertices) is
+    dropped.  Any other polygon is kept whole, on the side of its vertex mean.
     """
-    l1 = np.abs(rows).sum(axis=1)
-    const = l1 == 0.0
-    # a constant unit is only consistent if its sign agrees with the mask
-    if np.any(const & (oris * offs < 0)):
-        return None
-    # active: n.z + off >= 0  ->  (-n).z <= off
-    normals = -oris[:, None] * rows
-    cutoffs = oris * offs
-    # clip_polygon changes nothing unless normal.z - cutoff > 1e-12 somewhere
-    limit = cutoffs + (1e-12 - _ROUNDING * (reach * l1 + np.abs(offs)))
-    limit[const] = np.inf
-    normals_t = np.ascontiguousarray(normals.T)
-    poly, i = box, 0
-    while i < len(limit):
-        hit = (poly @ normals_t[:, i:] > limit[i:]).any(axis=0)
-        j = int(hit.argmax())
-        if not hit[j]:
-            break
-        i += j
-        poly = clip_polygon(poly, normals[i], cutoffs[i])
-        if len(poly) < 3:
-            return None
-        i += 1
-    return poly
-
-
-def _facet_crossings(poly, rows, offs, oris, step, on_tol):
-    """A point just across each facet of a region's polygon, in unit order.
-
-    A unit carries a facet when at least two vertices lie on its line; the
-    point is the midpoint of the facet's vertices stepped a distance step
-    past the line.  Norms and products are taken for all units at once and
-    may round differently in the last bit from one unit at a time; that can
-    only matter for a vertex within rounding of on_tol from a line, or a
-    crossing point within rounding of another unit's line.
-    """
-    nn = np.linalg.norm(rows, axis=1)
-    on = np.abs(poly @ rows.T + offs) <= on_tol * np.maximum(1.0, nn)
-    f = np.flatnonzero((on.sum(axis=0) >= 2) & (nn != 0.0))
-    on, pts = on[:, f, None], poly[:, None, :]
-    mid = 0.5 * (np.where(on, pts, np.inf).min(axis=0) + np.where(on, pts, -np.inf).max(axis=0))
-    return mid - (oris[f] * (step / nn[f]))[:, None] * rows[f]
+    counts = np.fromiter(map(len, polys), np.int64, len(polys))
+    first = np.cumsum(counts) - counts
+    rid = np.repeat(np.arange(len(polys)), counts)
+    g = np.einsum("vj,vj->v", np.concatenate(polys), normals[rid]) + offs[rid]
+    crossed = ((np.minimum.reduceat(g, first) < -_TOL)
+               & (np.maximum.reduceat(g, first) > _TOL))
+    above = np.add.reduceat(g, first) > 0.0
+    if not crossed.any():
+        return polys, np.arange(len(polys)), above
+    kept = np.flatnonzero(~crossed)
+    pieces = [polys[i] for i in kept]
+    parent, side = kept.tolist(), above[kept].tolist()
+    for i in np.flatnonzero(crossed).tolist():
+        # active: n.z + off >= 0  ->  (-n).z <= off
+        for is_above, piece in ((True, clip_polygon(polys[i], -normals[i], offs[i])),
+                                (False, clip_polygon(polys[i], normals[i], -offs[i]))):
+            if len(piece) >= 3:
+                pieces.append(piece)
+                parent.append(i)
+                side.append(is_above)
+    return pieces, np.array(parent), np.array(side)
 
 
 @dataclass
@@ -126,12 +104,17 @@ class _Region:
 class RegionAtlas:
     """All activation regions of a 2-D net intersected with [lo, hi]^2.
 
+    The regions' polygons tile the box.  A region's key is the activation
+    pattern inside its polygon, except for units whose line passes within
+    clip_polygon's tolerance of it.  Keys are unique: every split gives its
+    two sides different bits.  When the tiling needs more than max_regions
+    polygons the atlas keeps no regions and is not complete.
+
     The atlas keeps no reference to the net, so a cache keyed weakly by the
     net drops the atlas together with the net.
     """
 
-    def __init__(self, net, lo: float = -8.0, hi: float = 9.0,
-                 max_regions: int = 20000, num_probes: int = 512, seed: int = 7):
+    def __init__(self, net, lo: float = -8.0, hi: float = 9.0, max_regions: int = 20000):
         if net.input_dim != 2:
             raise ValueError("RegionAtlas supports 2-D inputs only")
         lo, hi = float(lo), float(hi)
@@ -139,8 +122,6 @@ class RegionAtlas:
             raise ValueError(f"RegionAtlas needs finite lo < hi, got lo={lo}, hi={hi}")
         if int(max_regions) < 1:
             raise ValueError(f"max_regions must be >= 1, got {max_regions}")
-        if int(num_probes) < 0:
-            raise ValueError(f"num_probes must be >= 0, got {num_probes}")
         self.num_classes = net.num_classes
         self.lo = lo
         self.hi = hi
@@ -148,51 +129,34 @@ class RegionAtlas:
         self.regions: list[_Region] = []
         self.complete = True
         self._edge_cache: dict[int, tuple] = {}
-        self._build(net, int(num_probes), seed)
+        self._build(net)
 
     # -- construction ------------------------------------------------------
 
-    def _build(self, net, num_probes: int, seed: int):
+    def _build(self, net):
         lo, hi = self.lo, self.hi
-        box = np.array([[lo, lo], [hi, lo], [hi, hi], [lo, hi]])
-        rng = np.random.default_rng(seed)
-        probes = rng.uniform(lo, hi, size=(num_probes, 2))
-        probes = np.vstack([probes, [[0.5 * (lo + hi), 0.5 * (lo + hi)]]])
+        polys = [np.array([[lo, lo], [hi, lo], [hi, hi], [lo, hi]])]
+        # the current layer's affine form on each polygon: v (P, n, 2), a (P, n)
+        v, a = net.weights[0][None], net.biases[0][None]
+        masks = np.zeros((1, 0), dtype=bool)  # active hidden units so far
+        for w, b in zip(net.weights[1:], net.biases[1:]):
+            # src: the row of v, a and masks that each polygon inherits
+            src = np.arange(len(polys))
+            mask = np.zeros((len(polys), v.shape[1]), dtype=bool)
+            for j in range(v.shape[1]):
+                polys, parent, above = _split(polys, v[src, j], a[src, j])
+                if len(polys) > self.max_regions:
+                    self.complete = False
+                    return
+                src, mask = src[parent], mask[parent]
+                mask[:, j] = above
+            masks = np.hstack([masks[src], mask])
+            v, a = net_core._layer_step(w, b, v[src], a[src], mask)
+        bounds = np.cumsum((0,) + net.hidden_sizes)
+        for poly, bits, v_out, a_out in zip(polys, masks.astype(np.uint8), v, a):
+            key = tuple(bits[i:k].tobytes() for i, k in zip(bounds[:-1], bounds[1:]))
+            self.regions.append(_Region(key, poly, v_out, a_out))
 
-        scale = hi - lo
-        step = 1e-7 * scale
-        on_tol = 1e-9 * scale
-        reach = max(abs(lo), abs(hi))
-
-        queue = deque()
-        seen = set()
-
-        def visit(zs):
-            # queue, in order, the regions containing rows of zs not seen before
-            _, preacts = net_core.forward_batch(net, zs)
-            masks = [(g > 0).astype(np.uint8) for g in preacts]
-            for r, z in enumerate(zs):
-                key = tuple(m[r].tobytes() for m in masks)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append((key, z))
-
-        visit(probes)
-        while queue:
-            if len(self.regions) >= self.max_regions:
-                self.complete = False
-                break
-            key, z = queue.popleft()
-            rmap = net_core.region_map(net, z[None, :])
-            rows, offs = rmap.rows[0], rmap.offsets[0]
-            oris = np.where(rmap.values[0] > 0, 1.0, -1.0)
-            poly = _region_polygon(box, rows, offs, oris, reach)
-            if poly is None or _polygon_area(poly) <= (1e-12 * scale) ** 2:
-                continue
-            self.regions.append(_Region(key, poly, rmap.v_maps[-1][0], rmap.a_maps[-1][0]))
-            crossings = _facet_crossings(poly, rows, offs, oris, step, on_tol)
-            if len(crossings):
-                visit(crossings)
 
     # -- queries -----------------------------------------------------------
 
@@ -226,8 +190,8 @@ class RegionAtlas:
             first = stop - counts
             reach = max(abs(self.lo), abs(self.hi))
             slack = _ROUNDING * (reach * np.abs(normals).sum(axis=2) + np.abs(offs))
-            beyond = np.minimum.reduceat(d, first) > 1e-12 + slack
-            within = np.maximum.reduceat(d, first) <= 1e-12 - slack
+            beyond = np.minimum.reduceat(d, first) > _TOL + slack
+            within = np.maximum.reduceat(d, first) <= _TOL - slack
             # each vertex's successor along its polygon: the ends of its edges
             succ = np.arange(1, len(verts) + 1)
             succ[stop - 1] = first

@@ -2,12 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
 
 from relucert import certify, datasets, mmr_train, net_core
 from relucert.cli import derive_eps2
 from relucert.net_core import random_net
 
 import per_point_reference
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run, so a
+# property that fails in CI fails the same way locally with the same flag.
+settings.register_profile("ci", derandomize=True, deadline=None)
+
+# biases log-uniform in [1e-8, 6] for random_net: small ones make the
+# first-layer lines almost meet at the origin
+BIASES = st.floats(-8.0, math.log10(6.0)).map(lambda e: 10.0 ** e)
 
 BLOB_EPS = certify.EpsTriple(0.5, derive_eps2(0.5, 0.05), 0.05)
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog, minimize
 
 from relucert import certify, geometry, net_core
@@ -12,7 +13,7 @@ from relucert.certify import (
 )
 from relucert.net_core import ReluNet, random_net
 
-from conftest import hand_net, tiny_net
+from conftest import BIASES, TINY_ARCHS, hand_net, tiny_net
 
 
 class _Points:
@@ -232,16 +233,19 @@ def test_oracle_two_unit_hand_enumeration():
 
 
 def test_oracle_budget_exhaustion_flags_inexact():
+    # the hand net has 4 regions: a budget of 3 cannot map them, so the
+    # oracle keeps no regions and falls back to the ray bound
     net = hand_net()
     x = np.array([2.0, 2.0])
-    certify._ATLAS_CACHE.pop(net, None)
-    truncated = exact_robustness_oracle(net, x, 1, 2.0, budget=1)
+    certify._ORACLE_CACHE.pop(net, None)
+    truncated = exact_robustness_oracle(net, x, 1, 2.0, budget=3)
     assert not truncated.exact
-    assert truncated.num_regions == 1
-    certify._ATLAS_CACHE.pop(net, None)
-    full = exact_robustness_oracle(net, x, 1, 2.0)
-    # best-so-far stays a valid upper bound on the exact value
-    assert truncated.value >= full.value - 1e-12
+    assert truncated.num_regions == 0
+    certify._ORACLE_CACHE.pop(net, None)
+    full = exact_robustness_oracle(net, x, 1, 2.0, budget=4)
+    assert full.exact and full.num_regions == 4
+    # the ray bound stays a valid upper bound on the exact value
+    assert truncated.value >= full.value
 
 
 @pytest.mark.parametrize("label", [0, 3, 5])
@@ -277,6 +281,26 @@ def test_certificates_below_oracle_spot_check():
                 assert cert <= res.value + 1e-9
             cu = certify_universal(net, x, label, 2.0)
             assert cu <= exact_robustness_oracle(net, x, label, 2.0).value + 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(arch=st.sampled_from(TINY_ARCHS), seed=st.integers(0, 2**31 - 1), bias=BIASES)
+def test_certificates_never_exceed_oracle(arch, seed, bias):
+    # points at least 5 from the edge of the oracle's box [-8, 9]^2
+    net = random_net(arch, seed=seed, bias_scale=bias)
+    X = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(4, 2))
+    labels = net_core.classify_batch(net, X)
+    certs = certify.certificates(net, X, labels)
+    for i, (x, label) in enumerate(zip(X, labels)):
+        margin = min(float((x + 8.0).min()), float((9.0 - x).min()))
+        lbs = {1.0: certs.lb_l1[i], 2.0: max(certs.lb_l2[i], certs.single_l2[i]),
+               math.inf: certs.lb_linf[i]}
+        for p, lb in lbs.items():
+            res = exact_robustness_oracle(net, x, int(label), p)
+            # the atlas is complete, so only the box margin can make it inexact
+            assert res.exact == (res.value < 0.9 * margin)
+            if res.exact:
+                assert lb <= res.value * (1 + 1e-9)
 
 
 def test_robust_error_upper_bound_edges():
@@ -323,10 +347,27 @@ def test_norm_order_below_one_rejected():
             fn(net, x, label, 0.5)
 
 
+def test_oracle_bisects_rays_once_per_point(monkeypatch):
+    # the norms of one point share its ray bisection; another point bisects anew
+    calls = []
+    classify_batch = net_core.classify_batch
+    monkeypatch.setattr(net_core, "classify_batch",
+                        lambda *args: calls.append(1) or classify_batch(*args))
+    net = hand_net()
+    exact_robustness_oracle(net, [2.0, 2.0], 1, 1.0)
+    first = len(calls)
+    assert first > 0
+    exact_robustness_oracle(net, [2.0, 2.0], 1, 2.0)
+    exact_robustness_oracle(net, [2.0, 2.0], 1, math.inf)
+    assert len(calls) == first
+    exact_robustness_oracle(net, [2.5, 2.0], 1, 2.0)
+    assert len(calls) > first
+
+
 def test_atlas_cache_drops_dead_nets():
     net = hand_net()
     exact_robustness_oracle(net, np.array([2.0, 2.0]), 1, 2.0)
-    assert net in certify._ATLAS_CACHE
+    assert net in certify._ORACLE_CACHE
     del net
     gc.collect()
-    assert len(certify._ATLAS_CACHE) == 0
+    assert len(certify._ORACLE_CACHE) == 0
