@@ -3,12 +3,8 @@ regularization and certify their robustness for every lp-norm at once."""
 
 from .net_core import (
     ReluNet,
-    ActivationPattern,
-    RegionDescription,
     forward,
     classify,
-    activation_pattern,
-    region_description,
     random_net,
     load_model,
     save_model,
@@ -17,23 +13,16 @@ from .geometry import (
     BallPair,
     naive_union_bound,
     union_min_norm,
-    union_witness,
     hull_min_norm,
-    hull_membership,
-    hull_boundary_oracle,
     ratio_analysis,
 )
 from .certify import (
-    DistanceProfile,
     PointCertificate,
     EpsTriple,
-    distance_profile,
     certify_single_norm,
-    certify_universal,
     point_certificate,
     certificates,
     exact_robustness_oracle,
-    robust_error_upper_bound,
 )
 from .mmr_train import (
     MmrUniversalConfig,
@@ -48,8 +37,6 @@ from .attacks import (
     PgdConfig,
     project_lp_ball,
     pgd_attack,
-    robust_error_lower_bound,
-    overlap_stats,
 )
 from .datasets import Dataset, gen_blobs, gen_moons, gen_corners, load_dataset, save_dataset
 from .cli import derive_eps2, run_evaluation, Report

@@ -26,8 +26,6 @@ __all__ = [
     "attack_dataset",
     "attack_norms",
     "lower_bounds",
-    "robust_error_lower_bound",
-    "overlap_stats",
     "overlap_table",
 ]
 
@@ -282,25 +280,6 @@ def lower_bounds(net, dataset, found: dict) -> dict:
     broken = {name: bad | success for name, (success, _, _) in found.items()}
     broken["union"] = np.logical_or.reduce([bad, *broken.values()])
     return {name: float(np.mean(v)) for name, v in broken.items()}
-
-
-def robust_error_lower_bound(net, dataset, eps, iterations: int = 100,
-                             restarts: int = 10, seed: int = 0,
-                             sparsity_frac: float = 0.01) -> float:
-    """Fraction of points misclassified or attacked by one of the three PGD
-    attacks within its ball; lower-bounds the union robust test error."""
-    found = attack_norms(net, dataset, eps, iterations=iterations, restarts=restarts,
-                         seed=seed, sparsity_frac=sparsity_frac)
-    return lower_bounds(net, dataset, found)["union"]
-
-
-def overlap_stats(net, dataset, eps1: float, eps2: float, eps_inf: float,
-                  iterations: int = 100, restarts: int = 10, seed: int = 0,
-                  sparsity_frac: float = 0.01) -> dict:
-    """overlap_table of the l1, l2 and linf attacks of attack_norms."""
-    found = attack_norms(net, dataset, (eps1, eps2, eps_inf), iterations=iterations,
-                         restarts=restarts, seed=seed, sparsity_frac=sparsity_frac)
-    return overlap_table(found, dict(zip(_ORDERS, (eps1, eps2, eps_inf))))
 
 
 def overlap_table(found: dict, radii: dict) -> dict:

@@ -20,53 +20,19 @@ from . import geometry, net_core
 from .regions import RegionAtlas
 
 __all__ = [
-    "DistanceProfile",
     "PointCertificate",
     "EpsTriple",
     "OracleResult",
-    "distance_profile",
     "certify_single_norm",
-    "certify_universal",
     "point_certificate",
     "certificates",
     "exact_robustness_oracle",
     "bounds",
-    "robust_error_upper_bound",
 ]
 
 EpsTriple = namedtuple("EpsTriple", ["eps1", "eps2", "eps_inf"])
 
 OracleResult = namedtuple("OracleResult", ["value", "exact", "num_regions"])
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """lp-distances of a point to its region's hyperplanes.
-
-    boundary_dists[i] is the distance to hidden hyperplane i (layer, unit in
-    unit_index[i]); decision_dists[s] is the signed distance to the decision
-    hyperplane against class classes[s].  min_decision < 0 iff the point is
-    misclassified.
-    """
-
-    p: float
-    label: int
-    boundary_dists: np.ndarray
-    decision_dists: np.ndarray
-    unit_index: np.ndarray
-    classes: np.ndarray
-
-    @property
-    def min_boundary(self) -> float:
-        if self.boundary_dists.size == 0:
-            return math.inf
-        return float(self.boundary_dists.min())
-
-    @property
-    def min_decision(self) -> float:
-        if self.decision_dists.size == 0:
-            return math.inf
-        return float(self.decision_dists.min())
 
 
 @dataclass(frozen=True)
@@ -88,7 +54,13 @@ class PointCertificate:
     lb_linf: float
 
     def universal_bound(self, p) -> float:
-        """Lower bound on robustness at any norm order p >= 1."""
+        """Lower bound on the lp-robustness at any norm order p >= 1.
+
+        The smallest lp-norm outside the convex hull of the l1 ball of
+        radius rho1 and the linf ball of radius rho_inf, which no decision or
+        region hyperplane can enter; it equals rho1 at p = 1 and rho_inf at
+        p = inf.
+        """
         if not self.correct:
             return 0.0
         if self.rho_inf <= 0.0:
@@ -127,53 +99,18 @@ def _check_labels(net, labels) -> np.ndarray:
     return labels
 
 
-def distance_profile(net, x, label: int, p) -> DistanceProfile:
-    """lp-distances of x to its region's boundary and decision hyperplanes.
-
-    Boundary distances are |V_j.x + a_j| / ||V_j||_q with q dual to p;
-    decision distances are (f_label - f_s) / ||V_label - V_s||_q, signed.
-    Zero rows give +inf distances (a constant unit cannot be crossed).
-    """
-    p = geometry._p_value(p)
-    q = geometry.dual_exponent(p)
-    label = int(_check_labels(net, [label])[0])
-    rmap = net_core.region_map(net, net_core._check_input(net, x)[None, :])
-    others, normals, values = rmap.decision_planes([label])
-    return DistanceProfile(
-        p=p,
-        label=label,
-        boundary_dists=plane_distances(np.abs(rmap.values),
-                                       row_norms(rmap.rows, q))[0],
-        decision_dists=plane_distances(values, row_norms(normals, q))[0],
-        unit_index=net.unit_index,
-        classes=others[0] + 1,
-    )
-
-
 def certify_single_norm(net, x, label: int, p) -> float:
     """Guaranteed lower bound on the lp-robustness at x.
 
     Inside the region the net is affine, so the robustness is at least the
     smaller of the nearest region hyperplane and the nearest decision
-    hyperplane; misclassified points certify to zero.
+    hyperplane; misclassified points certify to zero.  A one-point view of
+    the distances that ``certificates`` computes.
     """
-    prof = distance_profile(net, x, label, p)
-    d_b, d_d = prof.min_boundary, prof.min_decision
-    if d_d < 0.0:
-        return 0.0
-    return min(d_b, d_d)
-
-
-def certify_universal(net, x, label: int, p) -> float:
-    """Lower bound on the lp-robustness for any p, from l1/linf profiles only.
-
-    rho1 and rho_inf are the minima of boundary and absolute decision
-    distances wrt l1 and linf; the bound is the smallest lp-norm outside the
-    convex hull of the corresponding l1/linf balls, which no decision or
-    region hyperplane can enter.  At p = 1 and p = inf the bound continuously
-    equals rho1 and rho_inf.
-    """
-    return point_certificate(net, x, label).universal_bound(p)
+    rmap = net_core.region_map(net, net_core._check_input(net, x)[None, :])
+    _, normals, values = rmap.decision_planes(_check_labels(net, [label]))
+    boundary, decision = _min_dists(np.abs(rmap.values), rmap.rows, values, normals, p)
+    return 0.0 if decision[0] < 0.0 else float(min(boundary[0], decision[0]))
 
 
 @dataclass(frozen=True)
@@ -200,6 +137,13 @@ class Certificates:
             int(self.label[i]), int(self.predicted[i]), bool(self.correct[i]),
             float(self.rho1[i]), float(self.rho_inf[i]), float(self.lb_l1[i]),
             float(self.lb_l2[i]), float(self.lb_linf[i]))
+
+    def radii(self) -> dict:
+        """Certified radius of each point per norm: lb_l1, lb_linf, and for
+        l2 the larger of the universal bound lb_l2 and the single-norm bound
+        single_l2 (both are lower bounds, so their maximum is one too)."""
+        return {"l1": self.lb_l1, "l2": np.maximum(self.lb_l2, self.single_l2),
+                "linf": self.lb_linf}
 
 
 def _min_dists(abs_u, rows, values, normals, p):
@@ -259,14 +203,21 @@ def point_certificate(net, x, label: int) -> PointCertificate:
 # (point, label) asked about, which the point's other norms reuse.
 _ORACLE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
+# Rays the oracle bisects along: the 2d axis directions, then random unit
+# directions drawn from this seed up to this many rays in all.
+_NUM_DIRECTIONS = 64
+_RAY_SEED = 0
 
-def _atlas_for(net, budget: int) -> RegionAtlas:
-    # a complete atlas serves any budget; a truncated one only smaller budgets
+
+def _atlas_for(net, budget: int):
+    """The net's complete region atlas if it has at most budget regions,
+    else None, whatever atlases earlier calls built."""
     cache = _ORACLE_CACHE.setdefault(net, {})
     atlas = cache.get("atlas")
+    # a truncated atlas answers smaller budgets: they would truncate too
     if atlas is None or (not atlas.complete and atlas.max_regions < budget):
         atlas = cache["atlas"] = RegionAtlas(net, max_regions=budget)
-    return atlas
+    return atlas if atlas.complete and len(atlas.regions) <= budget else None
 
 
 def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -319,7 +270,7 @@ def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return float(row_norms(c - tm[:, None] * e, p).min())
 
 
-def _ray_hits(net, x, label: int, num_directions: int, seed: int, cap: float = 12.0):
+def _ray_hits(net, x, label: int, cap: float = 12.0):
     """Bisection along axis and random rays from x until the class flips.
 
     Returns (hi, dirs): x + hi[i] * dirs[i] is not classified as label, for
@@ -327,14 +278,14 @@ def _ray_hits(net, x, label: int, num_directions: int, seed: int, cap: float = 1
     per net is cached, so the norms of one point bisect once.
     """
     cache = _ORACLE_CACHE.setdefault(net, {})
-    key = (x.tobytes(), label, num_directions, seed)
+    key = (x.tobytes(), label)
     last = cache.get("rays")
     if last is not None and last[0] == key:
         return last[1]
     d = net.input_dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_RAY_SEED)
     dirs = [np.eye(d), -np.eye(d)]
-    extra = max(0, num_directions - 2 * d)
+    extra = max(0, _NUM_DIRECTIONS - 2 * d)
     if extra:
         g = rng.standard_normal((extra, d))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
@@ -363,17 +314,17 @@ def _ray_hits(net, x, label: int, num_directions: int, seed: int, cap: float = 1
     return hits
 
 
-def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000,
-                            num_directions: int = 64, seed: int = 0) -> OracleResult:
+def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000) -> OracleResult:
     """Upper bound on the true lp-robustness at x by exhaustive search.
 
     Combines (a) bisection along random and axis directions and, for 2-D
     inputs, (b) the exact minimum distance to the class-change set assembled
     from every linear region's decision polygon.  With a complete region map
     the result equals the true robustness.  ``exact`` is False when the box
-    holds more than budget regions (the map is then empty) or the value
-    reaches 0.9 of x's distance to the box's edge; the value is then still a
-    valid upper bound.  Intended for nets with a few dozen hidden units.
+    holds more than budget regions (the value is then the ray bound alone,
+    whatever atlas earlier calls built) or the value reaches 0.9 of x's
+    distance to the box's edge; the value is then still a valid upper bound.
+    Intended for nets with a few dozen hidden units.
     """
     p = geometry._p_value(p)
     if int(budget) < 1:
@@ -385,17 +336,17 @@ def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000,
     if net_core.classify(net, x) != label:
         return OracleResult(0.0, True, 0)
     # upper bound on robustness from the nearest flip along the rays
-    hits = _ray_hits(net, x, label, num_directions, seed)
+    hits = _ray_hits(net, x, label)
     best_dir = math.inf if hits is None else float((hits[0] * row_norms(hits[1], p)).min())
-    if net.input_dim != 2:
+    atlas = _atlas_for(net, budget) if net.input_dim == 2 else None
+    if atlas is None:
         return OracleResult(best_dir, False, 0)
-    atlas = _atlas_for(net, budget)
     starts, ends = atlas.decision_edges(label)
     best_reg = _min_lp_to_segments(x, starts, ends, p)
     value = min(best_dir, best_reg)
     # distance from x to the box boundary (same in every lp: one coordinate)
     margin = min(float((x - atlas.lo).min()), float((atlas.hi - x).min()))
-    exact = atlas.complete and value < 0.9 * margin
+    exact = value < 0.9 * margin
     return OracleResult(value, exact, len(atlas.regions))
 
 
@@ -407,22 +358,12 @@ def bounds(certs: Certificates, eps) -> dict:
     "union", the fraction of points not certified at eps1 / eps2 / eps_inf
     (all three for the union).
 
-    A point is certified when it is correct and its certificate reaches the
-    radius: lb_l1, lb_linf, and for l2 the larger of the universal bound
-    lb_l2 and the single-norm bound single_l2 (both are lower bounds, so
-    their maximum is one too).
+    A point is certified when it is correct and its certified radius
+    (``Certificates.radii``) reaches the norm's eps.
     """
     if len(certs.correct) == 0:
         raise ValueError("no points to bound: the dataset is empty")
-    eps = EpsTriple(*eps)
-    ok = {"l1": certs.correct & (certs.lb_l1 >= eps.eps1),
-          "l2": certs.correct & (np.maximum(certs.lb_l2, certs.single_l2) >= eps.eps2),
-          "linf": certs.correct & (certs.lb_linf >= eps.eps_inf)}
+    ok = {name: certs.correct & (radius >= e)
+          for (name, radius), e in zip(certs.radii().items(), EpsTriple(*eps))}
     ok["union"] = ok["l1"] & ok["l2"] & ok["linf"]
     return {name: float(np.mean(~v)) for name, v in ok.items()}
-
-
-def robust_error_upper_bound(net, dataset, eps) -> float:
-    """Upper bound on the robust test error wrt the union of the three balls:
-    ``bounds(...)["union"]`` of the dataset's certificates."""
-    return bounds(certificates(net, dataset.features, dataset.labels), eps)["union"]

@@ -60,7 +60,10 @@ def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
                    deterministic: bool = False, iterations: int = 100,
                    restarts: int = 10) -> Report:
     """Test error on the full dataset plus robust-error bounds per norm and
-    for the union, evaluating the bounds on the first min(limit, n) points."""
+    for the union, evaluating the bounds on the first min(limit, n) points.
+    Raises RuntimeError if a point's verified adversarial lies inside its
+    certified radius (beyond 1e-9 relative rounding slack): one of the two
+    would then be wrong."""
     t0 = time.perf_counter()
     eps = certify.EpsTriple(*eps)
     net = net_core.load_model(model_path)
@@ -68,9 +71,19 @@ def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
     test_error = float(np.mean(net_core.classify_batch(net, data.features) != data.labels))
 
     sub = data.head(limit)
-    ub = certify.bounds(certify.certificates(net, sub.features, sub.labels), eps)
-    lb = attacks.lower_bounds(net, sub, attacks.attack_norms(
-        net, sub, eps, iterations=iterations, restarts=restarts, seed=seed))
+    certs = certify.certificates(net, sub.features, sub.labels)
+    ub = certify.bounds(certs, eps)
+    found = attacks.attack_norms(net, sub, eps, iterations=iterations, restarts=restarts,
+                                 seed=seed)
+    for name, radius in certs.radii().items():
+        success, best_norm, _ = found[name]
+        bad = np.flatnonzero(success & (best_norm < radius * (1.0 - 1e-9)))
+        if bad.size:
+            i = int(bad[0])
+            raise RuntimeError(
+                f"point {i}: {name} adversarial of norm {float(best_norm[i])!r} lies "
+                f"inside its certified radius {float(radius[i])!r}")
+    lb = attacks.lower_bounds(net, sub, found)
 
     report = Report(
         model_id=os.path.basename(str(model_path)),

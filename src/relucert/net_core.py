@@ -1,10 +1,10 @@
 """Dense ReLU classifiers and their exact piecewise-affine local structure.
 
 A network built from dense layers with ReLU activations is affine on each
-activation region of the input space.  Given an anchor point, one forward
-pass yields the affine restriction (V, a per layer) and the half-space
-description of the region containing the point.  ``region_maps`` does the
-same for a whole batch of points at once, in chunks of bounded memory; it is
+activation region of the input space.  For a batch of anchor points, one
+pass over the layers (``region_map``) yields the affine restriction (V, a
+per layer) and the half-space description of the region containing each
+point.  ``region_maps`` splits a batch into chunks of bounded memory; it is
 the one region-geometry path behind certification and the regularizer.
 """
 
@@ -17,14 +17,10 @@ import numpy as np
 
 __all__ = [
     "ReluNet",
-    "ActivationPattern",
-    "RegionDescription",
     "RegionMap",
     "forward",
     "forward_batch",
     "classify",
-    "activation_pattern",
-    "region_description",
     "region_map",
     "region_maps",
     "random_net",
@@ -99,62 +95,9 @@ class ReluNet:
     def num_hidden_units(self) -> int:
         return int(sum(self.hidden_sizes))
 
-    @property
-    def unit_index(self) -> np.ndarray:
-        """(layer, unit) of each hidden unit, in stacking order, shape (N, 2)."""
-        return np.array([(l, j) for l, n in enumerate(self.hidden_sizes) for j in range(n)],
-                        dtype=np.int64).reshape(-1, 2)
-
-    @property
-    def layer_sizes(self) -> tuple:
-        return (self.input_dim,) + tuple(w.shape[0] for w in self.weights)
-
     def with_parameters(self, weights, biases) -> "ReluNet":
         """New net with the same architecture and different parameters."""
         return ReluNet(tuple(weights), tuple(biases))
-
-
-@dataclass(frozen=True)
-class ActivationPattern:
-    """Per-hidden-layer preactivation signs.
-
-    ``deltas[l][i]`` is sign(g_i) in {-1, 0, +1}; ``sigmas[l][i]`` is 1 iff
-    g_i > 0, so units sitting exactly on their hyperplane count as inactive.
-    """
-
-    deltas: tuple
-    sigmas: tuple
-
-    def key(self) -> tuple:
-        return tuple(bytes(s) for s in self.sigmas)
-
-
-@dataclass(frozen=True)
-class RegionDescription:
-    """Affine maps and half-space description of one activation region.
-
-    ``v_maps[l]`` (n_l x d) and ``a_maps[l]`` give the affine form of every
-    layer on the region; the last entry is the affine output map.  The
-    region itself is the set of z with
-    ``orientations[i] * (normals[i]@z + offsets[i]) >= 0`` for all i, one
-    constraint per hidden unit (``unit_index[i] = (layer, unit)``).
-    """
-
-    pattern: ActivationPattern
-    v_maps: tuple
-    a_maps: tuple
-    normals: np.ndarray
-    offsets: np.ndarray
-    orientations: np.ndarray
-    unit_index: np.ndarray
-
-    @property
-    def output_map(self):
-        return self.v_maps[-1], self.a_maps[-1]
-
-    @property
-    def num_halfspaces(self) -> int:
-        return self.normals.shape[0]
 
 
 @dataclass(frozen=True)
@@ -244,13 +187,6 @@ def classify_batch(net: ReluNet, xs) -> np.ndarray:
     return np.argmax(logits, axis=1) + 1
 
 
-def activation_pattern(net: ReluNet, x) -> ActivationPattern:
-    _, preacts = forward(net, x)
-    deltas = tuple(np.sign(g).astype(np.int8) for g in preacts)
-    sigmas = tuple((g > 0).astype(np.uint8) for g in preacts)
-    return ActivationPattern(deltas, sigmas)
-
-
 def _per_point(v, xs):
     """v[i] @ xs[i] for every point i: (B, n, d) and (B, d) -> (B, n)."""
     return np.matmul(v, xs[:, :, None])[:, :, 0]
@@ -321,25 +257,6 @@ def region_maps(net: ReluNet, xs):
     for lo in range(0, len(xs), step):
         sl = slice(lo, lo + step)
         yield sl, region_map(net, xs[sl])
-
-
-def region_description(net: ReluNet, x) -> RegionDescription:
-    """Affine maps and half-space constraints of the region containing x."""
-    rmap = region_map(net, _check_input(net, x)[None, :])
-    signs = np.sign(rmap.values[0]).astype(np.int8)
-    bounds = np.cumsum((0,) + net.hidden_sizes)
-    pattern = ActivationPattern(
-        tuple(signs[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])),
-        tuple(m[0].astype(np.uint8) for m in rmap.masks))
-    return RegionDescription(
-        pattern=pattern,
-        v_maps=tuple(v[0] for v in rmap.v_maps),
-        a_maps=tuple(a[0] for a in rmap.a_maps),
-        normals=rmap.rows[0],
-        offsets=rmap.offsets[0],
-        orientations=signs,
-        unit_index=net.unit_index,
-    )
 
 
 def random_net(layer_sizes, seed=0, bias_scale=0.0) -> ReluNet:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from relucert import certify, datasets, mmr_train, net_core
+from relucert import certify, datasets, geometry, mmr_train, net_core
 from relucert.cli import derive_eps2
 from relucert.net_core import random_net
 
@@ -54,6 +54,19 @@ def hand_net():
     """f1 = relu(x1 - 1) + relu(x2 - 1), f2 = 0.5: four activation regions."""
     return net_core.ReluNet((np.eye(2), np.array([[1.0, 1.0], [0.0, 0.0]])),
                             (np.array([-1.0, -1.0]), np.array([0.0, 0.5])))
+
+
+def hyperplane_distances(net, x, label, p):
+    """(boundary, decision) lp-distances of x to each hidden hyperplane of its
+    region and, signed with label as reference class, to each decision
+    hyperplane against the other classes in increasing order; from the
+    region map, as certify.certificates computes them."""
+    q = geometry.dual_exponent(p)
+    rmap = net_core.region_map(net, np.asarray(x, dtype=float)[None, :])
+    _, normals, values = rmap.decision_planes([label])
+    boundary = certify.plane_distances(np.abs(rmap.values), certify.row_norms(rmap.rows, q))
+    decision = certify.plane_distances(values, certify.row_norms(normals, q))
+    return boundary[0], decision[0]
 
 
 def finite_difference_check(net, X, y, cfg, kb, step=1e-5):

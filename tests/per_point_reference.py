@@ -284,6 +284,13 @@ def region_polygon(box, rows, offs, oris):
     return poly
 
 
+def pattern_key(net, z):
+    """Activation pattern at z, one bytes object per hidden layer (1 where
+    the unit's preactivation is > 0), as RegionAtlas keys its regions."""
+    _, preacts = net_core.forward(net, z)
+    return tuple(bytes((g > 0).astype(np.uint8)) for g in preacts)
+
+
 def atlas(net, lo=-8.0, hi=9.0, max_regions=20000, num_probes=512, seed=7):
     """(regions, complete): regions as (key, poly, v_out, a_out) in BFS order."""
     box = np.array([[lo, lo], [hi, lo], [hi, hi], [lo, hi]])
@@ -296,7 +303,7 @@ def atlas(net, lo=-8.0, hi=9.0, max_regions=20000, num_probes=512, seed=7):
     regions, queue, seen = [], deque(), set()
 
     def visit(z):
-        key = net_core.activation_pattern(net, z).key()
+        key = pattern_key(net, z)
         if key not in seen:
             seen.add(key)
             queue.append((key, z))

@@ -8,19 +8,17 @@ import time
 import numpy as np
 
 from relucert import net_core
-from relucert.attacks import PgdConfig, attack_dataset, robust_error_lower_bound
+from relucert.attacks import PgdConfig, attack_dataset, attack_norms, lower_bounds
 from relucert.certify import (
-    certify_single_norm, certify_universal, exact_robustness_oracle,
-    point_certificate, robust_error_upper_bound,
+    bounds, certificates, certify_single_norm, exact_robustness_oracle,
+    point_certificate,
 )
 from relucert.cli import derive_eps2
-from relucert.geometry import (
-    BallPair, hull_boundary_oracle, hull_min_norm, ratio_analysis,
-    union_min_norm, union_witness,
-)
+from relucert.geometry import BallPair, hull_min_norm, ratio_analysis, union_min_norm
 from relucert.mmr_train import MmrUniversalConfig
 
 from conftest import finite_difference_check, sample_generic_batch, tiny_net
+from oracles import hull_boundary_oracle, union_witness
 
 
 class criterion:
@@ -39,13 +37,9 @@ class criterion:
         return False
 
 
-def lp_norm_rows(D, p):
-    D = np.abs(np.asarray(D, dtype=float))
-    if math.isinf(p):
-        return D.max(axis=1)
-    if p == 1.0:
-        return D.sum(axis=1)
-    return np.sqrt((D * D).sum(axis=1))
+def ub_union(net, ds, eps):
+    """Certified upper bound on the union robust error of the dataset."""
+    return bounds(certificates(net, ds.features, ds.labels), eps)["union"]
 
 
 def test_criterion_1_reference_radii():
@@ -111,10 +105,10 @@ def test_criterion_4_certification_soundness():
                     cert = certify_single_norm(net, x, label, p)
                     res = exact_robustness_oracle(net, x, label, p)
                     assert cert <= res.value + 1e-9, (net_idx, x, p)
-                cu = certify_universal(net, x, label, 2.0)
+                pc = point_certificate(net, x, label)
+                cu = pc.universal_bound(2.0)
                 res2 = exact_robustness_oracle(net, x, label, 2.0)
                 assert cu <= res2.value + 1e-9
-                pc = point_certificate(net, x, label)
                 if pc.correct and pc.rho_inf > 0 and math.isfinite(pc.rho1):
                     union = union_min_norm(BallPair(pc.rho1, pc.rho_inf, 2), 2.0)
                     assert cu >= union - 1e-12
@@ -146,8 +140,8 @@ def test_criterion_6_training_efficacy(trained_pairs):
         t0 = time.perf_counter()
         eps = trained_pairs["eps"]
         for run in trained_pairs["runs"]:
-            ub_plain = robust_error_upper_bound(run["plain"], run["test"], eps)
-            ub_mmr = robust_error_upper_bound(run["mmr"], run["test"], eps)
+            ub_plain = ub_union(run["plain"], run["test"], eps)
+            ub_mmr = ub_union(run["mmr"], run["test"], eps)
             test_error = run["mmr_hist"][-1]["test_error"]
             assert test_error < 0.10, f"seed {run['seed']}: test error {test_error}"
             assert ub_plain - ub_mmr >= 0.20, (
@@ -166,9 +160,9 @@ def test_criterion_7_sandwich(trained_pairs):
             for kind in ("plain", "mmr"):
                 net = run[kind]
                 sub = run["test"].head(200)
-                lb = robust_error_lower_bound(net, sub, eps, iterations=60,
-                                              restarts=5, seed=run["seed"])
-                ub = robust_error_upper_bound(net, sub, eps)
+                lb = lower_bounds(net, sub, attack_norms(net, sub, eps, iterations=60,
+                                                         restarts=5, seed=run["seed"]))["union"]
+                ub = ub_union(net, sub, eps)
                 assert lb <= ub + 1e-12, f"{kind} seed {run['seed']}: {lb} > {ub}"
                 certs = [point_certificate(net, sub.features[i], int(sub.labels[i]))
                          for i in range(sub.count)]

@@ -6,14 +6,14 @@ from scipy.optimize import minimize
 
 from relucert import attacks, certify, net_core
 from relucert.attacks import (
-    PgdConfig, attack_dataset, overlap_stats, overlap_table, pgd_attack,
-    project_lp_ball, robust_error_lower_bound,
+    PgdConfig, attack_dataset, attack_norms, lower_bounds, overlap_table, pgd_attack,
+    project_lp_ball,
 )
 from relucert.certify import EpsTriple
 from relucert.datasets import Dataset
 from relucert.net_core import ReluNet
 
-from conftest import tiny_net
+from conftest import hyperplane_distances, tiny_net
 
 
 class _Points:
@@ -107,7 +107,7 @@ def test_pgd_linear_finds_flip_above_margin():
     x = np.array([0.53, 0.50])
     lab = net_core.classify(net, x)
     for p in (1.0, 2.0, math.inf):
-        margin = certify.distance_profile(net, x, lab, p).min_decision
+        margin = hyperplane_distances(net, x, lab, p)[1].min()
         cfg = PgdConfig(p=p, eps=margin * 1.05, iterations=100, restarts=10, seed=3)
         adv = pgd_attack(net, x, lab, cfg)
         assert adv is not None
@@ -241,7 +241,7 @@ def test_pgd_explicit_step_size():
     net = margin_linear_net()
     x = np.array([0.53, 0.50])
     lab = net_core.classify(net, x)
-    margin = certify.distance_profile(net, x, lab, math.inf).min_decision
+    margin = hyperplane_distances(net, x, lab, math.inf)[1].min()
     cfg = PgdConfig(p=math.inf, eps=margin * 1.1, iterations=50, restarts=3,
                     seed=1, step_size=margin / 10)
     assert pgd_attack(net, x, lab, cfg) is not None
@@ -258,9 +258,8 @@ def test_lower_bound_all_misclassified():
     # constant logits prefer class 2; every label-1 point is already wrong
     net = ReluNet((np.zeros((2, 2)),), (np.array([0.0, 1.0]),))
     ds = _Points(np.random.default_rng(0).uniform(0, 1, size=(20, 2)), [1] * 20)
-    lb = robust_error_lower_bound(net, ds, EpsTriple(0.1, 0.1, 0.1),
-                                  iterations=5, restarts=2)
-    assert lb == 1.0
+    found = attack_norms(net, ds, EpsTriple(0.1, 0.1, 0.1), iterations=5, restarts=2)
+    assert lower_bounds(net, ds, found)["union"] == 1.0
 
 
 def test_lower_bound_linear_matches_analytic():
@@ -274,11 +273,11 @@ def test_lower_bound_linear_matches_analytic():
     for i in range(len(X)):
         flips = False
         for p, e in ((1.0, eps.eps1), (2.0, eps.eps2), (math.inf, eps.eps_inf)):
-            margin = certify.distance_profile(net, X[i], int(y[i]), p).min_decision
+            margin = hyperplane_distances(net, X[i], int(y[i]), p)[1].min()
             flips = flips or margin <= e
         analytic += flips
-    lb = robust_error_lower_bound(net, ds, eps, iterations=100, restarts=10, seed=5)
-    assert lb == pytest.approx(analytic / len(X), abs=1e-12)
+    found = attack_norms(net, ds, eps, iterations=100, restarts=10, seed=5)
+    assert lower_bounds(net, ds, found)["union"] == pytest.approx(analytic / len(X), abs=1e-12)
 
 
 def test_lower_bound_below_upper_bound():
@@ -288,23 +287,25 @@ def test_lower_bound_below_upper_bound():
     y = net_core.classify_batch(net, X)
     ds = _Points(X, y)
     eps = EpsTriple(0.1, 0.06, 0.02)
-    lb = robust_error_lower_bound(net, ds, eps, iterations=40, restarts=4, seed=1)
-    ub = certify.robust_error_upper_bound(net, ds, eps)
-    assert lb <= ub + 1e-12
+    lb = lower_bounds(net, ds, attack_norms(net, ds, eps, iterations=40, restarts=4, seed=1))
+    ub = certify.bounds(certify.certificates(net, X, y), eps)
+    for name in ("l1", "l2", "linf", "union"):
+        assert lb[name] <= ub[name] + 1e-12
 
 
 def test_lower_bound_empty_dataset():
     net = margin_linear_net()
     with pytest.raises(ValueError):
-        robust_error_lower_bound(net, _Points(np.zeros((0, 2)), []),
-                                 EpsTriple(0.1, 0.1, 0.1))
+        attack_norms(net, _Points(np.zeros((0, 2)), []), EpsTriple(0.1, 0.1, 0.1))
 
 
 def test_overlap_stats_no_successes():
     net = margin_linear_net()
     X = np.array([[0.53, 0.50]])
     ds = _Points(X, net_core.classify_batch(net, X))
-    table = overlap_stats(net, ds, 1e-6, 1e-6, 1e-6, iterations=5, restarts=2)
+    radii = {"l1": 1e-6, "l2": 1e-6, "linf": 1e-6}
+    table = overlap_table(attack_norms(net, ds, tuple(radii.values()), iterations=5,
+                                       restarts=2), radii)
     for entry in table.values():
         assert entry["total"] == 0
         assert entry["pct"] is None
@@ -334,8 +335,9 @@ def test_overlap_stats_structure(trained_pairs):
     run = trained_pairs["runs"][0]
     eps = trained_pairs["eps"]
     sub = _Points(run["test"].features[:50], run["test"].labels[:50])
-    table = overlap_stats(run["plain"], sub, eps.eps1, eps.eps2, eps.eps_inf,
-                          iterations=30, restarts=3, seed=4)
+    radii = dict(zip(("l1", "l2", "linf"), eps))
+    table = overlap_table(attack_norms(run["plain"], sub, eps, iterations=30, restarts=3,
+                                       seed=4), radii)
     assert set(table) == {(p, q) for p in ("l1", "l2", "linf")
                           for q in ("l1", "l2", "linf") if p != q}
     for entry in table.values():

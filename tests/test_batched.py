@@ -11,7 +11,7 @@ from relucert.mmr_train import MmrUniversalConfig
 from relucert.net_core import ReluNet, random_net
 
 import per_point_reference as ref
-from conftest import TINY_ARCHS, tiny_net
+from conftest import TINY_ARCHS, hyperplane_distances, tiny_net
 
 RTOL = 1e-12
 CFG = MmrUniversalConfig(lambda1=0.9, lambda_inf=2.5, gamma1=0.8, gamma_inf=0.15)
@@ -125,11 +125,11 @@ def test_certificates_match_reference(name, net):
                      [r[k] for k in ("rho1", "rho_inf", "lb_l1", "lb_l2", "lb_linf")])
         for p in (1.0, 1.5, 2.0, math.inf):
             b, d = ref.distances(net, X[i], int(y[i]), p)
-            prof = certify.distance_profile(net, X[i], int(y[i]), p)
-            assert_close(prof.boundary_dists, b)
-            assert_close(prof.decision_dists, d)
-        assert_close([certify.certify_single_norm(net, X[i], int(y[i]), 2.0)],
-                     [ref.single_norm(net, X[i], int(y[i]), 2.0)])
+            boundary, decision = hyperplane_distances(net, X[i], int(y[i]), p)
+            assert_close(boundary, b)
+            assert_close(decision, d)
+            assert_close([certify.certify_single_norm(net, X[i], int(y[i]), p)],
+                         [ref.single_norm(net, X[i], int(y[i]), p)])
 
 
 @pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
@@ -151,8 +151,8 @@ def test_special_nets_exercise_edge_cases():
     # class index, and points certified correct next to a zero decision normal
     net = dict(NETS)["zero-rows"]
     X, y = points(net, 60, seed=len("zero-rows"))
-    prof = certify.distance_profile(net, X[0], int(y[0]), 2.0)
-    assert np.isinf(prof.boundary_dists[0]) and np.isinf(prof.boundary_dists[6])
+    boundary, _ = hyperplane_distances(net, X[0], int(y[0]), 2.0)
+    assert np.isinf(boundary[0]) and np.isinf(boundary[6])
     net = dict(NETS)["logit-ties"]
     X, y = points(net, 60, seed=len("logit-ties"))
     certs = certify.certificates(net, X, np.full(60, 2))

@@ -8,18 +8,17 @@ from scipy.optimize import linprog, minimize
 
 from relucert import certify, geometry, net_core
 from relucert.certify import (
-    EpsTriple, certify_single_norm, certify_universal, distance_profile,
-    exact_robustness_oracle, point_certificate, robust_error_upper_bound,
+    EpsTriple, certify_single_norm, exact_robustness_oracle, point_certificate,
 )
 from relucert.net_core import ReluNet, random_net
 
-from conftest import BIASES, TINY_ARCHS, hand_net, tiny_net
+from conftest import BIASES, TINY_ARCHS, hand_net, hyperplane_distances, tiny_net
 
 
-class _Points:
-    def __init__(self, X, y):
-        self.features = np.asarray(X, dtype=float)
-        self.labels = np.asarray(y, dtype=np.int64)
+def ub_union(net, X, y, eps):
+    """Union robust-error upper bound of the points X with labels y."""
+    return certify.bounds(certify.certificates(net, np.asarray(X, dtype=float), y),
+                          eps)["union"]
 
 
 def hyperplane_distance_lp(v, a, x, p):
@@ -68,16 +67,17 @@ def hyperplane_distance_lp(v, a, x, p):
 def test_distance_profile_linear_two_class():
     net = ReluNet((np.array([[1.0, 0.0], [0.0, 0.0]]),), (np.zeros(2),))
     for p in (1.0, 1.5, 2.0, math.inf):
-        prof = distance_profile(net, [1.0, 0.0], 1, p)
-        assert prof.min_boundary == math.inf
-        assert prof.decision_dists == pytest.approx([1.0])
+        boundary, decision = hyperplane_distances(net, [1.0, 0.0], 1, p)
+        assert boundary.size == 0
+        assert decision == pytest.approx([1.0])
+        assert certify_single_norm(net, [1.0, 0.0], 1, p) == pytest.approx(1.0)
 
 
 def test_distance_profile_hand_value():
     net = ReluNet((np.array([[3.0, 4.0]]), np.array([[1.0], [0.0]])),
                   (np.zeros(1), np.zeros(2)))
-    prof = distance_profile(net, [1.0, 0.0], 1, 2.0)
-    assert prof.boundary_dists == pytest.approx([3.0 / 5.0])
+    boundary, _ = hyperplane_distances(net, [1.0, 0.0], 1, 2.0)
+    assert boundary == pytest.approx([3.0 / 5.0])
 
 
 def test_distance_profile_against_lp_oracle():
@@ -85,24 +85,22 @@ def test_distance_profile_against_lp_oracle():
     for seed in range(4):
         net = random_net([2, 6, 3], seed=seed, bias_scale=0.4)
         x = rng.uniform(0, 1, size=2)
-        desc = net_core.region_description(net, x)
+        rmap = net_core.region_map(net, x[None, :])
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
-            prof = distance_profile(net, x, 1, p)
-            for i in range(desc.num_halfspaces):
-                ref = hyperplane_distance_lp(desc.normals[i], desc.offsets[i], x, p)
+            boundary, _ = hyperplane_distances(net, x, 1, p)
+            for i in range(net.num_hidden_units):
+                ref = hyperplane_distance_lp(rmap.rows[0, i], rmap.offsets[0, i], x, p)
                 if math.isinf(ref):
-                    assert math.isinf(prof.boundary_dists[i])
+                    assert math.isinf(boundary[i])
                 else:
-                    assert prof.boundary_dists[i] == pytest.approx(ref, rel=1e-6)
+                    assert boundary[i] == pytest.approx(ref, rel=1e-6)
 
 
 def test_distance_profile_signed_decision():
     net = ReluNet((np.array([[10.0, 3.0], [0.0, 0.0]]),), (np.array([-6.5, 0.0]),))
     x = np.array([0.3, 0.3])  # logits (-2.6, 0): class 2 wins
-    prof = distance_profile(net, x, 1, 2.0)
-    assert prof.min_decision < 0
-    prof2 = distance_profile(net, x, 2, 2.0)
-    assert prof2.min_decision > 0
+    assert hyperplane_distances(net, x, 1, 2.0)[1].min() < 0
+    assert hyperplane_distances(net, x, 2, 2.0)[1].min() > 0
 
 
 def test_min_decision_sign_tracks_misclassification():
@@ -113,7 +111,7 @@ def test_min_decision_sign_tracks_misclassification():
         for _ in range(30):
             x = rng.uniform(0, 1, size=2)
             label = int(rng.integers(1, net.num_classes + 1))
-            md = distance_profile(net, x, label, 2.0).min_decision
+            md = hyperplane_distances(net, x, label, 2.0)[1].min()
             if abs(md) < 1e-9:
                 continue  # exact ties are the only excluded case
             assert (md < 0) == (net_core.classify(net, x) != label)
@@ -125,9 +123,9 @@ def test_zero_normal_gives_infinite_distance():
     # first hidden unit has a zero incoming row: constant unit, never crossed
     net = ReluNet((np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 0.0]])),
                   (np.array([1.0, 0.0]), np.zeros(2)))
-    prof = distance_profile(net, [0.5, 0.2], 1, 2.0)
-    assert math.isinf(prof.boundary_dists[0])
-    assert np.isfinite(prof.boundary_dists[1])
+    boundary, _ = hyperplane_distances(net, [0.5, 0.2], 1, 2.0)
+    assert math.isinf(boundary[0])
+    assert np.isfinite(boundary[1])
 
 
 def test_norm_monotonicity_per_hyperplane():
@@ -135,9 +133,7 @@ def test_norm_monotonicity_per_hyperplane():
     for seed in range(5):
         net = tiny_net(seed)
         x = rng.uniform(0, 1, size=2)
-        d1 = distance_profile(net, x, 1, 1.0).boundary_dists
-        d2 = distance_profile(net, x, 1, 2.0).boundary_dists
-        dinf = distance_profile(net, x, 1, math.inf).boundary_dists
+        d1, d2, dinf = (hyperplane_distances(net, x, 1, p)[0] for p in (1.0, 2.0, math.inf))
         assert (dinf <= d2 + 1e-12).all()
         assert (d2 <= d1 + 1e-12).all()
 
@@ -170,8 +166,8 @@ def test_scale_covariance_of_certificates():
             a = certify_single_norm(net, x, 1, p)
             b = certify_single_norm(scaled, x, 1, p)
             assert a == pytest.approx(b, abs=1e-9)
-        assert certify_universal(net, x, 1, 2.0) == pytest.approx(
-            certify_universal(scaled, x, 1, 2.0), abs=1e-9)
+        assert point_certificate(net, x, 1).universal_bound(2.0) == pytest.approx(
+            point_certificate(scaled, x, 1).universal_bound(2.0), abs=1e-9)
 
 
 def test_certify_universal_reference_value():
@@ -194,7 +190,7 @@ def test_certify_universal_vs_union_substitution():
             pc = point_certificate(net, x, label)
             if not pc.correct or pc.rho_inf <= 0 or not math.isfinite(pc.rho1):
                 continue
-            cu = certify_universal(net, x, label, 2.0)
+            cu = pc.universal_bound(2.0)
             union = geometry.union_min_norm(
                 geometry.BallPair(pc.rho1, pc.rho_inf, 2), 2.0)
             assert cu >= union - 1e-12
@@ -229,7 +225,7 @@ def test_oracle_two_unit_hand_enumeration():
         assert res.value == pytest.approx(ref, abs=1e-9)
     # the certified bound stays below the true radius
     assert certify_single_norm(net, x, 1, 2.0) == pytest.approx(1.0)
-    assert certify_universal(net, x, 1, 2.0) <= expected[2.0] + 1e-9
+    assert point_certificate(net, x, 1).universal_bound(2.0) <= expected[2.0] + 1e-9
 
 
 def test_oracle_budget_exhaustion_flags_inexact():
@@ -237,15 +233,25 @@ def test_oracle_budget_exhaustion_flags_inexact():
     # oracle keeps no regions and falls back to the ray bound
     net = hand_net()
     x = np.array([2.0, 2.0])
-    certify._ORACLE_CACHE.pop(net, None)
     truncated = exact_robustness_oracle(net, x, 1, 2.0, budget=3)
     assert not truncated.exact
     assert truncated.num_regions == 0
-    certify._ORACLE_CACHE.pop(net, None)
     full = exact_robustness_oracle(net, x, 1, 2.0, budget=4)
     assert full.exact and full.num_regions == 4
     # the ray bound stays a valid upper bound on the exact value
     assert truncated.value >= full.value
+
+
+def test_oracle_budget_answer_ignores_earlier_calls():
+    # a complete atlas cached by a full-budget call must not serve a budget
+    # below its region count: the answer is the fresh over-budget one
+    x = np.array([2.0, 2.0])
+    fresh = exact_robustness_oracle(hand_net(), x, 1, 2.0, budget=3)
+    net = hand_net()
+    full = exact_robustness_oracle(net, x, 1, 2.0)
+    assert full.exact and full.num_regions == 4
+    assert exact_robustness_oracle(net, x, 1, 2.0, budget=3) == fresh
+    assert fresh.num_regions == 0 and not fresh.exact
 
 
 @pytest.mark.parametrize("label", [0, 3, 5])
@@ -279,7 +285,7 @@ def test_certificates_below_oracle_spot_check():
                 cert = certify_single_norm(net, x, label, p)
                 res = exact_robustness_oracle(net, x, label, p)
                 assert cert <= res.value + 1e-9
-            cu = certify_universal(net, x, label, 2.0)
+            cu = point_certificate(net, x, label).universal_bound(2.0)
             assert cu <= exact_robustness_oracle(net, x, label, 2.0).value + 1e-9
 
 
@@ -306,16 +312,15 @@ def test_certificates_never_exceed_oracle(arch, seed, bias):
 def test_robust_error_upper_bound_edges():
     # one misclassified point -> 1.0
     net = ReluNet((np.array([[10.0, 3.0], [0.0, 0.0]]),), (np.array([-6.5, 0.0]),))
-    ds = _Points([[0.3, 0.3]], [1])
-    assert robust_error_upper_bound(net, ds, EpsTriple(0.01, 0.01, 0.01)) == 1.0
+    assert ub_union(net, [[0.3, 0.3]], [1], EpsTriple(0.01, 0.01, 0.01)) == 1.0
     # linear classifier with margins 10x the radii -> 0.0
     x = np.array([0.53, 0.50])
-    margins = {p: distance_profile(net, x, 1, p).min_decision
+    margins = {p: hyperplane_distances(net, x, 1, p)[1].min()
                for p in (1.0, 2.0, math.inf)}
     eps = EpsTriple(margins[1.0] / 10, margins[2.0] / 10, margins[math.inf] / 10)
-    assert robust_error_upper_bound(net, _Points([x], [1]), eps) == 0.0
+    assert ub_union(net, [x], [1], eps) == 0.0
     with pytest.raises(ValueError):
-        robust_error_upper_bound(net, _Points(np.zeros((0, 2)), []), eps)
+        ub_union(net, np.zeros((0, 2)), [], eps)
 
 
 def test_bounds_take_the_larger_l2_certificate():
@@ -335,14 +340,13 @@ def test_bounds_take_the_larger_l2_certificate():
     assert c.single_l2[0] >= eps2 > c.lb_l2[0]
     eps = EpsTriple(0.5 * c.lb_l1[0], eps2, 0.5 * c.lb_linf[0])
     assert certify.bounds(c, eps) == {"l1": 0.0, "l2": 0.0, "linf": 0.0, "union": 0.0}
-    assert robust_error_upper_bound(net, _Points([x], [1]), eps) == 0.0
 
 
 def test_norm_order_below_one_rejected():
     net = tiny_net(0)
     x = np.array([0.4, 0.6])
     label = net_core.classify(net, x)
-    for fn in (exact_robustness_oracle, distance_profile):
+    for fn in (exact_robustness_oracle, certify_single_norm):
         with pytest.raises(ValueError, match="p >= 1"):
             fn(net, x, label, 0.5)
 

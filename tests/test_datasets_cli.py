@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -310,5 +311,22 @@ def test_certify_summary_is_the_one_upper_bound(eval_inputs, capsys):
     for norm in ("l1", "l2", "linf"):
         assert rep.per_norm[norm]["ub"] == ub[norm]
     assert rep.union["ub"] == ub["union"]
-    assert certify.robust_error_upper_bound(net, sub, EVAL_EPS) == ub["union"]
     assert 0.0 < ub["union"] < 1.0
+
+
+def test_report_rejects_an_adversarial_inside_a_certificate(eval_inputs, monkeypatch):
+    # an over-claiming certificate: every point's single-norm l2 bound is 10,
+    # more than any perturbation within the unit box, so each point the l2
+    # attack breaks contradicts it
+    _, _, model, data, _ = eval_inputs
+    real = certify.certificates
+
+    def over_claiming(net, X, labels):
+        certs = real(net, X, labels)
+        return dataclasses.replace(certs, single_l2=np.full(len(X), 10.0))
+
+    monkeypatch.setattr(certify, "certificates", over_claiming)
+    with pytest.raises(RuntimeError, match=r"point \d+: l2 adversarial of norm .* "
+                                           r"certified radius 10\.0"):
+        run_evaluation(model, data, EVAL_EPS, seed=4, limit=90, iterations=5, restarts=1,
+                       deterministic=True)

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog
 
 from relucert import geometry
 from relucert.geometry import (
-    BallPair, dual_exponent, hull_boundary_oracle, hull_gauge,
-    hull_membership, hull_min_norm, naive_union_bound, ratio_analysis,
-    union_min_norm, union_witness,
+    BallPair, dual_exponent, hull_min_norm, naive_union_bound, ratio_analysis,
+    union_min_norm,
 )
+
+from oracles import hull_boundary_oracle, hull_gauge, hull_membership, union_witness
 
 
 def lp_norm(v, p):
@@ -175,6 +177,15 @@ def test_domain_errors():
         union_min_norm(bp, math.inf)
 
 
+def test_union_large_radii_and_orders():
+    # only delta = eps1/eps_inf is raised to the power p, so large radii do
+    # not overflow; a p too large for d raises instead of returning inf
+    assert union_min_norm(BallPair(1.46e6, 1000.0, 2926), 50.0) == pytest.approx(
+        1000.0, rel=1e-12)
+    with pytest.raises(ArithmeticError):
+        union_min_norm(BallPair(4090.0, 1.0, 4096), 86.0)
+
+
 def test_hull_limit_orders():
     assert hull_min_norm(1.5, 0.5, 1.0) == pytest.approx(1.5)
     assert hull_min_norm(1.5, 0.5, math.inf) == pytest.approx(0.5)
@@ -214,6 +225,44 @@ def test_ordering_naive_union_hull():
         assert nv <= uv + 1e-12
         assert uv <= hv + 1e-12
         assert hv <= e1 + 1e-12
+
+
+# radii in the nontrivial regime eps_inf < eps1 < d * eps_inf, where neither
+# ball contains the other
+NONTRIVIAL = st.tuples(st.integers(2, 4096), st.floats(1e-3, 1e3),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+def nontrivial_pair(drawn):
+    d, eps_inf, t = drawn
+    eps1 = eps_inf * (1.0 + t * (d - 1))
+    assume(eps_inf < eps1 < d * eps_inf)
+    return BallPair(eps1, eps_inf, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=NONTRIVIAL, p=st.floats(1.0, 50.0))
+def test_hull_union_naive_ordering_property(drawn, p):
+    bp = nontrivial_pair(drawn)
+    naive = naive_union_bound(bp, p)
+    union = union_min_norm(bp, p)
+    hull = hull_min_norm(bp.eps1, bp.eps_inf, p)
+    assert union >= naive * (1.0 - 1e-12)
+    assert hull >= union * (1.0 - 1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=NONTRIVIAL, ps=st.lists(st.floats(1.0, 1e6), min_size=2, max_size=2))
+def test_hull_non_increasing_in_p_between_its_limits(drawn, ps):
+    # universal_bound(p) moves from rho1 at p = 1 down to rho_inf at p = inf
+    bp = nontrivial_pair(drawn)
+    lo, hi = sorted(ps)
+    at = {p: hull_min_norm(bp.eps1, bp.eps_inf, p) for p in (1.0, lo, hi, math.inf)}
+    assert at[1.0] == bp.eps1
+    assert at[math.inf] == pytest.approx(bp.eps_inf, rel=1e-12)
+    assert at[lo] <= at[1.0] * (1.0 + 1e-12)
+    assert at[hi] <= at[lo] * (1.0 + 1e-12)
+    assert at[math.inf] <= at[hi] * (1.0 + 1e-12)
 
 
 def test_union_strictly_decreasing_in_dimension():
@@ -340,3 +389,13 @@ def test_curve_table_columns():
     assert (naive <= union + 1e-12).all()
     assert (union <= hull + 1e-12).all()
     assert np.allclose(ratio, hull / union)
+
+
+@pytest.mark.parametrize("d,p", [(2, 2.0), (16, 2.0), (16, 3.0), (784, 1.5)])
+def test_curve_table_columns_are_the_scalar_bounds(d, p):
+    # one formula per bound: the table's naive and union columns are the
+    # scalar functions' values, bit for bit
+    deltas, naive, union, _, _ = geometry.curve_table(d, p=p, num=512).T
+    pairs = [BallPair(float(delta), 1.0, d) for delta in deltas]
+    assert np.array([naive_union_bound(bp, p) for bp in pairs]).tobytes() == naive.tobytes()
+    assert np.array([union_min_norm(bp, p) for bp in pairs]).tobytes() == union.tobytes()

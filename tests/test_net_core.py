@@ -5,8 +5,7 @@ import pytest
 
 from relucert import net_core
 from relucert.net_core import (
-    ReluNet, activation_pattern, classify, forward, load_model,
-    random_net, region_description, save_model,
+    ReluNet, classify, forward, load_model, random_net, region_map, save_model,
 )
 
 
@@ -27,6 +26,15 @@ def naive_forward(net, x):
         else:
             h = out
     return np.array(h), [np.array(g) for g in gs]
+
+
+def one_point(net, x):
+    """region_map of the single point x."""
+    return region_map(net, np.asarray(x, dtype=float)[None, :])
+
+
+def pattern_key(net, x):
+    return tuple(bytes(m[0]) for m in one_point(net, x).masks)
 
 
 def small_identity_net():
@@ -87,13 +95,13 @@ def test_classify_matches_forward_argmax():
 def test_activation_pattern_signs():
     # g = (2, -3)
     net = ReluNet((np.eye(2), np.ones((1, 2))), (np.zeros(2), np.zeros(1)))
-    pat = activation_pattern(net, [2.0, -3.0])
-    assert list(pat.deltas[0]) == [1, -1]
-    assert list(pat.sigmas[0]) == [1, 0]
+    rmap = one_point(net, [2.0, -3.0])
+    assert list(np.sign(rmap.values[0])) == [1, -1]
+    assert list(rmap.masks[0][0]) == [True, False]
     # g = (0, 5): unit exactly on its hyperplane counts as inactive
-    pat = activation_pattern(net, [0.0, 5.0])
-    assert list(pat.deltas[0]) == [0, 1]
-    assert list(pat.sigmas[0]) == [0, 1]
+    rmap = one_point(net, [0.0, 5.0])
+    assert list(np.sign(rmap.values[0])) == [0, 1]
+    assert list(rmap.masks[0][0]) == [False, True]
 
 
 def test_masked_forward_identity():
@@ -102,9 +110,8 @@ def test_masked_forward_identity():
     for _ in range(20):
         x = rng.uniform(-1, 1, size=3)
         _, pre = forward(net, x)
-        pat = activation_pattern(net, x)
-        for g, s in zip(pre, pat.sigmas):
-            assert np.array_equal(np.maximum(g, 0.0), g * s)
+        for g, mask in zip(pre, one_point(net, x).masks):
+            assert np.array_equal(np.maximum(g, 0.0), g * mask[0])
 
 
 def test_region_linear_product_when_all_active():
@@ -112,15 +119,14 @@ def test_region_linear_product_when_all_active():
     w1 = np.array([[0.5, 0.2], [0.1, 0.7], [0.3, 0.3]])
     w2 = np.array([[0.2, 0.4, 0.1], [0.5, 0.1, 0.2]])
     net = ReluNet((w1, w2), (np.full(3, 0.5), np.zeros(2)))
-    desc = region_description(net, [1.0, 2.0])
-    v, _ = desc.output_map
+    v = one_point(net, [1.0, 2.0]).v_maps[-1][0]
     assert np.allclose(v, w2 @ w1, atol=1e-12)
 
 
 def test_region_one_hidden_layer_example():
     net = small_identity_net()
-    desc = region_description(net, [2.0, 1.0])
-    v, a = desc.output_map
+    rmap = one_point(net, [2.0, 1.0])
+    v, a = rmap.v_maps[-1][0], rmap.a_maps[-1][0]
     assert np.allclose(v, [[1.0, -1.0]])
     assert a == pytest.approx([0.0])
 
@@ -129,15 +135,15 @@ def test_region_affine_consistency():
     rng = np.random.default_rng(21)
     net = random_net([2, 8, 6, 3], seed=13, bias_scale=0.4)
     x = rng.uniform(0, 1, size=2)
-    desc = region_description(net, x)
-    v, a = desc.output_map
-    key = desc.pattern.key()
+    rmap = one_point(net, x)
+    v, a = rmap.v_maps[-1][0], rmap.a_maps[-1][0]
+    key = pattern_key(net, x)
     checked = 0
     tries = 0
     while checked < 100 and tries < 20000:
         tries += 1
         z = x + rng.uniform(-0.05, 0.05, size=2)
-        if activation_pattern(net, z).key() != key:
+        if pattern_key(net, z) != key:
             continue
         logits, _ = forward(net, z)
         assert np.abs(logits - (v @ z + a)).max() <= 1e-9
@@ -150,8 +156,8 @@ def test_region_anchor_membership():
     for seed in range(5):
         net = random_net([2, 7, 5, 2], seed=seed, bias_scale=0.3)
         x = rng.uniform(0, 1, size=2)
-        desc = region_description(net, x)
-        signed = desc.orientations * (desc.normals @ x + desc.offsets)
+        rmap = one_point(net, x)
+        signed = np.sign(rmap.values[0]) * (rmap.rows[0] @ x + rmap.offsets[0])
         assert (signed >= -1e-12).all()
 
 
@@ -159,11 +165,11 @@ def test_region_pattern_stability():
     net = random_net([2, 9, 4], seed=4, bias_scale=0.3)
     rng = np.random.default_rng(17)
     x = rng.uniform(0, 1, size=2)
-    d1 = region_description(net, x)
-    d2 = region_description(net, x + 1e-10 * rng.standard_normal(2))
-    assert d1.pattern.key() == d2.pattern.key()
-    assert np.array_equal(d1.normals, d2.normals)
-    assert np.array_equal(d1.offsets, d2.offsets)
+    z = x + 1e-10 * rng.standard_normal(2)
+    r1, r2 = one_point(net, x), one_point(net, z)
+    assert pattern_key(net, x) == pattern_key(net, z)
+    assert np.array_equal(r1.rows, r2.rows)
+    assert np.array_equal(r1.offsets, r2.offsets)
 
 
 def test_net_validation():

@@ -75,7 +75,7 @@ def assert_matches_reference(net):
                 assert_close(certify._min_lp_to_segments(z, *got_edges, p),
                              certify._min_lp_to_segments(z, *want_edges[c], p), DIST_RTOL)
     for z, label in zip(zs, net_core.classify_batch(net, zs)):
-        hits = certify._ray_hits(net, z, int(label), 64, 0)
+        hits = certify._ray_hits(net, z, int(label))
         for p in (1.0, 2.0, math.inf):
             rays = (math.inf if hits is None
                     else float((hits[0] * certify.row_norms(hits[1], p)).min()))
@@ -109,7 +109,6 @@ def test_truncated_atlas_matches_reference(max_regions):
     for z in ([0.3, -0.2], [2.0, 1.0]):
         label = net_core.classify(net, z)
         for p in (1.0, 2.0, math.inf):
-            certify._ORACLE_CACHE.pop(net, None)  # a cached complete atlas serves any budget
             truncated = certify.exact_robustness_oracle(net, z, label, p, budget=max_regions)
             full = certify.exact_robustness_oracle(net, z, label, p)
             assert not truncated.exact and truncated.num_regions == 0
@@ -179,7 +178,7 @@ def test_complete_atlas_tiles_the_box(arch, seed, bias):
     holders = containing([reg.poly for reg in atlas.regions], zs)
     assert (holders.sum(axis=0) == 1).all()
     for z, r in zip(zs, holders.argmax(axis=0)):
-        assert net_core.activation_pattern(net, z).key() == atlas.regions[r].key
+        assert ref.pattern_key(net, z) == atlas.regions[r].key
 
 
 # -- clip_polygon ---------------------------------------------------------------
