@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -22,14 +23,22 @@ from . import attacks, certify, datasets, geometry, mmr_train, net_core
 __all__ = ["derive_eps2", "run_evaluation", "Report", "main"]
 
 
-def derive_eps2(eps1: float, eps_inf: float) -> float:
+def derive_eps2(eps1: float, eps_inf: float, dim: int | None = None) -> float:
     """The l2 radius certified by joint l1/linf margins eps1 and eps_inf.
 
-    Exact convex-hull value, of which sqrt(eps1*eps_inf) is the familiar
-    approximation.  Requires eps1 > eps_inf > 0.
+    The convex-hull value, of which sqrt(eps1*eps_inf) is the familiar
+    approximation; it is exact for eps1 <= dim * eps_inf.  Given the input
+    dimension dim and eps1 >= dim * eps_inf, the l1 ball contains the linf
+    ball, so the hull is the l1 ball and the value is its l2 inradius
+    eps1 / sqrt(dim).  Requires eps1 > eps_inf > 0.
     """
     if not (eps1 > eps_inf > 0):
         raise ValueError(f"need eps1 > eps_inf > 0, got {eps1}, {eps_inf}")
+    # Certificates never reach the second case: a hyperplane w.x + b = 0 lies
+    # at l1 distance r / ||w||_inf and linf distance r / ||w||_1 from a point,
+    # and ||w||_1 <= d ||w||_inf, so rho1 <= d * rho_inf always holds.
+    if dim is not None and eps1 >= dim * eps_inf:
+        return eps1 / math.sqrt(dim)
     return geometry.hull_min_norm(eps1, eps_inf, 2.0)
 
 
@@ -61,13 +70,16 @@ def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
                    restarts: int = 10) -> Report:
     """Test error on the full dataset plus robust-error bounds per norm and
     for the union, evaluating the bounds on the first min(limit, n) points.
+    An eps2 of None is derive_eps2(eps1, eps_inf) at the data's dimension.
     Raises RuntimeError if a point's verified adversarial lies inside its
     certified radius (beyond 1e-9 relative rounding slack): one of the two
     would then be wrong."""
     t0 = time.perf_counter()
-    eps = certify.EpsTriple(*eps)
     net = net_core.load_model(model_path)
     data = datasets.load_dataset(data_path)
+    eps = certify.EpsTriple(*eps)
+    if eps.eps2 is None:
+        eps = eps._replace(eps2=derive_eps2(eps.eps1, eps.eps_inf, data.dim))
     test_error = float(np.mean(net_core.classify_batch(net, data.features) != data.labels))
 
     sub = data.head(limit)
@@ -217,9 +229,8 @@ def _cmd_geometry(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    eps2 = args.eps2 if args.eps2 is not None else derive_eps2(args.eps1, args.epsinf)
     report = run_evaluation(
-        args.model, args.data, (args.eps1, eps2, args.epsinf),
+        args.model, args.data, (args.eps1, args.eps2, args.epsinf),
         seed=args.seed, limit=args.limit, deterministic=args.deterministic,
         iterations=args.iters, restarts=args.restarts)
     text = report.to_json()
@@ -314,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--data", required=True)
     r.add_argument("--eps1", type=float, required=True)
     r.add_argument("--eps2", type=float, default=None,
-                   help="defaults to the value implied by eps1 and epsinf")
+                   help="defaults to the l2 radius implied by eps1 and epsinf "
+                        "in the data's dimension")
     r.add_argument("--epsinf", type=float, required=True)
     r.add_argument("--iters", type=int, default=100)
     r.add_argument("--restarts", type=int, default=10)

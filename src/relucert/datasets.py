@@ -9,9 +9,12 @@ CSV file whose last column is the label.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .net_core import _json_int
 
 __all__ = [
     "Dataset",
@@ -122,13 +125,18 @@ def save_dataset(ds: Dataset, path, fmt: str = "bin") -> None:
 
 
 def _load_binary(path, first_line: bytes) -> Dataset:
-    header = json.loads(first_line.decode("utf-8"))
+    try:
+        header = json.loads(first_line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: header is not valid JSON: {exc}") from exc
     for key in _HEADER_KEYS:
         if key not in header:
             raise ValueError(f"{path}: header missing key {key!r}")
     if header["dtype"] != "f64" or header["layout"] != "row-major":
         raise ValueError(f"{path}: unsupported dtype/layout in header")
-    d, k, count = int(header["d"]), int(header["K"]), int(header["count"])
+    d = _json_int(path, header["d"], "header 'd'", least=1)
+    k = _json_int(path, header["K"], "header 'K'")
+    count = _json_int(path, header["count"], "header 'count'")
     offset = len(first_line)
     with open(path, "rb") as fh:
         fh.seek(offset)
@@ -166,16 +174,18 @@ def _load_csv(path) -> Dataset:
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             lab = vals[-1]
-            if lab != int(lab):
+            if not math.isfinite(lab) or lab != int(lab):
                 raise ValueError(f"{path}:{lineno}: label {lab} is not an integer")
             rows.append(vals[:-1])
             labels.append(int(lab))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     feats = np.asarray(rows, dtype=np.float64)
-    labs = np.asarray(labels, dtype=np.int64)
-    if labs.min() < 1:
+    if min(labels) < 1:
         raise ValueError(f"{path}: labels must be >= 1")
+    if max(labels) > np.iinfo(np.int64).max:
+        raise ValueError(f"{path}: labels must fit in int64")
+    labs = np.asarray(labels, dtype=np.int64)
     return Dataset(feats, labs, name="", num_classes=int(labs.max()))
 
 
@@ -186,4 +196,7 @@ def load_dataset(path) -> Dataset:
     stripped = first_line.strip()
     if stripped.startswith(b"{"):
         return _load_binary(path, first_line)
-    return _load_csv(path)
+    try:
+        return _load_csv(path)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc

@@ -35,7 +35,7 @@ __all__ = [
 CHUNK_BYTES = 256 * 1024
 
 
-def _frozen_array(a, dtype=np.float64):
+def _frozen_array(a, dtype):
     out = np.array(a, dtype=dtype, order="C", copy=True)
     out.setflags(write=False)
     return out
@@ -50,6 +50,9 @@ class ReluNet:
     are the class logits.  A net with a single layer (no hidden units) is
     allowed and is a plain affine classifier.
 
+    Parameters are float64, or float32 when every given array is float32
+    (see ``astype``); ``forward_batch`` computes in that dtype.
+
     Instances are immutable: all parameter arrays are read-only, so a net
     can be shared freely across threads.
     """
@@ -58,8 +61,11 @@ class ReluNet:
     biases: tuple
 
     def __post_init__(self):
-        ws = tuple(_frozen_array(w) for w in self.weights)
-        bs = tuple(_frozen_array(b) for b in self.biases)
+        params = (*self.weights, *self.biases)
+        single = bool(params) and all(getattr(a, "dtype", None) == np.float32 for a in params)
+        dtype = np.float32 if single else np.float64
+        ws = tuple(_frozen_array(w, dtype) for w in self.weights)
+        bs = tuple(_frozen_array(b, dtype) for b in self.biases)
         if len(ws) == 0 or len(ws) != len(bs):
             raise ValueError("need exactly one bias vector per weight matrix")
         for i, (w, b) in enumerate(zip(ws, bs)):
@@ -95,9 +101,21 @@ class ReluNet:
     def num_hidden_units(self) -> int:
         return int(sum(self.hidden_sizes))
 
+    @property
+    def dtype(self) -> np.dtype:
+        return self.weights[0].dtype
+
     def with_parameters(self, weights, biases) -> "ReluNet":
         """New net with the same architecture and different parameters."""
         return ReluNet(tuple(weights), tuple(biases))
+
+    def astype(self, dtype) -> "ReluNet":
+        """The same net with its parameters rounded to float32 or float64."""
+        dtype = np.dtype(dtype)
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"dtype must be float32 or float64, got {dtype}")
+        return ReluNet(tuple(w.astype(dtype) for w in self.weights),
+                       tuple(b.astype(dtype) for b in self.biases))
 
 
 @dataclass(frozen=True)
@@ -161,9 +179,10 @@ def forward(net: ReluNet, x):
 def forward_batch(net: ReluNet, xs):
     """Batched forward pass; xs has shape (B, d).
 
-    Returns (logits (B, K), preactivations list of (B, n_l)).
+    Returns (logits (B, K), preactivations list of (B, n_l)), computed in
+    the net's dtype (xs is cast to it).
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.asarray(xs, dtype=net.dtype)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:
         raise ValueError(f"batch has shape {xs.shape}, expected (B, {net.input_dim})")
     preacts = []
@@ -298,13 +317,33 @@ def save_model(net: ReluNet, path) -> None:
         json.dump(doc, fh)
 
 
+def _json_int(path, value, what, least=0) -> int:
+    """value as an int >= least, else ValueError naming path and what."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{path}: {what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _json_floats(path, value, what) -> np.ndarray:
+    if not isinstance(value, list):
+        raise ValueError(f"{path}: {what} must be a list of numbers")
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {what} must be a list of numbers: {exc}") from exc
+
+
 def load_model(path) -> ReluNet:
-    """Load a model JSON document, validating the layer dimension chain."""
+    """Load a model JSON document, validating the layer dimension chain.
+
+    Any malformed document raises ValueError naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a model must be a JSON object")
     for key in ("input_dim", "num_classes", "layers"):
         if key not in doc:
             raise ValueError(f"{path}: missing key {key!r}")
@@ -312,27 +351,33 @@ def load_model(path) -> ReluNet:
     if not isinstance(layers, list) or not layers:
         raise ValueError(f"{path}: 'layers' must be a non-empty list")
     weights, biases = [], []
-    prev = int(doc["input_dim"])
+    prev = _json_int(path, doc["input_dim"], "'input_dim'", least=1)
+    num_classes = _json_int(path, doc["num_classes"], "'num_classes'", least=1)
     for i, layer in enumerate(layers):
+        if not isinstance(layer, dict):
+            raise ValueError(f"{path}: layer {i} must be a JSON object")
         for key in ("rows", "cols", "weights", "bias"):
             if key not in layer:
                 raise ValueError(f"{path}: layer {i} missing key {key!r}")
-        rows, cols = int(layer["rows"]), int(layer["cols"])
+        rows = _json_int(path, layer["rows"], f"layer {i} 'rows'", least=1)
+        cols = _json_int(path, layer["cols"], f"layer {i} 'cols'", least=1)
         if cols != prev:
             raise ValueError(
                 f"{path}: layer {i} has {cols} columns, expected {prev}")
-        w = np.asarray(layer["weights"], dtype=np.float64)
+        w = _json_floats(path, layer["weights"], f"layer {i} 'weights'")
         if w.size != rows * cols:
             raise ValueError(
                 f"{path}: layer {i} carries {w.size} weights, expected {rows * cols}")
-        b = np.asarray(layer["bias"], dtype=np.float64)
+        b = _json_floats(path, layer["bias"], f"layer {i} 'bias'")
         if b.size != rows:
             raise ValueError(f"{path}: layer {i} bias length {b.size}, expected {rows}")
         weights.append(w.reshape(rows, cols))
-        biases.append(b)
+        biases.append(b.reshape(rows))
         prev = rows
-    if prev != int(doc["num_classes"]):
+    if prev != num_classes:
         raise ValueError(
-            f"{path}: last layer has {prev} rows, expected num_classes="
-            f"{doc['num_classes']}")
-    return ReluNet(tuple(weights), tuple(biases))
+            f"{path}: last layer has {prev} rows, expected num_classes={num_classes}")
+    try:
+        return ReluNet(tuple(weights), tuple(biases))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -6,7 +6,9 @@ universal regularizer with its gradient accumulated hinge by hinge.  The
 batched paths in ``relucert.net_core``, ``relucert.certify`` and
 ``relucert.mmr_train`` are tested against it.  The 2-D region atlas is
 rebuilt here one unit and one facet at a time, clipping every region by
-every unit, as the reference for ``relucert.regions``.
+every unit, as the reference for ``relucert.regions``.  ``pgd_core`` is the
+all-float64 PGD loop, the reference for the mixed-precision
+``relucert.attacks._pgd_core``.
 """
 
 import math
@@ -14,7 +16,8 @@ from collections import deque
 
 import numpy as np
 
-from relucert import geometry, mmr_train, net_core
+from relucert import attacks, geometry, mmr_train, net_core
+from relucert.certify import row_norms
 
 
 def point_geometry(net, x):
@@ -354,3 +357,34 @@ def decision_edges(regions, num_classes, label):
     if starts:
         return np.asarray(starts), np.asarray(ends)
     return np.zeros((0, 2)), np.zeros((0, 2))
+
+
+def pgd_core(net, starts, X_ref, y, cfg):
+    """PGD with the forward pass, the input gradient and the hit test all in
+    float64; same signature and result as ``attacks._pgd_core``."""
+    eps, p = cfg.eps, cfg.p
+    if cfg.step_size is not None:
+        eta = cfg.step_size
+    elif p == 1.0:
+        eta = eps / 4.0
+    else:
+        eta = 2.0 * eps / cfg.iterations
+    y0 = y - 1
+    Z = attacks._joint_project(starts.copy(), X_ref, eps, p)
+    best_norm = np.full(len(Z), math.inf)
+    best_delta = np.zeros_like(Z)
+    for it in range(cfg.iterations + 1):
+        logits, preacts = net_core.forward_batch(net, Z)
+        pred = logits.argmax(axis=1)
+        delta = Z - X_ref
+        norms = row_norms(delta, p)
+        hit = (pred != y0) & (norms <= eps + attacks._FEAS_TOL) & (norms < best_norm)
+        if hit.any():
+            best_norm[hit] = norms[hit]
+            best_delta[hit] = delta[hit]
+        if it == cfg.iterations:
+            break
+        G = attacks._input_gradient(net, logits, preacts, y0)
+        Z = Z + eta * attacks._ascent_step(G, p, cfg.sparsity_frac)
+        Z = attacks._joint_project(Z, X_ref, eps, p)
+    return np.isfinite(best_norm), best_norm, best_delta

@@ -15,6 +15,8 @@ from relucert.net_core import ReluNet
 
 from conftest import hyperplane_distances, tiny_net
 
+import per_point_reference
+
 
 class _Points:
     def __init__(self, X, y):
@@ -347,3 +349,92 @@ def test_overlap_stats_structure(trained_pairs):
     # reported, not asserted: on plain models these are expected near zero
     print("plain model l1-in-linf:", table[("l1", "linf")],
           "linf-in-l1:", table[("linf", "l1")])
+
+
+def _attack_cases(trained_pairs):
+    for run in trained_pairs["runs"]:
+        test = run["test"].head(200)
+        for kind in ("plain", "mmr"):
+            yield f"blobs{run['seed']}-{kind}", run[kind], test, trained_pairs["eps"]
+    # a random net whose output bias is shifted so that it splits X in half
+    X = np.random.default_rng(5).uniform(0, 1, size=(200, 16))
+    net = net_core.random_net([16, 64, 64, 2], seed=0, bias_scale=0.1)
+    logits, _ = net_core.forward_batch(net, X)
+    shift = np.median(logits[:, 0] - logits[:, 1]) / 2.0
+    net = net.with_parameters(net.weights, net.biases[:-1] + (net.biases[-1] + [-shift, shift],))
+    yield "16-64-64-2", net, Dataset(X, net_core.classify_batch(net, X)), (0.5, 0.15, 0.05)
+
+
+def test_mixed_precision_pgd_matches_float64_reference(trained_pairs, monkeypatch):
+    # the float32 search may take other paths than the all-float64 loop, but
+    # it must find about as many adversarials, and each one it reports must
+    # hold in float64
+    broken = 0
+    for name, net, ds, eps in _attack_cases(trained_pairs):
+        for seed in range(3):
+            kwargs = dict(iterations=20, restarts=3, seed=seed)
+            found = attack_norms(net, ds, eps, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(attacks, "_pgd_core", per_point_reference.pgd_core)
+                ref = attack_norms(net, ds, eps, **kwargs)
+            lb, lb_ref = lower_bounds(net, ds, found), lower_bounds(net, ds, ref)
+            for key in lb_ref:
+                assert lb[key] >= lb_ref[key] - 0.01, (name, seed, key, lb, lb_ref)
+            broken += sum(int(success.sum()) for success, _, _ in found.values())
+            for (norm, (success, best_norm, deltas)), radius in zip(found.items(), eps):
+                p = attacks._ORDERS[norm]
+                adv = ds.features[success] + deltas[success]
+                assert (certify.row_norms(deltas[success], p) <= radius + 1e-9).all()
+                assert (best_norm[success] == certify.row_norms(deltas[success], p)).all()
+                assert adv.min(initial=0.0) >= 0.0 and adv.max(initial=1.0) <= 1.0
+                assert (net_core.classify_batch(net, adv) != ds.labels[success]).all()
+    assert broken > 0
+
+
+def test_float32_only_flip_is_not_reported():
+    # f2 - f1 = 1e-12 everywhere: float64 predicts class 2, the label, while
+    # in float32 both logits round to 1.0 and the tie goes to class 1, so
+    # every float32 iterate looks misclassified
+    w = np.full((1, 2), 1e-13)
+    net = ReluNet((w, np.ones((2, 1))), (np.ones(1), np.array([0.0, 1e-12])))
+    X = np.array([[0.3, 0.6], [0.5, 0.5]])
+    fast = net.astype(np.float32)
+    assert (net_core.classify_batch(fast, X) == 1).all()
+    assert (net_core.classify_batch(net, X) == 2).all()
+    for p in (1.0, 2.0, math.inf):
+        cfg = PgdConfig(p=p, eps=0.1, iterations=5, restarts=3)
+        success, best_norm, _ = attack_dataset(net, Dataset(X, [2, 2]), cfg)
+        assert not success.any()
+        assert np.isinf(best_norm).all()
+        assert pgd_attack(net, X[0], 2, cfg) is None
+
+
+def test_input_gradient_matches_finite_differences():
+    net = net_core.random_net([5, 7, 6, 3], seed=4, bias_scale=0.5)
+    rng = np.random.default_rng(2)
+    X = rng.uniform(0, 1, size=(6, 5))
+    y0 = rng.integers(0, 3, size=6)
+
+    def xent(Z):
+        logits, _ = net_core.forward_batch(net, Z)
+        m = logits.max(axis=1)
+        lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+        return lse - logits[np.arange(len(Z)), y0]
+
+    logits, preacts = net_core.forward_batch(net, X)
+    grad = attacks._input_gradient(net, logits, preacts, y0)
+    assert grad.dtype == np.float64
+    h = 1e-6
+    fd = np.empty_like(grad)
+    for j in range(X.shape[1]):
+        e = np.zeros(X.shape[1])
+        e[j] = h
+        fd[:, j] = (xent(X + e) - xent(X - e)) / (2 * h)
+    np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
+
+    fast = net.astype(np.float32)
+    logits32, preacts32 = net_core.forward_batch(fast, X)
+    grad32 = attacks._input_gradient(fast, logits32, preacts32, y0)
+    assert grad32.dtype == np.float32
+    scale = np.abs(grad).max(axis=1, keepdims=True)
+    assert (np.abs(grad32 - grad) <= 1e-4 * scale).all()

@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from relucert import certify, net_core
+from relucert import certify, geometry, net_core
 from relucert.cli import Report, derive_eps2, main, run_evaluation
 from relucert.datasets import Dataset, gen_blobs, gen_corners, gen_moons, load_dataset, save_dataset
+
+from oracles import hull_boundary_oracle
 
 
 # -- dataset container --------------------------------------------------------
@@ -82,6 +86,146 @@ def test_generators_ranges():
     assert gen_corners(50, seed=4).dim == 16
 
 
+# -- malformed files -----------------------------------------------------------
+
+
+def _valid_files():
+    """Bytes of a valid model JSON, binary dataset and CSV dataset."""
+    model = net_core.random_net([2, 3, 2], seed=1, bias_scale=0.1)
+    ds = gen_blobs(3, seed=2)
+    doc = {"input_dim": 2, "num_classes": 2, "layers": [
+        {"rows": int(w.shape[0]), "cols": int(w.shape[1]),
+         "weights": w.ravel().tolist(), "bias": b.tolist()}
+        for w, b in zip(model.weights, model.biases)]}
+    header = {"d": 2, "K": 2, "count": 3, "dtype": "f64", "layout": "row-major"}
+    binary = (json.dumps(header).encode() + b"\n" + ds.features.astype("<f8").tobytes()
+              + ds.labels.astype("<i8").tobytes())
+    csv = "".join(",".join(repr(float(v)) for v in row) + f",{lab}\n"
+                  for row, lab in zip(ds.features, ds.labels)).encode()
+    return {"model": json.dumps(doc).encode(), "bin": binary, "csv": csv}, doc, header
+
+
+VALID, MODEL_DOC, HEADER_DOC = _valid_files()
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=4),
+    max_leaves=8)
+
+
+def _loaders_raise_only_value_error(tmp_path_factory, data: bytes):
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(data)
+    for loader in (net_core.load_model, load_dataset):
+        try:
+            loader(path)
+        except ValueError:
+            pass
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=300))
+def test_loaders_reject_random_bytes_with_value_error(tmp_path_factory, data):
+    _loaders_raise_only_value_error(tmp_path_factory, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(VALID)), edits=st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 8), st.binary(max_size=8)),
+    min_size=1, max_size=4))
+def test_loaders_reject_mutated_bytes_with_value_error(tmp_path_factory, kind, edits):
+    # each edit replaces up to 8 bytes at some offset by up to 8 others
+    data = VALID[kind]
+    for pos, length, new in edits:
+        pos %= len(data) + 1
+        data = data[:pos] + new + data[pos + length:]
+    _loaders_raise_only_value_error(tmp_path_factory, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_loaders_reject_mutated_documents_with_value_error(tmp_path_factory, data):
+    # replace one node of the model document or of the dataset header by an
+    # arbitrary JSON value: 5 for the whole model, null for input_dim, [1]
+    # for rows, ...
+    which = data.draw(st.sampled_from(["model", "header"]))
+    doc = MODEL_DOC if which == "model" else HEADER_DOC
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    text = json.dumps(_replaced(doc, path, data.draw(JSON_VALUES))).encode()
+    if which == "header":
+        text = text.replace(b"\n", b" ") + b"\n" + VALID["bin"].split(b"\n", 1)[1]
+    _loaders_raise_only_value_error(tmp_path_factory, text)
+
+
+@pytest.mark.parametrize("text", [
+    "5", "[1, 2]", '"model"', "null",
+    '{"input_dim": null, "num_classes": 2, "layers": []}',
+])
+def test_load_model_rejects_non_object_json(tmp_path, text, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="model.json"):
+        net_core.load_model(path)
+    assert main(["certify", "--model", str(path), "--data", str(path), "--eps1", "1",
+                 "--eps2", "0.5", "--epsinf", "0.1"]) == 1
+    assert "model.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("input_dim", None), ("input_dim", "2"), ("input_dim", 2.5), ("num_classes", True),
+])
+def test_load_model_rejects_non_integer_sizes(tmp_path, field, value):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(MODEL_DOC, **{field: value})))
+    with pytest.raises(ValueError, match=field):
+        net_core.load_model(path)
+
+
+@pytest.mark.parametrize("layer", [
+    5, {"rows": [1], "cols": 2, "weights": [0.0] * 6, "bias": [0.0] * 3},
+    {"rows": 3, "cols": 2, "weights": [0.0] * 5 + [{}], "bias": [0.0] * 3},
+    {"rows": 3, "cols": 2, "weights": [0.0] * 6, "bias": [1e400] * 3},
+])
+def test_load_model_rejects_malformed_layers(tmp_path, layer):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(dict(MODEL_DOC, layers=[layer] + MODEL_DOC["layers"][1:])))
+    with pytest.raises(ValueError, match="model.json"):
+        net_core.load_model(path)
+
+
+@pytest.mark.parametrize("data", [
+    b"0.3,0.4,1\n0.1,0.2,inf\n", b"0.3,0.4,1\n0.1,0.2,nan\n", b"0.3,0.4,1\n0.1,0.2,1e300\n",
+    b"\xff\xfe0.1,1\n",
+], ids=["inf-label", "nan-label", "label-beyond-int64", "not-utf8"])
+def test_csv_rejections_name_the_path(tmp_path, data):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match="bad.csv"):
+        load_dataset(path)
+
+
 # -- derive_eps2 ----------------------------------------------------------------
 
 
@@ -99,6 +243,40 @@ def test_derive_eps2_domain():
         derive_eps2(0.1, 0.2)
     with pytest.raises(ValueError):
         derive_eps2(1.0, 0.0)
+
+
+@pytest.mark.parametrize("eps1,eps_inf", [(1.0, 0.1), (0.5, 0.05), (0.05, 0.01)])
+def test_derive_eps2_dim_below_containment_is_the_two_argument_value(eps1, eps_inf):
+    # eps1 < dim * eps_inf: the hull formula is exact, with or without dim
+    assert derive_eps2(eps1, eps_inf, 16) == derive_eps2(eps1, eps_inf)
+    assert derive_eps2(eps1, eps_inf) == geometry.hull_min_norm(eps1, eps_inf, 2.0)
+
+
+@pytest.mark.parametrize("d,eps1,eps_inf", [(2, 0.5, 0.05), (2, 0.47, 0.1), (3, 1.0, 0.2)])
+def test_derive_eps2_uses_the_l1_ball_when_it_contains_the_linf_ball(d, eps1, eps_inf):
+    # the blobs example: d=2, eps1=0.5, eps_inf=0.05 is 0.354, not 0.158
+    value = derive_eps2(eps1, eps_inf, d)
+    assert value == eps1 / math.sqrt(d)
+    assert value > derive_eps2(eps1, eps_inf)
+    sampled = hull_boundary_oracle(geometry.BallPair(eps1, eps_inf, d), 2.0,
+                                   num_dirs=20_000, seed=0)
+    assert value <= sampled <= value * (1 + 1e-3)
+
+
+def test_derive_eps2_is_continuous_at_containment():
+    for d, eps_inf in ((2, 0.1), (16, 0.3), (784, 0.01)):
+        below = derive_eps2(d * eps_inf * (1 - 1e-12), eps_inf, d)
+        assert derive_eps2(d * eps_inf, eps_inf, d) == pytest.approx(below, rel=1e-9)
+
+
+def test_report_default_eps2_uses_the_data_dimension(eval_inputs):
+    _, _, model, data, _ = eval_inputs
+    rep = run_evaluation(model, data, (0.2, None, 0.02), limit=20, iterations=5,
+                         restarts=2, deterministic=True)
+    assert rep.eps["eps2"] == derive_eps2(0.2, 0.02, 2) == 0.2 / math.sqrt(2)
+    explicit = run_evaluation(model, data, (0.2, 0.2 / math.sqrt(2), 0.02), limit=20,
+                              iterations=5, restarts=2, deterministic=True)
+    assert explicit.to_json() == rep.to_json()
 
 
 # -- report ---------------------------------------------------------------------

@@ -187,6 +187,30 @@ def test_net_is_immutable():
         net.weights[0][0, 0] = 5.0
 
 
+def test_astype_float32_rounds_parameters_and_forward_follows():
+    net = random_net([4, 6, 5, 3], seed=7, bias_scale=0.3)
+    fast = net.astype(np.float32)
+    assert net.dtype == np.float64 and fast.dtype == np.float32
+    for a, b in zip(net.weights + net.biases, fast.weights + fast.biases):
+        assert b.dtype == np.float32 and not b.flags.writeable
+        assert np.array_equal(b, a.astype(np.float32))
+    X = np.random.default_rng(1).uniform(0, 1, size=(9, 4))
+    logits, pre = net_core.forward_batch(fast, X)
+    assert logits.dtype == np.float32 and all(g.dtype == np.float32 for g in pre)
+    ref, _ = net_core.forward_batch(net, X)
+    assert np.abs(logits - ref).max() <= 1e-5 * np.abs(ref).max()
+    assert fast.astype(np.float64).dtype == np.float64
+    with pytest.raises(ValueError, match="float32 or float64"):
+        net.astype(np.int32)
+
+
+def test_mixed_parameter_dtypes_give_a_float64_net():
+    w = np.ones((2, 2), dtype=np.float32)
+    net = ReluNet((w, np.ones((2, 2))), (np.zeros(2, dtype=np.float32), np.zeros(2)))
+    assert net.dtype == np.float64
+    assert all(a.dtype == np.float64 for a in net.weights + net.biases)
+
+
 def test_model_json_round_trip(tmp_path):
     net = random_net([3, 5, 4, 2], seed=42, bias_scale=0.1)
     path = tmp_path / "model.json"
