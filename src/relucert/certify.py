@@ -109,7 +109,7 @@ def certify_single_norm(net, x, label: int, p) -> float:
     """
     rmap = net_core.region_map(net, net_core._check_input(net, x)[None, :])
     _, normals, values = rmap.decision_planes(_check_labels(net, [label]))
-    boundary, decision = _min_dists(np.abs(rmap.values), rmap.rows, values, normals, p)
+    boundary, decision = _min_dists(rmap, values, normals, p)
     return 0.0 if decision[0] < 0.0 else float(min(boundary[0], decision[0]))
 
 
@@ -119,7 +119,9 @@ class Certificates:
 
     Fields as in PointCertificate; ``single_l2`` is the single-norm l2
     bound (``certify_single_norm`` at p = 2), zero when the nearest decision
-    hyperplane is crossed.
+    hyperplane is crossed.  ``region`` numbers the points' activation
+    regions 0, 1, ... in order of first appearance: points share an index
+    exactly when they share a region.
     """
 
     label: np.ndarray
@@ -131,6 +133,7 @@ class Certificates:
     lb_l2: np.ndarray
     lb_linf: np.ndarray
     single_l2: np.ndarray
+    region: np.ndarray
 
     def point(self, i: int) -> PointCertificate:
         return PointCertificate(
@@ -146,10 +149,12 @@ class Certificates:
                 "linf": self.lb_linf}
 
 
-def _min_dists(abs_u, rows, values, normals, p):
-    """Nearest boundary and nearest (signed) decision lp-distance per point."""
+def _min_dists(rmap, values, normals, p):
+    """Nearest boundary and nearest (signed) decision lp-distance per point;
+    the dual norms of a layer's hyperplanes are taken once per table row."""
     q = geometry.dual_exponent(p)
-    boundary = plane_distances(abs_u, row_norms(rows, q)).min(axis=1, initial=math.inf)
+    norms = rmap.stacked([row_norms(v, q) for v in rmap.v_maps[:-1]])
+    boundary = plane_distances(np.abs(rmap.values), norms).min(axis=1, initial=math.inf)
     decision = plane_distances(values, row_norms(normals, q)).min(axis=1, initial=math.inf)
     return boundary, decision
 
@@ -170,13 +175,16 @@ def certificates(net, X, labels) -> Certificates:
     out = {k: np.zeros(n) for k in ("rho1", "rho_inf", "lb_l2", "single_l2")}
     predicted = np.zeros(n, dtype=np.int64)
     correct = np.zeros(n, dtype=bool)
+    region, patterns, seen = np.zeros(n, dtype=np.int64), [], 0
     for sl, rmap in net_core.region_maps(net, X):
         y = labels[sl]
-        abs_u = np.abs(rmap.values)
         _, normals, values = rmap.decision_planes(y)
-        b1, d1 = _min_dists(abs_u, rmap.rows, values, normals, 1.0)
-        b2, d2 = _min_dists(abs_u, rmap.rows, values, normals, 2.0)
-        binf, dinf = _min_dists(abs_u, rmap.rows, values, normals, math.inf)
+        b1, d1 = _min_dists(rmap, values, normals, 1.0)
+        b2, d2 = _min_dists(rmap, values, normals, 2.0)
+        binf, dinf = _min_dists(rmap, values, normals, math.inf)
+        region[sl] = rmap.region + seen
+        patterns.append(rmap.patterns())
+        seen += len(patterns[-1])
         predicted[sl] = np.argmax(rmap.logits, axis=1) + 1
         ok = (predicted[sl] == y) & ~(d1 < 0.0)
         correct[sl] = ok
@@ -187,8 +195,11 @@ def certificates(net, X, labels) -> Certificates:
     lb_l2 = np.where(np.isinf(rho1), math.inf, 0.0)
     hull = (rho_inf > 0.0) & np.isfinite(rho1)
     lb_l2[hull] = geometry.hull_min_norm(rho1[hull], rho_inf[hull], 2.0)
+    if patterns:
+        # a region met in several chunks gets one index
+        region = net_core._first_seen(np.concatenate(patterns))[0][region]
     return Certificates(labels, predicted, correct, rho1, rho_inf, rho1, lb_l2,
-                        rho_inf, out["single_l2"])
+                        rho_inf, out["single_l2"], region)
 
 
 def point_certificate(net, x, label: int) -> PointCertificate:

@@ -158,6 +158,15 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _certify_summary(certs, eps) -> dict:
+    """The ``certify`` summary: test error, the number of distinct activation
+    regions among the points and the robust-error upper bounds."""
+    summary = {"test_error": float(np.mean(~certs.correct)),
+               "regions": int(certs.region.max(initial=-1)) + 1}
+    summary.update({f"ub_{n}": v for n, v in certify.bounds(certs, eps).items()})
+    return summary
+
+
 def _cmd_certify(args) -> int:
     net = net_core.load_model(args.model)
     data = datasets.load_dataset(args.data)
@@ -166,8 +175,7 @@ def _cmd_certify(args) -> int:
     X, y = data.features, data.labels
     eps = certify.EpsTriple(args.eps1, args.eps2, args.epsinf)
     certs = certify.certificates(net, X, y)
-    summary = {"test_error": float(np.mean(~certs.correct))}
-    summary.update({f"ub_{n}": v for n, v in certify.bounds(certs, eps).items()})
+    summary = _certify_summary(certs, eps)
     if args.per_point_csv:
         cols = [certs.label, certs.predicted, certs.correct.astype(int), certs.rho1,
                 certs.rho_inf, certs.lb_l1, certs.lb_l2, certs.lb_linf]

@@ -149,14 +149,26 @@ def _backprop_maps(net, rmap, g_rows, g_offs, gv_out, ga_out, grads):
     ga.append(ga_out)
     for l in range(len(net.weights) - 1, 0, -1):
         m = rmap.masks[l - 1]
-        mv = rmap.v_maps[l - 1] * m[:, :, None]
-        ma = rmap.a_maps[l - 1] * m
+        v, a = rmap.at_points(l - 1)
+        mv = v * m[:, :, None]
+        ma = a * m
         dW[l] += np.tensordot(gv[l], mv, axes=([0, 2], [0, 2])) + ga[l].T @ ma
         db[l] += ga[l].sum(axis=0)
         gv[l - 1] = gv[l - 1] + np.matmul(net.weights[l].T, gv[l]) * m[:, :, None]
         ga[l - 1] = ga[l - 1] + (ga[l] @ net.weights[l]) * m
     dW[0] += gv[0].sum(axis=0)
     db[0] += ga[0].sum(axis=0)
+
+
+def _point_maps(net, X):
+    """Yield (slice, RegionMap) over consecutive pieces of the rows of X, of
+    at most as many points as one chunk has regions: the per-point rows the
+    regularizer reads from a piece's tables take at most CHUNK_BYTES."""
+    step = net_core._region_cap(net)
+    for sl, chunk in net_core.region_maps(net, X):
+        for lo in range(0, len(chunk.points), step):
+            piece = chunk.take(slice(lo, lo + step))
+            yield slice(sl.start + lo, sl.start + lo + len(piece.points)), piece
 
 
 def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=None):
@@ -170,7 +182,7 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
     k = net.num_classes
     weight = 1.0 / len(X)
     out = np.empty(len(X))
-    for sl, rmap in net_core.region_maps(net, X):
+    for sl, rmap in _point_maps(net, X):
         xs = rmap.points
         u = rmap.values
         abs_u = np.abs(u)
@@ -214,8 +226,8 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
             # diff = V_out[c] - V_out[s] and its offset likewise
             idx = np.arange(len(xs))
             c = y[sl] - 1
-            gv_out = np.zeros_like(rmap.v_maps[-1])
-            ga_out = np.zeros_like(rmap.a_maps[-1])
+            gv_out = np.zeros((len(xs), k, xs.shape[1]))
+            ga_out = np.zeros((len(xs), k))
             gv_out[idx[:, None], others] -= g_diff
             ga_out[idx[:, None], others] -= g_dnum
             gv_out[idx, c] += g_diff.sum(axis=1)

@@ -4,8 +4,13 @@ A network built from dense layers with ReLU activations is affine on each
 activation region of the input space.  For a batch of anchor points, one
 pass over the layers (``region_map``) yields the affine restriction (V, a
 per layer) and the half-space description of the region containing each
-point.  ``region_maps`` splits a batch into chunks of bounded memory; it is
-the one region-geometry path behind certification and the regularizer.
+point.  The geometry is built once per activation region, not once per
+point: the points are grouped layer by layer by their masks so far, and
+each layer's affine form is built once per group.  Points near each other,
+and the training points of a margin-regularized net, mostly share a region.
+``region_maps`` splits a batch into chunks of bounded memory, larger while
+the points share regions; it is the one region-geometry path behind
+certification and the regularizer.
 """
 
 from __future__ import annotations
@@ -29,9 +34,10 @@ __all__ = [
 ]
 
 
-# Cap on the bytes of one chunk's stacked hidden rows (B * N * d * 8, N the
-# hidden unit count): batched region geometry splits a batch into chunks of
-# at most this size, so its memory does not grow with the batch.
+# Cap on the memory of one chunk of batched region geometry: on its region
+# tables (U * N * d * 8 bytes for U distinct activation regions and N hidden
+# units) and on its per-point arrays (B * N * 8).  region_maps cuts a batch
+# into chunks within it, so its memory does not grow with the batch.
 CHUNK_BYTES = 256 * 1024
 
 
@@ -122,23 +128,58 @@ class ReluNet:
 class RegionMap:
     """Affine maps of the activation regions of a batch of B points.
 
-    ``masks[l]`` (B, n_l) marks the active hidden units at each point;
-    ``v_maps[l]`` (B, n_l, d) and ``a_maps[l]`` (B, n_l) give the affine
-    form of layer l on each point's region, the last entry being the output
-    map.  ``rows`` (B, N, d) and ``offsets`` (B, N) stack the hyperplanes of
-    all N hidden units (the hidden entries of ``v_maps``/``a_maps`` are
-    views into them) and ``values`` (B, N) = rows . x + offsets are the
-    preactivations at ``points``; ``logits`` (B, K) are the outputs there.
+    Layer l's affine form on a region depends only on the masks of the
+    layers before it, so it is held once per distinct prefix of activation
+    masks among the points: ``v_maps[l]`` (U_l, n_l, d) and ``a_maps[l]``
+    (U_l, n_l), the last entry being the output map, and ``index[l]`` (B,)
+    gives each point's row in them.  Rows are numbered in order of first
+    appearance, so the first layer has one row and the output map one per
+    activation region, ``region`` = ``index[-1]``.  Per point,
+    ``masks[l]`` (B, n_l) marks the active hidden units, ``values`` (B, N)
+    are the preactivations of the N hidden units at ``points`` and
+    ``logits`` (B, K) the outputs there.
     """
 
     points: np.ndarray
+    index: tuple
     masks: tuple
     v_maps: tuple
     a_maps: tuple
-    rows: np.ndarray
-    offsets: np.ndarray
     values: np.ndarray
     logits: np.ndarray
+
+    @property
+    def region(self) -> np.ndarray:
+        return self.index[-1]
+
+    def at_points(self, l):
+        """Layer l's affine form at each point: (B, n_l, d) and (B, n_l)."""
+        index = self.index[l]
+        rows = slice(None) if len(self.v_maps[l]) == len(index) else index
+        return self.v_maps[l][rows], self.a_maps[l][rows]
+
+    def stacked(self, tables, tail=()) -> np.ndarray:
+        """Per-point stack (B, N, *tail) of one table (U_l, n_l, *tail) per
+        hidden layer, such as the hidden v_maps or their row norms."""
+        out = np.empty(self.values.shape + tuple(tail))
+        pos = 0
+        for table, index in zip(tables, self.index):
+            n = table.shape[1]
+            # rows are numbered in first-seen order: a table with one row per
+            # point is in point order already, and a one-row table broadcasts
+            out[:, pos:pos + n] = table if len(table) in (1, len(index)) else table[index]
+            pos += n
+        return out
+
+    @property
+    def rows(self) -> np.ndarray:
+        """(B, N, d): each point's hidden hyperplane normals."""
+        return self.stacked(self.v_maps[:-1], self.points.shape[1:])
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """(B, N): each point's hidden hyperplane offsets; values = rows . x + offsets."""
+        return self.stacked(self.a_maps[:-1])
 
     def decision_planes(self, labels):
         """Decision hyperplanes of each point against every other class.
@@ -153,10 +194,29 @@ class RegionMap:
         c = (np.asarray(labels, dtype=np.int64) - 1)[:, None]
         base = np.arange(K - 1)[None, :]
         others = base + (base >= c)
+        r = self.region[:, None]
+        normals = v_out[r, c] - v_out[r, others]
         idx = np.arange(B)[:, None]
-        normals = v_out[idx, c] - v_out[idx, others]
         values = self.logits[idx, c] - self.logits[idx, others]
         return others, normals, values
+
+    def patterns(self) -> np.ndarray:
+        """Activation pattern of each region, bits packed: (U, ceil(N / 8))."""
+        member = np.empty(len(self.v_maps[-1]), dtype=np.int64)
+        member[self.region] = np.arange(len(self.region))  # any point of the region
+        return np.packbits(self.values[member] > 0, axis=1)
+
+    def take(self, sl) -> "RegionMap":
+        """The map of the points in slice sl: this map if that is all of
+        them, else one with a table row per point."""
+        if len(self.points[sl]) == len(self.points):
+            return self
+        index = [i[sl] for i in self.index]
+        own = (np.arange(len(index[-1])),) * len(index)
+        return RegionMap(self.points[sl], own, tuple(m[sl] for m in self.masks),
+                         tuple(v[i] for v, i in zip(self.v_maps, index)),
+                         tuple(a[i] for a, i in zip(self.a_maps, index)),
+                         self.values[sl], self.logits[sl])
 
 
 def _check_input(net: ReluNet, x) -> np.ndarray:
@@ -207,8 +267,43 @@ def classify_batch(net: ReluNet, xs) -> np.ndarray:
 
 
 def _per_point(v, xs):
-    """v[i] @ xs[i] for every point i: (B, n, d) and (B, d) -> (B, n)."""
+    """v[i] @ xs[i] for every point i: (B, n, d) and (B, d) -> (B, n);
+    v may also be one (1, n, d) map shared by every point."""
     return np.matmul(v, xs[:, :, None])[:, :, 0]
+
+
+def _per_region(v, a, index, xs, cap, out):
+    """out[i] = v[r] @ x + a[r] for every point x and its row r = index[i]:
+    the per-point products of _per_point, with the rows gathered at most cap
+    points at a time (none when one row is shared by every point or each
+    point has its own)."""
+    if len(v) in (1, len(xs)):  # rows are numbered in first-seen order
+        return np.add(_per_point(v, xs), a, out=out)
+    for lo in range(0, len(xs), cap):
+        i = index[lo:lo + cap]
+        np.add(_per_point(v[i], xs[lo:lo + cap]), a[i], out=out[lo:lo + cap])
+    return out
+
+
+def _first_seen(keys):
+    """Group the equal rows of keys (B, w) uint8.
+
+    Returns (group, first): each row's group, numbered in order of first
+    appearance, and the first row of every group.
+    """
+    B, width = keys.shape
+    if width == 0 or (keys == keys[:1]).all():
+        return np.zeros(B, dtype=np.int64), np.arange(min(B, 1))
+    order = np.argsort(keys.view(np.dtype((np.void, width)))[:, 0], kind="stable")
+    runs = np.empty(B, dtype=bool)  # where a run of equal sorted keys starts
+    runs[0] = True
+    np.any(keys[order[1:]] != keys[order[:-1]], axis=1, out=runs[1:])
+    first = order[runs]  # the sort is stable: each run starts at its first row
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    group = np.empty(B, dtype=np.int64)
+    group[order] = rank[np.cumsum(runs) - 1]
+    return group, np.sort(first)
 
 
 def _layer_step(w, b, v, a, mask, out=(None, None)):
@@ -224,58 +319,97 @@ def _layer_step(w, b, v, a, mask, out=(None, None)):
     return v_next, a_next
 
 
+def _region_prefix(net: ReluNet, xs, cap: int) -> RegionMap:
+    """Region geometry of the first k rows of xs: k is len(xs) if those
+    rows span at most cap regions, else the largest multiple of cap whose
+    rows do.
+
+    The rows are grouped layer by layer by (prefix of the earlier layers,
+    mask), and each layer's affine form is built once per group, so cap
+    also bounds the rows of every table.  A row's preactivation is its
+    group's V x + a taken point by point, so each point's geometry is the
+    same whichever rows share its batch.
+    """
+    B, d = xs.shape
+    values = np.empty((B, net.num_hidden_units))
+    index, masks, v_maps, a_maps = [], [], [], []
+    pos = 0
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        if l == 0:
+            group = np.zeros(B, dtype=np.int64)
+            v, a = w[None], b[None]
+        else:
+            prev = group
+            if len(v) == B:  # every row has its own prefix already
+                first = group
+            else:
+                keys = np.packbits(masks[-1], axis=1)
+                if len(v) > 1:
+                    keys = np.concatenate([prev[:, None].view(np.uint8), keys], axis=1)
+                group, first = _first_seen(keys)
+                if len(first) > cap:
+                    return _region_prefix(net, xs[:first[cap] // cap * cap], cap)
+            # each group's parent row; all of them in order when none split
+            parent = prev[first] if len(first) > len(v) else slice(None)
+            v, a = _layer_step(w, b, v[parent], a[parent], masks[-1][first])
+        index.append(group)
+        v_maps.append(v)
+        a_maps.append(a)
+        if l < net.num_hidden_layers:
+            g = _per_region(v, a, group, xs, cap, values[:, pos:pos + w.shape[0]])
+            masks.append(g > 0)
+            pos += w.shape[0]
+    logits = _per_region(v, a, group, xs, cap, np.empty((B, len(b))))
+    return RegionMap(xs, tuple(index), tuple(masks), tuple(v_maps), tuple(a_maps), values,
+                     logits)
+
+
 def region_map(net: ReluNet, xs) -> RegionMap:
     """Region geometry of every row of xs (B, d) in one pass over the layers.
 
     Each hidden layer's mask is read off its preactivation V^(l) x + a^(l)
-    at the point before the next layer is built.  Every product is taken
-    point by point (a stack of matrix products), so a point's result does
-    not depend on the rest of the batch.  Builds the whole batch at once;
+    at the point before the next layer is built, and each layer's affine
+    form is built once per distinct activation prefix.  Every product is
+    taken point by point or prefix by prefix, so a point's result does not
+    depend on the rest of the batch.  Builds the whole batch at once;
     ``region_maps`` splits a batch into chunks of bounded memory.
     """
     xs = np.asarray(xs, dtype=np.float64)
-    B, d, N = len(xs), net.input_dim, net.num_hidden_units
-    rows, offsets, values = np.empty((B, N, d)), np.empty((B, N)), np.empty((B, N))
-    masks, v_list, a_list = [], [], []
-    pos = 0
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        n = w.shape[0]
-        hidden = l < net.num_hidden_layers
-        if hidden:
-            v, a = rows[:, pos:pos + n], offsets[:, pos:pos + n]
-        else:
-            v, a = np.empty((B, n, d)), np.empty((B, n))
-        if l == 0:
-            v[...] = w
-            a[...] = b
-        else:
-            _layer_step(w, b, v_list[-1], a_list[-1], masks[-1], out=(v, a))
-        if hidden:
-            g = values[:, pos:pos + n]
-            np.add(_per_point(v, xs), a, out=g)
-            masks.append(g > 0)
-            pos += n
-        v_list.append(v)
-        a_list.append(a)
-    logits = _per_point(v_list[-1], xs) + a_list[-1]
-    return RegionMap(xs, tuple(masks), tuple(v_list), tuple(a_list), rows, offsets,
-                     values, logits)
+    return _region_prefix(net, xs, max(len(xs), 1))
+
+
+def _region_cap(net: ReluNet) -> int:
+    """Regions whose stacked hidden rows (N * d floats each) fit in
+    CHUNK_BYTES, at least one."""
+    return max(1, CHUNK_BYTES // (8 * net.input_dim * max(net.num_hidden_units, 1)))
 
 
 def region_maps(net: ReluNet, xs):
     """Yield (slice, RegionMap) over consecutive chunks of the rows of xs.
 
-    Each chunk holds at most CHUNK_BYTES of stacked hidden rows (at least one
-    point).  A point's geometry does not depend on the rest of its chunk, so
-    it is the same wherever the chunks are cut.
+    A chunk's tables hold at most R = ``_region_cap(net)`` regions' rows
+    (CHUNK_BYTES, or one region's rows if larger) and its per-point (B, N)
+    arrays at most CHUNK_BYTES, or R points if more.  The first chunk takes
+    R points.  The next one takes twice as many while the last one spanned
+    at most half of R regions (or one region), and R again otherwise; a
+    chunk whose points would span more than R regions ends at the last
+    multiple of R points that fits.  So a chunk is always a multiple of R
+    points, except the last.  Building a chunk holds its tables and the
+    layer step's two temporaries, at most 3 R regions' rows of (., N, d)
+    arrays.  A point's geometry does not depend on the rest of its chunk,
+    so it is the same wherever the chunks are cut.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:
         raise ValueError(f"batch has shape {xs.shape}, expected (B, {net.input_dim})")
-    step = max(1, CHUNK_BYTES // (8 * net.input_dim * max(net.num_hidden_units, 1)))
-    for lo in range(0, len(xs), step):
-        sl = slice(lo, lo + step)
-        yield sl, region_map(net, xs[sl])
+    cap = _region_cap(net)
+    most = cap * max(1, CHUNK_BYTES // (8 * max(net.num_hidden_units, 1)) // cap)
+    step, lo = cap, 0
+    while lo < len(xs):
+        rmap = _region_prefix(net, xs[lo:lo + step], cap)
+        yield slice(lo, lo + len(rmap.points)), rmap
+        lo += len(rmap.points)
+        step = min(2 * step, most) if len(rmap.v_maps[-1]) <= max(1, cap // 2) else cap
 
 
 def random_net(layer_sizes, seed=0, bias_scale=0.0) -> ReluNet:

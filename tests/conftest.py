@@ -50,6 +50,25 @@ def tiny_net(seed):
     raise AssertionError(f"no usable tiny net for seed {seed}")
 
 
+def cleared_net(sizes, seed=0, margin=0.5):
+    """Net whose hidden biases put every hyperplane at least margin beyond
+    the unit box, as perfbench's corners model does over its data: every
+    hidden unit is active on [0, 1]^d, so all points there share one
+    activation region.  Outside the box the units switch off."""
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    lo, hi = np.zeros(sizes[0]), np.ones(sizes[0])  # bounds on the layer input
+    for fan_in, n in zip(sizes[:-2], sizes[1:-1]):
+        w = rng.standard_normal((n, fan_in)) / np.sqrt(fan_in)
+        least = np.minimum(w * lo, w * hi).sum(axis=1)
+        weights.append(w)
+        biases.append(margin - least)
+        lo, hi = np.full(n, margin), np.maximum(w * lo, w * hi).sum(axis=1) + margin - least
+    weights.append(rng.standard_normal((sizes[-1], sizes[-2])) / np.sqrt(sizes[-2]))
+    biases.append(rng.uniform(-0.1, 0.1, sizes[-1]))
+    return net_core.ReluNet(tuple(weights), tuple(biases))
+
+
 def hand_net():
     """f1 = relu(x1 - 1) + relu(x2 - 1), f2 = 0.5: four activation regions."""
     return net_core.ReluNet((np.eye(2), np.array([[1.0, 1.0], [0.0, 0.0]])),

@@ -2,6 +2,7 @@
 per-point reference in per_point_reference.py."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from relucert.mmr_train import MmrUniversalConfig
 from relucert.net_core import ReluNet, random_net
 
 import per_point_reference as ref
-from conftest import TINY_ARCHS, hyperplane_distances, tiny_net
+from conftest import TINY_ARCHS, cleared_net, hyperplane_distances, tiny_net
 
 RTOL = 1e-12
 CFG = MmrUniversalConfig(lambda1=0.9, lambda_inf=2.5, gamma1=0.8, gamma_inf=0.15)
@@ -161,23 +162,34 @@ def test_special_nets_exercise_edge_cases():
     assert certs.correct.any()
 
 
-@pytest.mark.parametrize("batch", [3, 4, 5])
-def test_batches_around_the_chunk_size(monkeypatch, batch):
-    net = random_net([2, 8, 6, 3], seed=7, bias_scale=0.4)
-    # four points per chunk
-    monkeypatch.setattr(net_core, "CHUNK_BYTES", 4 * 8 * 2 * 14)
-    X, y = points(net, batch, seed=batch)
-    chunks = [rmap.rows.shape[0] for _, rmap in net_core.region_maps(net, X)]
-    assert chunks == {3: [3], 4: [4], 5: [4, 1]}[batch]
-    assert_certificates_match(certify.certificates(net, X, y),
-                              reference_certificates(net, X, y))
-    assert_regularizer_matches(net, X, y, kb=5)
+def shared_points(net, n, seed, mixed=False):
+    """Points of a cleared_net: all in the unit box (one activation region),
+    or with every other point drawn from a wider box (mostly other regions);
+    labels as in points()."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, size=(n, net.input_dim))
+    if mixed:
+        X[1::2] = rng.uniform(-3.0, 4.0, size=(n // 2, net.input_dim))
+    y = net_core.classify_batch(net, X)
+    flip = rng.random(n) < 0.3
+    y[flip] = rng.integers(1, net.num_classes + 1, size=int(flip.sum()))
+    return X, y
 
 
-@pytest.mark.parametrize("name", ["tiny4-2-8-8-3", "multi-2-9-6-5", "d16-16-24-12-3"])
-def test_per_point_results_independent_of_chunking(monkeypatch, name):
+SHARED = {"cleared-16-24-12-3": False, "mixed-16-24-12-3": True}
+
+
+def batch_of(name, n, seed):
+    if name in SHARED:
+        net = cleared_net([16, 24, 12, 3])
+        return (net, *shared_points(net, n, seed, mixed=SHARED[name]))
     net = dict(NETS)[name]
-    X, y = points(net, 37, seed=3)
+    return (net, *points(net, n, seed))
+
+
+@pytest.mark.parametrize("name", ["tiny4-2-8-8-3", "multi-2-9-6-5", "d16-16-24-12-3", *SHARED])
+def test_per_point_results_independent_of_chunking(monkeypatch, name):
+    net, X, y = batch_of(name, 37, seed=3)
 
     def run():
         dW = [np.zeros_like(w) for w in net.weights]
@@ -188,21 +200,132 @@ def test_per_point_results_independent_of_chunking(monkeypatch, name):
 
     certs, values, grads = run()
     per_point = 8 * net.input_dim * net.num_hidden_units
-    for chunk_bytes in (1, 5 * per_point, 16 * per_point):
+    for chunk_bytes in (1, 5 * per_point, 16 * per_point, 10**9):
         monkeypatch.setattr(net_core, "CHUNK_BYTES", chunk_bytes)
         c, v, g = run()
-        for key in ("predicted", "correct", "rho1", "rho_inf", "lb_l2", "single_l2"):
+        for key in ("predicted", "correct", "rho1", "rho_inf", "lb_l2", "single_l2", "region"):
             assert np.array_equal(getattr(c, key), getattr(certs, key))
         assert np.array_equal(v, values)
         # the gradient sums over points: chunked partial sums reassociate it
         assert_grads_close(g, grads)
+    # the region index numbers the batch's activation patterns in order of first appearance
+    assert np.array_equal(certs.region, net_core.region_map(net, X).region)
+
+
+@pytest.mark.parametrize("name", list(SHARED))
+def test_shared_regions_match_point_views_and_reference(name):
+    net, X, y = batch_of(name, 40, seed=8)
+    certs = certify.certificates(net, X, y)
+    regions = len(np.unique(certs.region))
+    assert regions == 1 if name.startswith("cleared") else 2 < regions < 30
+    for i in range(len(X)):
+        # the B=1 views build the same rows from one point
+        assert certify.point_certificate(net, X[i], int(y[i])) == certs.point(i)
+        assert certify.certify_single_norm(net, X[i], int(y[i]), 2.0) == certs.single_l2[i]
+    assert_certificates_match(certs, reference_certificates(net, X, y))
+    assert_regularizer_matches(net, X, y, kb=5)
+
+
+@pytest.mark.parametrize("name", ["tiny4-2-8-8-3", "mixed-16-24-12-3"])
+def test_one_layer_step_row_per_activation_prefix(monkeypatch, name):
+    net, X, _ = batch_of(name, 60, seed=4)
+    rows = []
+
+    def counted(w, b, v, a, mask, out=(None, None)):
+        rows.append(len(mask))
+        return layer_step(w, b, v, a, mask, out)
+
+    layer_step = net_core._layer_step
+    monkeypatch.setattr(net_core, "_layer_step", counted)
+    rmap = net_core.region_map(net, X)
+    bits = [np.concatenate([m[i] for m in rmap.masks]) for i in range(len(X))]
+    prefixes = [len({bytes(b[:sum(net.hidden_sizes[:l])]) for b in bits})
+                for l in range(1, len(net.weights))]
+    assert rows == prefixes and 1 < prefixes[-1] < len(X)
+    assert len(rmap.v_maps[-1]) == prefixes[-1]
+    for i in range(len(X)):
+        same = [bytes(b) == bytes(bits[i]) for b in bits]
+        assert np.array_equal(rmap.region == rmap.region[i], same)
+        # each table row is the geometry a one-point map builds
+        one = net_core.region_map(net, X[i:i + 1])
+        for l in range(len(net.weights)):
+            assert np.array_equal(rmap.v_maps[l][rmap.index[l][i]], one.v_maps[l][0])
+            assert np.array_equal(rmap.a_maps[l][rmap.index[l][i]], one.a_maps[l][0])
+
+
+def big_batches(n):
+    """Batches of n points of a 16-256-256-2 net: each point in its own
+    activation region, all in one region, and (n > 14) the first 14 in one
+    region followed by n - 14 in regions of their own."""
+    rng = np.random.default_rng(n)
+    spread = random_net([16, 256, 256, 2], seed=0, bias_scale=0.3)
+    cleared = cleared_net([16, 256, 256, 2])
+    X = rng.uniform(0.0, 1.0, size=(n, 16))
+    batches = {"distinct": (spread, X), "shared": (cleared, X)}
+    if n > 14:
+        mixed = X.copy()
+        mixed[14:] = rng.uniform(-3.0, 4.0, size=(n - 14, 16))
+        batches["mixed"] = (cleared, mixed)
+    for kind, (net, Z) in batches.items():
+        regions = len(net_core.region_map(net, Z).v_maps[-1])
+        assert regions == {"distinct": n, "shared": 1, "mixed": n - 13}[kind]
+    return batches
+
+
+def chunk_sizes(net, X):
+    """Sizes of the chunks region_maps cuts X into; checks each chunk's
+    memory: at most R regions, whose tables take at most CHUNK_BYTES, and
+    per-point (B, N) arrays within CHUNK_BYTES."""
+    sizes, lo = [], 0
+    for sl, rmap in net_core.region_maps(net, X):
+        assert (sl.start, sl.stop) == (lo, lo + len(rmap.points))
+        assert len(rmap.v_maps[-1]) <= net_core._region_cap(net)
+        assert sum(v.nbytes for v in rmap.v_maps[:-1]) <= net_core.CHUNK_BYTES
+        assert rmap.values.nbytes <= net_core.CHUNK_BYTES
+        sizes.append(len(rmap.points))
+        lo = sl.stop
+    assert lo == len(X)
+    return sizes
 
 
 def test_chunk_size_follows_the_memory_cap():
-    # 256 points of a 2-64-2 net and 4 of a 16-256-256-2 net fill one chunk
-    for sizes, per_chunk in (([2, 64, 2], 256), ([16, 256, 256, 2], 4)):
-        net = random_net(sizes, seed=0)
-        X = np.zeros((per_chunk + 1, sizes[0]))
-        chunks = [rmap.rows.shape[0] for _, rmap in net_core.region_maps(net, X)]
-        assert chunks == [per_chunk, 1]
-        assert per_chunk * net.num_hidden_units * sizes[0] * 8 <= net_core.CHUNK_BYTES
+    # a 16-256-256-2 net: R = CHUNK_BYTES / (8 * 16 * 512) = 4 regions per
+    # chunk, and (B, N) arrays for at most CHUNK_BYTES / (8 * 512) = 64 points
+    assert net_core._region_cap(random_net([16, 256, 256, 2])) == 4
+    batches = big_batches(300)
+    # chunks stay at 4 points while the points span more than 2 regions
+    assert chunk_sizes(*batches["distinct"]) == [4] * 75
+    # and double up to 64 points while they share one
+    assert chunk_sizes(*batches["shared"]) == [4, 8, 16, 32, 64, 64, 64, 48]
+    # a chunk that would span more than 4 regions ends at the last multiple
+    # of 4 points that spans at most 4: 2 shared and 2 distinct points here
+    assert chunk_sizes(*batches["mixed"]) == [4, 8, 4] + [4] * 71
+
+
+@pytest.mark.parametrize("batch", [3, 4, 5])
+def test_batches_around_the_chunk_size(batch):
+    batches = big_batches(8 + batch)
+    net, X = batches["distinct"]
+    X = X[:batch]
+    assert chunk_sizes(net, X) == {3: [3], 4: [4], 5: [4, 1]}[batch]
+    net, Z = batches["shared"]
+    assert chunk_sizes(net, Z) == {3: [4, 7], 4: [4, 8], 5: [4, 8, 1]}[batch]
+    for net, X in ((net, X), (net, Z)):
+        y = net_core.classify_batch(net, X)
+        y[::3] = 3 - y[::3]
+        assert_certificates_match(certify.certificates(net, X, y),
+                                  reference_certificates(net, X, y))
+        assert_regularizer_matches(net, X, y, kb=5)
+
+
+def test_region_maps_memory_does_not_grow_with_the_batch():
+    # region tables, layer-step temporaries and per-point arrays of the
+    # chunk being built and of the one the caller still holds
+    for kind, n in (("distinct", 200), ("shared", 40), ("shared", 3000)):
+        net, X = big_batches(n)[kind]
+        tracemalloc.start()
+        for _ in net_core.region_maps(net, X):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 4 * net_core.CHUNK_BYTES, (kind, n, peak / net_core.CHUNK_BYTES)

@@ -329,7 +329,7 @@ def test_bounds_take_the_larger_l2_certificate():
     certs = certify.Certificates(
         label=np.array([1, 1]), predicted=np.array([1, 1]), correct=np.array([True, True]),
         rho1=one, rho_inf=0.1 * one, lb_l1=one, lb_l2=0.2 * one, lb_linf=0.1 * one,
-        single_l2=np.array([0.5, 0.1]))
+        single_l2=np.array([0.5, 0.1]), region=np.array([0, 0]))
     assert certify.bounds(certs, EpsTriple(0.5, 0.3, 0.05)) == {
         "l1": 0.0, "l2": 0.5, "linf": 0.0, "union": 0.5}
     # a linear net in d = 3, where the single-norm l2 bound beats the hull bound

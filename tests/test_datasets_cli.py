@@ -1,12 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relucert import certify, geometry, net_core
+from relucert import certify, cli, geometry, net_core
 from relucert.cli import Report, derive_eps2, main, run_evaluation
 from relucert.datasets import Dataset, gen_blobs, gen_corners, gen_moons, load_dataset, save_dataset
 
@@ -332,7 +335,8 @@ def test_cli_full_pipeline(tmp_path, capsys):
                  "--eps1", "0.1", "--eps2", "0.05", "--epsinf", "0.01",
                  "--per-point-csv", str(tmp_path / "certs.csv")]) == 0
     summary = json.loads(capsys.readouterr().out.strip())
-    assert set(summary) == {"test_error", "ub_l1", "ub_l2", "ub_linf", "ub_union"}
+    assert set(summary) == {"test_error", "regions", "ub_l1", "ub_l2", "ub_linf", "ub_union"}
+    assert 1 <= summary["regions"] <= 120
     assert summary["ub_union"] >= max(summary["ub_l1"], summary["ub_linf"])
     lines = (tmp_path / "certs.csv").read_text().strip().splitlines()
     assert len(lines) == 121
@@ -481,8 +485,10 @@ def test_certify_summary_is_the_one_upper_bound(eval_inputs, capsys):
     summary = json.loads(_run(capsys, ["certify", "--model", model, "--data", data,
                                        *_eps_args(), "--limit", 90]))
     sub = ds.head(90)
-    ub = certify.bounds(certify.certificates(net, sub.features, sub.labels), EVAL_EPS)
+    certs = certify.certificates(net, sub.features, sub.labels)
+    ub = certify.bounds(certs, EVAL_EPS)
     assert summary == {"test_error": summary["test_error"],
+                       "regions": len(np.unique(certs.region)),
                        **{f"ub_{name}": v for name, v in ub.items()}}
     rep = run_evaluation(model, data, EVAL_EPS, seed=4, limit=90, iterations=5,
                          restarts=1, deterministic=True)
@@ -490,6 +496,39 @@ def test_certify_summary_is_the_one_upper_bound(eval_inputs, capsys):
         assert rep.per_norm[norm]["ub"] == ub[norm]
     assert rep.union["ub"] == ub["union"]
     assert 0.0 < ub["union"] < 1.0
+
+
+def test_certify_summary_counts_activation_regions(tmp_path, capsys):
+    from conftest import cleared_net, hand_net
+
+    # a net whose biases clear every unit over the box: one region
+    net = cleared_net([16, 32, 32, 2])
+    X = np.random.default_rng(2).uniform(0, 1, size=(50, 16))
+    model, data = tmp_path / "m.json", tmp_path / "d.bin"
+    net_core.save_model(net, model)
+    save_dataset(Dataset(X, net_core.classify_batch(net, X), num_classes=2), data)
+    summary = json.loads(_run(capsys, ["certify", "--model", model, "--data", data,
+                                       *_eps_args()]))
+    assert summary["regions"] == 1
+    # the hand net's units switch on at x1 = 1 and x2 = 1, outside the box the
+    # CLI accepts: both units off at (0.5, 0.5), the first one on at (1.5, 0.5)
+    X = np.array([[0.5, 0.5], [1.5, 0.5], [0.2, 0.7]])
+    certs = certify.certificates(hand_net(), X, [2, 1, 2])
+    assert certs.region.tolist() == [0, 1, 0]
+    assert cli._certify_summary(certs, EVAL_EPS)["regions"] == 2
+
+
+def test_python_m_runs_the_cli_without_warnings(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for module in ("relucert.cli", "relucert"):
+        out = tmp_path / f"{module}.csv"
+        proc = subprocess.run([sys.executable, "-m", module, "geometry", "--d", "2", "--num",
+                               "8", "--out", str(out)], capture_output=True, text=True,
+                              env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        assert json.loads(proc.stdout)["d"] == 2 and out.is_file()
 
 
 def test_report_rejects_an_adversarial_inside_a_certificate(eval_inputs, monkeypatch):
