@@ -6,12 +6,23 @@ balls.  All attacks respect the [0, 1] box: iterates are projected onto the
 norm ball and the box alternately, and attack_dataset, which every attack
 goes through, re-checks final feasibility exactly before a perturbation is
 reported.
+
+PGD steps on the float32 net.  When a net's hidden layers are wide compared
+with its input (``_region_pays``), each attack also takes the affine map of
+the activation region that holds the most anchors: iterates strictly inside
+it get their logits and input gradient from that map, at the cost of an
+N x (d + 1) membership product a row, and the others the layer-wise pass.
+An attack drops the region after the first step that finds too few
+iterates inside it.  Either way every candidate is classified again by the
+float64 net before it counts, so the choice of path steers the search but
+never reports an adversarial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,17 +132,85 @@ def _sample_ball_rows(rng, m, d, eps, p):
     return signs * s * r[:, None]
 
 
+def _logit_gradient(logits, y0):
+    """Gradient of the cross-entropy wrt the logits: softmax - onehot(y0)."""
+    m = logits.max(axis=1, keepdims=True)
+    g = np.exp(logits - m)
+    g /= g.sum(axis=1, keepdims=True)
+    g[np.arange(len(g)), y0] -= 1.0
+    return g
+
+
 def _input_gradient(net, logits, preacts, y0):
     """Gradient of the cross-entropy wrt the inputs, one row per example,
     from forward_batch's logits and preactivations, in the net's dtype."""
-    m = logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits - m)
-    probs /= probs.sum(axis=1, keepdims=True)
-    g = probs
-    g[np.arange(len(g)), y0] -= 1.0
+    g = _logit_gradient(logits, y0)
     for l in range(len(net.weights) - 1, 0, -1):
         g = (g @ net.weights[l]) * (preacts[l - 1] > 0)
     return g @ net.weights[0]
+
+
+class _Region(NamedTuple):
+    """One activation region's affine maps in float32, each row [w, c] the
+    map z -> w . z + c: the signed hidden rows (N, d + 1), all positive
+    exactly inside the region, and the output map (K, d + 1)."""
+
+    hidden: np.ndarray
+    output: np.ndarray
+
+
+def _region_pays(net, inside=1.0) -> bool:
+    """Whether a step on a region's map is cheaper than the layer-wise pass
+    when a share inside of the iterates lies in the region: the membership
+    product (N x d for every row) is smaller than the products after the
+    first layer (sum of n_l x n_{l-1}) that the rows inside skip."""
+    return net.num_hidden_units * net.input_dim < inside * sum(w.size for w in net.weights[1:])
+
+
+def _anchor_region(net, anchors) -> _Region:
+    """The activation region of the float64 net that holds the most distinct
+    anchors, built from one of them; ties go to the region seen first."""
+    _, first = net_core._first_seen(np.ascontiguousarray(anchors).view(np.uint8))
+    anchors = anchors[first]  # the restarts of a point share its anchor row
+    _, preacts = net_core.forward_batch(net, anchors)
+    keys = np.packbits(np.concatenate([g > 0 for g in preacts], axis=1), axis=1)
+    group, first = net_core._first_seen(keys)
+    rmap = net_core.region_map(net, anchors[first[np.bincount(group).argmax()]][None])
+    sign = np.where(np.concatenate(rmap.masks, axis=1)[0], 1.0, -1.0)[:, None]
+    hidden = sign * np.column_stack([rmap.rows[0], rmap.offsets[0]])
+    output = np.column_stack([rmap.v_maps[-1][0], rmap.a_maps[-1][0]])
+    return _Region(hidden.astype(np.float32), output.astype(np.float32))
+
+
+def _forward(fast, region, Z):
+    """Logits of the rows of Z on the float32 net, and the state _gradient
+    needs.  With a region, rows strictly inside it get its output map; the
+    others (all rows without one) the layer-wise forward_batch."""
+    if region is None:
+        logits, preacts = net_core.forward_batch(fast, Z)
+        return logits, (None, preacts)
+    Z1 = np.ones((len(Z), Z.shape[1] + 1), dtype=np.float32)
+    Z1[:, :-1] = Z
+    # (N, B) rather than (B, N): numpy's float32 Z1 @ hidden.T took four
+    # times as long, and the min over the leading axis is vectorized
+    out = np.flatnonzero(~((region.hidden @ Z1.T).min(axis=0) > 0))
+    logits = Z1 @ region.output.T
+    preacts = None
+    if len(out):
+        logits[out], preacts = net_core.forward_batch(fast, Z1[out, :-1])
+    return logits, (out, preacts)
+
+
+def _gradient(fast, region, logits, state, y0):
+    """Input gradient of the cross-entropy at the rows _forward saw: the
+    region's (softmax - onehot) V inside it, _input_gradient elsewhere."""
+    out, preacts = state
+    if region is None:
+        return _input_gradient(fast, logits, preacts, y0)
+    G = _logit_gradient(logits, y0) @ region.output[:, :-1]
+    if len(out):
+        G[out] = _input_gradient(fast, logits[out], preacts, y0[out])
+    return G
 
 
 def _ascent_step(G, p, sparsity_frac):
@@ -175,11 +254,13 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig):
     smallest perturbation norm among the misclassified feasible iterates.
 
     The forward pass and the input gradient run on a float32 copy of the
-    net, about twice as fast as float64 in BLAS.  The iterates, projections
-    and norms stay float64, and an iterate counts as misclassified only
-    once the float64 net agrees at x + delta, the point attack_dataset
-    re-checks.  So float32 rounding can steer the search but never makes a
-    reported adversarial.
+    net, about twice as fast as float64 in BLAS, and where _region_pays on
+    the affine map of the region holding the most anchors for the iterates
+    inside it, until a step finds too few of them there.  The iterates,
+    projections and norms stay float64, and an iterate counts as
+    misclassified only once the float64 net agrees at x + delta, the point
+    attack_dataset re-checks.  So float32 rounding and the region's map can
+    steer the search but never make a reported adversarial.
     """
     eps, p = cfg.eps, cfg.p
     if cfg.step_size is not None:
@@ -190,11 +271,12 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig):
         eta = 2.0 * eps / cfg.iterations
     y0 = y - 1
     fast = net.astype(np.float32)
+    region = _anchor_region(net, X_ref) if _region_pays(net) else None
     Z = _joint_project(starts.copy(), X_ref, eps, p)
     best_norm = np.full(len(Z), math.inf)
     best_delta = np.zeros_like(Z)
     for it in range(cfg.iterations + 1):
-        logits, preacts = net_core.forward_batch(fast, Z)
+        logits, state = _forward(fast, region, Z)
         pred = logits.argmax(axis=1)
         delta = Z - X_ref
         norms = row_norms(delta, p)
@@ -206,7 +288,9 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig):
             best_delta[hit] = delta[hit]
         if it == cfg.iterations:
             break
-        G = _input_gradient(fast, logits, preacts, y0).astype(np.float64)
+        G = _gradient(fast, region, logits, state, y0).astype(np.float64)
+        if region is not None and not _region_pays(net, 1.0 - len(state[0]) / len(Z)):
+            region = None  # too few iterates inside: layer-wise from here on
         Z = Z + eta * _ascent_step(G, p, cfg.sparsity_frac)
         Z = _joint_project(Z, X_ref, eps, p)
     return np.isfinite(best_norm), best_norm, best_delta

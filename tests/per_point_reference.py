@@ -7,8 +7,9 @@ batched paths in ``relucert.net_core``, ``relucert.certify`` and
 ``relucert.mmr_train`` are tested against it.  The 2-D region atlas is
 rebuilt here one unit and one facet at a time, clipping every region by
 every unit, as the reference for ``relucert.regions``.  ``pgd_core`` is the
-all-float64 PGD loop, the reference for the mixed-precision
-``relucert.attacks._pgd_core``.
+layer-wise PGD loop: in float64 the reference for the mixed-precision
+``relucert.attacks._pgd_core``, in float32 the loop it runs where its
+region path is off.
 """
 
 import math
@@ -359,9 +360,13 @@ def decision_edges(regions, num_classes, label):
     return np.zeros((0, 2)), np.zeros((0, 2))
 
 
-def pgd_core(net, starts, X_ref, y, cfg):
-    """PGD with the forward pass, the input gradient and the hit test all in
-    float64; same signature and result as ``attacks._pgd_core``."""
+def pgd_core(net, starts, X_ref, y, cfg, dtype=np.float64):
+    """PGD with the forward pass and the input gradient layer by layer at
+    every step, on the net in dtype; same signature and result as
+    ``attacks._pgd_core``.  In float64 the hit test is the prediction at the
+    iterate; in float32 an iterate counts once the float64 net misclassifies
+    x + delta, as in the mixed-precision loop."""
+    fast = net.astype(dtype)
     eps, p = cfg.eps, cfg.p
     if cfg.step_size is not None:
         eta = cfg.step_size
@@ -374,17 +379,20 @@ def pgd_core(net, starts, X_ref, y, cfg):
     best_norm = np.full(len(Z), math.inf)
     best_delta = np.zeros_like(Z)
     for it in range(cfg.iterations + 1):
-        logits, preacts = net_core.forward_batch(net, Z)
+        logits, preacts = net_core.forward_batch(fast, Z)
         pred = logits.argmax(axis=1)
         delta = Z - X_ref
         norms = row_norms(delta, p)
         hit = (pred != y0) & (norms <= eps + attacks._FEAS_TOL) & (norms < best_norm)
         if hit.any():
+            if dtype != np.float64:
+                rows = np.flatnonzero(hit)
+                hit[rows] = net_core.classify_batch(net, X_ref[rows] + delta[rows]) != y[rows]
             best_norm[hit] = norms[hit]
             best_delta[hit] = delta[hit]
         if it == cfg.iterations:
             break
-        G = attacks._input_gradient(net, logits, preacts, y0)
+        G = attacks._input_gradient(fast, logits, preacts, y0).astype(np.float64)
         Z = Z + eta * attacks._ascent_step(G, p, cfg.sparsity_frac)
         Z = attacks._joint_project(Z, X_ref, eps, p)
     return np.isfinite(best_norm), best_norm, best_delta

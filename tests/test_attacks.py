@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from relucert.certify import EpsTriple
 from relucert.datasets import Dataset
 from relucert.net_core import ReluNet
 
-from conftest import hyperplane_distances, tiny_net
+from conftest import cleared_net, hyperplane_distances, tiny_net
 
 import per_point_reference
 
@@ -356,13 +357,22 @@ def _attack_cases(trained_pairs):
         test = run["test"].head(200)
         for kind in ("plain", "mmr"):
             yield f"blobs{run['seed']}-{kind}", run[kind], test, trained_pairs["eps"]
-    # a random net whose output bias is shifted so that it splits X in half
-    X = np.random.default_rng(5).uniform(0, 1, size=(200, 16))
+    # iterates spread over many regions: the region path is dropped
     net = net_core.random_net([16, 64, 64, 2], seed=0, bias_scale=0.1)
+    yield "16-64-64-2", *_split_in_half(net, 5), (0.5, 0.15, 0.05)
+    # affine over the box: every iterate stays in the anchors' region
+    yield "cleared-16-64-64-2", *_split_in_half(cleared_net([16, 64, 64, 2], seed=1), 6), \
+        (0.2, 0.06, 0.03)
+
+
+def _split_in_half(net, seed):
+    """net with its output bias shifted so that it splits 200 uniform points
+    of the unit box in half, and those points with its labels."""
+    X = np.random.default_rng(seed).uniform(0, 1, size=(200, net.input_dim))
     logits, _ = net_core.forward_batch(net, X)
     shift = np.median(logits[:, 0] - logits[:, 1]) / 2.0
     net = net.with_parameters(net.weights, net.biases[:-1] + (net.biases[-1] + [-shift, shift],))
-    yield "16-64-64-2", net, Dataset(X, net_core.classify_batch(net, X)), (0.5, 0.15, 0.05)
+    return net, Dataset(X, net_core.classify_batch(net, X))
 
 
 def test_mixed_precision_pgd_matches_float64_reference(trained_pairs, monkeypatch):
@@ -438,3 +448,138 @@ def test_input_gradient_matches_finite_differences():
     assert grad32.dtype == np.float32
     scale = np.abs(grad).max(axis=1, keepdims=True)
     assert (np.abs(grad32 - grad) <= 1e-4 * scale).all()
+
+
+def _region_step(fast, region, Z, y0):
+    logits, state = attacks._forward(fast, region, Z)
+    return logits, state[0], attacks._gradient(fast, region, logits, state, y0)
+
+
+def _layer_step(fast, Z, y0):
+    logits, preacts = net_core.forward_batch(fast, Z)
+    return logits, attacks._input_gradient(fast, logits, preacts, y0)
+
+
+def test_region_step_matches_the_layer_wise_pass():
+    # inside the anchors' region the step is its affine map: logits and
+    # gradients agree with the float32 layer-wise pass to float32 rounding;
+    # rows outside get exactly the layer-wise pass
+    net = cleared_net([16, 64, 64, 2], seed=2)
+    fast = net.astype(np.float32)
+    rng = np.random.default_rng(3)
+    region = attacks._anchor_region(net, rng.uniform(0, 1, size=(50, 16)))
+    Z = rng.uniform(0, 1, size=(300, 16))
+    y0 = rng.integers(0, 2, size=300)
+    logits, out, G = _region_step(fast, region, Z, y0)
+    assert len(out) == 0 and logits.dtype == G.dtype == np.float32
+    ref_logits, ref_G = _layer_step(fast, Z, y0)
+    np.testing.assert_allclose(logits, ref_logits, rtol=1e-5, atol=1e-5 * np.abs(ref_logits).max())
+    np.testing.assert_allclose(G, ref_G, rtol=1e-4, atol=1e-5 * np.abs(ref_G).max())
+
+    # outside the box the cleared units switch off
+    Z[::3] = rng.uniform(-4, 5, size=(100, 16))
+    logits, out, G = _region_step(fast, region, Z, y0)
+    _, preacts = net_core.forward_batch(net, Z)
+    active = np.concatenate(preacts, axis=1) > 0
+    assert set(out) == set(np.flatnonzero(~active.all(axis=1)))
+    assert 0 < len(out) < len(Z)
+    ref_logits, ref_G = _layer_step(fast, Z[out], y0[out])
+    assert logits[out].tobytes() == ref_logits.tobytes()
+    assert G[out].tobytes() == ref_G.tobytes()
+
+
+def test_region_step_zero_preactivation_is_outside():
+    # unit 0 is active and unit 1 inactive at the anchors; both have
+    # preactivation exactly 0 at x1 = 0.25, which is not strictly inside
+    w1 = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    net = ReluNet((w1, np.full((4, 4), 0.1), np.array([[1.0, -1.0, 0.5, 0.0], [0.0, 0.5, -1.0, 1.0]])),
+                  (np.array([-0.25, 0.25, 1.0, 2.0]), np.ones(4), np.zeros(2)))
+    assert attacks._region_pays(net)
+    region = attacks._anchor_region(net, np.array([[0.6, 0.5], [0.7, 0.2], [0.9, 0.9]]))
+    fast = net.astype(np.float32)
+    Z = np.array([[0.25, 0.5], [0.5, 0.5], [0.1, 0.5], [0.25, 0.9]])
+    y0 = np.array([0, 1, 0, 1])
+    logits, out, G = _region_step(fast, region, Z, y0)
+    assert out.tolist() == [0, 2, 3]
+    ref_logits, ref_G = _layer_step(fast, Z[out], y0[out])
+    assert logits[out].tobytes() == ref_logits.tobytes()
+    assert G[out].tobytes() == ref_G.tobytes()
+
+
+def test_wrong_region_map_never_reports_an_adversarial(monkeypatch):
+    # with the output map's classes swapped every iterate inside the region
+    # looks misclassified and the gradient points the wrong way; the float64
+    # checks still report only true adversarials
+    net, ds = _split_in_half(cleared_net([16, 64, 64, 2], seed=1), 6)
+    eps = (0.2, 0.06, 0.03)
+    calls = []
+    true_region = attacks._anchor_region
+
+    def swapped(net, anchors):
+        calls.append(len(anchors))
+        region = true_region(net, anchors)
+        return region._replace(output=region.output[::-1].copy())
+
+    monkeypatch.setattr(attacks, "_anchor_region", swapped)
+    found = attack_norms(net, ds, eps, iterations=20, restarts=3, seed=1)
+    assert len(calls) == 3
+    for (norm, (success, best_norm, deltas)), radius in zip(found.items(), eps):
+        p = attacks._ORDERS[norm]
+        adv = ds.features[success] + deltas[success]
+        assert (certify.row_norms(deltas[success], p) <= radius + 1e-9).all()
+        assert adv.min(initial=0.0) >= 0.0 and adv.max(initial=1.0) <= 1.0
+        assert (net_core.classify_batch(net, adv) != ds.labels[success]).all()
+        assert np.isinf(best_norm[~success]).all()
+
+
+@pytest.mark.parametrize("sizes, inside, pays", [
+    ([16, 256, 256, 2], 1.0, True),   # 512 * 16 = 8192 < 256 * 256 + 2 * 256
+    ([2, 64, 2], 1.0, False),         # 64 * 2 = 128, not < 2 * 64
+    ([16, 64, 64, 2], 1.0, True),     # 128 * 16 = 2048 < 64 * 64 + 2 * 64
+    ([16, 64, 64, 2], 0.5, True),     # 2048 < 0.5 * 4224
+    ([16, 64, 64, 2], 0.48, False),   # 2048 > 0.48 * 4224
+    ([16, 2], 1.0, False),            # no hidden layer
+])
+def test_region_path_shape_rule(sizes, inside, pays):
+    assert attacks._region_pays(net_core.random_net(sizes), inside) is pays
+
+
+def test_region_dropped_once_iterates_leave_it(trained_pairs, monkeypatch):
+    # each attack tries the anchors' region at its first step; on the random
+    # net the iterates lie in other regions, so it steps layer by layer after
+    # that, and on the cleared net it keeps the region to the end
+    seen = []
+    forward = attacks._forward
+
+    def spy(fast, region, Z):
+        seen.append(region is not None)
+        return forward(fast, region, Z)
+
+    monkeypatch.setattr(attacks, "_forward", spy)
+    cases = {name: case for name, *case in _attack_cases(trained_pairs)}
+    for name, kept in (("16-64-64-2", 1), ("cleared-16-64-64-2", 11)):
+        net, ds, eps = cases[name]
+        seen.clear()
+        attack_norms(net, ds, eps, iterations=10, restarts=3)
+        assert seen == 3 * ([True] * kept + [False] * (11 - kept)), name
+
+
+def test_region_path_off_is_the_layer_wise_loop(trained_pairs, monkeypatch):
+    # on the 2-64-2 blobs nets the rule is off: no region is built and the
+    # results are bitwise those of the float32 layer-wise loop
+    def no_region(net, anchors):
+        raise AssertionError("region built where the shape rule is off")
+
+    monkeypatch.setattr(attacks, "_anchor_region", no_region)
+    run = trained_pairs["runs"][0]
+    ds = run["test"].head(100)
+    for kind in ("plain", "mmr"):
+        kwargs = dict(iterations=20, restarts=3, seed=2)
+        found = attack_norms(run[kind], ds, trained_pairs["eps"], **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(attacks, "_pgd_core",
+                      functools.partial(per_point_reference.pgd_core, dtype=np.float32))
+            ref = attack_norms(run[kind], ds, trained_pairs["eps"], **kwargs)
+        for norm in found:
+            for a, b in zip(found[norm], ref[norm]):
+                assert a.tobytes() == b.tobytes(), (kind, norm)

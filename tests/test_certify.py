@@ -342,6 +342,23 @@ def test_bounds_take_the_larger_l2_certificate():
     assert certify.bounds(c, eps) == {"l1": 0.0, "l2": 0.0, "linf": 0.0, "union": 0.0}
 
 
+@pytest.mark.parametrize("shape", [
+    (1000, 16), (4, 256, 16), (800, 2), (1000, 784), (255, 16), (256, 32), (300, 33),
+    (1000, 1), (3, 2), (16,), (0, 16),
+])
+def test_max_norm_is_the_plain_max_at_every_shape(shape):
+    # short last axes take a transposed reduction; max is exact, so every
+    # shape gives bitwise the plain max, signed zeros, infinities and NaN too
+    rng = np.random.default_rng(sum(shape))
+    mat = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    flat = mat.reshape(-1)
+    if flat.size >= 4:
+        flat[:4] = [-0.0, math.inf, -math.inf, math.nan]
+    out = certify.row_norms(mat, math.inf)
+    assert out.shape == shape[:-1]
+    assert out.tobytes() == np.abs(mat).max(axis=-1).tobytes()
+
+
 def test_norm_order_below_one_rejected():
     net = tiny_net(0)
     x = np.array([0.4, 0.6])
