@@ -6,10 +6,19 @@ decision hyperplanes beyond gamma1 in l1-distance and gamma_inf in
 linf-distance simultaneously, which widens the linear regions around the
 training points and hence raises the certified radii for every norm order.
 
-Gradients are assembled by reverse-mode accumulation through the per-layer
-affine maps, with activation masks and sort orders treated as constants of
-the forward pass.  Subgradient choices at the kinks: inactive branch at ReLU
-kinks, zero at absolute-value and hinge kinks, lowest index at sort ties.
+Each hinge term is a distance value / ||normal||_q, and its gradient comes
+in two passes over one chunk of ``net_core.region_maps`` at a time, with
+activation masks and sort orders treated as constants of the forward pass:
+
+- the values are preactivations and logit margins at the points, so their
+  adjoints go through ``_backprop``, the layer-wise backward pass that the
+  cross-entropy uses too;
+- the dual norms depend only on the region tables: their adjoints are
+  summed per table row and pushed back through V^(l) = W^(l) (mask *
+  V^(l-1)) once per row (``_backprop_tables``).
+
+Subgradient choices at the kinks: inactive branch at ReLU kinks, zero at
+absolute-value and hinge kinks, lowest index at sort ties.
 """
 
 from __future__ import annotations
@@ -35,6 +44,15 @@ __all__ = [
 ]
 
 
+# k_B runs linearly from this fraction of the hidden units at the first
+# epoch to the second at the last.
+KB_START_FRAC, KB_END_FRAC = 0.20, 0.05
+# Adam's moment decays and denominator floor; the learning rate is divided
+# by LR_DROP_FACTOR for the last LR_DROP_LAST epochs.
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+LR_DROP_FACTOR, LR_DROP_LAST = 10.0, 10
+
+
 class TrainingDiverged(RuntimeError):
     """Raised when the training loss becomes non-finite."""
 
@@ -44,17 +62,14 @@ class MmrUniversalConfig:
     """Joint l1/linf margin regularizer settings.
 
     lambda1/lambda_inf weight the two norms, gamma1/gamma_inf are the target
-    margins.  k_B follows a per-epoch schedule from kb_start_frac to
-    kb_end_frac of the total hidden unit count, and the lambdas ramp from a
-    tenth of their value to full strength over lambda_ramp_epochs.
+    margins.  k_B follows ``kb_schedule``, and the lambdas ramp from a tenth
+    of their value to full strength over lambda_ramp_epochs.
     """
 
     lambda1: float = 1.0
     lambda_inf: float = 6.0
     gamma1: float = 1.0
     gamma_inf: float = 0.1
-    kb_start_frac: float = 0.20
-    kb_end_frac: float = 0.05
     lambda_ramp_epochs: int = 10
 
     def __post_init__(self):
@@ -62,9 +77,6 @@ class MmrUniversalConfig:
             raise ValueError("lambdas must be nonnegative")
         if not (self.gamma1 > 0 and self.gamma_inf > 0):
             raise ValueError("margins must be positive")
-        for f in (self.kb_start_frac, self.kb_end_frac):
-            if not (0.0 < f <= 1.0):
-                raise ValueError("k_B fractions must be in (0, 1]")
         if self.lambda_ramp_epochs < 0:
             raise ValueError("ramp length must be nonnegative")
 
@@ -74,27 +86,22 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 128
     learning_rate: float = 5e-4
-    lr_drop_factor: float = 10.0
-    lr_drop_last: int = 10
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch size must be positive")
-        if self.learning_rate <= 0 or self.lr_drop_factor <= 0:
-            raise ValueError("learning rate settings must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError("learning rate must be positive")
 
 
-def kb_schedule(epoch: int, total_epochs: int, num_hidden: int,
-                start_frac: float = 0.20, end_frac: float = 0.05) -> int:
-    """Linear per-epoch interpolation of k_B, rounded to the nearest >= 1."""
+def kb_schedule(epoch: int, total_epochs: int, num_hidden: int) -> int:
+    """k_B at an epoch: KB_START_FRAC to KB_END_FRAC of the hidden units,
+    linear per epoch, rounded to the nearest >= 1."""
     if total_epochs <= 1:
-        frac = end_frac
+        frac = KB_END_FRAC
     else:
-        frac = start_frac + (end_frac - start_frac) * epoch / (total_epochs - 1)
+        frac = KB_START_FRAC + (KB_END_FRAC - KB_START_FRAC) * epoch / (total_epochs - 1)
     return max(1, int(np.rint(frac * num_hidden)))
 
 
@@ -112,93 +119,97 @@ def _hinge(t):
     return np.maximum(0.0, 1.0 - t)
 
 
-def _distance_grad(coef, sign, values, normals, norms, q, xs):
-    """Gradient of sum coef * values / ||normals||_q wrt normals and offsets.
-
-    Each value is sign * (normal . x + offset) at its point x, so it moves
-    with the normal by sign * x and with the offset by sign.  coef is zero
-    wherever no hinge is active; entries with zero coef contribute nothing.
-    """
+def _adjoints(coef, values, norms):
+    """Adjoints of sum coef * values / norms on the values and on the norms,
+    zero wherever coef is (no hinge active)."""
     live = coef != 0.0
     safe = np.where(live, norms, 1.0)
-    g_off = np.where(live, coef * sign / safe, 0.0)
-    scale = np.where(live, coef * -values / safe**2, 0.0)
-    g_normal = g_off[:, :, None] * xs[:, None, :]
-    if math.isinf(q):
-        # d||r||_inf / dr = sign(r_j) e_j at the first largest |r_j|
-        j = np.argmax(np.abs(normals), axis=2)[:, :, None]
-        r_j = np.take_along_axis(normals, j, axis=2)
-        np.put_along_axis(g_normal, j, np.take_along_axis(g_normal, j, axis=2)
-                          + scale[:, :, None] * np.sign(r_j), axis=2)
-    else:
-        g_normal += scale[:, :, None] * np.sign(normals)
-    return g_normal, g_off
+    return coef / safe, np.where(live, -coef * values / safe**2, 0.0)
 
 
-def _backprop_maps(net, rmap, g_rows, g_offs, gv_out, ga_out, grads):
-    """Push affine-map adjoints back through V^(l) = W^(l) (mask * V^(l-1)),
-    summed over the batch, into grads = (dW, db)."""
+def _norm_grad(scale, rows, q):
+    """scale times the gradient of the q-norm of each row (last axis): sign(r)
+    for q = 1, and sign(r_j) e_j at the first largest |r_j| for q = inf."""
+    if not math.isinf(q):
+        return scale[..., None] * np.sign(rows)
+    out = np.zeros_like(rows)
+    j = np.argmax(np.abs(rows), axis=-1)[..., None]
+    np.put_along_axis(out, j, scale[..., None] * np.sign(np.take_along_axis(rows, j, -1)), -1)
+    return out
+
+
+def _row_sums(index, n, per_point):
+    """Sums of per_point (B, ...) over the points of each of n table rows,
+    index (B,) giving each point's row: (n, B) membership products, over
+    blocks of points that keep each within CHUNK_BYTES."""
+    flat = per_point.reshape(len(index), -1)
+    out = np.zeros((n, flat.shape[1]))
+    step = max(1, net_core.CHUNK_BYTES // (8 * n))
+    for lo in range(0, len(index), step):
+        out += (np.arange(n)[:, None] == index[lo:lo + step]) @ flat[lo:lo + step]
+    return out.reshape((n,) + per_point.shape[1:])
+
+
+def _backprop(net, X, preacts, g_out, grads, g_pre=None):
+    """Add to grads = (dW, db) the gradient of sum(g_out * logits) +
+    sum_l sum(g_pre[l] * preacts[l]) at the points X, with the ReLU masks
+    fixed at preacts > 0 (the inactive branch at kinks): the layer-wise
+    backward pass over (B, n_l) arrays."""
     dW, db = grads
-    gv, ga = [], []
-    pos = 0
-    for n in net.hidden_sizes:
-        gv.append(g_rows[:, pos:pos + n])
-        ga.append(g_offs[:, pos:pos + n])
-        pos += n
-    gv.append(gv_out)
-    ga.append(ga_out)
+    g = g_out
+    for l in range(len(net.weights) - 1, -1, -1):
+        dW[l] += g.T @ (np.maximum(preacts[l - 1], 0.0) if l else X)
+        db[l] += g.sum(axis=0)
+        if l:
+            g = (g @ net.weights[l]) * (preacts[l - 1] > 0)
+            if g_pre is not None:
+                g += g_pre[l - 1]
+
+
+def _backprop_tables(net, rmap, g_v, dW):
+    """Push adjoints g_v[l] (U_l, n_l, d) of the tables v_maps[l] back through
+    V^(l) = W^(l) (mask * V^(l-1)) into dW, one table row at a time.  A
+    row's mask and parent row are those of any one of its points."""
     for l in range(len(net.weights) - 1, 0, -1):
-        m = rmap.masks[l - 1]
-        v, a = rmap.at_points(l - 1)
-        mv = v * m[:, :, None]
-        ma = a * m
-        dW[l] += np.tensordot(gv[l], mv, axes=([0, 2], [0, 2])) + ga[l].T @ ma
-        db[l] += ga[l].sum(axis=0)
-        gv[l - 1] = gv[l - 1] + np.matmul(net.weights[l].T, gv[l]) * m[:, :, None]
-        ga[l - 1] = ga[l - 1] + (ga[l] @ net.weights[l]) * m
-    dW[0] += gv[0].sum(axis=0)
-    db[0] += ga[0].sum(axis=0)
-
-
-def _point_maps(net, X):
-    """Yield (slice, RegionMap) over consecutive pieces of the rows of X, of
-    at most as many points as one chunk has regions: the per-point rows the
-    regularizer reads from a piece's tables take at most CHUNK_BYTES."""
-    step = net_core._region_cap(net)
-    for sl, chunk in net_core.region_maps(net, X):
-        for lo in range(0, len(chunk.points), step):
-            piece = chunk.take(slice(lo, lo + step))
-            yield slice(sl.start + lo, sl.start + lo + len(piece.points)), piece
+        some = rmap.some_point(l)
+        m = rmap.masks[l - 1][some][:, :, None]
+        parent = rmap.index[l - 1][some]
+        dW[l] += np.tensordot(g_v[l], rmap.v_maps[l - 1][parent] * m, axes=([0, 2], [0, 2]))
+        g_v[l - 1] += _row_sums(parent, len(g_v[l - 1]),
+                                np.matmul(net.weights[l].T, g_v[l]) * m)
+    dW[0] += g_v[0].sum(axis=0)
 
 
 def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=None):
     """Universal regularizer value at every row of X, shape (B,).
 
     grads, when given, is a (dW, db) pair of per-layer arrays that receives
-    the gradient of the mean value over the rows.  Gradients flow through
-    both the numerator and the dual-norm denominator of every selected
-    distance, and through the affine-map recursion into all earlier layers.
+    the gradient of the mean value over the rows, through both the numerator
+    and the dual-norm denominator of every selected distance.
     """
     k = net.num_classes
     weight = 1.0 / len(X)
     out = np.empty(len(X))
-    for sl, rmap in _point_maps(net, X):
-        xs = rmap.points
+    splits = np.cumsum(net.hidden_sizes[:-1], dtype=np.int64)  # layers of the N units
+    for sl, rmap in net_core.region_maps(net, X):
         u = rmap.values
         abs_u = np.abs(u)
         others, diff, w_num = rmap.decision_planes(y[sl])
-        rows = rmap.rows
-        kb = min(int(kb_now), rows.shape[1])
-        value = np.zeros(len(xs))
+        idx, c = np.arange(len(u))[:, None], y[sl] - 1
+        kb = min(int(kb_now), u.shape[1])
+        value = np.zeros(len(u))
         if grads is not None:
-            g_rows, g_offs = np.zeros_like(rows), np.zeros_like(u)
-            g_diff, g_dnum = np.zeros_like(diff), np.zeros_like(w_num)
+            # adjoints of the preactivations and logits, and of each table's rows
+            g_u, g_logits = np.zeros_like(u), np.zeros_like(rmap.logits)
+            g_v = [np.zeros_like(v) for v in rmap.v_maps]
+            g_diff = np.zeros_like(diff)
         for p, lam, gamma in ((1.0, lam1, cfg.gamma1), (math.inf, lam_inf, cfg.gamma_inf)):
             if lam == 0.0:
                 continue
             q = dual_exponent(p)  # linf for p = 1, l1 for p = inf
             if kb:
-                dens = certify.row_norms(rows, q)
+                # dual norms once per table row
+                dens = rmap.stacked([certify.row_norms(v, q) for v in rmap.v_maps[:-1]])
                 dists = certify.plane_distances(abs_u, dens)
                 # stable: ties go to the lowest unit index
                 sel = np.argsort(dists, axis=1, kind="stable")[:, :kb]
@@ -209,30 +220,33 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
                     active = (near < gamma) & np.isfinite(near)
                     np.put_along_axis(coef, sel, np.where(
                         active, -(weight * lam) / (kb * gamma), 0.0), axis=1)
-                    gr, go = _distance_grad(coef, np.sign(u), abs_u, rows, dens, q, xs)
-                    g_rows += gr
-                    g_offs += go
+                    g_val, g_norm = _adjoints(coef, abs_u, dens)
+                    g_u += g_val * np.sign(u)
+                    for l, g in enumerate(np.split(g_norm, splits, axis=1)):
+                        v = rmap.v_maps[l]
+                        g_v[l] += _norm_grad(_row_sums(rmap.index[l], len(v), g), v, q)
             dens = certify.row_norms(diff, q)
             dists = certify.plane_distances(w_num, dens)
             value += lam * _hinge(dists / gamma).sum(axis=1) / (k - 1)
             if grads is not None:
                 active = (dists < gamma) & np.isfinite(dists)
                 coef = np.where(active, -(weight * lam) / ((k - 1) * gamma), 0.0)
-                gr, go = _distance_grad(coef, 1.0, w_num, diff, dens, q, xs)
-                g_diff += gr
-                g_dnum += go
+                g_val, g_norm = _adjoints(coef, w_num, dens)
+                g_logits[idx, others] -= g_val
+                g_logits[idx[:, 0], c] += g_val.sum(axis=1)
+                g_diff += _norm_grad(g_norm, diff, q)
         out[sl] = value
         if grads is not None:
-            # diff = V_out[c] - V_out[s] and its offset likewise
-            idx = np.arange(len(xs))
-            c = y[sl] - 1
-            gv_out = np.zeros((len(xs), k, xs.shape[1]))
-            ga_out = np.zeros((len(xs), k))
-            gv_out[idx[:, None], others] -= g_diff
-            ga_out[idx[:, None], others] -= g_dnum
-            gv_out[idx, c] += g_diff.sum(axis=1)
-            ga_out[idx, c] += g_dnum.sum(axis=1)
-            _backprop_maps(net, rmap, g_rows, g_offs, gv_out, ga_out, grads)
+            # the values: the layer-wise backward pass from the chunk's
+            # preactivations and logits
+            _backprop(net, rmap.points, np.split(u, splits, axis=1), g_logits, grads,
+                      np.split(g_u, splits, axis=1))
+            # the dual norms: diff = V_out[c] - V_out[s], summed per region
+            gv_out = np.zeros(rmap.logits.shape + diff.shape[2:])
+            gv_out[idx, others] -= g_diff
+            gv_out[idx[:, 0], c] += g_diff.sum(axis=1)
+            g_v[-1] += _row_sums(rmap.region, len(g_v[-1]), gv_out)
+            _backprop_tables(net, rmap, g_v, grads[0])
     return out
 
 
@@ -259,24 +273,16 @@ def _ce_value_and_grad(net, X, y):
     """Batched softmax cross-entropy value and parameter gradients."""
     B = len(X)
     logits, preacts = net_core.forward_batch(net, X)
-    hs = [X] + [np.maximum(g, 0.0) for g in preacts]
     m = logits.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
     idx = np.arange(B)
     ce = float(np.mean(lse - logits[idx, y - 1]))
-    probs = np.exp(logits - lse[:, None])
-    g_out = probs
+    g_out = np.exp(logits - lse[:, None])
     g_out[idx, y - 1] -= 1.0
     g_out /= B
     dW = [np.zeros_like(w) for w in net.weights]
     db = [np.zeros_like(b) for b in net.biases]
-    dW[-1] = g_out.T @ hs[-1]
-    db[-1] = g_out.sum(axis=0)
-    g = g_out
-    for l in range(len(net.weights) - 2, -1, -1):
-        g = (g @ net.weights[l + 1]) * (preacts[l] > 0)
-        dW[l] = g.T @ hs[l]
-        db[l] = g.sum(axis=0)
+    _backprop(net, X, preacts, g_out, (dW, db))
     return ce, dW, db
 
 
@@ -289,7 +295,7 @@ def loss(net, batch, cfg: MmrUniversalConfig, kb_now=None, lam_scale: float = 1.
 def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grad=True):
     """(loss, dW, db); grad=False leaves the regularizer out of dW and db."""
     if kb_now is None:
-        kb_now = max(1, int(np.rint(cfg.kb_start_frac * max(net.num_hidden_units, 1))))
+        kb_now = max(1, int(np.rint(KB_START_FRAC * max(net.num_hidden_units, 1))))
     lam1, lam_inf = cfg.lambda1 * lam_scale, cfg.lambda_inf * lam_scale
     ce, dW, db = _ce_value_and_grad(net, X, y)
     total = ce
@@ -312,23 +318,21 @@ def loss_gradient(net, batch, cfg: MmrUniversalConfig, kb_now=None,
 
 
 class _Adam:
-    def __init__(self, params, beta1, beta2, eps):
+    def __init__(self, params):
         self.params = params
         self.m = [np.zeros_like(a) for a in params]
         self.v = [np.zeros_like(a) for a in params]
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
     def step(self, grads, lr):
         """One in-place update of every parameter array."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        corr1 = 1.0 - b1**self.t
-        corr2 = 1.0 - b2**self.t
+        corr1 = 1.0 - BETA1**self.t
+        corr2 = 1.0 - BETA2**self.t
         for i, (a, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g ** 2
-            a -= lr * (self.m[i] / corr1) / (np.sqrt(self.v[i] / corr2) + self.eps)
+            self.m[i] = BETA1 * self.m[i] + (1 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1 - BETA2) * g ** 2
+            a -= lr * (self.m[i] / corr1) / (np.sqrt(self.v[i] / corr2) + ADAM_EPS)
 
 
 def _test_error(net, X, y):
@@ -339,12 +343,11 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
           eval_dataset=None, cert_sample: int = 128):
     """Run the full training protocol and return (trained net, history).
 
-    Shuffled mini-batches with Adam; k_B interpolates linearly per epoch from
-    kb_start_frac to kb_end_frac of the hidden units, the lambdas ramp up
-    over the first lambda_ramp_epochs epochs, and the learning rate is
-    divided by lr_drop_factor for the final lr_drop_last epochs.  History
-    records per-epoch loss, test error and mean certified radii on a sample
-    of the evaluation set.
+    Shuffled mini-batches with Adam; k_B follows ``kb_schedule``, the
+    lambdas ramp up over the first lambda_ramp_epochs epochs, and the
+    learning rate is divided by LR_DROP_FACTOR for the final LR_DROP_LAST
+    epochs.  History records per-epoch loss, test error and mean certified
+    radii on a sample of the evaluation set.
     """
     if train_cfg.epochs < mmr_cfg.lambda_ramp_epochs:
         raise ValueError("epochs must be at least lambda_ramp_epochs")
@@ -359,17 +362,16 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     rng = np.random.default_rng(train_cfg.seed)
     weights = [w.copy() for w in net0.weights]
     biases = [b.copy() for b in net0.biases]
-    adam = _Adam(weights + biases, train_cfg.beta1, train_cfg.beta2, train_cfg.adam_eps)
+    adam = _Adam(weights + biases)
     num_hidden = net0.num_hidden_units
     history = []
     net = net0.with_parameters(weights, biases)
     for epoch in range(train_cfg.epochs):
-        kb = kb_schedule(epoch, train_cfg.epochs, num_hidden,
-                         mmr_cfg.kb_start_frac, mmr_cfg.kb_end_frac)
+        kb = kb_schedule(epoch, train_cfg.epochs, num_hidden)
         lam_scale = lambda_ramp_factor(epoch, mmr_cfg.lambda_ramp_epochs)
         lr = train_cfg.learning_rate
-        if epoch >= train_cfg.epochs - train_cfg.lr_drop_last:
-            lr /= train_cfg.lr_drop_factor
+        if epoch >= train_cfg.epochs - LR_DROP_LAST:
+            lr /= LR_DROP_FACTOR
         perm = rng.permutation(n)
         epoch_losses = []
         for start in range(0, n, train_cfg.batch_size):

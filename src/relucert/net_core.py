@@ -152,11 +152,12 @@ class RegionMap:
     def region(self) -> np.ndarray:
         return self.index[-1]
 
-    def at_points(self, l):
-        """Layer l's affine form at each point: (B, n_l, d) and (B, n_l)."""
-        index = self.index[l]
-        rows = slice(None) if len(self.v_maps[l]) == len(index) else index
-        return self.v_maps[l][rows], self.a_maps[l][rows]
+    def some_point(self, l) -> np.ndarray:
+        """One point of each row of layer l's tables, (U_l,): the points of a
+        row share its masks and rows at every earlier layer."""
+        out = np.empty(len(self.v_maps[l]), dtype=np.int64)
+        out[self.index[l]] = np.arange(len(self.index[l]))
+        return out
 
     def stacked(self, tables, tail=()) -> np.ndarray:
         """Per-point stack (B, N, *tail) of one table (U_l, n_l, *tail) per
@@ -202,21 +203,7 @@ class RegionMap:
 
     def patterns(self) -> np.ndarray:
         """Activation pattern of each region, bits packed: (U, ceil(N / 8))."""
-        member = np.empty(len(self.v_maps[-1]), dtype=np.int64)
-        member[self.region] = np.arange(len(self.region))  # any point of the region
-        return np.packbits(self.values[member] > 0, axis=1)
-
-    def take(self, sl) -> "RegionMap":
-        """The map of the points in slice sl: this map if that is all of
-        them, else one with a table row per point."""
-        if len(self.points[sl]) == len(self.points):
-            return self
-        index = [i[sl] for i in self.index]
-        own = (np.arange(len(index[-1])),) * len(index)
-        return RegionMap(self.points[sl], own, tuple(m[sl] for m in self.masks),
-                         tuple(v[i] for v, i in zip(self.v_maps, index)),
-                         tuple(a[i] for a, i in zip(self.a_maps, index)),
-                         self.values[sl], self.logits[sl])
+        return np.packbits(self.values[self.some_point(-1)] > 0, axis=1)
 
 
 def _check_input(net: ReluNet, x) -> np.ndarray:

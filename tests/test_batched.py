@@ -1,6 +1,7 @@
 """The batched region map, certificates and regularizer against the slow
 per-point reference in per_point_reference.py."""
 
+import functools
 import math
 import tracemalloc
 
@@ -46,6 +47,7 @@ NETS = (
      for s in range(len(TINY_ARCHS))]
     + [("multi-3-7-5-4", random_net([3, 7, 5, 4], seed=1, bias_scale=0.4)),
        ("multi-2-9-6-5", random_net([2, 9, 6, 5], seed=2, bias_scale=0.4)),
+       ("deep-3-8-7-6-3", random_net([3, 8, 7, 6, 3], seed=5, bias_scale=0.4)),
        ("d16-16-24-12-3", random_net([16, 24, 12, 3], seed=3, bias_scale=0.4)),
        ("d16-16-20-2", random_net([16, 20, 2], seed=4, bias_scale=0.4)),
        ("zero-rows", zero_row_net()),
@@ -187,7 +189,8 @@ def batch_of(name, n, seed):
     return (net, *points(net, n, seed))
 
 
-@pytest.mark.parametrize("name", ["tiny4-2-8-8-3", "multi-2-9-6-5", "d16-16-24-12-3", *SHARED])
+@pytest.mark.parametrize("name", ["tiny4-2-8-8-3", "multi-2-9-6-5", "deep-3-8-7-6-3",
+                                  "d16-16-24-12-3", *SHARED])
 def test_per_point_results_independent_of_chunking(monkeypatch, name):
     net, X, y = batch_of(name, 37, seed=3)
 
@@ -253,6 +256,7 @@ def test_one_layer_step_row_per_activation_prefix(monkeypatch, name):
             assert np.array_equal(rmap.a_maps[l][rmap.index[l][i]], one.a_maps[l][0])
 
 
+@functools.lru_cache(maxsize=None)
 def big_batches(n):
     """Batches of n points of a 16-256-256-2 net: each point in its own
     activation region, all in one region, and (n > 14) the first 14 in one
@@ -329,3 +333,21 @@ def test_region_maps_memory_does_not_grow_with_the_batch():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak <= 4 * net_core.CHUNK_BYTES, (kind, n, peak / net_core.CHUNK_BYTES)
+
+
+def test_regularizer_memory_does_not_grow_with_the_batch():
+    # the regularizer's value and gradient read one chunk's tables at a
+    # time: no per-point (B, N, d) rows and no (regions, B) product of the
+    # whole batch (distinct points make chunks of R = 4 points, so 200 of
+    # them already span 50 chunks)
+    for kind, n in (("distinct", 40), ("distinct", 200), ("shared", 40), ("shared", 200),
+                    ("shared", 3000)):
+        net, X = big_batches(n)[kind]
+        y = net_core.classify_batch(net, X)
+        grads = ([np.zeros_like(w) for w in net.weights],
+                 [np.zeros_like(b) for b in net.biases])
+        tracemalloc.start()
+        mmr_train._universal(net, X, y, CFG, 5, CFG.lambda1, CFG.lambda_inf, grads=grads)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 16 * net_core.CHUNK_BYTES, (kind, n, peak / net_core.CHUNK_BYTES)
