@@ -115,7 +115,7 @@ def certify_single_norm(net, x, label: int, p) -> float:
     """
     rmap = net_core.region_map(net, net_core._check_input(net, x)[None, :])
     _, normals, values = rmap.decision_planes(_check_labels(net, [label]))
-    boundary, decision = _min_dists(rmap, values, normals, p)
+    boundary, decision = _min_dists(rmap, np.abs(rmap.values), values, normals, p)
     return 0.0 if decision[0] < 0.0 else float(min(boundary[0], decision[0]))
 
 
@@ -155,12 +155,13 @@ class Certificates:
                 "linf": self.lb_linf}
 
 
-def _min_dists(rmap, values, normals, p):
-    """Nearest boundary and nearest (signed) decision lp-distance per point;
-    the dual norms of a layer's hyperplanes are taken once per table row."""
+def _min_dists(rmap, gaps, values, normals, p):
+    """Nearest boundary and nearest (signed) decision lp-distance per point,
+    gaps being |rmap.values|; the dual norms of a layer's hyperplanes are
+    taken once per table row."""
     q = geometry.dual_exponent(p)
     norms = rmap.stacked([row_norms(v, q) for v in rmap.v_maps[:-1]])
-    boundary = plane_distances(np.abs(rmap.values), norms).min(axis=1, initial=math.inf)
+    boundary = plane_distances(gaps, norms).min(axis=1, initial=math.inf)
     decision = plane_distances(values, row_norms(normals, q)).min(axis=1, initial=math.inf)
     return boundary, decision
 
@@ -185,9 +186,10 @@ def certificates(net, X, labels) -> Certificates:
     for sl, rmap in net_core.region_maps(net, X):
         y = labels[sl]
         _, normals, values = rmap.decision_planes(y)
-        b1, d1 = _min_dists(rmap, values, normals, 1.0)
-        b2, d2 = _min_dists(rmap, values, normals, 2.0)
-        binf, dinf = _min_dists(rmap, values, normals, math.inf)
+        gaps = np.abs(rmap.values)
+        b1, d1 = _min_dists(rmap, gaps, values, normals, 1.0)
+        b2, d2 = _min_dists(rmap, gaps, values, normals, 2.0)
+        binf, dinf = _min_dists(rmap, gaps, values, normals, math.inf)
         region[sl] = rmap.region + seen
         patterns.append(rmap.patterns())
         seen += len(patterns[-1])

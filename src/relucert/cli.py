@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--batch", type=int, default=128)
     t.add_argument("--lr", type=float, default=5e-4)
     t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--out", required=True, help="model JSON path")
+    t.add_argument("--out", required=True, help="model file path")
     t.add_argument("--history", default=None, help="per-epoch CSV path")
     t.set_defaults(func=_cmd_train)
 

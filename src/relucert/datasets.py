@@ -2,19 +2,19 @@
 
 Features live in [0, 1]^d and labels in 1..K.  On disk a dataset is either a
 binary container (one JSON header line followed by the raw little-endian
-payload: count*d float64 features row-major, then count int64 labels) or a
-CSV file whose last column is the label.
+payload: count*d float64 features row-major, then count int64 labels; models
+use the same container) or a CSV file whose last column is the label.
 """
 
 from __future__ import annotations
 
-import json
+import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .net_core import _json_int
+from .net_core import _json_int, _read_container, _write_container
 
 __all__ = [
     "Dataset",
@@ -112,10 +112,7 @@ def save_dataset(ds: Dataset, path, fmt: str = "bin") -> None:
     if fmt == "bin":
         header = {"d": ds.dim, "K": ds.num_classes, "count": ds.count,
                   "dtype": "f64", "layout": "row-major"}
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header).encode("utf-8") + b"\n")
-            fh.write(np.ascontiguousarray(ds.features, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
+        _write_container(path, header, (ds.features.astype("<f8"), ds.labels.astype("<i8")))
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             for row, lab in zip(ds.features, ds.labels):
@@ -124,11 +121,7 @@ def save_dataset(ds: Dataset, path, fmt: str = "bin") -> None:
         raise ValueError(f"unknown dataset format {fmt!r}")
 
 
-def _load_binary(path, first_line: bytes) -> Dataset:
-    try:
-        header = json.loads(first_line.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{path}: header is not valid JSON: {exc}") from exc
+def _load_binary(path, header: dict, payload: bytes) -> Dataset:
     for key in _HEADER_KEYS:
         if key not in header:
             raise ValueError(f"{path}: header missing key {key!r}")
@@ -137,15 +130,9 @@ def _load_binary(path, first_line: bytes) -> Dataset:
     d = _json_int(path, header["d"], "header 'd'", least=1)
     k = _json_int(path, header["K"], "header 'K'")
     count = _json_int(path, header["count"], "header 'count'")
-    offset = len(first_line)
-    with open(path, "rb") as fh:
-        fh.seek(offset)
-        payload = fh.read()
     need = count * d * 8 + count * 8
     if len(payload) != need:
-        raise ValueError(
-            f"{path}: payload has {len(payload)} bytes at offset {offset}, "
-            f"expected {need}")
+        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {need}")
     feats = np.frombuffer(payload[: count * d * 8], dtype="<f8").reshape(count, d)
     labels = np.frombuffer(payload[count * d * 8:], dtype="<i8")
     if len(labels) and (labels.min() < 1 or labels.max() > k):
@@ -153,31 +140,30 @@ def _load_binary(path, first_line: bytes) -> Dataset:
     return Dataset(feats, labels, name="", num_classes=k)
 
 
-def _load_csv(path) -> Dataset:
+def _load_csv(path, text: str) -> Dataset:
     rows, labels = [], []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-                if width < 2:
-                    raise ValueError(f"{path}:{lineno}: need features plus a label")
-            elif len(parts) != width:
-                raise ValueError(
-                    f"{path}:{lineno}: {len(parts)} columns, expected {width}")
-            try:
-                vals = [float(v) for v in parts]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            lab = vals[-1]
-            if not math.isfinite(lab) or lab != int(lab):
-                raise ValueError(f"{path}:{lineno}: label {lab} is not an integer")
-            rows.append(vals[:-1])
-            labels.append(int(lab))
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+            if width < 2:
+                raise ValueError(f"{path}:{lineno}: need features plus a label")
+        elif len(parts) != width:
+            raise ValueError(
+                f"{path}:{lineno}: {len(parts)} columns, expected {width}")
+        try:
+            vals = [float(v) for v in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        lab = vals[-1]
+        if not math.isfinite(lab) or lab != int(lab):
+            raise ValueError(f"{path}:{lineno}: label {lab} is not an integer")
+        rows.append(vals[:-1])
+        labels.append(int(lab))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     feats = np.asarray(rows, dtype=np.float64)
@@ -191,12 +177,11 @@ def _load_csv(path) -> Dataset:
 
 def load_dataset(path) -> Dataset:
     """Load a dataset, trying the binary container first and CSV second."""
-    with open(path, "rb") as fh:
-        first_line = fh.readline()
-    stripped = first_line.strip()
-    if stripped.startswith(b"{"):
-        return _load_binary(path, first_line)
+    header, data = _read_container(path)
+    if header is not None:
+        return _load_binary(path, header, data)
     try:
-        return _load_csv(path)
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+    return _load_csv(path, text)

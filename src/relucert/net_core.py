@@ -420,22 +420,41 @@ def random_net(layer_sizes, seed=0, bias_scale=0.0) -> ReluNet:
     return ReluNet(tuple(weights), tuple(biases))
 
 
+def _write_container(path, header: dict, arrays) -> None:
+    """Write a container file: the header as one JSON line, then each array's
+    raw bytes in turn (the caller picks their little-endian dtypes)."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        for a in arrays:
+            fh.write(a.tobytes())
+
+
+def _read_container(path):
+    """(header dict, payload bytes) of a container file: one JSON object on
+    the first line, then the raw payload.  When the first line does not
+    start with '{' the header is None and the payload is the whole file."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        payload = fh.read()
+    if not line.strip().startswith(b"{"):
+        return None, line + payload
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: header is not valid JSON: {exc}") from exc
+    return header, payload
+
+
 def save_model(net: ReluNet, path) -> None:
-    doc = {
-        "input_dim": net.input_dim,
-        "num_classes": net.num_classes,
-        "layers": [
-            {
-                "rows": int(w.shape[0]),
-                "cols": int(w.shape[1]),
-                "weights": [float(v) for v in w.ravel(order="C")],
-                "bias": [float(v) for v in b],
-            }
-            for w, b in zip(net.weights, net.biases)
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    """Write net as a container file: the JSON header line {"input_dim",
+    "num_classes", "dtype": "f64", "layers": [{"rows", "cols"}, ...]}, then
+    each layer's weights (row-major) and bias as little-endian float64.  A
+    float32 net is stored as its exact float64 upcast."""
+    header = {"input_dim": net.input_dim, "num_classes": net.num_classes, "dtype": "f64",
+              "layers": [{"rows": int(w.shape[0]), "cols": int(w.shape[1])}
+                         for w in net.weights]}
+    _write_container(path, header, (a.astype("<f8") for w, b in zip(net.weights, net.biases)
+                                    for a in (w, b)))
 
 
 def _json_int(path, value, what, least=0) -> int:
@@ -445,39 +464,30 @@ def _json_int(path, value, what, least=0) -> int:
     return value
 
 
-def _json_floats(path, value, what) -> np.ndarray:
-    if not isinstance(value, list):
-        raise ValueError(f"{path}: {what} must be a list of numbers")
-    try:
-        return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {what} must be a list of numbers: {exc}") from exc
-
-
 def load_model(path) -> ReluNet:
-    """Load a model JSON document, validating the layer dimension chain.
+    """Load a model written by ``save_model``, validating the header's layer
+    dimension chain and the payload length before reading any parameter.
 
-    Any malformed document raises ValueError naming the path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a model must be a JSON object")
-    for key in ("input_dim", "num_classes", "layers"):
-        if key not in doc:
-            raise ValueError(f"{path}: missing key {key!r}")
-    layers = doc["layers"]
+    Any malformed file, a float-list JSON model among them, raises
+    ValueError naming the path."""
+    header, payload = _read_container(path)
+    if header is None:
+        raise ValueError(f"{path}: not a model container: no JSON header line")
+    for key in ("input_dim", "num_classes", "dtype", "layers"):
+        if key not in header:
+            raise ValueError(f"{path}: not a model container: header missing key {key!r}")
+    if header["dtype"] != "f64":
+        raise ValueError(f"{path}: unsupported dtype {header['dtype']!r}, expected 'f64'")
+    layers = header["layers"]
     if not isinstance(layers, list) or not layers:
         raise ValueError(f"{path}: 'layers' must be a non-empty list")
-    weights, biases = [], []
-    prev = _json_int(path, doc["input_dim"], "'input_dim'", least=1)
-    num_classes = _json_int(path, doc["num_classes"], "'num_classes'", least=1)
+    prev = _json_int(path, header["input_dim"], "'input_dim'", least=1)
+    num_classes = _json_int(path, header["num_classes"], "'num_classes'", least=1)
+    shapes = []
     for i, layer in enumerate(layers):
         if not isinstance(layer, dict):
             raise ValueError(f"{path}: layer {i} must be a JSON object")
-        for key in ("rows", "cols", "weights", "bias"):
+        for key in ("rows", "cols"):
             if key not in layer:
                 raise ValueError(f"{path}: layer {i} missing key {key!r}")
         rows = _json_int(path, layer["rows"], f"layer {i} 'rows'", least=1)
@@ -485,20 +495,17 @@ def load_model(path) -> ReluNet:
         if cols != prev:
             raise ValueError(
                 f"{path}: layer {i} has {cols} columns, expected {prev}")
-        w = _json_floats(path, layer["weights"], f"layer {i} 'weights'")
-        if w.size != rows * cols:
-            raise ValueError(
-                f"{path}: layer {i} carries {w.size} weights, expected {rows * cols}")
-        b = _json_floats(path, layer["bias"], f"layer {i} 'bias'")
-        if b.size != rows:
-            raise ValueError(f"{path}: layer {i} bias length {b.size}, expected {rows}")
-        weights.append(w.reshape(rows, cols))
-        biases.append(b.reshape(rows))
+        shapes.append((rows, cols))
         prev = rows
     if prev != num_classes:
         raise ValueError(
             f"{path}: last layer has {prev} rows, expected num_classes={num_classes}")
+    sizes = [n for rows, cols in shapes for n in (rows * cols, rows)]
+    if len(payload) != 8 * sum(sizes):
+        raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {8 * sum(sizes)}")
+    parts = np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(sizes)[:-1])
+    weights = [w.reshape(shape) for w, shape in zip(parts[::2], shapes)]
     try:
-        return ReluNet(tuple(weights), tuple(biases))
+        return ReluNet(tuple(weights), tuple(parts[1::2]))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -297,17 +298,13 @@ def test_universal_bound_below_oracle_between_the_exact_norms(trained_pairs):
     net, sub = run["mmr"], run["test"].head(20)
     certs = certify.certificates(net, sub.features, sub.labels)
     positive = 0
-    try:
-        for i in range(sub.count):
-            for p in (1.5, 3.0):
-                res = exact_robustness_oracle(net, sub.features[i], int(sub.labels[i]), p)
-                bound = certs.point(i).universal_bound(p)
-                assert res.exact
-                assert bound <= res.value + 1e-9, (i, p)
-                positive += bound > 0
-    finally:
-        # trained_pairs keeps this net alive for later tests: leave no atlas cached for it
-        certify._ORACLE_CACHE.pop(net, None)
+    for i in range(sub.count):
+        for p in (1.5, 3.0):
+            res = exact_robustness_oracle(net, sub.features[i], int(sub.labels[i]), p)
+            bound = certs.point(i).universal_bound(p)
+            assert res.exact
+            assert bound <= res.value + 1e-9, (i, p)
+            positive += bound > 0
     assert positive > 30
 
 
@@ -430,9 +427,16 @@ def test_oracle_bisects_rays_once_per_point(monkeypatch):
 
 
 def test_atlas_cache_drops_dead_nets():
+    # only this test's net is followed: nets that other tests keep alive may
+    # stay cached
+    gc.collect()
+    before = len(certify._ORACLE_CACHE)
     net = hand_net()
     exact_robustness_oracle(net, np.array([2.0, 2.0]), 1, 2.0)
     assert net in certify._ORACLE_CACHE
+    assert len(certify._ORACLE_CACHE) == before + 1
+    ref = weakref.ref(net)
     del net
     gc.collect()
-    assert len(certify._ORACLE_CACHE) == 0
+    assert ref() is None
+    assert len(certify._ORACLE_CACHE) == before

@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,22 +95,26 @@ def test_generators_ranges():
 
 
 def _valid_files():
-    """Bytes of a valid model JSON, binary dataset and CSV dataset."""
+    """Bytes of a valid model container (as save_model writes it), binary
+    dataset and CSV dataset, and the JSON headers of the two containers."""
     model = net_core.random_net([2, 3, 2], seed=1, bias_scale=0.1)
     ds = gen_blobs(3, seed=2)
-    doc = {"input_dim": 2, "num_classes": 2, "layers": [
-        {"rows": int(w.shape[0]), "cols": int(w.shape[1]),
-         "weights": w.ravel().tolist(), "bias": b.tolist()}
-        for w, b in zip(model.weights, model.biases)]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.bin")
+        net_core.save_model(model, path)
+        with open(path, "rb") as fh:
+            model_bytes = fh.read()
     header = {"d": 2, "K": 2, "count": 3, "dtype": "f64", "layout": "row-major"}
     binary = (json.dumps(header).encode() + b"\n" + ds.features.astype("<f8").tobytes()
               + ds.labels.astype("<i8").tobytes())
     csv = "".join(",".join(repr(float(v)) for v in row) + f",{lab}\n"
                   for row, lab in zip(ds.features, ds.labels)).encode()
-    return {"model": json.dumps(doc).encode(), "bin": binary, "csv": csv}, doc, header
+    model_doc = json.loads(model_bytes.split(b"\n", 1)[0])
+    return {"model": model_bytes, "bin": binary, "csv": csv}, model_doc, header
 
 
 VALID, MODEL_DOC, HEADER_DOC = _valid_files()
+PAYLOAD = {kind: VALID[kind].split(b"\n", 1)[1] for kind in ("model", "bin")}
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
@@ -148,6 +154,12 @@ def _replaced(doc, path, value):
     return out
 
 
+def _model_file(path, header=MODEL_DOC, payload=PAYLOAD["model"]):
+    """Write a model container with the given header and payload."""
+    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    return path
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.binary(max_size=300))
 def test_loaders_reject_random_bytes_with_value_error(tmp_path_factory, data):
@@ -156,13 +168,18 @@ def test_loaders_reject_random_bytes_with_value_error(tmp_path_factory, data):
 
 @settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(sorted(VALID)), edits=st.lists(
-    st.tuples(st.integers(0, 10**6), st.integers(0, 8), st.binary(max_size=8)),
+    st.tuples(st.integers(0, 10**6), st.integers(0, 8), st.binary(max_size=8),
+              st.booleans()),
     min_size=1, max_size=4))
 def test_loaders_reject_mutated_bytes_with_value_error(tmp_path_factory, kind, edits):
-    # each edit replaces up to 8 bytes at some offset by up to 8 others
+    # each edit replaces up to 8 bytes at some offset by up to 8 others, or
+    # overwrites bytes in place, keeping the length: in a container's
+    # payload that reaches the parameter and label checks
     data = VALID[kind]
-    for pos, length, new in edits:
+    for pos, length, new, in_place in edits:
         pos %= len(data) + 1
+        if in_place:
+            length = len(new)
         data = data[:pos] + new + data[pos + length:]
     _loaders_raise_only_value_error(tmp_path_factory, data)
 
@@ -170,16 +187,14 @@ def test_loaders_reject_mutated_bytes_with_value_error(tmp_path_factory, kind, e
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_loaders_reject_mutated_documents_with_value_error(tmp_path_factory, data):
-    # replace one node of the model document or of the dataset header by an
-    # arbitrary JSON value: 5 for the whole model, null for input_dim, [1]
-    # for rows, ...
-    which = data.draw(st.sampled_from(["model", "header"]))
+    # replace one node of the model or dataset header by an arbitrary JSON
+    # value (5 for the whole header, null for input_dim, [1] for rows, ...)
+    # and append the container's real payload
+    which = data.draw(st.sampled_from(["model", "bin"]))
     doc = MODEL_DOC if which == "model" else HEADER_DOC
     path = data.draw(st.sampled_from(list(_json_paths(doc))))
     text = json.dumps(_replaced(doc, path, data.draw(JSON_VALUES))).encode()
-    if which == "header":
-        text = text.replace(b"\n", b" ") + b"\n" + VALID["bin"].split(b"\n", 1)[1]
-    _loaders_raise_only_value_error(tmp_path_factory, text)
+    _loaders_raise_only_value_error(tmp_path_factory, text + b"\n" + PAYLOAD[which])
 
 
 @pytest.mark.parametrize("text", [
@@ -200,22 +215,79 @@ def test_load_model_rejects_non_object_json(tmp_path, text, capsys):
     ("input_dim", None), ("input_dim", "2"), ("input_dim", 2.5), ("num_classes", True),
 ])
 def test_load_model_rejects_non_integer_sizes(tmp_path, field, value):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(dict(MODEL_DOC, **{field: value})))
+    path = _model_file(tmp_path / "model.bin", dict(MODEL_DOC, **{field: value}))
     with pytest.raises(ValueError, match=field):
         net_core.load_model(path)
 
 
 @pytest.mark.parametrize("layer", [
-    5, {"rows": [1], "cols": 2, "weights": [0.0] * 6, "bias": [0.0] * 3},
-    {"rows": 3, "cols": 2, "weights": [0.0] * 5 + [{}], "bias": [0.0] * 3},
-    {"rows": 3, "cols": 2, "weights": [0.0] * 6, "bias": [1e400] * 3},
+    5, {"rows": [1], "cols": 2}, {"rows": 3, "cols": 2.0}, {"rows": 3}, {"cols": 2},
 ])
 def test_load_model_rejects_malformed_layers(tmp_path, layer):
-    path = tmp_path / "model.json"
-    path.write_text(json.dumps(dict(MODEL_DOC, layers=[layer] + MODEL_DOC["layers"][1:])))
-    with pytest.raises(ValueError, match="model.json"):
+    path = _model_file(tmp_path / "model.bin",
+                       dict(MODEL_DOC, layers=[layer] + MODEL_DOC["layers"][1:]))
+    with pytest.raises(ValueError, match="model.bin"):
         net_core.load_model(path)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_load_model_rejects_non_finite_parameters(tmp_path, value):
+    payload = np.frombuffer(PAYLOAD["model"], dtype="<f8").copy()
+    payload[-1] = value
+    path = _model_file(tmp_path / "model.bin", payload=payload.tobytes())
+    with pytest.raises(ValueError, match="model.bin.*finite"):
+        net_core.load_model(path)
+
+
+@pytest.mark.parametrize("payload", [PAYLOAD["model"][:-1], PAYLOAD["model"] + b"\0"],
+                         ids=["one-byte-short", "one-byte-long"])
+def test_load_model_rejects_payload_of_the_wrong_length(tmp_path, payload):
+    path = _model_file(tmp_path / "model.bin", payload=payload)
+    with pytest.raises(ValueError, match="model.bin: payload has"):
+        net_core.load_model(path)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "<f8", None])
+def test_load_model_rejects_other_dtypes(tmp_path, dtype):
+    path = _model_file(tmp_path / "model.bin", dict(MODEL_DOC, dtype=dtype))
+    with pytest.raises(ValueError, match="model.bin: unsupported dtype"):
+        net_core.load_model(path)
+
+
+@pytest.mark.parametrize("size", [2**31, 2**62, 10**30])
+def test_load_model_rejects_huge_sizes_without_allocating(tmp_path, size):
+    # a consistent chain of huge layers gets as far as the payload length
+    chained = dict(MODEL_DOC, input_dim=size, num_classes=size,
+                   layers=[{"rows": size, "cols": size}])
+    broken = dict(MODEL_DOC, layers=[{"rows": size, "cols": 2}] + MODEL_DOC["layers"][1:])
+    for header, message in ((chained, "payload has"), (broken, "columns")):
+        path = _model_file(tmp_path / "model.bin", header)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                net_core.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+
+def test_load_model_rejects_float_list_json(tmp_path, capsys):
+    # the former model format: one JSON document with the parameters as lists
+    net = net_core.random_net([2, 3, 2], seed=1, bias_scale=0.1)
+    doc = {"input_dim": 2, "num_classes": 2, "layers": [
+        {"rows": int(w.shape[0]), "cols": int(w.shape[1]),
+         "weights": w.ravel().tolist(), "bias": b.tolist()}
+        for w, b in zip(net.weights, net.biases)]}
+    path = tmp_path / "old-model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="old-model.json: not a model container"):
+        net_core.load_model(path)
+    data = tmp_path / "blobs.bin"
+    save_dataset(gen_blobs(8, seed=0), data)
+    assert main(["certify", "--model", str(path), "--data", str(data), "--eps1", "1",
+                 "--eps2", "0.5", "--epsinf", "0.1"]) == 1
+    assert "old-model.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("data", [

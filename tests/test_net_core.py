@@ -8,6 +8,8 @@ from relucert.net_core import (
     ReluNet, classify, forward, load_model, random_net, region_map, save_model,
 )
 
+from conftest import TINY_ARCHS, tiny_net
+
 
 def naive_forward(net, x):
     """Deliberately naive interpreter: python loops, no matrix products."""
@@ -211,32 +213,73 @@ def test_mixed_parameter_dtypes_give_a_float64_net():
     assert all(a.dtype == np.float64 for a in net.weights + net.biases)
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_model_json_round_trip(tmp_path):
-    net = random_net([3, 5, 4, 2], seed=42, bias_scale=0.1)
-    path = tmp_path / "model.json"
+    # bitwise, and saving the loaded net again writes the same bytes
+    nets = [random_net([3, 5, 4, 2], seed=42, bias_scale=0.1),
+            random_net([16, 256, 256, 2], seed=0, bias_scale=0.3),
+            *(tiny_net(s) for s in range(len(TINY_ARCHS)))]
+    path, again = tmp_path / "model.bin", tmp_path / "again.bin"
+    for net in nets:
+        save_model(net, path)
+        loaded = load_model(path)
+        for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
+            assert _same_bits(a, b)
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def test_float32_model_loads_as_its_float64_upcast(tmp_path):
+    net = random_net([3, 5, 4, 2], seed=42, bias_scale=0.1).astype(np.float32)
+    path = tmp_path / "model.bin"
     save_model(net, path)
     loaded = load_model(path)
-    for w1, w2 in zip(net.weights, loaded.weights):
-        assert np.array_equal(w1, w2)
-    for b1, b2 in zip(net.biases, loaded.biases):
-        assert np.array_equal(b1, b2)
+    assert loaded.dtype == np.float64
+    for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
+        assert _same_bits(a.astype(np.float64), b)
+
+
+def test_model_file_layout(tmp_path):
+    # one JSON header line, then each layer's row-major weights and its
+    # bias as little-endian float64; the file name plays no part
+    net = random_net([3, 5, 2], seed=0, bias_scale=0.2)
+    path = tmp_path / "model.json"
+    save_model(net, path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    assert json.loads(header) == {
+        "input_dim": 3, "num_classes": 2, "dtype": "f64",
+        "layers": [{"rows": 5, "cols": 3}, {"rows": 2, "cols": 5}]}
+    w0, b0, w1, b1 = net.weights[0], net.biases[0], net.weights[1], net.biases[1]
+    assert payload == b"".join(a.astype("<f8").tobytes() for a in (w0, b0, w1, b1))
 
 
 def test_model_json_validates_dimension_chain(tmp_path):
     net = random_net([3, 5, 2], seed=0)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.bin"
     save_model(net, path)
-    doc = json.loads(path.read_text())
-    doc["layers"][1]["cols"] = 4
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="columns"):
-        load_model(bad)
-    doc = json.loads(path.read_text())
-    del doc["layers"][0]["bias"]
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="bias"):
-        load_model(bad)
+    line, payload = path.read_bytes().split(b"\n", 1)
+    bad = tmp_path / "bad.bin"
+
+    def rejects(edit, message):
+        doc = json.loads(line)
+        edit(doc)
+        bad.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+        with pytest.raises(ValueError, match=message):
+            load_model(bad)
+
+    rejects(lambda doc: doc["layers"][1].update(cols=4), "columns")
+    rejects(lambda doc: doc.update(input_dim=4), "columns")
+    rejects(lambda doc: doc.update(num_classes=3), "num_classes=3")
+    rejects(lambda doc: doc["layers"][0].pop("rows"), "layer 0 missing key 'rows'")
+    rejects(lambda doc: doc["layers"][1].pop("cols"), "layer 1 missing key 'cols'")
+    for key in ("input_dim", "num_classes", "dtype", "layers"):
+        rejects(lambda doc: doc.pop(key), f"missing key '{key}'")
+    rejects(lambda doc: doc.update(layers=[]), "non-empty list")
+    # the payload holds whole layers: a shorter chain leaves bytes over
+    rejects(lambda doc: doc.update(num_classes=5, layers=doc["layers"][:1]), "payload has")
 
 
 def test_batched_forward_matches_single():
