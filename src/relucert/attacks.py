@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import net_core
-from .certify import _check_labels, row_norms
+from .certify import _check_labels, _check_radius, row_norms
 from .datasets import Dataset
 
 __all__ = [
@@ -46,24 +46,22 @@ _ORDERS = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
 
 @dataclass(frozen=True)
 class PgdConfig:
-    """Attack protocol: norm order p in {1, 2, inf}, budget eps, iterations
-    and restarts; sparsity_frac controls how many coordinates the l1 step
-    touches.  step_size None selects the default rule (2*eps/iterations for
-    l2/linf, eps/4 for the sparse l1 step)."""
+    """Attack protocol: norm order p in {1, 2, inf}, budget eps (finite and
+    >= 0), iterations and restarts; sparsity_frac controls how many
+    coordinates the l1 step touches.  The step size is 2*eps/iterations for
+    l2/linf and eps/4 for the sparse l1 step."""
 
     p: float
     eps: float
     iterations: int = 100
     restarts: int = 10
-    step_size: float | None = None
     sparsity_frac: float = 0.01
     seed: int = 0
 
     def __post_init__(self):
         if self.p not in (1.0, 2.0, math.inf):
             raise ValueError("p must be 1, 2 or inf")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        _check_radius(self.eps, "eps")
         if self.iterations < 1 or self.restarts < 1:
             raise ValueError("iterations and restarts must be >= 1")
         if not (0.0 < self.sparsity_frac <= 1.0):
@@ -105,10 +103,9 @@ def project_lp_ball(v, eps, p):
     """Euclidean projection of v onto the lp ball of radius eps.
 
     linf by coordinate clipping, l2 by radial scaling, l1 by the sorting
-    based soft-threshold projection.
+    based soft-threshold projection.  eps must be finite and >= 0.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    _check_radius(eps, "eps")
     p = float(p)
     if p not in (1.0, 2.0, math.inf):
         raise ValueError("p must be 1, 2 or inf")
@@ -139,15 +136,6 @@ def _logit_gradient(logits, y0):
     g /= g.sum(axis=1, keepdims=True)
     g[np.arange(len(g)), y0] -= 1.0
     return g
-
-
-def _input_gradient(net, logits, preacts, y0):
-    """Gradient of the cross-entropy wrt the inputs, one row per example,
-    from forward_batch's logits and preactivations, in the net's dtype."""
-    g = _logit_gradient(logits, y0)
-    for l in range(len(net.weights) - 1, 0, -1):
-        g = (g @ net.weights[l]) * (preacts[l - 1] > 0)
-    return g @ net.weights[0]
 
 
 class _Region(NamedTuple):
@@ -203,13 +191,14 @@ def _forward(fast, region, Z):
 
 def _gradient(fast, region, logits, state, y0):
     """Input gradient of the cross-entropy at the rows _forward saw: the
-    region's (softmax - onehot) V inside it, _input_gradient elsewhere."""
+    region's (softmax - onehot) V inside it, the layer-wise backward pass
+    elsewhere."""
     out, preacts = state
     if region is None:
-        return _input_gradient(fast, logits, preacts, y0)
+        return net_core.backward_batch(fast, preacts, _logit_gradient(logits, y0))
     G = _logit_gradient(logits, y0) @ region.output[:, :-1]
     if len(out):
-        G[out] = _input_gradient(fast, logits[out], preacts, y0[out])
+        G[out] = net_core.backward_batch(fast, preacts, _logit_gradient(logits[out], y0[out]))
     return G
 
 
@@ -263,12 +252,7 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig):
     steer the search but never make a reported adversarial.
     """
     eps, p = cfg.eps, cfg.p
-    if cfg.step_size is not None:
-        eta = cfg.step_size
-    elif p == 1.0:
-        eta = eps / 4.0
-    else:
-        eta = 2.0 * eps / cfg.iterations
+    eta = eps / 4.0 if p == 1.0 else 2.0 * eps / cfg.iterations
     y0 = y - 1
     fast = net.astype(np.float32)
     region = _anchor_region(net, X_ref) if _region_pays(net) else None

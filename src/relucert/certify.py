@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, net_core
-from .regions import RegionAtlas
+from . import geometry, net_core, regions
 
 __all__ = [
     "PointCertificate",
@@ -61,13 +60,16 @@ class PointCertificate:
         region hyperplane can enter; it equals rho1 at p = 1 and rho_inf at
         p = inf.
         """
-        if not self.correct:
-            return 0.0
-        if self.rho_inf <= 0.0:
-            return 0.0
-        if math.isinf(self.rho1):
-            return math.inf
-        return geometry.hull_min_norm(self.rho1, self.rho_inf, p)
+        return float(_hull_radii(np.array([self.rho1]), np.array([self.rho_inf]), p)[0])
+
+
+def _hull_radii(rho1: np.ndarray, rho_inf: np.ndarray, p) -> np.ndarray:
+    """The all-p bound of each point at p from its rho1 and rho_inf arrays:
+    inf where rho1 is inf, 0 where rho_inf is 0, else hull_min_norm."""
+    out = np.where(np.isinf(rho1), math.inf, 0.0)
+    hull = (rho_inf > 0.0) & np.isfinite(rho1)
+    out[hull] = geometry.hull_min_norm(rho1[hull], rho_inf[hull], p)
+    return out
 
 
 def row_norms(mat: np.ndarray, p: float) -> np.ndarray:
@@ -103,6 +105,12 @@ def _check_labels(net, labels) -> np.ndarray:
     if bad.any():
         raise ValueError(f"label {labels[bad][0]} out of range 1..{net.num_classes}")
     return labels
+
+
+def _check_radius(value, name: str) -> None:
+    """ValueError unless the radius value is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def certify_single_norm(net, x, label: int, p) -> float:
@@ -179,7 +187,7 @@ def certificates(net, X, labels) -> Certificates:
     n = len(labels)
     if len(X) != n:
         raise ValueError(f"{len(X)} points but {n} labels")
-    out = {k: np.zeros(n) for k in ("rho1", "rho_inf", "lb_l2", "single_l2")}
+    out = {k: np.zeros(n) for k in ("rho1", "rho_inf", "single_l2")}
     predicted = np.zeros(n, dtype=np.int64)
     correct = np.zeros(n, dtype=bool)
     region, patterns, seen = np.zeros(n, dtype=np.int64), [], 0
@@ -200,14 +208,11 @@ def certificates(net, X, labels) -> Certificates:
         out["rho_inf"][sl] = np.where(ok, np.minimum(binf, np.abs(dinf)), 0.0)
         out["single_l2"][sl] = np.where(d2 < 0.0, 0.0, np.minimum(b2, d2))
     rho1, rho_inf = out["rho1"], out["rho_inf"]
-    lb_l2 = np.where(np.isinf(rho1), math.inf, 0.0)
-    hull = (rho_inf > 0.0) & np.isfinite(rho1)
-    lb_l2[hull] = geometry.hull_min_norm(rho1[hull], rho_inf[hull], 2.0)
     if patterns:
         # a region met in several chunks gets one index
         region = net_core._first_seen(np.concatenate(patterns))[0][region]
-    return Certificates(labels, predicted, correct, rho1, rho_inf, rho1, lb_l2,
-                        rho_inf, out["single_l2"], region)
+    return Certificates(labels, predicted, correct, rho1, rho_inf, rho1,
+                        _hull_radii(rho1, rho_inf, 2.0), rho_inf, out["single_l2"], region)
 
 
 def point_certificate(net, x, label: int) -> PointCertificate:
@@ -218,25 +223,22 @@ def point_certificate(net, x, label: int) -> PointCertificate:
 
 # -- exact robustness oracle -------------------------------------------------
 
-# Per net, weakly keyed: its region atlas and the ray bisection of the last
-# (point, label) asked about, which the point's other norms reuse.
+# Per net, weakly keyed: its region atlas.
 _ORACLE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-# Rays the oracle bisects along: the 2d axis directions, then random unit
-# directions drawn from this seed up to this many rays in all.
+# Rays the oracle bisects along when it has no map: the 2d axis directions,
+# then random unit directions drawn from this seed up to this many rays in
+# all, each searched out to _RAY_REACH.
 _NUM_DIRECTIONS = 64
 _RAY_SEED = 0
+_RAY_REACH = 12.0
 
 
-def _atlas_for(net, budget: int):
-    """The net's complete region atlas if it has at most budget regions,
-    else None, whatever atlases earlier calls built."""
-    cache = _ORACLE_CACHE.setdefault(net, {})
-    atlas = cache.get("atlas")
-    # a truncated atlas answers smaller budgets: they would truncate too
-    if atlas is None or (not atlas.complete and atlas.max_regions < budget):
-        atlas = cache["atlas"] = RegionAtlas(net, max_regions=budget)
-    return atlas if atlas.complete and len(atlas.regions) <= budget else None
+def _atlas_for(net):
+    """The net's region atlas, built once per net, if it is complete; else None."""
+    if net not in _ORACLE_CACHE:
+        _ORACLE_CACHE[net] = regions.RegionAtlas(net)
+    return _ORACLE_CACHE[net] if _ORACLE_CACHE[net].complete else None
 
 
 def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -289,18 +291,9 @@ def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return float(row_norms(c - tm[:, None] * e, p).min())
 
 
-def _ray_hits(net, x, label: int, cap: float = 12.0):
-    """Bisection along axis and random rays from x until the class flips.
-
-    Returns (hi, dirs): x + hi[i] * dirs[i] is not classified as label, for
-    every ray that flips within cap; None if none does.  The last result
-    per net is cached, so the norms of one point bisect once.
-    """
-    cache = _ORACLE_CACHE.setdefault(net, {})
-    key = (x.tobytes(), label)
-    last = cache.get("rays")
-    if last is not None and last[0] == key:
-        return last[1]
+def _ray_bound(net, x, label: int, p: float) -> float:
+    """Bisection along axis and random rays from x until the class flips: the
+    lp-distance to the nearest flip found within _RAY_REACH, inf if none."""
     d = net.input_dim
     rng = np.random.default_rng(_RAY_SEED)
     dirs = [np.eye(d), -np.eye(d)]
@@ -310,63 +303,52 @@ def _ray_hits(net, x, label: int, cap: float = 12.0):
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         dirs.append(g)
     dirs = np.vstack(dirs)
-    scales = np.geomspace(1e-4, cap, 48)
+    scales = np.geomspace(1e-4, _RAY_REACH, 48)
     pts = x[None, None, :] + scales[:, None, None] * dirs[None, :, :]
     pred = net_core.classify_batch(net, pts.reshape(-1, d)).reshape(len(scales), -1)
     flipped = pred != label
     any_flip = flipped.any(axis=0)
-    hits = None
-    if any_flip.any():
-        dirs = dirs[any_flip]
-        flipped = flipped[:, any_flip]
-        first = flipped.argmax(axis=0)
-        hi = scales[first]
-        lo = np.where(first > 0, scales[np.maximum(first - 1, 0)], 0.0)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            pred = net_core.classify_batch(net, x[None, :] + mid[:, None] * dirs)
-            bad = pred != label
-            hi = np.where(bad, mid, hi)
-            lo = np.where(bad, lo, mid)
-        hits = (hi, dirs)
-    cache["rays"] = (key, hits)
-    return hits
+    if not any_flip.any():
+        return math.inf
+    dirs = dirs[any_flip]
+    first = flipped[:, any_flip].argmax(axis=0)
+    hi = scales[first]
+    lo = np.where(first > 0, scales[np.maximum(first - 1, 0)], 0.0)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        pred = net_core.classify_batch(net, x[None, :] + mid[:, None] * dirs)
+        bad = pred != label
+        hi = np.where(bad, mid, hi)
+        lo = np.where(bad, lo, mid)
+    return float((hi * row_norms(dirs, p)).min())
 
 
-def exact_robustness_oracle(net, x, label: int, p, budget: int = 20000) -> OracleResult:
+def exact_robustness_oracle(net, x, label: int, p) -> OracleResult:
     """Upper bound on the true lp-robustness at x by exhaustive search.
 
-    Combines (a) bisection along random and axis directions and, for 2-D
-    inputs, (b) the exact minimum distance to the class-change set assembled
-    from every linear region's decision polygon.  With a complete region map
-    the result equals the true robustness.  ``exact`` is False when the box
-    holds more than budget regions (the value is then the ray bound alone,
-    whatever atlas earlier calls built) or the value reaches 0.9 of x's
-    distance to the box's edge; the value is then still a valid upper bound.
-    Intended for nets with a few dozen hidden units.
+    For 2-D inputs whose box [regions.LO, regions.HI]^2 holds at most
+    regions.MAX_REGIONS linear regions, the value is the lp-distance from x
+    to the class-change set assembled from every region's decision polygon:
+    the true robustness when it is below 0.9 of x's distance to the box's
+    edge, which ``exact`` then marks.  Otherwise the value is the nearest
+    class flip along axis and random rays from x, with ``exact`` False.
+    Either way it is a valid upper bound.  Intended for nets with a few
+    dozen hidden units.
     """
     p = geometry._p_value(p)
-    if int(budget) < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     label = int(_check_labels(net, label))
     x = net_core._check_input(net, x)
     if not np.isfinite(x).all():
         raise ValueError("input has non-finite entries")
     if net_core.classify(net, x) != label:
         return OracleResult(0.0, True, 0)
-    # upper bound on robustness from the nearest flip along the rays
-    hits = _ray_hits(net, x, label)
-    best_dir = math.inf if hits is None else float((hits[0] * row_norms(hits[1], p)).min())
-    atlas = _atlas_for(net, budget) if net.input_dim == 2 else None
+    atlas = _atlas_for(net) if net.input_dim == 2 else None
     if atlas is None:
-        return OracleResult(best_dir, False, 0)
-    starts, ends = atlas.decision_edges(label)
-    best_reg = _min_lp_to_segments(x, starts, ends, p)
-    value = min(best_dir, best_reg)
+        return OracleResult(_ray_bound(net, x, label, p), False, 0)
+    value = _min_lp_to_segments(x, *atlas.decision_edges(label), p)
     # distance from x to the box boundary (same in every lp: one coordinate)
-    margin = min(float((x - atlas.lo).min()), float((atlas.hi - x).min()))
-    exact = value < 0.9 * margin
-    return OracleResult(value, exact, len(atlas.regions))
+    margin = min(float((x - regions.LO).min()), float((regions.HI - x).min()))
+    return OracleResult(value, value < 0.9 * margin, len(atlas.regions))
 
 
 # -- dataset-level upper bound ------------------------------------------------
@@ -378,11 +360,15 @@ def bounds(certs: Certificates, eps) -> dict:
     (all three for the union).
 
     A point is certified when it is correct and its certified radius
-    (``Certificates.radii``) reaches the norm's eps.
+    (``Certificates.radii``) reaches the norm's eps.  Each eps must be
+    finite and >= 0.
     """
+    eps = EpsTriple(*eps)
+    for name, e in eps._asdict().items():
+        _check_radius(e, name)
     if len(certs.correct) == 0:
         raise ValueError("no points to bound: the dataset is empty")
     ok = {name: certs.correct & (radius >= e)
-          for (name, radius), e in zip(certs.radii().items(), EpsTriple(*eps))}
+          for (name, radius), e in zip(certs.radii().items(), eps)}
     ok["union"] = ok["l1"] & ok["l2"] & ok["linf"]
     return {name: float(np.mean(~v)) for name, v in ok.items()}

@@ -259,6 +259,13 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --limit: an integer >= 1, in decimal digits."""
+    if not (text.isascii() and text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relucert",
@@ -300,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--eps1", type=float, required=True)
     c.add_argument("--eps2", type=float, required=True)
     c.add_argument("--epsinf", type=float, required=True)
-    c.add_argument("--limit", type=int, default=None)
+    c.add_argument("--limit", type=_positive_int, default=None)
     c.add_argument("--per-point-csv", default=None)
     c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_certify)
@@ -316,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--restarts", type=int, default=10)
     a.add_argument("--sparsity", type=float, default=0.01)
     a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--limit", type=int, default=None)
+    a.add_argument("--limit", type=_positive_int, default=None)
     a.add_argument("--per-point-csv", default=None)
     a.add_argument("--out", default=None)
     a.set_defaults(func=_cmd_attack)
@@ -339,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--iters", type=int, default=100)
     r.add_argument("--restarts", type=int, default=10)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--limit", type=int, default=1000)
+    r.add_argument("--limit", type=_positive_int, default=1000)
     r.add_argument("--deterministic", action="store_true")
     r.add_argument("--out", default=None)
     r.add_argument("--csv", default=None)

@@ -26,13 +26,13 @@ __all__ = [
 ]
 
 _HEADER_KEYS = ("d", "K", "count", "dtype", "layout")
+_BLOB_CENTERS = np.array([[0.2, 0.2], [0.8, 0.8]])
 
 
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray
     labels: np.ndarray
-    name: str = ""
     num_classes: int = 0
 
     def __post_init__(self):
@@ -63,19 +63,18 @@ class Dataset:
         return len(self.features)
 
     def head(self, n: int) -> "Dataset":
-        n = min(n, self.count)
-        return Dataset(self.features[:n], self.labels[:n], self.name, self.num_classes)
+        """The first min(n, count) points; n must be >= 0."""
+        if n < 0:
+            raise ValueError(f"head needs n >= 0, got {n}")
+        return Dataset(self.features[:n], self.labels[:n], self.num_classes)
 
 
-def gen_blobs(n: int, seed: int = 0, centers=((0.2, 0.2), (0.8, 0.8)),
-              std: float = 0.05) -> Dataset:
-    """Two (or more) well separated Gaussian blobs in [0, 1]^2."""
+def gen_blobs(n: int, seed: int = 0, std: float = 0.05) -> Dataset:
+    """Two well separated Gaussian blobs in [0, 1]^2."""
     rng = np.random.default_rng(seed)
-    centers = np.asarray(centers, dtype=np.float64)
-    k = len(centers)
-    y = rng.integers(0, k, size=n)
-    X = centers[y] + std * rng.standard_normal((n, centers.shape[1]))
-    return Dataset(np.clip(X, 0.0, 1.0), y + 1, name="blobs", num_classes=k)
+    y = rng.integers(0, 2, size=n)
+    X = _BLOB_CENTERS[y] + std * rng.standard_normal((n, 2))
+    return Dataset(np.clip(X, 0.0, 1.0), y + 1, num_classes=2)
 
 
 def gen_moons(n: int, seed: int = 0, noise: float = 0.06) -> Dataset:
@@ -93,7 +92,7 @@ def gen_moons(n: int, seed: int = 0, noise: float = 0.06) -> Dataset:
     # map the [-1.5, 2.5] x [-1.6, 1.6] extent into the unit square
     X[:, 0] = (X[:, 0] + 1.5) / 4.0
     X[:, 1] = (X[:, 1] + 1.6) / 3.2
-    return Dataset(np.clip(X, 0.0, 1.0), y + 1, name="moons", num_classes=2)
+    return Dataset(np.clip(X, 0.0, 1.0), y + 1, num_classes=2)
 
 
 def gen_corners(n: int, seed: int = 0, dim: int = 16, num_classes: int = 2,
@@ -105,7 +104,7 @@ def gen_corners(n: int, seed: int = 0, dim: int = 16, num_classes: int = 2,
         protos = rng.choice([0.15, 0.85], size=(num_classes, dim))
     y = rng.integers(0, num_classes, size=n)
     X = protos[y] + spread * rng.standard_normal((n, dim))
-    return Dataset(np.clip(X, 0.0, 1.0), y + 1, name="corners", num_classes=num_classes)
+    return Dataset(np.clip(X, 0.0, 1.0), y + 1, num_classes=num_classes)
 
 
 def save_dataset(ds: Dataset, path, fmt: str = "bin") -> None:
@@ -137,7 +136,7 @@ def _load_binary(path, header: dict, payload: bytes) -> Dataset:
     labels = np.frombuffer(payload[count * d * 8:], dtype="<i8")
     if len(labels) and (labels.min() < 1 or labels.max() > k):
         raise ValueError(f"{path}: labels outside 1..{k}")
-    return Dataset(feats, labels, name="", num_classes=k)
+    return Dataset(feats, labels, num_classes=k)
 
 
 def _load_csv(path, text: str) -> Dataset:
@@ -172,7 +171,7 @@ def _load_csv(path, text: str) -> Dataset:
     if max(labels) > np.iinfo(np.int64).max:
         raise ValueError(f"{path}: labels must fit in int64")
     labs = np.asarray(labels, dtype=np.int64)
-    return Dataset(feats, labs, name="", num_classes=int(labs.max()))
+    return Dataset(feats, labs, num_classes=int(labs.max()))
 
 
 def load_dataset(path) -> Dataset:

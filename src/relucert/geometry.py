@@ -140,8 +140,9 @@ def _curve_columns(d: int, p: float, deltas: np.ndarray):
     return deltas, naive, union, hull, hull / union
 
 
-def ratio_analysis(d: int, p=2.0, num_coarse: int = 2048, num_focus: int = 4096):
-    """Sweep delta = eps1/eps_inf over (1, d) and compare hull vs union values.
+def ratio_analysis(d: int, p=2.0):
+    """Sweep delta = eps1/eps_inf over (1, d) and compare hull vs union values:
+    2048 evenly spaced deltas, and 4096 more in [0.6, 1.7] * sqrt(d).
 
     Returns (delta_star, max_ratio, curve) where curve is an (M, 2) array of
     (delta, hull/union) at eps_inf = 1.  For large d the maximizing delta
@@ -154,8 +155,8 @@ def ratio_analysis(d: int, p=2.0, num_coarse: int = 2048, num_focus: int = 4096)
     focus_lo = max(lo, 0.6 * root)
     focus_hi = min(hi, 1.7 * root)
     deltas = np.unique(np.concatenate([
-        np.linspace(lo, hi, num_coarse),
-        np.linspace(focus_lo, focus_hi, num_focus),
+        np.linspace(lo, hi, 2048),
+        np.linspace(focus_lo, focus_hi, 4096),
     ]))
     *_, ratio = _curve_columns(d, p, deltas)
     i = int(np.argmax(ratio))

@@ -11,8 +11,8 @@ in two passes over one chunk of ``net_core.region_maps`` at a time, with
 activation masks and sort orders treated as constants of the forward pass:
 
 - the values are preactivations and logit margins at the points, so their
-  adjoints go through ``_backprop``, the layer-wise backward pass that the
-  cross-entropy uses too;
+  adjoints go through ``net_core.backward_batch``, the layer-wise backward
+  pass that the cross-entropy and the attacks use too;
 - the dual norms depend only on the region tables: their adjoints are
   summed per table row and pushed back through V^(l) = W^(l) (mask *
   V^(l-1)) once per row (``_backprop_tables``).
@@ -47,6 +47,9 @@ __all__ = [
 # k_B runs linearly from this fraction of the hidden units at the first
 # epoch to the second at the last.
 KB_START_FRAC, KB_END_FRAC = 0.20, 0.05
+# The lambdas ramp from a tenth of their value to full strength over this
+# many epochs, and each epoch's history certifies this many evaluation points.
+LAMBDA_RAMP_EPOCHS, CERT_SAMPLE = 10, 128
 # Adam's moment decays and denominator floor; the learning rate is divided
 # by LR_DROP_FACTOR for the last LR_DROP_LAST epochs.
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
@@ -63,22 +66,19 @@ class MmrUniversalConfig:
 
     lambda1/lambda_inf weight the two norms, gamma1/gamma_inf are the target
     margins.  k_B follows ``kb_schedule``, and the lambdas ramp from a tenth
-    of their value to full strength over lambda_ramp_epochs.
+    of their value to full strength over LAMBDA_RAMP_EPOCHS.
     """
 
     lambda1: float = 1.0
     lambda_inf: float = 6.0
     gamma1: float = 1.0
     gamma_inf: float = 0.1
-    lambda_ramp_epochs: int = 10
 
     def __post_init__(self):
         if self.lambda1 < 0 or self.lambda_inf < 0:
             raise ValueError("lambdas must be nonnegative")
         if not (self.gamma1 > 0 and self.gamma_inf > 0):
             raise ValueError("margins must be positive")
-        if self.lambda_ramp_epochs < 0:
-            raise ValueError("ramp length must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -148,22 +148,6 @@ def _row_sums(index, n, per_point):
     for lo in range(0, len(index), step):
         out += (np.arange(n)[:, None] == index[lo:lo + step]) @ flat[lo:lo + step]
     return out.reshape((n,) + per_point.shape[1:])
-
-
-def _backprop(net, X, preacts, g_out, grads, g_pre=None):
-    """Add to grads = (dW, db) the gradient of sum(g_out * logits) +
-    sum_l sum(g_pre[l] * preacts[l]) at the points X, with the ReLU masks
-    fixed at preacts > 0 (the inactive branch at kinks): the layer-wise
-    backward pass over (B, n_l) arrays."""
-    dW, db = grads
-    g = g_out
-    for l in range(len(net.weights) - 1, -1, -1):
-        dW[l] += g.T @ (np.maximum(preacts[l - 1], 0.0) if l else X)
-        db[l] += g.sum(axis=0)
-        if l:
-            g = (g @ net.weights[l]) * (preacts[l - 1] > 0)
-            if g_pre is not None:
-                g += g_pre[l - 1]
 
 
 def _backprop_tables(net, rmap, g_v, dW):
@@ -239,8 +223,8 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
         if grads is not None:
             # the values: the layer-wise backward pass from the chunk's
             # preactivations and logits
-            _backprop(net, rmap.points, np.split(u, splits, axis=1), g_logits, grads,
-                      np.split(g_u, splits, axis=1))
+            net_core.backward_batch(net, np.split(u, splits, axis=1), g_logits, grads,
+                                    rmap.points, np.split(g_u, splits, axis=1))
             # the dual norms: diff = V_out[c] - V_out[s], summed per region
             gv_out = np.zeros(rmap.logits.shape + diff.shape[2:])
             gv_out[idx, others] -= g_diff
@@ -282,7 +266,7 @@ def _ce_value_and_grad(net, X, y):
     g_out /= B
     dW = [np.zeros_like(w) for w in net.weights]
     db = [np.zeros_like(b) for b in net.biases]
-    _backprop(net, X, preacts, g_out, (dW, db))
+    net_core.backward_batch(net, preacts, g_out, (dW, db), X)
     return ce, dW, db
 
 
@@ -340,17 +324,17 @@ def _test_error(net, X, y):
 
 
 def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
-          eval_dataset=None, cert_sample: int = 128):
+          eval_dataset=None):
     """Run the full training protocol and return (trained net, history).
 
     Shuffled mini-batches with Adam; k_B follows ``kb_schedule``, the
-    lambdas ramp up over the first lambda_ramp_epochs epochs, and the
+    lambdas ramp up over the first LAMBDA_RAMP_EPOCHS epochs, and the
     learning rate is divided by LR_DROP_FACTOR for the final LR_DROP_LAST
     epochs.  History records per-epoch loss, test error and mean certified
-    radii on a sample of the evaluation set.
+    radii on the first CERT_SAMPLE points of the evaluation set.
     """
-    if train_cfg.epochs < mmr_cfg.lambda_ramp_epochs:
-        raise ValueError("epochs must be at least lambda_ramp_epochs")
+    if train_cfg.epochs < LAMBDA_RAMP_EPOCHS:
+        raise ValueError(f"epochs must be at least {LAMBDA_RAMP_EPOCHS}, the lambda ramp")
     X = np.asarray(dataset.features, dtype=np.float64)
     y = certify._check_labels(net0, dataset.labels)
     if eval_dataset is None:
@@ -368,7 +352,7 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     net = net0.with_parameters(weights, biases)
     for epoch in range(train_cfg.epochs):
         kb = kb_schedule(epoch, train_cfg.epochs, num_hidden)
-        lam_scale = lambda_ramp_factor(epoch, mmr_cfg.lambda_ramp_epochs)
+        lam_scale = lambda_ramp_factor(epoch, LAMBDA_RAMP_EPOCHS)
         lr = train_cfg.learning_rate
         if epoch >= train_cfg.epochs - LR_DROP_LAST:
             lr /= LR_DROP_FACTOR
@@ -383,7 +367,7 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
             adam.step(dW + db, lr)
             net = net.with_parameters(weights, biases)
             epoch_losses.append(value)
-        m = min(cert_sample, len(X_ev))
+        m = min(CERT_SAMPLE, len(X_ev))
         certs = certify.certificates(net, X_ev[:m], y_ev[:m])
         rho1 = np.where(np.isfinite(certs.rho1), certs.rho1, 0.0)
         rho_inf = np.where(np.isfinite(certs.rho_inf), certs.rho_inf, 0.0)

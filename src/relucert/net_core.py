@@ -25,6 +25,7 @@ __all__ = [
     "RegionMap",
     "forward",
     "forward_batch",
+    "backward_batch",
     "classify",
     "region_map",
     "region_maps",
@@ -242,6 +243,23 @@ def forward_batch(net: ReluNet, xs):
     return logits, preacts
 
 
+def backward_batch(net: ReluNet, preacts, g_logits, grads=None, xs=None, g_pre=None):
+    """Input adjoint (B, d) of sum(g_logits * logits), in the net's dtype, with
+    the ReLU masks fixed at preacts > 0 (the inactive branch at kinks).  If
+    given, g_pre (B, n_l) per hidden layer adds sum(g_pre[l] * preacts[l]),
+    and grads = (dW, db) receives the parameter gradient at the inputs xs."""
+    g = g_logits
+    for l in range(len(net.weights) - 1, -1, -1):
+        if grads is not None:
+            grads[0][l] += g.T @ (np.maximum(preacts[l - 1], 0.0) if l else xs)
+            grads[1][l] += g.sum(axis=0)
+        if l:
+            g = (g @ net.weights[l]) * (preacts[l - 1] > 0)
+            if g_pre is not None:
+                g += g_pre[l - 1]
+    return g @ net.weights[0]
+
+
 def classify(net: ReluNet, x) -> int:
     """Predicted class in 1..K; exact logit ties go to the smallest index."""
     logits, _ = forward(net, x)
@@ -293,17 +311,14 @@ def _first_seen(keys):
     return group, np.sort(first)
 
 
-def _layer_step(w, b, v, a, mask, out=(None, None)):
+def _layer_step(w, b, v, a, mask):
     """Affine form of the layer after one whose form on each region is
     v (B, m, d), a (B, m) and whose active units are mask (B, m):
     W (mask * v) and W (mask * a) + b, shapes (B, n, d) and (B, n).
 
-    The one recursion behind region_map and the 2-D region atlas; out
-    optionally gives the two arrays to write into.
+    The one recursion behind region_map and the 2-D region atlas.
     """
-    v_next = np.matmul(w, v * mask[:, :, None], out=out[0])
-    a_next = np.add(_per_point(w[None], a * mask), b, out=out[1])
-    return v_next, a_next
+    return np.matmul(w, v * mask[:, :, None]), _per_point(w[None], a * mask) + b
 
 
 def _region_prefix(net: ReluNet, xs, cap: int) -> RegionMap:

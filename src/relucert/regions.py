@@ -8,12 +8,12 @@ Hanin & Rolnick (2019): starting from the box, each hidden unit's line, in
 unit order, splits every piece it crosses in two, and after each layer one
 batched affine step gives every piece the lines of the next layer.  The
 pieces tile the box by construction; clipping drops a piece only when it
-leaves it no area.
+leaves it no area.  The box is [LO, HI]^2, and a box that needs more than
+MAX_REGIONS pieces gives no map.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +34,12 @@ _ROUNDING = 1e-15
 # clip_polygon's tolerance: a vertex within it of the line counts as on it
 _TOL = 1e-12
 
+# The box every atlas maps, and the most pieces a map may have
+LO, HI = -8.0, 9.0
+MAX_REGIONS = 20000
 
-def clip_polygon(poly: np.ndarray, normal, cutoff, tol: float = _TOL) -> np.ndarray:
+
+def clip_polygon(poly: np.ndarray, normal, cutoff) -> np.ndarray:
     """Intersect a convex polygon with the half-plane {z : normal.z <= cutoff}.
 
     poly is an (m, 2) array of vertices in order (either orientation); the
@@ -51,9 +55,9 @@ def clip_polygon(poly: np.ndarray, normal, cutoff, tol: float = _TOL) -> np.ndar
     for i in range(m):
         j = (i + 1) % m
         di, dj = d[i], d[j]
-        if di <= tol:
+        if di <= _TOL:
             out.append(pts[i])
-        if (di < -tol and dj > tol) or (di > tol and dj < -tol):
+        if (di < -_TOL and dj > _TOL) or (di > _TOL and dj < -_TOL):
             t = di / (di - dj)
             (xi, yi), (xj, yj) = pts[i], pts[j]
             out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
@@ -102,30 +106,22 @@ class _Region:
 
 
 class RegionAtlas:
-    """All activation regions of a 2-D net intersected with [lo, hi]^2.
+    """All activation regions of a 2-D net intersected with [LO, HI]^2.
 
     The regions' polygons tile the box.  A region's key is the activation
     pattern inside its polygon, except for units whose line passes within
     clip_polygon's tolerance of it.  Keys are unique: every split gives its
-    two sides different bits.  When the tiling needs more than max_regions
+    two sides different bits.  When the tiling needs more than MAX_REGIONS
     polygons the atlas keeps no regions and is not complete.
 
     The atlas keeps no reference to the net, so a cache keyed weakly by the
     net drops the atlas together with the net.
     """
 
-    def __init__(self, net, lo: float = -8.0, hi: float = 9.0, max_regions: int = 20000):
+    def __init__(self, net):
         if net.input_dim != 2:
             raise ValueError("RegionAtlas supports 2-D inputs only")
-        lo, hi = float(lo), float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"RegionAtlas needs finite lo < hi, got lo={lo}, hi={hi}")
-        if int(max_regions) < 1:
-            raise ValueError(f"max_regions must be >= 1, got {max_regions}")
         self.num_classes = net.num_classes
-        self.lo = lo
-        self.hi = hi
-        self.max_regions = int(max_regions)
         self.regions: list[_Region] = []
         self.complete = True
         self._edge_cache: dict[int, tuple] = {}
@@ -134,8 +130,7 @@ class RegionAtlas:
     # -- construction ------------------------------------------------------
 
     def _build(self, net):
-        lo, hi = self.lo, self.hi
-        polys = [np.array([[lo, lo], [hi, lo], [hi, hi], [lo, hi]])]
+        polys = [np.array([[LO, LO], [HI, LO], [HI, HI], [LO, HI]])]
         # the current layer's affine form on each polygon: v (P, n, 2), a (P, n)
         v, a = net.weights[0][None], net.biases[0][None]
         masks = np.zeros((1, 0), dtype=bool)  # active hidden units so far
@@ -145,7 +140,7 @@ class RegionAtlas:
             mask = np.zeros((len(polys), v.shape[1]), dtype=bool)
             for j in range(v.shape[1]):
                 polys, parent, above = _split(polys, v[src, j], a[src, j])
-                if len(polys) > self.max_regions:
+                if len(polys) > MAX_REGIONS:
                     self.complete = False
                     return
                 src, mask = src[parent], mask[parent]
@@ -156,7 +151,6 @@ class RegionAtlas:
         for poly, bits, v_out, a_out in zip(polys, masks.astype(np.uint8), v, a):
             key = tuple(bits[i:k].tobytes() for i, k in zip(bounds[:-1], bounds[1:]))
             self.regions.append(_Region(key, poly, v_out, a_out))
-
 
     # -- queries -----------------------------------------------------------
 
@@ -188,7 +182,7 @@ class RegionAtlas:
             d = np.einsum("vj,vkj->vk", verts, normals[rid]) + offs[rid]
             stop = np.cumsum(counts)
             first = stop - counts
-            reach = max(abs(self.lo), abs(self.hi))
+            reach = max(abs(LO), abs(HI))
             slack = _ROUNDING * (reach * np.abs(normals).sum(axis=2) + np.abs(offs))
             beyond = np.minimum.reduceat(d, first) > _TOL + slack
             within = np.maximum.reduceat(d, first) <= _TOL - slack

@@ -180,9 +180,9 @@ def trained_pairs():
         mmr_cfg = mmr_train.MmrUniversalConfig(lambda1=1.0, lambda_inf=6.0,
                                                gamma1=1.0, gamma_inf=0.1)
         plain_net, plain_hist = mmr_train.train(net0, train_ds, plain_cfg, tc,
-                                                eval_dataset=test_ds, cert_sample=32)
+                                                eval_dataset=test_ds)
         mmr_net, mmr_hist = mmr_train.train(net0, train_ds, mmr_cfg, tc,
-                                            eval_dataset=test_ds, cert_sample=32)
+                                            eval_dataset=test_ds)
         runs.append({
             "seed": seed, "train": train_ds, "test": test_ds,
             "plain": plain_net, "mmr": mmr_net,

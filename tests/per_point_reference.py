@@ -368,12 +368,7 @@ def pgd_core(net, starts, X_ref, y, cfg, dtype=np.float64):
     x + delta, as in the mixed-precision loop."""
     fast = net.astype(dtype)
     eps, p = cfg.eps, cfg.p
-    if cfg.step_size is not None:
-        eta = cfg.step_size
-    elif p == 1.0:
-        eta = eps / 4.0
-    else:
-        eta = 2.0 * eps / cfg.iterations
+    eta = eps / 4.0 if p == 1.0 else 2.0 * eps / cfg.iterations
     y0 = y - 1
     Z = attacks._joint_project(starts.copy(), X_ref, eps, p)
     best_norm = np.full(len(Z), math.inf)
@@ -392,7 +387,8 @@ def pgd_core(net, starts, X_ref, y, cfg, dtype=np.float64):
             best_delta[hit] = delta[hit]
         if it == cfg.iterations:
             break
-        G = attacks._input_gradient(fast, logits, preacts, y0).astype(np.float64)
+        G = net_core.backward_batch(fast, preacts, attacks._logit_gradient(logits, y0))
+        G = G.astype(np.float64)
         Z = Z + eta * attacks._ascent_step(G, p, cfg.sparsity_frac)
         Z = attacks._joint_project(Z, X_ref, eps, p)
     return np.isfinite(best_norm), best_norm, best_delta

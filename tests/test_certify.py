@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog, minimize
 
-from relucert import certify, geometry, net_core
+from relucert import certify, geometry, net_core, regions
 from relucert.certify import (
     EpsTriple, certify_single_norm, exact_robustness_oracle, point_certificate,
 )
@@ -229,30 +229,19 @@ def test_oracle_two_unit_hand_enumeration():
     assert point_certificate(net, x, 1).universal_bound(2.0) <= expected[2.0] + 1e-9
 
 
-def test_oracle_budget_exhaustion_flags_inexact():
-    # the hand net has 4 regions: a budget of 3 cannot map them, so the
-    # oracle keeps no regions and falls back to the ray bound
-    net = hand_net()
+def test_oracle_budget_exhaustion_flags_inexact(monkeypatch):
+    # the hand net has 4 regions: a cap of 3 cannot map them, so the oracle
+    # keeps no regions and falls back to the ray bound
     x = np.array([2.0, 2.0])
-    truncated = exact_robustness_oracle(net, x, 1, 2.0, budget=3)
+    monkeypatch.setattr(regions, "MAX_REGIONS", 3)
+    truncated = exact_robustness_oracle(hand_net(), x, 1, 2.0)
     assert not truncated.exact
     assert truncated.num_regions == 0
-    full = exact_robustness_oracle(net, x, 1, 2.0, budget=4)
+    monkeypatch.setattr(regions, "MAX_REGIONS", 4)
+    full = exact_robustness_oracle(hand_net(), x, 1, 2.0)
     assert full.exact and full.num_regions == 4
     # the ray bound stays a valid upper bound on the exact value
     assert truncated.value >= full.value
-
-
-def test_oracle_budget_answer_ignores_earlier_calls():
-    # a complete atlas cached by a full-budget call must not serve a budget
-    # below its region count: the answer is the fresh over-budget one
-    x = np.array([2.0, 2.0])
-    fresh = exact_robustness_oracle(hand_net(), x, 1, 2.0, budget=3)
-    net = hand_net()
-    full = exact_robustness_oracle(net, x, 1, 2.0)
-    assert full.exact and full.num_regions == 4
-    assert exact_robustness_oracle(net, x, 1, 2.0, budget=3) == fresh
-    assert fresh.num_regions == 0 and not fresh.exact
 
 
 @pytest.mark.parametrize("label", [0, 3, 5])
@@ -383,6 +372,17 @@ def test_bounds_take_the_larger_l2_certificate():
     assert certify.bounds(c, eps) == {"l1": 0.0, "l2": 0.0, "linf": 0.0, "union": 0.0}
 
 
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("position", range(3))
+def test_bounds_reject_radii_that_are_not_finite_and_nonnegative(position, bad):
+    # a negative radius would certify every point, a nan one none
+    certs = certify.certificates(tiny_net(0), np.array([[0.4, 0.6]]), [1])
+    eps = [0.1, 0.1, 0.1]
+    eps[position] = bad
+    with pytest.raises(ValueError, match=f"{EpsTriple._fields[position]} must be finite"):
+        certify.bounds(certs, eps)
+
+
 @pytest.mark.parametrize("shape", [
     (1000, 16), (4, 256, 16), (800, 2), (1000, 784), (255, 16), (256, 32), (300, 33),
     (1000, 1), (3, 2), (16,), (0, 16),
@@ -407,23 +407,6 @@ def test_norm_order_below_one_rejected():
     for fn in (exact_robustness_oracle, certify_single_norm):
         with pytest.raises(ValueError, match="p >= 1"):
             fn(net, x, label, 0.5)
-
-
-def test_oracle_bisects_rays_once_per_point(monkeypatch):
-    # the norms of one point share its ray bisection; another point bisects anew
-    calls = []
-    classify_batch = net_core.classify_batch
-    monkeypatch.setattr(net_core, "classify_batch",
-                        lambda *args: calls.append(1) or classify_batch(*args))
-    net = hand_net()
-    exact_robustness_oracle(net, [2.0, 2.0], 1, 1.0)
-    first = len(calls)
-    assert first > 0
-    exact_robustness_oracle(net, [2.0, 2.0], 1, 2.0)
-    exact_robustness_oracle(net, [2.0, 2.0], 1, math.inf)
-    assert len(calls) == first
-    exact_robustness_oracle(net, [2.5, 2.0], 1, 2.0)
-    assert len(calls) > first
 
 
 def test_atlas_cache_drops_dead_nets():

@@ -91,6 +91,14 @@ def test_generators_ranges():
     assert gen_corners(50, seed=4).dim == 16
 
 
+def test_head_takes_the_first_points_and_rejects_negative_counts():
+    ds = gen_blobs(10, seed=0)
+    assert ds.head(0).count == 0 and ds.head(3).count == 3 and ds.head(20).count == 10
+    np.testing.assert_array_equal(ds.head(3).features, ds.features[:3])
+    with pytest.raises(ValueError, match="n >= 0"):
+        ds.head(-1)
+
+
 # -- malformed files -----------------------------------------------------------
 
 
@@ -619,3 +627,56 @@ def test_report_rejects_an_adversarial_inside_a_certificate(eval_inputs, monkeyp
                                            r"certified radius 10\.0"):
         run_evaluation(model, data, EVAL_EPS, seed=4, limit=90, iterations=5, restarts=1,
                        deterministic=True)
+
+
+# -- arguments from outside --------------------------------------------------------
+
+
+COMMAND_ARGS = {
+    "certify": _eps_args(),
+    "attack": [*_eps_args(), "--iters", 2, "--restarts", 1],
+    "report": [*_eps_args(), "--iters", 2, "--restarts", 1, "--deterministic"],
+}
+
+
+@pytest.mark.parametrize("limit", ["-3", "0", "1.5", "all"])
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_cli_limit_must_be_a_positive_integer(eval_inputs, capsys, command, limit):
+    # a negative limit used to slice from the end and 0 to mean "all points"
+    _, _, model, data, _ = eval_inputs
+    argv = [command, "--model", model, "--data", data, *COMMAND_ARGS[command]]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv] + ["--limit", limit])
+    assert exc.value.code == 2
+    assert f"--limit: must be an integer >= 1, got '{limit}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_cli_limit_takes_the_first_points(eval_inputs, capsys, command):
+    _, _, model, data, tmp = eval_inputs
+    csv = tmp / f"{command}-limit.csv"
+    argv = [command, "--model", model, "--data", data, *COMMAND_ARGS[command], "--limit", 3]
+    if command == "report":
+        rep = json.loads(_run(capsys, argv))
+        assert rep["config"]["points_evaluated"] == 3
+    else:
+        _run(capsys, argv + ["--per-point-csv", csv])
+        assert len(csv.read_text().splitlines()) == 1 + 3
+
+
+@pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("flag", ["--eps1", "--eps2", "--epsinf"])
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_cli_rejects_radii_that_are_not_finite_and_nonnegative(eval_inputs, capsys,
+                                                               monkeypatch, command, flag, bad):
+    _, _, model, data, _ = eval_inputs
+    args = [str(a) for a in COMMAND_ARGS[command]]
+    args[args.index(flag) + 1] = bad
+    if command == "report":
+        # the radii are checked before any attack runs
+        monkeypatch.setattr(cli.attacks, "attack_norms",
+                            lambda *a, **k: pytest.fail("report attacked with a bad radius"))
+    assert main([command, "--model", model, "--data", data, *args, "--limit", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite and >= 0" in captured.err and captured.err.startswith("error: ")

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from relucert import net_core
+from relucert import mmr_train, net_core
 from relucert.mmr_train import (
     MmrUniversalConfig, TrainConfig, TrainingDiverged,
     kb_schedule, lambda_ramp_factor, loss, loss_gradient,
@@ -216,18 +216,19 @@ def test_lambda_ramp():
     assert lambda_ramp_factor(3, 0) == pytest.approx(1.0)
 
 
-def test_train_is_reproducible_and_plain_reaches_zero_error(trained_pairs):
+def test_train_is_reproducible_and_plain_reaches_zero_error(trained_pairs, monkeypatch):
     run = trained_pairs["runs"][0]
     X, y = run["train"].features, run["train"].labels
     train_error = float(np.mean(net_core.classify_batch(run["plain"], X) != y))
     assert train_error == 0.0
     # zero-regularizer path is bit-reproducible given the same seed
-    cfg = MmrUniversalConfig(lambda1=0.0, lambda_inf=0.0, lambda_ramp_epochs=0)
+    monkeypatch.setattr(mmr_train, "LAMBDA_RAMP_EPOCHS", 0)
+    cfg = MmrUniversalConfig(lambda1=0.0, lambda_inf=0.0)
     tc = TrainConfig(epochs=3, seed=11)
     net0 = random_net([2, 12, 2], seed=11)
     small = type(run["train"])(run["train"].features[:128], run["train"].labels[:128])
-    n1, _ = train(net0, small, cfg, tc, cert_sample=4)
-    n2, _ = train(net0, small, cfg, tc, cert_sample=4)
+    n1, _ = train(net0, small, cfg, tc)
+    n2, _ = train(net0, small, cfg, tc)
     for a, b in zip(n1.weights + n1.biases, n2.weights + n2.biases):
         assert np.array_equal(a, b)
 
@@ -257,17 +258,17 @@ def test_regularized_model_has_larger_margins(trained_pairs):
         assert med["mmr"][1] > med["plain"][1]
 
 
-def test_loss_decreases_early_smoke():
+def test_loss_decreases_early_smoke(monkeypatch):
     # constant lambda (no ramp) so per-epoch losses are comparable
     from relucert.datasets import gen_blobs
-    cfg = MmrUniversalConfig(lambda1=1.0, lambda_inf=6.0, gamma1=1.0, gamma_inf=0.1,
-                             lambda_ramp_epochs=0)
+    monkeypatch.setattr(mmr_train, "LAMBDA_RAMP_EPOCHS", 0)
+    cfg = MmrUniversalConfig(lambda1=1.0, lambda_inf=6.0, gamma1=1.0, gamma_inf=0.1)
     drops = 0
     for seed in range(10):
         ds = gen_blobs(96, seed=seed + 40)
         net0 = random_net([2, 12, 2], seed=seed)
         tc = TrainConfig(epochs=10, batch_size=16, learning_rate=2e-3, seed=seed)
-        _, hist = train(net0, ds, cfg, tc, cert_sample=4)
+        _, hist = train(net0, ds, cfg, tc)
         if hist[9]["loss"] < hist[0]["loss"]:
             drops += 1
     assert drops >= 9
@@ -289,4 +290,4 @@ def test_training_aborts_on_divergence():
     cfg = MmrUniversalConfig(lambda1=1.0, lambda_inf=1.0)
     tc = TrainConfig(epochs=10, seed=0)
     with pytest.raises(TrainingDiverged):
-        train(net0, _DS(), cfg, tc, cert_sample=1)
+        train(net0, _DS(), cfg, tc)

@@ -1,6 +1,6 @@
 """The 2-D region atlas: against the unit-by-unit reference walk in
-per_point_reference.py, its budget and argument checks, tiling properties
-and clip_polygon."""
+per_point_reference.py, its region cap, tiling properties and
+clip_polygon."""
 
 import math
 
@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relucert import certify, net_core
+from relucert import certify, net_core, regions
 from relucert.net_core import ReluNet, random_net
-from relucert.regions import RegionAtlas, clip_polygon
+from relucert.regions import HI, LO, RegionAtlas, clip_polygon
 
 import per_point_reference as ref
 from conftest import BIASES, TINY_ARCHS, hand_net, tiny_net
@@ -65,7 +65,7 @@ def assert_matches_reference(net):
         for got, want in zip((reg.v_out, reg.a_out), maps[reg.key]):
             scale = max(np.abs(want).max(initial=0.0), 1.0)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=MAP_TOL * scale)
-    zs = np.random.default_rng(5).uniform(atlas.lo, atlas.hi, size=(6, 2))
+    zs = np.random.default_rng(5).uniform(LO, HI, size=(6, 2))
     K = net.num_classes
     want_edges = {c: ref.decision_edges(expected, K, c) for c in range(1, K + 1)}
     for c in range(1, K + 1):
@@ -75,11 +75,8 @@ def assert_matches_reference(net):
                 assert_close(certify._min_lp_to_segments(z, *got_edges, p),
                              certify._min_lp_to_segments(z, *want_edges[c], p), DIST_RTOL)
     for z, label in zip(zs, net_core.classify_batch(net, zs)):
-        hits = certify._ray_hits(net, z, int(label))
         for p in (1.0, 2.0, math.inf):
-            rays = (math.inf if hits is None
-                    else float((hits[0] * certify.row_norms(hits[1], p)).min()))
-            want = min(rays, certify._min_lp_to_segments(z, *want_edges[label], p))
+            want = certify._min_lp_to_segments(z, *want_edges[label], p)
             assert_close(certify.exact_robustness_oracle(net, z, int(label), p).value, want,
                          DIST_RTOL)
     return atlas
@@ -98,43 +95,38 @@ def test_atlas_matches_reference(name):
 
 
 @pytest.mark.parametrize("max_regions", [1, 5, 50])
-def test_truncated_atlas_matches_reference(max_regions):
+def test_truncated_atlas_matches_reference(max_regions, monkeypatch):
     # both stop short of the net's 91 regions; the atlas then keeps none and
-    # the oracle falls back to its ray bound, an upper bound on the full value
-    net = NETS["deep-2-10-7-3"]()
-    atlas = RegionAtlas(net, max_regions=max_regions)
-    _, complete = ref.atlas(net, max_regions=max_regions)
-    assert not atlas.complete and not complete
-    assert atlas.regions == []
+    # the oracle falls back to its ray bound.  That is an upper bound on the
+    # true robustness, which the full map bounds from below: a class change
+    # is either inside the box, as far as the map's value, or beyond its edge
+    full_net, net = NETS["deep-2-10-7-3"](), NETS["deep-2-10-7-3"]()
+    full = {}
     for z in ([0.3, -0.2], [2.0, 1.0]):
         label = net_core.classify(net, z)
         for p in (1.0, 2.0, math.inf):
-            truncated = certify.exact_robustness_oracle(net, z, label, p, budget=max_regions)
-            full = certify.exact_robustness_oracle(net, z, label, p)
-            assert not truncated.exact and truncated.num_regions == 0
-            assert full.num_regions == 91
-            assert truncated.value >= full.value
+            full[tuple(z), p] = certify.exact_robustness_oracle(full_net, z, label, p)
+    monkeypatch.setattr(regions, "MAX_REGIONS", max_regions)
+    atlas = RegionAtlas(net)
+    _, complete = ref.atlas(net, max_regions=max_regions)
+    assert not atlas.complete and not complete
+    assert atlas.regions == []
+    for (z, p), want in full.items():
+        label = net_core.classify(net, z)
+        truncated = certify.exact_robustness_oracle(net, z, label, p)
+        assert not truncated.exact and truncated.num_regions == 0
+        assert want.num_regions == 91
+        margin = min(np.min(np.subtract(z, LO)), np.min(np.subtract(HI, z)))
+        assert truncated.value >= min(want.value, margin)
 
 
-def test_atlas_budget_is_the_region_count():
+def test_atlas_budget_is_the_region_count(monkeypatch):
     net = NETS["deep-2-10-7-3"]()
     n = len(RegionAtlas(net).regions)
-    assert RegionAtlas(net, max_regions=n).complete
-    assert not RegionAtlas(net, max_regions=n - 1).complete
-
-
-@pytest.mark.parametrize("kw", [
-    dict(lo=1.0, hi=1.0), dict(lo=2.0, hi=1.0), dict(lo=-math.inf), dict(hi=math.nan),
-    dict(max_regions=0),
-])
-def test_atlas_rejects_bad_arguments(kw):
-    with pytest.raises(ValueError):
-        RegionAtlas(hand_net(), **kw)
-
-
-def test_oracle_rejects_zero_budget():
-    with pytest.raises(ValueError):
-        certify.exact_robustness_oracle(hand_net(), [2.0, 2.0], 1, 2.0, budget=0)
+    monkeypatch.setattr(regions, "MAX_REGIONS", n)
+    assert RegionAtlas(net).complete
+    monkeypatch.setattr(regions, "MAX_REGIONS", n - 1)
+    assert not RegionAtlas(net).complete
 
 
 # -- properties on random tiny nets ---------------------------------------------
@@ -169,12 +161,12 @@ def test_complete_atlas_tiles_the_box(arch, seed, bias):
     keys = [reg.key for reg in atlas.regions]
     assert len(set(keys)) == len(keys)
     area = sum(ref.polygon_area(reg.poly) for reg in atlas.regions)
-    assert area == pytest.approx((atlas.hi - atlas.lo) ** 2, rel=1e-9)
+    assert area == pytest.approx((HI - LO) ** 2, rel=1e-9)
     means = np.array([reg.poly.mean(axis=0) for reg in atlas.regions])
     g = np.hstack(net_core.forward_batch(net, means)[1])
     bits = np.array([np.frombuffer(b"".join(key), dtype=np.uint8) for key in keys])
     assert (np.abs(g[bits != (g > 0)]) <= KEY_TOL).all()
-    zs = np.random.default_rng(seed).uniform(atlas.lo, atlas.hi, size=(64, 2))
+    zs = np.random.default_rng(seed).uniform(LO, HI, size=(64, 2))
     holders = containing([reg.poly for reg in atlas.regions], zs)
     assert (holders.sum(axis=0) == 1).all()
     for z, r in zip(zs, holders.argmax(axis=0)):
@@ -213,4 +205,4 @@ def test_atlas_tiles_the_box_near_a_common_point():
     atlas = RegionAtlas(random_net([2, 4, 4, 2], seed=4, bias_scale=1e-8))
     area = sum(ref.polygon_area(reg.poly) for reg in atlas.regions)
     assert atlas.complete
-    assert area == pytest.approx((atlas.hi - atlas.lo) ** 2, rel=1e-9)
+    assert area == pytest.approx((HI - LO) ** 2, rel=1e-9)
