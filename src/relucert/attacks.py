@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import net_core
-from .certify import _check_labels, _check_radius, row_norms
+from .certify import EpsTriple, _check_labels, _check_radius, row_norms
 from .datasets import Dataset
 
 __all__ = [
@@ -42,6 +42,8 @@ __all__ = [
 
 _FEAS_TOL = 1e-9
 _ORDERS = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
+# each norm's radius as certify.bounds names it
+_EPS_NAMES = dict(zip(_ORDERS, EpsTriple._fields))
 
 
 @dataclass(frozen=True)
@@ -342,6 +344,7 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
             raise ValueError(f"unknown norm {name!r}; expected l1, l2 or linf")
         if radii[name] is None:
             raise ValueError(f"no radius given for norm {name}")
+        _check_radius(radii[name], _EPS_NAMES[name])
     out = {}
     for offset, (name, p) in enumerate(_ORDERS.items(), start=1):
         if name in norms:

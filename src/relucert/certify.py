@@ -223,22 +223,20 @@ def point_certificate(net, x, label: int) -> PointCertificate:
 
 # -- exact robustness oracle -------------------------------------------------
 
-# Per net, weakly keyed: its region atlas.
+# Per net, weakly keyed: its region atlas, complete or not.
 _ORACLE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-# Rays the oracle bisects along when it has no map: the 2d axis directions,
-# then random unit directions drawn from this seed up to this many rays in
-# all, each searched out to _RAY_REACH.
-_NUM_DIRECTIONS = 64
-_RAY_SEED = 0
-_RAY_REACH = 12.0
 
 
 def _atlas_for(net):
-    """The net's region atlas, built once per net, if it is complete; else None."""
+    """The net's complete region atlas, built once per net; ValueError when
+    the box needs more than regions.MAX_REGIONS regions."""
     if net not in _ORACLE_CACHE:
         _ORACLE_CACHE[net] = regions.RegionAtlas(net)
-    return _ORACLE_CACHE[net] if _ORACLE_CACHE[net].complete else None
+    atlas = _ORACLE_CACHE[net]
+    if not atlas.complete:
+        raise ValueError(f"the box [{regions.LO}, {regions.HI}]^2 needs more than "
+                         f"regions.MAX_REGIONS = {regions.MAX_REGIONS} linear regions")
+    return atlas
 
 
 def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
@@ -291,50 +289,20 @@ def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     return float(row_norms(c - tm[:, None] * e, p).min())
 
 
-def _ray_bound(net, x, label: int, p: float) -> float:
-    """Bisection along axis and random rays from x until the class flips: the
-    lp-distance to the nearest flip found within _RAY_REACH, inf if none."""
-    d = net.input_dim
-    rng = np.random.default_rng(_RAY_SEED)
-    dirs = [np.eye(d), -np.eye(d)]
-    extra = max(0, _NUM_DIRECTIONS - 2 * d)
-    if extra:
-        g = rng.standard_normal((extra, d))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        dirs.append(g)
-    dirs = np.vstack(dirs)
-    scales = np.geomspace(1e-4, _RAY_REACH, 48)
-    pts = x[None, None, :] + scales[:, None, None] * dirs[None, :, :]
-    pred = net_core.classify_batch(net, pts.reshape(-1, d)).reshape(len(scales), -1)
-    flipped = pred != label
-    any_flip = flipped.any(axis=0)
-    if not any_flip.any():
-        return math.inf
-    dirs = dirs[any_flip]
-    first = flipped[:, any_flip].argmax(axis=0)
-    hi = scales[first]
-    lo = np.where(first > 0, scales[np.maximum(first - 1, 0)], 0.0)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        pred = net_core.classify_batch(net, x[None, :] + mid[:, None] * dirs)
-        bad = pred != label
-        hi = np.where(bad, mid, hi)
-        lo = np.where(bad, lo, mid)
-    return float((hi * row_norms(dirs, p)).min())
-
-
 def exact_robustness_oracle(net, x, label: int, p) -> OracleResult:
-    """Upper bound on the true lp-robustness at x by exhaustive search.
+    """The true lp-robustness at x of a net with 2-D inputs, from the map of
+    its linear regions in the box [regions.LO, regions.HI]^2.
 
-    For 2-D inputs whose box [regions.LO, regions.HI]^2 holds at most
-    regions.MAX_REGIONS linear regions, the value is the lp-distance from x
-    to the class-change set assembled from every region's decision polygon:
-    the true robustness when it is below 0.9 of x's distance to the box's
-    edge, which ``exact`` then marks.  Otherwise the value is the nearest
-    class flip along axis and random rays from x, with ``exact`` False.
-    Either way it is a valid upper bound.  Intended for nets with a few
-    dozen hidden units.
+    The value is the lp-distance from x to the class-change set assembled
+    from every region's decision polygon.  It is the true robustness when it
+    is below 0.9 of x's distance to the box's edge, which ``exact`` then
+    marks; otherwise it is an upper bound.  Raises ValueError for nets whose
+    input dimension is not 2 and for boxes that need more than
+    regions.MAX_REGIONS regions.  Intended for nets with a few dozen hidden
+    units.
     """
+    if net.input_dim != 2:
+        raise ValueError(f"the exact oracle maps 2-D inputs only, got d = {net.input_dim}")
     p = geometry._p_value(p)
     label = int(_check_labels(net, label))
     x = net_core._check_input(net, x)
@@ -342,9 +310,7 @@ def exact_robustness_oracle(net, x, label: int, p) -> OracleResult:
         raise ValueError("input has non-finite entries")
     if net_core.classify(net, x) != label:
         return OracleResult(0.0, True, 0)
-    atlas = _atlas_for(net) if net.input_dim == 2 else None
-    if atlas is None:
-        return OracleResult(_ray_bound(net, x, label, p), False, 0)
+    atlas = _atlas_for(net)
     value = _min_lp_to_segments(x, *atlas.decision_edges(label), p)
     # distance from x to the box boundary (same in every lp: one coordinate)
     margin = min(float((x - regions.LO).min()), float((regions.HI - x).min()))

@@ -115,6 +115,29 @@ def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
 # -- subcommands ----------------------------------------------------------------
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """The header line, then one line of str(cell)s per row; str of a Python
+    float is its repr, which reads back bit for bit."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _load_inputs(args):
+    """The --model net and the --data dataset's first --limit points (all without one)."""
+    net = net_core.load_model(args.model)
+    data = datasets.load_dataset(args.data)
+    return net, data.head(args.limit) if args.limit else data
+
+
+def _emit_summary(summary: dict, out) -> None:
+    """Print the summary as one JSON line; write it indented to out if given."""
+    print(json.dumps(summary, sort_keys=True))
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(summary, sort_keys=True, indent=2))
+
+
 def _cmd_gen_data(args) -> int:
     if args.kind == "blobs":
         ds = datasets.gen_blobs(args.n, seed=args.seed, std=args.std)
@@ -147,11 +170,7 @@ def _cmd_train(args) -> int:
                                    eval_dataset=eval_data)
     net_core.save_model(net, args.out)
     if args.history:
-        cols = list(history[0].keys())
-        with open(args.history, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for row in history:
-                fh.write(",".join(repr(row[c]) for c in cols) + "\n")
+        _write_csv(args.history, ",".join(history[0]), (row.values() for row in history))
     print(json.dumps({"out": args.out, "epochs": args.epochs,
                       "final_loss": history[-1]["loss"],
                       "final_test_error": history[-1]["test_error"]}))
@@ -168,33 +187,22 @@ def _certify_summary(certs, eps) -> dict:
 
 
 def _cmd_certify(args) -> int:
-    net = net_core.load_model(args.model)
-    data = datasets.load_dataset(args.data)
-    if args.limit:
-        data = data.head(args.limit)
-    X, y = data.features, data.labels
+    net, data = _load_inputs(args)
     eps = certify.EpsTriple(args.eps1, args.eps2, args.epsinf)
-    certs = certify.certificates(net, X, y)
+    certs = certify.certificates(net, data.features, data.labels)
     summary = _certify_summary(certs, eps)
     if args.per_point_csv:
         cols = [certs.label, certs.predicted, certs.correct.astype(int), certs.rho1,
                 certs.rho_inf, certs.lb_l1, certs.lb_l2, certs.lb_linf]
-        with open(args.per_point_csv, "w", encoding="utf-8") as fh:
-            fh.write("index,label,predicted,correct,rho1,rho_inf,lb_l1,lb_l2,lb_linf\n")
-            for i, row in enumerate(zip(*(c.tolist() for c in cols))):
-                fh.write(",".join([str(i)] + [repr(v) for v in row]) + "\n")
-    print(json.dumps(summary, sort_keys=True))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary, sort_keys=True, indent=2))
+        _write_csv(args.per_point_csv,
+                   "index,label,predicted,correct,rho1,rho_inf,lb_l1,lb_l2,lb_linf",
+                   zip(range(data.count), *(c.tolist() for c in cols)))
+    _emit_summary(summary, args.out)
     return 0
 
 
 def _cmd_attack(args) -> int:
-    net = net_core.load_model(args.model)
-    data = datasets.load_dataset(args.data)
-    if args.limit:
-        data = data.head(args.limit)
+    net, data = _load_inputs(args)
     radii = {"l1": args.eps1, "l2": args.eps2, "linf": args.epsinf}
     norms = list(radii) if args.norm == "all" else [args.norm]
     results = attacks.attack_norms(net, data, tuple(radii.values()), norms,
@@ -209,27 +217,18 @@ def _cmd_attack(args) -> int:
         summary["overlap"] = {f"{pn}_in_{qn}": v["pct"]
                               for (pn, qn), v in attacks.overlap_table(results, radii).items()}
     if args.per_point_csv:
-        with open(args.per_point_csv, "w", encoding="utf-8") as fh:
-            header = ["index"] + [f"success_{n},norm_{n}" for n in results]
-            fh.write(",".join(header) + "\n")
-            for i in range(data.count):
-                cells = [str(i)]
-                for s, nv, _ in results.values():
-                    cells.append(f"{int(s[i])},{float(nv[i])!r}")
-                fh.write(",".join(cells) + "\n")
-    print(json.dumps(summary, sort_keys=True))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(summary, sort_keys=True, indent=2))
+        header, cols = ["index"], []
+        for name, (success, best_norm, _) in results.items():
+            header += [f"success_{name}", f"norm_{name}"]
+            cols += [success.astype(int).tolist(), best_norm.tolist()]
+        _write_csv(args.per_point_csv, ",".join(header), zip(range(data.count), *cols))
+    _emit_summary(summary, args.out)
     return 0
 
 
 def _cmd_geometry(args) -> int:
     table = geometry.curve_table(args.d, p=args.p, num=args.num)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("delta,naive,union,hull,ratio\n")
-        for row in table:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(args.out, "delta,naive,union,hull,ratio", table.tolist())
     delta_star, max_ratio, _ = geometry.ratio_analysis(args.d, p=args.p)
     print(json.dumps({"d": args.d, "p": args.p, "delta_star": delta_star,
                       "max_ratio": max_ratio, "out": args.out}, sort_keys=True))
@@ -247,15 +246,10 @@ def _cmd_report(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("model,test_error,lb_l1,ub_l1,lb_l2,ub_l2,lb_linf,ub_linf,"
-                     "lb_union,ub_union\n")
-            pn = report.per_norm
-            fh.write(",".join([report.model_id, repr(report.test_error)]
-                              + [repr(pn[n][k]) for n in ("l1", "l2", "linf")
-                                 for k in ("lb", "ub")]
-                              + [repr(report.union["lb"]), repr(report.union["ub"])])
-                     + "\n")
+        bounds = [report.per_norm[n] for n in ("l1", "l2", "linf")] + [report.union]
+        row = [report.model_id, report.test_error] + [b[k] for b in bounds for k in ("lb", "ub")]
+        _write_csv(args.csv, "model,test_error,lb_l1,ub_l1,lb_l2,ub_l2,lb_linf,ub_linf,"
+                   "lb_union,ub_union", [row])
     return 0
 
 

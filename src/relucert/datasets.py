@@ -97,7 +97,11 @@ def gen_moons(n: int, seed: int = 0, noise: float = 0.06) -> Dataset:
 
 def gen_corners(n: int, seed: int = 0, dim: int = 16, num_classes: int = 2,
                 spread: float = 0.08) -> Dataset:
-    """Hypercube-corner prototypes with Gaussian spread, clipped to [0, 1]."""
+    """Hypercube-corner prototypes, one per class, with Gaussian spread,
+    clipped to [0, 1]."""
+    if dim < 1 or not 1 <= num_classes <= 2 ** dim:
+        raise ValueError(f"corners need dim >= 1 and 1 <= num_classes <= 2**dim (one "
+                         f"corner per class), got dim {dim}, num_classes {num_classes}")
     rng = np.random.default_rng(seed)
     protos = rng.choice([0.15, 0.85], size=(num_classes, dim))
     while len(np.unique(protos, axis=0)) < num_classes:

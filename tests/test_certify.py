@@ -229,19 +229,37 @@ def test_oracle_two_unit_hand_enumeration():
     assert point_certificate(net, x, 1).universal_bound(2.0) <= expected[2.0] + 1e-9
 
 
-def test_oracle_budget_exhaustion_flags_inexact(monkeypatch):
+def test_oracle_refuses_a_box_over_the_region_cap(monkeypatch):
     # the hand net has 4 regions: a cap of 3 cannot map them, so the oracle
-    # keeps no regions and falls back to the ray bound
-    x = np.array([2.0, 2.0])
+    # refuses, and a second call refuses from the cached incomplete atlas
+    # without mapping again
+    net, x = hand_net(), np.array([2.0, 2.0])
     monkeypatch.setattr(regions, "MAX_REGIONS", 3)
-    truncated = exact_robustness_oracle(hand_net(), x, 1, 2.0)
-    assert not truncated.exact
-    assert truncated.num_regions == 0
+    with pytest.raises(ValueError, match="MAX_REGIONS = 3"):
+        exact_robustness_oracle(net, x, 1, 2.0)
+    atlas = certify._ORACLE_CACHE[net]
+    assert not atlas.complete and atlas.regions == []
+    monkeypatch.setattr(regions, "RegionAtlas",
+                        lambda net: pytest.fail("the atlas was built again"))
+    with pytest.raises(ValueError, match="MAX_REGIONS = 3"):
+        exact_robustness_oracle(net, x, 1, 2.0)
+    assert certify._ORACLE_CACHE[net] is atlas
+    monkeypatch.undo()
     monkeypatch.setattr(regions, "MAX_REGIONS", 4)
     full = exact_robustness_oracle(hand_net(), x, 1, 2.0)
     assert full.exact and full.num_regions == 4
-    # the ray bound stays a valid upper bound on the exact value
-    assert truncated.value >= full.value
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_oracle_refuses_inputs_that_are_not_2d(correct):
+    net = random_net([3, 6, 2], seed=2, bias_scale=0.5)
+    x = np.array([0.2, 0.5, 0.7])
+    label = net_core.classify(net, x)
+    if not correct:
+        label = 3 - label
+    with pytest.raises(ValueError, match="2-D inputs only, got d = 3"):
+        exact_robustness_oracle(net, x, label, 2.0)
+    assert net not in certify._ORACLE_CACHE
 
 
 @pytest.mark.parametrize("label", [0, 3, 5])

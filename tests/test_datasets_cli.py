@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -89,6 +90,40 @@ def test_generators_ranges():
         assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
         assert ds.labels.min() >= 1 and ds.labels.max() <= ds.num_classes
     assert gen_corners(50, seed=4).dim == 16
+
+
+CORNERS_LIMIT = r"corners need dim >= 1 and 1 <= num_classes <= 2\*\*dim"
+
+
+@pytest.mark.parametrize("dim,classes", [(2, 5), (0, 2), (16, 0), (1, 3)])
+def test_gen_corners_rejects_more_classes_than_corners(dim, classes):
+    # one corner per class: no dimension, no class or more classes than corners
+    with pytest.raises(ValueError, match=fr"{CORNERS_LIMIT} .*got dim {dim}, num_classes "
+                                         fr"{classes}$"):
+        gen_corners(10, seed=0, dim=dim, num_classes=classes)
+
+
+def test_gen_corners_may_use_every_corner():
+    ds = gen_corners(200, seed=0, dim=2, num_classes=4)
+    assert ds.num_classes == 4 and set(ds.labels.tolist()) == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("args,rejected", [
+    (["--dim", "2", "--classes", "5"], True),
+    (["--dim", "0"], True),
+    (["--classes", "0"], True),
+    (["--dim", "2", "--classes", "4"], False),
+], ids=["classes-5-dim-2", "dim-0", "classes-0", "classes-4-dim-2"])
+def test_cli_gen_corners_class_limit(tmp_path, capsys, args, rejected):
+    out = tmp_path / "corners.bin"
+    code = main(["gen-data", "--kind", "corners", "--n", "20", *args, "--out", str(out)])
+    captured = capsys.readouterr()
+    if rejected:
+        assert code == 1 and captured.out == "" and not out.exists()
+        assert re.match(f"error: {CORNERS_LIMIT}", captured.err), captured.err
+    else:
+        assert code == 0 and json.loads(captured.out)["K"] == 4
+        assert load_dataset(out).num_classes == 4
 
 
 def test_head_takes_the_first_points_and_rejects_negative_counts():
@@ -679,4 +714,5 @@ def test_cli_rejects_radii_that_are_not_finite_and_nonnegative(eval_inputs, caps
     assert main([command, "--model", model, "--data", data, *args, "--limit", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be finite and >= 0" in captured.err and captured.err.startswith("error: ")
+    name = {"--eps1": "eps1", "--eps2": "eps2", "--epsinf": "eps_inf"}[flag]
+    assert captured.err.startswith(f"error: {name} must be finite and >= 0, got ")
