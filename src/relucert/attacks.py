@@ -10,12 +10,17 @@ reported.
 PGD steps on the float32 net.  When a net's hidden layers are wide compared
 with its input (``_region_pays``), each attack also takes the affine map of
 the activation region that holds the most anchors: iterates strictly inside
-it get their logits and input gradient from that map, at the cost of an
-N x (d + 1) membership product a row, and the others the layer-wise pass.
-An attack drops the region after the first step that finds too few
-iterates inside it.  Either way every candidate is classified again by the
-float64 net before it counts, so the choice of path steers the search but
-never reports an adversarial.
+it get their logits and input gradient from that map, and the others the
+layer-wise pass.  Membership is tested only against the region's hidden
+rows that an iterate can reach, those that may turn non-positive somewhere
+in an anchor's ball; the rest are provably positive there and are dropped
+when the region is built.  On the corners benchmark's 16-256-256-2 net that
+leaves 2 (l1), 0 (l2) and 5 to 7 (linf) of its 512 rows, depending on the
+seed's test points, so the test costs a K x (d + 1) product a row with K
+small.  An attack drops the region after
+the first step that finds too few iterates inside it.  Either way every
+candidate is classified again by the float64 net before it counts, so the
+choice of path steers the search but never reports an adversarial.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import net_core
+from . import geometry, net_core
 from .certify import EpsTriple, _check_labels, _check_radius, row_norms
 from .datasets import Dataset
 
@@ -41,6 +46,8 @@ __all__ = [
 ]
 
 _FEAS_TOL = 1e-9
+_F32_UNIT = 2.0 ** -24  # unit roundoff of float32
+_F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 _ORDERS = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
 # each norm's radius as certify.bounds names it
 _EPS_NAMES = dict(zip(_ORDERS, EpsTriple._fields))
@@ -142,24 +149,49 @@ def _logit_gradient(logits, y0):
 
 class _Region(NamedTuple):
     """One activation region's affine maps in float32, each row [w, c] the
-    map z -> w . z + c: the signed hidden rows (N, d + 1), all positive
-    exactly inside the region, and the output map (K, d + 1)."""
+    map z -> w . z + c: the signed hidden rows (K, d + 1) that an iterate
+    within lp-distance radius of its anchor can make non-positive, all
+    positive exactly inside the region, and the output map (K_out, d + 1)."""
 
     hidden: np.ndarray
     output: np.ndarray
+    radius: float
 
 
 def _region_pays(net, inside=1.0) -> bool:
     """Whether a step on a region's map is cheaper than the layer-wise pass
     when a share inside of the iterates lies in the region: the membership
     product (N x d for every row) is smaller than the products after the
-    first layer (sum of n_l x n_{l-1}) that the rows inside skip."""
+    first layer (sum of n_l x n_{l-1}) that the rows inside skip.
+
+    It prices the product over all N hidden rows, though _anchor_region
+    keeps only the reachable ones, so it is conservative; it stays so on
+    purpose, since a looser rule would move other nets from the layer-wise
+    pass onto the region's float32 map and change their results."""
     return net.num_hidden_units * net.input_dim < inside * sum(w.size for w in net.weights[1:])
 
 
-def _anchor_region(net, anchors) -> _Region:
+def _reachable_rows(hidden, anchors, radius, p):
+    """Mask of the float32 signed rows [h, c] that an iterate can make
+    non-positive.  Row j is kept if, for some anchor x, its slack h . x + c
+    less the most a step of lp-norm radius takes off it, radius ||h||_q by
+    Hoelder, is at most margin_j.  margin_j is twice a forward-error bound
+    of the float32 (d + 1)-term product h . z + c over the [0, 1] box, the
+    rounding of z to float32 and gradual underflow included, so a dropped
+    row is > 0 in float32 at every point of the box within radius of every
+    anchor."""
+    H = hidden.astype(np.float64)
+    slack = (anchors @ H[:, :-1].T + H[:, -1]).min(axis=0)
+    reach = radius * row_norms(H[:, :-1], geometry.dual_exponent(p))
+    margin = 2 * (H.shape[1] + 1) * (_F32_UNIT * np.abs(H).sum(axis=1) + _F32_TINY)
+    return slack - reach <= margin
+
+
+def _anchor_region(net, anchors, radius, p) -> _Region:
     """The activation region of the float64 net that holds the most distinct
-    anchors, built from one of them; ties go to the region seen first."""
+    anchors, built from one of them (ties go to the region seen first),
+    with the hidden rows that iterates within lp-distance radius of their
+    anchors can reach."""
     _, first = net_core._first_seen(np.ascontiguousarray(anchors).view(np.uint8))
     anchors = anchors[first]  # the restarts of a point share its anchor row
     _, preacts = net_core.forward_batch(net, anchors)
@@ -167,23 +199,29 @@ def _anchor_region(net, anchors) -> _Region:
     group, first = net_core._first_seen(keys)
     rmap = net_core.region_map(net, anchors[first[np.bincount(group).argmax()]][None])
     sign = np.where(np.concatenate(rmap.masks, axis=1)[0], 1.0, -1.0)[:, None]
-    hidden = sign * np.column_stack([rmap.rows[0], rmap.offsets[0]])
+    hidden = (sign * np.column_stack([rmap.rows[0], rmap.offsets[0]])).astype(np.float32)
     output = np.column_stack([rmap.v_maps[-1][0], rmap.a_maps[-1][0]])
-    return _Region(hidden.astype(np.float32), output.astype(np.float32))
+    return _Region(hidden[_reachable_rows(hidden, anchors, radius, p)],
+                   output.astype(np.float32), radius)
 
 
-def _forward(fast, region, Z):
+def _forward(fast, region, Z, norms):
     """Logits of the rows of Z on the float32 net, and the state _gradient
-    needs.  With a region, rows strictly inside it get its output map; the
-    others (all rows without one) the layer-wise forward_batch."""
+    needs; norms are the rows' distances to their anchors.  With a region,
+    rows within its radius that are strictly inside it get its output map;
+    the others (all rows without one) the layer-wise forward_batch.  Only
+    the region's reachable rows are tested: the dropped ones are positive
+    at every such iterate, and with none left every row within the radius
+    is inside."""
     if region is None:
         logits, preacts = net_core.forward_batch(fast, Z)
         return logits, (None, preacts)
     Z1 = np.ones((len(Z), Z.shape[1] + 1), dtype=np.float32)
     Z1[:, :-1] = Z
-    # (N, B) rather than (B, N): numpy's float32 Z1 @ hidden.T took four
+    # (K, B) rather than (B, K): numpy's float32 Z1 @ hidden.T took four
     # times as long, and the min over the leading axis is vectorized
-    out = np.flatnonzero(~((region.hidden @ Z1.T).min(axis=0) > 0))
+    inside = (region.hidden @ Z1.T).min(axis=0, initial=np.inf) > 0
+    out = np.flatnonzero(~(inside & (norms <= region.radius)))
     logits = Z1 @ region.output.T
     preacts = None
     if len(out):
@@ -226,6 +264,7 @@ def _ascent_step(G, p, sparsity_frac):
 def _joint_project(Z, X_ref, eps, p):
     """Project onto {||z - x||_p <= eps} intersected with the [0,1] box.
 
+    Returns the projected rows, their deltas z - x and the deltas' lp-norms.
     Clipping to the box never increases any coordinate gap to x, so one
     ball-then-box pass already lands in the intersection; the loop guards
     against pathological rounding and the result is re-checked exactly.
@@ -233,9 +272,11 @@ def _joint_project(Z, X_ref, eps, p):
     for _ in range(10):
         Z = X_ref + _project_ball_rows(Z - X_ref, eps, p)
         Z = np.clip(Z, 0.0, 1.0)
-        if (row_norms(Z - X_ref, p) <= eps + _FEAS_TOL).all():
+        delta = Z - X_ref
+        norms = row_norms(delta, p)
+        if (norms <= eps + _FEAS_TOL).all():
             break
-    return Z
+    return Z, delta, norms
 
 
 def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig):
@@ -247,26 +288,28 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig):
     The forward pass and the input gradient run on a float32 copy of the
     net, about twice as fast as float64 in BLAS, and where _region_pays on
     the affine map of the region holding the most anchors for the iterates
-    inside it, until a step finds too few of them there.  The iterates,
-    projections and norms stay float64, and an iterate counts as
+    inside it, until a step finds too few of them there.  The region is
+    built for the radius eps + _FEAS_TOL that every feasible iterate keeps
+    to, with only the hidden rows such an iterate can reach; an iterate the
+    projection leaves outside that radius takes the layer-wise pass.  The
+    iterates, projections and norms stay float64, and an iterate counts as
     misclassified only once the float64 net agrees at x + delta, the point
     attack_dataset re-checks.  So float32 rounding and the region's map can
     steer the search but never make a reported adversarial.
     """
     eps, p = cfg.eps, cfg.p
+    radius = eps + _FEAS_TOL
     eta = eps / 4.0 if p == 1.0 else 2.0 * eps / cfg.iterations
     y0 = y - 1
     fast = net.astype(np.float32)
-    region = _anchor_region(net, X_ref) if _region_pays(net) else None
-    Z = _joint_project(starts.copy(), X_ref, eps, p)
+    region = _anchor_region(net, X_ref, radius, p) if _region_pays(net) else None
+    Z, delta, norms = _joint_project(starts.copy(), X_ref, eps, p)
     best_norm = np.full(len(Z), math.inf)
     best_delta = np.zeros_like(Z)
     for it in range(cfg.iterations + 1):
-        logits, state = _forward(fast, region, Z)
+        logits, state = _forward(fast, region, Z, norms)
         pred = logits.argmax(axis=1)
-        delta = Z - X_ref
-        norms = row_norms(delta, p)
-        hit = (pred != y0) & (norms <= eps + _FEAS_TOL) & (norms < best_norm)
+        hit = (pred != y0) & (norms <= radius) & (norms < best_norm)
         if hit.any():
             rows = np.flatnonzero(hit)
             hit[rows] = net_core.classify_batch(net, X_ref[rows] + delta[rows]) != y[rows]
@@ -278,7 +321,7 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig):
         if region is not None and not _region_pays(net, 1.0 - len(state[0]) / len(Z)):
             region = None  # too few iterates inside: layer-wise from here on
         Z = Z + eta * _ascent_step(G, p, cfg.sparsity_frac)
-        Z = _joint_project(Z, X_ref, eps, p)
+        Z, delta, norms = _joint_project(Z, X_ref, eps, p)
     return np.isfinite(best_norm), best_norm, best_delta
 
 

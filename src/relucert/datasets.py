@@ -98,12 +98,21 @@ def gen_moons(n: int, seed: int = 0, noise: float = 0.06) -> Dataset:
 def gen_corners(n: int, seed: int = 0, dim: int = 16, num_classes: int = 2,
                 spread: float = 0.08) -> Dataset:
     """Hypercube-corner prototypes, one per class, with Gaussian spread,
-    clipped to [0, 1]."""
+    clipped to [0, 1].
+
+    The prototypes are one draw of independent coordinates; only if that
+    draw repeats a corner are the classes' corners drawn again, without
+    replacement, as indices into the 2**dim corners, so that a class count
+    near 2**dim ends at once.  Past int64 indices the whole draw repeats
+    until distinct, which there is all but certain at the first try."""
     if dim < 1 or not 1 <= num_classes <= 2 ** dim:
         raise ValueError(f"corners need dim >= 1 and 1 <= num_classes <= 2**dim (one "
                          f"corner per class), got dim {dim}, num_classes {num_classes}")
     rng = np.random.default_rng(seed)
     protos = rng.choice([0.15, 0.85], size=(num_classes, dim))
+    if len(np.unique(protos, axis=0)) < num_classes and 2 ** dim <= np.iinfo(np.int64).max:
+        corners = rng.choice(2 ** dim, num_classes, replace=False)
+        protos = np.where((corners[:, None] >> np.arange(dim)) & 1, 0.85, 0.15)
     while len(np.unique(protos, axis=0)) < num_classes:
         protos = rng.choice([0.15, 0.85], size=(num_classes, dim))
     y = rng.integers(0, num_classes, size=n)

@@ -370,7 +370,7 @@ def pgd_core(net, starts, X_ref, y, cfg, dtype=np.float64):
     eps, p = cfg.eps, cfg.p
     eta = eps / 4.0 if p == 1.0 else 2.0 * eps / cfg.iterations
     y0 = y - 1
-    Z = attacks._joint_project(starts.copy(), X_ref, eps, p)
+    Z = attacks._joint_project(starts.copy(), X_ref, eps, p)[0]
     best_norm = np.full(len(Z), math.inf)
     best_delta = np.zeros_like(Z)
     for it in range(cfg.iterations + 1):
@@ -390,5 +390,5 @@ def pgd_core(net, starts, X_ref, y, cfg, dtype=np.float64):
         G = net_core.backward_batch(fast, preacts, attacks._logit_gradient(logits, y0))
         G = G.astype(np.float64)
         Z = Z + eta * attacks._ascent_step(G, p, cfg.sparsity_frac)
-        Z = attacks._joint_project(Z, X_ref, eps, p)
+        Z = attacks._joint_project(Z, X_ref, eps, p)[0]
     return np.isfinite(best_norm), best_norm, best_delta

@@ -351,6 +351,12 @@ def _attack_cases(trained_pairs):
         test = run["test"].head(200)
         for kind in ("plain", "mmr"):
             yield f"blobs{run['seed']}-{kind}", run[kind], test, trained_pairs["eps"]
+    yield from _region_cases()
+
+
+def _region_cases():
+    """(name, net, points, radii) of the 16-d nets whose attacks take the
+    region path."""
     # iterates spread over many regions: the region path is dropped
     net = net_core.random_net([16, 64, 64, 2], seed=0, bias_scale=0.1)
     yield "16-64-64-2", *_split_in_half(net, 5), (0.5, 0.15, 0.05)
@@ -445,7 +451,8 @@ def test_input_gradient_matches_finite_differences():
 
 
 def _region_step(fast, region, Z, y0):
-    logits, state = attacks._forward(fast, region, Z)
+    # every row counts as within the region's radius of its anchor
+    logits, state = attacks._forward(fast, region, Z, np.zeros(len(Z)))
     return logits, state[0], attacks._gradient(fast, region, logits, state, y0)
 
 
@@ -461,7 +468,9 @@ def test_region_step_matches_the_layer_wise_pass():
     net = cleared_net([16, 64, 64, 2], seed=2)
     fast = net.astype(np.float32)
     rng = np.random.default_rng(3)
-    region = attacks._anchor_region(net, rng.uniform(0, 1, size=(50, 16)))
+    # at linf radius 10 from the box every one of the 128 rows is reachable
+    region = attacks._anchor_region(net, rng.uniform(0, 1, size=(50, 16)), 10.0, math.inf)
+    assert region.hidden.shape == (128, 17)
     Z = rng.uniform(0, 1, size=(300, 16))
     y0 = rng.integers(0, 2, size=300)
     logits, out, G = _region_step(fast, region, Z, y0)
@@ -489,7 +498,11 @@ def test_region_step_zero_preactivation_is_outside():
     net = ReluNet((w1, np.full((4, 4), 0.1), np.array([[1.0, -1.0, 0.5, 0.0], [0.0, 0.5, -1.0, 1.0]])),
                   (np.array([-0.25, 0.25, 1.0, 2.0]), np.ones(4), np.zeros(2)))
     assert attacks._region_pays(net)
-    region = attacks._anchor_region(net, np.array([[0.6, 0.5], [0.7, 0.2], [0.9, 0.9]]))
+    region = attacks._anchor_region(net, np.array([[0.6, 0.5], [0.7, 0.2], [0.9, 0.9]]),
+                                    1.0, math.inf)
+    # within linf distance 1 of the anchors only units 0 and 1 can switch:
+    # both signed rows are x1 - 0.25
+    assert region.hidden.tolist() == [[1.0, 0.0, -0.25]] * 2
     fast = net.astype(np.float32)
     Z = np.array([[0.25, 0.5], [0.5, 0.5], [0.1, 0.5], [0.25, 0.9]])
     y0 = np.array([0, 1, 0, 1])
@@ -509,9 +522,9 @@ def test_wrong_region_map_never_reports_an_adversarial(monkeypatch):
     calls = []
     true_region = attacks._anchor_region
 
-    def swapped(net, anchors):
+    def swapped(net, anchors, radius, p):
         calls.append(len(anchors))
-        region = true_region(net, anchors)
+        region = true_region(net, anchors, radius, p)
         return region._replace(output=region.output[::-1].copy())
 
     monkeypatch.setattr(attacks, "_anchor_region", swapped)
@@ -545,9 +558,9 @@ def test_region_dropped_once_iterates_leave_it(trained_pairs, monkeypatch):
     seen = []
     forward = attacks._forward
 
-    def spy(fast, region, Z):
+    def spy(fast, region, Z, norms):
         seen.append(region is not None)
-        return forward(fast, region, Z)
+        return forward(fast, region, Z, norms)
 
     monkeypatch.setattr(attacks, "_forward", spy)
     cases = {name: case for name, *case in _attack_cases(trained_pairs)}
@@ -561,7 +574,7 @@ def test_region_dropped_once_iterates_leave_it(trained_pairs, monkeypatch):
 def test_region_path_off_is_the_layer_wise_loop(trained_pairs, monkeypatch):
     # on the 2-64-2 blobs nets the rule is off: no region is built and the
     # results are bitwise those of the float32 layer-wise loop
-    def no_region(net, anchors):
+    def no_region(net, anchors, radius, p):
         raise AssertionError("region built where the shape rule is off")
 
     monkeypatch.setattr(attacks, "_anchor_region", no_region)
@@ -577,3 +590,185 @@ def test_region_path_off_is_the_layer_wise_loop(trained_pairs, monkeypatch):
         for norm in found:
             for a, b in zip(found[norm], ref[norm]):
                 assert a.tobytes() == b.tobytes(), (kind, norm)
+
+
+def _keep_all_rows(hidden, anchors, radius, p):
+    return np.ones(len(hidden), dtype=bool)
+
+
+def _corners_case():
+    """A 16-256-256-2 net affine over the box, as the corners benchmark's
+    model is over its data, at the benchmark's radii: its regions keep 15
+    (l1), 0 (l2) and 49 (linf) of their 512 rows."""
+    net, ds = _split_in_half(cleared_net([16, 256, 256, 2], seed=3, margin=0.2), 7)
+    return "corners-16-256-256-2", net, ds, (1.38, 0.66, 0.3)
+
+
+def _with_zero_units(net, zero_offset):
+    """net with hidden units whose weights are all zero: in the first layer
+    units 0 and 1 with offsets 0.3 and -0.3, active and inactive everywhere,
+    and unit 2 with offset 0, never strictly inside a region, if zero_offset
+    (else 0.1); in the second layer unit 0 with offset 0.2."""
+    weights, biases = [w.copy() for w in net.weights], [b.copy() for b in net.biases]
+    weights[0][:3] = 0.0
+    biases[0][:3] = [0.3, -0.3, 0.0 if zero_offset else 0.1]
+    weights[1][0] = 0.0
+    biases[1][0] = 0.2
+    return net.with_parameters(tuple(weights), tuple(biases))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("d", [2, 16, 64])
+def test_reachable_rows_give_the_full_tables_outside_set(d, p, monkeypatch):
+    # for iterates in ball and box, a third of them drawn on the ball's
+    # surface and for l1 and linf a third at its vertices, the reachable
+    # rows split inside from outside as all of the region's rows do; 15
+    # anchors lie about one point and 5 anywhere in the box, mostly outside
+    # the chosen region
+    eps = {1.0: 0.3 * math.sqrt(d), 2.0: 0.3, math.inf: 0.3 / math.sqrt(d)}[p]
+    radius = eps + attacks._FEAS_TOL
+    for seed in range(3):
+        net = _with_zero_units(net_core.random_net([d, 32, 32, 2], seed=seed, bias_scale=0.5),
+                               zero_offset=seed == 2)
+        rng = np.random.default_rng(seed)
+        center = rng.uniform(0.3, 0.7, d)
+        anchors = np.vstack([center + rng.uniform(-0.01, 0.01, size=(15, d)),
+                             rng.uniform(0, 1, size=(5, d))])
+        X = np.repeat(anchors, 30, axis=0)
+        D = attacks._sample_ball_rows(rng, len(X), d, eps, p)
+        D[::3] *= eps / certify.row_norms(D[::3], p)[:, None]
+        if p != 2.0:  # and a third at the ball's vertices
+            D[1::3] = eps * np.where(rng.random((len(X) // 3, d)) < 0.5, -1.0, 1.0)
+            if p == 1.0:
+                D[1::3] *= np.eye(d)[rng.integers(0, d, len(X) // 3)]
+        Z, _, norms = attacks._joint_project(X + D, X, eps, p)
+        region = attacks._anchor_region(net, X, radius, p)
+        with monkeypatch.context() as m:
+            m.setattr(attacks, "_reachable_rows", _keep_all_rows)
+            full = attacks._anchor_region(net, X, radius, p)
+        assert len(full.hidden) == 64 and 0 < len(region.hidden) < 64
+        zero = (region.hidden[:, :-1] == 0).all(axis=1)
+        # the zero rows with positive offsets (units 0 and 1, unit 2 at seeds
+        # 0 and 1, the second layer's unit 0) are dropped; one with offset 0
+        # is kept
+        assert zero.sum() == (seed == 2) and (region.hidden[zero, -1] == 0).all()
+        fast = net.astype(np.float32)
+        logits, (out, _) = attacks._forward(fast, region, Z, norms)
+        full_logits, (full_out, _) = attacks._forward(fast, full, Z, norms)
+        assert out.tolist() == full_out.tolist()
+        assert logits.tobytes() == full_logits.tobytes()
+        if seed == 2:
+            assert len(out) == len(Z)
+        else:
+            assert 0 < len(out) < len(Z)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("d", [2, 64])
+def test_reachable_rows_margin_grows_with_d(d, p):
+    # the row x1 > 0 has slack 0.5 at the anchor, and a radius r takes r
+    # off it in every norm: with gap = 0.5 - r it is dropped once gap
+    # exceeds the margin 2 (d + 2) (2**-24 ||[h, c]||_1 + tiny)
+    row = np.zeros((1, d + 1), dtype=np.float32)
+    row[0, 0] = 1.0
+    anchors = np.full((1, d), 0.5)
+
+    def margin(dim):
+        return 2 * (dim + 2) * (2.0 ** -24 + float(np.finfo(np.float32).smallest_subnormal))
+
+    def kept(gap):
+        return bool(attacks._reachable_rows(row, anchors, 0.5 - gap, p)[0])
+
+    assert not kept(1.25 * margin(d)) and kept(0.75 * margin(d))
+    # the d = 2 margin would drop the row at d = 64
+    assert kept(1.25 * margin(2)) is (d > 2)
+    # the anchor closest to the row's hyperplane decides
+    far = np.vstack([np.full((1, d), 0.9), anchors])
+    assert attacks._reachable_rows(row, far, 0.5 - 0.75 * margin(d), p).tolist() == [True]
+
+
+def _region_case(name):
+    return next(case[1:] for case in [*_region_cases(), _corners_case()] if case[0] == name)
+
+
+@pytest.mark.parametrize("name", ["16-64-64-2", "cleared-16-64-64-2", "corners-16-256-256-2"])
+def test_reachable_rows_leave_attacks_bitwise_unchanged(name, monkeypatch):
+    # the attacks' results with the reachable rows are those with every row
+    # of the region, on a net whose iterates leave the region, one whose
+    # iterates all stay in it and a corners-style net
+    net, ds, eps = _region_case(name)
+    kept = []
+    anchor_region = attacks._anchor_region
+
+    def spy(net, anchors, radius, p):
+        region = anchor_region(net, anchors, radius, p)
+        kept.append(len(region.hidden))
+        return region
+
+    monkeypatch.setattr(attacks, "_anchor_region", spy)
+    kwargs = dict(iterations=20, restarts=3, seed=4)
+    found = attack_norms(net, ds, eps, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(attacks, "_reachable_rows", _keep_all_rows)
+        ref = attack_norms(net, ds, eps, **kwargs)
+    full = net.num_hidden_units
+    assert len(kept) == 6 and kept[3:] == [full] * 3 and max(kept[:3]) < full, (name, kept)
+    for norm in found:
+        for a, b in zip(found[norm], ref[norm]):
+            assert a.tobytes() == b.tobytes(), (name, norm)
+    assert any(success.any() for success, _, _ in found.values())
+
+
+def test_region_with_no_reachable_row_holds_every_iterate():
+    # at the l2 radius no row of the corners-style region is reachable: the
+    # membership test has nothing to check, every iterate within the radius
+    # is inside, as the float64 net agrees, and the l2 attack runs on it
+    net, ds, (_, eps, _) = _region_case("corners-16-256-256-2")
+    X = np.repeat(ds.features, 3, axis=0)
+    region = attacks._anchor_region(net, X, eps + attacks._FEAS_TOL, 2.0)
+    assert region.hidden.shape == (0, 17)
+    rng = np.random.default_rng(0)
+    Z, _, norms = attacks._joint_project(X + attacks._sample_ball_rows(rng, len(X), 16, eps, 2.0),
+                                         X, eps, 2.0)
+    logits, (out, preacts) = attacks._forward(net.astype(np.float32), region, Z, norms)
+    assert len(out) == 0 and preacts is None
+    _, pre64 = net_core.forward_batch(net, Z)
+    assert (np.concatenate(pre64, axis=1) > 0).all()
+    Z1 = np.column_stack([Z, np.ones(len(Z))]).astype(np.float32)
+    assert logits.tobytes() == (Z1 @ region.output.T).tobytes()
+    success, best_norm, _ = attack_norms(net, ds, (None, eps, None), norms=("l2",),
+                                         iterations=10, restarts=2)["l2"]
+    assert success.any() and (best_norm[success] <= eps + 1e-9).all()
+
+
+def test_infeasible_iterate_takes_the_layer_wise_pass(monkeypatch):
+    # should the projection loop give up and leave an iterate outside the
+    # ball, that row is beyond the region's radius: it takes the layer-wise
+    # pass though the region holds it, and the hit test never reports it
+    # though the net misclassifies it
+    net, ds, (_, _, eps) = _region_case("cleared-16-64-64-2")
+    X, y = ds.features[:4], ds.labels[:4]
+    stray = ds.features[np.flatnonzero(ds.labels != y[0])[0]]
+    assert net_core.classify_batch(net, stray[None])[0] != y[0]
+    project, forward = attacks._joint_project, attacks._forward
+    outside = []
+
+    def stuck(Z, X_ref, eps, p):
+        Z, delta, norms = project(Z, X_ref, eps, p)
+        Z[0], delta[0] = stray, stray - X_ref[0]
+        norms[0] = certify.row_norms(delta[0], p)
+        assert norms[0] > eps + attacks._FEAS_TOL
+        return Z, delta, norms
+
+    def spy(fast, region, Z, norms):
+        logits, state = forward(fast, region, Z, norms)
+        assert region is not None and len(region.hidden) == 0  # every row inside
+        outside.append(state[0].tolist())
+        return logits, state
+
+    monkeypatch.setattr(attacks, "_joint_project", stuck)
+    monkeypatch.setattr(attacks, "_forward", spy)
+    cfg = PgdConfig(p=math.inf, eps=eps, iterations=10, restarts=1)
+    success, best_norm, best_delta = attacks._pgd_core(net, X.copy(), X, y, cfg)
+    assert outside == [[0]] * 11
+    assert not success[0] and np.isinf(best_norm[0]) and not best_delta[0].any()

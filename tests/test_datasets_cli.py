@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -106,6 +107,51 @@ def test_gen_corners_rejects_more_classes_than_corners(dim, classes):
 def test_gen_corners_may_use_every_corner():
     ds = gen_corners(200, seed=0, dim=2, num_classes=4)
     assert ds.num_classes == 4 and set(ds.labels.tolist()) == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("dim, classes", [(4, 16), (5, 32)])
+def test_cli_gen_corners_with_every_corner_ends(tmp_path, dim, classes):
+    # one draw of 16 prototypes at dim 4 is distinct with probability
+    # 16!/16**16 = 1.1e-6, so redrawing them all until distinct did not end;
+    # after a repeat the corners are drawn without replacement
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "corners.bin"
+    proc = subprocess.run([sys.executable, "-m", "relucert", "gen-data", "--kind", "corners",
+                           "--n", "400", "--dim", str(dim), "--classes", str(classes),
+                           "--std", "0", "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    ds = load_dataset(out)
+    assert set(ds.labels.tolist()) == set(range(1, classes + 1))
+    groups = [ds.features[ds.labels == k] for k in range(1, classes + 1)]
+    assert all((g == g[0]).all() for g in groups)  # no spread: each class sits on its corner
+    protos = np.array([g[0] for g in groups])
+    assert np.isin(protos, (0.15, 0.85)).all() and len(np.unique(protos, axis=0)) == classes
+
+
+@pytest.mark.parametrize("n, seed, dim, classes", [
+    (300, 1, 3, 3), (300, 5, 8, 4), (300, 2, 16, 2)])
+def test_gen_corners_keeps_a_distinct_first_draw(n, seed, dim, classes):
+    # where the first draw of prototypes has no repeat, the dataset is
+    # that draw with its labels and spread, as before the redraw changed
+    rng = np.random.default_rng(seed)
+    protos = rng.choice([0.15, 0.85], size=(classes, dim))
+    assert len(np.unique(protos, axis=0)) == classes
+    y = rng.integers(0, classes, size=n)
+    X = np.clip(protos[y] + 0.08 * rng.standard_normal((n, dim)), 0.0, 1.0)
+    ds = gen_corners(n, seed=seed, dim=dim, num_classes=classes)
+    assert ds.features.tobytes() == X.tobytes() and ds.labels.tobytes() == (y + 1).tobytes()
+
+
+def test_gen_corners_benchmark_pool_is_unchanged(tmp_path):
+    # the corners benchmark draws its pool with gen-data seed 0, d 16, 2
+    # classes and spread 0.08; its bytes are pinned
+    out = tmp_path / "pool.bin"
+    save_dataset(gen_corners(21000, seed=0, spread=0.08), out)
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "b29b4c98999fdba43ec706ee95df0418d0e69f4dacaa9196ea5e29da6bb9e725"
 
 
 @pytest.mark.parametrize("args,rejected", [
