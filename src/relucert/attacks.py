@@ -8,19 +8,26 @@ goes through, re-checks final feasibility exactly before a perturbation is
 reported.
 
 PGD steps on the float32 net.  When a net's hidden layers are wide compared
-with its input (``_region_pays``), each attack also takes the affine map of
-the activation region that holds the most anchors: iterates strictly inside
-it get their logits and input gradient from that map, and the others the
-layer-wise pass.  Membership is tested only against the region's hidden
-rows that an iterate can reach, those that may turn non-positive somewhere
-in an anchor's ball; the rest are provably positive there and are dropped
-when the region is built.  On the corners benchmark's 16-256-256-2 net that
-leaves 2 (l1), 0 (l2) and 5 to 7 (linf) of its 512 rows, depending on the
-seed's test points, so the test costs a K x (d + 1) product a row with K
-small.  An attack drops the region after
-the first step that finds too few iterates inside it.  Either way every
-candidate is classified again by the float64 net before it counts, so the
-choice of path steers the search but never reports an adversarial.
+with its input (``_region_pays``), the attacks also take the affine map of
+the activation region that holds the most data points: iterates strictly
+inside it get their logits and input gradient from that map, and the others
+the layer-wise pass.  attack_norms maps that region once and shares it
+among its norms; attack_dataset maps its own.  Each attack tests membership
+only against the region's hidden rows that an iterate can reach, those
+that may turn non-positive somewhere in an anchor's ball of its radius; the
+rest are provably positive there and are dropped when the attack starts.
+On the corners benchmark's 16-256-256-2 net that leaves 2 (l1), 0 (l2) and
+5 to 7 (linf) of its 512 rows, depending on the seed's test points, so the
+test costs a K x (d + 1) product a row with K small.  An attack drops the
+region after the first step that finds too few iterates inside it.  Either
+way every candidate is classified again by the float64 net before it
+counts, so the choice of path steers the search but never reports an
+adversarial.
+
+The softmax of the logit gradient runs class-major, K vectorized passes
+across the rows instead of a reduction along each short row, bitwise the
+row-wise result for K < 8 classes; the l1 step's top-1 threshold is the
+row max, taken the same way.
 """
 
 from __future__ import annotations
@@ -139,23 +146,44 @@ def _sample_ball_rows(rng, m, d, eps, p):
 
 
 def _logit_gradient(logits, y0):
-    """Gradient of the cross-entropy wrt the logits: softmax - onehot(y0)."""
-    m = logits.max(axis=1, keepdims=True)
-    g = np.exp(logits - m)
-    g /= g.sum(axis=1, keepdims=True)
-    g[np.arange(len(g)), y0] -= 1.0
-    return g
+    """Gradient of the cross-entropy wrt the logits: softmax - onehot(y0).
+
+    It runs on a class-major copy (K, B) of the logits: the max, the
+    normalizing sum and the one-hot subtraction each take K vectorized
+    passes across the rows, where numpy reduces a short row at about 50 ns
+    a row.  The max is exact, and for K < 8 numpy's row-wise sum is the
+    same sequential sum, so the result is bitwise that of the row-wise
+    form.  For K >= 8 numpy sums a row pairwise, so the denominator may
+    differ from it in the last bit.  That only steers the search: every
+    reported adversarial is verified in float64.
+    """
+    g = logits.T.copy()
+    g -= g.max(axis=0)
+    np.exp(g, out=g)
+    g /= g.sum(axis=0)
+    for k, row in enumerate(g):
+        row -= y0 == k
+    return np.ascontiguousarray(g.T)
 
 
 class _Region(NamedTuple):
     """One activation region's affine maps in float32, each row [w, c] the
-    map z -> w . z + c: the signed hidden rows (K, d + 1) that an iterate
-    within lp-distance radius of its anchor can make non-positive, all
-    positive exactly inside the region, and the output map (K_out, d + 1)."""
+    map z -> w . z + c: signed hidden rows (K, d + 1), all positive exactly
+    inside the region, and the output map (K_out, d + 1); with the distinct
+    anchors it was chosen for.  hidden holds the rows that an iterate within
+    lp-distance radius of its anchor can make non-positive: all N of them
+    at radius inf, as _anchor_region builds it."""
 
     hidden: np.ndarray
     output: np.ndarray
-    radius: float
+    anchors: np.ndarray
+    radius: float = math.inf
+
+    def within(self, radius, p) -> _Region:
+        """The region for iterates within lp-distance radius of their
+        anchors: only the hidden rows that they can reach."""
+        keep = _reachable_rows(self.hidden, self.anchors, radius, p)
+        return self._replace(hidden=self.hidden[keep], radius=radius)
 
 
 def _region_pays(net, inside=1.0) -> bool:
@@ -164,10 +192,11 @@ def _region_pays(net, inside=1.0) -> bool:
     product (N x d for every row) is smaller than the products after the
     first layer (sum of n_l x n_{l-1}) that the rows inside skip.
 
-    It prices the product over all N hidden rows, though _anchor_region
-    keeps only the reachable ones, so it is conservative; it stays so on
-    purpose, since a looser rule would move other nets from the layer-wise
-    pass onto the region's float32 map and change their results."""
+    It prices the product over all N hidden rows, though an attack keeps
+    only the reachable ones (_Region.within), so it is conservative; it
+    stays so on purpose, since a looser rule would move other nets from the
+    layer-wise pass onto the region's float32 map and change their
+    results."""
     return net.num_hidden_units * net.input_dim < inside * sum(w.size for w in net.weights[1:])
 
 
@@ -187,11 +216,12 @@ def _reachable_rows(hidden, anchors, radius, p):
     return slack - reach <= margin
 
 
-def _anchor_region(net, anchors, radius, p) -> _Region:
+def _anchor_region(net, anchors) -> _Region:
     """The activation region of the float64 net that holds the most distinct
     anchors, built from one of them (ties go to the region seen first),
-    with the hidden rows that iterates within lp-distance radius of their
-    anchors can reach."""
+    with all its hidden rows and the distinct anchors in order of first
+    appearance.  It does not depend on the norm or the radius, so one map
+    serves every attack on the same points (_Region.within)."""
     _, first = net_core._first_seen(np.ascontiguousarray(anchors).view(np.uint8))
     anchors = anchors[first]  # the restarts of a point share its anchor row
     _, preacts = net_core.forward_batch(net, anchors)
@@ -201,8 +231,7 @@ def _anchor_region(net, anchors, radius, p) -> _Region:
     sign = np.where(np.concatenate(rmap.masks, axis=1)[0], 1.0, -1.0)[:, None]
     hidden = (sign * np.column_stack([rmap.rows[0], rmap.offsets[0]])).astype(np.float32)
     output = np.column_stack([rmap.v_maps[-1][0], rmap.a_maps[-1][0]])
-    return _Region(hidden[_reachable_rows(hidden, anchors, radius, p)],
-                   output.astype(np.float32), radius)
+    return _Region(hidden, output.astype(np.float32), anchors)
 
 
 def _forward(fast, region, Z, norms):
@@ -243,6 +272,12 @@ def _gradient(fast, region, logits, state, y0):
 
 
 def _ascent_step(G, p, sparsity_frac):
+    """Steepest-ascent direction of unit lp-norm for each row of G: sign(G)
+    for linf, G / ||G||_2 for l2, and for l1 G on its k = round(sparsity_frac
+    * d) (at least 1) largest entries in magnitude, ties included.  The
+    threshold is np.partition's (d - k)-th element; for k = 1, every d < 150
+    at the default sparsity 0.01, that is the row max, which row_norms takes
+    in vectorized passes, so the mask is the same."""
     if math.isinf(p):
         return np.sign(G)
     if p == 2.0:
@@ -252,7 +287,7 @@ def _ascent_step(G, p, sparsity_frac):
     k = max(1, int(round(sparsity_frac * d)))
     A = np.abs(G)
     if k < d:
-        thresh = np.partition(A, d - k, axis=1)[:, d - k]
+        thresh = row_norms(A, math.inf) if k == 1 else np.partition(A, d - k, axis=1)[:, d - k]
         mask = A >= thresh[:, None]
     else:
         mask = np.ones_like(A, dtype=bool)
@@ -279,30 +314,32 @@ def _joint_project(Z, X_ref, eps, p):
     return Z, delta, norms
 
 
-def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig):
+def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig, region):
     """Run PGD from the given start rows; anchors and labels are per-row.
 
     Returns (success, best_norm, best_delta) per row; best_norm is the
     smallest perturbation norm among the misclassified feasible iterates.
 
     The forward pass and the input gradient run on a float32 copy of the
-    net, about twice as fast as float64 in BLAS, and where _region_pays on
-    the affine map of the region holding the most anchors for the iterates
-    inside it, until a step finds too few of them there.  The region is
-    built for the radius eps + _FEAS_TOL that every feasible iterate keeps
-    to, with only the hidden rows such an iterate can reach; an iterate the
-    projection leaves outside that radius takes the layer-wise pass.  The
-    iterates, projections and norms stay float64, and an iterate counts as
-    misclassified only once the float64 net agrees at x + delta, the point
-    attack_dataset re-checks.  So float32 rounding and the region's map can
-    steer the search but never make a reported adversarial.
+    net, about twice as fast as float64 in BLAS, and, unless region is None,
+    on the affine map of the anchors' region (_anchor_region of X_ref) for
+    the iterates inside it, until a step finds too few of them there.  The
+    attack keeps only the region's hidden rows that an iterate within the
+    radius eps + _FEAS_TOL of its anchor can reach (_Region.within); an
+    iterate the projection leaves outside that radius takes the layer-wise
+    pass.  The iterates, projections and norms stay float64, and an iterate
+    counts as misclassified only once the float64 net agrees at x + delta,
+    the point attack_dataset re-checks.  So float32 rounding and the
+    region's map can steer the search but never make a reported
+    adversarial.
     """
     eps, p = cfg.eps, cfg.p
     radius = eps + _FEAS_TOL
     eta = eps / 4.0 if p == 1.0 else 2.0 * eps / cfg.iterations
     y0 = y - 1
     fast = net.astype(np.float32)
-    region = _anchor_region(net, X_ref, radius, p) if _region_pays(net) else None
+    if region is not None:
+        region = region.within(radius, p)
     Z, delta, norms = _joint_project(starts.copy(), X_ref, eps, p)
     best_norm = np.full(len(Z), math.inf)
     best_delta = np.zeros_like(Z)
@@ -344,10 +381,22 @@ def attack_dataset(net, dataset, cfg: PgdConfig):
     re-checked exactly: it must lie in the ball and x + delta must be
     misclassified, else RuntimeError.
     """
+    return _attack(net, *_prepare(net, dataset), cfg)
+
+
+def _prepare(net, dataset):
+    """The checked points X and labels y of dataset, and the region of the
+    anchors X that the attacks on them share (None where _region_pays is
+    off)."""
     X = np.asarray(dataset.features, dtype=np.float64)
     y = _check_labels(net, dataset.labels)
     if len(X) == 0:
         raise ValueError("dataset is empty")
+    return X, y, _anchor_region(net, X) if _region_pays(net) else None
+
+
+def _attack(net, X, y, region, cfg: PgdConfig):
+    """attack_dataset on the output of _prepare."""
     n, d = X.shape
     R = cfg.restarts
     rng = np.random.default_rng(cfg.seed)
@@ -358,7 +407,7 @@ def attack_dataset(net, dataset, cfg: PgdConfig):
         mask = (np.arange(n * R) % R) > 0
         starts[mask] += noise[mask]
     y_rep = np.repeat(y, R)
-    success, norms, deltas = _pgd_core(net, starts, X_ref, y_rep, cfg)
+    success, norms, deltas = _pgd_core(net, starts, X_ref, y_rep, cfg, region)
     success = success.reshape(n, R).any(axis=1)
     norms = norms.reshape(n, R)
     pick = norms.argmin(axis=1)
@@ -380,7 +429,12 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
 
     Seeds are keyed by norm, seed + 1 for l1, + 2 for l2 and + 3 for linf,
     so a norm's result does not depend on which other norms are attacked.
+    The anchors' region is mapped once and shared by the norms, so the
+    results are those of attack_dataset for each norm.
     """
+    if isinstance(norms, str):
+        raise ValueError(f"norms must be a sequence of names such as ('l1', 'linf'), "
+                         f"got the string {norms!r}")
     radii = dict(zip(_ORDERS, eps))
     for name in norms:
         if name not in radii:
@@ -388,13 +442,11 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
         if radii[name] is None:
             raise ValueError(f"no radius given for norm {name}")
         _check_radius(radii[name], _EPS_NAMES[name])
-    out = {}
-    for offset, (name, p) in enumerate(_ORDERS.items(), start=1):
-        if name in norms:
-            cfg = PgdConfig(p=p, eps=radii[name], iterations=iterations, restarts=restarts,
+    cfgs = {name: PgdConfig(p=p, eps=radii[name], iterations=iterations, restarts=restarts,
                             seed=seed + offset, sparsity_frac=sparsity_frac)
-            out[name] = attack_dataset(net, dataset, cfg)
-    return out
+            for offset, (name, p) in enumerate(_ORDERS.items(), start=1) if name in norms}
+    points = _prepare(net, dataset)
+    return {name: _attack(net, *points, cfg) for name, cfg in cfgs.items()}
 
 
 def lower_bounds(net, dataset, found: dict) -> dict:

@@ -9,7 +9,8 @@ rebuilt here one unit and one facet at a time, clipping every region by
 every unit, as the reference for ``relucert.regions``.  ``pgd_core`` is the
 layer-wise PGD loop: in float64 the reference for the mixed-precision
 ``relucert.attacks._pgd_core``, in float32 the loop it runs where its
-region path is off.
+region path is off.  Its softmax and ascent step are the row-wise forms,
+``logit_gradient`` and ``ascent_step``, references for the attack's own.
 """
 
 import math
@@ -360,12 +361,42 @@ def decision_edges(regions, num_classes, label):
     return np.zeros((0, 2)), np.zeros((0, 2))
 
 
-def pgd_core(net, starts, X_ref, y, cfg, dtype=np.float64):
+def logit_gradient(logits, y0):
+    """softmax - onehot(y0), reduced along each row."""
+    m = logits.max(axis=1, keepdims=True)
+    g = np.exp(logits - m)
+    g /= g.sum(axis=1, keepdims=True)
+    g[np.arange(len(g)), y0] -= 1.0
+    return g
+
+
+def ascent_step(G, p, sparsity_frac):
+    """Unit-norm ascent direction of each row of G; for l1 the threshold is
+    always np.partition's (d - k)-th element."""
+    if math.isinf(p):
+        return np.sign(G)
+    if p == 2.0:
+        norms = np.linalg.norm(G, axis=1, keepdims=True)
+        return G / np.maximum(norms, 1e-300)
+    d = G.shape[1]
+    k = max(1, int(round(sparsity_frac * d)))
+    A = np.abs(G)
+    if k < d:
+        thresh = np.partition(A, d - k, axis=1)[:, d - k]
+        mask = A >= thresh[:, None]
+    else:
+        mask = np.ones_like(A, dtype=bool)
+    V = G * mask
+    norms = np.abs(V).sum(axis=1, keepdims=True)
+    return V / np.maximum(norms, 1e-300)
+
+
+def pgd_core(net, starts, X_ref, y, cfg, region=None, dtype=np.float64):
     """PGD with the forward pass and the input gradient layer by layer at
     every step, on the net in dtype; same signature and result as
-    ``attacks._pgd_core``.  In float64 the hit test is the prediction at the
-    iterate; in float32 an iterate counts once the float64 net misclassifies
-    x + delta, as in the mixed-precision loop."""
+    ``attacks._pgd_core``, whose region it ignores.  In float64 the hit test
+    is the prediction at the iterate; in float32 an iterate counts once the
+    float64 net misclassifies x + delta, as in the mixed-precision loop."""
     fast = net.astype(dtype)
     eps, p = cfg.eps, cfg.p
     eta = eps / 4.0 if p == 1.0 else 2.0 * eps / cfg.iterations
@@ -387,8 +418,8 @@ def pgd_core(net, starts, X_ref, y, cfg, dtype=np.float64):
             best_delta[hit] = delta[hit]
         if it == cfg.iterations:
             break
-        G = net_core.backward_batch(fast, preacts, attacks._logit_gradient(logits, y0))
+        G = net_core.backward_batch(fast, preacts, logit_gradient(logits, y0))
         G = G.astype(np.float64)
-        Z = Z + eta * attacks._ascent_step(G, p, cfg.sparsity_frac)
+        Z = Z + eta * ascent_step(G, p, cfg.sparsity_frac)
         Z = attacks._joint_project(Z, X_ref, eps, p)[0]
     return np.isfinite(best_norm), best_norm, best_delta

@@ -131,7 +131,7 @@ def test_pgd_rejects_infeasible_core_result(monkeypatch, run):
     net = margin_linear_net()
     x = np.array([0.53, 0.50])
 
-    def bad_core(net, starts, X_ref, y, cfg):
+    def bad_core(net, starts, X_ref, y, cfg, region):
         deltas = np.zeros_like(starts)
         deltas[:, 0] = -0.5
         return np.ones(len(starts), bool), np.full(len(starts), 0.01), deltas
@@ -146,7 +146,7 @@ def test_pgd_rejects_correctly_classified_core_result(monkeypatch):
     net = margin_linear_net()
     x = np.array([0.53, 0.50])
 
-    def bad_core(net, starts, X_ref, y, cfg):
+    def bad_core(net, starts, X_ref, y, cfg, region):
         return (np.ones(len(starts), bool), np.zeros(len(starts)),
                 np.zeros_like(starts))
 
@@ -180,7 +180,7 @@ def test_pgd_attack_is_one_point_of_attack_dataset(p):
 def test_attack_dataset_restart_zero_starts_at_the_point(monkeypatch):
     seen = {}
 
-    def core(net, starts, X_ref, y, cfg):
+    def core(net, starts, X_ref, y, cfg, region):
         seen["starts"], seen["X_ref"] = starts.copy(), X_ref.copy()
         return (np.zeros(len(starts), bool), np.full(len(starts), math.inf),
                 np.zeros_like(starts))
@@ -242,6 +242,20 @@ def test_pgd_config_validation():
         PgdConfig(p=2.0, eps=0.1, iterations=0)
     with pytest.raises(ValueError):
         PgdConfig(p=2.0, eps=0.1, sparsity_frac=0.0)
+
+
+@pytest.mark.parametrize("norm", ["l2", "linf"])
+def test_attack_norms_rejects_a_bare_string(norm):
+    # a string is a sequence of one-letter names; the message names it whole
+    net = margin_linear_net()
+    ds = _Points([[0.2, 0.3]], [1])
+    for norms in (norm, "l1l2"):
+        with pytest.raises(ValueError, match=f"sequence of names .* got the string '{norms}'"):
+            attack_norms(net, ds, (0.1, 0.1, 0.1), norms=norms)
+    with pytest.raises(ValueError, match="unknown norm 'l3'; expected l1, l2 or linf"):
+        attack_norms(net, ds, (0.1, 0.1, 0.1), norms=[norm, "l3"])
+    found = attack_norms(net, ds, (0.1, 0.1, 0.1), norms=(norm,), iterations=2, restarts=1)
+    assert list(found) == [norm]
 
 
 def test_pgd_anchor_box_precondition():
@@ -450,6 +464,77 @@ def test_input_gradient_matches_finite_differences():
     assert (np.abs(grad32 - grad) <= 1e-4 * scale).all()
 
 
+def _tricky_logits(rng, B, K, dtype):
+    """Logits with rows of ties, rows of +-80 (exp(-160) underflows in
+    float32) and rows of all-equal values, and labels covering every class."""
+    L = rng.standard_normal((B, K)) * rng.choice([0.01, 1.0, 30.0], size=(B, 1))
+    L[0::5, 1:] = L[0::5, :1]                     # all equal
+    L[1::5, :K // 2] = L[1::5, K - 1:K]           # a tie with the last class
+    L[2::5] = rng.choice([-80.0, 80.0], size=L[2::5].shape)
+    L[3::5, 0] = 80.0
+    L[3::5, 1:] = -80.0
+    return L.astype(dtype), np.arange(B) % K
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("K", range(2, 8))
+def test_logit_gradient_is_the_row_wise_form_below_eight_classes(K, dtype):
+    rng = np.random.default_rng(K)
+    for B in (1, 7, 1000):
+        logits, y0 = _tricky_logits(rng, B, K, dtype)
+        got = attacks._logit_gradient(logits, y0)
+        want = per_point_reference.logit_gradient(logits, y0)
+        assert got.dtype == dtype and got.flags.c_contiguous and got.shape == (B, K)
+        assert got.tobytes() == want.tobytes(), (K, B)
+
+
+@pytest.mark.parametrize("K", [8, 10])
+def test_logit_gradient_from_eight_classes_within_sum_rounding(K):
+    # numpy sums rows of 8 or more pairwise: each order of the K-term sum S
+    # is within (K - 1) u S of the exact one, u = 2**-24, and the division
+    # and one-hot subtraction round once each, so entries (all within
+    # [-1, 1]) differ by at most 2 (K + 1) u
+    tol = 2 * (K + 1) * 2.0 ** -24
+    logits, y0 = _tricky_logits(np.random.default_rng(K), 1000, K, np.float32)
+    got = attacks._logit_gradient(logits, y0)
+    want = per_point_reference.logit_gradient(logits, y0)
+    assert np.abs(got.astype(np.float64) - want).max() <= tol
+
+
+@pytest.mark.parametrize("d", [2, 16])
+def test_top1_l1_step_is_the_partition_step(d, monkeypatch):
+    # k = 1 at the default sparsity: the row max replaces np.partition, with
+    # tied maxima (both kept) and all-zero rows (a zero step)
+    rng = np.random.default_rng(d)
+    G = rng.standard_normal((300, d))
+    G[::4, 0] = 5.0
+    G[::4, 1] = -5.0
+    G[1::4] = 0.0
+    G[2::4, :] = np.abs(G[2::4, :1])
+    partition = np.partition
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1])
+        return partition(*args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", spy)
+    for p in (1.0, 2.0, math.inf):
+        got = attacks._ascent_step(G, p, 0.01)
+        assert got.tobytes() == per_point_reference.ascent_step(G, p, 0.01).tobytes()
+    assert calls == [d - 1]  # the reference's only
+    step = attacks._ascent_step(G, 1.0, 0.01)
+    assert (step[1::4] == 0).all()
+    assert (np.count_nonzero(step[::4], axis=1) >= 2).all()
+    # 2 <= k < d takes the partition path; k = d keeps every coordinate
+    for frac in (2 / d, 0.5, 1.0):
+        calls.clear()
+        k = max(1, round(frac * d))
+        got = attacks._ascent_step(G, 1.0, frac)
+        assert calls == ([d - k] if 1 < k < d else [])
+        assert got.tobytes() == per_point_reference.ascent_step(G, 1.0, frac).tobytes()
+
+
 def _region_step(fast, region, Z, y0):
     # every row counts as within the region's radius of its anchor
     logits, state = attacks._forward(fast, region, Z, np.zeros(len(Z)))
@@ -469,7 +554,7 @@ def test_region_step_matches_the_layer_wise_pass():
     fast = net.astype(np.float32)
     rng = np.random.default_rng(3)
     # at linf radius 10 from the box every one of the 128 rows is reachable
-    region = attacks._anchor_region(net, rng.uniform(0, 1, size=(50, 16)), 10.0, math.inf)
+    region = attacks._anchor_region(net, rng.uniform(0, 1, size=(50, 16))).within(10.0, math.inf)
     assert region.hidden.shape == (128, 17)
     Z = rng.uniform(0, 1, size=(300, 16))
     y0 = rng.integers(0, 2, size=300)
@@ -498,8 +583,8 @@ def test_region_step_zero_preactivation_is_outside():
     net = ReluNet((w1, np.full((4, 4), 0.1), np.array([[1.0, -1.0, 0.5, 0.0], [0.0, 0.5, -1.0, 1.0]])),
                   (np.array([-0.25, 0.25, 1.0, 2.0]), np.ones(4), np.zeros(2)))
     assert attacks._region_pays(net)
-    region = attacks._anchor_region(net, np.array([[0.6, 0.5], [0.7, 0.2], [0.9, 0.9]]),
-                                    1.0, math.inf)
+    region = attacks._anchor_region(net, np.array([[0.6, 0.5], [0.7, 0.2], [0.9, 0.9]]))
+    region = region.within(1.0, math.inf)
     # within linf distance 1 of the anchors only units 0 and 1 can switch:
     # both signed rows are x1 - 0.25
     assert region.hidden.tolist() == [[1.0, 0.0, -0.25]] * 2
@@ -522,14 +607,14 @@ def test_wrong_region_map_never_reports_an_adversarial(monkeypatch):
     calls = []
     true_region = attacks._anchor_region
 
-    def swapped(net, anchors, radius, p):
+    def swapped(net, anchors):
         calls.append(len(anchors))
-        region = true_region(net, anchors, radius, p)
+        region = true_region(net, anchors)
         return region._replace(output=region.output[::-1].copy())
 
     monkeypatch.setattr(attacks, "_anchor_region", swapped)
     found = attack_norms(net, ds, eps, iterations=20, restarts=3, seed=1)
-    assert len(calls) == 3
+    assert calls == [len(ds.features)]  # one map for the three norms
     for (norm, (success, best_norm, deltas)), radius in zip(found.items(), eps):
         p = attacks._ORDERS[norm]
         adv = ds.features[success] + deltas[success]
@@ -574,7 +659,7 @@ def test_region_dropped_once_iterates_leave_it(trained_pairs, monkeypatch):
 def test_region_path_off_is_the_layer_wise_loop(trained_pairs, monkeypatch):
     # on the 2-64-2 blobs nets the rule is off: no region is built and the
     # results are bitwise those of the float32 layer-wise loop
-    def no_region(net, anchors, radius, p):
+    def no_region(net, anchors):
         raise AssertionError("region built where the shape rule is off")
 
     monkeypatch.setattr(attacks, "_anchor_region", no_region)
@@ -642,10 +727,10 @@ def test_reachable_rows_give_the_full_tables_outside_set(d, p, monkeypatch):
             if p == 1.0:
                 D[1::3] *= np.eye(d)[rng.integers(0, d, len(X) // 3)]
         Z, _, norms = attacks._joint_project(X + D, X, eps, p)
-        region = attacks._anchor_region(net, X, radius, p)
+        region = attacks._anchor_region(net, X).within(radius, p)
         with monkeypatch.context() as m:
             m.setattr(attacks, "_reachable_rows", _keep_all_rows)
-            full = attacks._anchor_region(net, X, radius, p)
+            full = attacks._anchor_region(net, X).within(radius, p)
         assert len(full.hidden) == 64 and 0 < len(region.hidden) < 64
         zero = (region.hidden[:, :-1] == 0).all(axis=1)
         # the zero rows with positive offsets (units 0 and 1, unit 2 at seeds
@@ -697,25 +782,57 @@ def test_reachable_rows_leave_attacks_bitwise_unchanged(name, monkeypatch):
     # of the region, on a net whose iterates leave the region, one whose
     # iterates all stay in it and a corners-style net
     net, ds, eps = _region_case(name)
-    kept = []
-    anchor_region = attacks._anchor_region
+    maps, kept = [], []
+    anchor_region, within = attacks._anchor_region, attacks._Region.within
 
-    def spy(net, anchors, radius, p):
-        region = anchor_region(net, anchors, radius, p)
+    def map_spy(net, anchors):
+        region = anchor_region(net, anchors)
+        maps.append(len(region.hidden))
+        return region
+
+    def within_spy(region, radius, p):
+        region = within(region, radius, p)
         kept.append(len(region.hidden))
         return region
 
-    monkeypatch.setattr(attacks, "_anchor_region", spy)
+    monkeypatch.setattr(attacks, "_anchor_region", map_spy)
+    monkeypatch.setattr(attacks._Region, "within", within_spy)
     kwargs = dict(iterations=20, restarts=3, seed=4)
     found = attack_norms(net, ds, eps, **kwargs)
     with monkeypatch.context() as m:
         m.setattr(attacks, "_reachable_rows", _keep_all_rows)
         ref = attack_norms(net, ds, eps, **kwargs)
     full = net.num_hidden_units
+    assert maps == [full] * 2  # one map of all rows for each attack_norms call
     assert len(kept) == 6 and kept[3:] == [full] * 3 and max(kept[:3]) < full, (name, kept)
     for norm in found:
         for a, b in zip(found[norm], ref[norm]):
             assert a.tobytes() == b.tobytes(), (name, norm)
+    assert any(success.any() for success, _, _ in found.values())
+
+
+@pytest.mark.parametrize("name", ["cleared-16-64-64-2", "corners-16-256-256-2"])
+def test_attack_norms_is_attack_dataset_for_each_norm(name, monkeypatch):
+    # attack_norms maps the anchors' region once and shares it; the results
+    # are bitwise those of one attack_dataset call a norm, each with its map
+    net, ds, eps = _region_case(name)
+    calls = []
+    anchor_region = attacks._anchor_region
+
+    def spy(net, anchors):
+        calls.append(len(anchors))
+        return anchor_region(net, anchors)
+
+    monkeypatch.setattr(attacks, "_anchor_region", spy)
+    found = attack_norms(net, ds, eps, iterations=20, restarts=3, seed=5)
+    assert calls == [len(ds.features)]
+    for offset, (norm, p) in enumerate(attacks._ORDERS.items(), start=1):
+        cfg = PgdConfig(p=p, eps=dict(zip(attacks._ORDERS, eps))[norm], iterations=20,
+                        restarts=3, seed=5 + offset)
+        alone = attack_dataset(net, ds, cfg)
+        for a, b in zip(found[norm], alone):
+            assert a.tobytes() == b.tobytes(), (name, norm)
+    assert len(calls) == 4
     assert any(success.any() for success, _, _ in found.values())
 
 
@@ -725,7 +842,7 @@ def test_region_with_no_reachable_row_holds_every_iterate():
     # is inside, as the float64 net agrees, and the l2 attack runs on it
     net, ds, (_, eps, _) = _region_case("corners-16-256-256-2")
     X = np.repeat(ds.features, 3, axis=0)
-    region = attacks._anchor_region(net, X, eps + attacks._FEAS_TOL, 2.0)
+    region = attacks._anchor_region(net, X).within(eps + attacks._FEAS_TOL, 2.0)
     assert region.hidden.shape == (0, 17)
     rng = np.random.default_rng(0)
     Z, _, norms = attacks._joint_project(X + attacks._sample_ball_rows(rng, len(X), 16, eps, 2.0),
@@ -769,6 +886,7 @@ def test_infeasible_iterate_takes_the_layer_wise_pass(monkeypatch):
     monkeypatch.setattr(attacks, "_joint_project", stuck)
     monkeypatch.setattr(attacks, "_forward", spy)
     cfg = PgdConfig(p=math.inf, eps=eps, iterations=10, restarts=1)
-    success, best_norm, best_delta = attacks._pgd_core(net, X.copy(), X, y, cfg)
+    success, best_norm, best_delta = attacks._pgd_core(net, X.copy(), X, y, cfg,
+                                                       attacks._anchor_region(net, X))
     assert outside == [[0]] * 11
     assert not success[0] and np.isinf(best_norm[0]) and not best_delta[0].any()
