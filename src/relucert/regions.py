@@ -7,9 +7,15 @@ in the arrangement view of Serra, Tjandraatmadja & Ramalingam (2018) and
 Hanin & Rolnick (2019): starting from the box, each hidden unit's line, in
 unit order, splits every piece it crosses in two, and after each layer one
 batched affine step gives every piece the lines of the next layer.  The
-pieces tile the box by construction; clipping drops a piece only when it
-leaves it no area.  The box is [LO, HI]^2, and a box that needs more than
-MAX_REGIONS pieces gives no map.
+pieces tile the box by construction.  The box is [LO, HI]^2, and a box that
+needs more than MAX_REGIONS pieces gives no map.
+
+The pieces live in one padded vertex table xy (2, width, pieces): piece q
+is counts[q] vertices in order, and its later slots repeat vertex 0, so
+slot i + 1 ends edge i.  A split evaluates the line at every slot at once
+and clips every crossed piece to both sides in one batched clip; the
+"above" pieces overwrite their columns and the "below" ones are appended.
+decision_edges clips every (region, other class) pair the same way.
 """
 
 from __future__ import annotations
@@ -22,16 +28,7 @@ from . import net_core
 
 __all__ = ["RegionAtlas", "clip_polygon"]
 
-# Two float evaluations of n.z + off for a 2-D z (any product order, with or
-# without fused multiply-adds, plus the rounding of a threshold added to
-# them) differ by at most about 8e-16 times |n0 z0| + |n1 z1| + |off|.
-# Vectorised sign tests widen their threshold by _ROUNDING times that sum, so
-# they only decide a case that clip_polygon would decide the same way and
-# hand every closer one to clip_polygon: its results stay bit for bit those
-# of clipping by every half-plane.
-_ROUNDING = 1e-15
-
-# clip_polygon's tolerance: a vertex within it of the line counts as on it
+# the clip rule's tolerance: a vertex within it of the line counts as on it
 _TOL = 1e-12
 
 # The box every atlas maps, and the most pieces a map may have
@@ -39,62 +36,60 @@ LO, HI = -8.0, 9.0
 MAX_REGIONS = 20000
 
 
+def _side(xy, normals, offs):
+    """normals.z + offs at every slot of a vertex table, summed in place."""
+    d = xy[0] * normals[:, 0]
+    d += xy[1] * normals[:, 1]
+    d += offs
+    return d
+
+
+def _clip(xy, counts, d, width=0):
+    """Clip every piece of a vertex table to the half-plane where d <= _TOL.
+
+    xy (2, W, Q) and counts (Q,) are a padded table as in the module
+    docstring; d (W, Q) is the signed distance at each slot.  Walking each
+    piece's edges in order, a vertex with d <= _TOL is kept, and an edge
+    whose ends lie strictly beyond _TOL on opposite sides adds its crossing.
+    Returns the clipped table, at least `width` slots wide, and its counts:
+    0 (empty), 1 (a point), 2 (a segment) or more (a polygon).
+    """
+    W, Q = d.shape
+    di, dj = d[:-1], d[1:]
+    keep = (di <= _TOL) & (np.arange(W - 1)[:, None] < counts)
+    # the slots after a piece's last vertex all hold vertex 0: no crossing there
+    cross = ((di < -_TOL) & (dj > _TOL)) | ((di > _TOL) & (dj < -_TOL))
+    # each slot emits its kept vertex, then its crossing: `at` is the flat
+    # output index (slot * Q + piece) of the last thing a slot emits
+    end = np.cumsum(np.add(keep, cross, dtype=np.intp), axis=0)
+    n = end[-1]
+    width = max(width, int(n.max(initial=0)) + 1)
+    at = (end - 1) * Q + np.arange(Q)
+    flat = xy.reshape(2, -1)
+    out = np.zeros((2, width * Q))
+    k = np.flatnonzero(keep)
+    out[:, np.take(at, k) - Q * np.take(cross, k)] = flat[:, k]
+    k = np.flatnonzero(cross)
+    vi, vj, a, b = flat[:, k], flat[:, k + Q], np.take(d, k), np.take(d, k + Q)
+    out[:, np.take(at, k)] = vi + a / (a - b) * (vj - vi)
+    out = out.reshape(2, width, Q)
+    np.copyto(out, out[:, :1], where=np.arange(width)[:, None] >= n)
+    return out, n
+
+
 def clip_polygon(poly: np.ndarray, normal, cutoff) -> np.ndarray:
     """Intersect a convex polygon with the half-plane {z : normal.z <= cutoff}.
 
     poly is an (m, 2) array of vertices in order (either orientation); the
-    result may be empty, a segment (2 vertices) or a polygon.
+    result may be empty, a point, a segment (2 vertices) or a polygon.
     """
+    poly = np.asarray(poly, dtype=np.float64).reshape(-1, 2)
     if len(poly) == 0:
         return poly
-    # plain floats: the per-vertex loop over numpy scalars costs twice as much
-    d = (poly @ np.asarray(normal, dtype=np.float64) - float(cutoff)).tolist()
-    pts = poly.tolist()
-    out = []
-    m = len(pts)
-    for i in range(m):
-        j = (i + 1) % m
-        di, dj = d[i], d[j]
-        if di <= _TOL:
-            out.append(pts[i])
-        if (di < -_TOL and dj > _TOL) or (di > _TOL and dj < -_TOL):
-            t = di / (di - dj)
-            (xi, yi), (xj, yj) = pts[i], pts[j]
-            out.append((xi + t * (xj - xi), yi + t * (yj - yi)))
-    return np.asarray(out, dtype=np.float64).reshape(-1, 2)
-
-
-def _split(polys, normals, offs):
-    """Split each polygon by its line {z : normals[i].z + offs[i] = 0}.
-
-    Returns (pieces, parent, above): the polygons after the split, the index
-    of the polygon each came from and whether it lies on the positive side.
-    A polygon is crossed when it has vertices beyond the line by more than
-    clip_polygon's tolerance on both sides; it is clipped once to each side,
-    and a side that clipping leaves with no area (fewer than 3 vertices) is
-    dropped.  Any other polygon is kept whole, on the side of its vertex mean.
-    """
-    counts = np.fromiter(map(len, polys), np.int64, len(polys))
-    first = np.cumsum(counts) - counts
-    rid = np.repeat(np.arange(len(polys)), counts)
-    g = np.einsum("vj,vj->v", np.concatenate(polys), normals[rid]) + offs[rid]
-    crossed = ((np.minimum.reduceat(g, first) < -_TOL)
-               & (np.maximum.reduceat(g, first) > _TOL))
-    above = np.add.reduceat(g, first) > 0.0
-    if not crossed.any():
-        return polys, np.arange(len(polys)), above
-    kept = np.flatnonzero(~crossed)
-    pieces = [polys[i] for i in kept]
-    parent, side = kept.tolist(), above[kept].tolist()
-    for i in np.flatnonzero(crossed).tolist():
-        # active: n.z + off >= 0  ->  (-n).z <= off
-        for is_above, piece in ((True, clip_polygon(polys[i], -normals[i], offs[i])),
-                                (False, clip_polygon(polys[i], normals[i], -offs[i]))):
-            if len(piece) >= 3:
-                pieces.append(piece)
-                parent.append(i)
-                side.append(is_above)
-    return pieces, np.array(parent), np.array(side)
+    xy = np.concatenate([poly, poly[:1]]).T[:, :, None]
+    d = _side(xy, np.asarray(normal, dtype=np.float64)[None], np.array([-float(cutoff)]))
+    out, n = _clip(xy, np.array([len(poly)]), d)
+    return out[:, :n[0], 0].T
 
 
 @dataclass
@@ -110,7 +105,7 @@ class RegionAtlas:
 
     The regions' polygons tile the box.  A region's key is the activation
     pattern inside its polygon, except for units whose line passes within
-    clip_polygon's tolerance of it.  Keys are unique: every split gives its
+    the clip rule's tolerance of it.  Keys are unique: every split gives its
     two sides different bits.  When the tiling needs more than MAX_REGIONS
     polygons the atlas keeps no regions and is not complete.
 
@@ -130,27 +125,61 @@ class RegionAtlas:
     # -- construction ------------------------------------------------------
 
     def _build(self, net):
-        polys = [np.array([[LO, LO], [HI, LO], [HI, HI], [LO, HI]])]
-        # the current layer's affine form on each polygon: v (P, n, 2), a (P, n)
+        # the table of pieces (module docstring), the row of v and a each
+        # piece inherits, and the active hidden units of each piece so far
+        xy = np.array([[LO, HI, HI, LO, LO], [LO, LO, HI, HI, LO]])[:, :, None]
+        counts, src, P = np.array([4]), np.array([0]), 1
+        bits = np.zeros((net.num_hidden_units, 1), dtype=bool)
+        # the current layer's affine form on each piece: v (R, n, 2), a (R, n)
         v, a = net.weights[0][None], net.biases[0][None]
-        masks = np.zeros((1, 0), dtype=bool)  # active hidden units so far
+        h = 0
         for w, b in zip(net.weights[1:], net.biases[1:]):
-            # src: the row of v, a and masks that each polygon inherits
-            src = np.arange(len(polys))
-            mask = np.zeros((len(polys), v.shape[1]), dtype=bool)
+            src[:P] = np.arange(P)
             for j in range(v.shape[1]):
-                polys, parent, above = _split(polys, v[src, j], a[src, j])
-                if len(polys) > MAX_REGIONS:
+                g = _side(xy[:, :, :P], v[src[:P], j], a[src[:P], j])
+                lo, hi = g.min(axis=0), g.max(axis=0)
+                crossed = np.flatnonzero((lo < -_TOL) & (hi > _TOL))
+                # a piece the line does not cross lies on the side of its
+                # vertex farthest from the line
+                bits[h, :P] = lo + hi > 0.0
+                k = len(crossed)
+                if k:
+                    # both sides of every crossed piece in one clip: each keeps
+                    # the vertex beyond the line and one vertex or crossing on
+                    # each way round to the other side, so at least 3 vertices
+                    both = np.concatenate([crossed, crossed])
+                    gc = g[:, crossed]
+                    pieces, n = _clip(xy[:, :, both], counts[both],
+                                      np.concatenate([-gc, gc], axis=1), xy.shape[1])
+                    if P + k > xy.shape[2]:  # k <= P: doubling is enough
+                        xy, counts, src, bits = (np.concatenate([buf, buf], axis=-1)
+                                                 for buf in (xy, counts, src, bits))
+                    extra = pieces.shape[1] - xy.shape[1]
+                    if extra > 0:
+                        xy = np.concatenate([xy, xy[:, :1].repeat(extra, axis=1)], axis=1)
+                    xy[:, :, crossed], xy[:, :, P:P + k] = pieces[:, :, :k], pieces[:, :, k:]
+                    counts[crossed], counts[P:P + k] = n[:k], n[k:]
+                    src[P:P + k] = src[crossed]
+                    bits[:, P:P + k] = bits[:, crossed]
+                    bits[h, crossed], bits[h, P:P + k] = True, False
+                    P += k
+                if P > MAX_REGIONS:
                     self.complete = False
                     return
-                src, mask = src[parent], mask[parent]
-                mask[:, j] = above
-            masks = np.hstack([masks[src], mask])
-            v, a = net_core._layer_step(w, b, v[src], a[src], mask)
+                h += 1
+            # numpy multiplies by a bool mask several times slower than by a
+            # float one; float32 holds 0 and 1 exactly in half the memory
+            mask = bits[h - v.shape[1]:h, :P].T.astype(np.float32)
+            v, a = net_core._layer_step(w, b, v[src[:P]], a[src[:P]], mask)
+        # one vertex array per region, and the table as a view of them
+        rows = np.ascontiguousarray(xy[:, :, :P].transpose(2, 1, 0))
+        self._xy, self._counts, self._v_out, self._a_out = rows.T, counts[:P], v, a
         bounds = np.cumsum((0,) + net.hidden_sizes)
-        for poly, bits, v_out, a_out in zip(polys, masks.astype(np.uint8), v, a):
-            key = tuple(bits[i:k].tobytes() for i, k in zip(bounds[:-1], bounds[1:]))
-            self.regions.append(_Region(key, poly, v_out, a_out))
+        layers = [list(map(bytes, np.ascontiguousarray(bits[i:k, :P].T).view(np.uint8)))
+                  for i, k in zip(bounds[:-1], bounds[1:])]
+        keys = list(zip(*layers)) if layers else [()] * P
+        polys = map(np.ndarray.__getitem__, rows, map(slice, self._counts.tolist()))
+        self.regions = list(map(_Region, keys, polys, v, a))
 
     # -- queries -----------------------------------------------------------
 
@@ -166,49 +195,19 @@ class RegionAtlas:
             raise ValueError(f"label {label} out of range 1..{self.num_classes}")
         if c in self._edge_cache:
             return self._edge_cache[c]
-        starts, ends = [], []
-        if self.regions:
-            # {f_s >= f_c} = {n.z + off <= 0}, n and off per (region, s)
-            v_out = np.stack([reg.v_out for reg in self.regions])
-            a_out = np.stack([reg.a_out for reg in self.regions])
-            normals = v_out[:, c:c + 1] - v_out
-            offs = a_out[:, c:c + 1] - a_out
-            # n.z + off at every vertex of every region, reduced per region: a
-            # polygon wholly beyond the line has no piece and one wholly
-            # inside is its own piece; only a polygon the line crosses is clipped
-            counts = [len(reg.poly) for reg in self.regions]
-            rid = np.repeat(np.arange(len(counts)), counts)
-            verts = np.concatenate([reg.poly for reg in self.regions])
-            d = np.einsum("vj,vkj->vk", verts, normals[rid]) + offs[rid]
-            stop = np.cumsum(counts)
-            first = stop - counts
-            reach = max(abs(LO), abs(HI))
-            slack = _ROUNDING * (reach * np.abs(normals).sum(axis=2) + np.abs(offs))
-            beyond = np.minimum.reduceat(d, first) > _TOL + slack
-            within = np.maximum.reduceat(d, first) <= _TOL - slack
-            # each vertex's successor along its polygon: the ends of its edges
-            succ = np.arange(1, len(verts) + 1)
-            succ[stop - 1] = first
-            succ = verts[succ]
-            for r, (a, b) in enumerate(zip(first, stop)):
-                for s in range(self.num_classes):
-                    if s == c or beyond[r, s]:
-                        continue
-                    if within[r, s]:
-                        starts.append(verts[a:b])
-                        ends.append(succ[a:b])
-                        continue
-                    piece = clip_polygon(verts[a:b], normals[r, s], -offs[r, s])
-                    m = len(piece)
-                    if m == 2:
-                        starts.append(piece[:1])
-                        ends.append(piece[1:])
-                    elif m > 2:
-                        starts.append(piece)
-                        ends.append(np.roll(piece, -1, axis=0))
-        if starts:
-            result = (np.concatenate(starts), np.concatenate(ends))
-        else:
+        if not self.regions:
             result = (np.zeros((0, 2)), np.zeros((0, 2)))
+        else:
+            # {f_s >= f_c} = {n.z + off <= 0}, one piece per (region, s != c)
+            others = np.delete(np.arange(self.num_classes), c)
+            normals = (self._v_out[:, c:c + 1] - self._v_out[:, others]).reshape(-1, 2)
+            offs = (self._a_out[:, c:c + 1] - self._a_out[:, others]).reshape(-1)
+            xy = np.repeat(self._xy, len(others), axis=2)
+            pieces, n = _clip(xy, np.repeat(self._counts, len(others)),
+                              _side(xy, normals, offs))
+            # edges: a polygon's from each vertex to the next, a segment's one
+            slot = np.arange(pieces.shape[1] - 1)[:, None]
+            edge = ((slot < np.where(n == 2, 1, n)) & (n >= 2)).T
+            result = (pieces[:, :-1].T[edge], pieces[:, 1:].T[edge])
         self._edge_cache[c] = result
         return result

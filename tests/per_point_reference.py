@@ -251,7 +251,9 @@ def clip_polygon(poly, normal, cutoff, tol=1e-12):
     """Convex polygon intersected with {z : normal.z <= cutoff}, vertex by vertex."""
     if len(poly) == 0:
         return poly
-    d = poly @ np.asarray(normal, dtype=np.float64) - float(cutoff)
+    # the products spelled out: a BLAS matmul may fuse them into one rounding
+    normal = np.asarray(normal, dtype=np.float64)
+    d = poly[:, 0] * normal[0] + poly[:, 1] * normal[1] - float(cutoff)
     out = []
     m = len(poly)
     for i in range(m):

@@ -121,6 +121,81 @@ def test_atlas_budget_is_the_region_count(monkeypatch):
     assert not RegionAtlas(net).complete
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.3])
+def test_atlas_with_two_identical_units(scale):
+    # unit 4 is unit 1 times scale, so its line runs along edges the map
+    # already has: it splits nothing, and both units get the same bit
+    # everywhere.  Scaled, the line's values at the vertices on it round to
+    # a few ulps either side of 0 (3 pieces below it have one above 0).
+    net = random_net([2, 8, 5, 3], seed=6, bias_scale=2.0)
+    w1, b1 = net.weights[0].copy(), net.biases[0].copy()
+    w1[4], b1[4] = scale * w1[1], scale * b1[1]
+    twin = ReluNet((w1,) + net.weights[1:], (b1,) + net.biases[1:])
+    atlas = assert_matches_reference(twin)
+    keys = [reg.key for reg in atlas.regions]
+    assert all(key[0][1] == key[0][4] for key in keys)
+    # the same function with unit 4 folded into unit 1 has as many regions
+    w2 = twin.weights[1].copy()
+    w2[:, 1] += scale * w2[:, 4]
+    drop = np.arange(8) != 4
+    single = ReluNet((w1[drop], w2[:, drop], twin.weights[2]), (b1[drop],) + twin.biases[1:])
+    assert len(RegionAtlas(single).regions) == len(keys)
+
+
+def test_atlas_with_units_whose_lines_miss_the_box():
+    # units 0 and 3 are active and inactive on the whole box
+    net = random_net([2, 7, 4, 2], seed=8, bias_scale=2.0)
+    w1, b1 = net.weights[0].copy(), net.biases[0].copy()
+    w1[0], b1[0] = (1.0, 0.5), 30.0
+    w1[3], b1[3] = (-0.3, 2.0), -40.0
+    missed = ReluNet((w1,) + net.weights[1:], (b1,) + net.biases[1:])
+    atlas = assert_matches_reference(missed)
+    assert all(reg.key[0][0] == 1 and reg.key[0][3] == 0 for reg in atlas.regions)
+    # without the inactive unit the net is the same function, with as many regions
+    keep = np.arange(7) != 3
+    rest = ReluNet((w1[keep], missed.weights[1][:, keep], missed.weights[2]),
+                   (b1[keep],) + missed.biases[1:])
+    assert len(RegionAtlas(rest).regions) == len(atlas.regions)
+
+
+def test_cap_crossed_partway_through_a_layer(monkeypatch):
+    # the atlas of the net cut to its first u second-layer units has as many
+    # pieces as the full map after its u-th split in that layer: set the cap
+    # to the count after one split there, so the next one (not the layer's
+    # last) crosses it
+    net = NETS["deep-2-10-7-3"]()
+    (w1, w2, w3), (b1, b2, b3) = net.weights, net.biases
+    after = [len(RegionAtlas(ReluNet((w1, w2[:u], w3[:, :u]), (b1, b2[:u], b3))).regions)
+             for u in range(1, 8)]
+    u = next(u for u in range(1, 6) if after[u] > after[u - 1])
+    cap = after[u - 1]
+    steps, lines = [], []
+    step, side = net_core._layer_step, regions._side
+    monkeypatch.setattr(net_core, "_layer_step", lambda *args: steps.append(1) or step(*args))
+    monkeypatch.setattr(regions, "_side", lambda *args: lines.append(1) or side(*args))
+    monkeypatch.setattr(regions, "MAX_REGIONS", cap)
+    atlas = RegionAtlas(net)
+    assert not atlas.complete and atlas.regions == []
+    # the map stops at the split that crosses the cap: after the first
+    # layer's 10 lines and step, and u + 1 of the second layer's 7 lines
+    assert len(steps) == 1 and len(lines) == 10 + u + 1
+    monkeypatch.undo()
+    assert not ref.atlas(net, max_regions=cap)[1]
+    # at the full count the cap is met, not crossed
+    monkeypatch.setattr(regions, "MAX_REGIONS", after[-1])
+    assert len(assert_matches_reference(net).regions) == after[-1]
+
+
+def test_decision_set_of_one_line_gives_segment_edges():
+    # f1 = |x1| and f2 = 0: {f2 >= f1} is the line x1 = 0, where each region
+    # keeps only a segment, so the class-change set is those segments
+    net = ReluNet((np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 0.0]])),
+                  (np.zeros(2), np.zeros(2)))
+    starts, ends = RegionAtlas(net).decision_edges(1)
+    assert len(starts) == 2 and (starts[:, 0] == 0.0).all() and (ends[:, 0] == 0.0).all()
+    for p, want in ((1.0, 2.0), (2.0, 2.0), (math.inf, 2.0)):
+        assert certify.exact_robustness_oracle(net, [2.0, 0.5], 1, p).value == want
+
 # -- properties on random tiny nets ---------------------------------------------
 
 ARCHS = [[2, 3, 2], [2, 8, 3], [2, 12, 2], [2, 4, 4, 2], [2, 6, 5, 3]]
@@ -198,3 +273,100 @@ def test_atlas_tiles_the_box_near_a_common_point():
     area = sum(ref.polygon_area(reg.poly) for reg in atlas.regions)
     assert atlas.complete
     assert area == pytest.approx((HI - LO) ** 2, rel=1e-9)
+
+
+# -- the batched clip against the vertex-by-vertex reference ----------------------
+
+# offsets from a vertex's own line value: on the line, inside the clip
+# tolerance (1e-12) on either side, at it, and just beyond it
+NEAR = [0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12, 1.5e-12, -1.5e-12, 3e-12, -3e-12]
+
+
+def clip_case(seed, m, reverse, kind, near=0.0):
+    """A convex m-gon (either orientation), a normal and a cutoff: random,
+    through a vertex plus `near`, along an edge (a segment), below every
+    vertex (empty) or at or past them all (the whole polygon)."""
+    rng = np.random.default_rng(seed)
+    angles = np.sort(rng.choice(np.linspace(0.0, 2 * np.pi, 64, endpoint=False), m,
+                                replace=False))
+    scale = 10.0 ** rng.uniform(-3, 1, size=2)
+    poly = np.stack([scale[0] * np.cos(angles), scale[1] * np.sin(angles)], axis=1)
+    turn = rng.uniform(0, 2 * np.pi)
+    poly = poly @ np.array([[np.cos(turn), np.sin(turn)], [-np.sin(turn), np.cos(turn)]])
+    poly = poly + rng.uniform(LO, HI, size=2)
+    if reverse:
+        poly = poly[::-1].copy()
+    normal = rng.standard_normal(2)
+    k = rng.integers(m)
+    if kind == "edge":
+        e = poly[(k + 1) % m] - poly[k]
+        normal = np.array([e[1], -e[0]])
+        if (poly @ normal - poly[k] @ normal).sum() < 0:
+            normal = -normal  # the polygon lies beyond the line
+    values = poly[:, 0] * normal[0] + poly[:, 1] * normal[1]
+    cutoff = {"random": rng.uniform(values.min(), values.max()),
+              "vertex": values[k] + near,
+              "edge": values[k],
+              "empty": values.min() - 1e-3,
+              "whole": values.max() + near}[kind]
+    return poly, normal, float(cutoff)
+
+
+# offsets from a vertex's own line value: on the line, inside the clip
+# tolerance (1e-12) on either side, at it, and just beyond it
+NEAR = [0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12, 1.5e-12, -1.5e-12, 3e-12, -3e-12]
+
+CLIP_CASES = st.builds(clip_case, st.integers(0, 2**32 - 1), st.integers(3, 9), st.booleans(),
+                       st.sampled_from(["random", "vertex", "edge", "empty", "whole"]),
+                       st.sampled_from(NEAR))
+
+
+def padded_table(polys):
+    """The atlas's slot-major vertex table of a list of polygons."""
+    width = max(map(len, polys)) + 1
+    xy = np.empty((2, width, len(polys)))
+    for q, poly in enumerate(polys):
+        xy[:, :, q] = np.concatenate([poly, np.repeat(poly[:1], width - len(poly), axis=0)]).T
+    return xy, np.array([len(poly) for poly in polys])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases=st.lists(CLIP_CASES, min_size=1, max_size=6))
+def test_batched_clip_is_the_vertex_walk(cases):
+    # every polygon of the batch, on both sides of its line, in one _clip call:
+    # bit for bit the reference's walk, and clip_polygon is the same clip
+    polys = [poly for poly, _, _ in cases for _ in (0, 1)]
+    normals = np.array([sign * normal for _, normal, _ in cases for sign in (1.0, -1.0)])
+    cutoffs = np.array([sign * cutoff for _, _, cutoff in cases for sign in (1.0, -1.0)])
+    xy, counts = padded_table(polys)
+    out, n = regions._clip(xy, counts, regions._side(xy, normals, -cutoffs))
+    assert out.shape[1] == n.max() + 1
+    for q, (poly, normal, cutoff) in enumerate(zip(polys, normals, cutoffs)):
+        want = ref.clip_polygon(poly, normal, cutoff)
+        got = out[:, :n[q], q].T
+        assert got.shape == want.shape and np.array_equal(got, want), (q, got, want)
+        assert np.array_equal(clip_polygon(poly, normal, cutoff), want)
+        # the table's padding repeats the first vertex
+        assert (out[:, n[q]:, q] == out[:, :1, q]).all()
+    for q in range(0, len(polys), 2):
+        values = polys[q][:, 0] * normals[q][0] + polys[q][:, 1] * normals[q][1] - cutoffs[q]
+        if values.min() < -1e-12 and values.max() > 1e-12:
+            # a crossed polygon leaves at least 3 vertices on each side
+            assert n[q] >= 3 and n[q + 1] >= 3
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_clip_cases_reach_every_result(reverse):
+    # the property's cases give empty, segment, whole and cut results, and
+    # vertices within the tolerance of the line count as on it
+    for seed in range(20):
+        m = 3 + seed % 7
+        size = {kind: len(clip_polygon(*clip_case(seed, m, reverse, kind)))
+                for kind in ("empty", "edge", "whole")}
+        assert size == {"empty": 0, "edge": 2, "whole": m}
+        # a cutoff near the lowest vertex: within the tolerance the vertex is
+        # on the line (kept alone), beyond it the piece is empty or a sliver
+        poly, normal, _ = clip_case(seed, m, reverse, "random")
+        values = poly[:, 0] * normal[0] + poly[:, 1] * normal[1]
+        for near, kept in ((5e-13, 1), (-5e-13, 1), (-3e-12, 0), (3e-12, 3)):
+            assert len(clip_polygon(poly, normal, values.min() + near)) == kept
