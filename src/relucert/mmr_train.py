@@ -8,7 +8,8 @@ training points and hence raises the certified radii for every norm order.
 
 Each hinge term is a distance value / ||normal||_q, and its gradient comes
 in two passes over one chunk of ``net_core.region_maps`` at a time, with
-activation masks and sort orders treated as constants of the forward pass:
+activation masks and the k_B selection treated as constants of the forward
+pass:
 
 - the values are preactivations and logit margins at the points, so their
   adjoints go through ``net_core.backward_batch``, the layer-wise backward
@@ -17,8 +18,13 @@ activation masks and sort orders treated as constants of the forward pass:
   summed per table row and pushed back through V^(l) = W^(l) (mask *
   V^(l-1)) once per row (``_backprop_tables``).
 
+The k_B selection (``_nearest``) keeps the units at or below the k_B-th
+smallest distance, which np.partition finds; where more units tie at that
+distance than fit, it keeps those of lowest index, as a stable sort would.
+
 Subgradient choices at the kinks: inactive branch at ReLU kinks, zero at
-absolute-value and hinge kinks, lowest index at sort ties.
+absolute-value and hinge kinks, lowest unit index at ties of the k_B-th
+distance, first largest entry for the gradient of a max-norm.
 """
 
 from __future__ import annotations
@@ -132,10 +138,30 @@ def _norm_grad(scale, rows, q):
     for q = 1, and sign(r_j) e_j at the first largest |r_j| for q = inf."""
     if not math.isinf(q):
         return scale[..., None] * np.sign(rows)
-    out = np.zeros_like(rows)
-    j = np.argmax(np.abs(rows), axis=-1)[..., None]
-    np.put_along_axis(out, j, scale[..., None] * np.sign(np.take_along_axis(rows, j, -1)), -1)
-    return out
+    flat = rows.reshape(-1, rows.shape[-1])
+    i = np.arange(len(flat))
+    j = np.argmax(np.abs(flat), axis=1)
+    out = np.zeros_like(flat)
+    out[i, j] = scale.reshape(-1) * np.sign(flat[i, j])
+    return out.reshape(rows.shape)
+
+
+def _nearest(dists, kb):
+    """The kb smallest entries of each row of dists (B, N) and a (B, N) mask
+    of where they sit.  Of the entries tied at the kb-th smallest value the
+    mask keeps those of lowest index, as the first kb of a stable argsort
+    would.  The entries come in increasing order, so a sum over them adds
+    in the argsort's order."""
+    part = np.partition(dists, kb - 1, axis=1)
+    kth = part[:, kb - 1:kb]
+    take = dists <= kth
+    if np.count_nonzero(take) != take.shape[0] * kb:
+        # a row has more than kb entries at or below its kth: keep as many
+        # of its ties as the partition's first kb hold, lowest index first
+        ties = dists == kth
+        room = np.count_nonzero(part[:, :kb] == kth, axis=1)
+        take &= ~ties | (np.cumsum(ties, axis=1) <= room[:, None])
+    return np.sort(part[:, :kb], axis=1), take
 
 
 def _row_sums(index, n, per_point):
@@ -174,7 +200,8 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
     k = net.num_classes
     weight = 1.0 / len(X)
     out = np.empty(len(X))
-    splits = np.cumsum(net.hidden_sizes[:-1], dtype=np.int64)  # layers of the N units
+    bounds = np.cumsum((0,) + net.hidden_sizes).tolist()
+    layers = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]  # of the N units
     for sl, rmap in net_core.region_maps(net, X):
         u = rmap.values
         abs_u = np.abs(u)
@@ -195,20 +222,16 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
                 # dual norms once per table row
                 dens = rmap.stacked([certify.row_norms(v, q) for v in rmap.v_maps[:-1]])
                 dists = certify.plane_distances(abs_u, dens)
-                # stable: ties go to the lowest unit index
-                sel = np.argsort(dists, axis=1, kind="stable")[:, :kb]
-                near = np.take_along_axis(dists, sel, axis=1)
+                near, take = _nearest(dists, kb)
                 value += lam * _hinge(near / gamma).sum(axis=1) / kb
                 if grads is not None:
-                    coef = np.zeros_like(dists)
-                    active = (near < gamma) & np.isfinite(near)
-                    np.put_along_axis(coef, sel, np.where(
-                        active, -(weight * lam) / (kb * gamma), 0.0), axis=1)
+                    coef = np.where(take & (dists < gamma), -(weight * lam) / (kb * gamma), 0.0)
                     g_val, g_norm = _adjoints(coef, abs_u, dens)
                     g_u += g_val * np.sign(u)
-                    for l, g in enumerate(np.split(g_norm, splits, axis=1)):
+                    for l, cols in enumerate(layers):
                         v = rmap.v_maps[l]
-                        g_v[l] += _norm_grad(_row_sums(rmap.index[l], len(v), g), v, q)
+                        g_v[l] += _norm_grad(_row_sums(rmap.index[l], len(v), g_norm[:, cols]),
+                                             v, q)
             dens = certify.row_norms(diff, q)
             dists = certify.plane_distances(w_num, dens)
             value += lam * _hinge(dists / gamma).sum(axis=1) / (k - 1)
@@ -223,8 +246,8 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
         if grads is not None:
             # the values: the layer-wise backward pass from the chunk's
             # preactivations and logits
-            net_core.backward_batch(net, np.split(u, splits, axis=1), g_logits, grads,
-                                    rmap.points, np.split(g_u, splits, axis=1))
+            net_core.backward_batch(net, [u[:, cols] for cols in layers], g_logits, grads,
+                                    rmap.points, [g_u[:, cols] for cols in layers])
             # the dual norms: diff = V_out[c] - V_out[s], summed per region
             gv_out = np.zeros(rmap.logits.shape + diff.shape[2:])
             gv_out[idx, others] -= g_diff
@@ -302,21 +325,30 @@ def loss_gradient(net, batch, cfg: MmrUniversalConfig, kb_now=None,
 
 
 class _Adam:
+    """Adam over copies of the given arrays.  ``params`` are views of one
+    flat buffer, and the moments are flat too, so a step updates every
+    parameter in one pass of vector operations."""
+
     def __init__(self, params):
-        self.params = params
-        self.m = [np.zeros_like(a) for a in params]
-        self.v = [np.zeros_like(a) for a in params]
+        self.flat = np.concatenate([np.ravel(a) for a in params])
+        ends = np.cumsum([a.size for a in params[:-1]])
+        self.params = [part.reshape(a.shape) for a, part in zip(params, np.split(self.flat, ends))]
+        self.m = np.zeros(self.flat.size)
+        self.v = np.zeros(self.flat.size)
         self.t = 0
 
     def step(self, grads, lr):
-        """One in-place update of every parameter array."""
+        """One in-place update of every parameter array, grads in the
+        order of ``params``."""
         self.t += 1
         corr1 = 1.0 - BETA1**self.t
         corr2 = 1.0 - BETA2**self.t
-        for i, (a, g) in enumerate(zip(self.params, grads)):
-            self.m[i] = BETA1 * self.m[i] + (1 - BETA1) * g
-            self.v[i] = BETA2 * self.v[i] + (1 - BETA2) * g ** 2
-            a -= lr * (self.m[i] / corr1) / (np.sqrt(self.v[i] / corr2) + ADAM_EPS)
+        g = np.concatenate([np.ravel(a) for a in grads])
+        self.m *= BETA1
+        self.m += (1 - BETA1) * g
+        self.v *= BETA2
+        self.v += (1 - BETA2) * g ** 2
+        self.flat -= lr * (self.m / corr1) / (np.sqrt(self.v / corr2) + ADAM_EPS)
 
 
 def _test_error(net, X, y):
@@ -344,9 +376,8 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
         y_ev = certify._check_labels(net0, eval_dataset.labels)
     n = len(X)
     rng = np.random.default_rng(train_cfg.seed)
-    weights = [w.copy() for w in net0.weights]
-    biases = [b.copy() for b in net0.biases]
-    adam = _Adam(weights + biases)
+    adam = _Adam(net0.weights + net0.biases)
+    weights, biases = adam.params[:len(net0.weights)], adam.params[len(net0.weights):]
     num_hidden = net0.num_hidden_units
     history = []
     net = net0.with_parameters(weights, biases)

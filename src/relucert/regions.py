@@ -15,7 +15,8 @@ is counts[q] vertices in order, and its later slots repeat vertex 0, so
 slot i + 1 ends edge i.  A split evaluates the line at every slot at once
 and clips every crossed piece to both sides in one batched clip; the
 "above" pieces overwrite their columns and the "below" ones are appended.
-decision_edges clips every (region, other class) pair the same way.
+decision_edges clips every (region, other class) pair the same way, and
+leaves out the edges that two of those pieces share.
 """
 
 from __future__ import annotations
@@ -90,6 +91,46 @@ def clip_polygon(poly: np.ndarray, normal, cutoff) -> np.ndarray:
     d = _side(xy, np.asarray(normal, dtype=np.float64)[None], np.array([-float(cutoff)]))
     out, n = _clip(xy, np.array([len(poly)]), d)
     return out[:, :n[0], 0].T
+
+
+def _edges(xy, counts):
+    """(starts, ends) of the edges of a vertex table's pieces that bound
+    their union: a segment's one edge, and each polygon edge that no other
+    polygon piece walks the other way between bitwise-equal ends.
+
+    The pieces are oriented alike, so two polygons that share an edge that
+    way lie on its two sides, and its points other than its ends are inside
+    the union: none is the nearest point of the union to a point outside
+    it.  A segment has no area on either side and cancels nothing.
+    """
+    slot = np.arange(xy.shape[1] - 1)[:, None]
+    edge = ((slot < np.where(counts == 2, 1, counts)) & (counts >= 2)).T
+    starts, ends = xy[:, :-1].T[edge], xy[:, 1:].T[edge]
+    piece = np.nonzero(edge)[0]
+    poly = counts[piece] >= 3
+    keep = np.ones(len(piece), dtype=bool)
+    keep[poly] = ~_twinned(starts[poly], ends[poly], piece[poly])
+    return starts[keep], ends[keep]
+
+
+def _twinned(starts, ends, piece):
+    """Whether each edge (starts[i] -> ends[i] of piece[i]) is also walked
+    the other way, between bitwise-equal points, by an edge of another piece."""
+    # an edge and its twin add up their ends to the same bits: sorted by that
+    # sum, every twin of an edge lies in its run of equal sums
+    sums = starts + ends
+    key = sums[:, 0] + 0.5 * sums[:, 1]
+    order = np.argsort(key)
+    ordered = key[order]
+    breaks = np.flatnonzero(ordered[1:] != ordered[:-1])
+    longest = np.diff(breaks, prepend=-1, append=len(key) - 1).max(initial=0)
+    a, b = starts.view(np.int64), ends.view(np.int64)
+    twin = np.zeros(len(key), dtype=bool)
+    for gap in range(1, longest):
+        i, j = order[:-gap], order[gap:]
+        hit = (a[i] == b[j]).all(axis=1) & (b[i] == a[j]).all(axis=1) & (piece[i] != piece[j])
+        twin[i[hit]] = twin[j[hit]] = True
+    return twin
 
 
 @dataclass
@@ -184,7 +225,9 @@ class RegionAtlas:
     # -- queries -----------------------------------------------------------
 
     def decision_edges(self, label: int):
-        """All polygon edges of {f_s >= f_label} pieces, over regions and s.
+        """The edges of the {f_s >= f_label} pieces, over regions and s,
+        that can hold the point of that class-change set nearest to an input
+        outside it (``_edges``).
 
         Returns (starts, ends) arrays of shape (E, 2).  Every point on these
         edges is reachable by the network with class 'label' losing to some
@@ -203,11 +246,7 @@ class RegionAtlas:
             normals = (self._v_out[:, c:c + 1] - self._v_out[:, others]).reshape(-1, 2)
             offs = (self._a_out[:, c:c + 1] - self._a_out[:, others]).reshape(-1)
             xy = np.repeat(self._xy, len(others), axis=2)
-            pieces, n = _clip(xy, np.repeat(self._counts, len(others)),
-                              _side(xy, normals, offs))
-            # edges: a polygon's from each vertex to the next, a segment's one
-            slot = np.arange(pieces.shape[1] - 1)[:, None]
-            edge = ((slot < np.where(n == 2, 1, n)) & (n >= 2)).T
-            result = (pieces[:, :-1].T[edge], pieces[:, 1:].T[edge])
+            result = _edges(*_clip(xy, np.repeat(self._counts, len(others)),
+                                   _side(xy, normals, offs)))
         self._edge_cache[c] = result
         return result

@@ -11,6 +11,9 @@ layer-wise PGD loop: in float64 the reference for the mixed-precision
 ``relucert.attacks._pgd_core``, in float32 the loop it runs where its
 region path is off.  Its softmax and ascent step are the row-wise forms,
 ``logit_gradient`` and ``ascent_step``, references for the attack's own.
+``universal_argsort`` and ``AdamPerArray`` are the trainer's regularizer
+with its k_B selection by a stable sort, and Adam one array at a time: the
+training step is bitwise theirs.
 """
 
 import math
@@ -18,7 +21,7 @@ from collections import deque
 
 import numpy as np
 
-from relucert import attacks, geometry, mmr_train, net_core
+from relucert import attacks, certify, geometry, mmr_train, net_core
 from relucert.certify import row_norms
 
 
@@ -242,6 +245,111 @@ def loss_gradient(net, X, y, cfg, kb_now):
         mmr_point(net, X[i], int(y[i]), cfg, kb_now, cfg.lambda1, cfg.lambda_inf,
                   grads=(dW, db), weight=1.0 / len(X))
     return dW, db
+
+
+# -- the trainer's sort-based selection and per-array Adam --------------------
+
+
+def nearest_argsort(dists, kb):
+    """The kb smallest entries of each row, in increasing order, and a mask
+    of where they sit: the first kb of a stable sort, so ties go to the
+    lowest index."""
+    sel = np.argsort(dists, axis=1, kind="stable")[:, :kb]
+    take = np.zeros(dists.shape, dtype=bool)
+    np.put_along_axis(take, sel, True, axis=1)
+    return np.take_along_axis(dists, sel, axis=1), take
+
+
+def norm_grad_along_axis(scale, rows, q):
+    """``mmr_train._norm_grad`` written with put_along_axis and take_along_axis."""
+    if not math.isinf(q):
+        return scale[..., None] * np.sign(rows)
+    out = np.zeros_like(rows)
+    j = np.argmax(np.abs(rows), axis=-1)[..., None]
+    np.put_along_axis(out, j, scale[..., None] * np.sign(np.take_along_axis(rows, j, -1)), -1)
+    return out
+
+
+def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None):
+    """``mmr_train._universal`` with the k_B nearest region hyperplanes
+    chosen by a stable argsort, layers split by np.split and the q = inf
+    norm gradient written along an axis; the same sums in the same order."""
+    k = net.num_classes
+    weight = 1.0 / len(X)
+    out = np.empty(len(X))
+    splits = np.cumsum(net.hidden_sizes[:-1], dtype=np.int64)
+    for sl, rmap in net_core.region_maps(net, X):
+        u = rmap.values
+        abs_u = np.abs(u)
+        others, diff, w_num = rmap.decision_planes(y[sl])
+        idx, c = np.arange(len(u))[:, None], y[sl] - 1
+        kb = min(int(kb_now), u.shape[1])
+        value = np.zeros(len(u))
+        if grads is not None:
+            g_u, g_logits = np.zeros_like(u), np.zeros_like(rmap.logits)
+            g_v = [np.zeros_like(v) for v in rmap.v_maps]
+            g_diff = np.zeros_like(diff)
+        for p, lam, gamma in ((1.0, lam1, cfg.gamma1), (math.inf, lam_inf, cfg.gamma_inf)):
+            if lam == 0.0:
+                continue
+            q = geometry.dual_exponent(p)
+            if kb:
+                dens = rmap.stacked([certify.row_norms(v, q) for v in rmap.v_maps[:-1]])
+                dists = certify.plane_distances(abs_u, dens)
+                sel = np.argsort(dists, axis=1, kind="stable")[:, :kb]
+                near = np.take_along_axis(dists, sel, axis=1)
+                value += lam * mmr_train._hinge(near / gamma).sum(axis=1) / kb
+                if grads is not None:
+                    coef = np.zeros_like(dists)
+                    active = (near < gamma) & np.isfinite(near)
+                    np.put_along_axis(coef, sel, np.where(
+                        active, -(weight * lam) / (kb * gamma), 0.0), axis=1)
+                    g_val, g_norm = mmr_train._adjoints(coef, abs_u, dens)
+                    g_u += g_val * np.sign(u)
+                    for l, g in enumerate(np.split(g_norm, splits, axis=1)):
+                        v = rmap.v_maps[l]
+                        g_v[l] += norm_grad_along_axis(
+                            mmr_train._row_sums(rmap.index[l], len(v), g), v, q)
+            dens = certify.row_norms(diff, q)
+            dists = certify.plane_distances(w_num, dens)
+            value += lam * mmr_train._hinge(dists / gamma).sum(axis=1) / (k - 1)
+            if grads is not None:
+                active = (dists < gamma) & np.isfinite(dists)
+                coef = np.where(active, -(weight * lam) / ((k - 1) * gamma), 0.0)
+                g_val, g_norm = mmr_train._adjoints(coef, w_num, dens)
+                g_logits[idx, others] -= g_val
+                g_logits[idx[:, 0], c] += g_val.sum(axis=1)
+                g_diff += norm_grad_along_axis(g_norm, diff, q)
+        out[sl] = value
+        if grads is not None:
+            net_core.backward_batch(net, np.split(u, splits, axis=1), g_logits, grads,
+                                    rmap.points, np.split(g_u, splits, axis=1))
+            gv_out = np.zeros(rmap.logits.shape + diff.shape[2:])
+            gv_out[idx, others] -= g_diff
+            gv_out[idx[:, 0], c] += g_diff.sum(axis=1)
+            g_v[-1] += mmr_train._row_sums(rmap.region, len(g_v[-1]), gv_out)
+            mmr_train._backprop_tables(net, rmap, g_v, grads[0])
+    return out
+
+
+class AdamPerArray:
+    """Adam that updates each parameter array in turn, in place."""
+
+    def __init__(self, params):
+        self.params = params
+        self.m = [np.zeros_like(a) for a in params]
+        self.v = [np.zeros_like(a) for a in params]
+        self.t = 0
+
+    def step(self, grads, lr):
+        b1, b2 = mmr_train.BETA1, mmr_train.BETA2
+        self.t += 1
+        corr1 = 1.0 - b1**self.t
+        corr2 = 1.0 - b2**self.t
+        for i, (a, g) in enumerate(zip(self.params, grads)):
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g ** 2
+            a -= lr * (self.m[i] / corr1) / (np.sqrt(self.v[i] / corr2) + mmr_train.ADAM_EPS)
 
 
 # -- 2-D region atlas ----------------------------------------------------------

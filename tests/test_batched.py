@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relucert import certify, mmr_train, net_core
 from relucert.mmr_train import MmrUniversalConfig
@@ -147,6 +148,69 @@ def test_regularizer_matches_reference(name, net):
     dW, db = mmr_train.loss_gradient(net, (X, y), CFG, kb_now=2)
     ref_dW, ref_db = ref.loss_gradient(net, X, y, CFG, kb_now=2)
     assert_grads_close(dW + db, ref_dW + ref_db)
+
+
+def twin_units(net):
+    """The same function with every first-layer unit doubled: each copy has
+    the unit's row and bias, so their boundary distances tie, and the two
+    share the unit's outgoing weights."""
+    w1, w2 = net.weights[:2]
+    weights = (np.vstack([w1, w1]), np.hstack([0.5 * w2, 0.5 * w2]), *net.weights[2:])
+    return ReluNet(weights, (np.concatenate([net.biases[0]] * 2), *net.biases[1:]))
+
+
+LAMBDAS = [(CFG.lambda1, CFG.lambda_inf), (0.0, CFG.lambda_inf), (CFG.lambda1, 0.0)]
+# margins beyond every distance: every selected hinge is active, so the
+# order in which a value adds them shows in its last bits
+WIDE = MmrUniversalConfig(lambda1=0.9, lambda_inf=2.5, gamma1=50.0, gamma_inf=10.0)
+
+
+def assert_universal_is_the_argsort_form(net, X, y, kb, lams, cfg=CFG):
+    """Values and gradients of _universal bitwise those of the stable-sort
+    reference."""
+    grads = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
+    want = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
+    values = mmr_train._universal(net, X, y, cfg, kb, *lams, grads=grads)
+    assert values.tobytes() == ref.universal_argsort(net, X, y, cfg, kb, *lams,
+                                                     grads=want).tobytes()
+    for got, w in zip(grads[0] + grads[1], want[0] + want[1]):
+        assert got.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_universal_is_bitwise_the_argsort_form(name, net):
+    # kb = 1, odd (a twin pair split at the kb-th distance), N and beyond N;
+    # zero-rows gives +inf distances, logit-ties a zero decision normal
+    for case in (net, twin_units(net)):
+        X, y = points(case, 24, seed=len(name) + 200)
+        n = case.num_hidden_units
+        for kb in (1, 3, n // 2, n, n + 4):
+            for lams in LAMBDAS:
+                assert_universal_is_the_argsort_form(case, X, y, kb, lams)
+            assert_universal_is_the_argsort_form(case, X, y, kb, LAMBDAS[0], WIDE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from(NETS), twins=st.booleans(), lams=st.sampled_from(LAMBDAS),
+       cfg=st.sampled_from([CFG, WIDE]), count=st.integers(1, 40), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_universal_is_bitwise_the_argsort_form_property(case, twins, lams, cfg, count, seed,
+                                                        data):
+    net = twin_units(case[1]) if twins else case[1]
+    kb = data.draw(st.integers(1, net.num_hidden_units + 4))
+    X, y = points(net, count, seed)
+    assert_universal_is_the_argsort_form(net, X, y, kb, lams, cfg)
+
+
+def test_twin_units_tie_at_the_kth_distance():
+    # guards the fixture above: on a one-layer net every point has more than
+    # kb = 3 boundary distances at or below its 3rd smallest
+    net = twin_units(dict(NETS)["tiny0-2-8-2"])
+    X, _ = points(net, 24, seed=1)
+    w1, b1 = net.weights[0], net.biases[0]
+    dists = np.abs(X @ w1.T + b1) / np.abs(w1).max(axis=1)
+    kth = np.sort(dists, axis=1)[:, 2:3]
+    assert ((dists <= kth).sum(axis=1) > 3).all()
 
 
 def test_special_nets_exercise_edge_cases():

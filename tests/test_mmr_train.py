@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relucert import mmr_train, net_core
 from relucert.mmr_train import (
@@ -11,6 +12,8 @@ from relucert.mmr_train import (
     mmr_universal, train,
 )
 from relucert.net_core import ReluNet, random_net
+
+import per_point_reference as ref
 
 
 # -- regularizer values -----------------------------------------------------------
@@ -99,6 +102,80 @@ def test_mmr_monotone_in_gamma():
         if prev is not None:
             assert val >= prev - 1e-12
         prev = val
+
+
+# -- k_B selection -----------------------------------------------------------------
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# few distinct values, so that rows are full of ties, and +inf for the
+# distances to zero rows
+DIST_ROWS = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0, math.inf]), min_size=n, max_size=n),
+    min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=DIST_ROWS, data=st.data())
+def test_nearest_is_the_stable_sort_selection(rows, data):
+    dists = np.array(rows)
+    kb = data.draw(st.integers(1, dists.shape[1]))
+    near, take = mmr_train._nearest(dists, kb)
+    want_near, want_take = ref.nearest_argsort(dists, kb)
+    assert_bitwise(near, want_near)
+    assert_bitwise(take, want_take)
+
+
+def test_nearest_keeps_the_lower_index_of_a_tie():
+    # units 0-3 and their copies 4-7 are equally far: an odd kb splits a
+    # pair at the kb-th distance, and the copy loses the tie
+    dists = np.tile([0.3, 0.1, 0.4, 0.2], (2, 2))
+    dists[1, 6] = math.inf
+    near, take = mmr_train._nearest(dists, 3)
+    assert np.array_equal(near, [[0.1, 0.1, 0.2], [0.1, 0.1, 0.2]])
+    assert np.array_equal(np.flatnonzero(take[0]), [1, 3, 5])
+    assert np.array_equal(np.flatnonzero(take[1]), [1, 3, 5])
+    # every distance of a row tied: the first kb units
+    near, take = mmr_train._nearest(np.full((1, 5), math.inf), 2)
+    assert np.array_equal(np.flatnonzero(take[0]), [0, 1]) and np.isinf(near).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5)),
+       q=st.sampled_from([1.0, math.inf]), seed=st.integers(0, 2**16))
+def test_norm_grad_is_the_along_axis_form(shape, q, seed):
+    # entries from {-2, ..., 2}: rows with ties for the largest |entry|
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-2, 3, size=shape).astype(np.float64)
+    scale = rng.standard_normal(shape[:-1])
+    assert_bitwise(mmr_train._norm_grad(scale, rows, q), ref.norm_grad_along_axis(scale, rows, q))
+
+
+# -- Adam ------------------------------------------------------------------------
+
+
+def test_flat_adam_is_the_per_array_update():
+    rng = np.random.default_rng(3)
+    shapes = [(4, 3), (2, 4), (4,), (2,)]
+    # entries from 1 down to 1e-8 and zeros, so that the last bits of every
+    # update show in the parameters
+    init = [rng.standard_normal(s) * 10.0 ** -rng.integers(0, 9, size=s) for s in shapes]
+    init[2][:2] = 0.0
+    adam = mmr_train._Adam(init)
+    want = ref.AdamPerArray([a.copy() for a in init])
+    for step, lr in enumerate((1e-2, 1e-2, 3e-3, 1e-3, 1e-3, 5e-4)):
+        grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        grads[step % len(shapes)][...] = 0.0
+        adam.step(grads, lr)
+        want.step(grads, lr)
+        for got, w in zip(adam.params, want.params):
+            assert_bitwise(got, w)
+    # the optimizer updates copies, never the arrays it was given
+    assert not any(np.shares_memory(a, b) for a in init for b in adam.params)
 
 
 # -- loss ------------------------------------------------------------------------

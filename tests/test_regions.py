@@ -65,16 +65,19 @@ def assert_matches_reference(net):
         for got, want in zip((reg.v_out, reg.a_out), maps[reg.key]):
             scale = max(np.abs(want).max(initial=0.0), 1.0)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=MAP_TOL * scale)
-    zs = np.random.default_rng(5).uniform(LO, HI, size=(6, 2))
+    pool = np.random.default_rng(5).uniform(LO, HI, size=(64, 2))
+    pred = net_core.classify_batch(net, pool)
     K = net.num_classes
     want_edges = {c: ref.decision_edges(expected, K, c) for c in range(1, K + 1)}
     for c in range(1, K + 1):
+        # from points of class c, outside the set whose edges these are: the
+        # atlas leaves out edges inside the set, the reference keeps them
         got_edges = atlas.decision_edges(c)
-        for z in zs:
+        for z in pool[pred == c][:6]:
             for p in (1.0, 2.0, math.inf):
                 assert_close(certify._min_lp_to_segments(z, *got_edges, p),
                              certify._min_lp_to_segments(z, *want_edges[c], p), DIST_RTOL)
-    for z, label in zip(zs, net_core.classify_batch(net, zs)):
+    for z, label in zip(pool[:6], pred[:6]):
         for p in (1.0, 2.0, math.inf):
             want = certify._min_lp_to_segments(z, *want_edges[label], p)
             assert_close(certify.exact_robustness_oracle(net, z, int(label), p).value, want,
@@ -195,6 +198,59 @@ def test_decision_set_of_one_line_gives_segment_edges():
     assert len(starts) == 2 and (starts[:, 0] == 0.0).all() and (ends[:, 0] == 0.0).all()
     for p, want in ((1.0, 2.0), (2.0, 2.0), (math.inf, 2.0)):
         assert certify.exact_robustness_oracle(net, [2.0, 0.5], 1, p).value == want
+
+def edges_one_piece_at_a_time(atlas, label):
+    """decision_edges written out: each (region, other class) piece clipped
+    on its own, then every polygon edge dropped that another polygon piece
+    walks the other way between the same bytes."""
+    c = label - 1
+    edges = []  # (start, end, piece, from a polygon)
+    pieces = (clip_polygon(reg.poly, reg.v_out[c] - reg.v_out[s], -(reg.a_out[c] - reg.a_out[s]))
+              for reg in atlas.regions for s in range(atlas.num_classes) if s != c)
+    for i, piece in enumerate(pieces):
+        m = len(piece)
+        count = m if m > 2 else 1 if m == 2 else 0  # a segment has one edge
+        for j in range(count):
+            edges.append((piece[j], piece[(j + 1) % m], i, m > 2))
+    owners = {}
+    for a, b, i, poly in edges:
+        if poly:
+            owners.setdefault((a.tobytes(), b.tobytes()), set()).add(i)
+    kept = [(a, b) for a, b, i, poly in edges
+            if not (poly and owners.get((b.tobytes(), a.tobytes()), set()) - {i})]
+    return np.array([a for a, _ in kept]).reshape(-1, 2), np.array([b for _, b in kept]).reshape(-1, 2)
+
+
+def test_edges_leave_out_only_edges_two_polygons_share():
+    # squares a and b share the edge x = 1, walked up by a and down by b; the
+    # segment s lies on a's edge x = 0, walked the other way; the degenerate
+    # triangle d walks its edge to (4, 0) back on itself
+    a = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    b = a + [1.0, 0.0]
+    s = np.array([[0.0, 0.0], [0.0, 1.0]])
+    d = np.array([[3.0, 0.0], [4.0, 0.0], [3.0, 0.0]])
+    starts, ends = regions._edges(*padded_table([a, b, s, d]))
+    got = [(tuple(p), tuple(q)) for p, q in zip(starts, ends)]
+    assert got == [((0, 0), (1, 0)), ((1, 1), (0, 1)), ((0, 1), (0, 0)),
+                   ((1, 0), (2, 0)), ((2, 0), (2, 1)), ((2, 1), (1, 1)),
+                   ((0, 0), (0, 1)),
+                   ((3, 0), (4, 0)), ((4, 0), (3, 0)), ((3, 0), (3, 0))]
+
+
+@pytest.mark.parametrize("name", ["deep-2-10-7-3", "constant-units", "hand-4-regions",
+                                  "tiny2-2-16-3"])
+def test_decision_edges_leave_out_shared_polygon_edges(name):
+    net = NETS[name]()
+    atlas = RegionAtlas(net)
+    expected, _ = ref.atlas(net)
+    dropped = 0
+    for c in range(1, atlas.num_classes + 1):
+        got, want = atlas.decision_edges(c), edges_one_piece_at_a_time(atlas, c)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        dropped += len(ref.decision_edges(expected, atlas.num_classes, c)[0]) - len(got[0])
+    assert dropped > 0
+
 
 # -- properties on random tiny nets ---------------------------------------------
 
