@@ -9,6 +9,7 @@ inputs (the wall-clock runtime field is omitted).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -155,18 +156,29 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+# the train flag behind each field of the training configs
+_TRAIN_FLAGS = {"lambda1": "--lambda1", "lambda_inf": "--lambdainf", "gamma1": "--gamma1",
+                "gamma_inf": "--gammainf", "epochs": "--epochs", "batch_size": "--batch",
+                "learning_rate": "--lr"}
+
+
 def _cmd_train(args) -> int:
+    try:
+        mmr_cfg = mmr_train.MmrUniversalConfig(
+            lambda1=args.lambda1, lambda_inf=args.lambdainf,
+            gamma1=args.gamma1, gamma_inf=args.gammainf)
+        train_cfg = mmr_train.TrainConfig(
+            epochs=args.epochs, batch_size=args.batch,
+            learning_rate=args.lr, seed=args.seed)
+    except ValueError as exc:
+        # the configs' messages start with the field at fault: name its flag
+        field, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{_TRAIN_FLAGS.get(field, field)} {rest}") from None
     data = datasets.load_dataset(args.data)
     eval_data = datasets.load_dataset(args.eval_data) if args.eval_data else None
     hidden = [int(s) for s in args.arch.split(",") if s.strip()]
     sizes = [data.dim] + hidden + [data.num_classes]
     net0 = net_core.random_net(sizes, seed=args.seed)
-    mmr_cfg = mmr_train.MmrUniversalConfig(
-        lambda1=args.lambda1, lambda_inf=args.lambdainf,
-        gamma1=args.gamma1, gamma_inf=args.gammainf)
-    train_cfg = mmr_train.TrainConfig(
-        epochs=args.epochs, batch_size=args.batch,
-        learning_rate=args.lr, seed=args.seed)
     net, history = mmr_train.train(net0, data, mmr_cfg, train_cfg,
                                    eval_dataset=eval_data)
     net_core.save_model(net, args.out)
@@ -266,7 +278,10 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls: each parse
+    fills a new namespace, so calls share no values."""
     parser = argparse.ArgumentParser(
         prog="relucert",
         description="Train small ReLU classifiers with joint l1/linf margin "

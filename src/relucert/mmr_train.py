@@ -13,10 +13,18 @@ pass:
 
 - the values are preactivations and logit margins at the points, so their
   adjoints go through ``net_core.backward_batch``, the layer-wise backward
-  pass that the cross-entropy and the attacks use too;
+  pass that the attacks use too;
 - the dual norms depend only on the region tables: their adjoints are
   summed per table row and pushed back through V^(l) = W^(l) (mask *
   V^(l-1)) once per row (``_backprop_tables``).
+
+The training loss reads its cross-entropy off the same chunks' logits, and
+the chunk's logit adjoint starts from the cross-entropy's (softmax - onehot)
+/ B, so one forward pass (the region maps) and one backward pass per chunk
+carry the whole loss.  Without a regularizer the cross-entropy takes a plain
+``net_core.forward_batch`` and backward pass instead.  The trainer updates
+the parameters in place: its net views Adam's flat buffer, and the
+gradient's per-layer arrays are views of one flat buffer too.
 
 The k_B selection (``_nearest``) keeps the units at or below the k_B-th
 smallest distance, which np.partition finds; where more units tie at that
@@ -63,7 +71,17 @@ LR_DROP_FACTOR, LR_DROP_LAST = 10.0, 10
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the training loss or the parameters become non-finite."""
+
+
+def _check_finite(cfg, names, strict):
+    """ValueError unless each named field of cfg is finite and > 0 (>= 0
+    unless strict); the message starts with the field's name."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+            raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +99,8 @@ class MmrUniversalConfig:
     gamma_inf: float = 0.1
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda_inf < 0:
-            raise ValueError("lambdas must be nonnegative")
-        if not (self.gamma1 > 0 and self.gamma_inf > 0):
-            raise ValueError("margins must be positive")
+        _check_finite(self, ("lambda1", "lambda_inf"), strict=False)
+        _check_finite(self, ("gamma1", "gamma_inf"), strict=True)
 
 
 @dataclass(frozen=True)
@@ -95,10 +111,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        _check_finite(self, ("learning_rate",), strict=True)
 
 
 def kb_schedule(epoch: int, total_epochs: int, num_hidden: int) -> int:
@@ -190,12 +206,16 @@ def _backprop_tables(net, rmap, g_v, dW):
     dW[0] += g_v[0].sum(axis=0)
 
 
-def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=None):
+def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=None,
+               ce=None):
     """Universal regularizer value at every row of X, shape (B,).
 
     grads, when given, is a (dW, db) pair of per-layer arrays that receives
     the gradient of the mean value over the rows, through both the numerator
-    and the dual-norm denominator of every selected distance.
+    and the dual-norm denominator of every selected distance.  ce, when
+    given, is a (B,) array that receives each row's cross-entropy, read off
+    the region map's logits; grads then receives the gradient of its mean
+    too, in the same backward pass.
     """
     k = net.num_classes
     weight = 1.0 / len(X)
@@ -209,9 +229,12 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
         idx, c = np.arange(len(u))[:, None], y[sl] - 1
         kb = min(int(kb_now), u.shape[1])
         value = np.zeros(len(u))
+        if ce is not None:
+            ce[sl], g_ce = _cross_entropy(rmap.logits, y[sl], len(X))
         if grads is not None:
             # adjoints of the preactivations and logits, and of each table's rows
-            g_u, g_logits = np.zeros_like(u), np.zeros_like(rmap.logits)
+            g_u = np.zeros_like(u)
+            g_logits = g_ce if ce is not None else np.zeros_like(rmap.logits)
             g_v = [np.zeros_like(v) for v in rmap.v_maps]
             g_diff = np.zeros_like(diff)
         for p, lam, gamma in ((1.0, lam1, cfg.gamma1), (math.inf, lam_inf, cfg.gamma_inf)):
@@ -276,49 +299,68 @@ def _as_batch(net, batch):
     return X, y
 
 
-def _ce_value_and_grad(net, X, y):
-    """Batched softmax cross-entropy value and parameter gradients."""
-    B = len(X)
-    logits, preacts = net_core.forward_batch(net, X)
+def _cross_entropy(logits, y, n):
+    """Softmax cross-entropy of each row of logits (B, K) at its label in
+    1..K, and the adjoint on the logits of their sum over n:
+    (softmax - onehot) / n."""
     m = logits.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-    idx = np.arange(B)
-    ce = float(np.mean(lse - logits[idx, y - 1]))
-    g_out = np.exp(logits - lse[:, None])
-    g_out[idx, y - 1] -= 1.0
-    g_out /= B
-    dW = [np.zeros_like(w) for w in net.weights]
-    db = [np.zeros_like(b) for b in net.biases]
-    net_core.backward_batch(net, preacts, g_out, (dW, db), X)
-    return ce, dW, db
+    idx = np.arange(len(logits))
+    g = np.exp(logits - lse[:, None])
+    g[idx, y - 1] -= 1.0
+    g /= n
+    return lse - logits[idx, y - 1], g
 
 
 def loss(net, batch, cfg: MmrUniversalConfig, kb_now=None, lam_scale: float = 1.0) -> float:
     """Mean over the batch of cross-entropy plus the universal regularizer."""
     X, y = _as_batch(net, batch)
-    return _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grad=False)[0]
+    return _loss_and_grad(net, X, y, cfg, kb_now, lam_scale)
 
 
-def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grad=True):
-    """(loss, dW, db); grad=False leaves the regularizer out of dW and db."""
+def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grads=None):
+    """The loss; grads, when given, is a zeroed (dW, db) pair of per-layer
+    arrays that receives its gradient.
+
+    With a lambda > 0 the cross-entropy is read off the regularizer's region
+    maps, and one backward pass per chunk carries both terms; otherwise a
+    plain forward and backward pass give it.
+    """
     if kb_now is None:
         kb_now = max(1, int(np.rint(KB_START_FRAC * max(net.num_hidden_units, 1))))
     lam1, lam_inf = cfg.lambda1 * lam_scale, cfg.lambda_inf * lam_scale
-    ce, dW, db = _ce_value_and_grad(net, X, y)
-    total = ce
     if lam1 > 0 or lam_inf > 0:
-        reg = _universal(net, X, y, cfg, kb_now, lam1, lam_inf,
-                         grads=(dW, db) if grad else None)
-        total += reg.sum() / len(X)
-    return float(total), dW, db
+        ce = np.empty(len(X))
+        reg = _universal(net, X, y, cfg, kb_now, lam1, lam_inf, grads, ce)
+        return float(np.mean(ce) + reg.sum() / len(X))
+    logits, preacts = net_core.forward_batch(net, X)
+    ce, g_logits = _cross_entropy(logits, y, len(X))
+    if grads is not None:
+        net_core.backward_batch(net, preacts, g_logits, grads, X)
+    return float(np.mean(ce))
+
+
+def _flat_views(flat, arrays):
+    """Views of the flat buffer shaped like each of arrays, back to back."""
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    return [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+
+def _zero_grads(net):
+    """A zeroed flat buffer, weights then biases, and its (dW, db) views."""
+    params = net.weights + net.biases
+    flat = np.zeros(sum(a.size for a in params), dtype=net.dtype)
+    views = _flat_views(flat, params)
+    return flat, (views[:len(net.weights)], views[len(net.weights):])
 
 
 def loss_gradient(net, batch, cfg: MmrUniversalConfig, kb_now=None,
                   lam_scale: float = 1.0):
     """Exact gradient of loss() wrt every weight matrix and bias vector."""
     X, y = _as_batch(net, batch)
-    _, dW, db = _loss_and_grad(net, X, y, cfg, kb_now, lam_scale)
-    return dW, db
+    _, grads = _zero_grads(net)
+    _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grads)
+    return grads
 
 
 # -- optimizer and training loop -------------------------------------------------
@@ -331,19 +373,17 @@ class _Adam:
 
     def __init__(self, params):
         self.flat = np.concatenate([np.ravel(a) for a in params])
-        ends = np.cumsum([a.size for a in params[:-1]])
-        self.params = [part.reshape(a.shape) for a, part in zip(params, np.split(self.flat, ends))]
+        self.params = _flat_views(self.flat, params)
         self.m = np.zeros(self.flat.size)
         self.v = np.zeros(self.flat.size)
         self.t = 0
 
-    def step(self, grads, lr):
-        """One in-place update of every parameter array, grads in the
-        order of ``params``."""
+    def step(self, g, lr):
+        """One in-place update of every parameter array, g the flat gradient
+        in the order of ``params``."""
         self.t += 1
         corr1 = 1.0 - BETA1**self.t
         corr2 = 1.0 - BETA2**self.t
-        g = np.concatenate([np.ravel(a) for a in grads])
         self.m *= BETA1
         self.m += (1 - BETA1) * g
         self.v *= BETA2
@@ -377,10 +417,12 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     n = len(X)
     rng = np.random.default_rng(train_cfg.seed)
     adam = _Adam(net0.weights + net0.biases)
-    weights, biases = adam.params[:len(net0.weights)], adam.params[len(net0.weights):]
+    # the loop's net views the parameters that Adam updates in place, so it
+    # is built once; they are checked for finite values after every step
+    net = net_core._view_net(adam.params[:len(net0.weights)], adam.params[len(net0.weights):])
+    g, grads = _zero_grads(net)
     num_hidden = net0.num_hidden_units
     history = []
-    net = net0.with_parameters(weights, biases)
     for epoch in range(train_cfg.epochs):
         kb = kb_schedule(epoch, train_cfg.epochs, num_hidden)
         lam_scale = lambda_ramp_factor(epoch, LAMBDA_RAMP_EPOCHS)
@@ -391,12 +433,15 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
         epoch_losses = []
         for start in range(0, n, train_cfg.batch_size):
             sel = perm[start:start + train_cfg.batch_size]
-            value, dW, db = _loss_and_grad(net, X[sel], y[sel], mmr_cfg, kb, lam_scale)
+            g.fill(0.0)
+            value = _loss_and_grad(net, X[sel], y[sel], mmr_cfg, kb, lam_scale, grads)
             if not math.isfinite(value):
                 raise TrainingDiverged(
                     f"non-finite loss {value} at epoch {epoch}, batch offset {start}")
-            adam.step(dW + db, lr)
-            net = net.with_parameters(weights, biases)
+            adam.step(g, lr)
+            if not np.isfinite(adam.flat).all():
+                raise TrainingDiverged(
+                    f"non-finite parameters after epoch {epoch}, batch offset {start}")
             epoch_losses.append(value)
         m = min(CERT_SAMPLE, len(X_ev))
         certs = certify.certificates(net, X_ev[:m], y_ev[:m])
@@ -412,4 +457,4 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
             "lambda_scale": lam_scale,
             "lr": lr,
         })
-    return net, history
+    return net0.with_parameters(net.weights, net.biases), history

@@ -125,6 +125,20 @@ class ReluNet:
                        tuple(b.astype(dtype) for b in self.biases))
 
 
+def _view_net(weights, biases) -> ReluNet:
+    """A net over read-only views of the given arrays, neither copied nor
+    checked, so it follows in-place updates of their buffers.  Unlike a
+    ReluNet it is not immutable: it is for a caller that owns the arrays,
+    checks their values itself and never hands the net out."""
+    net = object.__new__(ReluNet)
+    for name, arrays in (("weights", weights), ("biases", biases)):
+        views = tuple(a.view() for a in arrays)
+        for v in views:
+            v.flags.writeable = False
+        object.__setattr__(net, name, views)
+    return net
+
+
 @dataclass(frozen=True)
 class RegionMap:
     """Affine maps of the activation regions of a batch of B points.

@@ -13,7 +13,9 @@ region path is off.  Its softmax and ascent step are the row-wise forms,
 ``logit_gradient`` and ``ascent_step``, references for the attack's own.
 ``universal_argsort`` and ``AdamPerArray`` are the trainer's regularizer
 with its k_B selection by a stable sort, and Adam one array at a time: the
-training step is bitwise theirs.
+regularizer and the update are bitwise theirs.  ``two_pass_step`` is the
+training loss and gradient with the cross-entropy through its own forward
+and backward pass, which the one-pass step matches to rounding.
 """
 
 import math
@@ -240,7 +242,7 @@ def regularizer(net, X, y, cfg, kb_now, lam1, lam_inf):
 
 def loss_gradient(net, X, y, cfg, kb_now):
     """Cross-entropy plus regularizer gradient, regularizer point by point."""
-    _, dW, db = mmr_train._ce_value_and_grad(net, np.asarray(X), np.asarray(y))
+    _, dW, db = ce_value_and_grad(net, np.asarray(X), np.asarray(y))
     for i in range(len(X)):
         mmr_point(net, X[i], int(y[i]), cfg, kb_now, cfg.lambda1, cfg.lambda_inf,
                   grads=(dW, db), weight=1.0 / len(X))
@@ -330,6 +332,38 @@ def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None):
             g_v[-1] += mmr_train._row_sums(rmap.region, len(g_v[-1]), gv_out)
             mmr_train._backprop_tables(net, rmap, g_v, grads[0])
     return out
+
+
+def cross_entropy_grad(net, X, y, logits, preacts):
+    """Batched softmax cross-entropy value and parameter gradients, from the
+    logits and hidden preactivations of X, in one backward pass."""
+    B = len(X)
+    m = logits.max(axis=1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
+    idx = np.arange(B)
+    ce = float(np.mean(lse - logits[idx, y - 1]))
+    g_out = np.exp(logits - lse[:, None])
+    g_out[idx, y - 1] -= 1.0
+    g_out /= B
+    dW = [np.zeros_like(w) for w in net.weights]
+    db = [np.zeros_like(b) for b in net.biases]
+    net_core.backward_batch(net, preacts, g_out, (dW, db), X)
+    return ce, dW, db
+
+
+def ce_value_and_grad(net, X, y):
+    """Cross-entropy value and gradients through ``forward_batch``."""
+    return cross_entropy_grad(net, X, y, *net_core.forward_batch(net, X))
+
+
+def two_pass_step(net, X, y, cfg, kb_now, lam_scale=1.0):
+    """The trainer's loss and gradient in two forward and two backward
+    passes: the cross-entropy through ``forward_batch``, then the
+    regularizer (``universal_argsort``) over its own region maps."""
+    ce, dW, db = ce_value_and_grad(net, X, y)
+    reg = universal_argsort(net, X, y, cfg, kb_now, cfg.lambda1 * lam_scale,
+                            cfg.lambda_inf * lam_scale, grads=(dW, db))
+    return ce + reg.sum() / len(X), dW, db
 
 
 class AdamPerArray:

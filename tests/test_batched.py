@@ -150,6 +150,47 @@ def test_regularizer_matches_reference(name, net):
     assert_grads_close(dW + db, ref_dW + ref_db)
 
 
+# the one-pass step with both norms, and with one lambda zero
+STEP_CFGS = [CFG, MmrUniversalConfig(lambda1=0.0, lambda_inf=2.5, gamma1=0.8, gamma_inf=0.15),
+             MmrUniversalConfig(lambda1=0.9, lambda_inf=0.0, gamma1=0.8, gamma_inf=0.15)]
+
+
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_one_pass_step_is_the_two_pass_step(monkeypatch, name, net):
+    # the cross-entropy read off the region maps' logits and carried by the
+    # regularizer's backward pass, against its own forward and backward
+    # pass: V x + a and the layer-wise pass round differently
+    X, y = points(net, 37, seed=len(name) + 300)
+    per_point = 8 * net.input_dim * net.num_hidden_units
+    for chunk_bytes in (net_core.CHUNK_BYTES, 5 * per_point):
+        monkeypatch.setattr(net_core, "CHUNK_BYTES", chunk_bytes)
+        for cfg in STEP_CFGS:
+            for kb, lam_scale in ((1, 1.0), (3, 0.4)):
+                value, ref_dW, ref_db = ref.two_pass_step(net, X, y, cfg, kb, lam_scale)
+                dW, db = mmr_train.loss_gradient(net, (X, y), cfg, kb, lam_scale)
+                assert_close([mmr_train.loss(net, (X, y), cfg, kb, lam_scale)], [value])
+                assert_grads_close(dW + db, ref_dW + ref_db)
+    # the smaller chunks cut the batch into several
+    assert len(list(net_core.region_maps(net, X))) > 1
+
+
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_flat_gradient_is_the_per_array_form(name, net):
+    # loss_gradient's arrays are views of one flat buffer, weights then
+    # biases, which the trainer hands to Adam as they are
+    X, y = points(net, 24, seed=len(name) + 400)
+    for cfg in (CFG, MmrUniversalConfig(lambda1=0.0, lambda_inf=0.0)):
+        dW, db = mmr_train.loss_gradient(net, (X, y), cfg, kb_now=3)
+        want = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
+        mmr_train._loss_and_grad(net, X, y, cfg, 3, 1.0, want)
+        for got, w in zip(dW + db, want[0] + want[1]):
+            assert got.shape == w.shape and got.tobytes() == w.tobytes()
+        flat = dW[0].base
+        assert flat.ndim == 1 and flat.size == sum(a.size for a in dW + db)
+        assert all(a.base is flat for a in dW + db)
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in dW + db]))
+
+
 def twin_units(net):
     """The same function with every first-layer unit doubled: each copy has
     the unit's row and bias, so their boundary distances tie, and the two

@@ -679,6 +679,42 @@ def test_certify_summary_counts_activation_regions(tmp_path, capsys):
     assert cli._certify_summary(certs, EVAL_EPS)["regions"] == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--lr", "--lambda1", "--lambdainf", "--gamma1", "--gammainf"])
+def test_cli_train_rejects_settings_that_are_not_finite(tmp_path, capsys, monkeypatch, flag,
+                                                       bad):
+    # rejected before any step: an inf setting used to overflow in the Adam
+    # step or the hinge sums (a RuntimeWarning, which the tests make an
+    # error), and --gammainf inf to train with a constant hinge
+    data = tmp_path / "blobs.bin"
+    _run(capsys, ["gen-data", "--n", "16", "--out", data])
+    monkeypatch.setattr(cli.mmr_train, "train",
+                        lambda *a, **k: pytest.fail("trained with a setting that is not finite"))
+    assert main(["train", "--data", str(data), "--out", str(tmp_path / "m.bin"), flag, bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(f"error: {flag} must be finite and >=? 0, got {bad}\n", captured.err)
+
+
+def test_cli_calls_share_no_arguments(tmp_path, capsys):
+    # one parser serves every call in the process: a flag or subcommand of
+    # one call must not carry over into the next
+    assert cli._build_parser() is cli._build_parser()
+    curve, again, data = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "d.bin"
+    first = json.loads(_run(capsys, ["geometry", "--d", "2", "--p", "1", "--num", "8",
+                                     "--out", curve]))
+    made = json.loads(_run(capsys, ["gen-data", "--kind", "moons", "--n", "5", "--out", data]))
+    second = json.loads(_run(capsys, ["geometry", "--d", "3", "--out", again]))
+    assert (first["d"], first["p"], len(curve.read_text().splitlines())) == (2, 1.0, 9)
+    assert (made["kind"], made["count"]) == ("moons", 5)
+    assert (second["d"], second["p"], len(again.read_text().splitlines())) == (3, 2.0, 2049)
+    made = json.loads(_run(capsys, ["gen-data", "--out", data]))
+    assert (made["kind"], made["count"]) == ("blobs", 1000)
+    with pytest.raises(SystemExit):
+        main(["geometry", "--out", str(curve)])  # --d is required again
+    assert "the following arguments are required: --d" in capsys.readouterr().err
+
+
 def test_python_m_runs_the_cli_without_warnings(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

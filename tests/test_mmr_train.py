@@ -170,7 +170,7 @@ def test_flat_adam_is_the_per_array_update():
     for step, lr in enumerate((1e-2, 1e-2, 3e-3, 1e-3, 1e-3, 5e-4)):
         grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
         grads[step % len(shapes)][...] = 0.0
-        adam.step(grads, lr)
+        adam.step(np.concatenate([g.ravel() for g in grads]), lr)
         want.step(grads, lr)
         for got, w in zip(adam.params, want.params):
             assert_bitwise(got, w)
@@ -243,16 +243,24 @@ def test_gradient_matches_manual_ce_single_layer():
 
 def test_inactive_hinges_leave_ce_gradient():
     # margins far smaller than every distance: the regularizer contributes
-    # exactly zero gradient and the arrays match the plain-CE path bitwise
+    # exactly zero gradient, so the arrays are bitwise the cross-entropy
+    # gradient at the region map's logits and preactivations, which the
+    # step reads
     net = margin_unit_net()
     X = np.full((3, 10), 0.05)
     y = np.ones(3, dtype=np.int64)
     tight = MmrUniversalConfig(lambda1=1.0, lambda_inf=2.0, gamma1=1e-4, gamma_inf=1e-5)
     off = MmrUniversalConfig(lambda1=0.0, lambda_inf=0.0)
     dW1, db1 = loss_gradient(net, (X, y), tight, kb_now=1)
-    dW0, db0 = loss_gradient(net, (X, y), off, kb_now=1)
+    rmap = net_core.region_map(net, X)
+    _, dW0, db0 = ref.cross_entropy_grad(net, X, y, rmap.logits, [rmap.values])
     for a, b in zip(dW1 + db1, dW0 + db0):
         assert np.array_equal(a, b)
+    # the plain path's layer-wise preactivation sums 10 x 0.05 in another
+    # order than V x + a: the same gradient up to rounding
+    dW2, db2 = loss_gradient(net, (X, y), off, kb_now=1)
+    for a, b in zip(dW1 + db1, dW2 + db2):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_gradient_deterministic():
@@ -349,6 +357,57 @@ def test_loss_decreases_early_smoke(monkeypatch):
         if hist[9]["loss"] < hist[0]["loss"]:
             drops += 1
     assert drops >= 9
+
+
+def test_train_builds_one_net_whatever_the_steps(monkeypatch):
+    # the loop's net views the optimizer's buffer; only the returned net is
+    # built, as a checked copy
+    from relucert.datasets import gen_blobs
+    built = []
+    post_init = ReluNet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ReluNet, "__post_init__", counted)
+    ds = gen_blobs(48, seed=3)
+    net0 = random_net([2, 6, 2], seed=0)
+    counts = []
+    for batch in (48, 8):  # 10 and 60 steps
+        built.clear()
+        net, _ = train(net0, ds, MmrUniversalConfig(), TrainConfig(epochs=10, batch_size=batch))
+        counts.append(len(built))
+        assert built == [net]
+        for a in net.weights + net.biases:
+            assert a.base is None and not a.flags.writeable
+    assert counts == [1, 1]
+
+
+def test_non_finite_parameters_stop_training(monkeypatch):
+    # a step that leaves a NaN in the parameters stops training at once,
+    # before the next loss would show it
+    from relucert.datasets import gen_blobs
+    step = mmr_train._Adam.step
+
+    def poisoned(self, g, lr):
+        step(self, g, lr)
+        self.flat[-1] = np.nan
+
+    monkeypatch.setattr(mmr_train._Adam, "step", poisoned)
+    with pytest.raises(TrainingDiverged,
+                       match="non-finite parameters after epoch 0, batch offset 0"):
+        train(random_net([2, 6, 2], seed=0), gen_blobs(48, seed=3), MmrUniversalConfig(),
+              TrainConfig(epochs=10, batch_size=16))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["lambda1", "lambda_inf", "gamma1", "gamma_inf",
+                                   "learning_rate"])
+def test_settings_must_be_finite(field, bad):
+    config = TrainConfig if field == "learning_rate" else MmrUniversalConfig
+    with pytest.raises(ValueError, match=f"^{field} must be finite and "):
+        config(**{field: bad})
 
 
 def test_training_aborts_on_divergence():
