@@ -3,8 +3,6 @@ regularization and certify their robustness for every lp-norm at once."""
 
 from .net_core import (
     ReluNet,
-    forward,
-    classify,
     random_net,
     load_model,
     save_model,
@@ -17,10 +15,7 @@ from .geometry import (
     ratio_analysis,
 )
 from .certify import (
-    PointCertificate,
     EpsTriple,
-    certify_single_norm,
-    point_certificate,
     certificates,
     exact_robustness_oracle,
 )
@@ -28,16 +23,11 @@ from .mmr_train import (
     MmrUniversalConfig,
     TrainConfig,
     TrainingDiverged,
-    mmr_universal,
     loss,
     loss_gradient,
     train,
 )
-from .attacks import (
-    PgdConfig,
-    project_lp_ball,
-    pgd_attack,
-)
+from .attacks import PgdConfig
 from .datasets import Dataset, gen_blobs, gen_moons, gen_corners, load_dataset, save_dataset
 
 __version__ = "0.1.0"

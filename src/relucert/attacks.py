@@ -3,19 +3,19 @@
 Used to lower-bound the robust test error and to measure how often the
 adversarial perturbations found for one norm fit inside the other norms'
 balls.  All attacks respect the [0, 1] box: iterates are projected onto the
-norm ball and the box alternately, and attack_dataset, which every attack
-goes through, re-checks final feasibility exactly before a perturbation is
-reported.
+norm ball and the box alternately, and _attack, which every norm of
+attack_norms goes through, re-checks final feasibility exactly before a
+perturbation is reported.
 
 PGD steps on the float32 net.  When a net's hidden layers are wide compared
 with its input (``_region_pays``), the attacks also take the affine map of
 the activation region that holds the most data points: iterates strictly
 inside it get their logits and input gradient from that map, and the others
 the layer-wise pass.  attack_norms maps that region once and shares it
-among its norms; attack_dataset maps its own.  Each attack tests membership
-only against the region's hidden rows that an iterate can reach, those
-that may turn non-positive somewhere in an anchor's ball of its radius; the
-rest are provably positive there and are dropped when the attack starts.
+among its norms.  Each attack tests membership only against the region's
+hidden rows that an iterate can reach, those that may turn non-positive
+somewhere in an anchor's ball of its radius; the rest are provably positive
+there and are dropped when the attack starts.
 On the corners benchmark's 16-256-256-2 net that leaves 2 (l1), 0 (l2) and
 5 to 7 (linf) of its 512 rows, depending on the seed's test points, so the
 test costs a K x (d + 1) product a row with K small.  An attack drops the
@@ -40,13 +40,9 @@ import numpy as np
 
 from . import geometry, net_core
 from .certify import EpsTriple, _check_labels, _check_radius, row_norms
-from .datasets import Dataset
 
 __all__ = [
     "PgdConfig",
-    "project_lp_ball",
-    "pgd_attack",
-    "attack_dataset",
     "attack_norms",
     "lower_bounds",
     "overlap_table",
@@ -113,20 +109,6 @@ def _project_ball_rows(D, eps, p):
         scale = np.where(norms > eps, eps / np.maximum(norms, 1e-300), 1.0)
         return D * scale[:, None]
     return _proj_l1_rows(D, eps)
-
-
-def project_lp_ball(v, eps, p):
-    """Euclidean projection of v onto the lp ball of radius eps.
-
-    linf by coordinate clipping, l2 by radial scaling, l1 by the sorting
-    based soft-threshold projection.  eps must be finite and >= 0.
-    """
-    _check_radius(eps, "eps")
-    p = float(p)
-    if p not in (1.0, 2.0, math.inf):
-        raise ValueError("p must be 1, 2 or inf")
-    v = np.asarray(v, dtype=np.float64)
-    return _project_ball_rows(v[None, :], eps, p)[0]
 
 
 def _sample_ball_rows(rng, m, d, eps, p):
@@ -329,7 +311,7 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig, region):
     iterate the projection leaves outside that radius takes the layer-wise
     pass.  The iterates, projections and norms stay float64, and an iterate
     counts as misclassified only once the float64 net agrees at x + delta,
-    the point attack_dataset re-checks.  So float32 rounding and the
+    the point _attack re-checks.  So float32 rounding and the
     region's map can steer the search but never make a reported
     adversarial.
     """
@@ -362,28 +344,6 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig, region):
     return np.isfinite(best_norm), best_norm, best_delta
 
 
-def pgd_attack(net, x, label: int, cfg: PgdConfig):
-    """Attack a single point; returns the best adversarial found or None.
-
-    A one-point view of attack_dataset: restart 0 starts at x itself, the
-    remaining restarts at random points of the ball intersected with the box.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    success, _, deltas = attack_dataset(net, Dataset(x[None, :], [label]), cfg)
-    return x + deltas[0] if success[0] else None
-
-
-def attack_dataset(net, dataset, cfg: PgdConfig):
-    """PGD over every point, vectorized over (point, restart) pairs.
-
-    Returns (success (n,), best_norm (n,), best_delta (n, d)).  Labels must
-    lie in 1..K of the net.  Before a perturbation is reported it is
-    re-checked exactly: it must lie in the ball and x + delta must be
-    misclassified, else RuntimeError.
-    """
-    return _attack(net, *_prepare(net, dataset), cfg)
-
-
 def _prepare(net, dataset):
     """The checked points X and labels y of dataset, and the region of the
     anchors X that the attacks on them share (None where _region_pays is
@@ -396,7 +356,10 @@ def _prepare(net, dataset):
 
 
 def _attack(net, X, y, region, cfg: PgdConfig):
-    """attack_dataset on the output of _prepare."""
+    """PGD with one config over the points of _prepare, vectorized over
+    (point, restart) pairs; restart 0 starts at the point.  A reported
+    perturbation is re-checked exactly: it must lie in the ball and x +
+    delta must be misclassified, else RuntimeError."""
     n, d = X.shape
     R = cfg.restarts
     rng = np.random.default_rng(cfg.seed)
@@ -423,14 +386,14 @@ def _attack(net, X, y, region, cfg: PgdConfig):
 
 def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
                  restarts: int = 10, seed: int = 0, sparsity_frac: float = 0.01) -> dict:
-    """attack_dataset for each requested norm ("l1", "l2", "linf") at its
-    radius in eps = (eps1, eps2, eps_inf); returns {name: (success,
-    best_norm, best_delta)}.
+    """PGD over every point of dataset for each requested norm ("l1", "l2",
+    "linf") at its radius in eps = (eps1, eps2, eps_inf), one _attack a
+    norm; returns {name: (success, best_norm, best_delta)}.  Labels must lie
+    in 1..K of the net.
 
     Seeds are keyed by norm, seed + 1 for l1, + 2 for l2 and + 3 for linf,
     so a norm's result does not depend on which other norms are attacked.
-    The anchors' region is mapped once and shared by the norms, so the
-    results are those of attack_dataset for each norm.
+    The anchors' region is mapped once and shared by the norms.
     """
     if isinstance(norms, str):
         raise ValueError(f"norms must be a sequence of names such as ('l1', 'linf'), "

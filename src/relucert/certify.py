@@ -19,11 +19,8 @@ import numpy as np
 from . import geometry, net_core, regions
 
 __all__ = [
-    "PointCertificate",
     "EpsTriple",
     "OracleResult",
-    "certify_single_norm",
-    "point_certificate",
     "certificates",
     "exact_robustness_oracle",
     "bounds",
@@ -32,35 +29,6 @@ __all__ = [
 EpsTriple = namedtuple("EpsTriple", ["eps1", "eps2", "eps_inf"])
 
 OracleResult = namedtuple("OracleResult", ["value", "exact", "num_regions"])
-
-
-@dataclass(frozen=True)
-class PointCertificate:
-    """Per-norm robustness lower bounds at one input.
-
-    lb_l1 / lb_linf come from the single-norm guarantee (equivalently the
-    rho limits), lb_l2 from the universal certificate; all are zero when the
-    point is misclassified.
-    """
-
-    label: int
-    predicted: int
-    correct: bool
-    rho1: float
-    rho_inf: float
-    lb_l1: float
-    lb_l2: float
-    lb_linf: float
-
-    def universal_bound(self, p) -> float:
-        """Lower bound on the lp-robustness at any norm order p >= 1.
-
-        The smallest lp-norm outside the convex hull of the l1 ball of
-        radius rho1 and the linf ball of radius rho_inf, which no decision or
-        region hyperplane can enter; it equals rho1 at p = 1 and rho_inf at
-        p = inf.
-        """
-        return float(_hull_radii(np.array([self.rho1]), np.array([self.rho_inf]), p)[0])
 
 
 def _hull_radii(rho1: np.ndarray, rho_inf: np.ndarray, p) -> np.ndarray:
@@ -113,29 +81,21 @@ def _check_radius(value, name: str) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def certify_single_norm(net, x, label: int, p) -> float:
-    """Guaranteed lower bound on the lp-robustness at x.
-
-    Inside the region the net is affine, so the robustness is at least the
-    smaller of the nearest region hyperplane and the nearest decision
-    hyperplane; misclassified points certify to zero.  A one-point view of
-    the distances that ``certificates`` computes.
-    """
-    rmap = net_core.region_map(net, net_core._check_input(net, x)[None, :])
-    _, normals, values = rmap.decision_planes(_check_labels(net, [label]))
-    boundary, decision = _min_dists(rmap, np.abs(rmap.values), values, normals, p)
-    return 0.0 if decision[0] < 0.0 else float(min(boundary[0], decision[0]))
-
-
 @dataclass(frozen=True)
 class Certificates:
     """Per-point certificates of a batch, one array entry per point.
 
-    Fields as in PointCertificate; ``single_l2`` is the single-norm l2
-    bound (``certify_single_norm`` at p = 2), zero when the nearest decision
-    hyperplane is crossed.  ``region`` numbers the points' activation
-    regions 0, 1, ... in order of first appearance: points share an index
-    exactly when they share a region.
+    ``label`` is the true class and ``predicted`` the net's, both in 1..K;
+    ``correct`` marks the points the net predicts right with no decision
+    hyperplane of their region crossed.  ``rho1`` / ``rho_inf`` are the
+    l1 / linf distances to the nearest region or decision hyperplane;
+    ``lb_l1`` = rho1, ``lb_linf`` = rho_inf and ``lb_l2`` is the universal
+    bound at p = 2 (``universal_bound``).  All five are zero for incorrect
+    points.  ``single_l2`` is the single-norm l2 bound, the nearest region
+    or decision hyperplane in l2, zero when the nearest decision hyperplane
+    is crossed.  ``region`` numbers the points' activation regions 0, 1,
+    ... in order of first appearance: points share an index exactly when
+    they share a region.
     """
 
     label: np.ndarray
@@ -149,11 +109,15 @@ class Certificates:
     single_l2: np.ndarray
     region: np.ndarray
 
-    def point(self, i: int) -> PointCertificate:
-        return PointCertificate(
-            int(self.label[i]), int(self.predicted[i]), bool(self.correct[i]),
-            float(self.rho1[i]), float(self.rho_inf[i]), float(self.lb_l1[i]),
-            float(self.lb_l2[i]), float(self.lb_linf[i]))
+    def universal_bound(self, p) -> np.ndarray:
+        """Lower bound on each point's lp-robustness at a norm order p >= 1.
+
+        The smallest lp-norm outside the convex hull of the l1 ball of
+        radius rho1 and the linf ball of radius rho_inf, which no decision or
+        region hyperplane can enter; it equals rho1 at p = 1 and rho_inf at
+        p = inf.
+        """
+        return _hull_radii(self.rho1, self.rho_inf, p)
 
     def radii(self) -> dict:
         """Certified radius of each point per norm: lb_l1, lb_linf, and for
@@ -175,14 +139,8 @@ def _min_dists(rmap, gaps, values, normals, p):
 
 
 def certificates(net, X, labels) -> Certificates:
-    """Certificates of every row of X (B, d) with true labels in 1..K.
-
-    A point is correct when the net predicts its label and no decision
-    hyperplane of its region is crossed.  rho1 / rho_inf are the nearest
-    boundary or decision hyperplane in l1 / linf, lb_l1 = rho1,
-    lb_linf = rho_inf and lb_l2 the universal bound at p = 2; all are zero
-    for incorrect points.
-    """
+    """Certificates of every row of X (B, d) with true labels in 1..K; the
+    fields are described in ``Certificates``."""
     labels = _check_labels(net, labels)
     n = len(labels)
     if len(X) != n:
@@ -213,12 +171,6 @@ def certificates(net, X, labels) -> Certificates:
         region = net_core._first_seen(np.concatenate(patterns))[0][region]
     return Certificates(labels, predicted, correct, rho1, rho_inf, rho1,
                         _hull_radii(rho1, rho_inf, 2.0), rho_inf, out["single_l2"], region)
-
-
-def point_certificate(net, x, label: int) -> PointCertificate:
-    """Bundle of per-norm lower bounds at x (l1/linf single-norm, l2 universal)."""
-    x = net_core._check_input(net, x)
-    return certificates(net, x[None, :], [int(label)]).point(0)
 
 
 # -- exact robustness oracle -------------------------------------------------

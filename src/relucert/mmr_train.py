@@ -49,7 +49,6 @@ __all__ = [
     "MmrUniversalConfig",
     "TrainConfig",
     "TrainingDiverged",
-    "mmr_universal",
     "loss",
     "loss_gradient",
     "train",
@@ -71,7 +70,7 @@ LR_DROP_FACTOR, LR_DROP_LAST = 10.0, 10
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss or the parameters become non-finite."""
+    """Raised when training meets a non-finite loss, parameter or result."""
 
 
 def _check_finite(cfg, names, strict):
@@ -114,6 +113,9 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.epochs < LAMBDA_RAMP_EPOCHS:
+            raise ValueError(f"epochs must be at least {LAMBDA_RAMP_EPOCHS}, the lambda ramp, "
+                             f"got {self.epochs!r}")
         _check_finite(self, ("learning_rate",), strict=True)
 
 
@@ -280,13 +282,6 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
     return out
 
 
-def mmr_universal(net, x, label: int, cfg: MmrUniversalConfig, kb_now: int) -> float:
-    """Universal l1+linf margin regularizer value at one training point."""
-    x = net_core._check_input(net, x)
-    y = certify._check_labels(net, [label])
-    return float(_universal(net, x[None, :], y, cfg, kb_now, cfg.lambda1, cfg.lambda_inf)[0])
-
-
 # -- loss and gradients ---------------------------------------------------------
 
 
@@ -405,8 +400,6 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     epochs.  History records per-epoch loss, test error and mean certified
     radii on the first CERT_SAMPLE points of the evaluation set.
     """
-    if train_cfg.epochs < LAMBDA_RAMP_EPOCHS:
-        raise ValueError(f"epochs must be at least {LAMBDA_RAMP_EPOCHS}, the lambda ramp")
     X = np.asarray(dataset.features, dtype=np.float64)
     y = certify._check_labels(net0, dataset.labels)
     if eval_dataset is None:
@@ -414,6 +407,8 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     else:
         X_ev = np.asarray(eval_dataset.features, dtype=np.float64)
         y_ev = certify._check_labels(net0, eval_dataset.labels)
+    if len(X) == 0 or len(X_ev) == 0:
+        raise ValueError("training needs points in both the training and the evaluation set")
     n = len(X)
     rng = np.random.default_rng(train_cfg.seed)
     adam = _Adam(net0.weights + net0.biases)
@@ -423,38 +418,46 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     g, grads = _zero_grads(net)
     num_hidden = net0.num_hidden_units
     history = []
-    for epoch in range(train_cfg.epochs):
-        kb = kb_schedule(epoch, train_cfg.epochs, num_hidden)
-        lam_scale = lambda_ramp_factor(epoch, LAMBDA_RAMP_EPOCHS)
-        lr = train_cfg.learning_rate
-        if epoch >= train_cfg.epochs - LR_DROP_LAST:
-            lr /= LR_DROP_FACTOR
-        perm = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, train_cfg.batch_size):
-            sel = perm[start:start + train_cfg.batch_size]
-            g.fill(0.0)
-            value = _loss_and_grad(net, X[sel], y[sel], mmr_cfg, kb, lam_scale, grads)
-            if not math.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite loss {value} at epoch {epoch}, batch offset {start}")
-            adam.step(g, lr)
-            if not np.isfinite(adam.flat).all():
-                raise TrainingDiverged(
-                    f"non-finite parameters after epoch {epoch}, batch offset {start}")
-            epoch_losses.append(value)
-        m = min(CERT_SAMPLE, len(X_ev))
-        certs = certify.certificates(net, X_ev[:m], y_ev[:m])
-        rho1 = np.where(np.isfinite(certs.rho1), certs.rho1, 0.0)
-        rho_inf = np.where(np.isfinite(certs.rho_inf), certs.rho_inf, 0.0)
-        history.append({
-            "epoch": epoch,
-            "loss": float(np.mean(epoch_losses)),
-            "test_error": _test_error(net, X_ev, y_ev),
-            "mean_rho1": float(rho1.mean()),
-            "mean_rho_inf": float(rho_inf.mean()),
-            "kb": kb,
-            "lambda_scale": lam_scale,
-            "lr": lr,
-        })
+    epoch = start = 0
+    try:
+        # an overflow or invalid value anywhere in a step raises at once, so
+        # training stops there whatever the warning filters say
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(train_cfg.epochs):
+                kb = kb_schedule(epoch, train_cfg.epochs, num_hidden)
+                lam_scale = lambda_ramp_factor(epoch, LAMBDA_RAMP_EPOCHS)
+                lr = train_cfg.learning_rate
+                if epoch >= train_cfg.epochs - LR_DROP_LAST:
+                    lr /= LR_DROP_FACTOR
+                perm = rng.permutation(n)
+                epoch_losses = []
+                for start in range(0, n, train_cfg.batch_size):
+                    sel = perm[start:start + train_cfg.batch_size]
+                    g.fill(0.0)
+                    value = _loss_and_grad(net, X[sel], y[sel], mmr_cfg, kb, lam_scale, grads)
+                    if not math.isfinite(value):
+                        raise TrainingDiverged(
+                            f"non-finite loss {value} at epoch {epoch}, batch offset {start}")
+                    adam.step(g, lr)
+                    if not np.isfinite(adam.flat).all():
+                        raise TrainingDiverged(
+                            f"non-finite parameters after epoch {epoch}, batch offset {start}")
+                    epoch_losses.append(value)
+                m = min(CERT_SAMPLE, len(X_ev))
+                certs = certify.certificates(net, X_ev[:m], y_ev[:m])
+                rho1 = np.where(np.isfinite(certs.rho1), certs.rho1, 0.0)
+                rho_inf = np.where(np.isfinite(certs.rho_inf), certs.rho_inf, 0.0)
+                history.append({
+                    "epoch": epoch,
+                    "loss": float(np.mean(epoch_losses)),
+                    "test_error": _test_error(net, X_ev, y_ev),
+                    "mean_rho1": float(rho1.mean()),
+                    "mean_rho_inf": float(rho_inf.mean()),
+                    "kb": kb,
+                    "lambda_scale": lam_scale,
+                    "lr": lr,
+                })
+    except FloatingPointError as exc:
+        raise TrainingDiverged(
+            f"training diverged at epoch {epoch}, batch offset {start}: {exc}") from None
     return net0.with_parameters(net.weights, net.biases), history

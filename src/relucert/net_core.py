@@ -23,10 +23,8 @@ import numpy as np
 __all__ = [
     "ReluNet",
     "RegionMap",
-    "forward",
     "forward_batch",
     "backward_batch",
-    "classify",
     "region_map",
     "region_maps",
     "random_net",
@@ -228,16 +226,6 @@ def _check_input(net: ReluNet, x) -> np.ndarray:
     return x
 
 
-def forward(net: ReluNet, x):
-    """Evaluate the net at x.
-
-    Returns (logits, preactivations), where preactivations is the list of
-    hidden pre-ReLU vectors g^(l).
-    """
-    logits, preacts = forward_batch(net, _check_input(net, x)[None, :])
-    return logits[0], [g[0] for g in preacts]
-
-
 def forward_batch(net: ReluNet, xs):
     """Batched forward pass; xs has shape (B, d).
 
@@ -274,13 +262,9 @@ def backward_batch(net: ReluNet, preacts, g_logits, grads=None, xs=None, g_pre=N
     return g @ net.weights[0]
 
 
-def classify(net: ReluNet, x) -> int:
-    """Predicted class in 1..K; exact logit ties go to the smallest index."""
-    logits, _ = forward(net, x)
-    return int(np.argmax(logits)) + 1
-
-
 def classify_batch(net: ReluNet, xs) -> np.ndarray:
+    """Predicted class in 1..K of each row of xs (B, d); exact logit ties go
+    to the smallest index."""
     logits, _ = forward_batch(net, xs)
     return np.argmax(logits, axis=1) + 1
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from relucert import certify, datasets, geometry, mmr_train, net_core
+from relucert import attacks, certify, datasets, geometry, mmr_train, net_core
 from relucert.cli import derive_eps2
 from relucert.net_core import random_net
 
@@ -88,6 +88,17 @@ def hyperplane_distances(net, x, label, p):
     return boundary[0], decision[0]
 
 
+def attack_one(net, dataset, p, eps, seed=0, **kwargs):
+    """attack_norms on the one norm of order p in {1, 2, inf}, at radius
+    eps: its (success, best_norm, best_delta).  seed is the norm's own
+    seed: attack_norms adds 1, 2 or 3 to the seed it is given."""
+    names = {1.0: "l1", 2.0: "l2", math.inf: "linf"}
+    offset = list(names).index(p) + 1
+    radii = [eps if q == p else None for q in names]
+    return attacks.attack_norms(net, dataset, radii, norms=(names[p],), seed=seed - offset,
+                                **kwargs)[names[p]]
+
+
 def finite_difference_check(net, X, y, cfg, kb, step=1e-5):
     """Worst elementwise relative error of the analytic loss gradient."""
     dW, db = mmr_train.loss_gradient(net, (X, y), cfg, kb_now=kb)
@@ -109,9 +120,9 @@ def finite_difference_check(net, X, y, cfg, kb, step=1e-5):
 
 def point_is_generic(net, x, label, cfg, kb, margin=1e-3):
     """No ReLU / hinge / sort / max-abs kink within reach of the FD step."""
-    _, preacts = net_core.forward(net, x)
+    _, preacts = net_core.forward_batch(net, np.asarray(x, dtype=float)[None, :])
     for g in preacts:
-        if len(g) and np.abs(g).min() < margin:
+        if g.size and np.abs(g).min() < margin:
             return False
     masks, v_list, a_list, rows, offs = per_point_reference.point_geometry(net, x)
     u = rows @ x + offs

@@ -436,8 +436,8 @@ def region_polygon(box, rows, offs, oris):
 def pattern_key(net, z):
     """Activation pattern at z, one bytes object per hidden layer (1 where
     the unit's preactivation is > 0), as RegionAtlas keys its regions."""
-    _, preacts = net_core.forward(net, z)
-    return tuple(bytes((g > 0).astype(np.uint8)) for g in preacts)
+    _, preacts = net_core.forward_batch(net, np.asarray(z, dtype=float)[None, :])
+    return tuple(bytes((g[0] > 0).astype(np.uint8)) for g in preacts)
 
 
 def atlas(net, lo=-8.0, hi=9.0, max_regions=20000, num_probes=512, seed=7):

@@ -8,16 +8,13 @@ import time
 import numpy as np
 
 from relucert import net_core
-from relucert.attacks import PgdConfig, attack_dataset, attack_norms, lower_bounds
-from relucert.certify import (
-    bounds, certificates, certify_single_norm, exact_robustness_oracle,
-    point_certificate,
-)
+from relucert.attacks import attack_norms, lower_bounds
+from relucert.certify import bounds, certificates, exact_robustness_oracle
 from relucert.cli import derive_eps2
 from relucert.geometry import BallPair, hull_min_norm, ratio_analysis, union_min_norm
 from relucert.mmr_train import MmrUniversalConfig
 
-from conftest import finite_difference_check, sample_generic_batch, tiny_net
+from conftest import attack_one, finite_difference_check, sample_generic_batch, tiny_net
 from oracles import hull_boundary_oracle, union_witness
 
 
@@ -98,20 +95,22 @@ def test_criterion_4_certification_soundness():
         checked = 0
         for net_idx in range(20):
             net = tiny_net(net_idx)
-            for _ in range(25):
-                x = rng.uniform(0.0, 1.0, size=2)
-                label = net_core.classify(net, x)
-                for p in (1.0, 2.0, math.inf):
-                    cert = certify_single_norm(net, x, label, p)
+            X = rng.uniform(0.0, 1.0, size=(25, 2))
+            labels = net_core.classify_batch(net, X)
+            c = certificates(net, X, labels)
+            # the single-norm bounds at p = 1, 2, inf
+            single = {1.0: c.lb_l1, 2.0: c.single_l2, math.inf: c.lb_linf}
+            cu = c.universal_bound(2.0)
+            for i, (x, label) in enumerate(zip(X, labels)):
+                for p, cert in single.items():
                     res = exact_robustness_oracle(net, x, label, p)
-                    assert cert <= res.value + 1e-9, (net_idx, x, p)
-                pc = point_certificate(net, x, label)
-                cu = pc.universal_bound(2.0)
+                    assert cert[i] <= res.value + 1e-9, (net_idx, x, p)
                 res2 = exact_robustness_oracle(net, x, label, 2.0)
-                assert cu <= res2.value + 1e-9
-                if pc.correct and pc.rho_inf > 0 and math.isfinite(pc.rho1):
-                    union = union_min_norm(BallPair(pc.rho1, pc.rho_inf, 2), 2.0)
-                    assert cu >= union - 1e-12
+                assert cu[i] <= res2.value + 1e-9
+                rho1, rho_inf = c.rho1[i], c.rho_inf[i]
+                if c.correct[i] and rho_inf > 0 and math.isfinite(rho1):
+                    union = union_min_norm(BallPair(rho1, rho_inf, 2), 2.0)
+                    assert cu[i] >= union - 1e-12
                 checked += 1
         assert checked == 500
         elapsed = time.perf_counter() - t0
@@ -164,15 +163,11 @@ def test_criterion_7_sandwich(trained_pairs):
                                                          restarts=5, seed=run["seed"]))["union"]
                 ub = ub_union(net, sub, eps)
                 assert lb <= ub + 1e-12, f"{kind} seed {run['seed']}: {lb} > {ub}"
-                certs = [point_certificate(net, sub.features[i], int(sub.labels[i]))
-                         for i in range(sub.count)]
-                bound = {"l1": np.array([c.lb_l1 for c in certs]),
-                         "l2": np.array([c.lb_l2 for c in certs]),
-                         "linf": np.array([c.lb_linf for c in certs])}
+                certs = certificates(net, sub.features, sub.labels)
+                bound = {"l1": certs.lb_l1, "l2": certs.lb_l2, "linf": certs.lb_linf}
                 for name, (p, e) in radii.items():
-                    cfg = PgdConfig(p=p, eps=e, iterations=60, restarts=5,
-                                    seed=run["seed"] + 31)
-                    success, norms, _ = attack_dataset(net, sub, cfg)
+                    success, norms, _ = attack_one(net, sub, p, e, iterations=60, restarts=5,
+                                                   seed=run["seed"] + 31)
                     hit = success & np.isfinite(norms)
                     assert (norms[hit] >= bound[name][hit] - 1e-7).all(), (
                         f"{kind} seed {run['seed']} norm {name}")

@@ -6,15 +6,12 @@ import pytest
 from scipy.optimize import minimize
 
 from relucert import attacks, certify, net_core
-from relucert.attacks import (
-    PgdConfig, attack_dataset, attack_norms, lower_bounds, overlap_table, pgd_attack,
-    project_lp_ball,
-)
+from relucert.attacks import PgdConfig, attack_norms, lower_bounds, overlap_table
 from relucert.certify import EpsTriple
 from relucert.datasets import Dataset
 from relucert.net_core import ReluNet
 
-from conftest import cleared_net, hyperplane_distances, tiny_net
+from conftest import attack_one, cleared_net, hyperplane_distances, tiny_net
 
 import per_point_reference
 
@@ -37,6 +34,12 @@ def lp_norm(v, p):
 def margin_linear_net():
     # f1 - f2 = 10*x1 + 3*x2 - 6.5: boundary crosses the box interior
     return ReluNet((np.array([[10.0, 3.0], [0.0, 0.0]]),), (np.array([-6.5, 0.0]),))
+
+
+def project(v, eps, p):
+    """The attacks' projection of the one vector v onto the lp ball of
+    radius eps."""
+    return attacks._project_ball_rows(np.asarray(v, dtype=float)[None, :], eps, p)[0]
 
 
 def l1_projection_qp(v, eps):
@@ -71,16 +74,16 @@ def l1_projection_qp(v, eps):
 def test_projection_identity_inside_ball():
     v = np.array([0.4, -0.2, 0.1])
     for p in (1.0, 2.0, math.inf):
-        assert np.array_equal(project_lp_ball(v, 5.0, p), v)
+        assert np.array_equal(project(v, 5.0, p), v)
 
 
 def test_projection_linf_clipping():
-    assert np.allclose(project_lp_ball([2.0, -3.0], 1.0, math.inf), [1.0, -1.0])
+    assert np.allclose(project([2.0, -3.0], 1.0, math.inf), [1.0, -1.0])
 
 
 def test_projection_l2_radial():
     v = np.array([3.0, 4.0])
-    out = project_lp_ball(v, 1.0, 2.0)
+    out = project(v, 1.0, 2.0)
     assert np.allclose(out, v / 5.0)
 
 
@@ -89,7 +92,7 @@ def test_projection_l1_matches_qp_oracle():
     for _ in range(25):
         v = rng.uniform(-2, 2, size=6)
         eps = rng.uniform(0.2, 3.0)
-        ours = project_lp_ball(v, eps, 1.0)
+        ours = project(v, eps, 1.0)
         ref = l1_projection_qp(v, eps)
         assert np.abs(ours - ref).max() <= 1e-6
         assert np.abs(ours).sum() <= eps + 1e-9
@@ -101,31 +104,28 @@ def test_projection_result_norm_bound():
         for _ in range(50):
             v = rng.uniform(-3, 3, size=8)
             eps = rng.uniform(0.01, 2.0)
-            out = project_lp_ball(v, eps, p)
+            out = project(v, eps, p)
             assert lp_norm(out, p) <= eps + 1e-9
 
 
 def test_pgd_linear_finds_flip_above_margin():
     net = margin_linear_net()
     x = np.array([0.53, 0.50])
-    lab = net_core.classify(net, x)
+    ds = Dataset(x[None, :], net_core.classify_batch(net, x[None, :]))
+    lab = int(ds.labels[0])
     for p in (1.0, 2.0, math.inf):
         margin = hyperplane_distances(net, x, lab, p)[1].min()
-        cfg = PgdConfig(p=p, eps=margin * 1.05, iterations=100, restarts=10, seed=3)
-        adv = pgd_attack(net, x, lab, cfg)
-        assert adv is not None
-        assert net_core.classify(net, adv) != lab
+        kwargs = dict(iterations=100, restarts=10, seed=3)
+        success, _, deltas = attack_one(net, ds, p, margin * 1.05, **kwargs)
+        adv = x + deltas[0]
+        assert success[0]
+        assert net_core.classify_batch(net, adv[None, :])[0] != lab
         assert lp_norm(adv - x, p) <= margin * 1.05 + 1e-9
         # never below the certified radius
-        below = PgdConfig(p=p, eps=margin * 0.95, iterations=100, restarts=10, seed=3)
-        assert pgd_attack(net, x, lab, below) is None
+        assert not attack_one(net, ds, p, margin * 0.95, **kwargs)[0][0]
 
 
-@pytest.mark.parametrize("run", [
-    lambda net, x, cfg: pgd_attack(net, x, 1, cfg),
-    lambda net, x, cfg: attack_dataset(net, Dataset(x[None, :], [1]), cfg),
-], ids=["pgd_attack", "attack_dataset"])
-def test_pgd_rejects_infeasible_core_result(monkeypatch, run):
+def test_pgd_rejects_infeasible_core_result(monkeypatch):
     # a core that reports success with a perturbation outside the ball must
     # raise, also under python -O
     net = margin_linear_net()
@@ -138,7 +138,7 @@ def test_pgd_rejects_infeasible_core_result(monkeypatch, run):
 
     monkeypatch.setattr(attacks, "_pgd_core", bad_core)
     with pytest.raises(RuntimeError, match="outside"):
-        run(net, x, PgdConfig(p=math.inf, eps=0.1, iterations=2, restarts=1))
+        attack_one(net, Dataset(x[None, :], [1]), math.inf, 0.1, iterations=2, restarts=1)
 
 
 def test_pgd_rejects_correctly_classified_core_result(monkeypatch):
@@ -151,30 +151,10 @@ def test_pgd_rejects_correctly_classified_core_result(monkeypatch):
                 np.zeros_like(starts))
 
     monkeypatch.setattr(attacks, "_pgd_core", bad_core)
-    lab = net_core.classify(net, x)
+    lab = net_core.classify_batch(net, x[None, :])[0]
     with pytest.raises(RuntimeError, match="not misclassified"):
-        attack_dataset(net, Dataset(x[None, :], [lab], num_classes=2),
-                       PgdConfig(p=2.0, eps=0.1, iterations=2, restarts=1))
-
-
-@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
-def test_pgd_attack_is_one_point_of_attack_dataset(p):
-    rng = np.random.default_rng(12)
-    found = 0
-    for seed in range(12):
-        net = tiny_net(seed)
-        x = rng.uniform(0.1, 0.9, size=2)
-        lab = net_core.classify(net, x)
-        cfg = PgdConfig(p=p, eps=rng.uniform(0.05, 0.4), iterations=30, restarts=4,
-                        seed=seed)
-        adv = pgd_attack(net, x, lab, cfg)
-        success, _, deltas = attack_dataset(net, Dataset(x[None, :], [lab]), cfg)
-        if success[0]:
-            assert adv.tobytes() == (x + deltas[0]).tobytes()
-            found += 1
-        else:
-            assert adv is None
-    assert 0 < found < 12
+        attack_one(net, Dataset(x[None, :], [lab], num_classes=2), 2.0, 0.1, iterations=2,
+                   restarts=1)
 
 
 def test_attack_dataset_restart_zero_starts_at_the_point(monkeypatch):
@@ -187,8 +167,7 @@ def test_attack_dataset_restart_zero_starts_at_the_point(monkeypatch):
 
     monkeypatch.setattr(attacks, "_pgd_core", core)
     X = np.array([[0.2, 0.3], [0.6, 0.5]])
-    success, _, _ = attack_dataset(margin_linear_net(), _Points(X, [1, 2]),
-                                   PgdConfig(p=2.0, eps=0.1, restarts=3))
+    success, _, _ = attack_one(margin_linear_net(), _Points(X, [1, 2]), 2.0, 0.1, restarts=3)
     assert not success.any()
     starts = seen["starts"].reshape(2, 3, 2)
     assert (starts[:, 0] == X).all()
@@ -201,15 +180,15 @@ def test_attack_dataset_rejects_label_out_of_range(label):
     # label 0 would otherwise attack the last class, label K+1 run off the end
     net = margin_linear_net()
     with pytest.raises(ValueError, match="out of range"):
-        attack_dataset(net, _Points([[0.5, 0.5]], [label]),
-                       PgdConfig(p=2.0, eps=0.1, iterations=2, restarts=2))
+        attack_one(net, _Points([[0.5, 0.5]], [label]), 2.0, 0.1, iterations=2, restarts=2)
 
 
 def test_pgd_zero_budget_returns_none():
     net = margin_linear_net()
-    x = np.array([0.53, 0.50])
-    cfg = PgdConfig(p=math.inf, eps=0.0, iterations=5, restarts=2, seed=0)
-    assert pgd_attack(net, x, net_core.classify(net, x), cfg) is None
+    X = np.array([[0.53, 0.50]])
+    success, _, _ = attack_one(net, Dataset(X, net_core.classify_batch(net, X)), math.inf, 0.0,
+                               iterations=5, restarts=2, seed=0)
+    assert not success.any()
 
 
 def test_pgd_output_always_feasible_and_misclassified():
@@ -218,15 +197,16 @@ def test_pgd_output_always_feasible_and_misclassified():
         net = tiny_net(seed)
         for p in (1.0, 2.0, math.inf):
             x = rng.uniform(0.1, 0.9, size=2)
-            lab = net_core.classify(net, x)
+            ds = Dataset(x[None, :], net_core.classify_batch(net, x[None, :]))
             eps = rng.uniform(0.05, 0.4)
-            adv = pgd_attack(net, x, lab, PgdConfig(p=p, eps=eps, iterations=40,
-                                                    restarts=5, seed=seed))
-            if adv is None:
+            success, _, deltas = attack_one(net, ds, p, eps, iterations=40, restarts=5,
+                                            seed=seed)
+            if not success[0]:
                 continue
+            adv = x + deltas[0]
             assert lp_norm(adv - x, p) <= eps + 1e-9
             assert adv.min() >= 0.0 and adv.max() <= 1.0
-            assert net_core.classify(net, adv) != lab
+            assert net_core.classify_batch(net, adv[None, :])[0] != ds.labels[0]
 
 
 def test_pgd_config_validation():
@@ -236,8 +216,10 @@ def test_pgd_config_validation():
         for eps in (-0.1, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="eps must be finite and >= 0"):
                 PgdConfig(p=p, eps=eps)
-            with pytest.raises(ValueError, match="eps must be finite and >= 0"):
-                project_lp_ball([0.1, 0.2], eps, p)
+            # attack_norms checks the radius of each norm it attacks, by its name
+            name = attacks._EPS_NAMES[{1.0: "l1", 2.0: "l2", math.inf: "linf"}[p]]
+            with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+                attack_one(margin_linear_net(), _Points([[0.5, 0.5]], [1]), p, eps)
     with pytest.raises(ValueError):
         PgdConfig(p=2.0, eps=0.1, iterations=0)
     with pytest.raises(ValueError):
@@ -260,9 +242,9 @@ def test_attack_norms_rejects_a_bare_string(norm):
 
 def test_pgd_anchor_box_precondition():
     net = margin_linear_net()
-    with pytest.raises(ValueError):
-        pgd_attack(net, np.array([1.4, 0.5]), 1,
-                   PgdConfig(p=2.0, eps=0.1, iterations=5, restarts=1, seed=0))
+    # the points an attack takes lie in the [0, 1] box
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        attack_one(net, Dataset([[1.4, 0.5]], [1]), 2.0, 0.1, iterations=5, restarts=1)
 
 
 def test_lower_bound_all_misclassified():
@@ -426,11 +408,11 @@ def test_float32_only_flip_is_not_reported():
     assert (net_core.classify_batch(fast, X) == 1).all()
     assert (net_core.classify_batch(net, X) == 2).all()
     for p in (1.0, 2.0, math.inf):
-        cfg = PgdConfig(p=p, eps=0.1, iterations=5, restarts=3)
-        success, best_norm, _ = attack_dataset(net, Dataset(X, [2, 2]), cfg)
+        kwargs = dict(iterations=5, restarts=3)
+        success, best_norm, _ = attack_one(net, Dataset(X, [2, 2]), p, 0.1, **kwargs)
         assert not success.any()
         assert np.isinf(best_norm).all()
-        assert pgd_attack(net, X[0], 2, cfg) is None
+        assert not attack_one(net, Dataset(X[:1], [2]), p, 0.1, **kwargs)[0][0]
 
 
 def test_input_gradient_matches_finite_differences():
@@ -814,7 +796,7 @@ def test_reachable_rows_leave_attacks_bitwise_unchanged(name, monkeypatch):
 @pytest.mark.parametrize("name", ["cleared-16-64-64-2", "corners-16-256-256-2"])
 def test_attack_norms_is_attack_dataset_for_each_norm(name, monkeypatch):
     # attack_norms maps the anchors' region once and shares it; the results
-    # are bitwise those of one attack_dataset call a norm, each with its map
+    # are bitwise those of one attack_norms call a norm, each with its map
     net, ds, eps = _region_case(name)
     calls = []
     anchor_region = attacks._anchor_region
@@ -826,11 +808,9 @@ def test_attack_norms_is_attack_dataset_for_each_norm(name, monkeypatch):
     monkeypatch.setattr(attacks, "_anchor_region", spy)
     found = attack_norms(net, ds, eps, iterations=20, restarts=3, seed=5)
     assert calls == [len(ds.features)]
-    for offset, (norm, p) in enumerate(attacks._ORDERS.items(), start=1):
-        cfg = PgdConfig(p=p, eps=dict(zip(attacks._ORDERS, eps))[norm], iterations=20,
-                        restarts=3, seed=5 + offset)
-        alone = attack_dataset(net, ds, cfg)
-        for a, b in zip(found[norm], alone):
+    for norm in attacks._ORDERS:
+        alone = attack_norms(net, ds, eps, norms=(norm,), iterations=20, restarts=3, seed=5)
+        for a, b in zip(found[norm], alone[norm]):
             assert a.tobytes() == b.tobytes(), (name, norm)
     assert len(calls) == 4
     assert any(success.any() for success, _, _ in found.values())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relucert import certify, mmr_train, net_core
+from relucert import certify, geometry, mmr_train, net_core
 from relucert.mmr_train import MmrUniversalConfig
 from relucert.net_core import ReluNet, random_net
 
@@ -120,20 +120,42 @@ def test_certificates_match_reference(name, net):
     X, y = points(net, 60, seed=len(name))
     assert_certificates_match(certify.certificates(net, X, y),
                               reference_certificates(net, X, y))
-    # the per-point functions are B=1 views of the same path
+    # the conftest helper that other tests take distances from
     for i in range(5):
-        pc = certify.point_certificate(net, X[i], int(y[i]))
-        r = ref.certificate(net, X[i], int(y[i]))
-        assert (pc.predicted, pc.correct) == (r["predicted"], r["correct"])
-        assert_close([pc.rho1, pc.rho_inf, pc.lb_l1, pc.lb_l2, pc.lb_linf],
-                     [r[k] for k in ("rho1", "rho_inf", "lb_l1", "lb_l2", "lb_linf")])
         for p in (1.0, 1.5, 2.0, math.inf):
             b, d = ref.distances(net, X[i], int(y[i]), p)
             boundary, decision = hyperplane_distances(net, X[i], int(y[i]), p)
             assert_close(boundary, b)
             assert_close(decision, d)
-            assert_close([certify.certify_single_norm(net, X[i], int(y[i]), p)],
-                         [ref.single_norm(net, X[i], int(y[i]), p)])
+
+
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_universal_bound_is_the_hull_formula_per_point(name, net):
+    X, y = points(net, 60, seed=len(name) + 50)
+    certs = certify.certificates(net, X, y)
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        # point by point: inf where rho1 is, 0 where rho_inf is, else the hull
+        expected = [math.inf if math.isinf(r1) else 0.0 if rinf == 0.0
+                    else geometry.hull_min_norm(r1, rinf, p)
+                    for r1, rinf in zip(certs.rho1, certs.rho_inf)]
+        assert certs.universal_bound(p).tobytes() == np.array(expected).tobytes(), p
+    assert certs.universal_bound(2.0).tobytes() == certs.lb_l2.tobytes()
+    hull = certs.rho_inf > 0
+    assert certs.universal_bound(1.0)[hull].tobytes() == certs.rho1[hull].tobytes()
+    assert certs.universal_bound(math.inf)[hull] == pytest.approx(certs.rho_inf[hull],
+                                                                  rel=1e-15)
+    with pytest.raises(ValueError, match="p >= 1"):
+        certs.universal_bound(0.5)
+
+
+def test_universal_bound_of_unreachable_and_misclassified_points():
+    # constant logits: no hyperplane can be reached, so the winning label
+    # certifies to inf at every p, the other one to 0
+    net = ReluNet((np.zeros((2, 2)),), (np.array([1.0, 0.0]),))
+    certs = certify.certificates(net, np.full((2, 2), 0.5), [1, 2])
+    assert certs.rho1.tolist() == [math.inf, 0.0]
+    for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+        assert certs.universal_bound(p).tolist() == [math.inf, 0.0]
 
 
 @pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
@@ -141,10 +163,6 @@ def test_regularizer_matches_reference(name, net):
     X, y = points(net, 24, seed=len(name) + 100)
     for kb in (1, 3, net.num_hidden_units, net.num_hidden_units + 4):
         assert_regularizer_matches(net, X, y, kb)
-    for i in range(3):
-        assert_close([mmr_train.mmr_universal(net, X[i], int(y[i]), CFG, 3)],
-                     [ref.mmr_point(net, X[i], int(y[i]), CFG, 3, CFG.lambda1,
-                                    CFG.lambda_inf)])
     dW, db = mmr_train.loss_gradient(net, (X, y), CFG, kb_now=2)
     ref_dW, ref_db = ref.loss_gradient(net, X, y, CFG, kb_now=2)
     assert_grads_close(dW + db, ref_dW + ref_db)
@@ -327,9 +345,10 @@ def test_shared_regions_match_point_views_and_reference(name):
     regions = len(np.unique(certs.region))
     assert regions == 1 if name.startswith("cleared") else 2 < regions < 30
     for i in range(len(X)):
-        # the B=1 views build the same rows from one point
-        assert certify.point_certificate(net, X[i], int(y[i])) == certs.point(i)
-        assert certify.certify_single_norm(net, X[i], int(y[i]), 2.0) == certs.single_l2[i]
+        # a one-point batch builds the same row from its point alone
+        one = certify.certificates(net, X[i:i + 1], y[i:i + 1])
+        for key in ("predicted", "correct", "rho1", "rho_inf", "lb_l2", "single_l2"):
+            assert getattr(one, key).tobytes() == getattr(certs, key)[i:i + 1].tobytes()
     assert_certificates_match(certs, reference_certificates(net, X, y))
     assert_regularizer_matches(net, X, y, kb=5)
 

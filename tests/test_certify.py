@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog, minimize
 
 from relucert import certify, geometry, net_core, regions
-from relucert.certify import (
-    EpsTriple, certify_single_norm, exact_robustness_oracle, point_certificate,
-)
+from relucert.certify import EpsTriple, exact_robustness_oracle
 from relucert.net_core import ReluNet, random_net
 
 from conftest import BIASES, TINY_ARCHS, hand_net, hyperplane_distances, tiny_net
@@ -20,6 +18,13 @@ def ub_union(net, X, y, eps):
     """Union robust-error upper bound of the points X with labels y."""
     return certify.bounds(certify.certificates(net, np.asarray(X, dtype=float), y),
                           eps)["union"]
+
+
+def single_norm_radii(net, X, y):
+    """The single-norm l1, l2 and linf bounds of each row of X, by norm
+    order: lb_l1, single_l2 and lb_linf of its certificate."""
+    certs = certify.certificates(net, np.asarray(X, dtype=float), y)
+    return {1.0: certs.lb_l1, 2.0: certs.single_l2, math.inf: certs.lb_linf}
 
 
 def hyperplane_distance_lp(v, a, x, p):
@@ -67,11 +72,16 @@ def hyperplane_distance_lp(v, a, x, p):
 
 def test_distance_profile_linear_two_class():
     net = ReluNet((np.array([[1.0, 0.0], [0.0, 0.0]]),), (np.zeros(2),))
+    radii = single_norm_radii(net, [[1.0, 0.0]], [1])
+    certs = certify.certificates(net, np.array([[1.0, 0.0]]), [1])
     for p in (1.0, 1.5, 2.0, math.inf):
         boundary, decision = hyperplane_distances(net, [1.0, 0.0], 1, p)
         assert boundary.size == 0
         assert decision == pytest.approx([1.0])
-        assert certify_single_norm(net, [1.0, 0.0], 1, p) == pytest.approx(1.0)
+        if p in radii:
+            assert radii[p] == pytest.approx([1.0])
+        # rho1 = rho_inf = 1: the hull of the two unit balls is the l1 ball
+        assert certs.universal_bound(p) == pytest.approx([1.0])
 
 
 def test_distance_profile_hand_value():
@@ -115,7 +125,7 @@ def test_min_decision_sign_tracks_misclassification():
             md = hyperplane_distances(net, x, label, 2.0)[1].min()
             if abs(md) < 1e-9:
                 continue  # exact ties are the only excluded case
-            assert (md < 0) == (net_core.classify(net, x) != label)
+            assert (md < 0) == (net_core.classify_batch(net, x[None, :])[0] != label)
             checked += 1
     assert checked > 150
 
@@ -141,16 +151,16 @@ def test_norm_monotonicity_per_hyperplane():
 
 def test_certify_single_norm_misclassified_is_zero():
     net = ReluNet((np.array([[10.0, 3.0], [0.0, 0.0]]),), (np.array([-6.5, 0.0]),))
-    assert certify_single_norm(net, [0.3, 0.3], 1, 2.0) == 0.0
+    for radius in single_norm_radii(net, [[0.3, 0.3]], [1]).values():
+        assert radius[0] == 0.0
 
 
 def test_certify_single_norm_linear_exact():
     net = ReluNet((np.array([[10.0, 3.0], [0.0, 0.0]]),), (np.array([-6.5, 0.0]),))
     x = np.array([0.53, 0.50])
-    for p in (1.0, 2.0, math.inf):
-        cert = certify_single_norm(net, x, 1, p)
+    for p, cert in single_norm_radii(net, x[None, :], [1]).items():
         oracle = exact_robustness_oracle(net, x, 1, p)
-        assert cert == pytest.approx(oracle.value, abs=1e-9)
+        assert cert[0] == pytest.approx(oracle.value, abs=1e-9)
 
 
 def test_scale_covariance_of_certificates():
@@ -161,14 +171,13 @@ def test_scale_covariance_of_certificates():
     ws[-1] = 7.5 * ws[-1]
     bs[-1] = 7.5 * bs[-1]
     scaled = ReluNet(tuple(ws), tuple(bs))
-    for _ in range(20):
-        x = rng.uniform(0, 1, size=2)
-        for p in (1.0, 2.0, math.inf):
-            a = certify_single_norm(net, x, 1, p)
-            b = certify_single_norm(scaled, x, 1, p)
-            assert a == pytest.approx(b, abs=1e-9)
-        assert point_certificate(net, x, 1).universal_bound(2.0) == pytest.approx(
-            point_certificate(scaled, x, 1).universal_bound(2.0), abs=1e-9)
+    X = rng.uniform(0, 1, size=(20, 2))
+    ones = np.ones(len(X), dtype=np.int64)
+    a, b = single_norm_radii(net, X, ones), single_norm_radii(scaled, X, ones)
+    for p in (1.0, 2.0, math.inf):
+        assert a[p] == pytest.approx(b[p], abs=1e-9)
+    assert certify.certificates(net, X, ones).universal_bound(2.0) == pytest.approx(
+        certify.certificates(scaled, X, ones).universal_bound(2.0), abs=1e-9)
 
 
 def test_certify_universal_reference_value():
@@ -185,16 +194,15 @@ def test_certify_universal_vs_union_substitution():
     checked = 0
     for seed in range(6):
         net = tiny_net(seed)
-        for _ in range(30):
-            x = rng.uniform(0, 1, size=2)
-            label = net_core.classify(net, x)
-            pc = point_certificate(net, x, label)
-            if not pc.correct or pc.rho_inf <= 0 or not math.isfinite(pc.rho1):
+        X = rng.uniform(0, 1, size=(30, 2))
+        certs = certify.certificates(net, X, net_core.classify_batch(net, X))
+        universal = certs.universal_bound(2.0)
+        for i in range(len(X)):
+            rho1, rho_inf = certs.rho1[i], certs.rho_inf[i]
+            if not certs.correct[i] or rho_inf <= 0 or not math.isfinite(rho1):
                 continue
-            cu = pc.universal_bound(2.0)
-            union = geometry.union_min_norm(
-                geometry.BallPair(pc.rho1, pc.rho_inf, 2), 2.0)
-            assert cu >= union - 1e-12
+            union = geometry.union_min_norm(geometry.BallPair(rho1, rho_inf, 2), 2.0)
+            assert universal[i] >= union - 1e-12
             checked += 1
     assert checked > 100
 
@@ -202,13 +210,12 @@ def test_certify_universal_vs_union_substitution():
 def test_universal_bound_function_limits():
     net = tiny_net(1)
     rng = np.random.default_rng(2)
-    x = rng.uniform(0, 1, size=2)
-    label = net_core.classify(net, x)
-    pc = point_certificate(net, x, label)
-    if pc.correct and pc.rho_inf > 0:
-        assert pc.universal_bound(1.0) == pytest.approx(pc.rho1, rel=1e-12)
-        assert pc.universal_bound(math.inf) == pytest.approx(pc.rho_inf, rel=1e-12)
-        assert pc.universal_bound(2.0) == pytest.approx(pc.lb_l2, rel=1e-12)
+    X = rng.uniform(0, 1, size=(1, 2))
+    certs = certify.certificates(net, X, net_core.classify_batch(net, X))
+    if certs.correct[0] and certs.rho_inf[0] > 0:
+        assert certs.universal_bound(1.0) == pytest.approx(certs.rho1, rel=1e-12)
+        assert certs.universal_bound(math.inf) == pytest.approx(certs.rho_inf, rel=1e-12)
+        assert certs.universal_bound(2.0) == pytest.approx(certs.lb_l2, rel=1e-12)
 
 
 def test_oracle_two_unit_hand_enumeration():
@@ -225,8 +232,9 @@ def test_oracle_two_unit_hand_enumeration():
         assert res.num_regions == 4
         assert res.value == pytest.approx(ref, abs=1e-9)
     # the certified bound stays below the true radius
-    assert certify_single_norm(net, x, 1, 2.0) == pytest.approx(1.0)
-    assert point_certificate(net, x, 1).universal_bound(2.0) <= expected[2.0] + 1e-9
+    certs = certify.certificates(net, x[None, :], [1])
+    assert certs.single_l2[0] == pytest.approx(1.0)
+    assert certs.universal_bound(2.0)[0] <= expected[2.0] + 1e-9
 
 
 def test_oracle_refuses_a_box_over_the_region_cap(monkeypatch):
@@ -254,7 +262,7 @@ def test_oracle_refuses_a_box_over_the_region_cap(monkeypatch):
 def test_oracle_refuses_inputs_that_are_not_2d(correct):
     net = random_net([3, 6, 2], seed=2, bias_scale=0.5)
     x = np.array([0.2, 0.5, 0.7])
-    label = net_core.classify(net, x)
+    label = net_core.classify_batch(net, x[None, :])[0]
     if not correct:
         label = 3 - label
     with pytest.raises(ValueError, match="2-D inputs only, got d = 3"):
@@ -286,15 +294,15 @@ def test_certificates_below_oracle_spot_check():
     rng = np.random.default_rng(20)
     for seed in range(4):
         net = tiny_net(seed + 10)
-        for _ in range(10):
-            x = rng.uniform(0, 1, size=2)
-            label = net_core.classify(net, x)
-            for p in (1.0, 2.0, math.inf):
-                cert = certify_single_norm(net, x, label, p)
+        X = rng.uniform(0, 1, size=(10, 2))
+        labels = net_core.classify_batch(net, X)
+        radii = single_norm_radii(net, X, labels)
+        universal = certify.certificates(net, X, labels).universal_bound(2.0)
+        for i, (x, label) in enumerate(zip(X, labels)):
+            for p, cert in radii.items():
                 res = exact_robustness_oracle(net, x, label, p)
-                assert cert <= res.value + 1e-9
-            cu = point_certificate(net, x, label).universal_bound(2.0)
-            assert cu <= exact_robustness_oracle(net, x, label, 2.0).value + 1e-9
+                assert cert[i] <= res.value + 1e-9
+            assert universal[i] <= exact_robustness_oracle(net, x, label, 2.0).value + 1e-9
 
 
 def test_universal_bound_below_oracle_between_the_exact_norms(trained_pairs):
@@ -305,13 +313,13 @@ def test_universal_bound_below_oracle_between_the_exact_norms(trained_pairs):
     net, sub = run["mmr"], run["test"].head(20)
     certs = certify.certificates(net, sub.features, sub.labels)
     positive = 0
-    for i in range(sub.count):
-        for p in (1.5, 3.0):
+    for p in (1.5, 3.0):
+        bounds = certs.universal_bound(p)
+        for i in range(sub.count):
             res = exact_robustness_oracle(net, sub.features[i], int(sub.labels[i]), p)
-            bound = certs.point(i).universal_bound(p)
             assert res.exact
-            assert bound <= res.value + 1e-9, (i, p)
-            positive += bound > 0
+            assert bounds[i] <= res.value + 1e-9, (i, p)
+            positive += bounds[i] > 0
     assert positive > 30
 
 
@@ -421,10 +429,16 @@ def test_max_norm_is_the_plain_max_at_every_shape(shape):
 def test_norm_order_below_one_rejected():
     net = tiny_net(0)
     x = np.array([0.4, 0.6])
-    label = net_core.classify(net, x)
-    for fn in (exact_robustness_oracle, certify_single_norm):
+    label = net_core.classify_batch(net, x[None, :])[0]
+    with pytest.raises(ValueError, match="p >= 1"):
+        exact_robustness_oracle(net, x, label, 0.5)
+    # also on a batch where no point has a positive rho_inf, and so no
+    # point takes the hull formula
+    for y in ([label], [3 - label]):
+        certs = certify.certificates(net, x[None, :], y)
+        assert (certs.rho_inf > 0).tolist() == [y == [label]]
         with pytest.raises(ValueError, match="p >= 1"):
-            fn(net, x, label, 0.5)
+            certs.universal_bound(0.5)
 
 
 def test_atlas_cache_drops_dead_nets():

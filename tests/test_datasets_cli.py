@@ -696,6 +696,26 @@ def test_cli_train_rejects_settings_that_are_not_finite(tmp_path, capsys, monkey
     assert re.fullmatch(f"error: {flag} must be finite and >=? 0, got {bad}\n", captured.err)
 
 
+def test_cli_train_names_epochs_and_stops_on_divergence(tmp_path, capsys):
+    # too few epochs for the lambda ramp is a config error that names its
+    # flag; a finite but huge learning rate overflows on the second step and
+    # ends in an error line, not a traceback
+    data = tmp_path / "blobs.bin"
+    _run(capsys, ["gen-data", "--n", "64", "--out", data])
+    train = ["train", "--data", str(data), "--arch", "8", "--epochs", "10", "--batch", "16",
+             "--out", str(tmp_path / "m.bin")]
+    assert main(train + ["--epochs", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --epochs must be at least 10, the lambda ramp, got 5\n"
+    assert not (tmp_path / "m.bin").exists()
+    assert main(train + ["--lr", "1e300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: training diverged at epoch 0, batch offset 16: overflow "
+                        r"encountered in \w+\n", captured.err)
+
+
 def test_cli_calls_share_no_arguments(tmp_path, capsys):
     # one parser serves every call in the process: a flag or subcommand of
     # one call must not carry over into the next
@@ -713,6 +733,27 @@ def test_cli_calls_share_no_arguments(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["geometry", "--out", str(curve)])  # --d is required again
     assert "the following arguments are required: --d" in capsys.readouterr().err
+
+
+def test_every_public_name_resolves():
+    # perfbench's tracer takes getattr of every __all__ name: a stale entry
+    # would crash every traced run.  The package re-exports only names that
+    # its modules list, the cli's lazily.
+    import importlib
+    import pkgutil
+    import types
+
+    import relucert
+    listed = {}
+    for info in pkgutil.iter_modules(relucert.__path__):
+        module = importlib.import_module(f"relucert.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"relucert.{info.name}.__all__ lists {name!r}"
+            listed[name] = getattr(module, name)
+    public = [name for name, value in vars(relucert).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+    for name in public + list(relucert._CLI_NAMES):
+        assert getattr(relucert, name) is listed[name], name
 
 
 def test_python_m_runs_the_cli_without_warnings(tmp_path):

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from relucert import mmr_train, net_core
 from relucert.mmr_train import (
     MmrUniversalConfig, TrainConfig, TrainingDiverged,
-    kb_schedule, lambda_ramp_factor, loss, loss_gradient,
-    mmr_universal, train,
+    kb_schedule, lambda_ramp_factor, loss, loss_gradient, train,
 )
 from relucert.net_core import ReluNet, random_net
 
@@ -17,6 +16,12 @@ import per_point_reference as ref
 
 
 # -- regularizer values -----------------------------------------------------------
+
+
+def universal(net, X, y, cfg, kb_now):
+    """The universal regularizer of each row of X at labels y, full lambdas."""
+    return mmr_train._universal(net, np.asarray(X, dtype=float), np.asarray(y), cfg, kb_now,
+                                cfg.lambda1, cfg.lambda_inf)
 
 
 def margin_unit_net():
@@ -32,22 +37,22 @@ def test_mmr_universal_hand_value():
     net = margin_unit_net()
     x = np.full(10, 0.05)
     cfg = MmrUniversalConfig(lambda1=1.0, lambda_inf=2.0, gamma1=1.0, gamma_inf=0.1)
-    assert mmr_universal(net, x, 1, cfg, kb_now=1) == pytest.approx(1.5, abs=1e-12)
+    assert universal(net, [x], [1], cfg, 1)[0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_mmr_universal_zero_when_far():
     net = margin_unit_net()
     x = np.full(10, 0.05)
     cfg = MmrUniversalConfig(lambda1=1.0, lambda_inf=2.0, gamma1=0.4, gamma_inf=0.04)
-    assert mmr_universal(net, x, 1, cfg, kb_now=1) == 0.0
+    assert universal(net, [x], [1], cfg, 1)[0] == 0.0
 
 
 def test_mmr_universal_penalizes_misclassification():
     net = ReluNet((np.array([[0.0, 0.0], [10.0, 0.0]]),), (np.array([0.0, -5.0]),))
     x = np.array([0.6, 0.5])  # logits (0, 1): class 2, label 1 is wrong
-    assert net_core.classify(net, x) == 2
+    assert net_core.classify_batch(net, x[None, :])[0] == 2
     cfg = MmrUniversalConfig(lambda1=0.8, lambda_inf=1.7, gamma1=1.0, gamma_inf=0.1)
-    val = mmr_universal(net, x, 1, cfg, kb_now=1)
+    val = universal(net, [x], [1], cfg, 1)[0]
     assert val > cfg.lambda1 + cfg.lambda_inf
 
 
@@ -60,7 +65,7 @@ def test_mmr_universal_sorts_norms_independently():
     x = np.array([0.5, 0.0])
     # distances: A -> (0.5 l1, 0.5 linf); B -> (0.6 l1, 0.3 linf)
     cfg = MmrUniversalConfig(lambda1=1.0, lambda_inf=1.0, gamma1=1.0, gamma_inf=0.4)
-    val = mmr_universal(net, x, 1, cfg, kb_now=1)
+    val = universal(net, [x], [1], cfg, 1)[0]
     assert val == pytest.approx(0.5 + 0.25, abs=1e-12)
 
 
@@ -69,6 +74,10 @@ def test_configs_validated():
         MmrUniversalConfig(lambda1=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+    # fewer epochs than the lambda ramp: rejected with the config, whose
+    # message the CLI turns into its flag
+    with pytest.raises(ValueError, match="^epochs must be at least 10, the lambda ramp, got 9$"):
+        TrainConfig(epochs=9)
 
 
 @pytest.mark.parametrize("bad", [0, 4])
@@ -90,6 +99,17 @@ def test_labels_outside_range_rejected(bad):
         train(net, good, cfg, TrainConfig(epochs=10, batch_size=2), eval_dataset=bad_ds)
 
 
+def test_train_rejects_empty_datasets():
+    # an empty set used to train on nothing and record nan losses and errors
+    net = random_net([2, 5, 2], seed=0)
+    good = SimpleNamespace(features=np.array([[0.2, 0.3]]), labels=np.array([1]))
+    empty = SimpleNamespace(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64))
+    for data, eval_data in ((empty, None), (good, empty)):
+        with pytest.raises(ValueError, match="^training needs points in both the training "):
+            train(net, data, MmrUniversalConfig(), TrainConfig(epochs=10),
+                  eval_dataset=eval_data)
+
+
 def test_mmr_monotone_in_gamma():
     rng = np.random.default_rng(4)
     net = random_net([2, 10, 2], seed=1, bias_scale=0.3)
@@ -98,7 +118,7 @@ def test_mmr_monotone_in_gamma():
     for scale in (0.5, 1.0, 2.0, 4.0):
         cfg = MmrUniversalConfig(lambda1=1.0, lambda_inf=2.0,
                                  gamma1=0.5 * scale, gamma_inf=0.05 * scale)
-        val = mmr_universal(net, x, 1, cfg, kb_now=3)
+        val = universal(net, [x], [1], cfg, 3)[0]
         if prev is not None:
             assert val >= prev - 1e-12
         prev = val
@@ -327,17 +347,14 @@ def test_train_kb_schedule_recorded(trained_pairs):
 
 
 def test_regularized_model_has_larger_margins(trained_pairs):
-    from relucert.certify import point_certificate
+    from relucert.certify import certificates
     for run in trained_pairs["runs"]:
         X, y = run["train"].features[:100], run["train"].labels[:100]
         med = {}
         for kind in ("plain", "mmr"):
-            rho1 = []
-            rho_inf = []
-            for i in range(len(X)):
-                pc = point_certificate(run[kind], X[i], int(y[i]))
-                rho1.append(pc.rho1 if math.isfinite(pc.rho1) else 0.0)
-                rho_inf.append(pc.rho_inf if math.isfinite(pc.rho_inf) else 0.0)
+            certs = certificates(run[kind], X, y)
+            rho1 = np.where(np.isfinite(certs.rho1), certs.rho1, 0.0)
+            rho_inf = np.where(np.isfinite(certs.rho_inf), certs.rho_inf, 0.0)
             med[kind] = (np.median(rho1), np.median(rho_inf))
         assert med["mmr"][0] > med["plain"][0]
         assert med["mmr"][1] > med["plain"][1]
@@ -399,6 +416,21 @@ def test_non_finite_parameters_stop_training(monkeypatch):
                        match="non-finite parameters after epoch 0, batch offset 0"):
         train(random_net([2, 6, 2], seed=0), gen_blobs(48, seed=3), MmrUniversalConfig(),
               TrainConfig(epochs=10, batch_size=16))
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_huge_learning_rate_ends_in_training_diverged(action):
+    # the first Adam step moves the weights by about lr = 1e300, and the next
+    # step's region maps overflow in a matmul: training stops there with
+    # TrainingDiverged naming the step, whatever the warning filters say
+    import warnings
+    from relucert.datasets import gen_blobs
+    with warnings.catch_warnings():
+        warnings.simplefilter(action, RuntimeWarning)
+        with pytest.raises(TrainingDiverged, match="^training diverged at epoch 0, batch "
+                                                   "offset 16: overflow encountered in matmul"):
+            train(random_net([2, 8, 2], seed=0), gen_blobs(64, seed=0), MmrUniversalConfig(),
+                  TrainConfig(epochs=10, batch_size=16, learning_rate=1e300))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from relucert import net_core
-from relucert.net_core import (
-    ReluNet, classify, forward, load_model, random_net, region_map, save_model,
-)
+from relucert.net_core import ReluNet, load_model, random_net, region_map, save_model
 
 from conftest import TINY_ARCHS, tiny_net
 
@@ -46,16 +44,16 @@ def small_identity_net():
 
 def test_forward_identity_weights():
     net = small_identity_net()
-    logits, pre = forward(net, [2.0, 1.0])
-    assert logits == pytest.approx([1.0])
-    assert pre[0] == pytest.approx([2.0, 1.0])
+    logits, pre = net_core.forward_batch(net, [[2.0, 1.0]])
+    assert logits[0] == pytest.approx([1.0])
+    assert pre[0][0] == pytest.approx([2.0, 1.0])
 
 
 def test_forward_all_inactive():
     net = small_identity_net()
-    logits, pre = forward(net, [-1.0, -1.0])
-    assert logits == pytest.approx([0.0])
-    assert (pre[0] < 0).all()
+    logits, pre = net_core.forward_batch(net, [[-1.0, -1.0]])
+    assert logits[0] == pytest.approx([0.0])
+    assert (pre[0][0] < 0).all()
 
 
 def test_forward_matches_naive_interpreter():
@@ -63,35 +61,35 @@ def test_forward_matches_naive_interpreter():
     for seed in range(5):
         net = random_net([3, 7, 5, 4], seed=seed, bias_scale=0.5)
         x = rng.uniform(-1, 1, size=3)
-        logits, pre = forward(net, x)
+        logits, pre = net_core.forward_batch(net, x[None, :])
         ref_logits, ref_pre = naive_forward(net, x)
-        assert np.abs(logits - ref_logits).max() <= 1e-9
+        assert np.abs(logits[0] - ref_logits).max() <= 1e-9
         for g, rg in zip(pre, ref_pre):
-            assert np.abs(g - rg).max() <= 1e-9
+            assert np.abs(g[0] - rg).max() <= 1e-9
 
 
 def test_forward_rejects_bad_shape():
     net = small_identity_net()
-    with pytest.raises(ValueError):
-        forward(net, [1.0, 2.0, 3.0])
+    for bad in ([1.0, 2.0, 3.0], [[1.0, 2.0, 3.0]], [1.0, 2.0]):
+        with pytest.raises(ValueError, match="expected"):
+            net_core.forward_batch(net, bad)
 
 
 def test_classify_argmax_and_ties():
     net = ReluNet((np.eye(2), np.array([[1.0, 0.0], [0.0, 1.0]])),
                   (np.zeros(2), np.zeros(2)))
-    assert classify(net, [1.0, -1.0]) == 1
+    assert net_core.classify_batch(net, [[1.0, -1.0], [-1.0, 1.0]]).tolist() == [1, 2]
     # zero logits: exact tie resolves to the smallest index
     zero = ReluNet((np.zeros((2, 2)),), (np.zeros(2),))
-    assert classify(zero, [0.3, 0.7]) == 1
+    assert net_core.classify_batch(zero, [[0.3, 0.7]]).tolist() == [1]
 
 
 def test_classify_matches_forward_argmax():
     rng = np.random.default_rng(5)
     net = random_net([4, 9, 5], seed=3, bias_scale=0.2)
-    for _ in range(50):
-        x = rng.uniform(-1, 1, size=4)
-        logits, _ = forward(net, x)
-        assert classify(net, x) == int(np.argmax(logits)) + 1
+    X = rng.uniform(-1, 1, size=(50, 4))
+    logits, _ = net_core.forward_batch(net, X)
+    assert np.array_equal(net_core.classify_batch(net, X), np.argmax(logits, axis=1) + 1)
 
 
 def test_activation_pattern_signs():
@@ -111,9 +109,9 @@ def test_masked_forward_identity():
     net = random_net([3, 6, 4], seed=2, bias_scale=0.4)
     for _ in range(20):
         x = rng.uniform(-1, 1, size=3)
-        _, pre = forward(net, x)
+        _, pre = net_core.forward_batch(net, x[None, :])
         for g, mask in zip(pre, one_point(net, x).masks):
-            assert np.array_equal(np.maximum(g, 0.0), g * mask[0])
+            assert np.array_equal(np.maximum(g, 0.0), g * mask)
 
 
 def test_region_linear_product_when_all_active():
@@ -147,8 +145,8 @@ def test_region_affine_consistency():
         z = x + rng.uniform(-0.05, 0.05, size=2)
         if pattern_key(net, z) != key:
             continue
-        logits, _ = forward(net, z)
-        assert np.abs(logits - (v @ z + a)).max() <= 1e-9
+        logits, _ = net_core.forward_batch(net, z[None, :])
+        assert np.abs(logits[0] - (v @ z + a)).max() <= 1e-9
         checked += 1
     assert checked == 100
 
@@ -288,6 +286,7 @@ def test_batched_forward_matches_single():
     X = rng.uniform(-1, 1, size=(32, 3))
     logits, pre = net_core.forward_batch(net, X)
     for i in range(len(X)):
-        li, pi = forward(net, X[i])
-        assert np.abs(logits[i] - li).max() <= 1e-12
-        assert np.abs(pre[0][i] - pi[0]).max() <= 1e-12
+        # a one-point batch gives the point's row
+        li, pi = net_core.forward_batch(net, X[i:i + 1])
+        assert np.abs(logits[i] - li[0]).max() <= 1e-12
+        assert np.abs(pre[0][i] - pi[0][0]).max() <= 1e-12

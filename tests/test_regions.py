@@ -109,7 +109,7 @@ def test_truncated_atlas_matches_reference(max_regions, monkeypatch):
     assert not atlas.complete and not complete
     assert atlas.regions == []
     for z in ([0.3, -0.2], [2.0, 1.0]):
-        label = net_core.classify(net, z)
+        label = net_core.classify_batch(net, [z])[0]
         for p in (1.0, 2.0, math.inf):
             with pytest.raises(ValueError, match=f"MAX_REGIONS = {max_regions} "):
                 certify.exact_robustness_oracle(net, z, label, p)
