@@ -15,14 +15,10 @@ the layer-wise pass.  attack_norms maps that region once and shares it
 among its norms.  Each attack tests membership only against the region's
 hidden rows that an iterate can reach, those that may turn non-positive
 somewhere in an anchor's ball of its radius; the rest are provably positive
-there and are dropped when the attack starts.
-On the corners benchmark's 16-256-256-2 net that leaves 2 (l1), 0 (l2) and
-5 to 7 (linf) of its 512 rows, depending on the seed's test points, so the
-test costs a K x (d + 1) product a row with K small.  An attack drops the
-region after the first step that finds too few iterates inside it.  Either
-way every candidate is classified again by the float64 net before it
-counts, so the choice of path steers the search but never reports an
-adversarial.
+there and are dropped when the attack starts.  An attack drops the region
+after the first step that finds too few iterates inside it.  Either way
+every candidate is classified again by the float64 net before it counts,
+so the choice of path steers the search but never reports an adversarial.
 
 The softmax of the logit gradient runs class-major, K vectorized passes
 across the rows instead of a reduction along each short row, bitwise the
@@ -34,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -148,26 +143,6 @@ def _logit_gradient(logits, y0):
     return np.ascontiguousarray(g.T)
 
 
-class _Region(NamedTuple):
-    """One activation region's affine maps in float32, each row [w, c] the
-    map z -> w . z + c: signed hidden rows (K, d + 1), all positive exactly
-    inside the region, and the output map (K_out, d + 1); with the distinct
-    anchors it was chosen for.  hidden holds the rows that an iterate within
-    lp-distance radius of its anchor can make non-positive: all N of them
-    at radius inf, as _anchor_region builds it."""
-
-    hidden: np.ndarray
-    output: np.ndarray
-    anchors: np.ndarray
-    radius: float = math.inf
-
-    def within(self, radius, p) -> _Region:
-        """The region for iterates within lp-distance radius of their
-        anchors: only the hidden rows that they can reach."""
-        keep = _reachable_rows(self.hidden, self.anchors, radius, p)
-        return self._replace(hidden=self.hidden[keep], radius=radius)
-
-
 def _region_pays(net, inside=1.0) -> bool:
     """Whether a step on a region's map is cheaper than the layer-wise pass
     when a share inside of the iterates lies in the region: the membership
@@ -175,7 +150,7 @@ def _region_pays(net, inside=1.0) -> bool:
     first layer (sum of n_l x n_{l-1}) that the rows inside skip.
 
     It prices the product over all N hidden rows, though an attack keeps
-    only the reachable ones (_Region.within), so it is conservative; it
+    only the reachable ones (_within), so it is conservative; it
     stays so on purpose, since a looser rule would move other nets from the
     layer-wise pass onto the region's float32 map and change their
     results."""
@@ -198,22 +173,29 @@ def _reachable_rows(hidden, anchors, radius, p):
     return slack - reach <= margin
 
 
-def _anchor_region(net, anchors) -> _Region:
+def _anchor_region(net, anchors):
     """The activation region of the float64 net that holds the most distinct
-    anchors, built from one of them (ties go to the region seen first),
-    with all its hidden rows and the distinct anchors in order of first
-    appearance.  It does not depend on the norm or the radius, so one map
-    serves every attack on the same points (_Region.within)."""
+    anchors, built from one of them (ties go to the region seen first): the
+    tuple (hidden, output, anchors, radius) of its ``affine_region`` rows in
+    float32, signed hidden rows (N, d + 1) and output map (K, d + 1), the
+    distinct anchors in order of first appearance and radius inf.  It does
+    not depend on the norm or the radius, so one map serves every attack on
+    the same points (_within)."""
     _, first = net_core._first_seen(np.ascontiguousarray(anchors).view(np.uint8))
     anchors = anchors[first]  # the restarts of a point share its anchor row
     _, preacts = net_core.forward_batch(net, anchors)
     keys = np.packbits(np.concatenate([g > 0 for g in preacts], axis=1), axis=1)
     group, first = net_core._first_seen(keys)
     rmap = net_core.region_map(net, anchors[first[np.bincount(group).argmax()]][None])
-    sign = np.where(np.concatenate(rmap.masks, axis=1)[0], 1.0, -1.0)[:, None]
-    hidden = (sign * np.column_stack([rmap.rows[0], rmap.offsets[0]])).astype(np.float32)
-    output = np.column_stack([rmap.v_maps[-1][0], rmap.a_maps[-1][0]])
-    return _Region(hidden, output.astype(np.float32), anchors)
+    hidden, output = rmap.affine_region(0)
+    return hidden.astype(np.float32), output.astype(np.float32), anchors, math.inf
+
+
+def _within(region, radius, p):
+    """The region for iterates within lp-distance radius of their anchors:
+    only the hidden rows that they can reach."""
+    hidden, output, anchors, _ = region
+    return hidden[_reachable_rows(hidden, anchors, radius, p)], output, anchors, radius
 
 
 def _forward(fast, region, Z, norms):
@@ -227,13 +209,14 @@ def _forward(fast, region, Z, norms):
     if region is None:
         logits, preacts = net_core.forward_batch(fast, Z)
         return logits, (None, preacts)
+    hidden, output, _, radius = region
     Z1 = np.ones((len(Z), Z.shape[1] + 1), dtype=np.float32)
     Z1[:, :-1] = Z
     # (K, B) rather than (B, K): numpy's float32 Z1 @ hidden.T took four
     # times as long, and the min over the leading axis is vectorized
-    inside = (region.hidden @ Z1.T).min(axis=0, initial=np.inf) > 0
-    out = np.flatnonzero(~(inside & (norms <= region.radius)))
-    logits = Z1 @ region.output.T
+    inside = (hidden @ Z1.T).min(axis=0, initial=np.inf) > 0
+    out = np.flatnonzero(~(inside & (norms <= radius)))
+    logits = Z1 @ output.T
     preacts = None
     if len(out):
         logits[out], preacts = net_core.forward_batch(fast, Z1[out, :-1])
@@ -247,7 +230,8 @@ def _gradient(fast, region, logits, state, y0):
     out, preacts = state
     if region is None:
         return net_core.backward_batch(fast, preacts, _logit_gradient(logits, y0))
-    G = _logit_gradient(logits, y0) @ region.output[:, :-1]
+    _, output, _, _ = region
+    G = _logit_gradient(logits, y0) @ output[:, :-1]
     if len(out):
         G[out] = net_core.backward_batch(fast, preacts, _logit_gradient(logits[out], y0[out]))
     return G
@@ -307,7 +291,7 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig, region):
     on the affine map of the anchors' region (_anchor_region of X_ref) for
     the iterates inside it, until a step finds too few of them there.  The
     attack keeps only the region's hidden rows that an iterate within the
-    radius eps + _FEAS_TOL of its anchor can reach (_Region.within); an
+    radius eps + _FEAS_TOL of its anchor can reach (_within); an
     iterate the projection leaves outside that radius takes the layer-wise
     pass.  The iterates, projections and norms stay float64, and an iterate
     counts as misclassified only once the float64 net agrees at x + delta,
@@ -321,7 +305,7 @@ def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig, region):
     y0 = y - 1
     fast = net.astype(np.float32)
     if region is not None:
-        region = region.within(radius, p)
+        region = _within(region, radius, p)
     Z, delta, norms = _joint_project(starts.copy(), X_ref, eps, p)
     best_norm = np.full(len(Z), math.inf)
     best_delta = np.zeros_like(Z)
@@ -423,16 +407,16 @@ def lower_bounds(net, dataset, found: dict) -> dict:
 
 
 def overlap_table(found: dict, radii: dict) -> dict:
-    """For each ordered norm pair (p, q): how many of the successful
-    p-attack perturbations also fit in the q-ball of radius radii[q].
-    found[p] is the (success, best_norm, best_delta) triple of attack_norms.
+    """For each attacked norm p and each other norm q: how many of the
+    successful p-attack perturbations also fit in the q-ball of radius
+    radii[q].  found[p] is the (success, best_norm, best_delta) triple of
+    attack_norms.
 
     Entries are dicts with count/total/pct; pct is None when no p-attack
     succeeded (0 of 0).
     """
     table = {}
-    for pn in _ORDERS:
-        success, _, deltas = found[pn]
+    for pn, (success, _, deltas) in found.items():
         deltas = deltas[success]
         total = len(deltas)
         for qn, q in _ORDERS.items():

@@ -127,13 +127,17 @@ class Certificates:
                 "linf": self.lb_linf}
 
 
+def hidden_norms(rmap, q) -> np.ndarray:
+    """(B, N) lq-norms of each point's hidden hyperplane normals, taken once
+    per table row."""
+    return rmap.stacked([row_norms(v, q) for v in rmap.v_maps[:-1]])
+
+
 def _min_dists(rmap, gaps, values, normals, p):
     """Nearest boundary and nearest (signed) decision lp-distance per point,
-    gaps being |rmap.values|; the dual norms of a layer's hyperplanes are
-    taken once per table row."""
+    gaps being |rmap.values|."""
     q = geometry.dual_exponent(p)
-    norms = rmap.stacked([row_norms(v, q) for v in rmap.v_maps[:-1]])
-    boundary = plane_distances(gaps, norms).min(axis=1, initial=math.inf)
+    boundary = plane_distances(gaps, hidden_norms(rmap, q)).min(axis=1, initial=math.inf)
     decision = plane_distances(values, row_norms(normals, q)).min(axis=1, initial=math.inf)
     return boundary, decision
 
@@ -254,14 +258,15 @@ def exact_robustness_oracle(net, x, label: int, p) -> OracleResult:
     is below 0.9 of x's distance to the box's edge, which ``exact`` then
     marks; otherwise it is an upper bound.  Raises ValueError for nets whose
     input dimension is not 2 and for boxes that need more than
-    regions.MAX_REGIONS regions.  The map of the benchmark's 2-64-2 blobs
-    model (2057 regions) takes about 0.03 s on a 2-vCPU machine.
+    regions.MAX_REGIONS regions.
     """
     if net.input_dim != 2:
         raise ValueError(f"the exact oracle maps 2-D inputs only, got d = {net.input_dim}")
     p = geometry._p_value(p)
     label = int(_check_labels(net, label))
-    x = net_core._check_input(net, x)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (net.input_dim,):
+        raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
     if not np.isfinite(x).all():
         raise ValueError("input has non-finite entries")
     if net_core.classify_batch(net, x[None, :])[0] != label:

@@ -116,8 +116,8 @@ def hull_min_norm(eps1, eps_inf, p):
     scalar = np.ndim(eps1) == 0 and np.ndim(eps_inf) == 0
     eps1 = np.atleast_1d(np.asarray(eps1, dtype=np.float64))
     eps_inf = np.atleast_1d(np.asarray(eps_inf, dtype=np.float64))
-    if not (np.all(eps1 > 0) and np.all(eps_inf > 0)):
-        raise ValueError("ball radii must be positive")
+    if not all(np.all((r > 0) & (r < math.inf)) for r in (eps1, eps_inf)):
+        raise ValueError("ball radii must be positive and finite")
     q = dual_exponent(p)  # p = 1: q = inf makes the denominator exactly 1
     delta = eps1 / eps_inf
     alpha = delta - np.floor(delta)

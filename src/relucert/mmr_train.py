@@ -244,8 +244,7 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
                 continue
             q = dual_exponent(p)  # linf for p = 1, l1 for p = inf
             if kb:
-                # dual norms once per table row
-                dens = rmap.stacked([certify.row_norms(v, q) for v in rmap.v_maps[:-1]])
+                dens = certify.hidden_norms(rmap, q)
                 dists = certify.plane_distances(abs_u, dens)
                 near, take = _nearest(dists, kb)
                 value += lam * _hinge(near / gamma).sum(axis=1) / kb

@@ -172,10 +172,10 @@ class RegionMap:
         out[self.index[l]] = np.arange(len(self.index[l]))
         return out
 
-    def stacked(self, tables, tail=()) -> np.ndarray:
-        """Per-point stack (B, N, *tail) of one table (U_l, n_l, *tail) per
-        hidden layer, such as the hidden v_maps or their row norms."""
-        out = np.empty(self.values.shape + tuple(tail))
+    def stacked(self, tables) -> np.ndarray:
+        """Per-point stack (B, N) of one table (U_l, n_l) per hidden layer,
+        such as the row norms of the hidden v_maps."""
+        out = np.empty(self.values.shape)
         pos = 0
         for table, index in zip(tables, self.index):
             n = table.shape[1]
@@ -185,15 +185,16 @@ class RegionMap:
             pos += n
         return out
 
-    @property
-    def rows(self) -> np.ndarray:
-        """(B, N, d): each point's hidden hyperplane normals."""
-        return self.stacked(self.v_maps[:-1], self.points.shape[1:])
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """(B, N): each point's hidden hyperplane offsets; values = rows . x + offsets."""
-        return self.stacked(self.a_maps[:-1])
+    def affine_region(self, i):
+        """Point i's activation region as rows [w, c] of affine maps z -> w . z
+        + c: ``hidden`` (N, d + 1), each hidden unit's row signed by its mask,
+        so that every row is positive exactly inside the region, and
+        ``output`` (K, d + 1), the logit map there.  Each layer's row is
+        gathered from its table; no per-point stack is built."""
+        *hidden, output = [np.column_stack([v[index[i]], a[index[i]]])
+                           for v, a, index in zip(self.v_maps, self.a_maps, self.index)]
+        sign = np.where(self.values[i] > 0, 1.0, -1.0)[:, None]  # the masks, concatenated
+        return sign * np.concatenate([np.empty((0, output.shape[1])), *hidden]), output
 
     def decision_planes(self, labels):
         """Decision hyperplanes of each point against every other class.
@@ -217,13 +218,6 @@ class RegionMap:
     def patterns(self) -> np.ndarray:
         """Activation pattern of each region, bits packed: (U, ceil(N / 8))."""
         return np.packbits(self.values[self.some_point(-1)] > 0, axis=1)
-
-
-def _check_input(net: ReluNet, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
-    return x
 
 
 def forward_batch(net: ReluNet, xs):
@@ -397,11 +391,14 @@ def region_maps(net: ReluNet, xs):
     points, except the last.  Building a chunk holds its tables and the
     layer step's two temporaries, at most 3 R regions' rows of (., N, d)
     arrays.  A point's geometry does not depend on the rest of its chunk,
-    so it is the same wherever the chunks are cut.
+    so it is the same wherever the chunks are cut.  A row that is not finite
+    raises ValueError.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:
         raise ValueError(f"batch has shape {xs.shape}, expected (B, {net.input_dim})")
+    if not np.isfinite(xs).all():
+        raise ValueError(f"row {np.argwhere(~np.isfinite(xs))[0, 0]} of the batch is not finite")
     cap = _region_cap(net)
     most = cap * max(1, CHUNK_BYTES // (8 * max(net.num_hidden_units, 1)) // cap)
     step, lo = cap, 0

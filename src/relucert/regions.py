@@ -27,7 +27,7 @@ import numpy as np
 
 from . import net_core
 
-__all__ = ["RegionAtlas", "clip_polygon"]
+__all__ = ["RegionAtlas"]
 
 # the clip rule's tolerance: a vertex within it of the line counts as on it
 _TOL = 1e-12
@@ -76,21 +76,6 @@ def _clip(xy, counts, d, width=0):
     out = out.reshape(2, width, Q)
     np.copyto(out, out[:, :1], where=np.arange(width)[:, None] >= n)
     return out, n
-
-
-def clip_polygon(poly: np.ndarray, normal, cutoff) -> np.ndarray:
-    """Intersect a convex polygon with the half-plane {z : normal.z <= cutoff}.
-
-    poly is an (m, 2) array of vertices in order (either orientation); the
-    result may be empty, a point, a segment (2 vertices) or a polygon.
-    """
-    poly = np.asarray(poly, dtype=np.float64).reshape(-1, 2)
-    if len(poly) == 0:
-        return poly
-    xy = np.concatenate([poly, poly[:1]]).T[:, :, None]
-    d = _side(xy, np.asarray(normal, dtype=np.float64)[None], np.array([-float(cutoff)]))
-    out, n = _clip(xy, np.array([len(poly)]), d)
-    return out[:, :n[0], 0].T
 
 
 def _edges(xy, counts):

@@ -83,7 +83,9 @@ def hyperplane_distances(net, x, label, p):
     q = geometry.dual_exponent(p)
     rmap = net_core.region_map(net, np.asarray(x, dtype=float)[None, :])
     _, normals, values = rmap.decision_planes([label])
-    boundary = certify.plane_distances(np.abs(rmap.values), certify.row_norms(rmap.rows, q))
+    hidden, _ = rmap.affine_region(0)
+    boundary = certify.plane_distances(np.abs(rmap.values),
+                                       certify.row_norms(hidden[None, :, :-1], q))
     decision = certify.plane_distances(values, certify.row_norms(normals, q))
     return boundary[0], decision[0]
 

@@ -296,7 +296,7 @@ def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None):
                 continue
             q = geometry.dual_exponent(p)
             if kb:
-                dens = rmap.stacked([certify.row_norms(v, q) for v in rmap.v_maps[:-1]])
+                dens = certify.hidden_norms(rmap, q)
                 dists = certify.plane_distances(abs_u, dens)
                 sel = np.argsort(dists, axis=1, kind="stable")[:, :kb]
                 near = np.take_along_axis(dists, sel, axis=1)
@@ -464,8 +464,9 @@ def atlas(net, lo=-8.0, hi=9.0, max_regions=20000, num_probes=512, seed=7):
             return regions, False
         key, z = queue.popleft()
         rmap = net_core.region_map(net, z[None, :])
-        rows, offs = rmap.rows[0], rmap.offsets[0]
+        hidden, _ = rmap.affine_region(0)
         oris = np.where(rmap.values[0] > 0, 1.0, -1.0)
+        rows, offs = oris[:, None] * hidden[:, :-1], oris * hidden[:, -1]  # unsigned
         poly = region_polygon(box, rows, offs, oris)
         if poly is None or polygon_area(poly) <= (1e-12 * scale) ** 2:
             continue

@@ -307,21 +307,18 @@ def test_overlap_stats_no_successes():
 def test_overlap_single_coordinate_delta_norms():
     # an l1 perturbation concentrated on one coordinate has l2 and linf norm
     # eps1: it fits the l2 ball iff eps1 <= eps2, never the linf ball when
-    # eps1 > eps_inf; failed attacks are not counted
+    # eps1 > eps_inf; failed attacks are not counted.  Only l1 was attacked,
+    # so the table holds only its pairs
     eps1, eps_inf = 0.3, 0.05
-    none = (np.zeros(0, bool), np.zeros(0), np.zeros((0, 2)))
     found = {
         "l1": (np.array([True, True, False]), np.array([eps1, 0.02, 0.01]),
                np.array([[eps1, 0.0], [0.0, -0.02], [0.01, 0.0]])),
-        "l2": none,
-        "linf": none,
     }
     for eps2, in_l2 in ((eps1, 2), (eps1 - 0.01, 1)):
         table = overlap_table(found, {"l1": eps1, "l2": eps2, "linf": eps_inf})
+        assert set(table) == {("l1", "l2"), ("l1", "linf")}
         assert table[("l1", "l2")] == {"count": in_l2, "total": 2, "pct": 50.0 * in_l2}
         assert table[("l1", "linf")] == {"count": 1, "total": 2, "pct": 50.0}
-        for key in [("l2", "l1"), ("l2", "linf"), ("linf", "l1"), ("linf", "l2")]:
-            assert table[key] == {"count": 0, "total": 0, "pct": None}
 
 
 def test_overlap_stats_structure(trained_pairs):
@@ -536,8 +533,9 @@ def test_region_step_matches_the_layer_wise_pass():
     fast = net.astype(np.float32)
     rng = np.random.default_rng(3)
     # at linf radius 10 from the box every one of the 128 rows is reachable
-    region = attacks._anchor_region(net, rng.uniform(0, 1, size=(50, 16))).within(10.0, math.inf)
-    assert region.hidden.shape == (128, 17)
+    region = attacks._within(attacks._anchor_region(net, rng.uniform(0, 1, size=(50, 16))),
+                             10.0, math.inf)
+    assert region[0].shape == (128, 17)
     Z = rng.uniform(0, 1, size=(300, 16))
     y0 = rng.integers(0, 2, size=300)
     logits, out, G = _region_step(fast, region, Z, y0)
@@ -566,10 +564,10 @@ def test_region_step_zero_preactivation_is_outside():
                   (np.array([-0.25, 0.25, 1.0, 2.0]), np.ones(4), np.zeros(2)))
     assert attacks._region_pays(net)
     region = attacks._anchor_region(net, np.array([[0.6, 0.5], [0.7, 0.2], [0.9, 0.9]]))
-    region = region.within(1.0, math.inf)
+    region = attacks._within(region, 1.0, math.inf)
     # within linf distance 1 of the anchors only units 0 and 1 can switch:
     # both signed rows are x1 - 0.25
-    assert region.hidden.tolist() == [[1.0, 0.0, -0.25]] * 2
+    assert region[0].tolist() == [[1.0, 0.0, -0.25]] * 2
     fast = net.astype(np.float32)
     Z = np.array([[0.25, 0.5], [0.5, 0.5], [0.1, 0.5], [0.25, 0.9]])
     y0 = np.array([0, 1, 0, 1])
@@ -591,8 +589,8 @@ def test_wrong_region_map_never_reports_an_adversarial(monkeypatch):
 
     def swapped(net, anchors):
         calls.append(len(anchors))
-        region = true_region(net, anchors)
-        return region._replace(output=region.output[::-1].copy())
+        hidden, output, anchors, radius = true_region(net, anchors)
+        return hidden, output[::-1].copy(), anchors, radius
 
     monkeypatch.setattr(attacks, "_anchor_region", swapped)
     found = attack_norms(net, ds, eps, iterations=20, restarts=3, seed=1)
@@ -709,16 +707,17 @@ def test_reachable_rows_give_the_full_tables_outside_set(d, p, monkeypatch):
             if p == 1.0:
                 D[1::3] *= np.eye(d)[rng.integers(0, d, len(X) // 3)]
         Z, _, norms = attacks._joint_project(X + D, X, eps, p)
-        region = attacks._anchor_region(net, X).within(radius, p)
+        region = attacks._within(attacks._anchor_region(net, X), radius, p)
         with monkeypatch.context() as m:
             m.setattr(attacks, "_reachable_rows", _keep_all_rows)
-            full = attacks._anchor_region(net, X).within(radius, p)
-        assert len(full.hidden) == 64 and 0 < len(region.hidden) < 64
-        zero = (region.hidden[:, :-1] == 0).all(axis=1)
+            full = attacks._within(attacks._anchor_region(net, X), radius, p)
+        hidden = region[0]
+        assert len(full[0]) == 64 and 0 < len(hidden) < 64
+        zero = (hidden[:, :-1] == 0).all(axis=1)
         # the zero rows with positive offsets (units 0 and 1, unit 2 at seeds
         # 0 and 1, the second layer's unit 0) are dropped; one with offset 0
         # is kept
-        assert zero.sum() == (seed == 2) and (region.hidden[zero, -1] == 0).all()
+        assert zero.sum() == (seed == 2) and (hidden[zero, -1] == 0).all()
         fast = net.astype(np.float32)
         logits, (out, _) = attacks._forward(fast, region, Z, norms)
         full_logits, (full_out, _) = attacks._forward(fast, full, Z, norms)
@@ -765,20 +764,20 @@ def test_reachable_rows_leave_attacks_bitwise_unchanged(name, monkeypatch):
     # iterates all stay in it and a corners-style net
     net, ds, eps = _region_case(name)
     maps, kept = [], []
-    anchor_region, within = attacks._anchor_region, attacks._Region.within
+    anchor_region, within = attacks._anchor_region, attacks._within
 
     def map_spy(net, anchors):
         region = anchor_region(net, anchors)
-        maps.append(len(region.hidden))
+        maps.append(len(region[0]))
         return region
 
     def within_spy(region, radius, p):
         region = within(region, radius, p)
-        kept.append(len(region.hidden))
+        kept.append(len(region[0]))
         return region
 
     monkeypatch.setattr(attacks, "_anchor_region", map_spy)
-    monkeypatch.setattr(attacks._Region, "within", within_spy)
+    monkeypatch.setattr(attacks, "_within", within_spy)
     kwargs = dict(iterations=20, restarts=3, seed=4)
     found = attack_norms(net, ds, eps, **kwargs)
     with monkeypatch.context() as m:
@@ -822,8 +821,8 @@ def test_region_with_no_reachable_row_holds_every_iterate():
     # is inside, as the float64 net agrees, and the l2 attack runs on it
     net, ds, (_, eps, _) = _region_case("corners-16-256-256-2")
     X = np.repeat(ds.features, 3, axis=0)
-    region = attacks._anchor_region(net, X).within(eps + attacks._FEAS_TOL, 2.0)
-    assert region.hidden.shape == (0, 17)
+    region = attacks._within(attacks._anchor_region(net, X), eps + attacks._FEAS_TOL, 2.0)
+    assert region[0].shape == (0, 17)
     rng = np.random.default_rng(0)
     Z, _, norms = attacks._joint_project(X + attacks._sample_ball_rows(rng, len(X), 16, eps, 2.0),
                                          X, eps, 2.0)
@@ -832,7 +831,7 @@ def test_region_with_no_reachable_row_holds_every_iterate():
     _, pre64 = net_core.forward_batch(net, Z)
     assert (np.concatenate(pre64, axis=1) > 0).all()
     Z1 = np.column_stack([Z, np.ones(len(Z))]).astype(np.float32)
-    assert logits.tobytes() == (Z1 @ region.output.T).tobytes()
+    assert logits.tobytes() == (Z1 @ region[1].T).tobytes()
     success, best_norm, _ = attack_norms(net, ds, (None, eps, None), norms=("l2",),
                                          iterations=10, restarts=2)["l2"]
     assert success.any() and (best_norm[success] <= eps + 1e-9).all()
@@ -859,7 +858,7 @@ def test_infeasible_iterate_takes_the_layer_wise_pass(monkeypatch):
 
     def spy(fast, region, Z, norms):
         logits, state = forward(fast, region, Z, norms)
-        assert region is not None and len(region.hidden) == 0  # every row inside
+        assert region is not None and len(region[0]) == 0  # every row inside
         outside.append(state[0].tolist())
         return logits, state
 

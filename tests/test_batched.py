@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relucert import certify, geometry, mmr_train, net_core
+from relucert import attacks, certify, geometry, mmr_train, net_core
 from relucert.mmr_train import MmrUniversalConfig
 from relucert.net_core import ReluNet, random_net
 
@@ -475,3 +475,75 @@ def test_regularizer_memory_does_not_grow_with_the_batch():
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak <= 16 * net_core.CHUNK_BYTES, (kind, n, peak / net_core.CHUNK_BYTES)
+
+
+# -- a point's region as affine maps -----------------------------------------------
+
+
+def stacked_rows(rmap):
+    """(B, N, d + 1): each point's unsigned hidden rows [h, c] in one
+    per-point stack of every layer's gathered table rows, the reference that
+    RegionMap.affine_region is checked against."""
+    out = np.empty(rmap.values.shape + (rmap.points.shape[1] + 1,))
+    pos = 0
+    for v, a, index in zip(rmap.v_maps[:-1], rmap.a_maps[:-1], rmap.index):
+        n = v.shape[1]
+        rows = np.concatenate([v, a[:, :, None]], axis=2)
+        out[:, pos:pos + n] = rows if len(rows) in (1, len(index)) else rows[index]
+        pos += n
+    return out
+
+
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_affine_region_is_the_points_region(name, net):
+    # the signed hidden rows are positive at the point wherever its
+    # preactivation is nonzero, the output map gives its logits, and the
+    # rows are bitwise the stacked ones signed by the masks
+    X, _ = points(net, 60, seed=len(name) + 7)
+    rmap = net_core.region_map(net, X)
+    stack = stacked_rows(rmap)
+    d, N, K = net.input_dim, net.num_hidden_units, net.num_classes
+    for i, x in enumerate(X):
+        hidden, output = rmap.affine_region(i)
+        assert hidden.shape == (N, d + 1) and output.shape == (K, d + 1)
+        x1 = np.append(x, 1.0)
+        nonzero = rmap.values[i] != 0.0
+        assert (hidden[nonzero] @ x1 > 0.0).all(), (name, i)
+        np.testing.assert_allclose(output @ x1, rmap.logits[i], rtol=0,
+                                   atol=1e-12 * (np.abs(output) @ np.abs(x1)).max())
+        sign = np.where(np.concatenate([m[i] for m in rmap.masks]), 1.0, -1.0)[:, None]
+        assert hidden.tobytes() == (sign * stack[i]).tobytes(), (name, i)
+        r = rmap.region[i]
+        want = np.column_stack([rmap.v_maps[-1][r], rmap.a_maps[-1][r]])
+        assert output.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_anchor_region_is_the_stacked_rows_in_float32(name, net):
+    # five anchors within 1e-9 of the first share its region, which so
+    # holds the most of the eight and is built from the first anchor
+    rng = np.random.default_rng(len(name))
+    x0 = rng.uniform(0.2, 0.8, net.input_dim)
+    X = np.vstack([x0 + 1e-9 * np.arange(5)[:, None], rng.uniform(0, 1, (3, net.input_dim))])
+    keys = np.concatenate(net_core.forward_batch(net, X)[1], axis=1) > 0
+    assert (keys[:5] == keys[0]).all()
+    hidden, output, anchors, radius = attacks._anchor_region(net, X)
+    rmap = net_core.region_map(net, x0[None])
+    sign = np.where(np.concatenate(rmap.masks, axis=1)[0], 1.0, -1.0)[:, None]
+    assert hidden.tobytes() == (sign * stacked_rows(rmap)[0]).astype(np.float32).tobytes()
+    want = np.column_stack([rmap.v_maps[-1][0], rmap.a_maps[-1][0]]).astype(np.float32)
+    assert output.tobytes() == want.tobytes()
+    assert anchors.tobytes() == X.tobytes() and radius == math.inf
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_rejected(bad):
+    # certificates and the loss read the region maps, which refuse the row
+    net = random_net([2, 8, 2], bias_scale=0.3)
+    X = np.array([[0.5, 0.5], [0.2, bad], [0.1, 0.9]])
+    with pytest.raises(ValueError, match="row 1 of the batch is not finite"):
+        certify.certificates(net, X, [1, 2, 1])
+    with pytest.raises(ValueError, match="row 1 of the batch is not finite"):
+        mmr_train.loss(net, (X, [1, 2, 1]), CFG)
+    with pytest.raises(ValueError, match="row 1 of the batch is not finite"):
+        mmr_train.loss_gradient(net, (X, [1, 2, 1]), CFG)

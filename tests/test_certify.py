@@ -96,11 +96,11 @@ def test_distance_profile_against_lp_oracle():
     for seed in range(4):
         net = random_net([2, 6, 3], seed=seed, bias_scale=0.4)
         x = rng.uniform(0, 1, size=2)
-        rmap = net_core.region_map(net, x[None, :])
+        hidden, _ = net_core.region_map(net, x[None, :]).affine_region(0)
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             boundary, _ = hyperplane_distances(net, x, 1, p)
             for i in range(net.num_hidden_units):
-                ref = hyperplane_distance_lp(rmap.rows[0, i], rmap.offsets[0, i], x, p)
+                ref = hyperplane_distance_lp(hidden[i, :-1], hidden[i, -1], x, p)
                 if math.isinf(ref):
                     assert math.isinf(boundary[i])
                 else:

@@ -159,6 +159,7 @@ def test_hull_array_matches_scalar_calls(p):
 
 @pytest.mark.parametrize("eps1,eps_inf", [
     ([1.0, 0.0], 0.1), ([1.0, 2.0], [0.1, -0.1]), ([1.0, math.nan], 0.1),
+    (math.inf, 1.0), (1.0, math.inf), ([1.0, 2.0], [0.1, math.inf]),
 ])
 def test_hull_array_rejects_nonpositive_radius(eps1, eps_inf):
     with pytest.raises(ValueError, match="positive"):

@@ -156,8 +156,8 @@ def test_region_anchor_membership():
     for seed in range(5):
         net = random_net([2, 7, 5, 2], seed=seed, bias_scale=0.3)
         x = rng.uniform(0, 1, size=2)
-        rmap = one_point(net, x)
-        signed = np.sign(rmap.values[0]) * (rmap.rows[0] @ x + rmap.offsets[0])
+        hidden, _ = one_point(net, x).affine_region(0)
+        signed = hidden @ np.append(x, 1.0)
         assert (signed >= -1e-12).all()
 
 
@@ -168,8 +168,8 @@ def test_region_pattern_stability():
     z = x + 1e-10 * rng.standard_normal(2)
     r1, r2 = one_point(net, x), one_point(net, z)
     assert pattern_key(net, x) == pattern_key(net, z)
-    assert np.array_equal(r1.rows, r2.rows)
-    assert np.array_equal(r1.offsets, r2.offsets)
+    for a, b in zip(r1.affine_region(0), r2.affine_region(0)):
+        assert np.array_equal(a, b)
 
 
 def test_net_validation():

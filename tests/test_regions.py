@@ -1,6 +1,6 @@
 """The 2-D region atlas: against the unit-by-unit reference walk in
-per_point_reference.py, its region cap, tiling properties and
-clip_polygon."""
+per_point_reference.py, its region cap, tiling properties and its
+polygon clip."""
 
 import math
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from relucert import certify, net_core, regions
 from relucert.net_core import ReluNet, random_net
-from relucert.regions import HI, LO, RegionAtlas, clip_polygon
+from relucert.regions import HI, LO, RegionAtlas
 
 import per_point_reference as ref
 from conftest import BIASES, TINY_ARCHS, hand_net, tiny_net
@@ -205,7 +205,7 @@ def edges_one_piece_at_a_time(atlas, label):
     walks the other way between the same bytes."""
     c = label - 1
     edges = []  # (start, end, piece, from a polygon)
-    pieces = (clip_polygon(reg.poly, reg.v_out[c] - reg.v_out[s], -(reg.a_out[c] - reg.a_out[s]))
+    pieces = (clip_one(reg.poly, reg.v_out[c] - reg.v_out[s], -(reg.a_out[c] - reg.a_out[s]))
               for reg in atlas.regions for s in range(atlas.num_classes) if s != c)
     for i, piece in enumerate(pieces):
         m = len(piece)
@@ -256,7 +256,7 @@ def test_decision_edges_leave_out_shared_polygon_edges(name):
 
 ARCHS = [[2, 3, 2], [2, 8, 3], [2, 12, 2], [2, 4, 4, 2], [2, 6, 5, 3]]
 
-# clip_polygon's tolerance (1e-12) plus rounding: a polygon that close to a
+# the clip's tolerance (1e-12) plus rounding: a polygon that close to a
 # line may sit on either side of it
 KEY_TOL = 1e-11
 
@@ -296,31 +296,42 @@ def test_complete_atlas_tiles_the_box(arch, seed, bias):
         assert ref.pattern_key(net, z) == atlas.regions[r].key
 
 
-# -- clip_polygon ---------------------------------------------------------------
+# -- the clip of one polygon ------------------------------------------------------
+
+
+def clip_one(poly, normal, cutoff):
+    """regions._clip of the convex polygon poly (m, 2), vertices in order, to
+    the half-plane {z : normal.z <= cutoff}: its (n, 2) vertices, n = 0 for
+    empty, 1 for a point, 2 for a segment."""
+    xy, counts = padded_table([np.asarray(poly, dtype=np.float64)])
+    d = regions._side(xy, np.array([normal], dtype=np.float64), np.array([-float(cutoff)]))
+    out, n = regions._clip(xy, counts, d)
+    return out[:, :n[0], 0].T
+
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def test_clip_containing_half_plane_keeps_polygon():
-    assert np.array_equal(clip_polygon(SQUARE, [1.0, 1.0], 2.0), SQUARE)
+    assert np.array_equal(clip_one(SQUARE, [1.0, 1.0], 2.0), SQUARE)
 
 
 def test_clip_disjoint_half_plane_is_empty():
-    assert clip_polygon(SQUARE, [1.0, 0.0], -0.5).shape == (0, 2)
+    assert clip_one(SQUARE, [1.0, 0.0], -0.5).shape == (0, 2)
 
 
 def test_clip_through_square():
     # keep x <= 0.25: the left quarter, vertices in the square's order
-    got = clip_polygon(SQUARE, [1.0, 0.0], 0.25)
+    got = clip_one(SQUARE, [1.0, 0.0], 0.25)
     assert np.array_equal(got, [[0.0, 0.0], [0.25, 0.0], [0.25, 1.0], [0.0, 1.0]])
     # a diagonal cut keeps the triangle below x + y = 1
-    got = clip_polygon(SQUARE, [1.0, 1.0], 1.0)
+    got = clip_one(SQUARE, [1.0, 1.0], 1.0)
     assert np.array_equal(got, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def test_clip_touching_line_gives_segment():
     # {x >= 1} meets the square only in its right edge
-    assert np.array_equal(clip_polygon(SQUARE, [-1.0, 0.0], -1.0), [[1.0, 0.0], [1.0, 1.0]])
+    assert np.array_equal(clip_one(SQUARE, [-1.0, 0.0], -1.0), [[1.0, 0.0], [1.0, 1.0]])
 
 
 def test_atlas_tiles_the_box_near_a_common_point():
@@ -390,7 +401,7 @@ def padded_table(polys):
 @given(cases=st.lists(CLIP_CASES, min_size=1, max_size=6))
 def test_batched_clip_is_the_vertex_walk(cases):
     # every polygon of the batch, on both sides of its line, in one _clip call:
-    # bit for bit the reference's walk, and clip_polygon is the same clip
+    # bit for bit the reference's walk, and so is each polygon clipped alone
     polys = [poly for poly, _, _ in cases for _ in (0, 1)]
     normals = np.array([sign * normal for _, normal, _ in cases for sign in (1.0, -1.0)])
     cutoffs = np.array([sign * cutoff for _, _, cutoff in cases for sign in (1.0, -1.0)])
@@ -401,7 +412,7 @@ def test_batched_clip_is_the_vertex_walk(cases):
         want = ref.clip_polygon(poly, normal, cutoff)
         got = out[:, :n[q], q].T
         assert got.shape == want.shape and np.array_equal(got, want), (q, got, want)
-        assert np.array_equal(clip_polygon(poly, normal, cutoff), want)
+        assert np.array_equal(clip_one(poly, normal, cutoff), want)
         # the table's padding repeats the first vertex
         assert (out[:, n[q]:, q] == out[:, :1, q]).all()
     for q in range(0, len(polys), 2):
@@ -417,7 +428,7 @@ def test_clip_cases_reach_every_result(reverse):
     # vertices within the tolerance of the line count as on it
     for seed in range(20):
         m = 3 + seed % 7
-        size = {kind: len(clip_polygon(*clip_case(seed, m, reverse, kind)))
+        size = {kind: len(clip_one(*clip_case(seed, m, reverse, kind)))
                 for kind in ("empty", "edge", "whole")}
         assert size == {"empty": 0, "edge": 2, "whole": m}
         # a cutoff near the lowest vertex: within the tolerance the vertex is
@@ -425,4 +436,4 @@ def test_clip_cases_reach_every_result(reverse):
         poly, normal, _ = clip_case(seed, m, reverse, "random")
         values = poly[:, 0] * normal[0] + poly[:, 1] * normal[1]
         for near, kept in ((5e-13, 1), (-5e-13, 1), (-3e-12, 0), (3e-12, 3)):
-            assert len(clip_polygon(poly, normal, values.min() + near)) == kept
+            assert len(clip_one(poly, normal, values.min() + near)) == kept
