@@ -8,7 +8,6 @@ from .net_core import (
     save_model,
 )
 from .geometry import (
-    BallPair,
     naive_union_bound,
     union_min_norm,
     hull_min_norm,
@@ -27,7 +26,6 @@ from .mmr_train import (
     loss_gradient,
     train,
 )
-from .attacks import PgdConfig
 from .datasets import Dataset, gen_blobs, gen_moons, gen_corners, load_dataset, save_dataset
 
 __version__ = "0.1.0"

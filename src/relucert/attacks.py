@@ -29,7 +29,7 @@ row max, taken the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from . import geometry, net_core
 from .certify import EpsTriple, _check_labels, _check_radius, row_norms
 
 __all__ = [
-    "PgdConfig",
     "attack_norms",
     "lower_bounds",
     "overlap_table",
@@ -49,30 +48,10 @@ _F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
 _ORDERS = {"l1": 1.0, "l2": 2.0, "linf": math.inf}
 # each norm's radius as certify.bounds names it
 _EPS_NAMES = dict(zip(_ORDERS, EpsTriple._fields))
-
-
-@dataclass(frozen=True)
-class PgdConfig:
-    """Attack protocol: norm order p in {1, 2, inf}, budget eps (finite and
-    >= 0), iterations and restarts; sparsity_frac controls how many
-    coordinates the l1 step touches.  The step size is 2*eps/iterations for
-    l2/linf and eps/4 for the sparse l1 step."""
-
-    p: float
-    eps: float
-    iterations: int = 100
-    restarts: int = 10
-    sparsity_frac: float = 0.01
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.p not in (1.0, 2.0, math.inf):
-            raise ValueError("p must be 1, 2 or inf")
-        _check_radius(self.eps, "eps")
-        if self.iterations < 1 or self.restarts < 1:
-            raise ValueError("iterations and restarts must be >= 1")
-        if not (0.0 < self.sparsity_frac <= 1.0):
-            raise ValueError("sparsity_frac must be in (0, 1]")
+# one norm's attack as attack_norms checks it: order p in _ORDERS, radius
+# eps, and sparsity_frac of the coordinates that the l1 step touches; the
+# step size is 2*eps/iterations for l2/linf and eps/4 for the sparse l1 step
+_Pgd = namedtuple("_Pgd", "p eps iterations restarts sparsity_frac seed")
 
 
 def _proj_l1_rows(D, eps):
@@ -280,7 +259,7 @@ def _joint_project(Z, X_ref, eps, p):
     return Z, delta, norms
 
 
-def _pgd_core(net, starts, X_ref, y, cfg: PgdConfig, region):
+def _pgd_core(net, starts, X_ref, y, cfg: _Pgd, region):
     """Run PGD from the given start rows; anchors and labels are per-row.
 
     Returns (success, best_norm, best_delta) per row; best_norm is the
@@ -339,7 +318,7 @@ def _prepare(net, dataset):
     return X, y, _anchor_region(net, X) if _region_pays(net) else None
 
 
-def _attack(net, X, y, region, cfg: PgdConfig):
+def _attack(net, X, y, region, cfg: _Pgd):
     """PGD with one config over the points of _prepare, vectorized over
     (point, restart) pairs; restart 0 starts at the point.  A reported
     perturbation is re-checked exactly: it must lie in the ball and x +
@@ -382,6 +361,10 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
     if isinstance(norms, str):
         raise ValueError(f"norms must be a sequence of names such as ('l1', 'linf'), "
                          f"got the string {norms!r}")
+    if iterations < 1 or restarts < 1:
+        raise ValueError("iterations and restarts must be >= 1")
+    if not 0.0 < sparsity_frac <= 1.0:
+        raise ValueError("sparsity_frac must be in (0, 1]")
     radii = dict(zip(_ORDERS, eps))
     for name in norms:
         if name not in radii:
@@ -389,8 +372,7 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
         if radii[name] is None:
             raise ValueError(f"no radius given for norm {name}")
         _check_radius(radii[name], _EPS_NAMES[name])
-    cfgs = {name: PgdConfig(p=p, eps=radii[name], iterations=iterations, restarts=restarts,
-                            seed=seed + offset, sparsity_frac=sparsity_frac)
+    cfgs = {name: _Pgd(p, radii[name], iterations, restarts, sparsity_frac, seed + offset)
             for offset, (name, p) in enumerate(_ORDERS.items(), start=1) if name in norms}
     points = _prepare(net, dataset)
     return {name: _attack(net, *points, cfg) for name, cfg in cfgs.items()}

@@ -133,7 +133,7 @@ def save_dataset(ds: Dataset, path, fmt: str = "bin") -> None:
         raise ValueError(f"unknown dataset format {fmt!r}")
 
 
-def _load_binary(path, header: dict, payload: bytes) -> Dataset:
+def _load_binary(path, header: dict, payload: bytes):
     for key in _HEADER_KEYS:
         if key not in header:
             raise ValueError(f"{path}: header missing key {key!r}")
@@ -149,10 +149,10 @@ def _load_binary(path, header: dict, payload: bytes) -> Dataset:
     labels = np.frombuffer(payload[count * d * 8:], dtype="<i8")
     if len(labels) and (labels.min() < 1 or labels.max() > k):
         raise ValueError(f"{path}: labels outside 1..{k}")
-    return Dataset(feats, labels, num_classes=k)
+    return feats, labels, k
 
 
-def _load_csv(path, text: str) -> Dataset:
+def _load_csv(path, text: str):
     rows, labels = [], []
     width = None
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
@@ -184,16 +184,22 @@ def _load_csv(path, text: str) -> Dataset:
     if max(labels) > np.iinfo(np.int64).max:
         raise ValueError(f"{path}: labels must fit in int64")
     labs = np.asarray(labels, dtype=np.int64)
-    return Dataset(feats, labs, num_classes=int(labs.max()))
+    return feats, labs, int(labs.max())
 
 
 def load_dataset(path) -> Dataset:
-    """Load a dataset, trying the binary container first and CSV second."""
+    """Load a dataset, trying the binary container first and CSV second.
+    Any malformed file raises ValueError naming the path."""
     header, data = _read_container(path)
     if header is not None:
-        return _load_binary(path, header, data)
+        arrays = _load_binary(path, header, data)
+    else:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+        arrays = _load_csv(path, text)
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
-    return _load_csv(path, text)
+        return Dataset(*arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

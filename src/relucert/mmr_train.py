@@ -208,20 +208,18 @@ def _backprop_tables(net, rmap, g_v, dW):
     dW[0] += g_v[0].sum(axis=0)
 
 
-def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=None,
-               ce=None):
-    """Universal regularizer value at every row of X, shape (B,).
+def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads):
+    """Universal regularizer value and cross-entropy at every row of X: the
+    pair (reg, ce) of (B,) arrays, ce read off the region maps' logits.
 
-    grads, when given, is a (dW, db) pair of per-layer arrays that receives
-    the gradient of the mean value over the rows, through both the numerator
-    and the dual-norm denominator of every selected distance.  ce, when
-    given, is a (B,) array that receives each row's cross-entropy, read off
-    the region map's logits; grads then receives the gradient of its mean
-    too, in the same backward pass.
+    grads, a (dW, db) pair of per-layer arrays, receives the gradient of the
+    mean of reg + ce over the rows, the regularizer's through both the
+    numerator and the dual-norm denominator of every selected distance, in
+    one backward pass per chunk.
     """
     k = net.num_classes
     weight = 1.0 / len(X)
-    out = np.empty(len(X))
+    reg, ce = np.empty(len(X)), np.empty(len(X))
     bounds = np.cumsum((0,) + net.hidden_sizes).tolist()
     layers = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]  # of the N units
     for sl, rmap in net_core.region_maps(net, X):
@@ -231,14 +229,12 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
         idx, c = np.arange(len(u))[:, None], y[sl] - 1
         kb = min(int(kb_now), u.shape[1])
         value = np.zeros(len(u))
-        if ce is not None:
-            ce[sl], g_ce = _cross_entropy(rmap.logits, y[sl], len(X))
-        if grads is not None:
-            # adjoints of the preactivations and logits, and of each table's rows
-            g_u = np.zeros_like(u)
-            g_logits = g_ce if ce is not None else np.zeros_like(rmap.logits)
-            g_v = [np.zeros_like(v) for v in rmap.v_maps]
-            g_diff = np.zeros_like(diff)
+        # adjoints of the logits (the cross-entropy's to start), the
+        # preactivations and each table's rows
+        ce[sl], g_logits = _cross_entropy(rmap.logits, y[sl], len(X))
+        g_u = np.zeros_like(u)
+        g_v = [np.zeros_like(v) for v in rmap.v_maps]
+        g_diff = np.zeros_like(diff)
         for p, lam, gamma in ((1.0, lam1, cfg.gamma1), (math.inf, lam_inf, cfg.gamma_inf)):
             if lam == 0.0:
                 continue
@@ -248,37 +244,33 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads=
                 dists = certify.plane_distances(abs_u, dens)
                 near, take = _nearest(dists, kb)
                 value += lam * _hinge(near / gamma).sum(axis=1) / kb
-                if grads is not None:
-                    coef = np.where(take & (dists < gamma), -(weight * lam) / (kb * gamma), 0.0)
-                    g_val, g_norm = _adjoints(coef, abs_u, dens)
-                    g_u += g_val * np.sign(u)
-                    for l, cols in enumerate(layers):
-                        v = rmap.v_maps[l]
-                        g_v[l] += _norm_grad(_row_sums(rmap.index[l], len(v), g_norm[:, cols]),
-                                             v, q)
+                coef = np.where(take & (dists < gamma), -(weight * lam) / (kb * gamma), 0.0)
+                g_val, g_norm = _adjoints(coef, abs_u, dens)
+                g_u += g_val * np.sign(u)
+                for l, cols in enumerate(layers):
+                    v = rmap.v_maps[l]
+                    g_v[l] += _norm_grad(_row_sums(rmap.index[l], len(v), g_norm[:, cols]), v, q)
             dens = certify.row_norms(diff, q)
             dists = certify.plane_distances(w_num, dens)
             value += lam * _hinge(dists / gamma).sum(axis=1) / (k - 1)
-            if grads is not None:
-                active = (dists < gamma) & np.isfinite(dists)
-                coef = np.where(active, -(weight * lam) / ((k - 1) * gamma), 0.0)
-                g_val, g_norm = _adjoints(coef, w_num, dens)
-                g_logits[idx, others] -= g_val
-                g_logits[idx[:, 0], c] += g_val.sum(axis=1)
-                g_diff += _norm_grad(g_norm, diff, q)
-        out[sl] = value
-        if grads is not None:
-            # the values: the layer-wise backward pass from the chunk's
-            # preactivations and logits
-            net_core.backward_batch(net, [u[:, cols] for cols in layers], g_logits, grads,
-                                    rmap.points, [g_u[:, cols] for cols in layers])
-            # the dual norms: diff = V_out[c] - V_out[s], summed per region
-            gv_out = np.zeros(rmap.logits.shape + diff.shape[2:])
-            gv_out[idx, others] -= g_diff
-            gv_out[idx[:, 0], c] += g_diff.sum(axis=1)
-            g_v[-1] += _row_sums(rmap.region, len(g_v[-1]), gv_out)
-            _backprop_tables(net, rmap, g_v, grads[0])
-    return out
+            active = (dists < gamma) & np.isfinite(dists)
+            coef = np.where(active, -(weight * lam) / ((k - 1) * gamma), 0.0)
+            g_val, g_norm = _adjoints(coef, w_num, dens)
+            g_logits[idx, others] -= g_val
+            g_logits[idx[:, 0], c] += g_val.sum(axis=1)
+            g_diff += _norm_grad(g_norm, diff, q)
+        reg[sl] = value
+        # the values: the layer-wise backward pass from the chunk's
+        # preactivations and logits
+        net_core.backward_batch(net, [u[:, cols] for cols in layers], g_logits, grads,
+                                rmap.points, [g_u[:, cols] for cols in layers])
+        # the dual norms: diff = V_out[c] - V_out[s], summed per region
+        gv_out = np.zeros(rmap.logits.shape + diff.shape[2:])
+        gv_out[idx, others] -= g_diff
+        gv_out[idx[:, 0], c] += g_diff.sum(axis=1)
+        g_v[-1] += _row_sums(rmap.region, len(g_v[-1]), gv_out)
+        _backprop_tables(net, rmap, g_v, grads[0])
+    return reg, ce
 
 
 # -- loss and gradients ---------------------------------------------------------
@@ -309,12 +301,12 @@ def _cross_entropy(logits, y, n):
 def loss(net, batch, cfg: MmrUniversalConfig, kb_now=None, lam_scale: float = 1.0) -> float:
     """Mean over the batch of cross-entropy plus the universal regularizer."""
     X, y = _as_batch(net, batch)
-    return _loss_and_grad(net, X, y, cfg, kb_now, lam_scale)
+    return _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, _zero_grads(net)[1])
 
 
-def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grads=None):
-    """The loss; grads, when given, is a zeroed (dW, db) pair of per-layer
-    arrays that receives its gradient.
+def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grads):
+    """The loss; grads is a zeroed (dW, db) pair of per-layer arrays that
+    receives its gradient.
 
     With a lambda > 0 the cross-entropy is read off the regularizer's region
     maps, and one backward pass per chunk carries both terms; otherwise a
@@ -324,13 +316,11 @@ def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grads=None):
         kb_now = max(1, int(np.rint(KB_START_FRAC * max(net.num_hidden_units, 1))))
     lam1, lam_inf = cfg.lambda1 * lam_scale, cfg.lambda_inf * lam_scale
     if lam1 > 0 or lam_inf > 0:
-        ce = np.empty(len(X))
-        reg = _universal(net, X, y, cfg, kb_now, lam1, lam_inf, grads, ce)
+        reg, ce = _universal(net, X, y, cfg, kb_now, lam1, lam_inf, grads)
         return float(np.mean(ce) + reg.sum() / len(X))
     logits, preacts = net_core.forward_batch(net, X)
     ce, g_logits = _cross_entropy(logits, y, len(X))
-    if grads is not None:
-        net_core.backward_batch(net, preacts, g_logits, grads, X)
+    net_core.backward_batch(net, preacts, g_logits, grads, X)
     return float(np.mean(ce))
 
 

@@ -1,30 +1,32 @@
 """Brute-force geometry oracles that validate the closed forms of
 relucert.geometry: a witness point for the union bound, a hull membership
-test and gauge, and a randomized sampler of the hull boundary."""
+test and gauge, and a randomized sampler of the hull boundary.  Like the
+closed forms, each takes the radii eps1 and eps_inf, and the dimension d
+where it needs one, as plain arguments."""
 
 import math
 
 import numpy as np
 
-from relucert.geometry import BallPair, _p_value
+from relucert.geometry import _p_value
 
 
-def union_witness(bp: BallPair, p) -> np.ndarray:
+def union_witness(eps1, eps_inf, d, p) -> np.ndarray:
     """Point attaining union_min_norm: (d-1) equal coordinates plus one at eps_inf.
 
     Its l1-norm is exactly eps1 and its linf-norm exactly eps_inf, so it sits
     on the boundary of both balls simultaneously.
     """
     _p_value(p)
-    if not (bp.eps_inf < bp.eps1 <= bp.dim * bp.eps_inf):
+    if not (eps_inf < eps1 <= d * eps_inf):
         raise ValueError(
-            f"witness needs eps_inf < eps1 <= d*eps_inf, got {bp}")
-    v = np.full(bp.dim, (bp.eps1 - bp.eps_inf) / (bp.dim - 1))
-    v[-1] = bp.eps_inf
+            f"witness needs eps_inf < eps1 <= d*eps_inf, got {eps1}, {eps_inf}, d={d}")
+    v = np.full(d, (eps1 - eps_inf) / (d - 1))
+    v[-1] = eps_inf
     return v
 
 
-def hull_feasibility_gap(x, bp: BallPair) -> float:
+def hull_feasibility_gap(x, eps1, eps_inf) -> float:
     """max over t in [0,1] of t*eps1 - sum_i max(|x_i| - (1-t)*eps_inf, 0).
 
     The hull is the union over t of t*B1 + (1-t)*Binf, and x belongs to the
@@ -34,32 +36,32 @@ def hull_feasibility_gap(x, bp: BallPair) -> float:
     maximum is >= 0.
     """
     x = np.asarray(x, dtype=np.float64)
-    return float(_gap_rows(x[None, :], bp)[0])
+    return float(_gap_rows(x[None, :], eps1, eps_inf)[0])
 
 
-def _gap_rows(xs, bp: BallPair) -> np.ndarray:
+def _gap_rows(xs, eps1, eps_inf) -> np.ndarray:
     """hull_feasibility_gap for each row of xs, vectorized."""
     ax = np.abs(np.asarray(xs, dtype=np.float64))
-    kinks = 1.0 - ax / bp.eps_inf
+    kinks = 1.0 - ax / eps_inf
     ts = np.concatenate(
         [np.zeros((ax.shape[0], 1)), np.ones((ax.shape[0], 1)), np.clip(kinks, 0.0, 1.0)],
         axis=1,
     )
     # residual at slice t: sum_i max(|x_i| - (1-t)*eps_inf, 0)
-    resid = np.maximum(ax[:, None, :] - (1.0 - ts)[:, :, None] * bp.eps_inf, 0.0).sum(axis=2)
-    gaps = ts * bp.eps1 - resid
+    resid = np.maximum(ax[:, None, :] - (1.0 - ts)[:, :, None] * eps_inf, 0.0).sum(axis=2)
+    gaps = ts * eps1 - resid
     return gaps.max(axis=1)
 
 
-def hull_membership(x, bp: BallPair, tol: float = 1e-9) -> bool:
+def hull_membership(x, eps1, eps_inf, d, tol: float = 1e-9) -> bool:
     """True iff x lies in conv(B1 u Binf), up to slack tol."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (bp.dim,):
-        raise ValueError(f"point has shape {x.shape}, expected ({bp.dim},)")
-    return hull_feasibility_gap(x, bp) >= -tol
+    if x.shape != (d,):
+        raise ValueError(f"point has shape {x.shape}, expected ({d},)")
+    return hull_feasibility_gap(x, eps1, eps_inf) >= -tol
 
 
-def hull_gauge(x, bp: BallPair) -> float:
+def hull_gauge(x, eps1, eps_inf) -> float:
     """Gauge of the hull at x: the smallest g with x in g * conv(B1 u Binf).
 
     Splitting x = u + w, membership of the scaled hull is equivalent to
@@ -70,10 +72,10 @@ def hull_gauge(x, bp: BallPair) -> float:
     is <= 1, and x/gauge(x) sits exactly on the hull boundary.
     """
     x = np.asarray(x, dtype=np.float64)
-    return float(_gauge_rows(x[None, :], bp)[0])
+    return float(_gauge_rows(x[None, :], eps1, eps_inf)[0])
 
 
-def _gauge_rows(xs, bp: BallPair) -> np.ndarray:
+def _gauge_rows(xs, eps1, eps_inf) -> np.ndarray:
     ax = np.abs(np.asarray(xs, dtype=np.float64))
     s = np.sort(ax, axis=1)[:, ::-1]
     pref = np.cumsum(s, axis=1)
@@ -81,12 +83,12 @@ def _gauge_rows(xs, bp: BallPair) -> np.ndarray:
     j = np.arange(1, d + 1)
     # residual above the j-th largest entry: sum of the j larger ones minus j*s_j
     resid = np.concatenate([np.zeros((len(ax), 1)), pref[:, :-1]], axis=1) - (j - 1) * s
-    phi = resid / bp.eps1 + s / bp.eps_inf
-    phi0 = pref[:, -1] / bp.eps1  # theta = 0: everything assigned to the l1 part
+    phi = resid / eps1 + s / eps_inf
+    phi0 = pref[:, -1] / eps1  # theta = 0: everything assigned to the l1 part
     return np.minimum(phi.min(axis=1), phi0)
 
 
-def hull_boundary_oracle(bp: BallPair, p, num_dirs: int = 50000, seed: int = 0,
+def hull_boundary_oracle(eps1, eps_inf, d, p, num_dirs: int = 50000, seed: int = 0,
                          chunk: int = 65536) -> float:
     """Sampled upper bound on hull_min_norm.
 
@@ -98,7 +100,6 @@ def hull_boundary_oracle(bp: BallPair, p, num_dirs: int = 50000, seed: int = 0,
     """
     p = _p_value(p)
     rng = np.random.default_rng(seed)
-    d = bp.dim
     best = math.inf
     remaining = int(num_dirs)
     while remaining > 0:
@@ -106,7 +107,7 @@ def hull_boundary_oracle(bp: BallPair, p, num_dirs: int = 50000, seed: int = 0,
         remaining -= m
         dirs = rng.standard_normal((m, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        scale = 1.0 / _gauge_rows(dirs, bp)
+        scale = 1.0 / _gauge_rows(dirs, eps1, eps_inf)
         if math.isinf(p):
             norms = np.abs(dirs).max(axis=1)
         else:

@@ -272,10 +272,16 @@ def norm_grad_along_axis(scale, rows, q):
     return out
 
 
-def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None):
+def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None, ce=None):
     """``mmr_train._universal`` with the k_B nearest region hyperplanes
     chosen by a stable argsort, layers split by np.split and the q = inf
-    norm gradient written along an axis; the same sums in the same order."""
+    norm gradient written along an axis; the same sums in the same order.
+
+    It returns the regularizer values.  grads, when given, receives the
+    gradient of their mean.  ce, when given, receives each row's
+    cross-entropy, and grads then the gradient of its mean too, the logits'
+    adjoint starting from the cross-entropy's as in ``_universal``; without
+    ce it is the regularizer alone, as ``two_pass_step`` needs."""
     k = net.num_classes
     weight = 1.0 / len(X)
     out = np.empty(len(X))
@@ -287,8 +293,11 @@ def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None):
         idx, c = np.arange(len(u))[:, None], y[sl] - 1
         kb = min(int(kb_now), u.shape[1])
         value = np.zeros(len(u))
+        if ce is not None:
+            ce[sl], g_ce = mmr_train._cross_entropy(rmap.logits, y[sl], len(X))
         if grads is not None:
-            g_u, g_logits = np.zeros_like(u), np.zeros_like(rmap.logits)
+            g_u = np.zeros_like(u)
+            g_logits = g_ce if ce is not None else np.zeros_like(rmap.logits)
             g_v = [np.zeros_like(v) for v in rmap.v_maps]
             g_diff = np.zeros_like(diff)
         for p, lam, gamma in ((1.0, lam1, cfg.gamma1), (math.inf, lam_inf, cfg.gamma_inf)):

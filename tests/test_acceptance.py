@@ -11,7 +11,7 @@ from relucert import net_core
 from relucert.attacks import attack_norms, lower_bounds
 from relucert.certify import bounds, certificates, exact_robustness_oracle
 from relucert.cli import derive_eps2
-from relucert.geometry import BallPair, hull_min_norm, ratio_analysis, union_min_norm
+from relucert.geometry import hull_min_norm, ratio_analysis, union_min_norm
 from relucert.mmr_train import MmrUniversalConfig
 
 from conftest import attack_one, finite_difference_check, sample_generic_batch, tiny_net
@@ -75,14 +75,13 @@ def test_criterion_3_geometry_oracles():
             eps_inf = rng.uniform(0.4, 1.6)
             eps1 = rng.uniform(1.1, 0.9 * d) * eps_inf
             p = (1.5, 2.0, 3.0)[case % 3]
-            bp = BallPair(eps1, eps_inf, d)
-            sampled = hull_boundary_oracle(bp, p, num_dirs=50_000, seed=case)
+            sampled = hull_boundary_oracle(eps1, eps_inf, d, p, num_dirs=50_000, seed=case)
             closed = hull_min_norm(eps1, eps_inf, p)
             assert sampled >= closed - 1e-9
             assert sampled <= closed * 1.01
-            w = union_witness(bp, p)
+            w = union_witness(eps1, eps_inf, d, p)
             wn = float((np.abs(w) ** p).sum() ** (1.0 / p))
-            assert abs(wn - union_min_norm(bp, p)) <= 1e-12
+            assert abs(wn - union_min_norm(eps1, eps_inf, d, p)) <= 1e-12
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0, f"took {elapsed:.1f}s"
 
@@ -109,7 +108,7 @@ def test_criterion_4_certification_soundness():
                 assert cu[i] <= res2.value + 1e-9
                 rho1, rho_inf = c.rho1[i], c.rho_inf[i]
                 if c.correct[i] and rho_inf > 0 and math.isfinite(rho1):
-                    union = union_min_norm(BallPair(rho1, rho_inf, 2), 2.0)
+                    union = union_min_norm(rho1, rho_inf, 2, 2.0)
                     assert cu[i] >= union - 1e-12
                 checked += 1
         assert checked == 500

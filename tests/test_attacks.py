@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import minimize
 
 from relucert import attacks, certify, net_core
-from relucert.attacks import PgdConfig, attack_norms, lower_bounds, overlap_table
+from relucert.attacks import attack_norms, lower_bounds, overlap_table
 from relucert.certify import EpsTriple
 from relucert.datasets import Dataset
 from relucert.net_core import ReluNet
@@ -209,21 +209,39 @@ def test_pgd_output_always_feasible_and_misclassified():
             assert net_core.classify_batch(net, adv[None, :])[0] != ds.labels[0]
 
 
-def test_pgd_config_validation():
-    with pytest.raises(ValueError):
-        PgdConfig(p=3.0, eps=0.1)
+def test_attack_settings_are_checked_before_any_work(monkeypatch):
+    # attack_norms checks its settings before it maps the anchors' region,
+    # on a net whose attacks take the region path
+    net, ds, eps = _region_case("16-64-64-2")
+    calls = []
+    anchor_region = attacks._anchor_region
+
+    def spy(net, anchors):
+        calls.append(len(anchors))
+        return anchor_region(net, anchors)
+
+    monkeypatch.setattr(attacks, "_anchor_region", spy)
+    runs = r"^iterations and restarts must be >= 1$"
+    fraction = r"^sparsity_frac must be in \(0, 1\]$"
+    for bad, message in (({"iterations": 0}, runs), ({"restarts": 0}, runs),
+                         ({"sparsity_frac": 0.0}, fraction), ({"sparsity_frac": 1.5}, fraction),
+                         ({"sparsity_frac": math.nan}, fraction)):
+        with pytest.raises(ValueError, match=message):
+            attack_norms(net, ds, eps, **{"iterations": 2, "restarts": 1, **bad})
+    # a norm is picked by name only: there is no other order to reject
+    with pytest.raises(ValueError, match="^unknown norm 'l3'"):
+        attack_norms(net, ds, eps, norms=("l3",), iterations=2, restarts=1)
+    # attack_norms checks the radius of each norm it attacks, by its name
     for p in (1.0, 2.0, math.inf):
-        for eps in (-0.1, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="eps must be finite and >= 0"):
-                PgdConfig(p=p, eps=eps)
-            # attack_norms checks the radius of each norm it attacks, by its name
+        for bad_eps in (-0.1, -1.0, math.nan, math.inf):
             name = attacks._EPS_NAMES[{1.0: "l1", 2.0: "l2", math.inf: "linf"}[p]]
             with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
-                attack_one(margin_linear_net(), _Points([[0.5, 0.5]], [1]), p, eps)
-    with pytest.raises(ValueError):
-        PgdConfig(p=2.0, eps=0.1, iterations=0)
-    with pytest.raises(ValueError):
-        PgdConfig(p=2.0, eps=0.1, sparsity_frac=0.0)
+                attack_one(net, ds, p, bad_eps)
+            with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+                attack_one(margin_linear_net(), _Points([[0.5, 0.5]], [1]), p, bad_eps)
+    assert calls == []
+    attack_norms(net, ds, eps, iterations=2, restarts=1)
+    assert calls == [len(ds.features)]
 
 
 @pytest.mark.parametrize("norm", ["l2", "linf"])
@@ -864,7 +882,7 @@ def test_infeasible_iterate_takes_the_layer_wise_pass(monkeypatch):
 
     monkeypatch.setattr(attacks, "_joint_project", stuck)
     monkeypatch.setattr(attacks, "_forward", spy)
-    cfg = PgdConfig(p=math.inf, eps=eps, iterations=10, restarts=1)
+    cfg = attacks._Pgd(math.inf, eps, iterations=10, restarts=1, sparsity_frac=0.01, seed=0)
     success, best_norm, best_delta = attacks._pgd_core(net, X.copy(), X, y, cfg,
                                                        attacks._anchor_region(net, X))
     assert outside == [[0]] * 11

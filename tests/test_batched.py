@@ -97,14 +97,19 @@ def assert_certificates_match(certs, expected):
 
 
 def assert_regularizer_matches(net, X, y, kb):
+    """_universal's regularizer and cross-entropy, and the gradient of their
+    mean, against the point-by-point regularizer plus the batched
+    cross-entropy."""
     dW = [np.zeros_like(w) for w in net.weights]
     db = [np.zeros_like(b) for b in net.biases]
-    values = mmr_train._universal(net, X, y, CFG, kb, CFG.lambda1, CFG.lambda_inf,
-                                  grads=(dW, db))
+    values, ce = mmr_train._universal(net, X, y, CFG, kb, CFG.lambda1, CFG.lambda_inf,
+                                      grads=(dW, db))
     ref_values, ref_dW, ref_db = ref.regularizer(net, X, y, CFG, kb, CFG.lambda1,
                                                  CFG.lambda_inf)
+    ref_ce, ce_dW, ce_db = ref.ce_value_and_grad(net, X, y)
     assert_close(values, ref_values)
-    assert_grads_close(dW + db, ref_dW + ref_db)
+    assert_close([ce.mean()], [ref_ce])
+    assert_grads_close(dW + db, [a + b for a, b in zip(ref_dW + ref_db, ce_dW + ce_db)])
 
 
 def assert_grads_close(grads, reference):
@@ -225,13 +230,15 @@ WIDE = MmrUniversalConfig(lambda1=0.9, lambda_inf=2.5, gamma1=50.0, gamma_inf=10
 
 
 def assert_universal_is_the_argsort_form(net, X, y, kb, lams, cfg=CFG):
-    """Values and gradients of _universal bitwise those of the stable-sort
-    reference."""
+    """Values, cross-entropies and gradients of _universal bitwise those of
+    the stable-sort reference."""
     grads = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
     want = ([np.zeros_like(w) for w in net.weights], [np.zeros_like(b) for b in net.biases])
-    values = mmr_train._universal(net, X, y, cfg, kb, *lams, grads=grads)
+    values, ce = mmr_train._universal(net, X, y, cfg, kb, *lams, grads=grads)
+    want_ce = np.empty(len(X))
     assert values.tobytes() == ref.universal_argsort(net, X, y, cfg, kb, *lams,
-                                                     grads=want).tobytes()
+                                                     grads=want, ce=want_ce).tobytes()
+    assert ce.tobytes() == want_ce.tobytes()
     for got, w in zip(grads[0] + grads[1], want[0] + want[1]):
         assert got.tobytes() == w.tobytes()
 
@@ -322,7 +329,7 @@ def test_per_point_results_independent_of_chunking(monkeypatch, name):
         db = [np.zeros_like(b) for b in net.biases]
         values = mmr_train._universal(net, X, y, CFG, 4, CFG.lambda1, CFG.lambda_inf,
                                       grads=(dW, db))
-        return certify.certificates(net, X, y), values, dW + db
+        return certify.certificates(net, X, y), np.concatenate(values), dW + db
 
     certs, values, grads = run()
     per_point = 8 * net.input_dim * net.num_hidden_units

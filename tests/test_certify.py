@@ -201,7 +201,7 @@ def test_certify_universal_vs_union_substitution():
             rho1, rho_inf = certs.rho1[i], certs.rho_inf[i]
             if not certs.correct[i] or rho_inf <= 0 or not math.isfinite(rho1):
                 continue
-            union = geometry.union_min_norm(geometry.BallPair(rho1, rho_inf, 2), 2.0)
+            union = geometry.union_min_norm(rho1, rho_inf, 2, 2.0)
             assert universal[i] >= union - 1e-12
             checked += 1
     assert checked > 100

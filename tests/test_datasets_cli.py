@@ -390,6 +390,31 @@ def test_csv_rejections_name_the_path(tmp_path, data):
         load_dataset(path)
 
 
+def _container_with_feature(path, value):
+    header = {"d": 2, "K": 2, "count": 2, "dtype": "f64", "layout": "row-major"}
+    features = np.array([[0.2, 0.3], [value, 0.4]], dtype="<f8")
+    net_core._write_container(path, header, (features, np.array([1, 2], dtype="<i8")))
+
+
+@pytest.mark.parametrize("name,write,message", [
+    ("big.bin", lambda p: _container_with_feature(p, 1.5), r"feature values must lie in \[0, 1\]"),
+    ("nan.csv", lambda p: p.write_text("0.1,0.2,1\nnan,0.4,2\n"), "features must be finite"),
+], ids=["container-feature-1.5", "csv-feature-nan"])
+def test_dataset_content_errors_name_the_path(tmp_path, capsys, name, write, message):
+    # the checks of Dataset itself name the file too, as load_model's do
+    path = tmp_path / name
+    write(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}$"):
+        load_dataset(path)
+    model = tmp_path / "m.bin"
+    net_core.save_model(net_core.random_net([2, 4, 2], seed=0), model)
+    capsys.readouterr()
+    assert main(["certify", "--model", str(model), "--data", str(path), "--eps1", "0.2",
+                 "--eps2", "0.1", "--epsinf", "0.05"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
 # -- derive_eps2 ----------------------------------------------------------------
 
 
@@ -422,8 +447,7 @@ def test_derive_eps2_uses_the_l1_ball_when_it_contains_the_linf_ball(d, eps1, ep
     value = derive_eps2(eps1, eps_inf, d)
     assert value == eps1 / math.sqrt(d)
     assert value > derive_eps2(eps1, eps_inf)
-    sampled = hull_boundary_oracle(geometry.BallPair(eps1, eps_inf, d), 2.0,
-                                   num_dirs=20_000, seed=0)
+    sampled = hull_boundary_oracle(eps1, eps_inf, d, 2.0, num_dirs=20_000, seed=0)
     assert value <= sampled <= value * (1 + 1e-3)
 
 

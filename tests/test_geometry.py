@@ -7,8 +7,7 @@ from scipy.optimize import linprog
 
 from relucert import geometry
 from relucert.geometry import (
-    BallPair, dual_exponent, hull_min_norm, naive_union_bound, ratio_analysis,
-    union_min_norm,
+    dual_exponent, hull_min_norm, naive_union_bound, ratio_analysis, union_min_norm,
 )
 
 from oracles import hull_boundary_oracle, hull_gauge, hull_membership, union_witness
@@ -33,10 +32,11 @@ def test_dual_exponents(p, q):
 def test_norm_order_validation():
     with pytest.raises(ValueError):
         dual_exponent(0.5)
-    with pytest.raises(ValueError):
-        BallPair(1.0, -1.0, 4)
-    with pytest.raises(ValueError):
-        BallPair(1.0, 1.0, 1)
+    for bound in (naive_union_bound, union_min_norm):
+        with pytest.raises(ValueError):
+            bound(1.0, -1.0, 4, 2.0)
+        with pytest.raises(ValueError):
+            bound(1.0, 1.0, 1, 2.0)
 
 
 # -- naive bound ---------------------------------------------------------------
@@ -44,67 +44,65 @@ def test_norm_order_validation():
 
 def test_naive_bound_eps1_equals_d():
     for d, p in ((4, 2.0), (784, 2.0), (16, 3.0)):
-        bp = BallPair(float(d), 1.0, d)
-        assert naive_union_bound(bp, p) == pytest.approx(d ** (1.0 / p))
+        assert naive_union_bound(float(d), 1.0, d, p) == pytest.approx(d ** (1.0 / p))
 
 
 def test_naive_bound_dominated_by_linf():
-    bp = BallPair(2.0, 1.0, 784)
-    assert naive_union_bound(bp, 2.0) == pytest.approx(1.0)
+    assert naive_union_bound(2.0, 1.0, 784, 2.0) == pytest.approx(1.0)
 
 
 def test_naive_never_exceeds_union_value():
     # the two curves overlap almost everywhere; naive is never above
     d = 784
     for eps1 in np.linspace(1.001, d - 1.0, 200):
-        bp = BallPair(float(eps1), 1.0, d)
-        assert naive_union_bound(bp, 2.0) <= union_min_norm(bp, 2.0) + 1e-12
+        args = (float(eps1), 1.0, d, 2.0)
+        assert naive_union_bound(*args) <= union_min_norm(*args) + 1e-12
 
 
 # -- union bound ---------------------------------------------------------------
 
 
 def test_union_value_small_dim():
-    assert union_min_norm(BallPair(2.0, 1.0, 2), 2.0) == pytest.approx(math.sqrt(2.0))
+    assert union_min_norm(2.0, 1.0, 2, 2.0) == pytest.approx(math.sqrt(2.0))
 
 
 def test_union_value_mnist_dim():
-    v = union_min_norm(BallPair(2.0, 1.0, 784), 2.0)
+    v = union_min_norm(2.0, 1.0, 784, 2.0)
     assert v == pytest.approx((1.0 + 1.0 / 783.0) ** 0.5, abs=1e-12)
     assert v == pytest.approx(1.000638, abs=1e-6)
 
 
 def test_union_degenerate_regimes():
-    assert union_min_norm(BallPair(0.5, 1.0, 4), 2.0) == pytest.approx(1.0)
-    assert union_min_norm(BallPair(8.0, 1.0, 4), 2.0) == pytest.approx(8.0 / 2.0)
+    assert union_min_norm(0.5, 1.0, 4, 2.0) == pytest.approx(1.0)
+    assert union_min_norm(8.0, 1.0, 4, 2.0) == pytest.approx(8.0 / 2.0)
 
 
 def test_union_boundary_sampling_oracle():
     # boundary points of the union always lie in the complement's closure,
     # and with many samples the minimum approaches the closed form from above
-    bp = BallPair(3.0, 1.0, 4)
-    val = union_min_norm(bp, 2.0)
+    eps1, eps_inf = 3.0, 1.0
+    val = union_min_norm(eps1, eps_inf, 4, 2.0)
     rng = np.random.default_rng(99)
     dirs = rng.standard_normal((100_000, 4))
-    on_l1 = dirs * (bp.eps1 / np.abs(dirs).sum(axis=1))[:, None]
-    on_l1 = on_l1[np.abs(on_l1).max(axis=1) >= bp.eps_inf]
-    on_linf = dirs * (bp.eps_inf / np.abs(dirs).max(axis=1))[:, None]
-    on_linf = on_linf[np.abs(on_linf).sum(axis=1) >= bp.eps1]
+    on_l1 = dirs * (eps1 / np.abs(dirs).sum(axis=1))[:, None]
+    on_l1 = on_l1[np.abs(on_l1).max(axis=1) >= eps_inf]
+    on_linf = dirs * (eps_inf / np.abs(dirs).max(axis=1))[:, None]
+    on_linf = on_linf[np.abs(on_linf).sum(axis=1) >= eps1]
     pts = np.vstack([on_l1, on_linf])
     norms = np.sqrt((pts**2).sum(axis=1))
     assert norms.min() >= val - 1e-6
     assert norms.min() <= val * 1.05
-    w = union_witness(bp, 2.0)
+    w = union_witness(eps1, eps_inf, 4, 2.0)
     assert lp_norm(w, 2.0) == pytest.approx(val, abs=1e-12)
 
 
 def test_union_witness_small_cases():
-    w = union_witness(BallPair(2.0, 1.0, 2), 2.0)
+    w = union_witness(2.0, 1.0, 2, 2.0)
     assert np.allclose(w, [1.0, 1.0])
     assert lp_norm(w, 1) == pytest.approx(2.0, abs=1e-12)
     assert lp_norm(w, math.inf) == pytest.approx(1.0, abs=1e-12)
     assert lp_norm(w, 2) == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    w = union_witness(BallPair(3.0, 1.0, 3), 2.0)
+    w = union_witness(3.0, 1.0, 3, 2.0)
     assert np.allclose(w, [1.0, 1.0, 1.0])
 
 
@@ -114,17 +112,16 @@ def test_union_witness_exactness_random():
         d = int(rng.integers(2, 8))
         einf = rng.uniform(0.2, 3.0)
         e1 = rng.uniform(1.02, 0.98 * d) * einf
-        bp = BallPair(e1, einf, d)
         p = rng.uniform(1.0, 4.0)
-        w = union_witness(bp, p)
+        w = union_witness(e1, einf, d, p)
         assert lp_norm(w, 1) == pytest.approx(e1, abs=1e-12)
         assert lp_norm(w, math.inf) == pytest.approx(einf, abs=1e-12)
-        assert lp_norm(w, p) == pytest.approx(union_min_norm(bp, p), abs=1e-12)
+        assert lp_norm(w, p) == pytest.approx(union_min_norm(e1, einf, d, p), abs=1e-12)
 
 
 def test_union_witness_precondition():
     with pytest.raises(ValueError):
-        union_witness(BallPair(0.5, 1.0, 4), 2.0)
+        union_witness(0.5, 1.0, 4, 2.0)
 
 
 # -- hull bound -----------------------------------------------------------------
@@ -166,25 +163,62 @@ def test_hull_array_rejects_nonpositive_radius(eps1, eps_inf):
         hull_min_norm(np.array(eps1), np.array(eps_inf), 2.0)
 
 
+# the three closed forms on one signature: radii, dimension, order
+BOUNDS = {
+    "naive_union_bound": naive_union_bound,
+    "union_min_norm": union_min_norm,
+    "hull_min_norm": lambda eps1, eps_inf, d, p: hull_min_norm(eps1, eps_inf, p),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDS)
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_every_bound_rejects_a_bad_radius(name, bad):
+    # one check, one message, for scalars and for arrays of radii
+    for eps1, eps_inf in ((bad, 1.0), (2.0, bad), ([2.0, bad], 1.0), (2.0, [1.0, bad]),
+                          ([[2.0], [3.0]], [1.0, bad])):
+        with pytest.raises(ValueError, match=r"^ball radii must be positive and finite$"):
+            BOUNDS[name](eps1, eps_inf, 4, 2.0)
+
+
+@pytest.mark.parametrize("name", BOUNDS)
+@pytest.mark.parametrize("d", [2, 3, 16, 784])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 7.0])
+def test_every_bound_array_is_its_scalar_calls(name, d, p):
+    # radii on both sides of the nontrivial range (eps_inf, d * eps_inf) and
+    # on its ends; eps_inf also broadcast as a scalar
+    bound = BOUNDS[name]
+    rng = np.random.default_rng(d)
+    eps_inf = rng.uniform(0.01, 2.0, 200)
+    ratios = np.concatenate([rng.uniform(0.5, 1.2 * d, 197), [1.0, float(d), 0.25]])
+    for inf_radii in (eps_inf, 0.3):
+        eps1 = np.asarray(inf_radii) * ratios
+        out = bound(eps1, inf_radii, d, p)
+        scalars = [bound(float(a), float(b), d, p)
+                   for a, b in zip(eps1, np.broadcast_to(inf_radii, eps1.shape))]
+        assert all(type(v) is float for v in scalars)
+        assert out.shape == eps1.shape
+        assert out.tobytes() == np.array(scalars).tobytes()
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         hull_min_norm(-1.0, 0.5, 2.0)
     with pytest.raises(ValueError):
         hull_min_norm(1.0, 0.0, 2.0)
-    bp = BallPair(2.0, 1.0, 4)
     with pytest.raises(ValueError):
-        naive_union_bound(bp, math.inf)
+        naive_union_bound(2.0, 1.0, 4, math.inf)
     with pytest.raises(ValueError):
-        union_min_norm(bp, math.inf)
+        union_min_norm(2.0, 1.0, 4, math.inf)
 
 
 def test_union_large_radii_and_orders():
     # only delta = eps1/eps_inf is raised to the power p, so large radii do
     # not overflow; a p too large for d raises instead of returning inf
-    assert union_min_norm(BallPair(1.46e6, 1000.0, 2926), 50.0) == pytest.approx(
+    assert union_min_norm(1.46e6, 1000.0, 2926, 50.0) == pytest.approx(
         1000.0, rel=1e-12)
     with pytest.raises(ArithmeticError):
-        union_min_norm(BallPair(4090.0, 1.0, 4096), 86.0)
+        union_min_norm(4090.0, 1.0, 4096, 86.0)
 
 
 def test_hull_limit_orders():
@@ -219,9 +253,8 @@ def test_ordering_naive_union_hull():
         einf = rng.uniform(0.2, 2.0)
         e1 = rng.uniform(1.05, 0.95 * d) * einf
         p = rng.uniform(1.01, 5.0)
-        bp = BallPair(e1, einf, d)
-        nv = naive_union_bound(bp, p)
-        uv = union_min_norm(bp, p)
+        nv = naive_union_bound(e1, einf, d, p)
+        uv = union_min_norm(e1, einf, d, p)
         hv = hull_min_norm(e1, einf, p)
         assert nv <= uv + 1e-12
         assert uv <= hv + 1e-12
@@ -238,16 +271,16 @@ def nontrivial_pair(drawn):
     d, eps_inf, t = drawn
     eps1 = eps_inf * (1.0 + t * (d - 1))
     assume(eps_inf < eps1 < d * eps_inf)
-    return BallPair(eps1, eps_inf, d)
+    return eps1, eps_inf, d
 
 
 @settings(max_examples=300, deadline=None)
 @given(drawn=NONTRIVIAL, p=st.floats(1.0, 50.0))
 def test_hull_union_naive_ordering_property(drawn, p):
-    bp = nontrivial_pair(drawn)
-    naive = naive_union_bound(bp, p)
-    union = union_min_norm(bp, p)
-    hull = hull_min_norm(bp.eps1, bp.eps_inf, p)
+    eps1, eps_inf, d = nontrivial_pair(drawn)
+    naive = naive_union_bound(eps1, eps_inf, d, p)
+    union = union_min_norm(eps1, eps_inf, d, p)
+    hull = hull_min_norm(eps1, eps_inf, p)
     assert union >= naive * (1.0 - 1e-12)
     assert hull >= union * (1.0 - 1e-12)
 
@@ -256,11 +289,11 @@ def test_hull_union_naive_ordering_property(drawn, p):
 @given(drawn=NONTRIVIAL, ps=st.lists(st.floats(1.0, 1e6), min_size=2, max_size=2))
 def test_hull_non_increasing_in_p_between_its_limits(drawn, ps):
     # universal_bound(p) moves from rho1 at p = 1 down to rho_inf at p = inf
-    bp = nontrivial_pair(drawn)
+    eps1, eps_inf, _ = nontrivial_pair(drawn)
     lo, hi = sorted(ps)
-    at = {p: hull_min_norm(bp.eps1, bp.eps_inf, p) for p in (1.0, lo, hi, math.inf)}
-    assert at[1.0] == bp.eps1
-    assert at[math.inf] == pytest.approx(bp.eps_inf, rel=1e-12)
+    at = {p: hull_min_norm(eps1, eps_inf, p) for p in (1.0, lo, hi, math.inf)}
+    assert at[1.0] == eps1
+    assert at[math.inf] == pytest.approx(eps_inf, rel=1e-12)
     assert at[lo] <= at[1.0] * (1.0 + 1e-12)
     assert at[hi] <= at[lo] * (1.0 + 1e-12)
     assert at[math.inf] <= at[hi] * (1.0 + 1e-12)
@@ -270,7 +303,7 @@ def test_union_strictly_decreasing_in_dimension():
     for p in (1.5, 2.0, 3.0):
         prev = None
         for d in (2, 3, 5, 9, 17):
-            v = union_min_norm(BallPair(1.8, 1.0, d), p)
+            v = union_min_norm(1.8, 1.0, d, p)
             if prev is not None:
                 assert v < prev
             prev = v
@@ -280,22 +313,20 @@ def test_union_strictly_decreasing_in_dimension():
 
 
 def test_membership_vertices():
-    bp = BallPair(2.0, 1.0, 3)
-    assert hull_membership([2.0, 0.0, 0.0], bp)
-    assert not hull_membership([2.02, 0.0, 0.0], bp)
+    assert hull_membership([2.0, 0.0, 0.0], 2.0, 1.0, 3)
+    assert not hull_membership([2.02, 0.0, 0.0], 2.0, 1.0, 3)
 
 
-def hull_membership_vertex_lp(x, bp):
+def hull_membership_vertex_lp(x, eps1, eps_inf, d):
     """Independent oracle: x in conv(vertices of B1 u Binf) via a feasibility LP."""
-    d = bp.dim
     verts = []
     for i in range(d):
         for s in (1.0, -1.0):
             v = np.zeros(d)
-            v[i] = s * bp.eps1
+            v[i] = s * eps1
             verts.append(v)
     for bits in range(2**d):
-        v = np.array([(1.0 if bits >> i & 1 else -1.0) * bp.eps_inf for i in range(d)])
+        v = np.array([(1.0 if bits >> i & 1 else -1.0) * eps_inf for i in range(d)])
         verts.append(v)
     V = np.asarray(verts)
     m = len(V)
@@ -307,15 +338,16 @@ def hull_membership_vertex_lp(x, bp):
 
 
 def test_membership_matches_vertex_lp():
-    bp = BallPair(2.0, 1.0, 3)
+    eps1, eps_inf, d = 2.0, 1.0, 3
     rng = np.random.default_rng(77)
     agree = 0
     for _ in range(200):
         x = rng.uniform(-2.4, 2.4, size=3)
-        g = hull_gauge(x, bp)
+        g = hull_gauge(x, eps1, eps_inf)
         if abs(g - 1.0) < 1e-6:
             continue  # skip points numerically on the boundary
-        assert hull_membership(x, bp) == hull_membership_vertex_lp(x, bp)
+        assert hull_membership(x, eps1, eps_inf, d) == \
+            hull_membership_vertex_lp(x, eps1, eps_inf, d)
         agree += 1
     assert agree > 150
 
@@ -326,22 +358,19 @@ def test_gauge_matches_membership():
         d = int(rng.integers(2, 6))
         einf = rng.uniform(0.3, 2.0)
         e1 = rng.uniform(1.05, 0.95 * d) * einf
-        bp = BallPair(e1, einf, d)
         x = rng.uniform(-1.5 * e1, 1.5 * e1, size=d)
-        g = hull_gauge(x, bp)
-        assert (g <= 1.0 + 1e-12) == hull_membership(x, bp, tol=1e-12 * e1)
+        g = hull_gauge(x, e1, einf)
+        assert (g <= 1.0 + 1e-12) == hull_membership(x, e1, einf, d, tol=1e-12 * e1)
 
 
 def test_boundary_oracle_2d():
-    bp = BallPair(1.5, 1.0, 2)
-    val = hull_boundary_oracle(bp, 2.0, num_dirs=10_000, seed=0)
+    val = hull_boundary_oracle(1.5, 1.0, 2, 2.0, num_dirs=10_000, seed=0)
     ref = hull_min_norm(1.5, 1.0, 2.0)
     assert abs(val - ref) <= 1e-3
 
 
 def test_boundary_oracle_3d_p3():
-    bp = BallPair(2.5, 1.0, 3)
-    val = hull_boundary_oracle(bp, 3.0, num_dirs=50_000, seed=1)
+    val = hull_boundary_oracle(2.5, 1.0, 3, 3.0, num_dirs=50_000, seed=1)
     ref = hull_min_norm(2.5, 1.0, 3.0)
     assert val >= ref - 1e-9
     assert val <= ref * 1.01
@@ -353,10 +382,9 @@ def test_boundary_oracle_dominates_union():
         d = int(rng.integers(2, 5))
         einf = rng.uniform(0.4, 1.5)
         e1 = rng.uniform(1.1, 0.9 * d) * einf
-        bp = BallPair(e1, einf, d)
         p = rng.uniform(1.2, 3.0)
-        assert hull_boundary_oracle(bp, p, num_dirs=4000, seed=3) >= \
-            union_min_norm(bp, p) - 1e-9
+        assert hull_boundary_oracle(e1, einf, d, p, num_dirs=4000, seed=3) >= \
+            union_min_norm(e1, einf, d, p) - 1e-9
 
 
 # -- ratio analysis ----------------------------------------------------------------
@@ -397,6 +425,6 @@ def test_curve_table_columns_are_the_scalar_bounds(d, p):
     # one formula per bound: the table's naive and union columns are the
     # scalar functions' values, bit for bit
     deltas, naive, union, _, _ = geometry.curve_table(d, p=p, num=512).T
-    pairs = [BallPair(float(delta), 1.0, d) for delta in deltas]
-    assert np.array([naive_union_bound(bp, p) for bp in pairs]).tobytes() == naive.tobytes()
-    assert np.array([union_min_norm(bp, p) for bp in pairs]).tobytes() == union.tobytes()
+    for bound, column in ((naive_union_bound, naive), (union_min_norm, union)):
+        scalars = [bound(float(delta), 1.0, d, p) for delta in deltas]
+        assert np.array(scalars).tobytes() == column.tobytes()

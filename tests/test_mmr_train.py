@@ -20,8 +20,9 @@ import per_point_reference as ref
 
 def universal(net, X, y, cfg, kb_now):
     """The universal regularizer of each row of X at labels y, full lambdas."""
-    return mmr_train._universal(net, np.asarray(X, dtype=float), np.asarray(y), cfg, kb_now,
-                                cfg.lambda1, cfg.lambda_inf)
+    reg, _ = mmr_train._universal(net, np.asarray(X, dtype=float), np.asarray(y), cfg, kb_now,
+                                  cfg.lambda1, cfg.lambda_inf, mmr_train._zero_grads(net)[1])
+    return reg
 
 
 def margin_unit_net():
