@@ -135,9 +135,19 @@ def hidden_norms(rmap, q) -> np.ndarray:
 
 def _min_dists(rmap, gaps, values, normals, p):
     """Nearest boundary and nearest (signed) decision lp-distance per point,
-    gaps being |rmap.values|."""
+    gaps being |rmap.values|.  Boundary distances are taken layer by layer,
+    each gap divided by its table row's norm; a layer with a zero normal (a
+    unit that cannot be crossed, inf away) goes through plane_distances, so
+    0 / 0 never happens."""
     q = geometry.dual_exponent(p)
-    boundary = plane_distances(gaps, hidden_norms(rmap, q)).min(axis=1, initial=math.inf)
+    boundary = np.full(len(gaps), math.inf)
+    pos = 0
+    for l, v in enumerate(rmap.v_maps[:-1]):
+        norms = rmap.at_points(l, row_norms(v, q))
+        layer = gaps[:, pos:pos + v.shape[1]]
+        pos += v.shape[1]
+        dists = layer / norms if (norms > 0).all() else plane_distances(layer, norms)
+        np.minimum(boundary, dists.min(axis=1), out=boundary)
     decision = plane_distances(values, row_norms(normals, q)).min(axis=1, initial=math.inf)
     return boundary, decision
 

@@ -272,7 +272,8 @@ def _cmd_report(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of --limit: an integer >= 1, in decimal digits."""
+    """argparse type of a count (--limit, --num, --n): an integer >= 1, in
+    decimal digits."""
     if not (text.isascii() and text.isdigit() and int(text) >= 1):
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
@@ -290,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset")
     g.add_argument("--kind", choices=["blobs", "moons", "corners"], default="blobs")
-    g.add_argument("--n", type=int, default=1000)
+    g.add_argument("--n", type=_positive_int, default=1000)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--std", type=float, default=0.05,
                    help="blob std / moon noise / corner spread")
@@ -346,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ge = sub.add_parser("geometry", help="union/hull bound curves as CSV")
     ge.add_argument("--d", type=int, required=True)
     ge.add_argument("--p", type=float, default=2.0)
-    ge.add_argument("--num", type=int, default=2048)
+    ge.add_argument("--num", type=_positive_int, default=2048)
     ge.add_argument("--out", required=True)
     ge.set_defaults(func=_cmd_geometry)
 

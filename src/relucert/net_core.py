@@ -10,7 +10,10 @@ each layer's affine form is built once per group.  Points near each other,
 and the training points of a margin-regularized net, mostly share a region.
 ``region_maps`` splits a batch into chunks of bounded memory, larger while
 the points share regions; it is the one region-geometry path behind
-certification and the regularizer.
+certification and the regularizer.  While the points share regions, a
+chunk copies the table rows of the previous chunk whose activation prefix
+it meets again instead of building them, so a batch in one region builds
+each layer's geometry once.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ __all__ = [
 # Cap on the memory of one chunk of batched region geometry: on its region
 # tables (U * N * d * 8 bytes for U distinct activation regions and N hidden
 # units) and on its per-point arrays (B * N * 8).  region_maps cuts a batch
-# into chunks within it, so its memory does not grow with the batch.
+# into chunks within it and carries only the previous chunk's tables into the
+# next one, so its memory does not grow with the batch.
 CHUNK_BYTES = 256 * 1024
 
 
@@ -172,16 +176,21 @@ class RegionMap:
         out[self.index[l]] = np.arange(len(self.index[l]))
         return out
 
+    def at_points(self, l, table) -> np.ndarray:
+        """Layer l's table (U_l, ...), such as its row norms, read at each
+        point: gathered by index[l], or as it is when it has one row, which
+        broadcasts, or one row per point, which are in point order since
+        rows are numbered in order of first appearance."""
+        return table if len(table) in (1, len(self.index[l])) else table[self.index[l]]
+
     def stacked(self, tables) -> np.ndarray:
         """Per-point stack (B, N) of one table (U_l, n_l) per hidden layer,
         such as the row norms of the hidden v_maps."""
         out = np.empty(self.values.shape)
         pos = 0
-        for table, index in zip(tables, self.index):
+        for l, table in enumerate(tables):
             n = table.shape[1]
-            # rows are numbered in first-seen order: a table with one row per
-            # point is in point order already, and a one-row table broadcasts
-            out[:, pos:pos + n] = table if len(table) in (1, len(index)) else table[index]
+            out[:, pos:pos + n] = self.at_points(l, table)
             pos += n
         return out
 
@@ -313,39 +322,64 @@ def _layer_step(w, b, v, a, mask):
     return np.matmul(w, v * mask[:, :, None]), _per_point(w[None], a * mask) + b
 
 
-def _region_prefix(net: ReluNet, xs, cap: int) -> RegionMap:
+def _carried_rows(prev: RegionMap, l, masks, first) -> np.ndarray:
+    """The row of prev's layer-l table whose activation prefix (the masks of
+    layers 0..l-1) is that of each row first of masks, or -1 where prev has
+    none.  prev's rows have distinct prefixes, so each is its own group."""
+    keys = [np.concatenate([m[rows] for m in ms], axis=1)
+            for ms, rows in ((prev.masks[:l], prev.some_point(l)), (masks, first))]
+    old = _first_seen(np.concatenate(keys).view(np.uint8))[0][len(keys[0]):]
+    return np.where(old < len(keys[0]), old, -1)
+
+
+def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None) -> RegionMap:
     """Region geometry of the first k rows of xs: k is len(xs) if those
     rows span at most cap regions, else the largest multiple of cap whose
     rows do.
 
     The rows are grouped layer by layer by (prefix of the earlier layers,
     mask), and each layer's affine form is built once per group, so cap
-    also bounds the rows of every table.  A row's preactivation is its
-    group's V x + a taken point by point, so each point's geometry is the
-    same whichever rows share its batch.
+    also bounds the rows of every table.  A group whose prefix has a row in
+    the tables of prev, the previous chunk's map, takes a copy of that row
+    instead: a table row is a function of its prefix alone.  A row's
+    preactivation is its group's V x + a taken point by point, so each
+    point's geometry is the same whichever rows share its batch.
     """
     B, d = xs.shape
     values = np.empty((B, net.num_hidden_units))
     index, masks, v_maps, a_maps = [], [], [], []
-    pos = 0
+    pos, carry = 0, prev
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         if l == 0:
             group = np.zeros(B, dtype=np.int64)
             v, a = w[None], b[None]
         else:
-            prev = group
+            up = group
             if len(v) == B:  # every row has its own prefix already
                 first = group
             else:
                 keys = np.packbits(masks[-1], axis=1)
                 if len(v) > 1:
-                    keys = np.concatenate([prev[:, None].view(np.uint8), keys], axis=1)
+                    keys = np.concatenate([up[:, None].view(np.uint8), keys], axis=1)
                 group, first = _first_seen(keys)
                 if len(first) > cap:
-                    return _region_prefix(net, xs[:first[cap] // cap * cap], cap)
-            # each group's parent row; all of them in order when none split
-            parent = prev[first] if len(first) > len(v) else slice(None)
-            v, a = _layer_step(w, b, v[parent], a[parent], masks[-1][first])
+                    return _region_prefix(net, xs[:first[cap] // cap * cap], cap, prev)
+            mask = masks[-1][first]
+            old = None if carry is None else _carried_rows(carry, l, masks, first)
+            if old is None or (old < 0).all():
+                # no prefix carries over to a later layer either
+                carry = None
+                # each group's parent row; all of them in order when none split
+                parent = up[first] if len(first) > len(v) else slice(None)
+                v, a = _layer_step(w, b, v[parent], a[parent], mask)
+            else:
+                new = np.flatnonzero(old < 0)
+                parent = up[first[new]]
+                # the new groups' rows, gathered at -1, are overwritten
+                v_new, a_new = carry.v_maps[l][old], carry.a_maps[l][old]
+                if len(new):
+                    v_new[new], a_new[new] = _layer_step(w, b, v[parent], a[parent], mask[new])
+                v, a = v_new, a_new
         index.append(group)
         v_maps.append(v)
         a_maps.append(a)
@@ -388,11 +422,17 @@ def region_maps(net: ReluNet, xs):
     at most half of R regions (or one region), and R again otherwise; a
     chunk whose points would span more than R regions ends at the last
     multiple of R points that fits.  So a chunk is always a multiple of R
-    points, except the last.  Building a chunk holds its tables and the
-    layer step's two temporaries, at most 3 R regions' rows of (., N, d)
+    points, except the last.  A chunk that follows one of at most half of R
+    regions (or one) copies from that chunk's tables, read-only, each row
+    whose activation prefix it meets again rather than building it: a
+    batch in one region builds each layer once, whatever its number of
+    chunks.  After a chunk of more regions, whose prefixes seldom recur,
+    matching them would cost more than it saves, and every row is built.
+    Building a chunk holds its tables, the layer step's two temporaries and
+    the tables it copies from, at most 3.5 R regions' rows of (., N, d)
     arrays.  A point's geometry does not depend on the rest of its chunk,
-    so it is the same wherever the chunks are cut.  A row that is not finite
-    raises ValueError.
+    so it is the same wherever the chunks are cut.  A row that is not
+    finite raises ValueError.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:
@@ -401,12 +441,13 @@ def region_maps(net: ReluNet, xs):
         raise ValueError(f"row {np.argwhere(~np.isfinite(xs))[0, 0]} of the batch is not finite")
     cap = _region_cap(net)
     most = cap * max(1, CHUNK_BYTES // (8 * max(net.num_hidden_units, 1)) // cap)
-    step, lo = cap, 0
+    step, lo, carry = cap, 0, None
     while lo < len(xs):
-        rmap = _region_prefix(net, xs[lo:lo + step], cap)
+        rmap = _region_prefix(net, xs[lo:lo + step], cap, carry)
         yield slice(lo, lo + len(rmap.points)), rmap
         lo += len(rmap.points)
-        step = min(2 * step, most) if len(rmap.v_maps[-1]) <= max(1, cap // 2) else cap
+        few = len(rmap.v_maps[-1]) <= max(1, cap // 2)
+        step, carry = (min(2 * step, most), rmap) if few else (cap, None)
 
 
 def random_net(layer_sizes, seed=0, bias_scale=0.0) -> ReluNet:

@@ -437,6 +437,38 @@ def test_chunk_size_follows_the_memory_cap():
     assert chunk_sizes(*batches["mixed"]) == [4, 8, 4] + [4] * 71
 
 
+def test_chunks_carry_the_previous_chunks_tables(monkeypatch):
+    # a table row is a function of its activation prefix, so a chunk copies
+    # the rows the previous chunk built: a batch in one region builds each
+    # layer once, and every chunk is bitwise a slice of the whole batch's map
+    built = []
+
+    def counted(w, b, v, a, mask):
+        built.append((w.shape[0], len(mask)))
+        return layer_step(w, b, v, a, mask)
+
+    layer_step = net_core._layer_step
+    for kind, (net, X) in big_batches(300).items():
+        whole = net_core.region_map(net, X)
+        built.clear()
+        monkeypatch.setattr(net_core, "_layer_step", counted)
+        chunks = list(net_core.region_maps(net, X))
+        monkeypatch.undo()
+        if kind == "shared":
+            assert len(chunks) == 8 and built == [(256, 1), (2, 1)]
+        if kind == "mixed":
+            # the shared region is built in the first chunk only, then each
+            # of the 286 distinct regions once
+            assert sum(rows for n, rows in built if n == 2) == 287
+        for sl, rmap in chunks:
+            for l in range(len(net.weights)):
+                for tables in ("v_maps", "a_maps"):
+                    rows = getattr(rmap, tables)[l][rmap.index[l]]
+                    assert rows.tobytes() == getattr(whole, tables)[l][whole.index[l][sl]].tobytes()
+            assert rmap.values.tobytes() == whole.values[sl].tobytes()
+            assert rmap.logits.tobytes() == whole.logits[sl].tobytes()
+
+
 @pytest.mark.parametrize("batch", [3, 4, 5])
 def test_batches_around_the_chunk_size(batch):
     batches = big_batches(8 + batch)

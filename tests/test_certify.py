@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog, minimize
 
-from relucert import certify, geometry, net_core, regions
+from relucert import certify, geometry, mmr_train, net_core, regions
 from relucert.certify import EpsTriple, exact_robustness_oracle
 from relucert.net_core import ReluNet, random_net
 
@@ -137,6 +137,52 @@ def test_zero_normal_gives_infinite_distance():
     boundary, _ = hyperplane_distances(net, [0.5, 0.2], 1, 2.0)
     assert math.isinf(boundary[0])
     assert np.isfinite(boundary[1])
+
+
+def zero_normal_net(hidden, seed=0):
+    """Net on d = 3 whose hidden layers each have a unit with a zero weight
+    row and zero bias (preactivation 0: gap 0 over norm 0) and one with a
+    zero row and a negative bias (never active: a finite gap over norm 0)."""
+    rng = np.random.default_rng(seed)
+    sizes = [3] + list(hidden) + [3]
+    weights = [rng.standard_normal((n, m)) / np.sqrt(m) for m, n in zip(sizes[:-1], sizes[1:])]
+    biases = [rng.uniform(-0.3, 0.3, n) for n in sizes[1:]]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        w[:2] = 0.0
+        b[:2] = (0.0, -0.4)
+    return ReluNet(tuple(weights), tuple(biases))
+
+
+@pytest.mark.parametrize("hidden", [[7], [7, 6]], ids=["one-hidden", "two-hidden"])
+def test_zero_normals_certify_without_nan(hidden):
+    # the constant units' distances are infinite, never 0 / 0: the radii are
+    # the nearest of the other hyperplanes, as the one-point helper gives them
+    net = zero_normal_net(hidden)
+    rng = np.random.default_rng(1)
+    X = rng.uniform(0.0, 1.0, (50, 3))
+    y = net_core.classify_batch(net, X)
+    y[::4] = y[::4] % 3 + 1
+    with np.errstate(all="raise"):
+        certs = certify.certificates(net, X, y)
+        radii = certs.radii()
+    for value in (certs.rho1, certs.rho_inf, certs.lb_l2, certs.single_l2, *radii.values()):
+        assert not np.isnan(value).any()
+    assert 0 < certs.correct.sum() < len(X)
+    zero = [pos + k for pos in np.cumsum([0] + hidden[:-1]) for k in (0, 1)]
+    for i, x in enumerate(X):
+        nearest = {}
+        for p in (1.0, 2.0, math.inf):
+            boundary, decision = hyperplane_distances(net, x, int(y[i]), p)
+            assert np.isinf(boundary[zero]).all() and (boundary[zero] > 0).all()
+            nearest[p] = min(boundary.min(), abs(decision).min()), decision.min()
+        for p, rho in ((1.0, certs.rho1), (math.inf, certs.rho_inf)):
+            assert rho[i] == (nearest[p][0] if certs.correct[i] else 0.0)
+        near, signed = nearest[2.0]
+        assert certs.single_l2[i] == (0.0 if signed < 0 else near)
+    cfg = mmr_train.MmrUniversalConfig(lambda1=0.9, lambda_inf=2.5, gamma1=0.8, gamma_inf=0.15)
+    with np.errstate(over="raise", invalid="raise"):
+        grads = mmr_train.loss_gradient(net, (X, y), cfg, kb_now=4)
+    assert all(np.isfinite(g).all() for g in grads[0] + grads[1])
 
 
 def test_norm_monotonicity_per_hyperplane():

@@ -833,6 +833,32 @@ def test_cli_limit_must_be_a_positive_integer(eval_inputs, capsys, command, limi
     assert f"--limit: must be an integer >= 1, got '{limit}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", ["-5", "0", "2.5", "many"])
+@pytest.mark.parametrize("argv,flag", [
+    (["geometry", "--d", "16"], "--num"),
+    (["gen-data", "--kind", "blobs"], "--n"),
+    (["gen-data", "--kind", "corners"], "--n"),
+], ids=["geometry", "gen-blobs", "gen-corners"])
+def test_cli_counts_must_be_positive_integers(tmp_path, capsys, argv, flag, count):
+    # geometry --num 0 used to write a header-only table, and negative
+    # counts failed inside numpy with a message that named no flag
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, count, "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+    assert f"{flag}: must be an integer >= 1, got '{count}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (["geometry", "--d", "16", "--num", "1"], 2),  # the header and one row
+    (["gen-data", "--kind", "blobs", "--n", "1", "--format", "csv"], 1),
+], ids=["geometry", "gen-data"])
+def test_cli_count_of_one(tmp_path, capsys, argv, lines):
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == lines
+
+
 @pytest.mark.parametrize("command", list(COMMAND_ARGS))
 def test_cli_limit_takes_the_first_points(eval_inputs, capsys, command):
     _, _, model, data, tmp = eval_inputs
