@@ -60,7 +60,11 @@ def plane_distances(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """values / norms: signed distances to hyperplanes with the given values
     at the point and dual norms of their normals.  A zero normal (a constant
     hyperplane, which cannot be crossed) gives sign(value) * inf, and +inf
-    for a zero value."""
+    for a zero value.  With every norm positive this is plain division;
+    the masked divide, equal to it wherever a norm is positive, serves only
+    arrays that hold a zero normal."""
+    if (norms > 0).all():
+        return values / norms
     out = np.full(np.shape(values), math.inf)
     np.divide(values, norms, out=out, where=norms > 0)
     out[(norms == 0) & (values < 0)] = -math.inf
@@ -136,9 +140,8 @@ def hidden_norms(rmap, q) -> np.ndarray:
 def _min_dists(rmap, gaps, values, normals, p):
     """Nearest boundary and nearest (signed) decision lp-distance per point,
     gaps being |rmap.values|.  Boundary distances are taken layer by layer,
-    each gap divided by its table row's norm; a layer with a zero normal (a
-    unit that cannot be crossed, inf away) goes through plane_distances, so
-    0 / 0 never happens."""
+    each gap divided by its table row's norm (plane_distances: a zero normal
+    is a unit that cannot be crossed, inf away, and 0 / 0 never happens)."""
     q = geometry.dual_exponent(p)
     boundary = np.full(len(gaps), math.inf)
     pos = 0
@@ -146,8 +149,7 @@ def _min_dists(rmap, gaps, values, normals, p):
         norms = rmap.at_points(l, row_norms(v, q))
         layer = gaps[:, pos:pos + v.shape[1]]
         pos += v.shape[1]
-        dists = layer / norms if (norms > 0).all() else plane_distances(layer, norms)
-        np.minimum(boundary, dists.min(axis=1), out=boundary)
+        np.minimum(boundary, plane_distances(layer, norms).min(axis=1), out=boundary)
     decision = plane_distances(values, row_norms(normals, q)).min(axis=1, initial=math.inf)
     return boundary, decision
 

@@ -176,8 +176,7 @@ def _cmd_train(args) -> int:
         raise ValueError(f"{_TRAIN_FLAGS.get(field, field)} {rest}") from None
     data = datasets.load_dataset(args.data)
     eval_data = datasets.load_dataset(args.eval_data) if args.eval_data else None
-    hidden = [int(s) for s in args.arch.split(",") if s.strip()]
-    sizes = [data.dim] + hidden + [data.num_classes]
+    sizes = [data.dim] + args.arch + [data.num_classes]
     net0 = net_core.random_net(sizes, seed=args.seed)
     net, history = mmr_train.train(net0, data, mmr_cfg, train_cfg,
                                    eval_dataset=eval_data)
@@ -272,11 +271,22 @@ def _cmd_report(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type of a count (--limit, --num, --n): an integer >= 1, in
-    decimal digits."""
+    """argparse type of a count (--limit, --num, --n, --iters, --restarts):
+    an integer >= 1, in decimal digits."""
     if not (text.isascii() and text.isdigit() and int(text) >= 1):
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
+
+
+def _hidden_sizes(text: str) -> list:
+    """argparse type of --arch: comma-separated hidden layer sizes, each an
+    integer >= 1; blank entries are skipped, so "" is a net with no hidden
+    layer."""
+    try:
+        return [_positive_int(s.strip()) for s in text.split(",") if s.strip()]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers >= 1, got {text!r}") from None
 
 
 @functools.cache
@@ -304,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="train a model")
     t.add_argument("--data", required=True)
     t.add_argument("--eval-data", default=None)
-    t.add_argument("--arch", default="64", help="comma separated hidden sizes")
+    t.add_argument("--arch", type=_hidden_sizes, default="64",
+                   help="comma separated hidden sizes")
     t.add_argument("--lambda1", type=float, default=1.0)
     t.add_argument("--lambdainf", type=float, default=6.0)
     t.add_argument("--gamma1", type=float, default=1.0)
@@ -335,8 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--eps1", type=float, default=None)
     a.add_argument("--eps2", type=float, default=None)
     a.add_argument("--epsinf", type=float, default=None)
-    a.add_argument("--iters", type=int, default=100)
-    a.add_argument("--restarts", type=int, default=10)
+    a.add_argument("--iters", type=_positive_int, default=100)
+    a.add_argument("--restarts", type=_positive_int, default=10)
     a.add_argument("--sparsity", type=float, default=0.01)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--limit", type=_positive_int, default=None)
@@ -359,8 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="defaults to the l2 radius implied by eps1 and epsinf "
                         "in the data's dimension")
     r.add_argument("--epsinf", type=float, required=True)
-    r.add_argument("--iters", type=int, default=100)
-    r.add_argument("--restarts", type=int, default=10)
+    r.add_argument("--iters", type=_positive_int, default=100)
+    r.add_argument("--restarts", type=_positive_int, default=10)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--limit", type=_positive_int, default=1000)
     r.add_argument("--deterministic", action="store_true")

@@ -136,10 +136,12 @@ def ratio_analysis(d: int, p=2.0):
     root = math.sqrt(d)
     focus_lo = max(lo, 0.6 * root)
     focus_hi = min(hi, 1.7 * root)
-    deltas = np.unique(np.concatenate([
+    # sorted and deduplicated as np.unique would, which loads numpy.ma
+    deltas = np.sort(np.concatenate([
         np.linspace(lo, hi, 2048),
         np.linspace(focus_lo, focus_hi, 4096),
     ]))
+    deltas = deltas[np.concatenate(([True], deltas[1:] != deltas[:-1]))]
     *_, ratio = _curve_columns(d, p, deltas)
     i = int(np.argmax(ratio))
     curve = np.column_stack([deltas, ratio])

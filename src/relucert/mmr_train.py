@@ -6,10 +6,12 @@ decision hyperplanes beyond gamma1 in l1-distance and gamma_inf in
 linf-distance simultaneously, which widens the linear regions around the
 training points and hence raises the certified radii for every norm order.
 
-Each hinge term is a distance value / ||normal||_q, and its gradient comes
-in two passes over one chunk of ``net_core.region_maps`` at a time, with
-activation masks and the k_B selection treated as constants of the forward
-pass:
+Each hinge term is a distance value / ||normal||_q, divided straight off
+the dual norms (``certify.plane_distances`` and ``_adjoints``; only an
+array holding a zero normal, which no hinge can reach, takes the masked
+divide).  Its gradient comes in two passes over one chunk of
+``net_core.region_maps`` at a time, with activation masks and the k_B
+selection treated as constants of the forward pass:
 
 - the values are preactivations and logit margins at the points, so their
   adjoints go through ``net_core.backward_batch``, the layer-wise backward
@@ -145,7 +147,11 @@ def _hinge(t):
 
 def _adjoints(coef, values, norms):
     """Adjoints of sum coef * values / norms on the values and on the norms,
-    zero wherever coef is (no hinge active)."""
+    zero wherever coef is (no hinge active).  With every norm positive they
+    are plain quotients; a zero norm (whose hinge is never active) takes the
+    masked form, which keeps 0 / 0 out."""
+    if (norms > 0).all():
+        return coef / norms, -coef * values / norms**2
     live = coef != 0.0
     safe = np.where(live, norms, 1.0)
     return coef / safe, np.where(live, -coef * values / safe**2, 0.0)
@@ -202,9 +208,13 @@ def _backprop_tables(net, rmap, g_v, dW):
         some = rmap.some_point(l)
         m = rmap.masks[l - 1][some][:, :, None]
         parent = rmap.index[l - 1][some]
-        dW[l] += np.tensordot(g_v[l], rmap.v_maps[l - 1][parent] * m, axes=([0, 2], [0, 2]))
+        # np.tensordot(g, rows, axes=([0, 2], [0, 2])) without its Python overhead
+        g, rows = g_v[l], rmap.v_maps[l - 1][parent] * m
+        (u, n, d), k = g.shape, rows.shape[1]
+        dW[l] += np.dot(g.transpose(1, 0, 2).reshape(n, u * d),
+                        rows.transpose(0, 2, 1).reshape(u * d, k))
         g_v[l - 1] += _row_sums(parent, len(g_v[l - 1]),
-                                np.matmul(net.weights[l].T, g_v[l]) * m)
+                                np.matmul(net.weights[l].T, g) * m)
     dW[0] += g_v[0].sum(axis=0)
 
 
@@ -215,16 +225,20 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads)
     grads, a (dW, db) pair of per-layer arrays, receives the gradient of the
     mean of reg + ce over the rows, the regularizer's through both the
     numerator and the dual-norm denominator of every selected distance, in
-    one backward pass per chunk.
+    one backward pass per chunk.  ValueError for a one-class net, which has
+    no decision hyperplane to push away.
     """
     k = net.num_classes
+    if k < 2:
+        raise ValueError("the margin regularizer needs at least 2 classes, got 1: "
+                         "set lambda1 and lambda_inf to 0 to train without it")
     weight = 1.0 / len(X)
     reg, ce = np.empty(len(X)), np.empty(len(X))
     bounds = np.cumsum((0,) + net.hidden_sizes).tolist()
     layers = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]  # of the N units
     for sl, rmap in net_core.region_maps(net, X):
         u = rmap.values
-        abs_u = np.abs(u)
+        abs_u, sign_u = np.abs(u), np.sign(u)
         others, diff, w_num = rmap.decision_planes(y[sl])
         idx, c = np.arange(len(u))[:, None], y[sl] - 1
         kb = min(int(kb_now), u.shape[1])
@@ -232,9 +246,9 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads)
         # adjoints of the logits (the cross-entropy's to start), the
         # preactivations and each table's rows
         ce[sl], g_logits = _cross_entropy(rmap.logits, y[sl], len(X))
-        g_u = np.zeros_like(u)
-        g_v = [np.zeros_like(v) for v in rmap.v_maps]
-        g_diff = np.zeros_like(diff)
+        g_u = np.zeros(u.shape, u.dtype)
+        g_v = [np.zeros(v.shape, v.dtype) for v in rmap.v_maps]
+        g_diff = np.zeros(diff.shape, diff.dtype)
         for p, lam, gamma in ((1.0, lam1, cfg.gamma1), (math.inf, lam_inf, cfg.gamma_inf)):
             if lam == 0.0:
                 continue
@@ -246,7 +260,7 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads)
                 value += lam * _hinge(near / gamma).sum(axis=1) / kb
                 coef = np.where(take & (dists < gamma), -(weight * lam) / (kb * gamma), 0.0)
                 g_val, g_norm = _adjoints(coef, abs_u, dens)
-                g_u += g_val * np.sign(u)
+                g_u += g_val * sign_u
                 for l, cols in enumerate(layers):
                     v = rmap.v_maps[l]
                     g_v[l] += _norm_grad(_row_sums(rmap.index[l], len(v), g_norm[:, cols]), v, q)
@@ -299,7 +313,8 @@ def _cross_entropy(logits, y, n):
 
 
 def loss(net, batch, cfg: MmrUniversalConfig, kb_now=None, lam_scale: float = 1.0) -> float:
-    """Mean over the batch of cross-entropy plus the universal regularizer."""
+    """Mean over the batch of cross-entropy plus the universal regularizer;
+    ValueError for a one-class net while a lambda is > 0."""
     X, y = _as_batch(net, batch)
     return _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, _zero_grads(net)[1])
 
@@ -317,11 +332,12 @@ def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grads):
     lam1, lam_inf = cfg.lambda1 * lam_scale, cfg.lambda_inf * lam_scale
     if lam1 > 0 or lam_inf > 0:
         reg, ce = _universal(net, X, y, cfg, kb_now, lam1, lam_inf, grads)
-        return float(np.mean(ce) + reg.sum() / len(X))
+        # ce.sum() / len(ce) is np.mean(ce) without its Python wrapper
+        return float(ce.sum() / len(ce) + reg.sum() / len(X))
     logits, preacts = net_core.forward_batch(net, X)
     ce, g_logits = _cross_entropy(logits, y, len(X))
     net_core.backward_batch(net, preacts, g_logits, grads, X)
-    return float(np.mean(ce))
+    return float(ce.sum() / len(ce))
 
 
 def _flat_views(flat, arrays):

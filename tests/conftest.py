@@ -79,14 +79,15 @@ def hyperplane_distances(net, x, label, p):
     """(boundary, decision) lp-distances of x to each hidden hyperplane of its
     region and, signed with label as reference class, to each decision
     hyperplane against the other classes in increasing order; from the
-    region map, as certify.certificates computes them."""
+    region map, as certify.certificates computes them but with every
+    division masked."""
     q = geometry.dual_exponent(p)
     rmap = net_core.region_map(net, np.asarray(x, dtype=float)[None, :])
     _, normals, values = rmap.decision_planes([label])
     hidden, _ = rmap.affine_region(0)
-    boundary = certify.plane_distances(np.abs(rmap.values),
-                                       certify.row_norms(hidden[None, :, :-1], q))
-    decision = certify.plane_distances(values, certify.row_norms(normals, q))
+    boundary = per_point_reference.masked_distances(
+        np.abs(rmap.values), certify.row_norms(hidden[None, :, :-1], q))
+    decision = per_point_reference.masked_distances(values, certify.row_norms(normals, q))
     return boundary[0], decision[0]
 
 

@@ -12,7 +12,9 @@ layer-wise PGD loop: in float64 the reference for the mixed-precision
 region path is off.  Its softmax and ascent step are the row-wise forms,
 ``logit_gradient`` and ``ascent_step``, references for the attack's own.
 ``universal_argsort`` and ``AdamPerArray`` are the trainer's regularizer
-with its k_B selection by a stable sort, and Adam one array at a time: the
+with its k_B selection by a stable sort, its distances and adjoints by the
+masked divides ``masked_distances`` and ``masked_adjoints`` (which never
+take the trainer's plain division), and Adam one array at a time: the
 regularizer and the update are bitwise theirs.  ``two_pass_step`` is the
 training loss and gradient with the cross-entropy through its own forward
 and backward pass, which the one-pass step matches to rounding.
@@ -252,6 +254,35 @@ def loss_gradient(net, X, y, cfg, kb_now):
 # -- the trainer's sort-based selection and per-array Adam --------------------
 
 
+def masked_distances(values, norms):
+    """values / norms, divided only where a norm is positive: a zero normal
+    gives sign(value) * inf, and +inf for a zero value."""
+    out = np.full(np.shape(values), math.inf)
+    np.divide(values, norms, out=out, where=norms > 0)
+    out[(norms == 0) & (values < 0)] = -math.inf
+    return out
+
+
+def masked_adjoints(coef, values, norms):
+    """Adjoints of sum coef * values / norms on the values and on the norms,
+    each norm divided only where its coef is nonzero, zero elsewhere."""
+    live = coef != 0.0
+    safe = np.where(live, norms, 1.0)
+    return coef / safe, np.where(live, -coef * values / safe**2, 0.0)
+
+
+def backprop_tables_tensordot(net, rmap, g_v, dW):
+    """``mmr_train._backprop_tables`` with its weight adjoint by np.tensordot."""
+    for l in range(len(net.weights) - 1, 0, -1):
+        some = rmap.some_point(l)
+        m = rmap.masks[l - 1][some][:, :, None]
+        parent = rmap.index[l - 1][some]
+        dW[l] += np.tensordot(g_v[l], rmap.v_maps[l - 1][parent] * m, axes=([0, 2], [0, 2]))
+        g_v[l - 1] += mmr_train._row_sums(parent, len(g_v[l - 1]),
+                                          np.matmul(net.weights[l].T, g_v[l]) * m)
+    dW[0] += g_v[0].sum(axis=0)
+
+
 def nearest_argsort(dists, kb):
     """The kb smallest entries of each row, in increasing order, and a mask
     of where they sit: the first kb of a stable sort, so ties go to the
@@ -274,8 +305,9 @@ def norm_grad_along_axis(scale, rows, q):
 
 def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None, ce=None):
     """``mmr_train._universal`` with the k_B nearest region hyperplanes
-    chosen by a stable argsort, layers split by np.split and the q = inf
-    norm gradient written along an axis; the same sums in the same order.
+    chosen by a stable argsort, layers split by np.split, the q = inf norm
+    gradient written along an axis, every division masked and the tables'
+    weight adjoint by np.tensordot; the same sums in the same order.
 
     It returns the regularizer values.  grads, when given, receives the
     gradient of their mean.  ce, when given, receives each row's
@@ -306,7 +338,7 @@ def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None, ce=None
             q = geometry.dual_exponent(p)
             if kb:
                 dens = certify.hidden_norms(rmap, q)
-                dists = certify.plane_distances(abs_u, dens)
+                dists = masked_distances(abs_u, dens)
                 sel = np.argsort(dists, axis=1, kind="stable")[:, :kb]
                 near = np.take_along_axis(dists, sel, axis=1)
                 value += lam * mmr_train._hinge(near / gamma).sum(axis=1) / kb
@@ -315,19 +347,19 @@ def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None, ce=None
                     active = (near < gamma) & np.isfinite(near)
                     np.put_along_axis(coef, sel, np.where(
                         active, -(weight * lam) / (kb * gamma), 0.0), axis=1)
-                    g_val, g_norm = mmr_train._adjoints(coef, abs_u, dens)
+                    g_val, g_norm = masked_adjoints(coef, abs_u, dens)
                     g_u += g_val * np.sign(u)
                     for l, g in enumerate(np.split(g_norm, splits, axis=1)):
                         v = rmap.v_maps[l]
                         g_v[l] += norm_grad_along_axis(
                             mmr_train._row_sums(rmap.index[l], len(v), g), v, q)
             dens = certify.row_norms(diff, q)
-            dists = certify.plane_distances(w_num, dens)
+            dists = masked_distances(w_num, dens)
             value += lam * mmr_train._hinge(dists / gamma).sum(axis=1) / (k - 1)
             if grads is not None:
                 active = (dists < gamma) & np.isfinite(dists)
                 coef = np.where(active, -(weight * lam) / ((k - 1) * gamma), 0.0)
-                g_val, g_norm = mmr_train._adjoints(coef, w_num, dens)
+                g_val, g_norm = masked_adjoints(coef, w_num, dens)
                 g_logits[idx, others] -= g_val
                 g_logits[idx[:, 0], c] += g_val.sum(axis=1)
                 g_diff += norm_grad_along_axis(g_norm, diff, q)
@@ -339,7 +371,7 @@ def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None, ce=None
             gv_out[idx, others] -= g_diff
             gv_out[idx[:, 0], c] += g_diff.sum(axis=1)
             g_v[-1] += mmr_train._row_sums(rmap.region, len(g_v[-1]), gv_out)
-            mmr_train._backprop_tables(net, rmap, g_v, grads[0])
+            backprop_tables_tensordot(net, rmap, g_v, grads[0])
     return out
 
 

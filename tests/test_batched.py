@@ -294,6 +294,60 @@ def test_special_nets_exercise_edge_cases():
     assert certs.correct.any()
 
 
+def signed_values_and_norms(seed):
+    """(40, 9) values with a row of +0.0 and one of -0.0, and positive norms
+    from 1e-3 to 1e3."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((40, 9))
+    values[0], values[1] = 0.0, -0.0
+    return values, 10.0 ** rng.uniform(-3.0, 3.0, (40, 9))
+
+
+def test_plane_distances_divide_straight_off_positive_norms():
+    values, norms = signed_values_and_norms(7)
+    assert certify.plane_distances(values, norms).tobytes() == (values / norms).tobytes()
+    # a zero norm anywhere: the masked divide, +inf at 0 / 0 and -0 / 0
+    norms[:, 4] = 0.0
+    got = certify.plane_distances(values, norms)
+    assert got.tobytes() == ref.masked_distances(values, norms).tobytes()
+    assert got[0, 4] == got[1, 4] == math.inf
+
+
+def test_adjoints_divide_straight_off_positive_norms():
+    values, norms = signed_values_and_norms(8)
+    coef = np.where(values > 0.3, -0.25, 0.0)
+    g_val, g_norm = mmr_train._adjoints(coef, values, norms)
+    assert g_val.tobytes() == (coef / norms).tobytes()
+    assert g_norm.tobytes() == (-coef * values / norms**2).tobytes()
+    # the masked form differs only in the sign of the zeros where coef is 0
+    want_val, want_norm = ref.masked_adjoints(coef, values, norms)
+    assert (g_val == want_val).all() and (g_norm == want_norm).all()
+    # a zero norm, whose hinge is never active: the masked form, no 0 / 0
+    norms[:, 4], coef[:, 4] = 0.0, 0.0
+    for got, want in zip(mmr_train._adjoints(coef, values, norms),
+                         ref.masked_adjoints(coef, values, norms)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["zero-rows", "logit-ties"])
+def test_zero_normal_nets_reach_the_masked_divide(name, monkeypatch):
+    # guards the fixtures above: the regularizer meets a zero norm (a zero
+    # hidden row, a zero decision normal) in both divides, so the bitwise
+    # argsort tests cover their masked branches
+    met = set()
+    for module, fn in ((certify, "plane_distances"), (mmr_train, "_adjoints")):
+        def spy(*args, _fn=getattr(module, fn), _name=fn):
+            if (args[-1] == 0).any():
+                met.add(_name)
+            return _fn(*args)
+        monkeypatch.setattr(module, fn, spy)
+    net = dict(NETS)[name]
+    X, y = points(net, 24, seed=len(name) + 200)
+    grads = mmr_train._zero_grads(net)[1]
+    mmr_train._universal(net, X, y, CFG, 3, *LAMBDAS[0], grads=grads)
+    assert met == {"plane_distances", "_adjoints"}
+
+
 def shared_points(net, n, seed, mixed=False):
     """Points of a cleared_net: all in the unit box (one activation region),
     or with every other point drawn from a wider box (mostly other regions);

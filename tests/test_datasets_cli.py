@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relucert import certify, cli, geometry, net_core
+from relucert import certify, cli, geometry, mmr_train, net_core
 from relucert.cli import Report, derive_eps2, main, run_evaluation
 from relucert.datasets import Dataset, gen_blobs, gen_corners, gen_moons, load_dataset, save_dataset
 
@@ -143,6 +143,16 @@ def test_gen_corners_keeps_a_distinct_first_draw(n, seed, dim, classes):
     X = np.clip(protos[y] + 0.08 * rng.standard_normal((n, dim)), 0.0, 1.0)
     ds = gen_corners(n, seed=seed, dim=dim, num_classes=classes)
     assert ds.features.tobytes() == X.tobytes() and ds.labels.tobytes() == (y + 1).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 5), seed=st.integers(0, 2**16))
+def test_distinct_rows_counts_as_np_unique(rows, cols, seed):
+    # the corner prototypes' repeat check, on rows of few values so that
+    # repeats are common
+    from relucert.datasets import _distinct_rows
+    a = np.random.default_rng(seed).choice([0.15, 0.85, -0.0, 0.0], size=(rows, cols))
+    assert _distinct_rows(a) == len(np.unique(a, axis=0))
 
 
 def test_gen_corners_benchmark_pool_is_unchanged(tmp_path):
@@ -857,6 +867,83 @@ def test_cli_count_of_one(tmp_path, capsys, argv, lines):
     out = tmp_path / "out.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert len(out.read_text().splitlines()) == lines
+
+
+@pytest.mark.parametrize("arch", ["abc", "0", "-3", "8,x", "8,0", "2.5"])
+def test_cli_arch_must_be_positive_integers(tmp_path, capsys, arch):
+    # --arch abc used to fail in int() and --arch 0 in the net's size check,
+    # neither message naming the flag
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--data", "unread.bin", "--arch", arch, "--out", str(tmp_path / "m")])
+    assert exc.value.code == 2 and not (tmp_path / "m").exists()
+    assert (f"argument --arch: must be comma-separated integers >= 1, got '{arch}'"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("arch,hidden", [(["--arch", ""], []), (["--arch", "8"], [8]),
+                                         (["--arch", "8, 16,"], [8, 16]), ([], [64])])
+def test_cli_arch_parses_hidden_sizes(arch, hidden):
+    args = cli._build_parser().parse_args(["train", "--data", "d", "--out", "m", *arch])
+    assert args.arch == hidden
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1.5"])
+@pytest.mark.parametrize("flag", ["--iters", "--restarts"])
+@pytest.mark.parametrize("command", ["attack", "report"])
+def test_cli_attack_counts_name_their_flag(eval_inputs, capsys, command, flag, value):
+    # --iters 0 used to fail inside the attack with a message naming no flag
+    _, _, model, data, _ = eval_inputs
+    argv = [command, "--model", model, "--data", data, *COMMAND_ARGS[command]]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv] + [flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+
+
+ONE_CLASS = "error: the margin regularizer needs at least 2 classes, got 1"
+
+
+def test_cli_one_class_training_names_the_regularizer(tmp_path, capsys):
+    # a one-class net has no decision hyperplane: the regularizer used to
+    # divide its decision term by K - 1 = 0 and report a divergence
+    data = tmp_path / "one.bin"
+    _run(capsys, ["gen-data", "--kind", "corners", "--classes", 1, "--dim", 4, "--n", 50,
+                  "--out", data])
+    train = ["train", "--data", str(data), "--arch", "8", "--epochs", "10"]
+    assert main(train + ["--out", str(tmp_path / "m.bin")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(ONE_CLASS)
+    assert "Traceback" not in captured.err and not (tmp_path / "m.bin").exists()
+    # without the regularizer a one-class net still trains
+    _run(capsys, train + ["--lambda1", "0", "--lambdainf", "0", "--out", tmp_path / "p.bin"])
+
+
+def test_one_class_loss_and_gradient_raise():
+    net = net_core.random_net([3, 5, 1], seed=0)
+    batch = (np.full((4, 3), 0.5), np.ones(4, dtype=np.int64))
+    cfg = mmr_train.MmrUniversalConfig()
+    for fn in (mmr_train.loss, mmr_train.loss_gradient):
+        with pytest.raises(ValueError, match=ONE_CLASS[len("error: "):]):
+            fn(net, batch, cfg)
+    plain = mmr_train.MmrUniversalConfig(lambda1=0.0, lambda_inf=0.0)
+    assert mmr_train.loss(net, batch, plain) == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--kind", "corners", "--n", "300", "--classes", "5", "--dim", "3"],
+    ["geometry", "--d", "16", "--num", "8"],
+], ids=["gen-corners", "geometry"])
+def test_cli_leaves_numpy_ma_unloaded(tmp_path, argv):
+    # np.unique loads numpy.ma on first use, which every process paid at
+    # set-up; a fresh interpreter shows whether anything still loads it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys; from relucert import cli; rc = cli.main(sys.argv[1:]); "
+            "print('numpy.ma' in sys.modules, rc)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, cwd=tmp_path, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False 0"
 
 
 @pytest.mark.parametrize("command", list(COMMAND_ARGS))
