@@ -34,7 +34,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import geometry, net_core
-from .certify import EpsTriple, _check_labels, _check_radius, row_norms
+from .certify import EpsTriple, _check_finite, _check_labels, row_norms
 
 __all__ = [
     "attack_norms",
@@ -307,20 +307,10 @@ def _pgd_core(net, starts, X_ref, y, cfg: _Pgd, region):
     return np.isfinite(best_norm), best_norm, best_delta
 
 
-def _prepare(net, dataset):
-    """The checked points X and labels y of dataset, and the region of the
-    anchors X that the attacks on them share (None where _region_pays is
-    off)."""
-    X = np.asarray(dataset.features, dtype=np.float64)
-    y = _check_labels(net, dataset.labels)
-    if len(X) == 0:
-        raise ValueError("dataset is empty")
-    return X, y, _anchor_region(net, X) if _region_pays(net) else None
-
-
 def _attack(net, X, y, region, cfg: _Pgd):
-    """PGD with one config over the points of _prepare, vectorized over
-    (point, restart) pairs; restart 0 starts at the point.  A reported
+    """PGD with one config over the points X with labels y, vectorized over
+    (point, restart) pairs; restart 0 starts at the point.  region is the
+    anchors' region that attack_norms shares, or None.  A reported
     perturbation is re-checked exactly: it must lie in the ball and x +
     delta must be misclassified, else RuntimeError."""
     n, d = X.shape
@@ -371,11 +361,15 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
             raise ValueError(f"unknown norm {name!r}; expected l1, l2 or linf")
         if radii[name] is None:
             raise ValueError(f"no radius given for norm {name}")
-        _check_radius(radii[name], _EPS_NAMES[name])
+        _check_finite(radii[name], _EPS_NAMES[name])
     cfgs = {name: _Pgd(p, radii[name], iterations, restarts, sparsity_frac, seed + offset)
             for offset, (name, p) in enumerate(_ORDERS.items(), start=1) if name in norms}
-    points = _prepare(net, dataset)
-    return {name: _attack(net, *points, cfg) for name, cfg in cfgs.items()}
+    X = np.asarray(dataset.features, dtype=np.float64)
+    y = _check_labels(net, dataset.labels)
+    if len(X) == 0:
+        raise ValueError("dataset is empty")
+    region = _anchor_region(net, X) if _region_pays(net) else None
+    return {name: _attack(net, X, y, region, cfg) for name, cfg in cfgs.items()}
 
 
 def lower_bounds(net, dataset, found: dict) -> dict:

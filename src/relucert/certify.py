@@ -79,10 +79,12 @@ def _check_labels(net, labels) -> np.ndarray:
     return labels
 
 
-def _check_radius(value, name: str) -> None:
-    """ValueError unless the radius value is finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+def _check_finite(value, name: str, strict: bool = False) -> None:
+    """ValueError unless value is finite and >= 0 (> 0 if strict); the
+    message starts with name."""
+    if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
+        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, "
+                         f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -134,23 +136,27 @@ class Certificates:
 def hidden_norms(rmap, q) -> np.ndarray:
     """(B, N) lq-norms of each point's hidden hyperplane normals, taken once
     per table row."""
-    return rmap.stacked([row_norms(v, q) for v in rmap.v_maps[:-1]])
+    out = np.empty(rmap.values.shape)
+    for l, cols in enumerate(rmap.layers):
+        out[:, cols] = rmap.at_points(l, row_norms(rmap.v_maps[l], q))
+    return out
 
 
 def _min_dists(rmap, gaps, values, normals, p):
     """Nearest boundary and nearest (signed) decision lp-distance per point,
     gaps being |rmap.values|.  Boundary distances are taken layer by layer,
     each gap divided by its table row's norm (plane_distances: a zero normal
-    is a unit that cannot be crossed, inf away, and 0 / 0 never happens)."""
+    is a unit that cannot be crossed, inf away, and 0 / 0 never happens).
+    A one-class net has no decision hyperplane in any region, so no input
+    changes its class and both distances are inf."""
     q = geometry.dual_exponent(p)
-    boundary = np.full(len(gaps), math.inf)
-    pos = 0
-    for l, v in enumerate(rmap.v_maps[:-1]):
-        norms = rmap.at_points(l, row_norms(v, q))
-        layer = gaps[:, pos:pos + v.shape[1]]
-        pos += v.shape[1]
-        np.minimum(boundary, plane_distances(layer, norms).min(axis=1), out=boundary)
     decision = plane_distances(values, row_norms(normals, q)).min(axis=1, initial=math.inf)
+    if not normals.shape[1]:
+        return decision, decision
+    boundary = np.full(len(gaps), math.inf)
+    for l, cols in enumerate(rmap.layers):
+        norms = rmap.at_points(l, row_norms(rmap.v_maps[l], q))
+        np.minimum(boundary, plane_distances(gaps[:, cols], norms).min(axis=1), out=boundary)
     return boundary, decision
 
 
@@ -304,7 +310,7 @@ def bounds(certs: Certificates, eps) -> dict:
     """
     eps = EpsTriple(*eps)
     for name, e in eps._asdict().items():
-        _check_radius(e, name)
+        _check_finite(e, name)
     if len(certs.correct) == 0:
         raise ValueError("no points to bound: the dataset is empty")
     ok = {name: certs.correct & (radius >= e)

@@ -78,7 +78,7 @@ def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
     would then be wrong."""
     t0 = time.perf_counter()
     net = net_core.load_model(model_path)
-    data = datasets.load_dataset(data_path)
+    data = _load_data(data_path, net.input_dim, model_path)
     eps = certify.EpsTriple(*eps)
     if eps.eps2 is None:
         eps = eps._replace(eps2=derive_eps2(eps.eps1, eps.eps_inf, data.dim))
@@ -125,10 +125,19 @@ def _write_csv(path, header: str, rows) -> None:
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
+def _load_data(path, dim, source):
+    """The dataset at path; ValueError naming path and source unless its
+    points have dimension dim, that of source."""
+    data = datasets.load_dataset(path)
+    if data.dim != dim:
+        raise ValueError(f"{path}: points have dimension {data.dim}, but {source} has {dim}")
+    return data
+
+
 def _load_inputs(args):
     """The --model net and the --data dataset's first --limit points (all without one)."""
     net = net_core.load_model(args.model)
-    data = datasets.load_dataset(args.data)
+    data = _load_data(args.data, net.input_dim, args.model)
     return net, data.head(args.limit) if args.limit else data
 
 
@@ -175,7 +184,7 @@ def _cmd_train(args) -> int:
         field, _, rest = str(exc).partition(" ")
         raise ValueError(f"{_TRAIN_FLAGS.get(field, field)} {rest}") from None
     data = datasets.load_dataset(args.data)
-    eval_data = datasets.load_dataset(args.eval_data) if args.eval_data else None
+    eval_data = _load_data(args.eval_data, data.dim, args.data) if args.eval_data else None
     sizes = [data.dim] + args.arch + [data.num_classes]
     net0 = net_core.random_net(sizes, seed=args.seed)
     net, history = mmr_train.train(net0, data, mmr_cfg, train_cfg,
@@ -278,6 +287,13 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _fraction(text: str) -> float:
+    """argparse type of --sparsity: a number in (0, 1]."""
+    if not 0.0 < float(text) <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text!r}")
+    return float(text)
+
+
 def _hidden_sizes(text: str) -> list:
     """argparse type of --arch: comma-separated hidden layer sizes, each an
     integer >= 1; blank entries are skipped, so "" is a net with no hidden
@@ -348,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a.add_argument("--epsinf", type=float, default=None)
     a.add_argument("--iters", type=_positive_int, default=100)
     a.add_argument("--restarts", type=_positive_int, default=10)
-    a.add_argument("--sparsity", type=float, default=0.01)
+    a.add_argument("--sparsity", type=_fraction, default=0.01)
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--limit", type=_positive_int, default=None)
     a.add_argument("--per-point-csv", default=None)

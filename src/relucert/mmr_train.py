@@ -75,16 +75,6 @@ class TrainingDiverged(RuntimeError):
     """Raised when training meets a non-finite loss, parameter or result."""
 
 
-def _check_finite(cfg, names, strict):
-    """ValueError unless each named field of cfg is finite and > 0 (>= 0
-    unless strict); the message starts with the field's name."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not (math.isfinite(value) and (value > 0 if strict else value >= 0)):
-            raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, "
-                             f"got {value!r}")
-
-
 @dataclass(frozen=True)
 class MmrUniversalConfig:
     """Joint l1/linf margin regularizer settings.
@@ -100,8 +90,8 @@ class MmrUniversalConfig:
     gamma_inf: float = 0.1
 
     def __post_init__(self):
-        _check_finite(self, ("lambda1", "lambda_inf"), strict=False)
-        _check_finite(self, ("gamma1", "gamma_inf"), strict=True)
+        for name in ("lambda1", "lambda_inf", "gamma1", "gamma_inf"):
+            certify._check_finite(getattr(self, name), name, strict=name.startswith("gamma"))
 
 
 @dataclass(frozen=True)
@@ -118,7 +108,7 @@ class TrainConfig:
         if self.epochs < LAMBDA_RAMP_EPOCHS:
             raise ValueError(f"epochs must be at least {LAMBDA_RAMP_EPOCHS}, the lambda ramp, "
                              f"got {self.epochs!r}")
-        _check_finite(self, ("learning_rate",), strict=True)
+        certify._check_finite(self.learning_rate, "learning_rate", strict=True)
 
 
 def kb_schedule(epoch: int, total_epochs: int, num_hidden: int) -> int:
@@ -206,7 +196,7 @@ def _backprop_tables(net, rmap, g_v, dW):
     row's mask and parent row are those of any one of its points."""
     for l in range(len(net.weights) - 1, 0, -1):
         some = rmap.some_point(l)
-        m = rmap.masks[l - 1][some][:, :, None]
+        m = (rmap.values[some, rmap.layers[l - 1]] > 0)[:, :, None]
         parent = rmap.index[l - 1][some]
         # np.tensordot(g, rows, axes=([0, 2], [0, 2])) without its Python overhead
         g, rows = g_v[l], rmap.v_maps[l - 1][parent] * m
@@ -234,8 +224,6 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads)
                          "set lambda1 and lambda_inf to 0 to train without it")
     weight = 1.0 / len(X)
     reg, ce = np.empty(len(X)), np.empty(len(X))
-    bounds = np.cumsum((0,) + net.hidden_sizes).tolist()
-    layers = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]  # of the N units
     for sl, rmap in net_core.region_maps(net, X):
         u = rmap.values
         abs_u, sign_u = np.abs(u), np.sign(u)
@@ -261,7 +249,7 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads)
                 coef = np.where(take & (dists < gamma), -(weight * lam) / (kb * gamma), 0.0)
                 g_val, g_norm = _adjoints(coef, abs_u, dens)
                 g_u += g_val * sign_u
-                for l, cols in enumerate(layers):
+                for l, cols in enumerate(rmap.layers):
                     v = rmap.v_maps[l]
                     g_v[l] += _norm_grad(_row_sums(rmap.index[l], len(v), g_norm[:, cols]), v, q)
             dens = certify.row_norms(diff, q)
@@ -276,8 +264,8 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads)
         reg[sl] = value
         # the values: the layer-wise backward pass from the chunk's
         # preactivations and logits
-        net_core.backward_batch(net, [u[:, cols] for cols in layers], g_logits, grads,
-                                rmap.points, [g_u[:, cols] for cols in layers])
+        net_core.backward_batch(net, [u[:, cols] for cols in rmap.layers], g_logits, grads,
+                                X[sl], [g_u[:, cols] for cols in rmap.layers])
         # the dual norms: diff = V_out[c] - V_out[s], summed per region
         gv_out = np.zeros(rmap.logits.shape + diff.shape[2:])
         gv_out[idx, others] -= g_diff
@@ -296,6 +284,8 @@ def _as_batch(net, batch):
     y = certify._check_labels(net, y)
     if X.ndim != 2 or len(X) != len(y) or len(X) == 0:
         raise ValueError("batch must be a non-empty (features, labels) pair")
+    if X.shape[1] != net.input_dim:
+        raise ValueError(f"batch has shape {X.shape}, expected (B, {net.input_dim})")
     return X, y
 
 
@@ -327,8 +317,8 @@ def _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grads):
     maps, and one backward pass per chunk carries both terms; otherwise a
     plain forward and backward pass give it.
     """
-    if kb_now is None:
-        kb_now = max(1, int(np.rint(KB_START_FRAC * max(net.num_hidden_units, 1))))
+    if kb_now is None:  # the first epoch's
+        kb_now = kb_schedule(0, 2, net.num_hidden_units)
     lam1, lam_inf = cfg.lambda1 * lam_scale, cfg.lambda_inf * lam_scale
     if lam1 > 0 or lam_inf > 0:
         reg, ce = _universal(net, X, y, cfg, kb_now, lam1, lam_inf, grads)
@@ -399,21 +389,17 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
           eval_dataset=None):
     """Run the full training protocol and return (trained net, history).
 
-    Shuffled mini-batches with Adam; k_B follows ``kb_schedule``, the
-    lambdas ramp up over the first LAMBDA_RAMP_EPOCHS epochs, and the
-    learning rate is divided by LR_DROP_FACTOR for the final LR_DROP_LAST
-    epochs.  History records per-epoch loss, test error and mean certified
-    radii on the first CERT_SAMPLE points of the evaluation set.
+    Both sets are checked against net0 before the first step.  Shuffled
+    mini-batches with Adam; k_B follows ``kb_schedule``, the lambdas ramp
+    up over the first LAMBDA_RAMP_EPOCHS epochs, and the learning rate is
+    divided by LR_DROP_FACTOR for the final LR_DROP_LAST epochs.  History
+    records per-epoch loss, test error and mean certified radii on the
+    first CERT_SAMPLE points of the evaluation set.
     """
-    X = np.asarray(dataset.features, dtype=np.float64)
-    y = certify._check_labels(net0, dataset.labels)
-    if eval_dataset is None:
-        X_ev, y_ev = X, y
-    else:
-        X_ev = np.asarray(eval_dataset.features, dtype=np.float64)
-        y_ev = certify._check_labels(net0, eval_dataset.labels)
-    if len(X) == 0 or len(X_ev) == 0:
+    sets = (dataset, dataset if eval_dataset is None else eval_dataset)
+    if any(len(ds.features) == 0 for ds in sets):
         raise ValueError("training needs points in both the training and the evaluation set")
+    (X, y), (X_ev, y_ev) = [_as_batch(net0, (ds.features, ds.labels)) for ds in sets]
     n = len(X)
     rng = np.random.default_rng(train_cfg.seed)
     adam = _Adam(net0.weights + net0.biases)
@@ -421,7 +407,6 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     # is built once; they are checked for finite values after every step
     net = net_core._view_net(adam.params[:len(net0.weights)], adam.params[len(net0.weights):])
     g, grads = _zero_grads(net)
-    num_hidden = net0.num_hidden_units
     history = []
     epoch = start = 0
     try:
@@ -429,7 +414,7 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
         # training stops there whatever the warning filters say
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(train_cfg.epochs):
-                kb = kb_schedule(epoch, train_cfg.epochs, num_hidden)
+                kb = kb_schedule(epoch, train_cfg.epochs, net.num_hidden_units)
                 lam_scale = lambda_ramp_factor(epoch, LAMBDA_RAMP_EPOCHS)
                 lr = train_cfg.learning_rate
                 if epoch >= train_cfg.epochs - LR_DROP_LAST:

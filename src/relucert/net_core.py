@@ -4,10 +4,12 @@ A network built from dense layers with ReLU activations is affine on each
 activation region of the input space.  For a batch of anchor points, one
 pass over the layers (``region_map``) yields the affine restriction (V, a
 per layer) and the half-space description of the region containing each
-point.  The geometry is built once per activation region, not once per
-point: the points are grouped layer by layer by their masks so far, and
-each layer's affine form is built once per group.  Points near each other,
-and the training points of a margin-regularized net, mostly share a region.
+point.  ``ReluNet.hidden_slices`` splits the N hidden units into layers,
+and a unit is active exactly where its preactivation is > 0.  The geometry
+is built once per activation region, not once per point: the points are
+grouped layer by layer by their masks so far, and each layer's affine form
+is built once per group.  Points near each other, and the training points
+of a margin-regularized net, mostly share a region.
 ``region_maps`` splits a batch into chunks of bounded memory, larger while
 the points share regions; it is the one region-geometry path behind
 certification and the regularizer.  While the points share regions, a
@@ -18,6 +20,8 @@ each layer's geometry once.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -110,6 +114,13 @@ class ReluNet:
     def num_hidden_units(self) -> int:
         return int(sum(self.hidden_sizes))
 
+    @functools.cached_property
+    def hidden_slices(self) -> tuple:
+        """Each hidden layer's slice of the N hidden units, in layer order;
+        built once per net, since region geometry reads it at every layer."""
+        ends = (0, *itertools.accumulate(self.hidden_sizes))
+        return tuple(map(slice, ends[:-1], ends[1:]))
+
     @property
     def dtype(self) -> np.dtype:
         return self.weights[0].dtype
@@ -151,15 +162,14 @@ class RegionMap:
     (U_l, n_l), the last entry being the output map, and ``index[l]`` (B,)
     gives each point's row in them.  Rows are numbered in order of first
     appearance, so the first layer has one row and the output map one per
-    activation region, ``region`` = ``index[-1]``.  Per point,
-    ``masks[l]`` (B, n_l) marks the active hidden units, ``values`` (B, N)
-    are the preactivations of the N hidden units at ``points`` and
-    ``logits`` (B, K) the outputs there.
+    activation region, ``region`` = ``index[-1]``.  Per point, ``values``
+    (B, N) are the preactivations of the N hidden units, ``layers[l]``
+    (the net's ``hidden_slices``) being layer l's columns, and ``logits``
+    (B, K) the outputs.  A unit is active exactly where its value is > 0.
     """
 
-    points: np.ndarray
     index: tuple
-    masks: tuple
+    layers: tuple
     v_maps: tuple
     a_maps: tuple
     values: np.ndarray
@@ -178,21 +188,8 @@ class RegionMap:
 
     def at_points(self, l, table) -> np.ndarray:
         """Layer l's table (U_l, ...), such as its row norms, read at each
-        point: gathered by index[l], or as it is when it has one row, which
-        broadcasts, or one row per point, which are in point order since
-        rows are numbered in order of first appearance."""
-        return table if len(table) in (1, len(self.index[l])) else table[self.index[l]]
-
-    def stacked(self, tables) -> np.ndarray:
-        """Per-point stack (B, N) of one table (U_l, n_l) per hidden layer,
-        such as the row norms of the hidden v_maps."""
-        out = np.empty(self.values.shape)
-        pos = 0
-        for l, table in enumerate(tables):
-            n = table.shape[1]
-            out[:, pos:pos + n] = self.at_points(l, table)
-            pos += n
-        return out
+        point: gathered by index[l], unless _read_as_is."""
+        return table if _read_as_is(table, self.index[l]) else table[self.index[l]]
 
     def affine_region(self, i):
         """Point i's activation region as rows [w, c] of affine maps z -> w . z
@@ -278,12 +275,18 @@ def _per_point(v, xs):
     return np.matmul(v, xs[:, :, None])[:, :, 0]
 
 
+def _read_as_is(table, index) -> bool:
+    """Whether a table read at points through their rows index (B,) is the
+    table itself: one row, which broadcasts, or one per point, in point
+    order since rows are numbered in order of first appearance."""
+    return len(table) in (1, len(index))
+
+
 def _per_region(v, a, index, xs, cap, out):
     """out[i] = v[r] @ x + a[r] for every point x and its row r = index[i]:
     the per-point products of _per_point, with the rows gathered at most cap
-    points at a time (none when one row is shared by every point or each
-    point has its own)."""
-    if len(v) in (1, len(xs)):  # rows are numbered in first-seen order
+    points at a time (none when _read_as_is)."""
+    if _read_as_is(v, index):
         return np.add(_per_point(v, xs), a, out=out)
     for lo in range(0, len(xs), cap):
         i = index[lo:lo + cap]
@@ -322,14 +325,14 @@ def _layer_step(w, b, v, a, mask):
     return np.matmul(w, v * mask[:, :, None]), _per_point(w[None], a * mask) + b
 
 
-def _carried_rows(prev: RegionMap, l, masks, first) -> np.ndarray:
+def _carried_rows(prev: RegionMap, l, values, first) -> np.ndarray:
     """The row of prev's layer-l table whose activation prefix (the masks of
-    layers 0..l-1) is that of each row first of masks, or -1 where prev has
-    none.  prev's rows have distinct prefixes, so each is its own group."""
-    keys = [np.concatenate([m[rows] for m in ms], axis=1)
-            for ms, rows in ((prev.masks[:l], prev.some_point(l)), (masks, first))]
-    old = _first_seen(np.concatenate(keys).view(np.uint8))[0][len(keys[0]):]
-    return np.where(old < len(keys[0]), old, -1)
+    layers 0..l-1) is that of each point first of values, or -1 where prev
+    has none.  prev's rows have distinct prefixes, so each is its own group."""
+    some, end = prev.some_point(l), prev.layers[l - 1].stop
+    keys = np.concatenate([prev.values[some, :end], values[first, :end]]) > 0
+    old = _first_seen(keys.view(np.uint8))[0][len(some):]
+    return np.where(old < len(some), old, -1)
 
 
 def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None) -> RegionMap:
@@ -347,8 +350,8 @@ def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None) ->
     """
     B, d = xs.shape
     values = np.empty((B, net.num_hidden_units))
-    index, masks, v_maps, a_maps = [], [], [], []
-    pos, carry = 0, prev
+    index, v_maps, a_maps = [], [], []
+    layers, carry = net.hidden_slices, prev
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         if l == 0:
             group = np.zeros(B, dtype=np.int64)
@@ -358,14 +361,14 @@ def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None) ->
             if len(v) == B:  # every row has its own prefix already
                 first = group
             else:
-                keys = np.packbits(masks[-1], axis=1)
+                keys = np.packbits(active, axis=1)
                 if len(v) > 1:
                     keys = np.concatenate([up[:, None].view(np.uint8), keys], axis=1)
                 group, first = _first_seen(keys)
                 if len(first) > cap:
                     return _region_prefix(net, xs[:first[cap] // cap * cap], cap, prev)
-            mask = masks[-1][first]
-            old = None if carry is None else _carried_rows(carry, l, masks, first)
+            mask = active[first]
+            old = None if carry is None else _carried_rows(carry, l, values, first)
             if old is None or (old < 0).all():
                 # no prefix carries over to a later layer either
                 carry = None
@@ -384,12 +387,9 @@ def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None) ->
         v_maps.append(v)
         a_maps.append(a)
         if l < net.num_hidden_layers:
-            g = _per_region(v, a, group, xs, cap, values[:, pos:pos + w.shape[0]])
-            masks.append(g > 0)
-            pos += w.shape[0]
+            active = _per_region(v, a, group, xs, cap, values[:, layers[l]]) > 0
     logits = _per_region(v, a, group, xs, cap, np.empty((B, len(b))))
-    return RegionMap(xs, tuple(index), tuple(masks), tuple(v_maps), tuple(a_maps), values,
-                     logits)
+    return RegionMap(tuple(index), layers, tuple(v_maps), tuple(a_maps), values, logits)
 
 
 def region_map(net: ReluNet, xs) -> RegionMap:
@@ -444,8 +444,8 @@ def region_maps(net: ReluNet, xs):
     step, lo, carry = cap, 0, None
     while lo < len(xs):
         rmap = _region_prefix(net, xs[lo:lo + step], cap, carry)
-        yield slice(lo, lo + len(rmap.points)), rmap
-        lo += len(rmap.points)
+        yield slice(lo, lo + len(rmap.values)), rmap
+        lo += len(rmap.values)
         few = len(rmap.v_maps[-1]) <= max(1, cap // 2)
         step, carry = (min(2 * step, most), rmap) if few else (cap, None)
 

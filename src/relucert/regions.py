@@ -158,10 +158,9 @@ class RegionAtlas:
         bits = np.zeros((net.num_hidden_units, 1), dtype=bool)
         # the current layer's affine form on each piece: v (R, n, 2), a (R, n)
         v, a = net.weights[0][None], net.biases[0][None]
-        h = 0
-        for w, b in zip(net.weights[1:], net.biases[1:]):
+        for cols, w, b in zip(net.hidden_slices, net.weights[1:], net.biases[1:]):
             src[:P] = np.arange(P)
-            for j in range(v.shape[1]):
+            for j, h in enumerate(range(cols.start, cols.stop)):
                 g = _side(xy[:, :, :P], v[src[:P], j], a[src[:P], j])
                 lo, hi = g.min(axis=0), g.max(axis=0)
                 crossed = np.flatnonzero((lo < -_TOL) & (hi > _TOL))
@@ -192,17 +191,15 @@ class RegionAtlas:
                 if P > MAX_REGIONS:
                     self.complete = False
                     return
-                h += 1
             # numpy multiplies by a bool mask several times slower than by a
             # float one; float32 holds 0 and 1 exactly in half the memory
-            mask = bits[h - v.shape[1]:h, :P].T.astype(np.float32)
+            mask = bits[cols, :P].T.astype(np.float32)
             v, a = net_core._layer_step(w, b, v[src[:P]], a[src[:P]], mask)
         # one vertex array per region, and the table as a view of them
         rows = np.ascontiguousarray(xy[:, :, :P].transpose(2, 1, 0))
         self._xy, self._counts, self._v_out, self._a_out = rows.T, counts[:P], v, a
-        bounds = np.cumsum((0,) + net.hidden_sizes)
-        layers = [list(map(bytes, np.ascontiguousarray(bits[i:k, :P].T).view(np.uint8)))
-                  for i, k in zip(bounds[:-1], bounds[1:])]
+        layers = [list(map(bytes, np.ascontiguousarray(bits[cols, :P].T).view(np.uint8)))
+                  for cols in net.hidden_slices]
         keys = list(zip(*layers)) if layers else [()] * P
         polys = map(np.ndarray.__getitem__, rows, map(slice, self._counts.tolist()))
         self.regions = list(map(_Region, keys, polys, v, a))

@@ -29,6 +29,13 @@ from relucert import attacks, certify, geometry, mmr_train, net_core
 from relucert.certify import row_norms
 
 
+def masks_of(rmap):
+    """The (B, n_l) masks of each hidden layer's active units, values > 0,
+    split by the widths of the hidden tables."""
+    ends = np.cumsum([v.shape[1] for v in rmap.v_maps[:-1]], dtype=np.int64)
+    return [rmap.values[:, end - v.shape[1]:end] > 0 for v, end in zip(rmap.v_maps[:-1], ends)]
+
+
 def point_geometry(net, x):
     """Masks, per-layer affine maps and the stacked hidden hyperplane rows."""
     x = np.asarray(x, dtype=np.float64)
@@ -275,7 +282,7 @@ def backprop_tables_tensordot(net, rmap, g_v, dW):
     """``mmr_train._backprop_tables`` with its weight adjoint by np.tensordot."""
     for l in range(len(net.weights) - 1, 0, -1):
         some = rmap.some_point(l)
-        m = rmap.masks[l - 1][some][:, :, None]
+        m = masks_of(rmap)[l - 1][some][:, :, None]
         parent = rmap.index[l - 1][some]
         dW[l] += np.tensordot(g_v[l], rmap.v_maps[l - 1][parent] * m, axes=([0, 2], [0, 2]))
         g_v[l - 1] += mmr_train._row_sums(parent, len(g_v[l - 1]),
@@ -366,7 +373,7 @@ def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None, ce=None
         out[sl] = value
         if grads is not None:
             net_core.backward_batch(net, np.split(u, splits, axis=1), g_logits, grads,
-                                    rmap.points, np.split(g_u, splits, axis=1))
+                                    X[sl], np.split(g_u, splits, axis=1))
             gv_out = np.zeros(rmap.logits.shape + diff.shape[2:])
             gv_out[idx, others] -= g_diff
             gv_out[idx[:, 0], c] += g_diff.sum(axis=1)

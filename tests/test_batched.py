@@ -294,6 +294,56 @@ def test_special_nets_exercise_edge_cases():
     assert certs.correct.any()
 
 
+def zero_unit_net():
+    """zero-rows with the biases of unit 0 and of the first unit j whose row
+    has a positive entry set to 0: unit 0 is exactly 0 at every point, and
+    unit j exactly 0 at the origin.  Returns (net, j)."""
+    net = dict(NETS)["zero-rows"]
+    j = int(np.flatnonzero((net.weights[0] > 0).any(axis=1))[0])
+    b1 = net.biases[0].copy()
+    b1[[0, j]] = 0.0
+    return ReluNet(net.weights, (b1, *net.biases[1:])), j
+
+
+def test_a_unit_exactly_at_zero_is_inactive_in_the_table_gradient():
+    # unit 0's value is 0.0 at every point: _backprop_tables must mask it out
+    # as the forward pass does, so its incoming row gets no gradient
+    net, _ = zero_unit_net()
+    X, y = points(net, 24, seed=9)
+    rmap = net_core.region_map(net, X)
+    assert (rmap.values[:, 0] == 0.0).all()
+    for kb in (3, net.num_hidden_units):
+        assert_regularizer_matches(net, X, y, kb)
+    dW, db = mmr_train.loss_gradient(net, (X, y), WIDE, kb_now=net.num_hidden_units)
+    assert not dW[0][0].any() and db[0][0] == 0.0 and np.abs(dW[0][1:]).max() > 0.0
+
+
+def test_a_unit_exactly_at_zero_is_inactive_in_the_carried_prefix():
+    # a chunk of points where unit j is active, then the origin, where it is
+    # exactly 0: the origin's prefix differs, so the next chunk must build
+    # its own layer-1 row rather than copy the previous chunk's
+    net, j = zero_unit_net()
+    w1, b1 = net.weights[0], net.biases[0]
+    others = np.abs(b1[b1 != 0.0]).min()
+    x = np.zeros(2)
+    x[np.argmax(w1[j])] = 0.5 * others / np.abs(w1).sum()
+    cap = net_core._region_cap(net)
+    X = np.vstack([np.repeat(x[None], cap, axis=0), np.zeros((1, 2))])
+    chunks = list(net_core.region_maps(net, X))
+    assert [sl.stop for sl, _ in chunks] == [cap, cap + 1]
+    first, (_, last) = chunks[0][1], chunks[1]
+    assert first.values[0, j] > 0.0 and last.values[0, j] == 0.0
+    # every other unit of layer 0 has the same sign at both points
+    same = np.flatnonzero(np.arange(len(b1)) != j)
+    assert np.array_equal(first.values[0, same] > 0, last.values[0, same] > 0)
+    alone = net_core.region_map(net, np.zeros((1, 2)))
+    for l in range(len(net.weights)):
+        assert last.v_maps[l].tobytes() == alone.v_maps[l].tobytes()
+        assert last.a_maps[l].tobytes() == alone.a_maps[l].tobytes()
+    assert last.values.tobytes() == alone.values.tobytes()
+    assert not np.array_equal(first.v_maps[1], last.v_maps[1])
+
+
 def signed_values_and_norms(seed):
     """(40, 9) values with a row of +0.0 and one of -0.0, and positive norms
     from 1e-3 to 1e3."""
@@ -426,7 +476,7 @@ def test_one_layer_step_row_per_activation_prefix(monkeypatch, name):
     layer_step = net_core._layer_step
     monkeypatch.setattr(net_core, "_layer_step", counted)
     rmap = net_core.region_map(net, X)
-    bits = [np.concatenate([m[i] for m in rmap.masks]) for i in range(len(X))]
+    bits = [np.concatenate([m[i] for m in ref.masks_of(rmap)]) for i in range(len(X))]
     prefixes = [len({bytes(b[:sum(net.hidden_sizes[:l])]) for b in bits})
                 for l in range(1, len(net.weights))]
     assert rows == prefixes and 1 < prefixes[-1] < len(X)
@@ -467,11 +517,11 @@ def chunk_sizes(net, X):
     per-point (B, N) arrays within CHUNK_BYTES."""
     sizes, lo = [], 0
     for sl, rmap in net_core.region_maps(net, X):
-        assert (sl.start, sl.stop) == (lo, lo + len(rmap.points))
+        assert (sl.start, sl.stop) == (lo, lo + len(rmap.values))
         assert len(rmap.v_maps[-1]) <= net_core._region_cap(net)
         assert sum(v.nbytes for v in rmap.v_maps[:-1]) <= net_core.CHUNK_BYTES
         assert rmap.values.nbytes <= net_core.CHUNK_BYTES
-        sizes.append(len(rmap.points))
+        sizes.append(len(rmap.values))
         lo = sl.stop
     assert lo == len(X)
     return sizes
@@ -577,7 +627,7 @@ def stacked_rows(rmap):
     """(B, N, d + 1): each point's unsigned hidden rows [h, c] in one
     per-point stack of every layer's gathered table rows, the reference that
     RegionMap.affine_region is checked against."""
-    out = np.empty(rmap.values.shape + (rmap.points.shape[1] + 1,))
+    out = np.empty(rmap.values.shape + (rmap.v_maps[-1].shape[2] + 1,))
     pos = 0
     for v, a, index in zip(rmap.v_maps[:-1], rmap.a_maps[:-1], rmap.index):
         n = v.shape[1]
@@ -604,7 +654,7 @@ def test_affine_region_is_the_points_region(name, net):
         assert (hidden[nonzero] @ x1 > 0.0).all(), (name, i)
         np.testing.assert_allclose(output @ x1, rmap.logits[i], rtol=0,
                                    atol=1e-12 * (np.abs(output) @ np.abs(x1)).max())
-        sign = np.where(np.concatenate([m[i] for m in rmap.masks]), 1.0, -1.0)[:, None]
+        sign = np.where(np.concatenate([m[i] for m in ref.masks_of(rmap)]), 1.0, -1.0)[:, None]
         assert hidden.tobytes() == (sign * stack[i]).tobytes(), (name, i)
         r = rmap.region[i]
         want = np.column_stack([rmap.v_maps[-1][r], rmap.a_maps[-1][r]])
@@ -622,7 +672,7 @@ def test_anchor_region_is_the_stacked_rows_in_float32(name, net):
     assert (keys[:5] == keys[0]).all()
     hidden, output, anchors, radius = attacks._anchor_region(net, X)
     rmap = net_core.region_map(net, x0[None])
-    sign = np.where(np.concatenate(rmap.masks, axis=1)[0], 1.0, -1.0)[:, None]
+    sign = np.where(np.concatenate(ref.masks_of(rmap), axis=1)[0], 1.0, -1.0)[:, None]
     assert hidden.tobytes() == (sign * stacked_rows(rmap)[0]).astype(np.float32).tobytes()
     want = np.column_stack([rmap.v_maps[-1][0], rmap.a_maps[-1][0]]).astype(np.float32)
     assert output.tobytes() == want.tobytes()

@@ -501,3 +501,19 @@ def test_atlas_cache_drops_dead_nets():
     gc.collect()
     assert ref() is None
     assert len(certify._ORACLE_CACHE) == before
+
+
+def test_one_class_net_certifies_every_radius_as_the_oracle_finds():
+    # no input changes a one-class net's class: the exact oracle finds no
+    # class-change set, and the region boundaries used to cap rho all the same
+    net = random_net([2, 8, 1], seed=0)
+    X = np.random.default_rng(3).uniform(0.0, 1.0, (20, 2))
+    certs = certify.certificates(net, X, np.ones(20, dtype=np.int64))
+    assert certs.correct.all()
+    for name in ("rho1", "rho_inf", "lb_l1", "lb_l2", "lb_linf", "single_l2"):
+        assert np.isposinf(getattr(certs, name)).all(), name
+    radii = certs.radii()
+    for i, x in enumerate(X[:4]):
+        for name, p in (("l1", 1.0), ("l2", 2.0), ("linf", math.inf)):
+            assert exact_robustness_oracle(net, x, 1, p).value == radii[name][i] == math.inf
+    assert set(certify.bounds(certs, (0.5, 0.2, 0.1)).values()) == {0.0}

@@ -976,3 +976,64 @@ def test_cli_rejects_radii_that_are_not_finite_and_nonnegative(eval_inputs, caps
     assert captured.out == ""
     name = {"--eps1": "eps1", "--eps2": "eps2", "--epsinf": "eps_inf"}[flag]
     assert captured.err.startswith(f"error: {name} must be finite and >= 0, got ")
+
+
+@pytest.mark.parametrize("command", ["train", *COMMAND_ARGS])
+def test_cli_data_of_the_wrong_dimension_names_its_file(eval_inputs, tmp_path, capsys,
+                                                        monkeypatch, command):
+    # a d = 3 set against a d = 2 model (or d = 2 training data) used to fail
+    # with "batch has shape (20, 3), expected (B, 2)", naming no file, and
+    # train only after a whole epoch
+    _, _, model, data, _ = eval_inputs
+    d3 = tmp_path / "d3.bin"
+    _run(capsys, ["gen-data", "--kind", "corners", "--dim", 3, "--n", 20, "--out", d3])
+    steps = []
+    monkeypatch.setattr(mmr_train, "_loss_and_grad", lambda *a: steps.append(a))
+    out = tmp_path / "m.bin"
+    if command == "train":
+        argv = ["train", "--data", data, "--eval-data", d3, "--arch", 4, "--epochs", 10,
+                "--out", out]
+        source = data
+    else:
+        argv = [command, "--model", model, "--data", d3, *COMMAND_ARGS[command]]
+        source = model
+    assert main([str(a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"error: {d3}: points have dimension 3, but {source} has 2\n"
+    assert steps == [] and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan", "inf"])
+def test_cli_attack_sparsity_names_its_flag(eval_inputs, capsys, value):
+    # --sparsity 0 and nan used to exit 1 with "sparsity_frac must be in (0, 1]"
+    _, _, model, data, _ = eval_inputs
+    argv = ["attack", "--model", model, "--data", data, *COMMAND_ARGS["attack"]]
+    with pytest.raises(SystemExit) as exc:
+        main([str(a) for a in argv] + ["--sparsity", value])
+    assert exc.value.code == 2
+    assert f"argument --sparsity: must be in (0, 1], got '{value}'" in capsys.readouterr().err
+
+
+def test_cli_attack_sparsity_of_one_is_accepted(eval_inputs, capsys):
+    _, _, model, data, _ = eval_inputs
+    argv = ["attack", "--model", model, "--data", data, *COMMAND_ARGS["attack"]]
+    assert cli._build_parser().parse_args([str(a) for a in argv]
+                                          + ["--sparsity", "1"]).sparsity == 1.0
+    _run(capsys, argv + ["--norm", "l1", "--sparsity", "1"])
+
+
+def test_cli_one_class_net_reports_no_robust_error(tmp_path, capsys):
+    # a one-class net's class never changes: every bound is 0, where
+    # certify used to report ub_union 1.0
+    data, model = tmp_path / "one.bin", tmp_path / "one-model.bin"
+    _run(capsys, ["gen-data", "--kind", "corners", "--classes", 1, "--dim", 4, "--n", 50,
+                  "--out", data])
+    _run(capsys, ["train", "--data", data, "--arch", 8, "--epochs", 10, "--lambda1", 0,
+                  "--lambdainf", 0, "--out", model])
+    inputs = ["--model", model, "--data", data]
+    summary = json.loads(_run(capsys, ["certify", *inputs, *_eps_args()]))
+    assert summary["ub_union"] == 0.0 and summary["test_error"] == 0.0
+    report = json.loads(_run(capsys, ["report", *inputs, *COMMAND_ARGS["report"]]))
+    for pair in [*report["per_norm"].values(), report["union"]]:
+        assert pair == {"lb": 0.0, "ub": 0.0}

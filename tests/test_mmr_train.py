@@ -111,6 +111,30 @@ def test_train_rejects_empty_datasets():
                   eval_dataset=eval_data)
 
 
+def test_train_rejects_a_set_of_the_wrong_dimension_before_any_step(monkeypatch):
+    # a d = 3 evaluation set used to fail only after a whole epoch of steps
+    net = random_net([2, 5, 2], seed=0)
+    steps = []
+    monkeypatch.setattr(mmr_train, "_loss_and_grad", lambda *a: steps.append(a))
+    d2 = SimpleNamespace(features=np.full((4, 2), 0.5), labels=np.array([1, 2, 1, 2]))
+    d3 = SimpleNamespace(features=np.full((4, 3), 0.5), labels=np.array([1, 2, 1, 2]))
+    for data, eval_data in ((d3, None), (d2, d3)):
+        with pytest.raises(ValueError, match=r"^batch has shape \(4, 3\), expected \(B, 2\)$"):
+            train(net, data, MmrUniversalConfig(), TrainConfig(epochs=10, batch_size=2),
+                  eval_dataset=eval_data)
+    assert steps == []
+
+
+def test_default_kb_is_the_first_epochs():
+    net = random_net([2, 12, 7, 3], seed=2, bias_scale=0.4)
+    rng = np.random.default_rng(0)
+    batch = (rng.uniform(0, 1, (30, 2)), rng.integers(1, 4, 30))
+    cfg = MmrUniversalConfig()
+    kb = kb_schedule(0, 100, net.num_hidden_units)
+    assert kb == 4 and loss(net, batch, cfg) == loss(net, batch, cfg, kb_now=kb)
+    assert loss(net, batch, cfg) != loss(net, batch, cfg, kb_now=kb + 1)
+
+
 def test_mmr_monotone_in_gamma():
     rng = np.random.default_rng(4)
     net = random_net([2, 10, 2], seed=1, bias_scale=0.3)

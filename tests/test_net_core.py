@@ -7,6 +7,7 @@ from relucert import net_core
 from relucert.net_core import ReluNet, load_model, random_net, region_map, save_model
 
 from conftest import TINY_ARCHS, tiny_net
+from per_point_reference import masks_of
 
 
 def naive_forward(net, x):
@@ -34,7 +35,7 @@ def one_point(net, x):
 
 
 def pattern_key(net, x):
-    return tuple(bytes(m[0]) for m in one_point(net, x).masks)
+    return tuple(bytes(m[0]) for m in masks_of(one_point(net, x)))
 
 
 def small_identity_net():
@@ -97,11 +98,11 @@ def test_activation_pattern_signs():
     net = ReluNet((np.eye(2), np.ones((1, 2))), (np.zeros(2), np.zeros(1)))
     rmap = one_point(net, [2.0, -3.0])
     assert list(np.sign(rmap.values[0])) == [1, -1]
-    assert list(rmap.masks[0][0]) == [True, False]
+    assert list(masks_of(rmap)[0][0]) == [True, False]
     # g = (0, 5): unit exactly on its hyperplane counts as inactive
     rmap = one_point(net, [0.0, 5.0])
     assert list(np.sign(rmap.values[0])) == [0, 1]
-    assert list(rmap.masks[0][0]) == [False, True]
+    assert list(masks_of(rmap)[0][0]) == [False, True]
 
 
 def test_masked_forward_identity():
@@ -110,7 +111,7 @@ def test_masked_forward_identity():
     for _ in range(20):
         x = rng.uniform(-1, 1, size=3)
         _, pre = net_core.forward_batch(net, x[None, :])
-        for g, mask in zip(pre, one_point(net, x).masks):
+        for g, mask in zip(pre, masks_of(one_point(net, x))):
             assert np.array_equal(np.maximum(g, 0.0), g * mask)
 
 
@@ -290,3 +291,27 @@ def test_batched_forward_matches_single():
         li, pi = net_core.forward_batch(net, X[i:i + 1])
         assert np.abs(logits[i] - li[0]).max() <= 1e-12
         assert np.abs(pre[0][i] - pi[0][0]).max() <= 1e-12
+
+
+def _view_of(net):
+    return net_core._view_net([w.copy() for w in net.weights], [b.copy() for b in net.biases])
+
+
+@pytest.mark.parametrize("net", [*(tiny_net(s) for s in range(len(TINY_ARCHS))),
+                                 ReluNet((np.ones((3, 2)),), (np.zeros(3),)),
+                                 _view_of(random_net([3, 7, 5, 4], seed=1))],
+                         ids=[*(f"tiny{s}" for s in range(len(TINY_ARCHS))), "no-hidden",
+                              "view-net"])
+def test_hidden_slices_partition_the_hidden_units_in_layer_order(net):
+    slices = net.hidden_slices
+    assert isinstance(slices, tuple) and len(slices) == net.num_hidden_layers
+    assert [s.step for s in slices] == [None] * len(slices)
+    ends = [0] + [s.stop for s in slices]
+    assert [s.start for s in slices] == ends[:-1] and ends[-1] == net.num_hidden_units
+    assert [s.stop - s.start for s in slices] == list(net.hidden_sizes)
+    assert np.array_equal(np.concatenate([np.arange(net.num_hidden_units)[s] for s in slices]
+                                         + [np.zeros(0, dtype=int)]),
+                          np.arange(net.num_hidden_units))
+    # built once per net, and what every region map of the net carries
+    assert net.hidden_slices is slices
+    assert region_map(net, np.full((3, net.input_dim), 0.5)).layers is slices
