@@ -26,17 +26,6 @@ from .mmr_train import (
     loss_gradient,
     train,
 )
-from .datasets import Dataset, gen_blobs, gen_moons, gen_corners, load_dataset, save_dataset
+from .datasets import Dataset, gen_blobs, gen_corners, load_dataset, save_dataset
 
 __version__ = "0.1.0"
-
-_CLI_NAMES = ("derive_eps2", "run_evaluation", "Report")
-
-
-def __getattr__(name):
-    # the cli module is imported on first use, not with the package, so that
-    # ``python -m relucert.cli`` runs it once
-    if name in _CLI_NAMES:
-        from . import cli
-        return getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

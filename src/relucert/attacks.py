@@ -161,12 +161,12 @@ def _anchor_region(net, anchors):
     not depend on the norm or the radius, so one map serves every attack on
     the same points (_within)."""
     _, first = net_core._first_seen(np.ascontiguousarray(anchors).view(np.uint8))
-    anchors = anchors[first]  # the restarts of a point share its anchor row
+    anchors = anchors[first]  # attack_norms passes the data: a duplicate point counts once
     _, preacts = net_core.forward_batch(net, anchors)
     keys = np.packbits(np.concatenate([g > 0 for g in preacts], axis=1), axis=1)
     group, first = net_core._first_seen(keys)
-    rmap = net_core.region_map(net, anchors[first[np.bincount(group).argmax()]][None])
-    hidden, output = rmap.affine_region(0)
+    x = anchors[first[np.bincount(group).argmax()]]
+    hidden, output = next(net_core.region_maps(net, x[None]))[1].affine_region(0)
     return hidden.astype(np.float32), output.astype(np.float32), anchors, math.inf
 
 

@@ -152,13 +152,9 @@ def _emit_summary(summary: dict, out) -> None:
 def _cmd_gen_data(args) -> int:
     if args.kind == "blobs":
         ds = datasets.gen_blobs(args.n, seed=args.seed, std=args.std)
-    elif args.kind == "moons":
-        ds = datasets.gen_moons(args.n, seed=args.seed, noise=args.std)
-    elif args.kind == "corners":
+    else:
         ds = datasets.gen_corners(args.n, seed=args.seed, dim=args.dim,
                                   num_classes=args.classes, spread=args.std)
-    else:
-        raise ValueError(f"unknown dataset kind {args.kind!r}")
     datasets.save_dataset(ds, args.out, fmt=args.format)
     print(json.dumps({"kind": args.kind, "count": ds.count, "d": ds.dim,
                       "K": ds.num_classes, "out": args.out}))
@@ -316,11 +312,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset")
-    g.add_argument("--kind", choices=["blobs", "moons", "corners"], default="blobs")
+    g.add_argument("--kind", choices=["blobs", "corners"], default="blobs")
     g.add_argument("--n", type=_positive_int, default=1000)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--std", type=float, default=0.05,
-                   help="blob std / moon noise / corner spread")
+                   help="blob std / corner spread")
     g.add_argument("--dim", type=int, default=16, help="corners only")
     g.add_argument("--classes", type=int, default=2, help="corners only")
     g.add_argument("--format", choices=["bin", "csv"], default="bin")

@@ -19,7 +19,6 @@ from .net_core import _json_int, _read_container, _write_container
 __all__ = [
     "Dataset",
     "gen_blobs",
-    "gen_moons",
     "gen_corners",
     "save_dataset",
     "load_dataset",
@@ -74,24 +73,6 @@ def gen_blobs(n: int, seed: int = 0, std: float = 0.05) -> Dataset:
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, size=n)
     X = _BLOB_CENTERS[y] + std * rng.standard_normal((n, 2))
-    return Dataset(np.clip(X, 0.0, 1.0), y + 1, num_classes=2)
-
-
-def gen_moons(n: int, seed: int = 0, noise: float = 0.06) -> Dataset:
-    """Two interleaving half-circles, scaled into the unit square."""
-    rng = np.random.default_rng(seed)
-    y = rng.integers(0, 2, size=n)
-    theta = rng.uniform(0.0, np.pi, size=n)
-    X = np.empty((n, 2))
-    up = y == 0
-    X[up, 0] = np.cos(theta[up])
-    X[up, 1] = np.sin(theta[up])
-    X[~up, 0] = 1.0 - np.cos(theta[~up])
-    X[~up, 1] = 0.5 - np.sin(theta[~up])
-    X += noise * rng.standard_normal((n, 2))
-    # map the [-1.5, 2.5] x [-1.6, 1.6] extent into the unit square
-    X[:, 0] = (X[:, 0] + 1.5) / 4.0
-    X[:, 1] = (X[:, 1] + 1.6) / 3.2
     return Dataset(np.clip(X, 0.0, 1.0), y + 1, num_classes=2)
 
 
@@ -187,9 +168,8 @@ def _load_csv(path, text: str):
     if not rows:
         raise ValueError(f"{path}: no data rows")
     feats = np.asarray(rows, dtype=np.float64)
-    if min(labels) < 1:
-        raise ValueError(f"{path}: labels must be >= 1")
-    if max(labels) > np.iinfo(np.int64).max:
+    info = np.iinfo(np.int64)
+    if min(labels) < info.min or max(labels) > info.max:
         raise ValueError(f"{path}: labels must fit in int64")
     labs = np.asarray(labels, dtype=np.int64)
     return feats, labs, int(labs.max())

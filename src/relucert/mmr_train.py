@@ -381,10 +381,6 @@ class _Adam:
         self.flat -= lr * (self.m / corr1) / (np.sqrt(self.v / corr2) + ADAM_EPS)
 
 
-def _test_error(net, X, y):
-    return float(np.mean(net_core.classify_batch(net, X) != y))
-
-
 def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
           eval_dataset=None):
     """Run the full training protocol and return (trained net, history).
@@ -394,7 +390,8 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     up over the first LAMBDA_RAMP_EPOCHS epochs, and the learning rate is
     divided by LR_DROP_FACTOR for the final LR_DROP_LAST epochs.  History
     records per-epoch loss, test error and mean certified radii on the
-    first CERT_SAMPLE points of the evaluation set.
+    first CERT_SAMPLE points of the evaluation set; a mean is inf if some
+    point's region has no hyperplane it can cross.
     """
     sets = (dataset, dataset if eval_dataset is None else eval_dataset)
     if any(len(ds.features) == 0 for ds in sets):
@@ -435,14 +432,12 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
                     epoch_losses.append(value)
                 m = min(CERT_SAMPLE, len(X_ev))
                 certs = certify.certificates(net, X_ev[:m], y_ev[:m])
-                rho1 = np.where(np.isfinite(certs.rho1), certs.rho1, 0.0)
-                rho_inf = np.where(np.isfinite(certs.rho_inf), certs.rho_inf, 0.0)
                 history.append({
                     "epoch": epoch,
                     "loss": float(np.mean(epoch_losses)),
-                    "test_error": _test_error(net, X_ev, y_ev),
-                    "mean_rho1": float(rho1.mean()),
-                    "mean_rho_inf": float(rho_inf.mean()),
+                    "test_error": float(np.mean(net_core.classify_batch(net, X_ev) != y_ev)),
+                    "mean_rho1": float(certs.rho1.mean()),
+                    "mean_rho_inf": float(certs.rho_inf.mean()),
                     "kb": kb,
                     "lambda_scale": lam_scale,
                     "lr": lr,

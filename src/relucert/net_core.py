@@ -2,14 +2,14 @@
 
 A network built from dense layers with ReLU activations is affine on each
 activation region of the input space.  For a batch of anchor points, one
-pass over the layers (``region_map``) yields the affine restriction (V, a
-per layer) and the half-space description of the region containing each
-point.  ``ReluNet.hidden_slices`` splits the N hidden units into layers,
-and a unit is active exactly where its preactivation is > 0.  The geometry
-is built once per activation region, not once per point: the points are
-grouped layer by layer by their masks so far, and each layer's affine form
-is built once per group.  Points near each other, and the training points
-of a margin-regularized net, mostly share a region.
+pass over the layers yields the affine restriction (V, a per layer) and
+the half-space description of the region containing each point.
+``ReluNet.hidden_slices`` splits the N hidden units into layers, and a
+unit is active exactly where its preactivation is > 0.  The geometry is
+built once per activation region, not once per point: the points are
+grouped layer by layer by their masks so far, and each layer's affine
+form is built once per group.  Points near each other, and the training
+points of a margin-regularized net, mostly share a region.
 ``region_maps`` splits a batch into chunks of bounded memory, larger while
 the points share regions; it is the one region-geometry path behind
 certification and the regularizer.  While the points share regions, a
@@ -32,7 +32,6 @@ __all__ = [
     "RegionMap",
     "forward_batch",
     "backward_batch",
-    "region_map",
     "region_maps",
     "random_net",
     "load_model",
@@ -320,7 +319,7 @@ def _layer_step(w, b, v, a, mask):
     v (B, m, d), a (B, m) and whose active units are mask (B, m):
     W (mask * v) and W (mask * a) + b, shapes (B, n, d) and (B, n).
 
-    The one recursion behind region_map and the 2-D region atlas.
+    The one recursion behind region_maps and the 2-D region atlas.
     """
     return np.matmul(w, v * mask[:, :, None]), _per_point(w[None], a * mask) + b
 
@@ -390,20 +389,6 @@ def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None) ->
             active = _per_region(v, a, group, xs, cap, values[:, layers[l]]) > 0
     logits = _per_region(v, a, group, xs, cap, np.empty((B, len(b))))
     return RegionMap(tuple(index), layers, tuple(v_maps), tuple(a_maps), values, logits)
-
-
-def region_map(net: ReluNet, xs) -> RegionMap:
-    """Region geometry of every row of xs (B, d) in one pass over the layers.
-
-    Each hidden layer's mask is read off its preactivation V^(l) x + a^(l)
-    at the point before the next layer is built, and each layer's affine
-    form is built once per distinct activation prefix.  Every product is
-    taken point by point or prefix by prefix, so a point's result does not
-    depend on the rest of the batch.  Builds the whole batch at once;
-    ``region_maps`` splits a batch into chunks of bounded memory.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    return _region_prefix(net, xs, max(len(xs), 1))
 
 
 def _region_cap(net: ReluNet) -> int:

@@ -82,7 +82,7 @@ def hyperplane_distances(net, x, label, p):
     region map, as certify.certificates computes them but with every
     division masked."""
     q = geometry.dual_exponent(p)
-    rmap = net_core.region_map(net, np.asarray(x, dtype=float)[None, :])
+    rmap = per_point_reference.region_map(net, np.asarray(x, dtype=float)[None, :])
     _, normals, values = rmap.decision_planes([label])
     hidden, _ = rmap.affine_region(0)
     boundary = per_point_reference.masked_distances(

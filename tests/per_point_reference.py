@@ -4,7 +4,9 @@ One point at a time, with its own forward pass and affine-map recursion:
 the region geometry, the distance profiles and certificates, and the
 universal regularizer with its gradient accumulated hinge by hinge.  The
 batched paths in ``relucert.net_core``, ``relucert.certify`` and
-``relucert.mmr_train`` are tested against it.  The 2-D region atlas is
+``relucert.mmr_train`` are tested against it.  ``region_map`` builds a
+whole batch as one chunk, the reference for the chunked
+``net_core.region_maps``.  The 2-D region atlas is
 rebuilt here one unit and one facet at a time, clipping every region by
 every unit, as the reference for ``relucert.regions``.  ``pgd_core`` is the
 layer-wise PGD loop: in float64 the reference for the mixed-precision
@@ -27,6 +29,14 @@ import numpy as np
 
 from relucert import attacks, certify, geometry, mmr_train, net_core
 from relucert.certify import row_norms
+
+
+def region_map(net, xs):
+    """Region geometry of every row of xs (B, d) as one chunk: the whole
+    batch in one pass over the layers, the reference that the chunks of
+    ``net_core.region_maps`` are checked against."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return net_core._region_prefix(net, xs, max(len(xs), 1))
 
 
 def masks_of(rmap):
@@ -511,7 +521,7 @@ def atlas(net, lo=-8.0, hi=9.0, max_regions=20000, num_probes=512, seed=7):
         if len(regions) >= max_regions:
             return regions, False
         key, z = queue.popleft()
-        rmap = net_core.region_map(net, z[None, :])
+        rmap = region_map(net, z[None, :])
         hidden, _ = rmap.affine_region(0)
         oris = np.where(rmap.values[0] > 0, 1.0, -1.0)
         rows, offs = oris[:, None] * hidden[:, :-1], oris * hidden[:, -1]  # unsigned

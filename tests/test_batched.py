@@ -310,7 +310,7 @@ def test_a_unit_exactly_at_zero_is_inactive_in_the_table_gradient():
     # as the forward pass does, so its incoming row gets no gradient
     net, _ = zero_unit_net()
     X, y = points(net, 24, seed=9)
-    rmap = net_core.region_map(net, X)
+    rmap = ref.region_map(net, X)
     assert (rmap.values[:, 0] == 0.0).all()
     for kb in (3, net.num_hidden_units):
         assert_regularizer_matches(net, X, y, kb)
@@ -336,7 +336,7 @@ def test_a_unit_exactly_at_zero_is_inactive_in_the_carried_prefix():
     # every other unit of layer 0 has the same sign at both points
     same = np.flatnonzero(np.arange(len(b1)) != j)
     assert np.array_equal(first.values[0, same] > 0, last.values[0, same] > 0)
-    alone = net_core.region_map(net, np.zeros((1, 2)))
+    alone = ref.region_map(net, np.zeros((1, 2)))
     for l in range(len(net.weights)):
         assert last.v_maps[l].tobytes() == alone.v_maps[l].tobytes()
         assert last.a_maps[l].tobytes() == alone.a_maps[l].tobytes()
@@ -446,7 +446,7 @@ def test_per_point_results_independent_of_chunking(monkeypatch, name):
         # the gradient sums over points: chunked partial sums reassociate it
         assert_grads_close(g, grads)
     # the region index numbers the batch's activation patterns in order of first appearance
-    assert np.array_equal(certs.region, net_core.region_map(net, X).region)
+    assert np.array_equal(certs.region, ref.region_map(net, X).region)
 
 
 @pytest.mark.parametrize("name", list(SHARED))
@@ -475,7 +475,7 @@ def test_one_layer_step_row_per_activation_prefix(monkeypatch, name):
 
     layer_step = net_core._layer_step
     monkeypatch.setattr(net_core, "_layer_step", counted)
-    rmap = net_core.region_map(net, X)
+    rmap = ref.region_map(net, X)
     bits = [np.concatenate([m[i] for m in ref.masks_of(rmap)]) for i in range(len(X))]
     prefixes = [len({bytes(b[:sum(net.hidden_sizes[:l])]) for b in bits})
                 for l in range(1, len(net.weights))]
@@ -485,7 +485,7 @@ def test_one_layer_step_row_per_activation_prefix(monkeypatch, name):
         same = [bytes(b) == bytes(bits[i]) for b in bits]
         assert np.array_equal(rmap.region == rmap.region[i], same)
         # each table row is the geometry a one-point map builds
-        one = net_core.region_map(net, X[i:i + 1])
+        one = ref.region_map(net, X[i:i + 1])
         for l in range(len(net.weights)):
             assert np.array_equal(rmap.v_maps[l][rmap.index[l][i]], one.v_maps[l][0])
             assert np.array_equal(rmap.a_maps[l][rmap.index[l][i]], one.a_maps[l][0])
@@ -506,7 +506,7 @@ def big_batches(n):
         mixed[14:] = rng.uniform(-3.0, 4.0, size=(n - 14, 16))
         batches["mixed"] = (cleared, mixed)
     for kind, (net, Z) in batches.items():
-        regions = len(net_core.region_map(net, Z).v_maps[-1])
+        regions = len(ref.region_map(net, Z).v_maps[-1])
         assert regions == {"distinct": n, "shared": 1, "mixed": n - 13}[kind]
     return batches
 
@@ -553,7 +553,7 @@ def test_chunks_carry_the_previous_chunks_tables(monkeypatch):
 
     layer_step = net_core._layer_step
     for kind, (net, X) in big_batches(300).items():
-        whole = net_core.region_map(net, X)
+        whole = ref.region_map(net, X)
         built.clear()
         monkeypatch.setattr(net_core, "_layer_step", counted)
         chunks = list(net_core.region_maps(net, X))
@@ -643,7 +643,7 @@ def test_affine_region_is_the_points_region(name, net):
     # preactivation is nonzero, the output map gives its logits, and the
     # rows are bitwise the stacked ones signed by the masks
     X, _ = points(net, 60, seed=len(name) + 7)
-    rmap = net_core.region_map(net, X)
+    rmap = ref.region_map(net, X)
     stack = stacked_rows(rmap)
     d, N, K = net.input_dim, net.num_hidden_units, net.num_classes
     for i, x in enumerate(X):
@@ -671,12 +671,37 @@ def test_anchor_region_is_the_stacked_rows_in_float32(name, net):
     keys = np.concatenate(net_core.forward_batch(net, X)[1], axis=1) > 0
     assert (keys[:5] == keys[0]).all()
     hidden, output, anchors, radius = attacks._anchor_region(net, X)
-    rmap = net_core.region_map(net, x0[None])
+    rmap = ref.region_map(net, x0[None])
     sign = np.where(np.concatenate(ref.masks_of(rmap), axis=1)[0], 1.0, -1.0)[:, None]
     assert hidden.tobytes() == (sign * stacked_rows(rmap)[0]).astype(np.float32).tobytes()
     want = np.column_stack([rmap.v_maps[-1][0], rmap.a_maps[-1][0]]).astype(np.float32)
     assert output.tobytes() == want.tobytes()
     assert anchors.tobytes() == X.tobytes() and radius == math.inf
+
+
+# the tiny nets whose attacks take the region path
+PAYING = [(name, net) for name, net in NETS[:len(TINY_ARCHS)] if attacks._region_pays(net)]
+
+
+@pytest.mark.parametrize("name,net", PAYING, ids=[n for n, _ in PAYING])
+def test_anchor_region_is_the_region_of_most_distinct_anchors(name, net):
+    # a lone anchor comes first and four times over; three distinct anchors
+    # share another region.  A duplicate counts once, so that region holds
+    # the most, and its map is the whole-batch reference's at the first of
+    # the three, bitwise in float32
+    rng = np.random.default_rng(len(name))
+    Z = rng.uniform(0.2, 0.8, (200, 2))
+    keys = np.concatenate(net_core.forward_batch(net, Z)[1], axis=1) > 0
+    lone = Z[0]
+    trio = Z[np.flatnonzero((keys != keys[0]).any(axis=1))[0]] + 1e-9 * np.arange(3)[:, None]
+    keys = np.concatenate(net_core.forward_batch(net, trio)[1], axis=1) > 0
+    assert (keys == keys[0]).all()
+    X = np.vstack([lone, trio[0], lone, trio[1], lone, trio[2], lone])
+    hidden, output, anchors, radius = attacks._anchor_region(net, X)
+    want_hidden, want_output = ref.region_map(net, trio[:1]).affine_region(0)
+    assert hidden.tobytes() == want_hidden.astype(np.float32).tobytes()
+    assert output.tobytes() == want_output.astype(np.float32).tobytes()
+    assert anchors.tobytes() == np.vstack([lone, trio]).tobytes() and radius == math.inf
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

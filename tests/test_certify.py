@@ -12,6 +12,7 @@ from relucert.certify import EpsTriple, exact_robustness_oracle
 from relucert.net_core import ReluNet, random_net
 
 from conftest import BIASES, TINY_ARCHS, hand_net, hyperplane_distances, tiny_net
+from per_point_reference import region_map
 
 
 def ub_union(net, X, y, eps):
@@ -96,7 +97,7 @@ def test_distance_profile_against_lp_oracle():
     for seed in range(4):
         net = random_net([2, 6, 3], seed=seed, bias_scale=0.4)
         x = rng.uniform(0, 1, size=2)
-        hidden, _ = net_core.region_map(net, x[None, :]).affine_region(0)
+        hidden, _ = region_map(net, x[None, :]).affine_region(0)
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             boundary, _ = hyperplane_distances(net, x, 1, p)
             for i in range(net.num_hidden_units):

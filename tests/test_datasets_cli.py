@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from relucert import certify, cli, geometry, mmr_train, net_core
 from relucert.cli import Report, derive_eps2, main, run_evaluation
-from relucert.datasets import Dataset, gen_blobs, gen_corners, gen_moons, load_dataset, save_dataset
+from relucert.datasets import Dataset, gen_blobs, gen_corners, load_dataset, save_dataset
 
 from oracles import hull_boundary_oracle
 
@@ -42,8 +42,8 @@ def test_binary_round_trip_bit_exact(tmp_path):
 
 
 def test_csv_round_trip(tmp_path):
-    ds = gen_moons(64, seed=5)
-    path = tmp_path / "moons.csv"
+    ds = gen_corners(64, seed=5)
+    path = tmp_path / "corners.csv"
     save_dataset(ds, path, fmt="csv")
     back = load_dataset(path)
     assert np.abs(back.features - ds.features).max() == 0.0
@@ -53,7 +53,7 @@ def test_csv_round_trip(tmp_path):
 def test_labels_out_of_range_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.1,0.2,0\n0.3,0.4,1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"bad\.csv: labels must lie in 1\.\.1$"):
         load_dataset(path)
     with pytest.raises(ValueError):
         Dataset(np.array([[0.1, 0.2]]), np.array([3]), num_classes=2)
@@ -86,8 +86,8 @@ def test_csv_error_carries_line_number(tmp_path):
 
 
 def test_generators_ranges():
-    for ds in (gen_blobs(200, seed=1), gen_moons(200, seed=2),
-               gen_corners(100, seed=3)):
+    for ds in (gen_blobs(200, seed=1), gen_blobs(200, seed=2, std=0.3),
+               gen_corners(100, seed=3), gen_corners(200, seed=2, dim=3, num_classes=8)):
         assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
         assert ds.labels.min() >= 1 and ds.labels.max() <= ds.num_classes
     assert gen_corners(50, seed=4).dim == 16
@@ -391,8 +391,8 @@ def test_load_model_rejects_float_list_json(tmp_path, capsys):
 
 @pytest.mark.parametrize("data", [
     b"0.3,0.4,1\n0.1,0.2,inf\n", b"0.3,0.4,1\n0.1,0.2,nan\n", b"0.3,0.4,1\n0.1,0.2,1e300\n",
-    b"\xff\xfe0.1,1\n",
-], ids=["inf-label", "nan-label", "label-beyond-int64", "not-utf8"])
+    b"0.3,0.4,1\n0.1,0.2,-1e300\n", b"\xff\xfe0.1,1\n",
+], ids=["inf-label", "nan-label", "label-beyond-int64", "label-below-int64", "not-utf8"])
 def test_csv_rejections_name_the_path(tmp_path, data):
     path = tmp_path / "bad.csv"
     path.write_bytes(data)
@@ -757,10 +757,10 @@ def test_cli_calls_share_no_arguments(tmp_path, capsys):
     curve, again, data = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "d.bin"
     first = json.loads(_run(capsys, ["geometry", "--d", "2", "--p", "1", "--num", "8",
                                      "--out", curve]))
-    made = json.loads(_run(capsys, ["gen-data", "--kind", "moons", "--n", "5", "--out", data]))
+    made = json.loads(_run(capsys, ["gen-data", "--kind", "corners", "--n", "5", "--out", data]))
     second = json.loads(_run(capsys, ["geometry", "--d", "3", "--out", again]))
     assert (first["d"], first["p"], len(curve.read_text().splitlines())) == (2, 1.0, 9)
-    assert (made["kind"], made["count"]) == ("moons", 5)
+    assert (made["kind"], made["count"], made["d"]) == ("corners", 5, 16)
     assert (second["d"], second["p"], len(again.read_text().splitlines())) == (3, 2.0, 2049)
     made = json.loads(_run(capsys, ["gen-data", "--out", data]))
     assert (made["kind"], made["count"]) == ("blobs", 1000)
@@ -772,7 +772,7 @@ def test_cli_calls_share_no_arguments(tmp_path, capsys):
 def test_every_public_name_resolves():
     # perfbench's tracer takes getattr of every __all__ name: a stale entry
     # would crash every traced run.  The package re-exports only names that
-    # its modules list, the cli's lazily.
+    # its modules list.
     import importlib
     import pkgutil
     import types
@@ -786,7 +786,7 @@ def test_every_public_name_resolves():
             listed[name] = getattr(module, name)
     public = [name for name, value in vars(relucert).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)]
-    for name in public + list(relucert._CLI_NAMES):
+    for name in public:
         assert getattr(relucert, name) is listed[name], name
 
 
@@ -1037,3 +1037,27 @@ def test_cli_one_class_net_reports_no_robust_error(tmp_path, capsys):
     report = json.loads(_run(capsys, ["report", *inputs, *COMMAND_ARGS["report"]]))
     for pair in [*report["per_norm"].values(), report["union"]]:
         assert pair == {"lb": 0.0, "ub": 0.0}
+
+
+def test_cli_one_class_history_records_infinite_radii(tmp_path, capsys):
+    # every radius of a one-class net is inf, and so is their mean: the
+    # history used to count an infinite radius as 0 and record 0.0
+    data, history = tmp_path / "one.bin", tmp_path / "h.csv"
+    _run(capsys, ["gen-data", "--kind", "corners", "--classes", 1, "--dim", 4, "--n", 50,
+                  "--out", data])
+    _run(capsys, ["train", "--data", data, "--arch", 8, "--epochs", 10, "--lambda1", 0,
+                  "--lambdainf", 0, "--out", tmp_path / "m.bin", "--history", history])
+    header, *rows = [line.split(",") for line in history.read_text().splitlines()]
+    assert len(rows) == 10
+    for row in rows:
+        fields = dict(zip(header, row))
+        assert (fields["mean_rho1"], fields["mean_rho_inf"]) == ("inf", "inf")
+        assert fields["test_error"] == "0.0"
+
+
+def test_cli_gen_data_kinds_are_blobs_and_corners(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--kind", "moons", "--out", str(tmp_path / "m.bin")])
+    assert exc.value.code == 2
+    assert "argument --kind: invalid choice: 'moons'" in capsys.readouterr().err
+    assert not (tmp_path / "m.bin").exists()

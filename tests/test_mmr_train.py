@@ -297,7 +297,7 @@ def test_inactive_hinges_leave_ce_gradient():
     tight = MmrUniversalConfig(lambda1=1.0, lambda_inf=2.0, gamma1=1e-4, gamma_inf=1e-5)
     off = MmrUniversalConfig(lambda1=0.0, lambda_inf=0.0)
     dW1, db1 = loss_gradient(net, (X, y), tight, kb_now=1)
-    rmap = net_core.region_map(net, X)
+    rmap = ref.region_map(net, X)
     _, dW0, db0 = ref.cross_entropy_grad(net, X, y, rmap.logits, [rmap.values])
     for a, b in zip(dW1 + db1, dW0 + db0):
         assert np.array_equal(a, b)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from relucert import net_core
-from relucert.net_core import ReluNet, load_model, random_net, region_map, save_model
+from relucert.net_core import ReluNet, load_model, random_net, save_model
 
 from conftest import TINY_ARCHS, tiny_net
-from per_point_reference import masks_of
+from per_point_reference import masks_of, region_map
 
 
 def naive_forward(net, x):
