@@ -57,8 +57,7 @@ _Pgd = namedtuple("_Pgd", "p eps iterations restarts sparsity_frac seed")
 def _proj_l1_rows(D, eps):
     """Row-wise Euclidean projection onto the l1 ball, by sorting."""
     out = D.copy()
-    norms = np.abs(D).sum(axis=1)
-    over = norms > eps
+    over = row_norms(D, 1.0) > eps
     if not over.any():
         return out
     A = np.abs(D[over])
@@ -79,7 +78,7 @@ def _project_ball_rows(D, eps, p):
     if math.isinf(p):
         return np.clip(D, -eps, eps)
     if p == 2.0:
-        norms = np.sqrt((D * D).sum(axis=1))
+        norms = row_norms(D, 2.0)
         scale = np.where(norms > eps, eps / np.maximum(norms, 1e-300), 1.0)
         return D * scale[:, None]
     return _proj_l1_rows(D, eps)
@@ -91,7 +90,7 @@ def _sample_ball_rows(rng, m, d, eps, p):
         return rng.uniform(-eps, eps, size=(m, d))
     if p == 2.0:
         g = rng.standard_normal((m, d))
-        g /= np.maximum(np.linalg.norm(g, axis=1, keepdims=True), 1e-300)
+        g /= np.maximum(row_norms(g, 2.0)[:, None], 1e-300)
         r = eps * rng.random(m) ** (1.0 / d)
         return g * r[:, None]
     e = rng.standard_exponential((m, d))
@@ -148,7 +147,7 @@ def _reachable_rows(hidden, anchors, radius, p):
     H = hidden.astype(np.float64)
     slack = (anchors @ H[:, :-1].T + H[:, -1]).min(axis=0)
     reach = radius * row_norms(H[:, :-1], geometry.dual_exponent(p))
-    margin = 2 * (H.shape[1] + 1) * (_F32_UNIT * np.abs(H).sum(axis=1) + _F32_TINY)
+    margin = 2 * (H.shape[1] + 1) * (_F32_UNIT * row_norms(H, 1.0) + _F32_TINY)
     return slack - reach <= margin
 
 
@@ -226,8 +225,7 @@ def _ascent_step(G, p, sparsity_frac):
     if math.isinf(p):
         return np.sign(G)
     if p == 2.0:
-        norms = np.linalg.norm(G, axis=1, keepdims=True)
-        return G / np.maximum(norms, 1e-300)
+        return G / np.maximum(row_norms(G, 2.0)[:, None], 1e-300)
     d = G.shape[1]
     k = max(1, int(round(sparsity_frac * d)))
     A = np.abs(G)
@@ -237,8 +235,7 @@ def _ascent_step(G, p, sparsity_frac):
     else:
         mask = np.ones_like(A, dtype=bool)
     V = G * mask
-    norms = np.abs(V).sum(axis=1, keepdims=True)
-    return V / np.maximum(norms, 1e-300)
+    return V / np.maximum(row_norms(V, 1.0)[:, None], 1e-300)
 
 
 def _joint_project(Z, X_ref, eps, p):
@@ -346,7 +343,8 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
 
     Seeds are keyed by norm, seed + 1 for l1, + 2 for l2 and + 3 for linf,
     so a norm's result does not depend on which other norms are attacked.
-    The anchors' region is mapped once and shared by the norms.
+    The anchors' region is mapped once and shared by the norms.  A one-class
+    net runs no search: no input changes class, so no point has success.
     """
     if isinstance(norms, str):
         raise ValueError(f"norms must be a sequence of names such as ('l1', 'linf'), "
@@ -368,6 +366,9 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
     y = _check_labels(net, dataset.labels)
     if len(X) == 0:
         raise ValueError("dataset is empty")
+    if net.num_classes == 1:
+        return {name: (np.zeros(len(X), dtype=bool), np.full(len(X), math.inf), np.zeros_like(X))
+                for name in cfgs}
     region = _anchor_region(net, X) if _region_pays(net) else None
     return {name: _attack(net, X, y, region, cfg) for name, cfg in cfgs.items()}
 

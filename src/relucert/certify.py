@@ -31,17 +31,10 @@ EpsTriple = namedtuple("EpsTriple", ["eps1", "eps2", "eps_inf"])
 OracleResult = namedtuple("OracleResult", ["value", "exact", "num_regions"])
 
 
-def _hull_radii(rho1: np.ndarray, rho_inf: np.ndarray, p) -> np.ndarray:
-    """The all-p bound of each point at p from its rho1 and rho_inf arrays:
-    inf where rho1 is inf, 0 where rho_inf is 0, else hull_min_norm."""
-    out = np.where(np.isinf(rho1), math.inf, 0.0)
-    hull = (rho_inf > 0.0) & np.isfinite(rho1)
-    out[hull] = geometry.hull_min_norm(rho1[hull], rho_inf[hull], p)
-    return out
-
-
 def row_norms(mat: np.ndarray, p: float) -> np.ndarray:
     """lp-norms along the last axis; p = inf is the max-norm."""
+    if p == 2.0:  # a square needs no abs: one pass fewer, the same bits
+        return np.sqrt((mat * mat).sum(axis=-1))
     a = np.abs(mat)
     if math.isinf(p):
         k = a.shape[-1]
@@ -94,14 +87,13 @@ class Certificates:
     ``label`` is the true class and ``predicted`` the net's, both in 1..K;
     ``correct`` marks the points the net predicts right with no decision
     hyperplane of their region crossed.  ``rho1`` / ``rho_inf`` are the
-    l1 / linf distances to the nearest region or decision hyperplane;
-    ``lb_l1`` = rho1, ``lb_linf`` = rho_inf and ``lb_l2`` is the universal
-    bound at p = 2 (``universal_bound``).  All five are zero for incorrect
-    points.  ``single_l2`` is the single-norm l2 bound, the nearest region
-    or decision hyperplane in l2, zero when the nearest decision hyperplane
-    is crossed.  ``region`` numbers the points' activation regions 0, 1,
-    ... in order of first appearance: points share an index exactly when
-    they share a region.
+    l1 / linf distances to the nearest region or decision hyperplane, zero
+    for incorrect points; they are the certified l1 / linf radii, and
+    ``universal_bound`` turns them into one for any lp.  ``single_l2`` is
+    the single-norm l2 bound, the nearest region or decision hyperplane in
+    l2, zero when the nearest decision hyperplane is crossed.  ``region``
+    numbers the points' activation regions 0, 1, ... in order of first
+    appearance: points share an index exactly when they share a region.
     """
 
     label: np.ndarray
@@ -109,9 +101,6 @@ class Certificates:
     correct: np.ndarray
     rho1: np.ndarray
     rho_inf: np.ndarray
-    lb_l1: np.ndarray
-    lb_l2: np.ndarray
-    lb_linf: np.ndarray
     single_l2: np.ndarray
     region: np.ndarray
 
@@ -121,16 +110,20 @@ class Certificates:
         The smallest lp-norm outside the convex hull of the l1 ball of
         radius rho1 and the linf ball of radius rho_inf, which no decision or
         region hyperplane can enter; it equals rho1 at p = 1 and rho_inf at
-        p = inf.
+        p = inf.  It is inf where rho1 is and 0 where rho_inf is.
         """
-        return _hull_radii(self.rho1, self.rho_inf, p)
+        out = np.where(np.isinf(self.rho1), math.inf, 0.0)
+        hull = (self.rho_inf > 0.0) & np.isfinite(self.rho1)
+        out[hull] = geometry.hull_min_norm(self.rho1[hull], self.rho_inf[hull], p)
+        return out
 
     def radii(self) -> dict:
-        """Certified radius of each point per norm: lb_l1, lb_linf, and for
-        l2 the larger of the universal bound lb_l2 and the single-norm bound
-        single_l2 (both are lower bounds, so their maximum is one too)."""
-        return {"l1": self.lb_l1, "l2": np.maximum(self.lb_l2, self.single_l2),
-                "linf": self.lb_linf}
+        """Certified radius of each point per norm, the one that ``bounds``
+        uses: rho1 for l1, rho_inf for linf, and for l2 the larger of
+        universal_bound(2) and single_l2 (both are lower bounds, so their
+        maximum is one too)."""
+        return {"l1": self.rho1, "l2": np.maximum(self.universal_bound(2.0), self.single_l2),
+                "linf": self.rho_inf}
 
 
 def hidden_norms(rmap, q) -> np.ndarray:
@@ -170,7 +163,7 @@ def certificates(net, X, labels) -> Certificates:
     out = {k: np.zeros(n) for k in ("rho1", "rho_inf", "single_l2")}
     predicted = np.zeros(n, dtype=np.int64)
     correct = np.zeros(n, dtype=bool)
-    region, patterns, seen = np.zeros(n, dtype=np.int64), [], 0
+    patterns = []
     for sl, rmap in net_core.region_maps(net, X):
         y = labels[sl]
         _, normals, values = rmap.decision_planes(y)
@@ -178,21 +171,17 @@ def certificates(net, X, labels) -> Certificates:
         b1, d1 = _min_dists(rmap, gaps, values, normals, 1.0)
         b2, d2 = _min_dists(rmap, gaps, values, normals, 2.0)
         binf, dinf = _min_dists(rmap, gaps, values, normals, math.inf)
-        region[sl] = rmap.region + seen
-        patterns.append(rmap.patterns())
-        seen += len(patterns[-1])
+        patterns.append(np.packbits(rmap.values[rmap.some_point(-1)] > 0, axis=1)[rmap.region])
         predicted[sl] = np.argmax(rmap.logits, axis=1) + 1
         ok = (predicted[sl] == y) & ~(d1 < 0.0)
         correct[sl] = ok
         out["rho1"][sl] = np.where(ok, np.minimum(b1, np.abs(d1)), 0.0)
         out["rho_inf"][sl] = np.where(ok, np.minimum(binf, np.abs(dinf)), 0.0)
         out["single_l2"][sl] = np.where(d2 < 0.0, 0.0, np.minimum(b2, d2))
-    rho1, rho_inf = out["rho1"], out["rho_inf"]
-    if patterns:
-        # a region met in several chunks gets one index
-        region = net_core._first_seen(np.concatenate(patterns))[0][region]
-    return Certificates(labels, predicted, correct, rho1, rho_inf, rho1,
-                        _hull_radii(rho1, rho_inf, 2.0), rho_inf, out["single_l2"], region)
+    # numbered over the whole batch: a region met in several chunks gets one index
+    region = net_core._first_seen(np.concatenate(patterns))[0] if n else np.zeros(0, np.int64)
+    return Certificates(labels, predicted, correct, out["rho1"], out["rho_inf"],
+                        out["single_l2"], region)
 
 
 # -- exact robustness oracle -------------------------------------------------
@@ -231,8 +220,7 @@ def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
         t = np.zeros(len(starts))
         nz = ee > 0
         t[nz] = np.clip((c[nz] * e[nz]).sum(axis=1) / ee[nz], 0.0, 1.0)
-        diff = c - t[:, None] * e
-        return float(np.sqrt((diff * diff).sum(axis=1)).min())
+        return float(row_norms(c - t[:, None] * e, 2.0).min())
     if p == 1.0 or math.isinf(p):
         cands = [np.zeros(len(starts)), np.ones(len(starts))]
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import os
 import sys
 import time
@@ -209,16 +208,13 @@ def _cmd_certify(args) -> int:
     certs = certify.certificates(net, data.features, data.labels)
     summary = _certify_summary(certs, eps)
     if args.per_point_csv:
+        # lb_l1, lb_linf repeat rho1, rho_inf: each value is formatted once, a row at a time
         cols = [certs.label, certs.predicted, certs.correct.astype(int), certs.rho1,
-                certs.rho_inf, certs.lb_l1, certs.lb_l2, certs.lb_linf]
-        # lb_l1 is rho1 and lb_linf is rho_inf: format each distinct array
-        # once, a row at a time
-        distinct = {id(c): c for c in cols}
-        pick = operator.itemgetter(0, *(1 + list(distinct).index(id(c)) for c in cols))
-        text = zip(range(data.count), *(map(str, c.tolist()) for c in distinct.values()))
+                certs.rho_inf, certs.universal_bound(2.0)]
+        text = zip(range(data.count), *(map(str, c.tolist()) for c in cols))
         _write_csv(args.per_point_csv,
                    "index,label,predicted,correct,rho1,rho_inf,lb_l1,lb_l2,lb_linf",
-                   map(pick, text))
+                   ((i, y, p, c, r1, ri, r1, r2, ri) for i, y, p, c, r1, ri, r2 in text))
     _emit_summary(summary, args.out)
     return 0
 

@@ -220,10 +220,6 @@ class RegionMap:
         values = self.logits[idx, c] - self.logits[idx, others]
         return others, normals, values
 
-    def patterns(self) -> np.ndarray:
-        """Activation pattern of each region, bits packed: (U, ceil(N / 8))."""
-        return np.packbits(self.values[self.some_point(-1)] > 0, axis=1)
-
 
 def forward_batch(net: ReluNet, xs):
     """Batched forward pass; xs has shape (B, d).

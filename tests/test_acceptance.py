@@ -98,7 +98,7 @@ def test_criterion_4_certification_soundness():
             labels = net_core.classify_batch(net, X)
             c = certificates(net, X, labels)
             # the single-norm bounds at p = 1, 2, inf
-            single = {1.0: c.lb_l1, 2.0: c.single_l2, math.inf: c.lb_linf}
+            single = {1.0: c.rho1, 2.0: c.single_l2, math.inf: c.rho_inf}
             cu = c.universal_bound(2.0)
             for i, (x, label) in enumerate(zip(X, labels)):
                 for p, cert in single.items():
@@ -163,7 +163,8 @@ def test_criterion_7_sandwich(trained_pairs):
                 ub = ub_union(net, sub, eps)
                 assert lb <= ub + 1e-12, f"{kind} seed {run['seed']}: {lb} > {ub}"
                 certs = certificates(net, sub.features, sub.labels)
-                bound = {"l1": certs.lb_l1, "l2": certs.lb_l2, "linf": certs.lb_linf}
+                bound = {"l1": certs.rho1, "l2": certs.universal_bound(2.0),
+                         "linf": certs.rho_inf}
                 for name, (p, e) in radii.items():
                     success, norms, _ = attack_one(net, sub, p, e, iterations=60, restarts=5,
                                                    seed=run["seed"] + 31)

@@ -833,6 +833,24 @@ def test_attack_norms_is_attack_dataset_for_each_norm(name, monkeypatch):
     assert any(success.any() for success, _, _ in found.values())
 
 
+def test_one_class_attack_runs_no_search(monkeypatch):
+    # no input changes a one-class net's class: attack_norms returns what the
+    # full search finds, in the same norm order, without running PGD
+    net = net_core.random_net([4, 8, 1], seed=0)
+    ds = _Points(np.random.default_rng(0).uniform(0.0, 1.0, (30, 4)), np.ones(30))
+    eps = (0.5, 0.2, 0.1)
+    searched = {name: attacks._attack(net, ds.features, ds.labels, None,
+                                      attacks._Pgd(p, e, 5, 3, 0.01, seed))
+                for seed, ((name, p), e) in enumerate(zip(attacks._ORDERS.items(), eps), 1)}
+    monkeypatch.setattr(attacks, "_pgd_core", lambda *a: pytest.fail("PGD ran"))
+    found = attack_norms(net, ds, eps, iterations=5, restarts=3)
+    assert list(found) == list(searched)
+    for norm, result in found.items():
+        for a, b in zip(result, searched[norm]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert list(attack_norms(net, ds, eps, norms=("linf", "l1"))) == ["l1", "linf"]
+
+
 def test_region_with_no_reachable_row_holds_every_iterate():
     # at the l2 radius no row of the corners-style region is reachable: the
     # membership test has nothing to check, every iterate within the radius

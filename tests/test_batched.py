@@ -92,8 +92,12 @@ def reference_certificates(net, X, y):
 def assert_certificates_match(certs, expected):
     assert np.array_equal(certs.predicted, expected["predicted"])
     assert np.array_equal(certs.correct, expected["correct"])
-    for key in ("rho1", "rho_inf", "lb_l1", "lb_l2", "lb_linf", "single_l2"):
-        assert_close(getattr(certs, key), expected[key])
+    # the reference's lb_* are the certify CSV's columns
+    got = {"rho1": certs.rho1, "rho_inf": certs.rho_inf, "lb_l1": certs.rho1,
+           "lb_l2": certs.universal_bound(2.0), "lb_linf": certs.rho_inf,
+           "single_l2": certs.single_l2}
+    for key, value in got.items():
+        assert_close(value, expected[key])
 
 
 def assert_regularizer_matches(net, X, y, kb):
@@ -144,7 +148,6 @@ def test_universal_bound_is_the_hull_formula_per_point(name, net):
                     else geometry.hull_min_norm(r1, rinf, p)
                     for r1, rinf in zip(certs.rho1, certs.rho_inf)]
         assert certs.universal_bound(p).tobytes() == np.array(expected).tobytes(), p
-    assert certs.universal_bound(2.0).tobytes() == certs.lb_l2.tobytes()
     hull = certs.rho_inf > 0
     assert certs.universal_bound(1.0)[hull].tobytes() == certs.rho1[hull].tobytes()
     assert certs.universal_bound(math.inf)[hull] == pytest.approx(certs.rho_inf[hull],
@@ -440,8 +443,9 @@ def test_per_point_results_independent_of_chunking(monkeypatch, name):
     for chunk_bytes in (1, 5 * per_point, 16 * per_point, 10**9):
         monkeypatch.setattr(net_core, "CHUNK_BYTES", chunk_bytes)
         c, v, g = run()
-        for key in ("predicted", "correct", "rho1", "rho_inf", "lb_l2", "single_l2", "region"):
+        for key in ("predicted", "correct", "rho1", "rho_inf", "single_l2", "region"):
             assert np.array_equal(getattr(c, key), getattr(certs, key))
+        assert np.array_equal(c.universal_bound(2.0), certs.universal_bound(2.0))
         assert np.array_equal(v, values)
         # the gradient sums over points: chunked partial sums reassociate it
         assert_grads_close(g, grads)
@@ -458,8 +462,9 @@ def test_shared_regions_match_point_views_and_reference(name):
     for i in range(len(X)):
         # a one-point batch builds the same row from its point alone
         one = certify.certificates(net, X[i:i + 1], y[i:i + 1])
-        for key in ("predicted", "correct", "rho1", "rho_inf", "lb_l2", "single_l2"):
+        for key in ("predicted", "correct", "rho1", "rho_inf", "single_l2"):
             assert getattr(one, key).tobytes() == getattr(certs, key)[i:i + 1].tobytes()
+        assert one.universal_bound(2.0).tobytes() == certs.universal_bound(2.0)[i:i + 1].tobytes()
     assert_certificates_match(certs, reference_certificates(net, X, y))
     assert_regularizer_matches(net, X, y, kb=5)
 

@@ -23,9 +23,9 @@ def ub_union(net, X, y, eps):
 
 def single_norm_radii(net, X, y):
     """The single-norm l1, l2 and linf bounds of each row of X, by norm
-    order: lb_l1, single_l2 and lb_linf of its certificate."""
+    order: rho1, single_l2 and rho_inf of its certificate."""
     certs = certify.certificates(net, np.asarray(X, dtype=float), y)
-    return {1.0: certs.lb_l1, 2.0: certs.single_l2, math.inf: certs.lb_linf}
+    return {1.0: certs.rho1, 2.0: certs.single_l2, math.inf: certs.rho_inf}
 
 
 def hyperplane_distance_lp(v, a, x, p):
@@ -166,7 +166,8 @@ def test_zero_normals_certify_without_nan(hidden):
     with np.errstate(all="raise"):
         certs = certify.certificates(net, X, y)
         radii = certs.radii()
-    for value in (certs.rho1, certs.rho_inf, certs.lb_l2, certs.single_l2, *radii.values()):
+    for value in (certs.rho1, certs.rho_inf, certs.universal_bound(2.0), certs.single_l2,
+                  *radii.values()):
         assert not np.isnan(value).any()
     assert 0 < certs.correct.sum() < len(X)
     zero = [pos + k for pos in np.cumsum([0] + hidden[:-1]) for k in (0, 1)]
@@ -262,7 +263,8 @@ def test_universal_bound_function_limits():
     if certs.correct[0] and certs.rho_inf[0] > 0:
         assert certs.universal_bound(1.0) == pytest.approx(certs.rho1, rel=1e-12)
         assert certs.universal_bound(math.inf) == pytest.approx(certs.rho_inf, rel=1e-12)
-        assert certs.universal_bound(2.0) == pytest.approx(certs.lb_l2, rel=1e-12)
+        assert certs.universal_bound(2.0) == pytest.approx(
+            geometry.hull_min_norm(certs.rho1, certs.rho_inf, 2.0), rel=1e-12)
 
 
 def test_oracle_two_unit_hand_enumeration():
@@ -402,8 +404,8 @@ def test_certificates_never_exceed_oracle(arch, seed, bias):
     certs = certify.certificates(net, X, labels)
     for i, (x, label) in enumerate(zip(X, labels)):
         margin = min(float((x + 8.0).min()), float((9.0 - x).min()))
-        lbs = {1.0: certs.lb_l1[i], 2.0: max(certs.lb_l2[i], certs.single_l2[i]),
-               math.inf: certs.lb_linf[i]}
+        lbs = {1.0: certs.rho1[i], 2.0: max(certs.universal_bound(2.0)[i], certs.single_l2[i]),
+               math.inf: certs.rho_inf[i]}
         for p, lb in lbs.items():
             res = exact_robustness_oracle(net, x, int(label), p)
             # the atlas is complete, so only the box margin can make it inexact
@@ -431,17 +433,18 @@ def test_bounds_take_the_larger_l2_certificate():
     one = np.ones(2)
     certs = certify.Certificates(
         label=np.array([1, 1]), predicted=np.array([1, 1]), correct=np.array([True, True]),
-        rho1=one, rho_inf=0.1 * one, lb_l1=one, lb_l2=0.2 * one, lb_linf=0.1 * one,
-        single_l2=np.array([0.5, 0.1]), region=np.array([0, 0]))
-    assert certify.bounds(certs, EpsTriple(0.5, 0.3, 0.05)) == {
+        rho1=one, rho_inf=0.05 * one, single_l2=np.array([0.5, 0.1]), region=np.array([0, 0]))
+    assert (certs.universal_bound(2.0) < 0.3).all()  # the hull bound certifies neither
+    assert certify.bounds(certs, EpsTriple(0.5, 0.3, 0.025)) == {
         "l1": 0.0, "l2": 0.5, "linf": 0.0, "union": 0.5}
     # a linear net in d = 3, where the single-norm l2 bound beats the hull bound
     net = ReluNet((np.array([[1.0, 1.0, 3.0], [0.0, 0.0, 0.0]]),), (np.array([-2.2, 0.0]),))
     x = np.full(3, 0.5)
     c = certify.certificates(net, x[None, :], [1])
-    eps2 = 0.5 * (c.lb_l2[0] + c.single_l2[0])
-    assert c.single_l2[0] >= eps2 > c.lb_l2[0]
-    eps = EpsTriple(0.5 * c.lb_l1[0], eps2, 0.5 * c.lb_linf[0])
+    hull = c.universal_bound(2.0)[0]
+    eps2 = 0.5 * (hull + c.single_l2[0])
+    assert c.single_l2[0] >= eps2 > hull
+    eps = EpsTriple(0.5 * c.rho1[0], eps2, 0.5 * c.rho_inf[0])
     assert certify.bounds(c, eps) == {"l1": 0.0, "l2": 0.0, "linf": 0.0, "union": 0.0}
 
 
@@ -511,8 +514,9 @@ def test_one_class_net_certifies_every_radius_as_the_oracle_finds():
     X = np.random.default_rng(3).uniform(0.0, 1.0, (20, 2))
     certs = certify.certificates(net, X, np.ones(20, dtype=np.int64))
     assert certs.correct.all()
-    for name in ("rho1", "rho_inf", "lb_l1", "lb_l2", "lb_linf", "single_l2"):
+    for name in ("rho1", "rho_inf", "single_l2"):
         assert np.isposinf(getattr(certs, name)).all(), name
+    assert np.isposinf(certs.universal_bound(2.0)).all()
     radii = certs.radii()
     for i, x in enumerate(X[:4]):
         for name, p in (("l1", 1.0), ("l2", 2.0), ("linf", math.inf)):

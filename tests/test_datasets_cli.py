@@ -648,6 +648,21 @@ def _eps_args(eps=EVAL_EPS):
 ATTACK_ARGS = ["--iters", 3, "--restarts", 3, "--seed", 4, "--limit", 90]
 
 
+def test_certify_csv_columns(eval_inputs, capsys):
+    # lb_l1 and lb_linf repeat rho1 and rho_inf; lb_l2 is the hull bound at p = 2
+    net, ds, model, data, tmp = eval_inputs
+    csv = tmp / "columns.csv"
+    _run(capsys, ["certify", "--model", model, "--data", data, *_eps_args(),
+                  "--per-point-csv", csv])
+    header, *rows = [line.split(",") for line in csv.read_text().splitlines()]
+    assert header == "index,label,predicted,correct,rho1,rho_inf,lb_l1,lb_l2,lb_linf".split(",")
+    certs = certify.certificates(net, ds.features, ds.labels)
+    assert (certs.rho1 != certs.rho_inf).any()
+    cols = [np.arange(ds.count), certs.label, certs.predicted, certs.correct.astype(int),
+            certs.rho1, certs.rho_inf, certs.rho1, certs.universal_bound(2.0), certs.rho_inf]
+    assert rows == [list(map(str, row)) for row in zip(*(c.tolist() for c in cols))]
+
+
 def test_attack_single_norm_matches_all(eval_inputs, capsys):
     _, _, model, data, tmp = eval_inputs
     base = ["attack", "--model", model, "--data", data, *_eps_args(), *ATTACK_ARGS]
