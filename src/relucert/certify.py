@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, net_core, regions
+from .net_core import row_norms
 
 __all__ = [
     "EpsTriple",
@@ -31,34 +32,16 @@ EpsTriple = namedtuple("EpsTriple", ["eps1", "eps2", "eps_inf"])
 OracleResult = namedtuple("OracleResult", ["value", "exact", "num_regions"])
 
 
-def row_norms(mat: np.ndarray, p: float) -> np.ndarray:
-    """lp-norms along the last axis; p = inf is the max-norm."""
-    if p == 2.0:  # a square needs no abs: one pass fewer, the same bits
-        return np.sqrt((mat * mat).sum(axis=-1))
-    a = np.abs(mat)
-    if math.isinf(p):
-        k = a.shape[-1]
-        if 1 < k <= 32 and a.size >= 256 * k:
-            # numpy reduces a short last axis row by row, at about 50 ns a
-            # row; over the leading axis of a transposed copy it takes k
-            # vectorized passes instead.  Max is exact, so the result is the same.
-            return np.moveaxis(a, -1, 0).copy().max(axis=0)
-        return a.max(axis=-1)
-    if p == 1.0:
-        return a.sum(axis=-1)
-    return (a ** p).sum(axis=-1) ** (1.0 / p)
-
-
 def plane_distances(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """values / norms: signed distances to hyperplanes with the given values
-    at the point and dual norms of their normals.  A zero normal (a constant
-    hyperplane, which cannot be crossed) gives sign(value) * inf, and +inf
-    for a zero value.  With every norm positive this is plain division;
-    the masked divide, equal to it wherever a norm is positive, serves only
-    arrays that hold a zero normal."""
+    """values / norms, broadcast: signed distances to hyperplanes with the
+    given values at the point and dual norms of their normals.  A zero
+    normal (a constant hyperplane, which cannot be crossed) gives
+    sign(value) * inf, and +inf for a zero value.  With every norm positive
+    this is plain division; the masked divide, equal to it wherever a norm
+    is positive, serves only arrays that hold a zero normal."""
     if (norms > 0).all():
         return values / norms
-    out = np.full(np.shape(values), math.inf)
+    out = np.full(np.broadcast_shapes(np.shape(values), np.shape(norms)), math.inf)
     np.divide(values, norms, out=out, where=norms > 0)
     out[(norms == 0) & (values < 0)] = -math.inf
     return out
@@ -128,28 +111,34 @@ class Certificates:
 
 def hidden_norms(rmap, q) -> np.ndarray:
     """(B, N) lq-norms of each point's hidden hyperplane normals, taken once
-    per table row."""
+    per table row (``RegionMap.table_norms``)."""
     out = np.empty(rmap.values.shape)
     for l, cols in enumerate(rmap.layers):
-        out[:, cols] = rmap.at_points(l, row_norms(rmap.v_maps[l], q))
+        out[:, cols] = rmap.at_points(l, rmap.table_norms(l, q))
     return out
 
 
-def _min_dists(rmap, gaps, values, normals, p):
-    """Nearest boundary and nearest (signed) decision lp-distance per point,
-    gaps being |rmap.values|.  Boundary distances are taken layer by layer,
-    each gap divided by its table row's norm (plane_distances: a zero normal
-    is a unit that cannot be crossed, inf away, and 0 / 0 never happens).
-    A one-class net has no decision hyperplane in any region, so no input
-    changes its class and both distances are inf."""
-    q = geometry.dual_exponent(p)
-    decision = plane_distances(values, row_norms(normals, q)).min(axis=1, initial=math.inf)
+# The dual exponents of l1, l2 and linf, in the order _min_dists stacks them.
+_DUALS = tuple(geometry.dual_exponent(p) for p in (1.0, 2.0, math.inf))
+
+
+def _min_dists(rmap, values, normals):
+    """Nearest boundary and nearest (signed) decision distance per point in
+    l1, l2 and linf: two (3, B) arrays, a row per norm.  Each layer's gaps
+    |rmap.values|, and the decision values, are divided once by their rows'
+    three dual norms stacked (plane_distances: a zero normal is a unit that
+    cannot be crossed, inf away, and 0 / 0 never happens).  A one-class net
+    has no decision hyperplane in any region, so no input changes its class
+    and both distances are inf."""
+    gaps = np.abs(rmap.values)
+    dens = np.stack([row_norms(normals, q) for q in _DUALS])
+    decision = plane_distances(values, dens).min(axis=2, initial=math.inf)
     if not normals.shape[1]:
         return decision, decision
-    boundary = np.full(len(gaps), math.inf)
+    boundary = np.full(decision.shape, math.inf)
     for l, cols in enumerate(rmap.layers):
-        norms = rmap.at_points(l, row_norms(rmap.v_maps[l], q))
-        np.minimum(boundary, plane_distances(gaps[:, cols], norms).min(axis=1), out=boundary)
+        dens = rmap.at_points(l, np.stack([rmap.table_norms(l, q) for q in _DUALS]))
+        np.minimum(boundary, plane_distances(gaps[:, cols], dens).min(axis=2), out=boundary)
     return boundary, decision
 
 
@@ -167,10 +156,7 @@ def certificates(net, X, labels) -> Certificates:
     for sl, rmap in net_core.region_maps(net, X):
         y = labels[sl]
         _, normals, values = rmap.decision_planes(y)
-        gaps = np.abs(rmap.values)
-        b1, d1 = _min_dists(rmap, gaps, values, normals, 1.0)
-        b2, d2 = _min_dists(rmap, gaps, values, normals, 2.0)
-        binf, dinf = _min_dists(rmap, gaps, values, normals, math.inf)
+        (b1, b2, binf), (d1, d2, dinf) = _min_dists(rmap, values, normals)
         patterns.append(np.packbits(rmap.values[rmap.some_point(-1)] > 0, axis=1)[rmap.region])
         predicted[sl] = np.argmax(rmap.logits, axis=1) + 1
         ok = (predicted[sl] == y) & ~(d1 < 0.0)

@@ -116,12 +116,17 @@ def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
 # -- subcommands ----------------------------------------------------------------
 
 
+def _write_lines(path, header: str, lines) -> None:
+    """The header line, then each of lines, taken one at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(lines)
+
+
 def _write_csv(path, header: str, rows) -> None:
     """The header line, then one line of str(cell)s per row; str of a Python
     float is its repr, which reads back bit for bit."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+    _write_lines(path, header, (",".join(map(str, row)) + "\n" for row in rows))
 
 
 def _load_data(path, dim, source):
@@ -208,13 +213,15 @@ def _cmd_certify(args) -> int:
     certs = certify.certificates(net, data.features, data.labels)
     summary = _certify_summary(certs, eps)
     if args.per_point_csv:
-        # lb_l1, lb_linf repeat rho1, rho_inf: each value is formatted once, a row at a time
-        cols = [certs.label, certs.predicted, certs.correct.astype(int), certs.rho1,
-                certs.rho_inf, certs.universal_bound(2.0)]
-        text = zip(range(data.count), *(map(str, c.tolist()) for c in cols))
-        _write_csv(args.per_point_csv,
-                   "index,label,predicted,correct,rho1,rho_inf,lb_l1,lb_l2,lb_linf",
-                   ((i, y, p, c, r1, ri, r1, r2, ri) for i, y, p, c, r1, ri, r2 in text))
+        # the cells of _write_csv, one f-string a row; lb_l1, lb_linf repeat
+        # rho1, rho_inf, whose repr (a float's str) is taken once
+        rows = zip(range(data.count), certs.label.tolist(), certs.predicted.tolist(),
+                   certs.correct.astype(int).tolist(), map(repr, certs.rho1.tolist()),
+                   map(repr, certs.rho_inf.tolist()), certs.universal_bound(2.0).tolist())
+        _write_lines(args.per_point_csv,
+                     "index,label,predicted,correct,rho1,rho_inf,lb_l1,lb_l2,lb_linf",
+                     (f"{i},{y},{p},{c},{r1},{ri},{r1},{r2!r},{ri}\n"
+                      for i, y, p, c, r1, ri, r2 in rows))
     _emit_summary(summary, args.out)
     return 0
 

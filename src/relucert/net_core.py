@@ -15,7 +15,8 @@ the points share regions; it is the one region-geometry path behind
 certification and the regularizer.  While the points share regions, a
 chunk copies the table rows of the previous chunk whose activation prefix
 it meets again instead of building them, so a batch in one region builds
-each layer's geometry once.
+each layer's geometry once, and a table row's dual norms are taken once,
+when first read, and copied with the row.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +41,12 @@ __all__ = [
 ]
 
 
-# Cap on the memory of one chunk of batched region geometry: on its region
-# tables (U * N * d * 8 bytes for U distinct activation regions and N hidden
-# units) and on its per-point arrays (B * N * 8).  region_maps cuts a batch
-# into chunks within it and carries only the previous chunk's tables into the
-# next one, so its memory does not grow with the batch.
+# Cap on the memory of one chunk of batched region geometry: on the region
+# tables it builds (U * (n_2 + ... + n_L + K) * d * 8 bytes for U distinct
+# activation regions; layer 1's table is W1 itself, which no chunk builds)
+# and on its per-point arrays (B * N * 8 for N hidden units).  region_maps
+# cuts a batch into chunks within it and carries only the previous chunk's
+# tables into the next one, so its memory does not grow with the batch.
 CHUNK_BYTES = 256 * 1024
 
 
@@ -151,6 +154,24 @@ def _view_net(weights, biases) -> ReluNet:
     return net
 
 
+def row_norms(mat: np.ndarray, p: float) -> np.ndarray:
+    """lp-norms along the last axis; p = inf is the max-norm."""
+    if p == 2.0:  # a square needs no abs: one pass fewer, the same bits
+        return np.sqrt((mat * mat).sum(axis=-1))
+    a = np.abs(mat)
+    if math.isinf(p):
+        k = a.shape[-1]
+        if 1 < k <= 32 and a.size >= 256 * k:
+            # numpy reduces a short last axis row by row, at about 50 ns a
+            # row; over the leading axis of a transposed copy it takes k
+            # vectorized passes instead.  Max is exact, so the result is the same.
+            return np.moveaxis(a, -1, 0).copy().max(axis=0)
+        return a.max(axis=-1)
+    if p == 1.0:
+        return a.sum(axis=-1)
+    return (a ** p).sum(axis=-1) ** (1.0 / p)
+
+
 @dataclass(frozen=True)
 class RegionMap:
     """Affine maps of the activation regions of a batch of B points.
@@ -165,6 +186,8 @@ class RegionMap:
     (B, N) are the preactivations of the N hidden units, ``layers[l]``
     (the net's ``hidden_slices``) being layer l's columns, and ``logits``
     (B, K) the outputs.  A unit is active exactly where its value is > 0.
+    ``norms[l]`` holds the lq-norms of layer l's table rows taken so far,
+    q -> (U_l, n_l); ``table_norms`` reads and fills it.
     """
 
     index: tuple
@@ -173,6 +196,7 @@ class RegionMap:
     a_maps: tuple
     values: np.ndarray
     logits: np.ndarray
+    norms: tuple
 
     @property
     def region(self) -> np.ndarray:
@@ -185,10 +209,22 @@ class RegionMap:
         out[self.index[l]] = np.arange(len(self.index[l]))
         return out
 
+    def table_norms(self, l, q) -> np.ndarray:
+        """(U_l, n_l) lq-norms of the rows of layer l's table, the dual norms
+        of its hyperplane normals: taken on first use and kept, so each row's
+        are taken once (region_maps copies them with a carried row, and
+        shares layer 1's, W1's, between its chunks)."""
+        cache = self.norms[l]
+        if q not in cache:
+            cache[q] = row_norms(self.v_maps[l], q)
+        return cache[q]
+
     def at_points(self, l, table) -> np.ndarray:
-        """Layer l's table (U_l, ...), such as its row norms, read at each
-        point: gathered by index[l], unless _read_as_is."""
-        return table if _read_as_is(table, self.index[l]) else table[self.index[l]]
+        """Layer l's table (..., U_l, n_l), such as its row norms, read at
+        each point along its second last axis: gathered by index[l], unless
+        _read_as_is."""
+        index = self.index[l]
+        return table if _read_as_is(table.shape[-2], index) else table[..., index, :]
 
     def affine_region(self, i):
         """Point i's activation region as rows [w, c] of affine maps z -> w . z
@@ -270,18 +306,19 @@ def _per_point(v, xs):
     return np.matmul(v, xs[:, :, None])[:, :, 0]
 
 
-def _read_as_is(table, index) -> bool:
-    """Whether a table read at points through their rows index (B,) is the
-    table itself: one row, which broadcasts, or one per point, in point
-    order since rows are numbered in order of first appearance."""
-    return len(table) in (1, len(index))
+def _read_as_is(rows: int, index) -> bool:
+    """Whether a table of the given rows read at points through their rows
+    index (B,) is the table itself: one row, which broadcasts, or one per
+    point, in point order since rows are numbered in order of first
+    appearance."""
+    return rows in (1, len(index))
 
 
 def _per_region(v, a, index, xs, cap, out):
     """out[i] = v[r] @ x + a[r] for every point x and its row r = index[i]:
     the per-point products of _per_point, with the rows gathered at most cap
     points at a time (none when _read_as_is)."""
-    if _read_as_is(v, index):
+    if _read_as_is(len(v), index):
         return np.add(_per_point(v, xs), a, out=out)
     for lo in range(0, len(xs), cap):
         i = index[lo:lo + cap]
@@ -313,11 +350,18 @@ def _first_seen(keys):
 def _layer_step(w, b, v, a, mask):
     """Affine form of the layer after one whose form on each region is
     v (B, m, d), a (B, m) and whose active units are mask (B, m):
-    W (mask * v) and W (mask * a) + b, shapes (B, n, d) and (B, n).
+    W (mask * v) and W (mask * a) + b, shapes (B, n, d) and (B, n).  v and a
+    may be one row, (1, m, d) and (1, m), shared by every region.  The mask
+    goes on the smaller operand: on W (n, m) when it has fewer rows than v
+    has columns, (W * mask) v, which takes the same products.
 
     The one recursion behind region_maps and the 2-D region atlas.
     """
-    return np.matmul(w, v * mask[:, :, None]), _per_point(w[None], a * mask) + b
+    if len(w) < v.shape[2]:
+        rows = np.matmul(w * mask[:, None, :], v)
+    else:
+        rows = np.matmul(w, v * mask[:, :, None])
+    return rows, _per_point(w[None], a * mask) + b
 
 
 def _carried_rows(prev: RegionMap, l, values, first) -> np.ndarray:
@@ -330,7 +374,8 @@ def _carried_rows(prev: RegionMap, l, values, first) -> np.ndarray:
     return np.where(old < len(some), old, -1)
 
 
-def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None) -> RegionMap:
+def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None,
+                   w1_norms: dict | None = None) -> RegionMap:
     """Region geometry of the first k rows of xs: k is len(xs) if those
     rows span at most cap regions, else the largest multiple of cap whose
     rows do.
@@ -339,18 +384,21 @@ def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None) ->
     mask), and each layer's affine form is built once per group, so cap
     also bounds the rows of every table.  A group whose prefix has a row in
     the tables of prev, the previous chunk's map, takes a copy of that row
-    instead: a table row is a function of its prefix alone.  A row's
+    instead, and of each of its norms that prev has taken: a table row is a
+    function of its prefix alone.  The map keeps layer 1's norms in
+    w1_norms, if given, which other maps of the net may share.  A row's
     preactivation is its group's V x + a taken point by point, so each
     point's geometry is the same whichever rows share its batch.
     """
     B, d = xs.shape
     values = np.empty((B, net.num_hidden_units))
-    index, v_maps, a_maps = [], [], []
+    index, v_maps, a_maps, norms = [], [], [], []
     layers, carry = net.hidden_slices, prev
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         if l == 0:
             group = np.zeros(B, dtype=np.int64)
             v, a = w[None], b[None]
+            known = {} if w1_norms is None else w1_norms
         else:
             up = group
             if len(v) == B:  # every row has its own prefix already
@@ -361,59 +409,73 @@ def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None) ->
                     keys = np.concatenate([up[:, None].view(np.uint8), keys], axis=1)
                 group, first = _first_seen(keys)
                 if len(first) > cap:
-                    return _region_prefix(net, xs[:first[cap] // cap * cap], cap, prev)
+                    return _region_prefix(net, xs[:first[cap] // cap * cap], cap, prev,
+                                          w1_norms)
             mask = active[first]
             old = None if carry is None else _carried_rows(carry, l, values, first)
             if old is None or (old < 0).all():
                 # no prefix carries over to a later layer either
-                carry = None
-                # each group's parent row; all of them in order when none split
-                parent = up[first] if len(first) > len(v) else slice(None)
+                carry, known = None, {}
+                # each group's parent row; all of them in order when none
+                # split, and one row broadcasts
+                parent = up[first] if len(first) > len(v) > 1 else slice(None)
                 v, a = _layer_step(w, b, v[parent], a[parent], mask)
             else:
                 new = np.flatnonzero(old < 0)
-                parent = up[first[new]]
+                parent = up[first[new]] if len(v) > 1 else slice(None)
                 # the new groups' rows, gathered at -1, are overwritten
                 v_new, a_new = carry.v_maps[l][old], carry.a_maps[l][old]
+                known = {q: n[old] for q, n in carry.norms[l].items()}
                 if len(new):
                     v_new[new], a_new[new] = _layer_step(w, b, v[parent], a[parent], mask[new])
+                    for q, n in known.items():
+                        n[new] = row_norms(v_new[new], q)
                 v, a = v_new, a_new
         index.append(group)
         v_maps.append(v)
         a_maps.append(a)
+        norms.append(known)
         if l < net.num_hidden_layers:
             active = _per_region(v, a, group, xs, cap, values[:, layers[l]]) > 0
     logits = _per_region(v, a, group, xs, cap, np.empty((B, len(b))))
-    return RegionMap(tuple(index), layers, tuple(v_maps), tuple(a_maps), values, logits)
+    return RegionMap(tuple(index), layers, tuple(v_maps), tuple(a_maps), values, logits,
+                     tuple(norms))
 
 
 def _region_cap(net: ReluNet) -> int:
-    """Regions whose stacked hidden rows (N * d floats each) fit in
-    CHUNK_BYTES, at least one."""
-    return max(1, CHUNK_BYTES // (8 * net.input_dim * max(net.num_hidden_units, 1)))
+    """Regions whose own tables fit in CHUNK_BYTES, at least one.  A region
+    owns the rows of layers 2 and up and of the output map, (n_2 + ... + K)
+    * d floats; layer 1's table is W1 itself, shared by every region, and
+    is not counted.  Never more than the points whose (N,) rows fit in
+    CHUNK_BYTES, since a chunk takes at least R points (but the last)."""
+    points = CHUNK_BYTES // (8 * max(net.num_hidden_units, 1))
+    owned = 8 * net.input_dim * sum(len(w) for w in net.weights[1:])
+    return max(1, min(points, CHUNK_BYTES // max(owned, 1)))
 
 
 def region_maps(net: ReluNet, xs):
     """Yield (slice, RegionMap) over consecutive chunks of the rows of xs.
 
-    A chunk's tables hold at most R = ``_region_cap(net)`` regions' rows
-    (CHUNK_BYTES, or one region's rows if larger) and its per-point (B, N)
-    arrays at most CHUNK_BYTES, or R points if more.  The first chunk takes
-    R points.  The next one takes twice as many while the last one spanned
-    at most half of R regions (or one region), and R again otherwise; a
-    chunk whose points would span more than R regions ends at the last
-    multiple of R points that fits.  So a chunk is always a multiple of R
-    points, except the last.  A chunk that follows one of at most half of R
-    regions (or one) copies from that chunk's tables, read-only, each row
-    whose activation prefix it meets again rather than building it: a
+    A chunk's tables hold at most R = ``_region_cap(net)`` regions' rows:
+    the tables it builds take at most CHUNK_BYTES (or one region's rows if
+    larger), and its per-point (B, N) arrays at most CHUNK_BYTES, or R
+    points if more.  The first chunk takes R points.  The next one takes
+    twice as many while the last one spanned at most half of R regions (or
+    one region), and R again otherwise; a chunk whose points would span
+    more than R regions ends at the last multiple of R points that fits.
+    So a chunk is always a multiple of R points, except the last.  A chunk
+    that follows one of at most half of R regions (or one) copies from that
+    chunk's tables, read-only, each row whose activation prefix it meets
+    again rather than building it, with the row's norms taken so far: a
     batch in one region builds each layer once, whatever its number of
     chunks.  After a chunk of more regions, whose prefixes seldom recur,
     matching them would cost more than it saves, and every row is built.
-    Building a chunk holds its tables, the layer step's two temporaries and
-    the tables it copies from, at most 3.5 R regions' rows of (., N, d)
-    arrays.  A point's geometry does not depend on the rest of its chunk,
-    so it is the same wherever the chunks are cut.  A row that is not
-    finite raises ValueError.
+    Every chunk shares one dict of layer 1's norms, so W1's are taken once
+    a call.  Building a chunk holds its tables, the tables it copies from
+    and the layer step's masked operand, the smaller of the parent rows
+    (U, m, d) and a copy of W per region (U, n, m).  A point's geometry does
+    not depend on the rest of its chunk, so it is the same wherever the
+    chunks are cut.  A row that is not finite raises ValueError.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:
@@ -422,9 +484,9 @@ def region_maps(net: ReluNet, xs):
         raise ValueError(f"row {np.argwhere(~np.isfinite(xs))[0, 0]} of the batch is not finite")
     cap = _region_cap(net)
     most = cap * max(1, CHUNK_BYTES // (8 * max(net.num_hidden_units, 1)) // cap)
-    step, lo, carry = cap, 0, None
+    step, lo, carry, w1_norms = cap, 0, None, {}
     while lo < len(xs):
-        rmap = _region_prefix(net, xs[lo:lo + step], cap, carry)
+        rmap = _region_prefix(net, xs[lo:lo + step], cap, carry, w1_norms)
         yield slice(lo, lo + len(rmap.values)), rmap
         lo += len(rmap.values)
         few = len(rmap.v_maps[-1]) <= max(1, cap // 2)

@@ -67,6 +67,14 @@ def points(net, n, seed):
     return X, y
 
 
+def region_bytes(net):
+    """The CHUNK_BYTES at which _region_cap is one region: the larger of the
+    tables a region builds (the rows of layers 2 and up and of the output
+    map, d floats each; layer 1's table is W1) and a point's (N,) row."""
+    owned = net.input_dim * sum(len(w) for w in net.weights[1:])
+    return 8 * max(owned, net.num_hidden_units)
+
+
 def assert_close(batched, reference, scale=None):
     """Equal infinities; finite entries within RTOL of the reference entry,
     or of `scale` when given (for sums whose terms can cancel)."""
@@ -187,8 +195,7 @@ def test_one_pass_step_is_the_two_pass_step(monkeypatch, name, net):
     # regularizer's backward pass, against its own forward and backward
     # pass: V x + a and the layer-wise pass round differently
     X, y = points(net, 37, seed=len(name) + 300)
-    per_point = 8 * net.input_dim * net.num_hidden_units
-    for chunk_bytes in (net_core.CHUNK_BYTES, 5 * per_point):
+    for chunk_bytes in (net_core.CHUNK_BYTES, 5 * region_bytes(net)):
         monkeypatch.setattr(net_core, "CHUNK_BYTES", chunk_bytes)
         for cfg in STEP_CFGS:
             for kb, lam_scale in ((1, 1.0), (3, 0.4)):
@@ -196,7 +203,8 @@ def test_one_pass_step_is_the_two_pass_step(monkeypatch, name, net):
                 dW, db = mmr_train.loss_gradient(net, (X, y), cfg, kb, lam_scale)
                 assert_close([mmr_train.loss(net, (X, y), cfg, kb, lam_scale)], [value])
                 assert_grads_close(dW + db, ref_dW + ref_db)
-    # the smaller chunks cut the batch into several
+    # the smaller chunks, of R = 5 regions, cut the batch into several
+    assert net_core._region_cap(net) == 5
     assert len(list(net_core.region_maps(net, X))) > 1
 
 
@@ -366,6 +374,28 @@ def test_plane_distances_divide_straight_off_positive_norms():
     assert got[0, 4] == got[1, 4] == math.inf
 
 
+def test_plane_distances_of_stacked_norms_are_three_calls():
+    # certificates divide each layer's gaps once by its rows' three dual
+    # norms, stacked (3, ., n); rows 2 and 5 are zero normals (a zero row,
+    # values +-0.4), so the masked divide must size its output by the
+    # broadcast shape and give the +-inf of three separate calls
+    rng = np.random.default_rng(9)
+    rows = rng.standard_normal((7, 5))
+    rows[[2, 5]] = 0.0
+    values = rng.standard_normal((11, 7))
+    values[:, 2], values[:, 5] = 0.4, -0.4
+    separate = [net_core.row_norms(rows, q) for q in certify._DUALS]
+    want = np.stack([certify.plane_distances(values, norms) for norms in separate])
+    stacked = np.stack(separate)[:, None, :]
+    for vals, norms in ((values, stacked), (values[None], stacked),
+                        (values[None], np.repeat(stacked, len(values), axis=1))):
+        with np.errstate(all="raise"):
+            got = certify.plane_distances(vals, norms)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (want[:, :, 2] == math.inf).all() and (want[:, :, 5] == -math.inf).all()
+    assert np.isfinite(np.delete(want, [2, 5], axis=2)).all()
+
+
 def test_adjoints_divide_straight_off_positive_norms():
     values, norms = signed_values_and_norms(8)
     coef = np.where(values > 0.3, -0.25, 0.0)
@@ -518,13 +548,14 @@ def big_batches(n):
 
 def chunk_sizes(net, X):
     """Sizes of the chunks region_maps cuts X into; checks each chunk's
-    memory: at most R regions, whose tables take at most CHUNK_BYTES, and
-    per-point (B, N) arrays within CHUNK_BYTES."""
+    memory: at most R regions, whose tables take at most CHUNK_BYTES (all
+    but layer 1's, a view of W1 that no chunk builds), and per-point (B, N)
+    arrays within CHUNK_BYTES."""
     sizes, lo = [], 0
     for sl, rmap in net_core.region_maps(net, X):
         assert (sl.start, sl.stop) == (lo, lo + len(rmap.values))
         assert len(rmap.v_maps[-1]) <= net_core._region_cap(net)
-        assert sum(v.nbytes for v in rmap.v_maps[:-1]) <= net_core.CHUNK_BYTES
+        assert sum(v.nbytes for v in rmap.v_maps[1:]) <= net_core.CHUNK_BYTES
         assert rmap.values.nbytes <= net_core.CHUNK_BYTES
         sizes.append(len(rmap.values))
         lo = sl.stop
@@ -532,18 +563,47 @@ def chunk_sizes(net, X):
     return sizes
 
 
+def rule_sizes(regions, cap, most):
+    """The chunk sizes of region_maps' rule for points in the given regions
+    (one label a point): R = cap points first, then twice the last step, up
+    to most points, after a chunk of at most max(1, R // 2) regions, and R
+    after any other; a chunk that would span more than R regions ends at
+    the last multiple of R points that spans at most R."""
+    regions, sizes, lo, step = list(regions), [], 0, cap
+    while lo < len(regions):
+        take = regions[lo:lo + step]
+        seen = list(dict.fromkeys(take))
+        if len(seen) > cap:
+            take = take[:take.index(seen[cap]) // cap * cap]
+        sizes.append(len(take))
+        lo += len(take)
+        step = min(2 * step, most) if len(set(take)) <= max(1, cap // 2) else cap
+    return sizes
+
+
 def test_chunk_size_follows_the_memory_cap():
-    # a 16-256-256-2 net: R = CHUNK_BYTES / (8 * 16 * 512) = 4 regions per
-    # chunk, and (B, N) arrays for at most CHUNK_BYTES / (8 * 512) = 64 points
-    assert net_core._region_cap(random_net([16, 256, 256, 2])) == 4
+    # a region is priced by the tables it builds, layer 2's and the output
+    # map's: R = CHUNK_BYTES / (8 * 16 * (256 + 2)) = 7 regions per chunk on
+    # a 16-256-256-2 net, and (B, N) arrays for at most CHUNK_BYTES /
+    # (8 * 512) = 64 points, so chunks of at most 9 R = 63 points
+    R = net_core.CHUNK_BYTES // (8 * 16 * (256 + 2))
+    most = R * (net_core.CHUNK_BYTES // (8 * 512) // R)
+    assert net_core._region_cap(random_net([16, 256, 256, 2])) == R == 7 and most == 63
     batches = big_batches(300)
-    # chunks stay at 4 points while the points span more than 2 regions
-    assert chunk_sizes(*batches["distinct"]) == [4] * 75
-    # and double up to 64 points while they share one
-    assert chunk_sizes(*batches["shared"]) == [4, 8, 16, 32, 64, 64, 64, 48]
-    # a chunk that would span more than 4 regions ends at the last multiple
-    # of 4 points that spans at most 4: 2 shared and 2 distinct points here
-    assert chunk_sizes(*batches["mixed"]) == [4, 8, 4] + [4] * 71
+    for net, X in batches.values():
+        assert chunk_sizes(net, X) == rule_sizes(ref.region_map(net, X).region, R, most)
+    # chunks stay at 7 points while the points span more than 3 regions
+    assert chunk_sizes(*batches["distinct"]) == [7] * 42 + [6]
+    # and double up to 63 points while they share one
+    assert chunk_sizes(*batches["shared"]) == [7, 14, 28, 56, 63, 63, 63, 6]
+    # a chunk that would span more than 7 regions ends at the last multiple
+    # of 7 points that spans at most 7: the second chunk, of 7 shared and 7
+    # distinct points, keeps the shared 7, and the third keeps 7 of 28
+    assert chunk_sizes(*batches["mixed"]) == [7] * 42 + [6]
+    # layer 1's table is W1 itself and is not priced; R is never more than
+    # the points whose (N,) rows fit in CHUNK_BYTES (2-64-2)
+    for sizes, cap in (([2, 64, 2], 512), ([16, 64, 64, 8], 28), ([784, 1024, 10], 4)):
+        assert net_core._region_cap(random_net(sizes)) == cap
 
 
 def test_chunks_carry_the_previous_chunks_tables(monkeypatch):
@@ -578,13 +638,77 @@ def test_chunks_carry_the_previous_chunks_tables(monkeypatch):
             assert rmap.logits.tobytes() == whole.logits[sl].tobytes()
 
 
+def assert_kept_norms_are_row_norms(net, X):
+    """Every chunk's kept norms, those it carried from the previous chunk
+    and those it takes, are bitwise row_norms of its own tables, and its
+    chunks share one dict of layer 1's.  Returns how many tables past
+    layer 1 came with norms carried."""
+    carried, w1_norms = 0, None
+    for _, rmap in net_core.region_maps(net, X):
+        w1_norms = rmap.norms[0] if w1_norms is None else w1_norms
+        assert rmap.norms[0] is w1_norms
+        for l, v in enumerate(rmap.v_maps):
+            carried += l > 0 and bool(rmap.norms[l])
+            for q, norms in rmap.norms[l].items():
+                assert norms.tobytes() == net_core.row_norms(v, q).tobytes(), (l, q)
+            # taken before the next chunk is built, which then carries them
+            for q in certify._DUALS:
+                assert rmap.table_norms(l, q).tobytes() == net_core.row_norms(v, q).tobytes()
+                assert rmap.table_norms(l, q) is rmap.norms[l][q]
+    return carried
+
+
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_kept_norms_are_the_tables_row_norms(monkeypatch, name, net):
+    # two points alternating first: a chunk of R = 4 points in two regions,
+    # whose rows the next chunk carries, then points of many regions
+    X, _ = points(net, 60, seed=len(name) + 500)
+    X = np.vstack([np.tile(X[:2], (6, 1)), X])
+    monkeypatch.setattr(net_core, "CHUNK_BYTES", 4 * region_bytes(net))
+    assert assert_kept_norms_are_row_norms(net, X) > 0
+
+
+def test_kept_norms_of_the_big_batches_are_the_tables_row_norms():
+    for kind, (net, X) in big_batches(300).items():
+        carried = assert_kept_norms_are_row_norms(net, X)
+        assert (carried > 0) == (kind != "distinct"), kind
+
+
+def test_input_dimension_784_chunks_certify_as_the_whole_batch(monkeypatch):
+    # a 784-64-10 net: R = CHUNK_BYTES / (8 * 784 * 10) = 4 regions a chunk,
+    # since W1's rows are not priced, and the output layer's step masks W.
+    # The first chunk is one point four times over, so the second follows a
+    # one-region chunk and copies its row; it then ends at 4 of 8 points
+    net = random_net([784, 64, 10], seed=2, bias_scale=0.05)
+    assert net_core._region_cap(net) == 4
+    rng = np.random.default_rng(12)
+    X = rng.uniform(0.0, 1.0, (6, 784))[[0, 0, 0, 0, 1, 0, 2, 2, 3, 1, 4, 5]]
+    y = rng.integers(1, 11, len(X))
+    maps = list(net_core.region_maps(net, X))
+    assert [len(rmap.v_maps[-1]) for _, rmap in maps] == [1, 3, 4]
+    certs = certify.certificates(net, X, y)
+    whole = ref.region_map(net, X)
+    monkeypatch.setattr(net_core, "region_maps", lambda *_: iter([(slice(0, len(X)), whole)]))
+    want = certify.certificates(net, X, y)
+    for key in ("predicted", "correct", "rho1", "rho_inf", "single_l2", "region"):
+        assert getattr(certs, key).tobytes() == getattr(want, key).tobytes(), key
+    assert certs.universal_bound(2.0).tobytes() == want.universal_bound(2.0).tobytes()
+    assert_certificates_match(certs, reference_certificates(net, X, y))
+
+
 @pytest.mark.parametrize("batch", [3, 4, 5])
-def test_batches_around_the_chunk_size(batch):
+def test_batches_around_the_chunk_size(monkeypatch, batch):
+    # chunks of R = 4 regions: CHUNK_BYTES prices four regions' own tables
     batches = big_batches(8 + batch)
     net, X = batches["distinct"]
+    monkeypatch.setattr(net_core, "CHUNK_BYTES", 4 * region_bytes(net))
+    most = 4 * (net_core.CHUNK_BYTES // (8 * net.num_hidden_units) // 4)
+    assert net_core._region_cap(net) == 4 and most == 32
     X = X[:batch]
+    assert chunk_sizes(net, X) == rule_sizes(range(batch), 4, most)
     assert chunk_sizes(net, X) == {3: [3], 4: [4], 5: [4, 1]}[batch]
     net, Z = batches["shared"]
+    assert chunk_sizes(net, Z) == rule_sizes([0] * len(Z), 4, most)
     assert chunk_sizes(net, Z) == {3: [4, 7], 4: [4, 8], 5: [4, 8, 1]}[batch]
     for net, X in ((net, X), (net, Z)):
         y = net_core.classify_batch(net, X)
@@ -610,8 +734,8 @@ def test_region_maps_memory_does_not_grow_with_the_batch():
 def test_regularizer_memory_does_not_grow_with_the_batch():
     # the regularizer's value and gradient read one chunk's tables at a
     # time: no per-point (B, N, d) rows and no (regions, B) product of the
-    # whole batch (distinct points make chunks of R = 4 points, so 200 of
-    # them already span 50 chunks)
+    # whole batch (distinct points make chunks of R = 7 points, so 200 of
+    # them already span 29 chunks)
     for kind, n in (("distinct", 40), ("distinct", 200), ("shared", 40), ("shared", 200),
                     ("shared", 3000)):
         net, X = big_batches(n)[kind]
