@@ -1,29 +1,14 @@
 """Projected-gradient attacks wrt l1, l2 and linf with random restarts.
 
-Used to lower-bound the robust test error and to measure how often the
-adversarial perturbations found for one norm fit inside the other norms'
-balls.  All attacks respect the [0, 1] box: iterates are projected onto the
-norm ball and the box alternately, and _attack, which every norm of
-attack_norms goes through, re-checks final feasibility exactly before a
-perturbation is reported.
+They lower-bound the robust test error and measure how often a perturbation
+found for one norm fits inside the other norms' balls.  Each iterate is
+projected onto its norm ball and then the [0, 1] box, and _attack re-checks
+a reported perturbation exactly.
 
-PGD steps on the float32 net.  When a net's hidden layers are wide compared
-with its input (``_region_pays``), the attacks also take the affine map of
-the activation region that holds the most data points: iterates strictly
-inside it get their logits and input gradient from that map, and the others
-the layer-wise pass.  attack_norms maps that region once and shares it
-among its norms.  Each attack tests membership only against the region's
-hidden rows that an iterate can reach, those that may turn non-positive
-somewhere in an anchor's ball of its radius; the rest are provably positive
-there and are dropped when the attack starts.  An attack drops the region
-after the first step that finds too few iterates inside it.  Either way
-every candidate is classified again by the float64 net before it counts,
-so the choice of path steers the search but never reports an adversarial.
-
-The softmax of the logit gradient runs class-major, K vectorized passes
-across the rows instead of a reduction along each short row, bitwise the
-row-wise result for K < 8 classes; the l1 step's top-1 threshold is the
-row max, taken the same way.
+PGD steps on the float32 net and, where _region_pays, on the affine map of
+the activation region that holds the most data points, for the iterates
+strictly inside it.  Either path only steers the search: every candidate is
+classified again by the float64 net before it counts.
 """
 
 from __future__ import annotations
@@ -103,14 +88,11 @@ def _sample_ball_rows(rng, m, d, eps, p):
 def _logit_gradient(logits, y0):
     """Gradient of the cross-entropy wrt the logits: softmax - onehot(y0).
 
-    It runs on a class-major copy (K, B) of the logits: the max, the
-    normalizing sum and the one-hot subtraction each take K vectorized
-    passes across the rows, where numpy reduces a short row at about 50 ns
-    a row.  The max is exact, and for K < 8 numpy's row-wise sum is the
-    same sequential sum, so the result is bitwise that of the row-wise
-    form.  For K >= 8 numpy sums a row pairwise, so the denominator may
-    differ from it in the last bit.  That only steers the search: every
-    reported adversarial is verified in float64.
+    It runs class-major, (K, B), in K vectorized passes across the rows,
+    where numpy reduces a short row at about 50 ns a row.  The max is exact
+    and for K < 8 numpy's row sum is the same sequential sum, so this is
+    bitwise the row-wise form; for K >= 8 numpy sums a row pairwise, and
+    the last bit may differ, which only steers the search.
     """
     g = logits.T.copy()
     g -= g.max(axis=0)
@@ -124,14 +106,11 @@ def _logit_gradient(logits, y0):
 def _region_pays(net, inside=1.0) -> bool:
     """Whether a step on a region's map is cheaper than the layer-wise pass
     when a share inside of the iterates lies in the region: the membership
-    product (N x d for every row) is smaller than the products after the
-    first layer (sum of n_l x n_{l-1}) that the rows inside skip.
-
-    It prices the product over all N hidden rows, though an attack keeps
-    only the reachable ones (_within), so it is conservative; it
-    stays so on purpose, since a looser rule would move other nets from the
-    layer-wise pass onto the region's float32 map and change their
-    results."""
+    product (N x d for every row) against the products after the first
+    layer (sum of n_l x n_{l-1}) that the rows inside skip.  It prices all
+    N hidden rows, though an attack keeps only the reachable ones
+    (_within), on purpose: a looser rule would move other nets onto the
+    region's float32 map and change their results."""
     return net.num_hidden_units * net.input_dim < inside * sum(w.size for w in net.weights[1:])
 
 
@@ -243,17 +222,13 @@ def _joint_project(Z, X_ref, eps, p):
 
     Returns the projected rows, their deltas z - x and the deltas' lp-norms.
     Clipping to the box never increases any coordinate gap to x, so one
-    ball-then-box pass already lands in the intersection; the loop guards
-    against pathological rounding and the result is re-checked exactly.
+    ball-then-box pass lands in the intersection up to rounding.  A row
+    that rounding leaves beyond eps + _FEAS_TOL never counts as a hit in
+    _pgd_core, and _attack re-checks every reported perturbation exactly.
     """
-    for _ in range(10):
-        Z = X_ref + _project_ball_rows(Z - X_ref, eps, p)
-        Z = np.clip(Z, 0.0, 1.0)
-        delta = Z - X_ref
-        norms = row_norms(delta, p)
-        if (norms <= eps + _FEAS_TOL).all():
-            break
-    return Z, delta, norms
+    Z = np.clip(X_ref + _project_ball_rows(Z - X_ref, eps, p), 0.0, 1.0)
+    delta = Z - X_ref
+    return Z, delta, row_norms(delta, p)
 
 
 def _pgd_core(net, starts, X_ref, y, cfg: _Pgd, region):
@@ -264,16 +239,11 @@ def _pgd_core(net, starts, X_ref, y, cfg: _Pgd, region):
 
     The forward pass and the input gradient run on a float32 copy of the
     net, about twice as fast as float64 in BLAS, and, unless region is None,
-    on the affine map of the anchors' region (_anchor_region of X_ref) for
-    the iterates inside it, until a step finds too few of them there.  The
-    attack keeps only the region's hidden rows that an iterate within the
-    radius eps + _FEAS_TOL of its anchor can reach (_within); an
-    iterate the projection leaves outside that radius takes the layer-wise
-    pass.  The iterates, projections and norms stay float64, and an iterate
-    counts as misclassified only once the float64 net agrees at x + delta,
-    the point _attack re-checks.  So float32 rounding and the
-    region's map can steer the search but never make a reported
-    adversarial.
+    on the anchors' region map for the iterates inside it (_within the
+    radius eps + _FEAS_TOL), until a step finds too few of them there.  The
+    iterates, projections and norms stay float64, and an iterate counts as
+    misclassified only once the float64 net agrees at x + delta, so float32
+    rounding and the region's map never make a reported adversarial.
     """
     eps, p = cfg.eps, cfg.p
     radius = eps + _FEAS_TOL

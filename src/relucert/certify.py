@@ -36,9 +36,7 @@ def plane_distances(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """values / norms, broadcast: signed distances to hyperplanes with the
     given values at the point and dual norms of their normals.  A zero
     normal (a constant hyperplane, which cannot be crossed) gives
-    sign(value) * inf, and +inf for a zero value.  With every norm positive
-    this is plain division; the masked divide, equal to it wherever a norm
-    is positive, serves only arrays that hold a zero normal."""
+    sign(value) * inf, and +inf for a zero value, so 0 / 0 never happens."""
     if (norms > 0).all():
         return values / norms
     out = np.full(np.broadcast_shapes(np.shape(values), np.shape(norms)), math.inf)
@@ -126,10 +124,9 @@ def _min_dists(rmap, values, normals):
     """Nearest boundary and nearest (signed) decision distance per point in
     l1, l2 and linf: two (3, B) arrays, a row per norm.  Each layer's gaps
     |rmap.values|, and the decision values, are divided once by their rows'
-    three dual norms stacked (plane_distances: a zero normal is a unit that
-    cannot be crossed, inf away, and 0 / 0 never happens).  A one-class net
-    has no decision hyperplane in any region, so no input changes its class
-    and both distances are inf."""
+    three dual norms stacked (plane_distances).  A one-class net has no
+    decision hyperplane in any region, so no input changes its class and
+    both distances are inf."""
     gaps = np.abs(rmap.values)
     dens = np.stack([row_norms(normals, q) for q in _DUALS])
     decision = plane_distances(values, dens).min(axis=2, initial=math.inf)
@@ -157,7 +154,7 @@ def certificates(net, X, labels) -> Certificates:
         y = labels[sl]
         _, normals, values = rmap.decision_planes(y)
         (b1, b2, binf), (d1, d2, dinf) = _min_dists(rmap, values, normals)
-        patterns.append(np.packbits(rmap.values[rmap.some_point(-1)] > 0, axis=1)[rmap.region])
+        patterns.append(np.packbits(rmap.values[rmap.first[-1]] > 0, axis=1)[rmap.region])
         predicted[sl] = np.argmax(rmap.logits, axis=1) + 1
         ok = (predicted[sl] == y) & ~(d1 < 0.0)
         correct[sl] = ok

@@ -6,12 +6,10 @@ decision hyperplanes beyond gamma1 in l1-distance and gamma_inf in
 linf-distance simultaneously, which widens the linear regions around the
 training points and hence raises the certified radii for every norm order.
 
-Each hinge term is a distance value / ||normal||_q, divided straight off
-the dual norms (``certify.plane_distances`` and ``_adjoints``; only an
-array holding a zero normal, which no hinge can reach, takes the masked
-divide).  Its gradient comes in two passes over one chunk of
-``net_core.region_maps`` at a time, with activation masks and the k_B
-selection treated as constants of the forward pass:
+Each hinge term is a distance value / ||normal||_q.  Its gradient comes in
+two passes over one chunk of ``net_core.region_maps`` at a time, with
+activation masks and the k_B selection (``_nearest``) treated as constants
+of the forward pass:
 
 - the values are preactivations and logit margins at the points, so their
   adjoints go through ``net_core.backward_batch``, the layer-wise backward
@@ -20,17 +18,8 @@ selection treated as constants of the forward pass:
   summed per table row and pushed back through V^(l) = W^(l) (mask *
   V^(l-1)) once per row (``_backprop_tables``).
 
-The training loss reads its cross-entropy off the same chunks' logits, and
-the chunk's logit adjoint starts from the cross-entropy's (softmax - onehot)
-/ B, so one forward pass (the region maps) and one backward pass per chunk
-carry the whole loss.  Without a regularizer the cross-entropy takes a plain
-``net_core.forward_batch`` and backward pass instead.  The trainer updates
-the parameters in place: its net views Adam's flat buffer, and the
-gradient's per-layer arrays are views of one flat buffer too.
-
-The k_B selection (``_nearest``) keeps the units at or below the k_B-th
-smallest distance, which np.partition finds; where more units tie at that
-distance than fit, it keeps those of lowest index, as a stable sort would.
+The cross-entropy is read off the same chunks' logits, so one forward and
+one backward pass per chunk carry the whole loss (``_loss_and_grad``).
 
 Subgradient choices at the kinks: inactive branch at ReLU kinks, zero at
 absolute-value and hinge kinks, lowest unit index at ties of the k_B-th
@@ -193,11 +182,11 @@ def _row_sums(index, n, per_point):
 def _backprop_tables(net, rmap, g_v, dW):
     """Push adjoints g_v[l] (U_l, n_l, d) of the tables v_maps[l] back through
     V^(l) = W^(l) (mask * V^(l-1)) into dW, one table row at a time.  A
-    row's mask and parent row are those of any one of its points."""
+    row's mask and parent row are those of its first point."""
     for l in range(len(net.weights) - 1, 0, -1):
-        some = rmap.some_point(l)
-        m = (rmap.values[some, rmap.layers[l - 1]] > 0)[:, :, None]
-        parent = rmap.index[l - 1][some]
+        first = rmap.first[l]
+        m = (rmap.values[first, rmap.layers[l - 1]] > 0)[:, :, None]
+        parent = rmap.index[l - 1][first]
         # np.tensordot(g, rows, axes=([0, 2], [0, 2])) without its Python overhead
         g, rows = g_v[l], rmap.v_maps[l - 1][parent] * m
         (u, n, d), k = g.shape, rows.shape[1]

@@ -1,22 +1,17 @@
 """Dense ReLU classifiers and their exact piecewise-affine local structure.
 
 A network built from dense layers with ReLU activations is affine on each
-activation region of the input space.  For a batch of anchor points, one
-pass over the layers yields the affine restriction (V, a per layer) and
-the half-space description of the region containing each point.
-``ReluNet.hidden_slices`` splits the N hidden units into layers, and a
-unit is active exactly where its preactivation is > 0.  The geometry is
-built once per activation region, not once per point: the points are
-grouped layer by layer by their masks so far, and each layer's affine
-form is built once per group.  Points near each other, and the training
-points of a margin-regularized net, mostly share a region.
-``region_maps`` splits a batch into chunks of bounded memory, larger while
-the points share regions; it is the one region-geometry path behind
-certification and the regularizer.  While the points share regions, a
-chunk copies the table rows of the previous chunk whose activation prefix
-it meets again instead of building them, so a batch in one region builds
-each layer's geometry once, and a table row's dual norms are taken once,
-when first read, and copied with the row.
+activation region of the input space; a unit is active exactly where its
+preactivation is > 0.  ``region_maps``, the one region-geometry path behind
+certification and the regularizer, gives a batch of points the affine form
+(V, a) of every layer on each point's region and the half-space
+description of that region.  One loop over the layers after the first
+(``_region_prefix``) groups the points by their masks so far and builds
+each layer's form once per group, since nearby points, and the training
+points of a margin-regularized net, mostly share a region.  The batch is
+cut into chunks of bounded memory, larger while the points share regions,
+and a chunk copies the previous chunk's table rows, with their dual norms,
+whose activation prefix it meets again.
 """
 
 from __future__ import annotations
@@ -42,11 +37,10 @@ __all__ = [
 
 
 # Cap on the memory of one chunk of batched region geometry: on the region
-# tables it builds (U * (n_2 + ... + n_L + K) * d * 8 bytes for U distinct
-# activation regions; layer 1's table is W1 itself, which no chunk builds)
-# and on its per-point arrays (B * N * 8 for N hidden units).  region_maps
-# cuts a batch into chunks within it and carries only the previous chunk's
-# tables into the next one, so its memory does not grow with the batch.
+# tables it builds (priced by _region_cap) and on its per-point arrays
+# (B * N * 8 bytes for N hidden units).  region_maps carries only the
+# previous chunk's tables into the next one, so its memory does not grow
+# with the batch.
 CHUNK_BYTES = 256 * 1024
 
 
@@ -103,10 +97,6 @@ class ReluNet:
     @property
     def num_classes(self) -> int:
         return self.weights[-1].shape[0]
-
-    @property
-    def num_hidden_layers(self) -> int:
-        return len(self.weights) - 1
 
     @property
     def hidden_sizes(self) -> tuple:
@@ -182,7 +172,9 @@ class RegionMap:
     (U_l, n_l), the last entry being the output map, and ``index[l]`` (B,)
     gives each point's row in them.  Rows are numbered in order of first
     appearance, so the first layer has one row and the output map one per
-    activation region, ``region`` = ``index[-1]``.  Per point, ``values``
+    activation region, ``region`` = ``index[-1]``, and ``first[l]`` (U_l,)
+    is the first point of each row: the points of a row share its masks
+    and rows at every earlier layer.  Per point, ``values``
     (B, N) are the preactivations of the N hidden units, ``layers[l]``
     (the net's ``hidden_slices``) being layer l's columns, and ``logits``
     (B, K) the outputs.  A unit is active exactly where its value is > 0.
@@ -191,6 +183,7 @@ class RegionMap:
     """
 
     index: tuple
+    first: tuple
     layers: tuple
     v_maps: tuple
     a_maps: tuple
@@ -201,13 +194,6 @@ class RegionMap:
     @property
     def region(self) -> np.ndarray:
         return self.index[-1]
-
-    def some_point(self, l) -> np.ndarray:
-        """One point of each row of layer l's tables, (U_l,): the points of a
-        row share its masks and rows at every earlier layer."""
-        out = np.empty(len(self.v_maps[l]), dtype=np.int64)
-        out[self.index[l]] = np.arange(len(self.index[l]))
-        return out
 
     def table_norms(self, l, q) -> np.ndarray:
         """(U_l, n_l) lq-norms of the rows of layer l's table, the dual norms
@@ -368,7 +354,7 @@ def _carried_rows(prev: RegionMap, l, values, first) -> np.ndarray:
     """The row of prev's layer-l table whose activation prefix (the masks of
     layers 0..l-1) is that of each point first of values, or -1 where prev
     has none.  prev's rows have distinct prefixes, so each is its own group."""
-    some, end = prev.some_point(l), prev.layers[l - 1].stop
+    some, end = prev.first[l], prev.layers[l - 1].stop
     keys = np.concatenate([prev.values[some, :end], values[first, :end]]) > 0
     old = _first_seen(keys.view(np.uint8))[0][len(some):]
     return np.where(old < len(some), old, -1)
@@ -380,8 +366,10 @@ def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None,
     rows span at most cap regions, else the largest multiple of cap whose
     rows do.
 
-    The rows are grouped layer by layer by (prefix of the earlier layers,
-    mask), and each layer's affine form is built once per group, so cap
+    Layer 1's form is W1, one row that every row of xs shares.  Each later
+    layer first takes the previous one's preactivations, then groups the
+    rows by (prefix of the earlier layers, mask), unless each row has its
+    own prefix already, and builds its affine form once per group, so cap
     also bounds the rows of every table.  A group whose prefix has a row in
     the tables of prev, the previous chunk's map, takes a copy of that row
     instead, and of each of its norms that prev has taken: a table row is a
@@ -392,54 +380,49 @@ def _region_prefix(net: ReluNet, xs, cap: int, prev: RegionMap | None = None,
     """
     B, d = xs.shape
     values = np.empty((B, net.num_hidden_units))
-    index, v_maps, a_maps, norms = [], [], [], []
-    layers, carry = net.hidden_slices, prev
-    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        if l == 0:
-            group = np.zeros(B, dtype=np.int64)
-            v, a = w[None], b[None]
-            known = {} if w1_norms is None else w1_norms
+    group, first = np.zeros(B, dtype=np.int64), np.arange(min(B, 1))
+    v, a = net.weights[0][None], net.biases[0][None]
+    known = {} if w1_norms is None else w1_norms
+    index, firsts, v_maps, a_maps, norms = [group], [first], [v], [a], [known]
+    carry = prev
+    for l, (w, b, cols) in enumerate(zip(net.weights[1:], net.biases[1:], net.hidden_slices), 1):
+        active = _per_region(v, a, group, xs, cap, values[:, cols]) > 0
+        up = group
+        if len(v) < B:  # else every point has its own prefix already
+            keys = np.packbits(active, axis=1)
+            if len(v) > 1:
+                keys = np.concatenate([up[:, None].view(np.uint8), keys], axis=1)
+            group, first = _first_seen(keys)
+            if len(first) > cap:
+                return _region_prefix(net, xs[:first[cap] // cap * cap], cap, prev, w1_norms)
+        mask = active[first]
+        old = None if carry is None else _carried_rows(carry, l, values, first)
+        if old is None or (old < 0).all():
+            # no prefix carries over to a later layer either
+            carry, known = None, {}
+            # each group's parent row; all of them in order when none
+            # split, and one row broadcasts
+            parent = up[first] if len(first) > len(v) > 1 else slice(None)
+            v, a = _layer_step(w, b, v[parent], a[parent], mask)
         else:
-            up = group
-            if len(v) == B:  # every row has its own prefix already
-                first = group
-            else:
-                keys = np.packbits(active, axis=1)
-                if len(v) > 1:
-                    keys = np.concatenate([up[:, None].view(np.uint8), keys], axis=1)
-                group, first = _first_seen(keys)
-                if len(first) > cap:
-                    return _region_prefix(net, xs[:first[cap] // cap * cap], cap, prev,
-                                          w1_norms)
-            mask = active[first]
-            old = None if carry is None else _carried_rows(carry, l, values, first)
-            if old is None or (old < 0).all():
-                # no prefix carries over to a later layer either
-                carry, known = None, {}
-                # each group's parent row; all of them in order when none
-                # split, and one row broadcasts
-                parent = up[first] if len(first) > len(v) > 1 else slice(None)
-                v, a = _layer_step(w, b, v[parent], a[parent], mask)
-            else:
-                new = np.flatnonzero(old < 0)
-                parent = up[first[new]] if len(v) > 1 else slice(None)
-                # the new groups' rows, gathered at -1, are overwritten
-                v_new, a_new = carry.v_maps[l][old], carry.a_maps[l][old]
-                known = {q: n[old] for q, n in carry.norms[l].items()}
-                if len(new):
-                    v_new[new], a_new[new] = _layer_step(w, b, v[parent], a[parent], mask[new])
-                    for q, n in known.items():
-                        n[new] = row_norms(v_new[new], q)
-                v, a = v_new, a_new
+            new = np.flatnonzero(old < 0)
+            parent = up[first[new]] if len(v) > 1 else slice(None)
+            # the new groups' rows, gathered at -1, are overwritten
+            v_new, a_new = carry.v_maps[l][old], carry.a_maps[l][old]
+            known = {q: n[old] for q, n in carry.norms[l].items()}
+            if len(new):
+                v_new[new], a_new[new] = _layer_step(w, b, v[parent], a[parent], mask[new])
+                for q, n in known.items():
+                    n[new] = row_norms(v_new[new], q)
+            v, a = v_new, a_new
         index.append(group)
+        firsts.append(first)
         v_maps.append(v)
         a_maps.append(a)
         norms.append(known)
-        if l < net.num_hidden_layers:
-            active = _per_region(v, a, group, xs, cap, values[:, layers[l]]) > 0
-    logits = _per_region(v, a, group, xs, cap, np.empty((B, len(b))))
-    return RegionMap(tuple(index), layers, tuple(v_maps), tuple(a_maps), values, logits,
-                     tuple(norms))
+    logits = _per_region(v, a, group, xs, cap, np.empty((B, net.num_classes)))
+    return RegionMap(tuple(index), tuple(firsts), net.hidden_slices, tuple(v_maps),
+                     tuple(a_maps), values, logits, tuple(norms))
 
 
 def _region_cap(net: ReluNet) -> int:
@@ -463,19 +446,15 @@ def region_maps(net: ReluNet, xs):
     twice as many while the last one spanned at most half of R regions (or
     one region), and R again otherwise; a chunk whose points would span
     more than R regions ends at the last multiple of R points that fits.
-    So a chunk is always a multiple of R points, except the last.  A chunk
-    that follows one of at most half of R regions (or one) copies from that
-    chunk's tables, read-only, each row whose activation prefix it meets
-    again rather than building it, with the row's norms taken so far: a
-    batch in one region builds each layer once, whatever its number of
-    chunks.  After a chunk of more regions, whose prefixes seldom recur,
-    matching them would cost more than it saves, and every row is built.
-    Every chunk shares one dict of layer 1's norms, so W1's are taken once
-    a call.  Building a chunk holds its tables, the tables it copies from
-    and the layer step's masked operand, the smaller of the parent rows
-    (U, m, d) and a copy of W per region (U, n, m).  A point's geometry does
-    not depend on the rest of its chunk, so it is the same wherever the
-    chunks are cut.  A row that is not finite raises ValueError.
+    A chunk that follows one of at most half of R regions (or one) copies
+    from that chunk's tables, read-only, each row whose activation prefix
+    it meets again, with the row's norms taken so far; after a chunk of
+    more regions, whose prefixes seldom recur, every row is built.  Every
+    chunk shares one dict of layer 1's norms.  Building a chunk holds its
+    tables, the tables it copies from and _layer_step's masked operand.  A
+    point's geometry does not depend on the rest of its chunk, so it is
+    the same wherever the chunks are cut.  A row that is not finite raises
+    ValueError.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:

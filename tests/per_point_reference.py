@@ -66,7 +66,7 @@ def point_geometry(net, x):
             a = w @ (a * m) + b
         v_list.append(v)
         a_list.append(a)
-    if net.num_hidden_layers > 0:
+    if net.hidden_slices:
         rows = np.vstack(v_list[:-1])
         offs = np.concatenate(a_list[:-1])
     else:
@@ -291,9 +291,9 @@ def masked_adjoints(coef, values, norms):
 def backprop_tables_tensordot(net, rmap, g_v, dW):
     """``mmr_train._backprop_tables`` with its weight adjoint by np.tensordot."""
     for l in range(len(net.weights) - 1, 0, -1):
-        some = rmap.some_point(l)
-        m = masks_of(rmap)[l - 1][some][:, :, None]
-        parent = rmap.index[l - 1][some]
+        first = rmap.first[l]
+        m = masks_of(rmap)[l - 1][first][:, :, None]
+        parent = rmap.index[l - 1][first]
         dW[l] += np.tensordot(g_v[l], rmap.v_maps[l - 1][parent] * m, axes=([0, 2], [0, 2]))
         g_v[l - 1] += mmr_train._row_sums(parent, len(g_v[l - 1]),
                                           np.matmul(net.weights[l].T, g_v[l]) * m)

@@ -674,6 +674,65 @@ def test_kept_norms_of_the_big_batches_are_the_tables_row_norms():
         assert (carried > 0) == (kind != "distinct"), kind
 
 
+def counted_carries(monkeypatch):
+    """A list that receives how many rows each _carried_rows call carries."""
+    counts = []
+
+    def counted(*args):
+        old = carried_rows(*args)
+        counts.append(int((old >= 0).sum()))
+        return old
+
+    carried_rows = net_core._carried_rows
+    monkeypatch.setattr(net_core, "_carried_rows", counted)
+    return counts
+
+
+def assert_first_points(net, X):
+    """In every chunk, first[l] holds each row of layer l's tables' smallest
+    point index, in increasing order, so that index[l][first[l]] numbers
+    the rows."""
+    for _, rmap in net_core.region_maps(net, X):
+        assert len(rmap.first) == len(rmap.index) == len(net.weights)
+        for l, (index, first) in enumerate(zip(rmap.index, rmap.first)):
+            rows = len(rmap.v_maps[l])
+            assert np.array_equal(index[first], np.arange(rows)), l
+            assert (np.diff(first) > 0).all(), l
+            assert first.tolist() == [np.flatnonzero(index == r)[0] for r in range(rows)], l
+
+
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_first_points_of_the_table_rows(monkeypatch, name, net):
+    # the chunks of test_kept_norms_are_the_tables_row_norms: one of two
+    # regions, whose rows the next chunk carries, then points of many regions
+    X, _ = points(net, 60, seed=len(name) + 500)
+    X = np.vstack([np.tile(X[:2], (6, 1)), X])
+    monkeypatch.setattr(net_core, "CHUNK_BYTES", 4 * region_bytes(net))
+    carried = counted_carries(monkeypatch)
+    assert_first_points(net, X)
+    assert sum(carried) > 0
+
+
+def test_first_points_of_the_big_batches(monkeypatch):
+    carried = counted_carries(monkeypatch)
+    for kind, (net, X) in big_batches(300).items():
+        carried.clear()
+        assert_first_points(net, X)
+        assert (sum(carried) > 0) == (kind != "distinct"), kind
+
+
+def test_region_prefix_of_no_points(monkeypatch):
+    # no point to group at any layer: the loop never calls _first_seen
+    net = random_net([3, 7, 5, 4], seed=1, bias_scale=0.4)
+    monkeypatch.setattr(net_core, "_first_seen", None)
+    rmap = net_core._region_prefix(net, np.empty((0, 3)), 4)
+    assert rmap.values.shape == (0, 12) and rmap.logits.shape == (0, 4)
+    assert rmap.v_maps[0].tobytes() == net.weights[0].tobytes() and len(rmap.v_maps[0]) == 1
+    assert rmap.a_maps[0].tobytes() == net.biases[0].tobytes()
+    assert [v.shape for v in rmap.v_maps[1:]] == [(0, 5, 3), (0, 4, 3)]
+    assert all(len(i) == len(f) == 0 for i, f in zip(rmap.index, rmap.first))
+
+
 def test_input_dimension_784_chunks_certify_as_the_whole_batch(monkeypatch):
     # a 784-64-10 net: R = CHUNK_BYTES / (8 * 784 * 10) = 4 regions a chunk,
     # since W1's rows are not priced, and the output layer's step masks W.

@@ -944,13 +944,24 @@ def test_one_class_loss_and_gradient_raise():
     assert mmr_train.loss(net, batch, plain) == 0.0
 
 
+_ON_BLOBS = ["--data", "blobs.bin", "--eps1", "0.3", "--eps2", "0.1", "--epsinf", "0.05"]
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-data", "--kind", "corners", "--n", "300", "--classes", "5", "--dim", "3"],
     ["geometry", "--d", "16", "--num", "8"],
-], ids=["gen-corners", "geometry"])
+    ["train", "--data", "blobs.bin", "--arch", "8", "--epochs", "10", "--batch", "16"],
+    ["certify", "--model", "model.bin", *_ON_BLOBS],
+    ["attack", "--model", "model.bin", *_ON_BLOBS, "--iters", "5", "--restarts", "2"],
+    ["report", "--model", "model.bin", *_ON_BLOBS, "--iters", "5", "--restarts", "2",
+     "--deterministic"],
+], ids=["gen-corners", "geometry", "train", "certify", "attack", "report"])
 def test_cli_leaves_numpy_ma_unloaded(tmp_path, argv):
     # np.unique loads numpy.ma on first use, which every process paid at
     # set-up; a fresh interpreter shows whether anything still loads it
+    save_dataset(gen_blobs(64, seed=0), tmp_path / "blobs.bin")
+    net_core.save_model(net_core.random_net([2, 8, 2], seed=0, bias_scale=0.3),
+                        tmp_path / "model.bin")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = ("import sys; from relucert import cli; rc = cli.main(sys.argv[1:]); "
             "print('numpy.ma' in sys.modules, rc)")

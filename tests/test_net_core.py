@@ -304,7 +304,7 @@ def _view_of(net):
                               "view-net"])
 def test_hidden_slices_partition_the_hidden_units_in_layer_order(net):
     slices = net.hidden_slices
-    assert isinstance(slices, tuple) and len(slices) == net.num_hidden_layers
+    assert isinstance(slices, tuple) and len(slices) == len(net.weights) - 1
     assert [s.step for s in slices] == [None] * len(slices)
     ends = [0] + [s.stop for s in slices]
     assert [s.start for s in slices] == ends[:-1] and ends[-1] == net.num_hidden_units
