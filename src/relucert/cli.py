@@ -76,14 +76,12 @@ def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
     certified radius (beyond 1e-9 relative rounding slack): one of the two
     would then be wrong."""
     t0 = time.perf_counter()
-    net = net_core.load_model(model_path)
-    data = _load_data(data_path, net.input_dim, model_path)
+    net, data, sub = _load_inputs(model_path, data_path, limit)
     eps = certify.EpsTriple(*eps)
     if eps.eps2 is None:
         eps = eps._replace(eps2=derive_eps2(eps.eps1, eps.eps_inf, data.dim))
     test_error = float(np.mean(net_core.classify_batch(net, data.features) != data.labels))
 
-    sub = data.head(limit)
     certs = certify.certificates(net, sub.features, sub.labels)
     ub = certify.bounds(certs, eps)
     found = attacks.attack_norms(net, sub, eps, iterations=iterations, restarts=restarts,
@@ -138,11 +136,12 @@ def _load_data(path, dim, source):
     return data
 
 
-def _load_inputs(args):
-    """The --model net and the --data dataset's first --limit points (all without one)."""
-    net = net_core.load_model(args.model)
-    data = _load_data(args.data, net.input_dim, args.model)
-    return net, data.head(args.limit) if args.limit else data
+def _load_inputs(model, data, limit):
+    """The net at model, the dataset at data and that dataset's first limit
+    points (all of them when limit is None)."""
+    net = net_core.load_model(model)
+    dataset = _load_data(data, net.input_dim, model)
+    return net, dataset, dataset if limit is None else dataset.head(limit)
 
 
 def _emit_summary(summary: dict, out) -> None:
@@ -198,20 +197,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _certify_summary(certs, eps) -> dict:
-    """The ``certify`` summary: test error, the number of distinct activation
-    regions among the points and the robust-error upper bounds."""
+def _cmd_certify(args) -> int:
+    net, _, data = _load_inputs(args.model, args.data, args.limit)
+    eps = certify.EpsTriple(args.eps1, args.eps2, args.epsinf)
+    certs = certify.certificates(net, data.features, data.labels)
+    # regions: the number of distinct activation regions among the points
     summary = {"test_error": float(np.mean(~certs.correct)),
                "regions": int(certs.region.max(initial=-1)) + 1}
     summary.update({f"ub_{n}": v for n, v in certify.bounds(certs, eps).items()})
-    return summary
-
-
-def _cmd_certify(args) -> int:
-    net, data = _load_inputs(args)
-    eps = certify.EpsTriple(args.eps1, args.eps2, args.epsinf)
-    certs = certify.certificates(net, data.features, data.labels)
-    summary = _certify_summary(certs, eps)
     if args.per_point_csv:
         # the cells of _write_csv, one f-string a row; lb_l1, lb_linf repeat
         # rho1, rho_inf, whose repr (a float's str) is taken once
@@ -227,7 +220,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    net, data = _load_inputs(args)
+    net, _, data = _load_inputs(args.model, args.data, args.limit)
     radii = {"l1": args.eps1, "l2": args.eps2, "linf": args.epsinf}
     norms = list(radii) if args.norm == "all" else [args.norm]
     results = attacks.attack_norms(net, data, tuple(radii.values()), norms,
@@ -307,17 +300,29 @@ def _hidden_sizes(text: str) -> list:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on first use and shared by later calls: each parse
-    fills a new namespace, so calls share no values."""
+    fills a new namespace, so calls share no values.  Flags that several
+    subcommands share come from parent parsers, whose Action objects those
+    subcommands hold in common: a default set on one would change it for
+    all, so --limit (every point for certify and attack, 1000 for report)
+    is defined per subcommand."""
     parser = argparse.ArgumentParser(
         prog="relucert",
         description="Train small ReLU classifiers with joint l1/linf margin "
                     "regularization and certify their robustness for every lp-norm.")
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    inputs = argparse.ArgumentParser(add_help=False)  # certify, attack, report
+    inputs.add_argument("--model", required=True)
+    inputs.add_argument("--data", required=True)
+    inputs.add_argument("--out", default=None)
+    pgd = argparse.ArgumentParser(add_help=False, parents=[seed])  # attack, report
+    pgd.add_argument("--iters", type=_positive_int, default=100)
+    pgd.add_argument("--restarts", type=_positive_int, default=10)
 
-    g = sub.add_parser("gen-data", help="generate a synthetic dataset")
+    g = sub.add_parser("gen-data", parents=[seed], help="generate a synthetic dataset")
     g.add_argument("--kind", choices=["blobs", "corners"], default="blobs")
     g.add_argument("--n", type=_positive_int, default=1000)
-    g.add_argument("--seed", type=int, default=0)
     g.add_argument("--std", type=float, default=0.05,
                    help="blob std / corner spread")
     g.add_argument("--dim", type=int, default=16, help="corners only")
@@ -326,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_gen_data)
 
-    t = sub.add_parser("train", help="train a model")
+    t = sub.add_parser("train", parents=[seed], help="train a model")
     t.add_argument("--data", required=True)
     t.add_argument("--eval-data", default=None)
     t.add_argument("--arch", type=_hidden_sizes, default="64",
@@ -338,36 +343,25 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--epochs", type=int, default=100)
     t.add_argument("--batch", type=int, default=128)
     t.add_argument("--lr", type=float, default=5e-4)
-    t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True, help="model file path")
     t.add_argument("--history", default=None, help="per-epoch CSV path")
     t.set_defaults(func=_cmd_train)
 
-    c = sub.add_parser("certify", help="certified robust-error upper bounds")
-    c.add_argument("--model", required=True)
-    c.add_argument("--data", required=True)
-    c.add_argument("--eps1", type=float, required=True)
-    c.add_argument("--eps2", type=float, required=True)
-    c.add_argument("--epsinf", type=float, required=True)
+    c = sub.add_parser("certify", parents=[inputs], help="certified robust-error upper bounds")
+    for flag in ("--eps1", "--eps2", "--epsinf"):
+        c.add_argument(flag, type=float, required=True)
     c.add_argument("--limit", type=_positive_int, default=None)
     c.add_argument("--per-point-csv", default=None)
-    c.add_argument("--out", default=None)
     c.set_defaults(func=_cmd_certify)
 
-    a = sub.add_parser("attack", help="PGD lower bounds on the robust error")
-    a.add_argument("--model", required=True)
-    a.add_argument("--data", required=True)
+    a = sub.add_parser("attack", parents=[inputs, pgd],
+                       help="PGD lower bounds on the robust error")
     a.add_argument("--norm", choices=["l1", "l2", "linf", "all"], default="all")
-    a.add_argument("--eps1", type=float, default=None)
-    a.add_argument("--eps2", type=float, default=None)
-    a.add_argument("--epsinf", type=float, default=None)
-    a.add_argument("--iters", type=_positive_int, default=100)
-    a.add_argument("--restarts", type=_positive_int, default=10)
+    for flag in ("--eps1", "--eps2", "--epsinf"):
+        a.add_argument(flag, type=float, default=None)
     a.add_argument("--sparsity", type=_fraction, default=0.01)
-    a.add_argument("--seed", type=int, default=0)
     a.add_argument("--limit", type=_positive_int, default=None)
     a.add_argument("--per-point-csv", default=None)
-    a.add_argument("--out", default=None)
     a.set_defaults(func=_cmd_attack)
 
     ge = sub.add_parser("geometry", help="union/hull bound curves as CSV")
@@ -377,20 +371,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ge.add_argument("--out", required=True)
     ge.set_defaults(func=_cmd_geometry)
 
-    r = sub.add_parser("report", help="full evaluation: test error, LB and UB")
-    r.add_argument("--model", required=True)
-    r.add_argument("--data", required=True)
+    r = sub.add_parser("report", parents=[inputs, pgd],
+                       help="full evaluation: test error, LB and UB")
     r.add_argument("--eps1", type=float, required=True)
     r.add_argument("--eps2", type=float, default=None,
                    help="defaults to the l2 radius implied by eps1 and epsinf "
                         "in the data's dimension")
     r.add_argument("--epsinf", type=float, required=True)
-    r.add_argument("--iters", type=_positive_int, default=100)
-    r.add_argument("--restarts", type=_positive_int, default=10)
-    r.add_argument("--seed", type=int, default=0)
     r.add_argument("--limit", type=_positive_int, default=1000)
     r.add_argument("--deterministic", action="store_true")
-    r.add_argument("--out", default=None)
     r.add_argument("--csv", default=None)
     r.set_defaults(func=_cmd_report)
 

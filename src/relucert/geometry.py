@@ -77,9 +77,9 @@ def union_min_norm(eps1, eps_inf, d: int, p):
 
     Exact in the nontrivial regime eps_inf < eps1 < d*eps_inf; outside it one
     ball contains the other and the value falls back to the containment bound.
-    Powers are taken of delta = eps1/eps_inf, so the radii's scale cannot
-    overflow them; a p too large for d raises FloatingPointError instead of
-    returning inf.
+    Inside it the value is eps_inf * (1 + (d-1) r^p)^(1/p) with
+    r = (delta - 1)/(d - 1) in (0, 1), delta = eps1/eps_inf: only r, below 1,
+    is raised to the power p, so no p and no scale of the radii can overflow.
     """
     eps1, eps_inf, scalar = _radii(eps1, eps_inf)
     p = _finite_p(d, p, "union_min_norm")
@@ -87,8 +87,7 @@ def union_min_norm(eps1, eps_inf, d: int, p):
     inside = (eps_inf < eps1) & (eps1 < d * eps_inf)
     einf = eps_inf[inside]
     delta = eps1[inside] / einf
-    with np.errstate(over="raise"):
-        out[inside] = einf * (1.0 + (delta - 1.0) ** p / (d - 1) ** (p - 1.0)) ** (1.0 / p)
+    out[inside] = einf * (1.0 + (d - 1) * ((delta - 1.0) / (d - 1)) ** p) ** (1.0 / p)
     return float(out[0]) if scalar else out
 
 

@@ -164,6 +164,17 @@ def test_universal_bound_is_the_hull_formula_per_point(name, net):
         certs.universal_bound(0.5)
 
 
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_hull_l2_bound_is_within_the_region_l2_certificate(name, net):
+    # the l1 and linf balls of radii rho1 and rho_inf lie in the point's
+    # region, on the correct side of every decision hyperplane, and so does
+    # their convex hull: its l2 bound cannot pass single_l2, the l2 distance
+    # to the nearest of those hyperplanes (up to rounding)
+    X, y = points(net, 200, seed=len(name) + 100)
+    certs = certify.certificates(net, X, y)
+    assert (certs.universal_bound(2.0) <= certs.single_l2 * (1.0 + 1e-12)).all()
+
+
 def test_universal_bound_of_unreachable_and_misclassified_points():
     # constant logits: no hyperplane can be reached, so the winning label
     # certifies to inf at every p, the other one to 0

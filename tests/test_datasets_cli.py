@@ -557,6 +557,21 @@ def test_cli_geometry_reproduces_ratio(tmp_path, capsys):
     assert len(rows) == 2049
 
 
+def test_cli_geometry_at_a_large_order(tmp_path, capsys):
+    # p = 300 at d = 16 used to end in a FloatingPointError traceback from
+    # union_min_norm, whose (delta - 1)^p overflowed
+    out = tmp_path / "curve.csv"
+    assert main(["geometry", "--d", "16", "--p", "300", "--num", "8", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    info = json.loads(captured.out)
+    assert math.isfinite(info["delta_star"]) and math.isfinite(info["max_ratio"])
+    rows = out.read_text().splitlines()
+    assert rows[0] == "delta,naive,union,hull,ratio" and len(rows) == 9
+    table = np.array([row.split(",") for row in rows[1:]], dtype=float)
+    assert np.isfinite(table).all() and (table[:, 1:4] > 0).all()
+
+
 def test_cli_report_deterministic_and_valid(tmp_path, capsys):
     data = tmp_path / "d.bin"
     model = tmp_path / "m.json"
@@ -721,11 +736,18 @@ def test_certify_summary_counts_activation_regions(tmp_path, capsys):
                                        *_eps_args()]))
     assert summary["regions"] == 1
     # the hand net's units switch on at x1 = 1 and x2 = 1, outside the box the
-    # CLI accepts: both units off at (0.5, 0.5), the first one on at (1.5, 0.5)
-    X = np.array([[0.5, 0.5], [1.5, 0.5], [0.2, 0.7]])
-    certs = certify.certificates(hand_net(), X, [2, 1, 2])
-    assert certs.region.tolist() == [0, 1, 0]
-    assert cli._certify_summary(certs, EVAL_EPS)["regions"] == 2
+    # CLI accepts; with W1 doubled they switch on at x1 = 0.5 and x2 = 0.5, and
+    # the points halved meet the same preactivations bit for bit: both units
+    # off at (0.25, 0.25), the first one on at (0.75, 0.25)
+    hand = hand_net()
+    net = net_core.ReluNet((2 * hand.weights[0], *hand.weights[1:]), hand.biases)
+    X = np.array([[0.5, 0.5], [1.5, 0.5], [0.2, 0.7]]) / 2
+    assert certify.certificates(net, X, [2, 1, 2]).region.tolist() == [0, 1, 0]
+    save_dataset(Dataset(X, np.array([2, 1, 2]), num_classes=2), data)
+    net_core.save_model(net, model)
+    summary = json.loads(_run(capsys, ["certify", "--model", model, "--data", data,
+                                       *_eps_args()]))
+    assert summary["regions"] == 2
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -844,6 +866,41 @@ COMMAND_ARGS = {
     "attack": [*_eps_args(), "--iters", 2, "--restarts", 1],
     "report": [*_eps_args(), "--iters", 2, "--restarts", 1, "--deterministic"],
 }
+
+
+# per command, a minimal argv (its required flags, in pairs) and the
+# namespace it parses to, func left out
+PARSED = {
+    "certify": (["--model", "m", "--data", "d", "--eps1", "0.3", "--eps2", "0.1",
+                 "--epsinf", "0.05"],
+                {"command": "certify", "model": "m", "data": "d", "out": None, "eps1": 0.3,
+                 "eps2": 0.1, "epsinf": 0.05, "limit": None, "per_point_csv": None}),
+    "attack": (["--model", "m", "--data", "d"],
+               {"command": "attack", "model": "m", "data": "d", "out": None, "seed": 0,
+                "iters": 100, "restarts": 10, "norm": "all", "eps1": None, "eps2": None,
+                "epsinf": None, "sparsity": 0.01, "limit": None, "per_point_csv": None}),
+    "report": (["--model", "m", "--data", "d", "--eps1", "0.3", "--epsinf", "0.05"],
+               {"command": "report", "model": "m", "data": "d", "out": None, "seed": 0,
+                "iters": 100, "restarts": 10, "eps1": 0.3, "eps2": None, "epsinf": 0.05,
+                "limit": 1000, "deterministic": False, "csv": None}),
+}
+
+
+@pytest.mark.parametrize("command", list(PARSED))
+def test_cli_commands_keep_their_flags(capsys, command):
+    # certify, attack and report take their shared flags from parent parsers,
+    # whose actions they hold in common: a default set on one command (say
+    # report's --limit 1000) must not reach another (every point)
+    argv, expected = PARSED[command]
+    parser = cli._build_parser()
+    args = vars(parser.parse_args([command, *argv]))
+    assert args.pop("func") is getattr(cli, f"_cmd_{command}")
+    assert args == expected
+    for i in range(0, len(argv), 2):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, *argv[:i], *argv[i + 2:]])
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {argv[i]}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("limit", ["-3", "0", "1.5", "all"])

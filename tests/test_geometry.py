@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -212,13 +213,25 @@ def test_domain_errors():
         union_min_norm(2.0, 1.0, 4, math.inf)
 
 
+def union_reference(eps1, eps_inf, d, p):
+    """union_min_norm's nontrivial-regime formula in 50-digit decimals."""
+    with decimal.localcontext(decimal.Context(prec=50)):
+        e1, einf = decimal.Decimal(eps1), decimal.Decimal(eps_inf)
+        delta = e1 / einf
+        power = (delta - 1) ** p / decimal.Decimal(d - 1) ** (p - 1)
+        return float(einf * (1 + power) ** (1 / decimal.Decimal(p)))
+
+
 def test_union_large_radii_and_orders():
-    # only delta = eps1/eps_inf is raised to the power p, so large radii do
-    # not overflow; a p too large for d raises instead of returning inf
+    # only (delta - 1)/(d - 1), below 1, is raised to the power p, so neither
+    # large radii nor a large p overflow: (4090 - 1)^86 is about 1e310, which
+    # the form (delta - 1)^p / (d - 1)^(p - 1) overflowed and raised on
     assert union_min_norm(1.46e6, 1000.0, 2926, 50.0) == pytest.approx(
         1000.0, rel=1e-12)
-    with pytest.raises(ArithmeticError):
-        union_min_norm(4090.0, 1.0, 4096, 86.0)
+    assert union_min_norm(4090.0, 1.0, 4096, 86.0) == pytest.approx(
+        union_reference(4090.0, 1.0, 4096, 86), rel=1e-14)
+    assert union_reference(4090.0, 1.0, 4096, 86) == pytest.approx(1.0999363525800996,
+                                                                   rel=1e-15)
 
 
 def test_hull_limit_orders():
