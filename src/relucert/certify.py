@@ -100,11 +100,9 @@ class Certificates:
 
     def radii(self) -> dict:
         """Certified radius of each point per norm, the one that ``bounds``
-        uses: rho1 for l1, rho_inf for linf, and for l2 the larger of
-        universal_bound(2) and single_l2 (both are lower bounds, so their
-        maximum is one too)."""
-        return {"l1": self.rho1, "l2": np.maximum(self.universal_bound(2.0), self.single_l2),
-                "linf": self.rho_inf}
+        uses: rho1, single_l2 and rho_inf.  universal_bound(2) is at most
+        single_l2 in exact arithmetic but may round an ulp above it."""
+        return {"l1": self.rho1, "l2": self.single_l2, "linf": self.rho_inf}
 
 
 def hidden_norms(rmap, q) -> np.ndarray:

@@ -137,10 +137,12 @@ def _load_data(path, dim, source):
 
 
 def _load_inputs(model, data, limit):
-    """The net at model, the dataset at data and that dataset's first limit
-    points (all of them when limit is None)."""
+    """The net at model, the dataset at data, which must hold points (else a
+    ValueError names it), and its first limit points (all if limit is None)."""
     net = net_core.load_model(model)
     dataset = _load_data(data, net.input_dim, model)
+    if not dataset.count:
+        raise ValueError(f"{data}: the dataset holds no points")
     return net, dataset, dataset if limit is None else dataset.head(limit)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net_core import _json_int, _read_container, _write_container
+from .net_core import _first_seen, _json_int, _read_container, _write_container
 
 __all__ = [
     "Dataset",
@@ -76,14 +76,6 @@ def gen_blobs(n: int, seed: int = 0, std: float = 0.05) -> Dataset:
     return Dataset(np.clip(X, 0.0, 1.0), y + 1, num_classes=2)
 
 
-def _distinct_rows(a: np.ndarray) -> int:
-    """The number of distinct rows of a non-empty 2-D array: its rows in
-    lexicographic order, counting where a row differs from the one before.
-    (np.unique would do, but it loads numpy.ma on first use.)"""
-    rows = a[np.lexsort(a.T)]
-    return 1 + int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
-
-
 def gen_corners(n: int, seed: int = 0, dim: int = 16, num_classes: int = 2,
                 spread: float = 0.08) -> Dataset:
     """Hypercube-corner prototypes, one per class, with Gaussian spread,
@@ -99,11 +91,12 @@ def gen_corners(n: int, seed: int = 0, dim: int = 16, num_classes: int = 2,
                          f"corner per class), got dim {dim}, num_classes {num_classes}")
     rng = np.random.default_rng(seed)
     protos = rng.choice([0.15, 0.85], size=(num_classes, dim))
-    if _distinct_rows(protos) < num_classes and 2 ** dim <= np.iinfo(np.int64).max:
-        corners = rng.choice(2 ** dim, num_classes, replace=False)
-        protos = np.where((corners[:, None] >> np.arange(dim)) & 1, 0.85, 0.15)
-    while _distinct_rows(protos) < num_classes:
-        protos = rng.choice([0.15, 0.85], size=(num_classes, dim))
+    while len(_first_seen(np.packbits(protos > 0.5, axis=1))[1]) < num_classes:
+        if 2 ** dim <= np.iinfo(np.int64).max:
+            corners = rng.choice(2 ** dim, num_classes, replace=False)
+            protos = np.where((corners[:, None] >> np.arange(dim)) & 1, 0.85, 0.15)
+        else:
+            protos = rng.choice([0.15, 0.85], size=(num_classes, dim))
     y = rng.integers(0, num_classes, size=n)
     X = protos[y] + spread * rng.standard_normal((n, dim))
     return Dataset(np.clip(X, 0.0, 1.0), y + 1, num_classes=num_classes)

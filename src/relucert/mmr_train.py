@@ -434,4 +434,4 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     except FloatingPointError as exc:
         raise TrainingDiverged(
             f"training diverged at epoch {epoch}, batch offset {start}: {exc}") from None
-    return net0.with_parameters(net.weights, net.biases), history
+    return net_core.ReluNet(net.weights, net.biases), history

@@ -117,10 +117,6 @@ class ReluNet:
     def dtype(self) -> np.dtype:
         return self.weights[0].dtype
 
-    def with_parameters(self, weights, biases) -> "ReluNet":
-        """New net with the same architecture and different parameters."""
-        return ReluNet(tuple(weights), tuple(biases))
-
     def astype(self, dtype) -> "ReluNet":
         """The same net with its parameters rounded to float32 or float64."""
         dtype = np.dtype(dtype)

@@ -112,9 +112,9 @@ def finite_difference_check(net, X, y, cfg, kb, step=1e-5):
                 ws = [w.copy() for w in net.weights]
                 bs = [b.copy() for b in net.biases]
                 (ws if kind == "w" else bs)[li][idx] += step
-                lp = mmr_train.loss(net.with_parameters(ws, bs), (X, y), cfg, kb_now=kb)
+                lp = mmr_train.loss(net_core.ReluNet(ws, bs), (X, y), cfg, kb_now=kb)
                 (ws if kind == "w" else bs)[li][idx] -= 2 * step
-                lm = mmr_train.loss(net.with_parameters(ws, bs), (X, y), cfg, kb_now=kb)
+                lm = mmr_train.loss(net_core.ReluNet(ws, bs), (X, y), cfg, kb_now=kb)
                 fd = (lp - lm) / (2 * step)
                 denom = max(abs(fd), abs(grad[idx]), 1e-6)
                 worst = max(worst, abs(fd - grad[idx]) / denom)

@@ -382,7 +382,7 @@ def _split_in_half(net, seed):
     X = np.random.default_rng(seed).uniform(0, 1, size=(200, net.input_dim))
     logits, _ = net_core.forward_batch(net, X)
     shift = np.median(logits[:, 0] - logits[:, 1]) / 2.0
-    net = net.with_parameters(net.weights, net.biases[:-1] + (net.biases[-1] + [-shift, shift],))
+    net = ReluNet(net.weights, net.biases[:-1] + (net.biases[-1] + [-shift, shift],))
     return net, Dataset(X, net_core.classify_batch(net, X))
 
 
@@ -697,7 +697,7 @@ def _with_zero_units(net, zero_offset):
     biases[0][:3] = [0.3, -0.3, 0.0 if zero_offset else 0.1]
     weights[1][0] = 0.0
     biases[1][0] = 0.2
-    return net.with_parameters(tuple(weights), tuple(biases))
+    return ReluNet(tuple(weights), tuple(biases))
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf])

@@ -173,6 +173,14 @@ def test_hull_l2_bound_is_within_the_region_l2_certificate(name, net):
     X, y = points(net, 200, seed=len(name) + 100)
     certs = certify.certificates(net, X, y)
     assert (certs.universal_bound(2.0) <= certs.single_l2 * (1.0 + 1e-12)).all()
+    # the hull bound can round an ulp past single_l2, so the l2 radius that
+    # bounds and report use is single_l2 itself, with no slack: no point is
+    # certified at the next float above it
+    assert certs.radii()["l2"].tobytes() == certs.single_l2.tobytes()
+    for i in np.flatnonzero(certs.correct & np.isfinite(certs.single_l2)):
+        one = certify.Certificates(*(field[i:i + 1] for field in vars(certs).values()))
+        above = float(np.nextafter(certs.single_l2[i], math.inf))
+        assert certify.bounds(one, (0.0, above, 0.0))["l2"] == 1.0
 
 
 def test_universal_bound_of_unreachable_and_misclassified_points():

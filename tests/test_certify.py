@@ -428,8 +428,8 @@ def test_robust_error_upper_bound_edges():
         ub_union(net, np.zeros((0, 2)), [], eps)
 
 
-def test_bounds_take_the_larger_l2_certificate():
-    # hand-built: point 0 reaches eps2 only through its single-norm l2 bound
+def test_bounds_take_the_single_norm_l2_certificate():
+    # hand-built: point 0 reaches eps2 through its single-norm l2 bound
     one = np.ones(2)
     certs = certify.Certificates(
         label=np.array([1, 1]), predicted=np.array([1, 1]), correct=np.array([True, True]),
@@ -446,6 +446,16 @@ def test_bounds_take_the_larger_l2_certificate():
     assert c.single_l2[0] >= eps2 > hull
     eps = EpsTriple(0.5 * c.rho1[0], eps2, 0.5 * c.rho_inf[0])
     assert certify.bounds(c, eps) == {"l1": 0.0, "l2": 0.0, "linf": 0.0, "union": 0.0}
+    # in float64 universal_bound(2) can round one ulp above single_l2: an
+    # eps2 between the two is not certified in l2
+    fields = dict(label=np.array([1]), predicted=np.array([1]), correct=np.array([True]),
+                  rho1=np.array([0.3]), rho_inf=np.array([0.1]), region=np.array([0]))
+    up = certify.Certificates(single_l2=np.zeros(1), **fields).universal_bound(2.0)[0]
+    certs = certify.Certificates(single_l2=np.array([np.nextafter(up, 0.0)]), **fields)
+    assert certs.universal_bound(2.0)[0] == up > certs.single_l2[0]
+    assert certs.radii()["l2"].tobytes() == certs.single_l2.tobytes()
+    assert certify.bounds(certs, EpsTriple(0.3, up, 0.1)) == {
+        "l1": 0.0, "l2": 1.0, "linf": 0.0, "union": 1.0}
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])

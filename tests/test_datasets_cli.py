@@ -109,19 +109,24 @@ def test_gen_corners_may_use_every_corner():
     assert ds.num_classes == 4 and set(ds.labels.tolist()) == {1, 2, 3, 4}
 
 
+def _src_env():
+    """The environment for a `python -m relucert` subprocess that imports
+    this checkout's src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 @pytest.mark.parametrize("dim, classes", [(4, 16), (5, 32)])
 def test_cli_gen_corners_with_every_corner_ends(tmp_path, dim, classes):
     # one draw of 16 prototypes at dim 4 is distinct with probability
     # 16!/16**16 = 1.1e-6, so redrawing them all until distinct did not end;
     # after a repeat the corners are drawn without replacement
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = tmp_path / "corners.bin"
     proc = subprocess.run([sys.executable, "-m", "relucert", "gen-data", "--kind", "corners",
                            "--n", "400", "--dim", str(dim), "--classes", str(classes),
                            "--std", "0", "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=30)
+                          capture_output=True, text=True, env=_src_env(), timeout=30)
     assert proc.returncode == 0, proc.stderr
     ds = load_dataset(out)
     assert set(ds.labels.tolist()) == set(range(1, classes + 1))
@@ -146,13 +151,13 @@ def test_gen_corners_keeps_a_distinct_first_draw(n, seed, dim, classes):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.integers(1, 12), cols=st.integers(1, 5), seed=st.integers(0, 2**16))
-def test_distinct_rows_counts_as_np_unique(rows, cols, seed):
-    # the corner prototypes' repeat check, on rows of few values so that
-    # repeats are common
-    from relucert.datasets import _distinct_rows
-    a = np.random.default_rng(seed).choice([0.15, 0.85, -0.0, 0.0], size=(rows, cols))
-    assert _distinct_rows(a) == len(np.unique(a, axis=0))
+@given(rows=st.integers(1, 12), cols=st.integers(1, 20), seed=st.integers(0, 2**16))
+def test_corner_prototype_check_counts_as_np_unique(rows, cols, seed):
+    # gen_corners' repeat check groups the prototypes' packed corner bits;
+    # few columns make repeats common, more than 8 pack into several bytes
+    protos = np.random.default_rng(seed).choice([0.15, 0.85], size=(rows, cols))
+    _, first = net_core._first_seen(np.packbits(protos > 0.5, axis=1))
+    assert len(first) == len(np.unique(protos > 0.5, axis=0))
 
 
 def test_gen_corners_benchmark_pool_is_unchanged(tmp_path):
@@ -828,9 +833,7 @@ def test_every_public_name_resolves():
 
 
 def test_python_m_runs_the_cli_without_warnings(tmp_path):
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = _src_env()
     for module in ("relucert.cli", "relucert"):
         out = tmp_path / f"{module}.csv"
         proc = subprocess.run([sys.executable, "-m", module, "geometry", "--d", "2", "--num",
@@ -970,6 +973,22 @@ def test_cli_attack_counts_name_their_flag(eval_inputs, capsys, command, flag, v
         main([str(a) for a in argv] + [flag, value])
     assert exc.value.code == 2
     assert f"argument {flag}: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+def test_cli_empty_dataset_is_one_error_naming_the_file(eval_inputs, tmp_path, command):
+    # a zero-point file used to print numpy's "Mean of empty slice" warnings
+    # (a traceback under -W error) before certify's and report's error, and
+    # attack's error named no file
+    _, _, model, _, _ = eval_inputs
+    empty = tmp_path / "empty.bin"
+    save_dataset(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), num_classes=2), empty)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "relucert",
+                           command, "--model", model, "--data", str(empty),
+                           *map(str, COMMAND_ARGS[command])],
+                          capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {empty}: the dataset holds no points\n"
 
 
 ONE_CLASS = "error: the margin regularizer needs at least 2 classes, got 1"
