@@ -127,22 +127,22 @@ def _write_csv(path, header: str, rows) -> None:
     _write_lines(path, header, (",".join(map(str, row)) + "\n" for row in rows))
 
 
-def _load_data(path, dim, source):
-    """The dataset at path; ValueError naming path and source unless its
-    points have dimension dim, that of source."""
+def _load_data(path, dim=None, source=None):
+    """The dataset at path; ValueError naming path (and source) unless its
+    points have dimension dim, that of source, if given, and it holds any."""
     data = datasets.load_dataset(path)
-    if data.dim != dim:
+    if dim is not None and data.dim != dim:
         raise ValueError(f"{path}: points have dimension {data.dim}, but {source} has {dim}")
+    if not data.count:
+        raise ValueError(f"{path}: the dataset holds no points")
     return data
 
 
 def _load_inputs(model, data, limit):
-    """The net at model, the dataset at data, which must hold points (else a
-    ValueError names it), and its first limit points (all if limit is None)."""
+    """The net at model, the dataset at data (_load_data) and its first
+    limit points (all if limit is None)."""
     net = net_core.load_model(model)
     dataset = _load_data(data, net.input_dim, model)
-    if not dataset.count:
-        raise ValueError(f"{data}: the dataset holds no points")
     return net, dataset, dataset if limit is None else dataset.head(limit)
 
 
@@ -184,7 +184,7 @@ def _cmd_train(args) -> int:
         # the configs' messages start with the field at fault: name its flag
         field, _, rest = str(exc).partition(" ")
         raise ValueError(f"{_TRAIN_FLAGS.get(field, field)} {rest}") from None
-    data = datasets.load_dataset(args.data)
+    data = _load_data(args.data)
     eval_data = _load_data(args.eval_data, data.dim, args.data) if args.eval_data else None
     sizes = [data.dim] + args.arch + [data.num_classes]
     net0 = net_core.random_net(sizes, seed=args.seed)

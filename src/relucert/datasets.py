@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .net_core import _first_seen, _json_int, _read_container, _write_container
+from .net_core import CHUNK_BYTES, _first_seen, _json_int, _read_container, _write_container
 
 __all__ = [
     "Dataset",
@@ -40,9 +40,12 @@ class Dataset:
         if X.ndim != 2 or y.ndim != 1 or len(X) != len(y):
             raise ValueError(
                 f"features {X.shape} and labels {y.shape} do not form a dataset")
-        if not np.isfinite(X).all():
+        # min and max carry a NaN or an infinity through, with no
+        # temporary array the size of the data
+        lo, hi = (X.min(), X.max()) if X.size else (0.0, 0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ValueError("features must be finite")
-        if X.size and (X.min() < 0.0 or X.max() > 1.0):
+        if lo < 0.0 or hi > 1.0:
             raise ValueError("feature values must lie in [0, 1]")
         k = int(self.num_classes) if self.num_classes else (int(y.max()) if len(y) else 0)
         if len(y) and (y.min() < 1 or y.max() > k):
@@ -72,8 +75,7 @@ def gen_blobs(n: int, seed: int = 0, std: float = 0.05) -> Dataset:
     """Two well separated Gaussian blobs in [0, 1]^2."""
     rng = np.random.default_rng(seed)
     y = rng.integers(0, 2, size=n)
-    X = _BLOB_CENTERS[y] + std * rng.standard_normal((n, 2))
-    return Dataset(np.clip(X, 0.0, 1.0), y + 1, num_classes=2)
+    return _around(_BLOB_CENTERS, y, std, rng)
 
 
 def gen_corners(n: int, seed: int = 0, dim: int = 16, num_classes: int = 2,
@@ -98,15 +100,28 @@ def gen_corners(n: int, seed: int = 0, dim: int = 16, num_classes: int = 2,
         else:
             protos = rng.choice([0.15, 0.85], size=(num_classes, dim))
     y = rng.integers(0, num_classes, size=n)
-    X = protos[y] + spread * rng.standard_normal((n, dim))
-    return Dataset(np.clip(X, 0.0, 1.0), y + 1, num_classes=num_classes)
+    return _around(protos, y, spread, rng)
+
+
+def _around(centers, y, std, rng) -> Dataset:
+    """Points centers[y] + std * N(0, I), clipped to [0, 1] and labelled
+    y + 1: the same bits as that expression, but drawn, scaled, shifted and
+    clipped in place, the centers gathered a block of rows at a time."""
+    X = rng.standard_normal((len(y), centers.shape[1]))
+    X *= std
+    step = max(1, CHUNK_BYTES // (8 * centers.shape[1]))
+    for lo in range(0, len(X), step):
+        X[lo:lo + step] += centers[y[lo:lo + step]]
+    y += 1
+    return Dataset(np.clip(X, 0.0, 1.0, out=X), y, num_classes=len(centers))
 
 
 def save_dataset(ds: Dataset, path, fmt: str = "bin") -> None:
     if fmt == "bin":
         header = {"d": ds.dim, "K": ds.num_classes, "count": ds.count,
                   "dtype": "f64", "layout": "row-major"}
-        _write_container(path, header, (ds.features.astype("<f8"), ds.labels.astype("<i8")))
+        _write_container(path, header, (np.asarray(ds.features, "<f8"),
+                                        np.asarray(ds.labels, "<i8")))
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             for row, lab in zip(ds.features, ds.labels):
@@ -115,7 +130,7 @@ def save_dataset(ds: Dataset, path, fmt: str = "bin") -> None:
         raise ValueError(f"unknown dataset format {fmt!r}")
 
 
-def _load_binary(path, header: dict, payload: bytes):
+def _load_binary(path, header: dict, payload: np.ndarray):
     for key in _HEADER_KEYS:
         if key not in header:
             raise ValueError(f"{path}: header missing key {key!r}")
@@ -127,8 +142,8 @@ def _load_binary(path, header: dict, payload: bytes):
     need = count * d * 8 + count * 8
     if len(payload) != need:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, expected {need}")
-    feats = np.frombuffer(payload[: count * d * 8], dtype="<f8").reshape(count, d)
-    labels = np.frombuffer(payload[count * d * 8:], dtype="<i8")
+    feats = np.frombuffer(payload, dtype="<f8", count=count * d).reshape(count, d)
+    labels = np.frombuffer(payload, dtype="<i8", count=count, offset=count * d * 8)
     if len(labels) and (labels.min() < 1 or labels.max() > k):
         raise ValueError(f"{path}: labels outside 1..{k}")
     return feats, labels, k

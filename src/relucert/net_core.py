@@ -20,6 +20,7 @@ import functools
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,15 +240,21 @@ class RegionMap:
         return others, normals, values
 
 
+def _batch(net: ReluNet, xs, dtype) -> np.ndarray:
+    """xs as a (B, d) array of dtype, for the net's input dimension d."""
+    xs = np.asarray(xs, dtype=dtype)
+    if xs.ndim != 2 or xs.shape[1] != net.input_dim:
+        raise ValueError(f"batch has shape {xs.shape}, expected (B, {net.input_dim})")
+    return xs
+
+
 def forward_batch(net: ReluNet, xs):
     """Batched forward pass; xs has shape (B, d).
 
     Returns (logits (B, K), preactivations list of (B, n_l)), computed in
     the net's dtype (xs is cast to it).
     """
-    xs = np.asarray(xs, dtype=net.dtype)
-    if xs.ndim != 2 or xs.shape[1] != net.input_dim:
-        raise ValueError(f"batch has shape {xs.shape}, expected (B, {net.input_dim})")
+    xs = _batch(net, xs, net.dtype)
     preacts = []
     h = xs
     for w, b in zip(net.weights[:-1], net.biases[:-1]):
@@ -277,14 +284,30 @@ def backward_batch(net: ReluNet, preacts, g_logits, grads=None, xs=None, g_pre=N
 
 def classify_batch(net: ReluNet, xs) -> np.ndarray:
     """Predicted class in 1..K of each row of xs (B, d); exact logit ties go
-    to the smallest index."""
-    logits, _ = forward_batch(net, xs)
-    return np.argmax(logits, axis=1) + 1
+    to the smallest index.
+
+    The logits of ``forward_batch``, bit for bit, without its list of
+    preactivations: one product per layer over the whole batch, with the
+    bias and ReLU applied in place, so it holds two layers' activations at
+    a time.  The batch is not cut into chunks, since a row of a matrix
+    product may round differently with other rows around it."""
+    h = _batch(net, xs, net.dtype)
+    for l, (w, b) in enumerate(zip(net.weights, net.biases), 1):
+        h = h @ w.T
+        h += b
+        if l < len(net.weights):
+            np.maximum(h, 0.0, out=h)
+    return np.argmax(h, axis=1) + 1
 
 
 def _per_point(v, xs):
     """v[i] @ xs[i] for every point i: (B, n, d) and (B, d) -> (B, n);
-    v may also be one (1, n, d) map shared by every point."""
+    v may also be one (1, n, d) map shared by every point.  numpy's stacked
+    matmul takes each point's product on its own, so a point's values do
+    not depend on the rest of its chunk.  One (B, d) @ (d, n) product over a
+    shared map would be faster but is not the same: it rounds otherwise (by
+    up to 1.3e-15 at d = 16 on the corners benchmark's points), and at an
+    inner dimension of 256 its rows change bits with the rows around them."""
     return np.matmul(v, xs[:, :, None])[:, :, 0]
 
 
@@ -452,9 +475,7 @@ def region_maps(net: ReluNet, xs):
     the same wherever the chunks are cut.  A row that is not finite raises
     ValueError.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[1] != net.input_dim:
-        raise ValueError(f"batch has shape {xs.shape}, expected (B, {net.input_dim})")
+    xs = _batch(net, xs, np.float64)
     if not np.isfinite(xs).all():
         raise ValueError(f"row {np.argwhere(~np.isfinite(xs))[0, 0]} of the batch is not finite")
     cap = _region_cap(net)
@@ -491,22 +512,28 @@ def random_net(layer_sizes, seed=0, bias_scale=0.0) -> ReluNet:
 
 def _write_container(path, header: dict, arrays) -> None:
     """Write a container file: the header as one JSON line, then each array's
-    raw bytes in turn (the caller picks their little-endian dtypes)."""
+    raw bytes in turn, row-major, straight from its buffer when it is
+    contiguous (the caller picks their little-endian dtypes)."""
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         for a in arrays:
-            fh.write(a.tobytes())
+            fh.write(np.ascontiguousarray(a))
 
 
 def _read_container(path):
-    """(header dict, payload bytes) of a container file: one JSON object on
-    the first line, then the raw payload.  When the first line does not
-    start with '{' the header is None and the payload is the whole file."""
+    """(header dict, payload) of a container file: one JSON object on the
+    first line, then the raw payload, read into one uint8 array, the only
+    copy of it in memory.  When the first line does not start with '{' the
+    header is None and the payload is the whole file, as bytes."""
     with open(path, "rb") as fh:
         line = fh.readline()
-        payload = fh.read()
-    if not line.strip().startswith(b"{"):
-        return None, line + payload
+        if not line.strip().startswith(b"{"):
+            return None, line + fh.read()
+        payload = np.empty(max(os.fstat(fh.fileno()).st_size - len(line), 0), dtype=np.uint8)
+        payload = payload[:fh.readinto(payload)]
+        rest = fh.read()  # what a pipe, or a file that grew, holds beyond its size
+    if rest:
+        payload = np.concatenate([payload, np.frombuffer(rest, dtype=np.uint8)])
     try:
         header = json.loads(line.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -522,7 +549,7 @@ def save_model(net: ReluNet, path) -> None:
     header = {"input_dim": net.input_dim, "num_classes": net.num_classes, "dtype": "f64",
               "layers": [{"rows": int(w.shape[0]), "cols": int(w.shape[1])}
                          for w in net.weights]}
-    _write_container(path, header, (a.astype("<f8") for w, b in zip(net.weights, net.biases)
+    _write_container(path, header, (np.asarray(a, "<f8") for w, b in zip(net.weights, net.biases)
                                     for a in (w, b)))
 
 

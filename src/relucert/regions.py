@@ -5,10 +5,11 @@ the set of inputs reaching a different class decomposes into clipped
 polygons whose edges can be enumerated.  The map is built layer by layer, as
 in the arrangement view of Serra, Tjandraatmadja & Ramalingam (2018) and
 Hanin & Rolnick (2019): starting from the box, each hidden unit's line, in
-unit order, splits every piece it crosses in two, and after each layer one
-batched affine step gives every piece the lines of the next layer.  The
-pieces tile the box by construction.  The box is [LO, HI]^2, and a box that
-needs more than MAX_REGIONS pieces gives no map.
+unit order, splits every piece it crosses in two, and after each layer a
+batched affine step, over blocks of pieces of bounded memory, gives every
+piece the lines of the next layer.  The pieces tile the box by
+construction.  The box is [LO, HI]^2, and a box that needs more than
+MAX_REGIONS pieces gives no map.
 
 The pieces live in one padded vertex table xy (2, width, pieces): piece q
 is counts[q] vertices in order, and its later slots repeat vertex 0, so
@@ -118,6 +119,30 @@ def _twinned(starts, ends, piece):
     return twin
 
 
+def _layer_steps(w, b, v, a, src, active):
+    """net_core._layer_step for every piece, from its row src (P,) of the
+    layer's form v, a and its active units active (P, m): the next layer's
+    form, (P, n, 2) and (P, n).  It runs over blocks of pieces whose
+    gathered rows, their masked copy and the new rows take at most
+    CHUNK_BYTES, or one piece, so the layer's table is never tiled once per
+    piece.  numpy's stacked matmul takes each piece's product on its own,
+    so the blocks give the same bits as one step over all the pieces."""
+    P, n, (m, d) = len(src), len(w), v.shape[1:]
+    step = max(1, net_core.CHUNK_BYTES // (8 * d * (2 * m + n)))
+    v_next, a_next = np.empty((P, n, d)), np.empty((P, n))
+    for lo in range(0, P, step):
+        rows = src[lo:lo + step]
+        # numpy multiplies by a bool mask several times slower than by a
+        # float one; float32 holds 0 and 1 exactly in half the memory.  In C
+        # order, whatever the block's size: a masked operand laid out like
+        # active's transpose has strides that grow with the block, and
+        # matmul takes BLAS or its own loop by the strides
+        mask = active[lo:lo + step].astype(np.float32, order="C")
+        v_next[lo:lo + step], a_next[lo:lo + step] = net_core._layer_step(
+            w, b, v[rows], a[rows], mask)
+    return v_next, a_next
+
+
 @dataclass
 class _Region:
     key: tuple
@@ -191,10 +216,7 @@ class RegionAtlas:
                 if P > MAX_REGIONS:
                     self.complete = False
                     return
-            # numpy multiplies by a bool mask several times slower than by a
-            # float one; float32 holds 0 and 1 exactly in half the memory
-            mask = bits[cols, :P].T.astype(np.float32)
-            v, a = net_core._layer_step(w, b, v[src[:P]], a[src[:P]], mask)
+            v, a = _layer_steps(w, b, v, a, src[:P], bits[cols, :P].T)
         # one vertex array per region, and the table as a view of them
         rows = np.ascontiguousarray(xy[:, :, :P].transpose(2, 1, 0))
         self._xy, self._counts, self._v_out, self._a_out = rows.T, counts[:P], v, a

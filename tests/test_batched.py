@@ -827,6 +827,31 @@ def test_regularizer_memory_does_not_grow_with_the_batch():
         assert peak <= 16 * net_core.CHUNK_BYTES, (kind, n, peak / net_core.CHUNK_BYTES)
 
 
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_classify_batch_is_the_argmax_of_forward_batch(name, net, dtype):
+    # the logits of forward_batch, bit for bit: classes agree at every point,
+    # at the logit-ties net's tied classes too, in float64 and float32
+    net = net.astype(dtype)
+    X, _ = points(net, 300, seed=len(name))
+    logits, _ = net_core.forward_batch(net, X)
+    assert np.array_equal(net_core.classify_batch(net, X), np.argmax(logits, axis=1) + 1)
+
+
+@pytest.mark.parametrize("sizes", [[16, 256, 256, 2], [16, 64, 512, 10], [64, 300, 3]])
+def test_classify_batch_holds_two_layers_of_activations(sizes):
+    # no list of preactivations: the transient is at most the (B, n) arrays
+    # of two layers at the widest, the logits and the (B,) classes
+    B = 2000
+    net = random_net(sizes, seed=1, bias_scale=0.3)
+    X = np.random.default_rng(2).uniform(0.0, 1.0, size=(B, sizes[0]))
+    tracemalloc.start()
+    net_core.classify_batch(net, X)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= 8 * B * (2 * max(sizes[1:-1]) + sizes[-1] + 2) + 4096, peak
+
+
 # -- a point's region as affine maps -----------------------------------------------
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,62 @@ def test_binary_round_trip_bit_exact(tmp_path):
     assert back.features.tobytes() == ds.features.tobytes()
     assert np.array_equal(back.labels, ds.labels)
     assert back.num_classes == ds.num_classes
+
+
+def test_binary_files_are_the_header_line_and_the_arrays_bytes(tmp_path):
+    # the container as a reference writer makes it: the JSON header line,
+    # then the features and the labels as little-endian bytes, row-major
+    for ds in (gen_blobs(257, seed=3), gen_corners(40, seed=1, dim=9, num_classes=4),
+               Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), num_classes=2)):
+        path = tmp_path / "data.bin"
+        save_dataset(ds, path)
+        header = {"d": ds.dim, "K": ds.num_classes, "count": ds.count, "dtype": "f64",
+                  "layout": "row-major"}
+        assert path.read_bytes() == (json.dumps(header).encode() + b"\n"
+                                     + ds.features.astype("<f8").tobytes()
+                                     + ds.labels.astype("<i8").tobytes())
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that tracemalloc sees fn(*args) allocate, and its result."""
+    tracemalloc.start()
+    out = fn(*args)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak, out
+
+
+@pytest.mark.parametrize("n", [2000, 40000])
+def test_save_dataset_writes_from_the_arrays_buffers(tmp_path, n):
+    # no copy of the features or labels: nothing allocated grows with the data
+    peak, _ = _traced_peak(save_dataset, gen_corners(n, seed=2, dim=32), tmp_path / "data.bin")
+    assert peak <= 64 * 1024, peak
+
+
+@pytest.mark.parametrize("n", [2000, 40000])
+def test_load_dataset_holds_one_copy_of_the_payload(tmp_path, n):
+    # the payload is read into memory once, and the features and labels
+    # are views of it
+    ds, path = gen_corners(n, seed=2, dim=32), tmp_path / "data.bin"
+    save_dataset(ds, path)
+    peak, back = _traced_peak(load_dataset, path)
+    assert peak <= ds.features.nbytes + ds.labels.nbytes + 64 * 1024, peak
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+def test_load_dataset_reads_a_pipe(tmp_path):
+    # a pipe reports no size: its payload is read to the end all the same
+    ds, path, fifo = gen_blobs(300, seed=1), tmp_path / "data.bin", tmp_path / "fifo"
+    save_dataset(ds, path)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    back = load_dataset(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
 
 
 def test_csv_round_trip(tmp_path):
@@ -975,20 +1032,26 @@ def test_cli_attack_counts_name_their_flag(eval_inputs, capsys, command, flag, v
     assert f"argument {flag}: must be an integer >= 1, got '{value}'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", list(COMMAND_ARGS))
+@pytest.mark.parametrize("command", [*COMMAND_ARGS, "train-data", "train-eval-data"])
 def test_cli_empty_dataset_is_one_error_naming_the_file(eval_inputs, tmp_path, command):
     # a zero-point file used to print numpy's "Mean of empty slice" warnings
-    # (a traceback under -W error) before certify's and report's error, and
-    # attack's error named no file
-    _, _, model, _, _ = eval_inputs
+    # (a traceback under -W error) before certify's and report's error,
+    # attack's error named no file, and train's named neither of its sets
+    _, _, model, data, _ = eval_inputs
     empty = tmp_path / "empty.bin"
     save_dataset(Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), num_classes=2), empty)
+    if command in COMMAND_ARGS:
+        argv = [command, "--model", model, "--data", empty, *COMMAND_ARGS[command]]
+    else:
+        train, eval_ = (empty, data) if command == "train-data" else (data, empty)
+        argv = ["train", "--data", train, "--eval-data", eval_, "--arch", 4, "--epochs", 10,
+                "--out", tmp_path / "m.bin"]
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "relucert",
-                           command, "--model", model, "--data", str(empty),
-                           *map(str, COMMAND_ARGS[command])],
+                           *map(str, argv)],
                           capture_output=True, text=True, env=_src_env(), timeout=60)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == f"error: {empty}: the dataset holds no points\n"
+    assert not (tmp_path / "m.bin").exists()
 
 
 ONE_CLASS = "error: the margin regularizer needs at least 2 classes, got 1"

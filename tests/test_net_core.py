@@ -243,7 +243,8 @@ def test_float32_model_loads_as_its_float64_upcast(tmp_path):
 
 def test_model_file_layout(tmp_path):
     # one JSON header line, then each layer's row-major weights and its
-    # bias as little-endian float64; the file name plays no part
+    # bias as little-endian float64, a float32 net's as its float64 upcast;
+    # the file name plays no part
     net = random_net([3, 5, 2], seed=0, bias_scale=0.2)
     path = tmp_path / "model.json"
     save_model(net, path)
@@ -251,8 +252,13 @@ def test_model_file_layout(tmp_path):
     assert json.loads(header) == {
         "input_dim": 3, "num_classes": 2, "dtype": "f64",
         "layers": [{"rows": 5, "cols": 3}, {"rows": 2, "cols": 5}]}
-    w0, b0, w1, b1 = net.weights[0], net.biases[0], net.weights[1], net.biases[1]
-    assert payload == b"".join(a.astype("<f8").tobytes() for a in (w0, b0, w1, b1))
+    for net in (net, random_net([16, 64, 8, 3], seed=1, bias_scale=0.2).astype(np.float32),
+                random_net([4, 2], seed=2), tiny_net(3)):
+        save_model(net, path)
+        header = {"input_dim": net.input_dim, "num_classes": net.num_classes, "dtype": "f64",
+                  "layers": [{"rows": w.shape[0], "cols": w.shape[1]} for w in net.weights]}
+        assert path.read_bytes() == json.dumps(header).encode() + b"\n" + b"".join(
+            a.astype("<f8").tobytes() for w, b in zip(net.weights, net.biases) for a in (w, b))
 
 
 def test_model_json_validates_dimension_chain(tmp_path):

@@ -3,6 +3,7 @@ per_point_reference.py, its region cap, tiling properties and its
 polygon clip."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -250,6 +251,42 @@ def test_decision_edges_leave_out_shared_polygon_edges(name):
             assert g.tobytes() == w.tobytes()
         dropped += len(ref.decision_edges(expected, atlas.num_classes, c)[0]) - len(got[0])
     assert dropped > 0
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# nets with a layer of one unit, whose step masks W rather than the table
+ONE_UNIT = {"one-unit-2-20-1-3": [2, 20, 1, 3], "one-class-2-50-1": [2, 50, 1]}
+
+
+@pytest.mark.parametrize("name", [*NETS, *ONE_UNIT])
+def test_atlas_built_a_region_at_a_time_is_the_same(name, monkeypatch):
+    # at CHUNK_BYTES = 1 every block of _layer_steps is one piece; the stacked
+    # products take each piece on its own, so the atlas keeps its bits
+    net = random_net(ONE_UNIT[name], bias_scale=1.0) if name in ONE_UNIT else NETS[name]()
+    whole = RegionAtlas(net)
+    monkeypatch.setattr(net_core, "CHUNK_BYTES", 1)
+    blocks = RegionAtlas(net)
+    for attr in ("_xy", "_counts", "_v_out", "_a_out"):
+        assert _same_bits(getattr(blocks, attr), getattr(whole, attr)), attr
+    assert [r.key for r in blocks.regions] == [r.key for r in whole.regions]
+    for c in range(1, net.num_classes + 1):
+        for got, want in zip(blocks.decision_edges(c), whole.decision_edges(c)):
+            assert _same_bits(got, want)
+
+
+def test_atlas_memory_is_its_tables_and_a_few_blocks():
+    # a 2-64-2 net of 1713 regions: W1 and each layer's table are gathered
+    # and masked a block of CHUNK_BYTES at a time, never once per region
+    net = random_net([2, 64, 2], seed=0, bias_scale=2.0)
+    tracemalloc.start()
+    atlas = RegionAtlas(net)
+    kept, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(atlas.regions) == 1713
+    assert peak - kept <= 4 * net_core.CHUNK_BYTES, (peak - kept) / net_core.CHUNK_BYTES
 
 
 # -- properties on random tiny nets ---------------------------------------------
