@@ -19,7 +19,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import geometry, net_core
-from .certify import EpsTriple, _check_finite, _check_labels, row_norms
+from .certify import EpsTriple, _check_finite, row_norms
 
 __all__ = [
     "attack_norms",
@@ -238,10 +238,10 @@ def _pgd_core(net, starts, X_ref, y, cfg: _Pgd, region):
     smallest perturbation norm among the misclassified feasible iterates.
 
     The forward pass and the input gradient run on a float32 copy of the
-    net, about twice as fast as float64 in BLAS, and, unless region is None,
-    on the anchors' region map for the iterates inside it (_within the
-    radius eps + _FEAS_TOL), until a step finds too few of them there.  The
-    iterates, projections and norms stay float64, and an iterate counts as
+    net (README gives the gain), and, unless region is None, on the
+    anchors' region map for the iterates inside it (_within the radius eps
+    + _FEAS_TOL), until a step finds too few of them there.  The iterates,
+    projections and norms stay float64, and an iterate counts as
     misclassified only once the float64 net agrees at x + delta, so float32
     rounding and the region's map never make a reported adversarial.
     """
@@ -332,8 +332,7 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
         _check_finite(radii[name], _EPS_NAMES[name])
     cfgs = {name: _Pgd(p, radii[name], iterations, restarts, sparsity_frac, seed + offset)
             for offset, (name, p) in enumerate(_ORDERS.items(), start=1) if name in norms}
-    X = np.asarray(dataset.features, dtype=np.float64)
-    y = _check_labels(net, dataset.labels)
+    X, y = net_core._labelled_batch(net, dataset.features, dataset.labels)
     if len(X) == 0:
         raise ValueError("dataset is empty")
     if net.num_classes == 1:
@@ -347,7 +346,8 @@ def lower_bounds(net, dataset, found: dict) -> dict:
     """Robust-error lower bounds from attack_norms results: for each attacked
     norm and for their "union", the fraction of points misclassified or
     broken by the attack(s)."""
-    bad = net_core.classify_batch(net, dataset.features) != dataset.labels
+    X, y = net_core._labelled_batch(net, dataset.features, dataset.labels)
+    bad = net_core.classify_batch(net, X) != y
     broken = {name: bad | success for name, (success, _, _) in found.items()}
     broken["union"] = np.logical_or.reduce([bad, *broken.values()])
     return {name: float(np.mean(v)) for name, v in broken.items()}

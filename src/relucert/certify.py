@@ -45,14 +45,6 @@ def plane_distances(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_labels(net, labels) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    bad = (labels < 1) | (labels > net.num_classes)
-    if bad.any():
-        raise ValueError(f"label {labels[bad][0]} out of range 1..{net.num_classes}")
-    return labels
-
-
 def _check_finite(value, name: str, strict: bool = False) -> None:
     """ValueError unless value is finite and >= 0 (> 0 if strict); the
     message starts with name."""
@@ -66,13 +58,11 @@ class Certificates:
     """Per-point certificates of a batch, one array entry per point.
 
     ``label`` is the true class and ``predicted`` the net's, both in 1..K;
-    ``correct`` marks the points the net predicts right with no decision
-    hyperplane of their region crossed.  ``rho1`` / ``rho_inf`` are the
-    l1 / linf distances to the nearest region or decision hyperplane, zero
-    for incorrect points; they are the certified l1 / linf radii, and
-    ``universal_bound`` turns them into one for any lp.  ``single_l2`` is
-    the single-norm l2 bound, the nearest region or decision hyperplane in
-    l2, zero when the nearest decision hyperplane is crossed.  ``region``
+    ``correct`` marks the points the net predicts right.  ``rho1``,
+    ``single_l2`` and ``rho_inf`` are the l1, l2 and linf distances to the
+    nearest region or decision hyperplane, each zero at every incorrect
+    point: the certified radii of the three norms.  ``universal_bound``
+    turns rho1 and rho_inf into one for any lp.  ``region``
     numbers the points' activation regions 0, 1, ... in order of first
     appearance: points share an index exactly when they share a region.
     """
@@ -139,30 +129,25 @@ def _min_dists(rmap, values, normals):
 
 def certificates(net, X, labels) -> Certificates:
     """Certificates of every row of X (B, d) with true labels in 1..K; the
-    fields are described in ``Certificates``."""
-    labels = _check_labels(net, labels)
+    fields are described in ``Certificates``.  A correct point's decision
+    values are all >= 0, so its radius in each norm is the nearer of its
+    nearest boundary and decision hyperplane."""
+    X, labels = net_core._labelled_batch(net, X, labels)
     n = len(labels)
-    if len(X) != n:
-        raise ValueError(f"{len(X)} points but {n} labels")
-    out = {k: np.zeros(n) for k in ("rho1", "rho_inf", "single_l2")}
+    radii = np.zeros((3, n))  # l1, l2 and linf, as _min_dists stacks them
     predicted = np.zeros(n, dtype=np.int64)
-    correct = np.zeros(n, dtype=bool)
     patterns = []
     for sl, rmap in net_core.region_maps(net, X):
-        y = labels[sl]
-        _, normals, values = rmap.decision_planes(y)
-        (b1, b2, binf), (d1, d2, dinf) = _min_dists(rmap, values, normals)
+        _, normals, values = rmap.decision_planes(labels[sl])
+        boundary, decision = _min_dists(rmap, values, normals)
         patterns.append(np.packbits(rmap.values[rmap.first[-1]] > 0, axis=1)[rmap.region])
         predicted[sl] = np.argmax(rmap.logits, axis=1) + 1
-        ok = (predicted[sl] == y) & ~(d1 < 0.0)
-        correct[sl] = ok
-        out["rho1"][sl] = np.where(ok, np.minimum(b1, np.abs(d1)), 0.0)
-        out["rho_inf"][sl] = np.where(ok, np.minimum(binf, np.abs(dinf)), 0.0)
-        out["single_l2"][sl] = np.where(d2 < 0.0, 0.0, np.minimum(b2, d2))
+        radii[:, sl] = np.where(predicted[sl] == labels[sl],
+                                np.minimum(boundary, np.abs(decision)), 0.0)
     # numbered over the whole batch: a region met in several chunks gets one index
     region = net_core._first_seen(np.concatenate(patterns))[0] if n else np.zeros(0, np.int64)
-    return Certificates(labels, predicted, correct, out["rho1"], out["rho_inf"],
-                        out["single_l2"], region)
+    rho1, single_l2, rho_inf = radii
+    return Certificates(labels, predicted, predicted == labels, rho1, rho_inf, single_l2, region)
 
 
 # -- exact robustness oracle -------------------------------------------------
@@ -250,14 +235,10 @@ def exact_robustness_oracle(net, x, label: int, p) -> OracleResult:
     if net.input_dim != 2:
         raise ValueError(f"the exact oracle maps 2-D inputs only, got d = {net.input_dim}")
     p = geometry._p_value(p)
-    label = int(_check_labels(net, label))
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({net.input_dim},)")
-    if not np.isfinite(x).all():
-        raise ValueError("input has non-finite entries")
-    if net_core.classify_batch(net, x[None, :])[0] != label:
+    X, (label,) = net_core._labelled_batch(net, [x], [label])
+    if net_core.classify_batch(net, X)[0] != label:
         return OracleResult(0.0, True, 0)
+    x = X[0]
     atlas = _atlas_for(net)
     value = _min_lp_to_segments(x, *atlas.decision_edges(label), p)
     # distance from x to the box boundary (same in every lp: one coordinate)

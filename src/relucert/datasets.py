@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,38 +150,49 @@ def _load_binary(path, header: dict, payload: np.ndarray):
     return feats, labels, k
 
 
-def _load_csv(path, text: str):
-    rows, labels = [], []
+def _load_csv(path, data: bytes):
+    """Features, labels and K of the CSV text in data.  The text is decoded
+    and split into lines (universal newlines) a chunk at a time, and the
+    features go into one float64 buffer, so no copy of the whole text and
+    no Python object per feature is held."""
+    feats, labels = array("d"), []
     width = None
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if width is None:
-            width = len(parts)
-            if width < 2:
-                raise ValueError(f"{path}:{lineno}: need features plus a label")
-        elif len(parts) != width:
-            raise ValueError(
-                f"{path}:{lineno}: {len(parts)} columns, expected {width}")
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=None)
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if width is None:
+                width = len(parts)
+                if width < 2:
+                    raise ValueError(f"{path}:{lineno}: need features plus a label")
+            elif len(parts) != width:
+                raise ValueError(
+                    f"{path}:{lineno}: {len(parts)} columns, expected {width}")
+            try:
+                vals = [float(v) for v in parts]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            lab = vals.pop()
+            if not math.isfinite(lab) or lab != int(lab):
+                raise ValueError(f"{path}:{lineno}: label {lab} is not an integer")
+            feats.extend(vals)
+            labels.append(int(lab))
+    except UnicodeDecodeError:
+        # decoded whole, the bytes name the bad byte's offset in the file
         try:
-            vals = [float(v) for v in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        lab = vals[-1]
-        if not math.isfinite(lab) or lab != int(lab):
-            raise ValueError(f"{path}:{lineno}: label {lab} is not an integer")
-        rows.append(vals[:-1])
-        labels.append(int(lab))
-    if not rows:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+    if not labels:
         raise ValueError(f"{path}: no data rows")
-    feats = np.asarray(rows, dtype=np.float64)
     info = np.iinfo(np.int64)
     if min(labels) < info.min or max(labels) > info.max:
         raise ValueError(f"{path}: labels must fit in int64")
     labs = np.asarray(labels, dtype=np.int64)
-    return feats, labs, int(labs.max())
+    return np.frombuffer(feats, dtype=np.float64).reshape(len(labs), -1), labs, int(labs.max())
 
 
 def load_dataset(path) -> Dataset:
@@ -190,11 +202,7 @@ def load_dataset(path) -> Dataset:
     if header is not None:
         arrays = _load_binary(path, header, data)
     else:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
-        arrays = _load_csv(path, text)
+        arrays = _load_csv(path, data)
     try:
         return Dataset(*arrays)
     except ValueError as exc:

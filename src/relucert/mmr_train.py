@@ -268,13 +268,11 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads)
 
 
 def _as_batch(net, batch):
-    X, y = batch
-    X = np.asarray(X, dtype=np.float64)
-    y = certify._check_labels(net, y)
-    if X.ndim != 2 or len(X) != len(y) or len(X) == 0:
-        raise ValueError("batch must be a non-empty (features, labels) pair")
-    if X.shape[1] != net.input_dim:
-        raise ValueError(f"batch has shape {X.shape}, expected (B, {net.input_dim})")
+    """The (features, labels) pair as ``net_core._labelled_batch`` checks it;
+    ValueError if it holds no points."""
+    X, y = net_core._labelled_batch(net, *batch)
+    if not len(X):
+        raise ValueError("the batch holds no points")
     return X, y
 
 
@@ -385,7 +383,8 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     sets = (dataset, dataset if eval_dataset is None else eval_dataset)
     if any(len(ds.features) == 0 for ds in sets):
         raise ValueError("training needs points in both the training and the evaluation set")
-    (X, y), (X_ev, y_ev) = [_as_batch(net0, (ds.features, ds.labels)) for ds in sets]
+    (X, y), (X_ev, y_ev) = [net_core._labelled_batch(net0, ds.features, ds.labels)
+                            for ds in sets]
     n = len(X)
     rng = np.random.default_rng(train_cfg.seed)
     adam = _Adam(net0.weights + net0.biases)

@@ -240,12 +240,29 @@ class RegionMap:
         return others, normals, values
 
 
-def _batch(net: ReluNet, xs, dtype) -> np.ndarray:
-    """xs as a (B, d) array of dtype, for the net's input dimension d."""
+def _batch(net: ReluNet, xs, dtype, finite=False) -> np.ndarray:
+    """xs as a (B, d) array of dtype, for the net's input dimension d (and
+    finite, if set)."""
     xs = np.asarray(xs, dtype=dtype)
     if xs.ndim != 2 or xs.shape[1] != net.input_dim:
         raise ValueError(f"batch has shape {xs.shape}, expected (B, {net.input_dim})")
+    if finite and not np.isfinite(xs).all():
+        raise ValueError(f"row {np.argwhere(~np.isfinite(xs))[0, 0]} of the batch is not finite")
     return xs
+
+
+def _labelled_batch(net: ReluNet, xs, labels):
+    """The one check of a labelled batch: xs as a finite (B, d) float64
+    array and labels as B int64 labels in 1..K."""
+    xs = _batch(net, xs, np.float64, finite=True)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != xs.shape[:1]:
+        raise ValueError(f"{len(xs)} points but {labels.size} labels" if labels.ndim == 1 else
+                         f"labels have shape {labels.shape}, expected ({len(xs)},)")
+    bad = (labels < 1) | (labels > net.num_classes)
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0]} out of range 1..{net.num_classes}")
+    return xs, labels
 
 
 def forward_batch(net: ReluNet, xs):
@@ -475,9 +492,7 @@ def region_maps(net: ReluNet, xs):
     the same wherever the chunks are cut.  A row that is not finite raises
     ValueError.
     """
-    xs = _batch(net, xs, np.float64)
-    if not np.isfinite(xs).all():
-        raise ValueError(f"row {np.argwhere(~np.isfinite(xs))[0, 0]} of the batch is not finite")
+    xs = _batch(net, xs, np.float64, finite=True)
     cap = _region_cap(net)
     most = cap * max(1, CHUNK_BYTES // (8 * max(net.num_hidden_units, 1)) // cap)
     step, lo, carry, w1_norms = cap, 0, None, {}
@@ -524,11 +539,15 @@ def _read_container(path):
     """(header dict, payload) of a container file: one JSON object on the
     first line, then the raw payload, read into one uint8 array, the only
     copy of it in memory.  When the first line does not start with '{' the
-    header is None and the payload is the whole file, as bytes."""
+    header is None and the payload is the whole file, as one bytes object
+    (read again from the start, unless the file is a pipe)."""
     with open(path, "rb") as fh:
         line = fh.readline()
         if not line.strip().startswith(b"{"):
-            return None, line + fh.read()
+            if not fh.seekable():
+                return None, line + fh.read()
+            fh.seek(0)
+            return None, fh.read()
         payload = np.empty(max(os.fstat(fh.fileno()).st_size - len(line), 0), dtype=np.uint8)
         payload = payload[:fh.readinto(payload)]
         rest = fh.read()  # what a pipe, or a file that grew, holds beyond its size

@@ -111,9 +111,20 @@ def _min(a):
     return float(a.min()) if a.size else math.inf
 
 
+def predict(net, x):
+    """The net's class in 1..K at x, from its own forward pass."""
+    h = np.asarray(x, dtype=np.float64)
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        h = np.maximum(w @ h + b, 0.0)
+    return int(np.argmax(net.weights[-1] @ h + net.biases[-1])) + 1
+
+
 def single_norm(net, x, label, p):
+    """The lp radius of x alone: 0.0 where the net misclassifies x or a
+    decision hyperplane is crossed, as ``certificate`` gives rho1 and
+    rho_inf, else the nearest boundary or decision hyperplane."""
     b, d = distances(net, x, label, p)
-    if _min(d) < 0.0:
+    if _min(d) < 0.0 or predict(net, x) != label:
         return 0.0
     return min(_min(b), _min(d))
 
@@ -121,10 +132,7 @@ def single_norm(net, x, label, p):
 def certificate(net, x, label):
     """dict of predicted, correct, rho1, rho_inf, lb_l1, lb_l2, lb_linf."""
     x = np.asarray(x, dtype=np.float64)
-    h = x
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
-        h = np.maximum(w @ h + b, 0.0)
-    predicted = int(np.argmax(net.weights[-1] @ h + net.biases[-1])) + 1
+    predicted = predict(net, x)
     b1, d1 = distances(net, x, label, 1.0)
     binf, dinf = distances(net, x, label, math.inf)
     if _min(d1) < 0.0 or predicted != label:

@@ -4,12 +4,13 @@ per-point reference in per_point_reference.py."""
 import functools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relucert import attacks, certify, geometry, mmr_train, net_core
+from relucert import attacks, certify, cli, datasets, geometry, mmr_train, net_core
 from relucert.mmr_train import MmrUniversalConfig
 from relucert.net_core import ReluNet, random_net
 
@@ -144,6 +145,29 @@ def test_certificates_match_reference(name, net):
             boundary, decision = hyperplane_distances(net, X[i], int(y[i]), p)
             assert_close(boundary, b)
             assert_close(decision, d)
+
+
+def test_tied_logits_certify_no_l2_radius_at_a_misclassified_point(tmp_path):
+    # classes 1 and 2 tie everywhere and the tie goes to class 1, so every
+    # point labelled 2 is misclassified, with a zero decision normal of value
+    # 0 against class 1: single_l2 took it as no hyperplane and claimed the
+    # nearest other one, and report raised "l2 adversarial of norm 0.0 lies
+    # inside its certified radius"
+    net = logit_tie_net()
+    X = np.random.default_rng(0).uniform(0.0, 1.0, (40, 2))
+    y = np.full(len(X), 2)
+    certs = certify.certificates(net, X, y)
+    assert not certs.correct.any()
+    for radius in (certs.rho1, certs.single_l2, certs.rho_inf, *certs.radii().values()):
+        assert (radius == 0.0).all()
+    model, data = tmp_path / "ties.bin", tmp_path / "ties-data.bin"
+    net_core.save_model(net, model)
+    datasets.save_dataset(datasets.Dataset(X, y, num_classes=3), data)
+    report = cli.run_evaluation(model, data, (0.3, None, 0.05), iterations=5, restarts=2,
+                                deterministic=True)
+    assert report.test_error == 1.0
+    assert all(pair["lb"] == pair["ub"] == 1.0
+               for pair in (*report.per_norm.values(), report.union))
 
 
 @pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
@@ -947,3 +971,66 @@ def test_non_finite_points_are_rejected(bad):
         mmr_train.loss(net, (X, [1, 2, 1]), CFG)
     with pytest.raises(ValueError, match="row 1 of the batch is not finite"):
         mmr_train.loss_gradient(net, (X, [1, 2, 1]), CFG)
+
+
+# the one check of a labelled batch, net_core._labelled_batch, at every
+# entry point that takes one; Dataset refuses features that are not finite,
+# so the sets are SimpleNamespaces
+PLAIN = MmrUniversalConfig(lambda1=0.0, lambda_inf=0.0)
+EPS = (0.1, 0.05, 0.02)
+
+
+def labelled_entry_points(net, X, y):
+    """Each public function that takes a labelled batch, called on (X, y)."""
+    data = SimpleNamespace(features=X, labels=np.asarray(y))
+    none = (np.zeros(len(X), dtype=bool), np.full(len(X), math.inf), np.zeros_like(X))
+    return {
+        "certificates": lambda: certify.certificates(net, X, y),
+        "loss": lambda: mmr_train.loss(net, (X, y), PLAIN),
+        "loss_gradient": lambda: mmr_train.loss_gradient(net, (X, y), PLAIN),
+        "attack_norms": lambda: attacks.attack_norms(net, data, EPS, iterations=2, restarts=1),
+        "lower_bounds": lambda: attacks.lower_bounds(net, data, {"l1": none}),
+    }
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", ["loss", "loss_gradient", "attack_norms", "lower_bounds"])
+def test_labelled_batch_refuses_a_row_that_is_not_finite(entry, bad):
+    # without the lambdas the loss takes no region map: it returned nan; the
+    # attack reported the row as not broken, and lower_bounds counted it as
+    # class 1
+    net = random_net([2, 8, 2], bias_scale=0.3)
+    X = np.array([[0.5, 0.5], [0.2, 0.4], [bad, 0.9]])
+    with pytest.raises(ValueError, match="^row 2 of the batch is not finite$"):
+        labelled_entry_points(net, X, [1, 2, 1])[entry]()
+
+
+@pytest.mark.parametrize("entry", ["certificates", "loss", "attack_norms"])
+def test_labelled_batch_refuses_a_length_mismatch(entry):
+    net = random_net([2, 8, 2], bias_scale=0.3)
+    X = np.array([[0.5, 0.5], [0.2, 0.4], [0.1, 0.9]])
+    with pytest.raises(ValueError, match="^3 points but 2 labels$"):
+        labelled_entry_points(net, X, [1, 2])[entry]()
+    with pytest.raises(ValueError, match=r"^labels have shape \(3, 1\), expected \(3,\)$"):
+        labelled_entry_points(net, X, [[1], [2], [1]])[entry]()
+
+
+@pytest.mark.parametrize("which", ["training", "evaluation"])
+def test_train_refuses_a_row_that_is_not_finite_before_any_step(monkeypatch, which):
+    # the row lies past the CERT_SAMPLE points that each epoch certifies:
+    # training ran and recorded a test error that counted it as class 1
+    net = random_net([2, 6, 2], seed=0, bias_scale=0.3)
+    rng = np.random.default_rng(0)
+    X = rng.uniform(0.0, 1.0, (200, 2))
+    y = net_core.classify_batch(net, X)
+    bad = X.copy()
+    bad[150, 1] = math.nan
+    assert mmr_train.CERT_SAMPLE < 150
+    good, broken = SimpleNamespace(features=X, labels=y), SimpleNamespace(features=bad, labels=y)
+    steps = []
+    monkeypatch.setattr(mmr_train, "_loss_and_grad", lambda *a: steps.append(a))
+    data, eval_data = (broken, None) if which == "training" else (good, broken)
+    with pytest.raises(ValueError, match="^row 150 of the batch is not finite$"):
+        mmr_train.train(net, data, CFG, mmr_train.TrainConfig(epochs=10),
+                        eval_dataset=eval_data)
+    assert steps == []

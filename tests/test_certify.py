@@ -176,11 +176,9 @@ def test_zero_normals_certify_without_nan(hidden):
         for p in (1.0, 2.0, math.inf):
             boundary, decision = hyperplane_distances(net, x, int(y[i]), p)
             assert np.isinf(boundary[zero]).all() and (boundary[zero] > 0).all()
-            nearest[p] = min(boundary.min(), abs(decision).min()), decision.min()
-        for p, rho in ((1.0, certs.rho1), (math.inf, certs.rho_inf)):
-            assert rho[i] == (nearest[p][0] if certs.correct[i] else 0.0)
-        near, signed = nearest[2.0]
-        assert certs.single_l2[i] == (0.0 if signed < 0 else near)
+            nearest[p] = min(boundary.min(), abs(decision).min())
+        for p, rho in ((1.0, certs.rho1), (2.0, certs.single_l2), (math.inf, certs.rho_inf)):
+            assert rho[i] == (nearest[p] if certs.correct[i] else 0.0)
     cfg = mmr_train.MmrUniversalConfig(lambda1=0.9, lambda_inf=2.5, gamma1=0.8, gamma_inf=0.15)
     with np.errstate(over="raise", invalid="raise"):
         grads = mmr_train.loss_gradient(net, (X, y), cfg, kb_now=4)

@@ -98,6 +98,46 @@ def test_load_dataset_reads_a_pipe(tmp_path):
     assert back.labels.tobytes() == ds.labels.tobytes()
 
 
+def test_load_csv_holds_the_file_and_one_feature_buffer(tmp_path):
+    # the text was decoded whole and held again as io.StringIO's 4-byte
+    # characters, and the features as a list of Python floats per row: the
+    # peak was 7.7 times the file
+    ds, path = gen_corners(300, seed=4, dim=784, num_classes=10), tmp_path / "c784.csv"
+    save_dataset(ds, path, fmt="csv")
+    size = path.stat().st_size
+    peak, back = _traced_peak(load_dataset, path)
+    assert peak <= 2 * size, (peak, size)
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+def test_load_csv_reads_a_pipe(tmp_path):
+    # a pipe cannot be read again from its start: the first line is kept
+    ds, fifo = gen_blobs(300, seed=1), tmp_path / "fifo"
+    save_dataset(ds, tmp_path / "data.csv", fmt="csv")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes,
+                              args=((tmp_path / "data.csv").read_bytes(),))
+    writer.start()
+    back = load_dataset(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.features.tobytes() == ds.features.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+def test_csv_not_utf8_late_in_the_file_names_the_path_and_offset(tmp_path):
+    # decoded a chunk at a time, the message is still that of the whole
+    # file's decode, with the bad byte's offset in the file
+    good = "".join(f"0.{i % 10},0.5,{1 + i % 2}\n" for i in range(5000)).encode()
+    path = tmp_path / "late.csv"
+    path.write_bytes(good + b"0.1,\xff0.2,1\n")
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value) == (f"{path}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff "
+                               f"in position {len(good) + 4}: invalid start byte")
+
+
 def test_csv_round_trip(tmp_path):
     ds = gen_corners(64, seed=5)
     path = tmp_path / "corners.csv"
