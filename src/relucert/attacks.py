@@ -5,10 +5,10 @@ found for one norm fits inside the other norms' balls.  Each iterate is
 projected onto its norm ball and then the [0, 1] box, and _attack re-checks
 a reported perturbation exactly.
 
-PGD steps on the float32 net and, where _region_pays, on the affine map of
-the activation region that holds the most data points, for the iterates
-strictly inside it.  Either path only steers the search: every candidate is
-classified again by the float64 net before it counts.
+PGD steps on a float32 copy of the net (_single) and, where _region_pays,
+on the affine map of the activation region that holds the most data points,
+for the iterates strictly inside it.  Either path only steers the search:
+every candidate is classified again by the float64 net before it counts.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import geometry, net_core
-from .certify import EpsTriple, _check_finite, row_norms
+from .certify import EpsTriple, _check_finite, _eps_triple, row_norms
 
 __all__ = [
     "attack_norms",
@@ -101,6 +101,20 @@ def _logit_gradient(logits, y0):
     for k, row in enumerate(g):
         row -= y0 == k
     return np.ascontiguousarray(g.T)
+
+
+def _single(net) -> net_core.ReluNet:
+    """The float32 copy of net that PGD steps on: a net over its parameters
+    rounded to float32, which forward_batch and backward_batch compute in.
+    It is PGD's alone, so no other code sees a float32 net.  ValueError,
+    before any step, when a parameter overflows float32."""
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        ws = [w.astype(np.float32) for w in net.weights]
+        bs = [b.astype(np.float32) for b in net.biases]
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ValueError(f"layer {i}: parameters overflow float32")
+    return net_core._view_net(ws, bs)
 
 
 def _region_pays(net, inside=1.0) -> bool:
@@ -237,8 +251,8 @@ def _pgd_core(net, starts, X_ref, y, cfg: _Pgd, region):
     Returns (success, best_norm, best_delta) per row; best_norm is the
     smallest perturbation norm among the misclassified feasible iterates.
 
-    The forward pass and the input gradient run on a float32 copy of the
-    net (README gives the gain), and, unless region is None, on the
+    The forward pass and the input gradient run on the float32 copy
+    _single (README gives the gain), and, unless region is None, on the
     anchors' region map for the iterates inside it (_within the radius eps
     + _FEAS_TOL), until a step finds too few of them there.  The iterates,
     projections and norms stay float64, and an iterate counts as
@@ -249,7 +263,7 @@ def _pgd_core(net, starts, X_ref, y, cfg: _Pgd, region):
     radius = eps + _FEAS_TOL
     eta = eps / 4.0 if p == 1.0 else 2.0 * eps / cfg.iterations
     y0 = y - 1
-    fast = net.astype(np.float32)
+    fast = _single(net)
     if region is not None:
         region = _within(region, radius, p)
     Z, delta, norms = _joint_project(starts.copy(), X_ref, eps, p)
@@ -323,7 +337,7 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
         raise ValueError("iterations and restarts must be >= 1")
     if not 0.0 < sparsity_frac <= 1.0:
         raise ValueError("sparsity_frac must be in (0, 1]")
-    radii = dict(zip(_ORDERS, eps))
+    radii = dict(zip(_ORDERS, _eps_triple(eps)))
     for name in norms:
         if name not in radii:
             raise ValueError(f"unknown norm {name!r}; expected l1, l2 or linf")
@@ -333,8 +347,6 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
     cfgs = {name: _Pgd(p, radii[name], iterations, restarts, sparsity_frac, seed + offset)
             for offset, (name, p) in enumerate(_ORDERS.items(), start=1) if name in norms}
     X, y = net_core._labelled_batch(net, dataset.features, dataset.labels)
-    if len(X) == 0:
-        raise ValueError("dataset is empty")
     if net.num_classes == 1:
         return {name: (np.zeros(len(X), dtype=bool), np.full(len(X), math.inf), np.zeros_like(X))
                 for name in cfgs}
@@ -345,8 +357,12 @@ def attack_norms(net, dataset, eps, norms=tuple(_ORDERS), iterations: int = 100,
 def lower_bounds(net, dataset, found: dict) -> dict:
     """Robust-error lower bounds from attack_norms results: for each attacked
     norm and for their "union", the fraction of points misclassified or
-    broken by the attack(s)."""
+    broken by the attack(s).  ValueError unless each result holds one entry
+    per point."""
     X, y = net_core._labelled_batch(net, dataset.features, dataset.labels)
+    for name, (success, _, _) in found.items():
+        if np.shape(success) != y.shape:
+            raise ValueError(f"{name}: {np.size(success)} attack results for {len(y)} points")
     bad = net_core.classify_batch(net, X) != y
     broken = {name: bad | success for name, (success, _, _) in found.items()}
     broken["union"] = np.logical_or.reduce([bad, *broken.values()])

@@ -32,6 +32,14 @@ EpsTriple = namedtuple("EpsTriple", ["eps1", "eps2", "eps_inf"])
 OracleResult = namedtuple("OracleResult", ["value", "exact", "num_regions"])
 
 
+def _eps_triple(eps) -> EpsTriple:
+    """eps read as (eps1, eps2, eps_inf); ValueError for any other length."""
+    eps = tuple(eps)
+    if len(eps) != len(EpsTriple._fields):
+        raise ValueError(f"eps must be (eps1, eps2, eps_inf), got {len(eps)} values")
+    return EpsTriple(*eps)
+
+
 def plane_distances(values: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """values / norms, broadcast: signed distances to hyperplanes with the
     given values at the point and dual norms of their normals.  A zero
@@ -145,7 +153,7 @@ def certificates(net, X, labels) -> Certificates:
         radii[:, sl] = np.where(predicted[sl] == labels[sl],
                                 np.minimum(boundary, np.abs(decision)), 0.0)
     # numbered over the whole batch: a region met in several chunks gets one index
-    region = net_core._first_seen(np.concatenate(patterns))[0] if n else np.zeros(0, np.int64)
+    region = net_core._first_seen(np.concatenate(patterns))[0]
     rho1, single_l2, rho_inf = radii
     return Certificates(labels, predicted, predicted == labels, rho1, rho_inf, single_l2, region)
 
@@ -258,7 +266,7 @@ def bounds(certs: Certificates, eps) -> dict:
     (``Certificates.radii``) reaches the norm's eps.  Each eps must be
     finite and >= 0.
     """
-    eps = EpsTriple(*eps)
+    eps = _eps_triple(eps)
     for name, e in eps._asdict().items():
         _check_finite(e, name)
     if len(certs.correct) == 0:

@@ -77,7 +77,7 @@ def run_evaluation(model_path, data_path, eps, seed: int = 0, limit: int = 1000,
     would then be wrong."""
     t0 = time.perf_counter()
     net, data, sub = _load_inputs(model_path, data_path, limit)
-    eps = certify.EpsTriple(*eps)
+    eps = certify._eps_triple(eps)
     if eps.eps2 is None:
         eps = eps._replace(eps2=derive_eps2(eps.eps1, eps.eps_inf, data.dim))
     test_error = float(np.mean(net_core.classify_batch(net, data.features) != data.labels))
@@ -205,7 +205,7 @@ def _cmd_certify(args) -> int:
     certs = certify.certificates(net, data.features, data.labels)
     # regions: the number of distinct activation regions among the points
     summary = {"test_error": float(np.mean(~certs.correct)),
-               "regions": int(certs.region.max(initial=-1)) + 1}
+               "regions": int(certs.region.max()) + 1}
     summary.update({f"ub_{n}": v for n, v in certify.bounds(certs, eps).items()})
     if args.per_point_csv:
         # the cells of _write_csv, one f-string a row; lb_l1, lb_linf repeat

@@ -267,15 +267,6 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads)
 # -- loss and gradients ---------------------------------------------------------
 
 
-def _as_batch(net, batch):
-    """The (features, labels) pair as ``net_core._labelled_batch`` checks it;
-    ValueError if it holds no points."""
-    X, y = net_core._labelled_batch(net, *batch)
-    if not len(X):
-        raise ValueError("the batch holds no points")
-    return X, y
-
-
 def _cross_entropy(logits, y, n):
     """Softmax cross-entropy of each row of logits (B, K) at its label in
     1..K, and the adjoint on the logits of their sum over n:
@@ -292,7 +283,7 @@ def _cross_entropy(logits, y, n):
 def loss(net, batch, cfg: MmrUniversalConfig, kb_now=None, lam_scale: float = 1.0) -> float:
     """Mean over the batch of cross-entropy plus the universal regularizer;
     ValueError for a one-class net while a lambda is > 0."""
-    X, y = _as_batch(net, batch)
+    X, y = net_core._labelled_batch(net, *batch)
     return _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, _zero_grads(net)[1])
 
 
@@ -334,7 +325,7 @@ def _zero_grads(net):
 def loss_gradient(net, batch, cfg: MmrUniversalConfig, kb_now=None,
                   lam_scale: float = 1.0):
     """Exact gradient of loss() wrt every weight matrix and bias vector."""
-    X, y = _as_batch(net, batch)
+    X, y = net_core._labelled_batch(net, *batch)
     _, grads = _zero_grads(net)
     _loss_and_grad(net, X, y, cfg, kb_now, lam_scale, grads)
     return grads
@@ -381,10 +372,7 @@ def train(net0, dataset, mmr_cfg: MmrUniversalConfig, train_cfg: TrainConfig,
     point's region has no hyperplane it can cross.
     """
     sets = (dataset, dataset if eval_dataset is None else eval_dataset)
-    if any(len(ds.features) == 0 for ds in sets):
-        raise ValueError("training needs points in both the training and the evaluation set")
-    (X, y), (X_ev, y_ev) = [net_core._labelled_batch(net0, ds.features, ds.labels)
-                            for ds in sets]
+    (X, y), (X_ev, y_ev) = [net_core._labelled_batch(net0, ds.features, ds.labels) for ds in sets]
     n = len(X)
     rng = np.random.default_rng(train_cfg.seed)
     adam = _Adam(net0.weights + net0.biases)

@@ -45,8 +45,8 @@ __all__ = [
 CHUNK_BYTES = 256 * 1024
 
 
-def _frozen_array(a, dtype):
-    out = np.array(a, dtype=dtype, order="C", copy=True)
+def _frozen_array(a):
+    out = np.array(a, dtype=np.float64, order="C", copy=True)
     out.setflags(write=False)
     return out
 
@@ -60,8 +60,9 @@ class ReluNet:
     are the class logits.  A net with a single layer (no hidden units) is
     allowed and is a plain affine classifier.
 
-    Parameters are float64, or float32 when every given array is float32
-    (see ``astype``); ``forward_batch`` computes in that dtype.
+    Parameters are float64, whatever the dtype of the given arrays (float32
+    values are held exactly).  PGD alone steps on a float32 copy, private
+    to ``attacks``.
 
     Instances are immutable: all parameter arrays are read-only, so a net
     can be shared freely across threads.
@@ -71,11 +72,8 @@ class ReluNet:
     biases: tuple
 
     def __post_init__(self):
-        params = (*self.weights, *self.biases)
-        single = bool(params) and all(getattr(a, "dtype", None) == np.float32 for a in params)
-        dtype = np.float32 if single else np.float64
-        ws = tuple(_frozen_array(w, dtype) for w in self.weights)
-        bs = tuple(_frozen_array(b, dtype) for b in self.biases)
+        ws = tuple(map(_frozen_array, self.weights))
+        bs = tuple(map(_frozen_array, self.biases))
         if len(ws) == 0 or len(ws) != len(bs):
             raise ValueError("need exactly one bias vector per weight matrix")
         for i, (w, b) in enumerate(zip(ws, bs)):
@@ -117,14 +115,6 @@ class ReluNet:
     @property
     def dtype(self) -> np.dtype:
         return self.weights[0].dtype
-
-    def astype(self, dtype) -> "ReluNet":
-        """The same net with its parameters rounded to float32 or float64."""
-        dtype = np.dtype(dtype)
-        if dtype not in (np.float32, np.float64):
-            raise ValueError(f"dtype must be float32 or float64, got {dtype}")
-        return ReluNet(tuple(w.astype(dtype) for w in self.weights),
-                       tuple(b.astype(dtype) for b in self.biases))
 
 
 def _view_net(weights, biases) -> ReluNet:
@@ -253,8 +243,10 @@ def _batch(net: ReluNet, xs, dtype, finite=False) -> np.ndarray:
 
 def _labelled_batch(net: ReluNet, xs, labels):
     """The one check of a labelled batch: xs as a finite (B, d) float64
-    array and labels as B int64 labels in 1..K."""
+    array, B >= 1, and labels as B int64 labels in 1..K."""
     xs = _batch(net, xs, np.float64, finite=True)
+    if not len(xs):
+        raise ValueError("the batch holds no points")
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != xs.shape[:1]:
         raise ValueError(f"{len(xs)} points but {labels.size} labels" if labels.ndim == 1 else
@@ -563,8 +555,7 @@ def _read_container(path):
 def save_model(net: ReluNet, path) -> None:
     """Write net as a container file: the JSON header line {"input_dim",
     "num_classes", "dtype": "f64", "layers": [{"rows", "cols"}, ...]}, then
-    each layer's weights (row-major) and bias as little-endian float64.  A
-    float32 net is stored as its exact float64 upcast."""
+    each layer's weights (row-major) and bias as little-endian float64."""
     header = {"input_dim": net.input_dim, "num_classes": net.num_classes, "dtype": "f64",
               "layers": [{"rows": int(w.shape[0]), "cols": int(w.shape[1])}
                          for w in net.weights]}

@@ -604,11 +604,12 @@ def ascent_step(G, p, sparsity_frac):
 
 def pgd_core(net, starts, X_ref, y, cfg, region=None, dtype=np.float64):
     """PGD with the forward pass and the input gradient layer by layer at
-    every step, on the net in dtype; same signature and result as
+    every step, on the net in float64 or on PGD's float32 copy
+    (``attacks._single``) in float32; same signature and result as
     ``attacks._pgd_core``, whose region it ignores.  In float64 the hit test
     is the prediction at the iterate; in float32 an iterate counts once the
     float64 net misclassifies x + delta, as in the mixed-precision loop."""
-    fast = net.astype(dtype)
+    fast = net if dtype == np.float64 else attacks._single(net)
     eps, p = cfg.eps, cfg.p
     eta = eps / 4.0 if p == 1.0 else 2.0 * eps / cfg.iterations
     y0 = y - 1

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -419,7 +420,7 @@ def test_float32_only_flip_is_not_reported():
     w = np.full((1, 2), 1e-13)
     net = ReluNet((w, np.ones((2, 1))), (np.ones(1), np.array([0.0, 1e-12])))
     X = np.array([[0.3, 0.6], [0.5, 0.5]])
-    fast = net.astype(np.float32)
+    fast = attacks._single(net)
     assert (net_core.classify_batch(fast, X) == 1).all()
     assert (net_core.classify_batch(net, X) == 2).all()
     for p in (1.0, 2.0, math.inf):
@@ -428,6 +429,38 @@ def test_float32_only_flip_is_not_reported():
         assert not success.any()
         assert np.isinf(best_norm).all()
         assert not attack_one(net, Dataset(X[:1], [2]), p, 0.1, **kwargs)[0][0]
+
+
+def test_a_weight_that_overflows_float32_fails_before_any_step(monkeypatch):
+    # 1e39 is a finite float64 weight, but PGD's float32 copy cannot hold it
+    w = np.array([[1e39, 0.0], [0.0, 1.0]])
+    net = ReluNet((w, np.array([[1.0, -1.0], [-1.0, 1.0]])), (np.zeros(2), np.zeros(2)))
+    X = np.array([[0.3, 0.6], [0.5, 0.2]])
+    data = Dataset(X, net_core.classify_batch(net, X))
+    steps = []
+    monkeypatch.setattr(attacks, "_forward", lambda *a: steps.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the cast's, if it warns
+        for p in ("l1", "l2", "linf"):
+            with pytest.raises(ValueError, match="^layer 0: parameters "):
+                attack_norms(net, data, (0.1, 0.1, 0.1), norms=(p,), iterations=2, restarts=1)
+    assert steps == []
+
+
+def test_lower_bounds_refuse_results_of_another_length():
+    # results for 1 point with a 3-point set gave 1.0 for every bound, and
+    # results for 2 points failed inside numpy
+    net = tiny_net(0)
+    X = np.array([[0.4, 0.6], [0.2, 0.3], [0.9, 0.1]])
+    data = Dataset(X, net_core.classify_batch(net, X))
+
+    def results(k):
+        return np.ones(k, dtype=bool), np.zeros(k), np.zeros((k, 2))
+
+    for k in (1, 2, 4):
+        with pytest.raises(ValueError, match=f"^linf: {k} attack results for 3 points$"):
+            lower_bounds(net, data, {"l1": results(3), "linf": results(k)})
+    assert lower_bounds(net, data, {"l1": results(3)}) == {"l1": 1.0, "union": 1.0}
 
 
 def test_input_gradient_matches_finite_differences():
@@ -453,7 +486,7 @@ def test_input_gradient_matches_finite_differences():
         fd[:, j] = (xent(X + e) - xent(X - e)) / (2 * h)
     np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
-    fast = net.astype(np.float32)
+    fast = attacks._single(net)
     logits32, preacts32 = net_core.forward_batch(fast, X)
     grad32 = net_core.backward_batch(fast, preacts32, attacks._logit_gradient(logits32, y0))
     assert grad32.dtype == np.float32
@@ -548,7 +581,7 @@ def test_region_step_matches_the_layer_wise_pass():
     # gradients agree with the float32 layer-wise pass to float32 rounding;
     # rows outside get exactly the layer-wise pass
     net = cleared_net([16, 64, 64, 2], seed=2)
-    fast = net.astype(np.float32)
+    fast = attacks._single(net)
     rng = np.random.default_rng(3)
     # at linf radius 10 from the box every one of the 128 rows is reachable
     region = attacks._within(attacks._anchor_region(net, rng.uniform(0, 1, size=(50, 16))),
@@ -586,7 +619,7 @@ def test_region_step_zero_preactivation_is_outside():
     # within linf distance 1 of the anchors only units 0 and 1 can switch:
     # both signed rows are x1 - 0.25
     assert region[0].tolist() == [[1.0, 0.0, -0.25]] * 2
-    fast = net.astype(np.float32)
+    fast = attacks._single(net)
     Z = np.array([[0.25, 0.5], [0.5, 0.5], [0.1, 0.5], [0.25, 0.9]])
     y0 = np.array([0, 1, 0, 1])
     logits, out, G = _region_step(fast, region, Z, y0)
@@ -736,7 +769,7 @@ def test_reachable_rows_give_the_full_tables_outside_set(d, p, monkeypatch):
         # 0 and 1, the second layer's unit 0) are dropped; one with offset 0
         # is kept
         assert zero.sum() == (seed == 2) and (hidden[zero, -1] == 0).all()
-        fast = net.astype(np.float32)
+        fast = attacks._single(net)
         logits, (out, _) = attacks._forward(fast, region, Z, norms)
         full_logits, (full_out, _) = attacks._forward(fast, full, Z, norms)
         assert out.tolist() == full_out.tolist()
@@ -862,7 +895,7 @@ def test_region_with_no_reachable_row_holds_every_iterate():
     rng = np.random.default_rng(0)
     Z, _, norms = attacks._joint_project(X + attacks._sample_ball_rows(rng, len(X), 16, eps, 2.0),
                                          X, eps, 2.0)
-    logits, (out, preacts) = attacks._forward(net.astype(np.float32), region, Z, norms)
+    logits, (out, preacts) = attacks._forward(attacks._single(net), region, Z, norms)
     assert len(out) == 0 and preacts is None
     _, pre64 = net_core.forward_batch(net, Z)
     assert (np.concatenate(pre64, axis=1) > 0).all()

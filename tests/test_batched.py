@@ -852,11 +852,13 @@ def test_regularizer_memory_does_not_grow_with_the_batch():
 
 
 @pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_classify_batch_is_the_argmax_of_forward_batch(name, net, dtype):
+@pytest.mark.parametrize("precision", [lambda net: net, attacks._single],
+                         ids=["float64", "float32"])
+def test_classify_batch_is_the_argmax_of_forward_batch(name, net, precision):
     # the logits of forward_batch, bit for bit: classes agree at every point,
-    # at the logit-ties net's tied classes too, in float64 and float32
-    net = net.astype(dtype)
+    # at the logit-ties net's tied classes too, in float64 and on PGD's
+    # float32 copy
+    net = precision(net)
     X, _ = points(net, 300, seed=len(name))
     logits, _ = net_core.forward_batch(net, X)
     assert np.array_equal(net_core.classify_batch(net, X), np.argmax(logits, axis=1) + 1)
@@ -1013,6 +1015,29 @@ def test_labelled_batch_refuses_a_length_mismatch(entry):
         labelled_entry_points(net, X, [1, 2])[entry]()
     with pytest.raises(ValueError, match=r"^labels have shape \(3, 1\), expected \(3,\)$"):
         labelled_entry_points(net, X, [[1], [2], [1]])[entry]()
+
+
+@pytest.mark.parametrize("entry", ["certificates", "loss", "loss_gradient", "attack_norms",
+                                   "lower_bounds", "train", "train-evaluation"])
+def test_labelled_batch_refuses_an_empty_batch(monkeypatch, entry):
+    # certificates returned empty arrays and lower_bounds a nan with a
+    # RuntimeWarning; the loss, the trainer and the attack each had a
+    # message of their own
+    net = random_net([2, 8, 2], bias_scale=0.3)
+    X, y = np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
+    entries = labelled_entry_points(net, X, y)
+    empty = SimpleNamespace(features=X, labels=y)
+    good = SimpleNamespace(features=np.full((4, 2), 0.5), labels=np.array([1, 2, 1, 2]))
+    config = mmr_train.TrainConfig(epochs=10, batch_size=2)
+    entries["train"] = lambda: mmr_train.train(net, empty, CFG, config)
+    entries["train-evaluation"] = lambda: mmr_train.train(net, good, CFG, config,
+                                                          eval_dataset=empty)
+    steps = []
+    if entry.startswith("train"):
+        monkeypatch.setattr(mmr_train, "_loss_and_grad", lambda *a: steps.append(a))
+    with pytest.raises(ValueError, match="^the batch holds no points$"):
+        entries[entry]()
+    assert steps == []
 
 
 @pytest.mark.parametrize("which", ["training", "evaluation"])

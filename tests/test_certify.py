@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog, minimize
 
-from relucert import certify, geometry, mmr_train, net_core, regions
+from relucert import attacks, certify, datasets, geometry, mmr_train, net_core, regions
 from relucert.certify import EpsTriple, exact_robustness_oracle
 from relucert.net_core import ReluNet, random_net
 
@@ -465,6 +466,41 @@ def test_bounds_reject_radii_that_are_not_finite_and_nonnegative(position, bad):
     eps[position] = bad
     with pytest.raises(ValueError, match=f"{EpsTriple._fields[position]} must be finite"):
         certify.bounds(certs, eps)
+
+
+@pytest.mark.parametrize("eps", [(0.1, 0.05), (0.1, 0.05, 0.02, 0.3)])
+def test_eps_is_read_as_one_triple(eps):
+    # a pair made attack_norms name an unknown norm 'linf' and a fourth
+    # entry was dropped there; bounds raised a TypeError for both
+    net = tiny_net(0)
+    X = np.array([[0.4, 0.6], [0.2, 0.3]])
+    y = net_core.classify_batch(net, X)
+    certs = certify.certificates(net, X, y)
+    data = datasets.Dataset(X, y, net.num_classes)
+    message = rf"^eps must be \(eps1, eps2, eps_inf\), got {len(eps)} values$"
+    with pytest.raises(ValueError, match=message):
+        certify.bounds(certs, eps)
+    with pytest.raises(ValueError, match=message):
+        attacks.attack_norms(net, data, eps, norms=("l1",), iterations=2, restarts=1)
+
+
+def test_a_net_given_float32_arrays_certifies_as_its_float64_values():
+    # a ReluNet is float64: one built from float32 arrays used to stay
+    # float32 and build its region tables in float32, and certified some
+    # decision-limited points above the robustness of its own parameters
+    for s in range(3):
+        net = random_net([16, 64, 64, 3], seed=s, bias_scale=0.3)
+        weights = tuple(w.astype(np.float32) for w in net.weights)
+        biases = tuple(b.astype(np.float32) for b in net.biases)
+        single = ReluNet(weights, biases)
+        double = ReluNet(tuple(w.astype(np.float64) for w in weights),
+                         tuple(b.astype(np.float64) for b in biases))
+        X = np.random.default_rng(s).uniform(0, 1, (300, 16))
+        y = net_core.classify_batch(double, X)
+        got, want = certify.certificates(single, X, y), certify.certificates(double, X, y)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (s, field.name)
 
 
 @pytest.mark.parametrize("shape", [

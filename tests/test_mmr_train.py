@@ -106,7 +106,7 @@ def test_train_rejects_empty_datasets():
     good = SimpleNamespace(features=np.array([[0.2, 0.3]]), labels=np.array([1]))
     empty = SimpleNamespace(features=np.zeros((0, 2)), labels=np.zeros(0, dtype=np.int64))
     for data, eval_data in ((empty, None), (good, empty)):
-        with pytest.raises(ValueError, match="^training needs points in both the training "):
+        with pytest.raises(ValueError, match="^the batch holds no points$"):
             train(net, data, MmrUniversalConfig(), TrainConfig(epochs=10),
                   eval_dataset=eval_data)
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from relucert import net_core
+from relucert import attacks, net_core
 from relucert.net_core import ReluNet, load_model, random_net, save_model
 
 from conftest import TINY_ARCHS, tiny_net
@@ -189,8 +189,10 @@ def test_net_is_immutable():
 
 
 def test_astype_float32_rounds_parameters_and_forward_follows():
+    # PGD's private float32 copy rounds the parameters, and forward_batch
+    # computes in float32 on it
     net = random_net([4, 6, 5, 3], seed=7, bias_scale=0.3)
-    fast = net.astype(np.float32)
+    fast = attacks._single(net)
     assert net.dtype == np.float64 and fast.dtype == np.float32
     for a, b in zip(net.weights + net.biases, fast.weights + fast.biases):
         assert b.dtype == np.float32 and not b.flags.writeable
@@ -200,16 +202,18 @@ def test_astype_float32_rounds_parameters_and_forward_follows():
     assert logits.dtype == np.float32 and all(g.dtype == np.float32 for g in pre)
     ref, _ = net_core.forward_batch(net, X)
     assert np.abs(logits - ref).max() <= 1e-5 * np.abs(ref).max()
-    assert fast.astype(np.float64).dtype == np.float64
-    with pytest.raises(ValueError, match="float32 or float64"):
-        net.astype(np.int32)
+    # a parameter that float32 cannot hold is refused, not made inf
+    big = ReluNet(net.weights, net.biases[:-1] + (np.array([0.0, 1e39, 0.0]),))
+    with pytest.raises(ValueError, match="^layer 2: parameters overflow float32$"):
+        attacks._single(big)
 
 
 def test_mixed_parameter_dtypes_give_a_float64_net():
-    w = np.ones((2, 2), dtype=np.float32)
-    net = ReluNet((w, np.ones((2, 2))), (np.zeros(2, dtype=np.float32), np.zeros(2)))
-    assert net.dtype == np.float64
-    assert all(a.dtype == np.float64 for a in net.weights + net.biases)
+    # every net is float64, whatever the dtypes of the arrays it is given
+    for a, b in ((np.float32, np.float64), (np.float32, np.float32), (np.float16, np.int64)):
+        net = ReluNet((np.ones((2, 2), a), np.ones((2, 2), b)), (np.zeros(2, a), np.zeros(2, b)))
+        assert net.dtype == np.float64
+        assert all(p.dtype == np.float64 for p in net.weights + net.biases)
 
 
 def _same_bits(a, b):
@@ -231,20 +235,33 @@ def test_model_json_round_trip(tmp_path):
         assert again.read_bytes() == path.read_bytes()
 
 
+def _float32_arrays(net):
+    """net's weights and biases rounded to float32 arrays."""
+    return (tuple(w.astype(np.float32) for w in net.weights),
+            tuple(b.astype(np.float32) for b in net.biases))
+
+
 def test_float32_model_loads_as_its_float64_upcast(tmp_path):
-    net = random_net([3, 5, 4, 2], seed=42, bias_scale=0.1).astype(np.float32)
-    path = tmp_path / "model.bin"
+    # a net given float32 arrays holds their exact float64 values, and
+    # round-trips bit for bit
+    weights, biases = _float32_arrays(random_net([3, 5, 4, 2], seed=42, bias_scale=0.1))
+    net = ReluNet(weights, biases)
+    assert net.dtype == np.float64
+    for a, b in zip(weights + biases, net.weights + net.biases):
+        assert _same_bits(a.astype(np.float64), b)
+    path, again = tmp_path / "model.bin", tmp_path / "again.bin"
     save_model(net, path)
     loaded = load_model(path)
-    assert loaded.dtype == np.float64
     for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
-        assert _same_bits(a.astype(np.float64), b)
+        assert _same_bits(a, b)
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_model_file_layout(tmp_path):
     # one JSON header line, then each layer's row-major weights and its
-    # bias as little-endian float64, a float32 net's as its float64 upcast;
-    # the file name plays no part
+    # bias as little-endian float64, a net given float32 arrays as their
+    # float64 values; the file name plays no part
     net = random_net([3, 5, 2], seed=0, bias_scale=0.2)
     path = tmp_path / "model.json"
     save_model(net, path)
@@ -252,7 +269,7 @@ def test_model_file_layout(tmp_path):
     assert json.loads(header) == {
         "input_dim": 3, "num_classes": 2, "dtype": "f64",
         "layers": [{"rows": 5, "cols": 3}, {"rows": 2, "cols": 5}]}
-    for net in (net, random_net([16, 64, 8, 3], seed=1, bias_scale=0.2).astype(np.float32),
+    for net in (net, ReluNet(*_float32_arrays(random_net([16, 64, 8, 3], seed=1, bias_scale=0.2))),
                 random_net([4, 2], seed=2), tiny_net(3)):
         save_model(net, path)
         header = {"input_dim": net.input_dim, "num_classes": net.num_classes, "dtype": "f64",
