@@ -103,35 +103,25 @@ class Certificates:
         return {"l1": self.rho1, "l2": self.single_l2, "linf": self.rho_inf}
 
 
-def hidden_norms(rmap, q) -> np.ndarray:
-    """(B, N) lq-norms of each point's hidden hyperplane normals, taken once
-    per table row (``RegionMap.table_norms``)."""
-    out = np.empty(rmap.values.shape)
-    for l, cols in enumerate(rmap.layers):
-        out[:, cols] = rmap.at_points(l, rmap.table_norms(l, q))
-    return out
-
-
 # The dual exponents of l1, l2 and linf, in the order _min_dists stacks them.
 _DUALS = tuple(geometry.dual_exponent(p) for p in (1.0, 2.0, math.inf))
 
 
 def _min_dists(rmap, values, normals):
     """Nearest boundary and nearest (signed) decision distance per point in
-    l1, l2 and linf: two (3, B) arrays, a row per norm.  Each layer's gaps
-    |rmap.values|, and the decision values, are divided once by their rows'
-    three dual norms stacked (plane_distances).  A one-class net has no
-    decision hyperplane in any region, so no input changes its class and
-    both distances are inf."""
-    gaps = np.abs(rmap.values)
+    l1, l2 and linf: two (3, B) arrays, a row per norm.  The gaps
+    |rmap.values| are divided by their dual norms one norm at a time
+    (``RegionMap.hidden_norms``), the decision values once by their three
+    norms stacked (plane_distances).  A one-class net has no decision
+    hyperplane in any region, so no input changes its class and both
+    distances are inf."""
     dens = np.stack([row_norms(normals, q) for q in _DUALS])
     decision = plane_distances(values, dens).min(axis=2, initial=math.inf)
     if not normals.shape[1]:
         return decision, decision
-    boundary = np.full(decision.shape, math.inf)
-    for l, cols in enumerate(rmap.layers):
-        dens = rmap.at_points(l, np.stack([rmap.table_norms(l, q) for q in _DUALS]))
-        np.minimum(boundary, plane_distances(gaps[:, cols], dens).min(axis=2), out=boundary)
+    gaps = np.abs(rmap.values)
+    boundary = np.stack([plane_distances(gaps, rmap.hidden_norms(q)).min(axis=1, initial=math.inf)
+                         for q in _DUALS])
     return boundary, decision
 
 
@@ -214,7 +204,9 @@ def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     # general p: sum_i |c_i - t e_i|^p is convex and differentiable in t, so
     # bisect each segment on the sign of its derivative, -p sum_i e_i
     # sign(r_i) |r_i|^(p-1) with r = c - t e; 64 halvings pin t below
-    # float64's resolution on [0, 1].  Coordinates lie along the leading
+    # float64's resolution on [0, 1].  r is scaled by its max per segment,
+    # which keeps the sign and keeps the power from overflowing or its
+    # largest terms from underflowing.  Coordinates lie along the leading
     # axis, so the sum takes d vectorized passes over the segments.
     cT, eT = c.T.copy(), e.T.copy()
     lo = np.zeros(len(starts))
@@ -222,6 +214,8 @@ def _min_lp_to_segments(x: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     for _ in range(64):
         t = 0.5 * (lo + hi)
         r = cT - t * eT
+        top = np.abs(r).max(axis=0)
+        r /= np.where(top > 0, top, 1.0)
         rising = (eT * np.copysign(np.abs(r) ** (p - 1.0), r)).sum(axis=0) < 0
         hi = np.where(rising, t, hi)
         lo = np.where(rising, lo, t)

@@ -231,7 +231,7 @@ def _universal(net, X, y, cfg: MmrUniversalConfig, kb_now, lam1, lam_inf, grads)
                 continue
             q = dual_exponent(p)  # linf for p = 1, l1 for p = inf
             if kb:
-                dens = certify.hidden_norms(rmap, q)
+                dens = rmap.hidden_norms(q)
                 dists = certify.plane_distances(abs_u, dens)
                 near, take = _nearest(dists, kb)
                 value += lam * _hinge(near / gamma).sum(axis=1) / kb

@@ -11,7 +11,8 @@ each layer's form once per group, since nearby points, and the training
 points of a margin-regularized net, mostly share a region.  The batch is
 cut into chunks of bounded memory, larger while the points share regions,
 and a chunk copies the previous chunk's table rows, with their dual norms,
-whose activation prefix it meets again.
+whose activation prefix it meets again.  ``RegionMap.hidden_norms`` reads
+those norms at the points, for the certificate and the regularizer alike.
 """
 
 from __future__ import annotations
@@ -146,7 +147,10 @@ def row_norms(mat: np.ndarray, p: float) -> np.ndarray:
         return a.max(axis=-1)
     if p == 1.0:
         return a.sum(axis=-1)
-    return (a ** p).sum(axis=-1) ** (1.0 / p)
+    # each row scaled by its max, so that no power overflows and the largest
+    # entries never underflow
+    top = a.max(axis=-1, keepdims=True, initial=0.0)
+    return top[..., 0] * ((a / np.where(top > 0, top, 1.0)) ** p).sum(axis=-1) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,8 @@ class RegionMap:
     (the net's ``hidden_slices``) being layer l's columns, and ``logits``
     (B, K) the outputs.  A unit is active exactly where its value is > 0.
     ``norms[l]`` holds the lq-norms of layer l's table rows taken so far,
-    q -> (U_l, n_l); ``table_norms`` reads and fills it.
+    q -> (U_l, n_l); ``hidden_norms`` fills it for the hidden layers and
+    reads it at the points.
     """
 
     index: tuple
@@ -182,22 +187,19 @@ class RegionMap:
     def region(self) -> np.ndarray:
         return self.index[-1]
 
-    def table_norms(self, l, q) -> np.ndarray:
-        """(U_l, n_l) lq-norms of the rows of layer l's table, the dual norms
-        of its hyperplane normals: taken on first use and kept, so each row's
-        are taken once (region_maps copies them with a carried row, and
-        shares layer 1's, W1's, between its chunks)."""
-        cache = self.norms[l]
-        if q not in cache:
-            cache[q] = row_norms(self.v_maps[l], q)
-        return cache[q]
-
-    def at_points(self, l, table) -> np.ndarray:
-        """Layer l's table (..., U_l, n_l), such as its row norms, read at
-        each point along its second last axis: gathered by index[l], unless
-        _read_as_is."""
-        index = self.index[l]
-        return table if _read_as_is(table.shape[-2], index) else table[..., index, :]
+    def hidden_norms(self, q) -> np.ndarray:
+        """(B, N) lq-norms of each point's hidden hyperplane normals, the
+        dual norms of its table rows: each table's are taken on first use
+        and kept in ``norms`` (region_maps copies them with a carried row,
+        and shares W1's between its chunks), then read at each point,
+        broadcast or gathered by index[l] unless _read_as_is."""
+        out = np.empty(self.values.shape)
+        for l, cols in enumerate(self.layers):
+            if q not in self.norms[l]:
+                self.norms[l][q] = row_norms(self.v_maps[l], q)
+            norms, index = self.norms[l][q], self.index[l]
+            out[:, cols] = norms if _read_as_is(len(norms), index) else norms[index]
+        return out
 
     def affine_region(self, i):
         """Point i's activation region as rows [w, c] of affine maps z -> w . z

@@ -179,19 +179,19 @@ class RegionAtlas:
         # the table of pieces (module docstring), the row of v and a each
         # piece inherits, and the active hidden units of each piece so far
         xy = np.array([[LO, HI, HI, LO, LO], [LO, LO, HI, HI, LO]])[:, :, None]
-        counts, src, P = np.array([4]), np.array([0]), 1
+        counts = np.array([4])
         bits = np.zeros((net.num_hidden_units, 1), dtype=bool)
         # the current layer's affine form on each piece: v (R, n, 2), a (R, n)
         v, a = net.weights[0][None], net.biases[0][None]
         for cols, w, b in zip(net.hidden_slices, net.weights[1:], net.biases[1:]):
-            src[:P] = np.arange(P)
+            src = np.arange(len(counts))
             for j, h in enumerate(range(cols.start, cols.stop)):
-                g = _side(xy[:, :, :P], v[src[:P], j], a[src[:P], j])
+                g = _side(xy, v[src, j], a[src, j])
                 lo, hi = g.min(axis=0), g.max(axis=0)
                 crossed = np.flatnonzero((lo < -_TOL) & (hi > _TOL))
                 # a piece the line does not cross lies on the side of its
                 # vertex farthest from the line
-                bits[h, :P] = lo + hi > 0.0
+                bits[h] = lo + hi > 0.0
                 k = len(crossed)
                 if k:
                     # both sides of every crossed piece in one clip: each keeps
@@ -201,29 +201,27 @@ class RegionAtlas:
                     gc = g[:, crossed]
                     pieces, n = _clip(xy[:, :, both], counts[both],
                                       np.concatenate([-gc, gc], axis=1), xy.shape[1])
-                    if P + k > xy.shape[2]:  # k <= P: doubling is enough
-                        xy, counts, src, bits = (np.concatenate([buf, buf], axis=-1)
-                                                 for buf in (xy, counts, src, bits))
                     extra = pieces.shape[1] - xy.shape[1]
                     if extra > 0:
                         xy = np.concatenate([xy, xy[:, :1].repeat(extra, axis=1)], axis=1)
-                    xy[:, :, crossed], xy[:, :, P:P + k] = pieces[:, :, :k], pieces[:, :, k:]
-                    counts[crossed], counts[P:P + k] = n[:k], n[k:]
-                    src[P:P + k] = src[crossed]
-                    bits[:, P:P + k] = bits[:, crossed]
-                    bits[h, crossed], bits[h, P:P + k] = True, False
-                    P += k
-                if P > MAX_REGIONS:
+                    xy[:, :, crossed], counts[crossed] = pieces[:, :, :k], n[:k]
+                    below = bits[:, crossed]
+                    bits[h, crossed], below[h] = True, False
+                    xy = np.concatenate([xy, pieces[:, :, k:]], axis=2)
+                    counts = np.concatenate([counts, n[k:]])
+                    src = np.concatenate([src, src[crossed]])
+                    bits = np.concatenate([bits, below], axis=1)
+                if len(counts) > MAX_REGIONS:
                     self.complete = False
                     return
-            v, a = _layer_steps(w, b, v, a, src[:P], bits[cols, :P].T)
+            v, a = _layer_steps(w, b, v, a, src, bits[cols].T)
         # one vertex array per region, and the table as a view of them
-        rows = np.ascontiguousarray(xy[:, :, :P].transpose(2, 1, 0))
-        self._xy, self._counts, self._v_out, self._a_out = rows.T, counts[:P], v, a
-        layers = [list(map(bytes, np.ascontiguousarray(bits[cols, :P].T).view(np.uint8)))
+        rows = np.ascontiguousarray(xy.transpose(2, 1, 0))
+        self._xy, self._counts, self._v_out, self._a_out = rows.T, counts, v, a
+        layers = [list(map(bytes, np.ascontiguousarray(bits[cols].T).view(np.uint8)))
                   for cols in net.hidden_slices]
-        keys = list(zip(*layers)) if layers else [()] * P
-        polys = map(np.ndarray.__getitem__, rows, map(slice, self._counts.tolist()))
+        keys = list(zip(*layers)) if layers else [()] * len(counts)
+        polys = map(np.ndarray.__getitem__, rows, map(slice, counts.tolist()))
         self.regions = list(map(_Region, keys, polys, v, a))
 
     # -- queries -----------------------------------------------------------

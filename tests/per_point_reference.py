@@ -362,7 +362,7 @@ def universal_argsort(net, X, y, cfg, kb_now, lam1, lam_inf, grads=None, ce=None
                 continue
             q = geometry.dual_exponent(p)
             if kb:
-                dens = certify.hidden_norms(rmap, q)
+                dens = rmap.hidden_norms(q)
                 dists = masked_distances(abs_u, dens)
                 sel = np.argsort(dists, axis=1, kind="stable")[:, :kb]
                 near = np.take_along_axis(dists, sel, axis=1)

@@ -683,38 +683,59 @@ def test_chunks_carry_the_previous_chunks_tables(monkeypatch):
 
 def assert_kept_norms_are_row_norms(net, X):
     """Every chunk's kept norms, those it carried from the previous chunk
-    and those it takes, are bitwise row_norms of its own tables, and its
-    chunks share one dict of layer 1's.  Returns how many tables past
-    layer 1 came with norms carried."""
+    and those hidden_norms takes, are bitwise row_norms of its own tables,
+    and hidden_norms reads them at each point by its row; its chunks share
+    one dict of layer 1's, and none keeps norms of its output map.
+    Returns how many tables past layer 1 came with norms carried."""
     carried, w1_norms = 0, None
     for _, rmap in net_core.region_maps(net, X):
         w1_norms = rmap.norms[0] if w1_norms is None else w1_norms
         assert rmap.norms[0] is w1_norms
-        for l, v in enumerate(rmap.v_maps):
-            carried += l > 0 and bool(rmap.norms[l])
+        carried += sum(map(bool, rmap.norms[1:]))
+        # taken before the next chunk is built, which then carries them
+        for q in certify._DUALS:
+            dens = rmap.hidden_norms(q)
+            for l, cols in enumerate(rmap.layers):
+                kept = rmap.norms[l][q][rmap.index[l]]
+                assert dens[:, cols].tobytes() == kept.tobytes(), (l, q)
+        for l, v in enumerate(rmap.v_maps[:-1]):
+            assert set(rmap.norms[l]) == set(certify._DUALS), l
             for q, norms in rmap.norms[l].items():
                 assert norms.tobytes() == net_core.row_norms(v, q).tobytes(), (l, q)
-            # taken before the next chunk is built, which then carries them
-            for q in certify._DUALS:
-                assert rmap.table_norms(l, q).tobytes() == net_core.row_norms(v, q).tobytes()
-                assert rmap.table_norms(l, q) is rmap.norms[l][q]
+        assert not rmap.norms[-1]
     return carried
 
 
 @pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
 def test_kept_norms_are_the_tables_row_norms(monkeypatch, name, net):
     # two points alternating first: a chunk of R = 4 points in two regions,
-    # whose rows the next chunk carries, then points of many regions
+    # whose rows the next chunk carries, then points of many regions; only
+    # a hidden layer after the first has rows whose norms are carried
     X, _ = points(net, 60, seed=len(name) + 500)
     X = np.vstack([np.tile(X[:2], (6, 1)), X])
     monkeypatch.setattr(net_core, "CHUNK_BYTES", 4 * region_bytes(net))
-    assert assert_kept_norms_are_row_norms(net, X) > 0
+    carried = assert_kept_norms_are_row_norms(net, X)
+    assert (carried > 0) == (len(net.hidden_sizes) > 1)
 
 
 def test_kept_norms_of_the_big_batches_are_the_tables_row_norms():
     for kind, (net, X) in big_batches(300).items():
         carried = assert_kept_norms_are_row_norms(net, X)
         assert (carried > 0) == (kind != "distinct"), kind
+
+
+@pytest.mark.parametrize("name,net", NETS, ids=[n for n, _ in NETS])
+def test_hidden_norms_are_the_row_norms_of_each_points_region(monkeypatch, name, net):
+    # independent of the tables' rows and their carry: each point's hidden
+    # norms are those of the hyperplanes of its own region (affine_region)
+    X, _ = points(net, 60, seed=len(name) + 500)
+    monkeypatch.setattr(net_core, "CHUNK_BYTES", 4 * region_bytes(net))
+    for sl, rmap in net_core.region_maps(net, X):
+        for q in certify._DUALS:
+            dens = rmap.hidden_norms(q)
+            for i in range(len(dens)):
+                want = net_core.row_norms(rmap.affine_region(i)[0][:, :-1], q)
+                assert dens[i].tobytes() == want.tobytes(), (sl.start + i, q)
 
 
 def counted_carries(monkeypatch):

@@ -356,19 +356,26 @@ def test_certificates_below_oracle_spot_check():
 def test_universal_bound_below_oracle_between_the_exact_norms(trained_pairs):
     # the all-p certificate at p outside {1, 2, inf}, where the oracle takes
     # its distances to the decision edges by ternary search, on a
-    # regularized blobs model; slack as in the p = 2 comparisons
+    # regularized blobs model; slack as in the p = 2 comparisons.  At
+    # p = 1000 the oracle lies between its linf value and 2^(1/1000) times
+    # it, as every 2-D lp-norm does, with no power overflowing or
+    # underflowing on the way
     run = trained_pairs["runs"][0]
     net, sub = run["mmr"], run["test"].head(20)
     certs = certify.certificates(net, sub.features, sub.labels)
     positive = 0
-    for p in (1.5, 3.0):
+    for p in (1.5, 3.0, 1000.0):
         bounds = certs.universal_bound(p)
         for i in range(sub.count):
-            res = exact_robustness_oracle(net, sub.features[i], int(sub.labels[i]), p)
+            x, label = sub.features[i], int(sub.labels[i])
+            res = exact_robustness_oracle(net, x, label, p)
             assert res.exact
             assert bounds[i] <= res.value + 1e-9, (i, p)
             positive += bounds[i] > 0
-    assert positive > 30
+            if p == 1000.0:
+                linf = exact_robustness_oracle(net, x, label, math.inf).value
+                assert linf <= res.value <= linf * 2 ** (1 / p) * (1 + 1e-12), i
+    assert positive > 45
 
 
 def test_segment_distance_ternary_search_against_a_grid():
@@ -385,7 +392,7 @@ def test_segment_distance_ternary_search_against_a_grid():
         return f(np.linspace(t[max(i - 1, 0)], t[min(i + 1, 2000)], 2001)).min()
 
     for d in (2, 5):
-        for p in (1.5, 3.0):
+        for p in (1.5, 3.0, 1000.0):
             x = rng.uniform(-1.0, 1.0, d)
             for a, b in rng.uniform(-2.0, 2.0, size=(50, 2, d)):
                 got = certify._min_lp_to_segments(x, a[None], b[None], p)
@@ -518,6 +525,16 @@ def test_max_norm_is_the_plain_max_at_every_shape(shape):
     out = certify.row_norms(mat, math.inf)
     assert out.shape == shape[:-1]
     assert out.tobytes() == np.abs(mat).max(axis=-1).tobytes()
+
+
+def test_norm_at_a_large_order_is_neither_inf_nor_zero():
+    # each row is scaled by its max before the power: at p = 300 an entry
+    # above 10 would overflow unscaled, and entries below 1 underflow to 0
+    mat = np.array([[12.0, 1.0], [0.01, -0.005], [0.0, -0.0], [-3.0, 4.0]])
+    assert certify.row_norms(mat, 300.0).tolist() == [12.0, 0.01, 0.0, 4.0]
+    assert certify.row_norms(mat[:, :, None], 300.0).tolist() == np.abs(mat).tolist()
+    assert certify.row_norms(np.zeros((2, 0)), 300.0).tolist() == [0.0, 0.0]
+    assert certify.row_norms(mat, 3.0) == pytest.approx((np.abs(mat) ** 3).sum(axis=1) ** (1 / 3))
 
 
 def test_norm_order_below_one_rejected():
